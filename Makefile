@@ -8,64 +8,12 @@
 GO ?= go
 
 # Benchmark knobs: CI can run a short smoke-bench without timing out via
-# `make bench BENCHTIME=10x PKG=.`, and `make bench-json LABEL=...`
-# records a labeled snapshot in the BENCH_sim.json perf trajectory.
+# `make bench BENCHTIME=10x PKG=.`. Performance is measured end to end on
+# the current tree by the separate benchmark module: `bash bench/run.sh`.
 BENCHTIME ?= 1s
 PKG ?= ./...
-LABEL ?= dev
 
-# Benchmark-regression gate: `make bench-check` compares labeled snapshot
-# pairs already recorded in BENCH_sim.json and fails on >10% regressions
-# in ns/op. The gated pairs: the batched Monte-Carlo kernel
-# (BENCH_BASE→BENCH_HEAD), the exact backend's subset-enumeration
-# benchmarks (BENCH_BASE2→BENCH_HEAD2, the pre-exact snapshot holds only
-# the BenchmarkExact* series), the HTTP serving layer
-# (BENCH_BASE3→BENCH_HEAD3 in BENCH_serve.json, recorded with
-# `make bench-serve-json LABEL=...`), the engine-native optimizer
-# (BENCH_BASE4→BENCH_HEAD4, snapshots hold only the BenchmarkOptimize*
-# series), and the /v1/optimize endpoint (BENCH_BASE5→BENCH_HEAD5 in
-# BENCH_serve.json). Override the pairs, or skip the gate entirely with
-# BENCH_CHECK=0 (escape hatch for machines whose snapshots were recorded
-# elsewhere); re-baseline with `make bench-json LABEL=<new-label>` /
-# `make bench-serve-json LABEL=...`.
-BENCH_BASE ?= pre-batch-baseline
-BENCH_HEAD ?= post-batch
-BENCH_BASE2 ?= pre-exact
-BENCH_HEAD2 ?= post-exact
-BENCH_BASE3 ?= serve-baseline
-BENCH_HEAD3 ?= serve-head
-BENCH_BASE4 ?= optimize-baseline
-BENCH_HEAD4 ?= optimize-head
-BENCH_BASE5 ?= serve-optimize-baseline
-BENCH_HEAD5 ?= serve-optimize-head
-# PR-8 lane-kernel pair: regression-gated as a whole, with the rewritten
-# batch kernel additionally required to be ≥1.5x faster than the scalar
-# baseline. Re-record the head with `make bench-kernel-json`.
-BENCH_BASE6 ?= kernel-baseline
-BENCH_HEAD6 ?= kernel-head
-# QMC variance-reduction pair: the same trials-to-±1e-4 benchmarks
-# recorded under the plain-MC sampler (qmc-baseline) and the QMC sampler
-# (qmc-head); the gate requires ≥4x fewer effective ns per unit of
-# precision. Re-record both with `make bench-qmc-json`.
-BENCH_BASE7 ?= qmc-baseline
-BENCH_HEAD7 ?= qmc-head
-# Tiered-store warm-restart pair: the same restarted-server /v1/eval of a
-# previously-computed exact result, recorded cold (empty cache directory,
-# full recompute every iteration) and warm (seeded disk tier); the gate
-# requires the warm restart to be ≥10x faster. Re-record both with
-# `make bench-store-json`.
-BENCH_BASE8 ?= store-baseline
-BENCH_HEAD8 ?= store-head
-# Table-reuse a-vector ascent pair: one coordinate-ascent pass at n=15,
-# recorded with every probe rebuilding the exact tables
-# (NOCOMM_ASCENT_BENCH=legacy) and with the per-search reusable evaluator
-# delta-updating them; the gate requires the reused search ≥5x faster.
-# Re-record both with `make bench-ascent-json`.
-BENCH_BASE9 ?= ascent-baseline
-BENCH_HEAD9 ?= ascent-head
-BENCH_CHECK ?= 1
-
-.PHONY: build test race vet bench bench-json bench-serve-json bench-kernel-json bench-qmc-json bench-store-json bench-ascent-json bench-check ci
+.PHONY: build test race vet bench bench-module ci
 
 build:
 	$(GO) build ./...
@@ -82,52 +30,9 @@ vet:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) $(PKG)
 
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) $(PKG) | $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_sim.json
+# The benchmark module (bench/, its own go.mod replacing repro with this
+# tree) must keep compiling and passing its tests against every API change.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-bench-serve-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) ./internal/serve/ | $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_serve.json
-
-# Re-record the lane-kernel head snapshot (the baseline was captured from
-# the scalar kernel and is deliberately left untouched).
-bench-kernel-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkBatchKernel(QMC)?|BenchmarkSimulation|BenchmarkWinProbabilityBaseline)$$' -benchmem -benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson -label $(BENCH_HEAD6) -out BENCH_sim.json
-
-# Record both sides of the variance-reduction pair: the trials-to-±1e-4
-# ladder under the pseudo-random sampler, then under the QMC sampler.
-# 1x benchtime: one ladder per sub-benchmark is the measurement.
-bench-qmc-json:
-	NOCOMM_PRECISION_SAMPLER=mc $(GO) test -run '^$$' -bench BenchmarkTrialsToPrecision -benchtime 1x ./internal/sim/ | $(GO) run ./cmd/benchjson -label $(BENCH_BASE7) -out BENCH_sim.json
-	$(GO) test -run '^$$' -bench BenchmarkTrialsToPrecision -benchtime 1x ./internal/sim/ | $(GO) run ./cmd/benchjson -label $(BENCH_HEAD7) -out BENCH_sim.json
-
-# Record both sides of the warm-restart pair: cold restarts (every
-# iteration recomputes into an empty cache directory) then warm restarts
-# (every iteration fills from the seeded disk tier).
-bench-store-json:
-	NOCOMM_STORE_BENCH=cold $(GO) test -run '^$$' -bench '^BenchmarkWarmRestartEval$$' -benchmem -benchtime=$(BENCHTIME) ./internal/serve/ | $(GO) run ./cmd/benchjson -label $(BENCH_BASE8) -out BENCH_serve.json
-	$(GO) test -run '^$$' -bench '^BenchmarkWarmRestartEval$$' -benchmem -benchtime=$(BENCHTIME) ./internal/serve/ | $(GO) run ./cmd/benchjson -label $(BENCH_HEAD8) -out BENCH_serve.json
-
-# Record both sides of the table-reuse ascent pair: the n=15 a-vector
-# pass with per-probe table rebuilds (legacy), then with the reusable
-# evaluator. 1x benchtime: one full ascent pass is the measurement.
-bench-ascent-json:
-	NOCOMM_ASCENT_BENCH=legacy $(GO) test -run '^$$' -bench '^BenchmarkOptimizeVectorN15$$' -benchtime 1x ./internal/engine/ | $(GO) run ./cmd/benchjson -label $(BENCH_BASE9) -out BENCH_sim.json
-	$(GO) test -run '^$$' -bench '^BenchmarkOptimizeVectorN15$$' -benchtime 1x ./internal/engine/ | $(GO) run ./cmd/benchjson -label $(BENCH_HEAD9) -out BENCH_sim.json
-
-bench-check:
-ifeq ($(BENCH_CHECK),0)
-	@echo "bench-check: skipped (BENCH_CHECK=0)"
-else
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE),$(BENCH_HEAD)
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE2),$(BENCH_HEAD2)
-	$(GO) run ./cmd/benchjson -out BENCH_serve.json -check $(BENCH_BASE3),$(BENCH_HEAD3)
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE4),$(BENCH_HEAD4)
-	$(GO) run ./cmd/benchjson -out BENCH_serve.json -check $(BENCH_BASE5),$(BENCH_HEAD5)
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE6),$(BENCH_HEAD6)
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE6),$(BENCH_HEAD6) -match '^BenchmarkBatchKernel$$' -improve 1.5
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE7),$(BENCH_HEAD7) -improve 4
-	$(GO) run ./cmd/benchjson -out BENCH_serve.json -check $(BENCH_BASE8),$(BENCH_HEAD8) -improve 10
-	$(GO) run ./cmd/benchjson -check $(BENCH_BASE9),$(BENCH_HEAD9) -match '^BenchmarkOptimizeVectorN15$$' -improve 5
-endif
-
-ci: build vet test race bench-check
+ci: build vet test race bench-module

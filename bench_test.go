@@ -14,13 +14,14 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
 	"repro/internal/obs"
+	"repro/internal/problem"
 	"repro/internal/qrand"
 	"repro/internal/response"
 	"repro/internal/sim"
@@ -407,14 +408,13 @@ func BenchmarkWinProbabilityObserved(b *testing.B) {
 // BenchmarkSimulation times the Monte-Carlo engine at 100k rounds of the
 // n=3 optimum.
 func BenchmarkSimulation(b *testing.B) {
-	inst, err := core.NewInstance(3, 1)
+	sys, err := engine.SymmetricThreshold{Beta: 0.622}.System(problem.Instance{N: 3, Delta: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	beta := 0.622
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.SimulateThreshold(beta, sim.Config{Trials: 100_000, Seed: uint64(i + 1)}); err != nil {
+		if _, err := sim.WinProbability(sys, sim.Config{Trials: 100_000, Seed: uint64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,8 @@
 //
 // eval, figure and table route through the unified evaluation engine
 // (internal/engine): -backend selects exact closed forms, Monte-Carlo
-// simulation, or auto (exact when available). Figure and table ids accept
+// simulation, or auto (exact when available and within the exact
+// oracle's player cap, Monte-Carlo otherwise). Figure and table ids accept
 // mnemonic aliases (`nocomm table oblivious` = T1), case-insensitively.
 //
 // eval, simulate and table also accept -pi, a comma-separated list of
@@ -64,7 +65,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/nonoblivious"
@@ -272,10 +272,10 @@ func storeFor(dir string, o *obs.Observer) (store.Store, error) {
 // resolveInstance builds the instance from -n/-delta/-pi after fs has
 // been parsed. When -pi is given and -n was left at its default, the
 // player count follows the length of the π vector.
-func resolveInstance(fs *flag.FlagSet, n int, delta float64, piStr string) (core.Instance, error) {
+func resolveInstance(fs *flag.FlagSet, n int, delta float64, piStr string) (problem.Instance, error) {
 	pi, err := problem.ParsePi(piStr)
 	if err != nil {
-		return core.Instance{}, err
+		return problem.Instance{}, err
 	}
 	if pi != nil {
 		nSet := false
@@ -288,18 +288,7 @@ func resolveInstance(fs *flag.FlagSet, n int, delta float64, piStr string) (core
 			n = len(pi)
 		}
 	}
-	return core.NewInstancePi(n, delta, pi)
-}
-
-// describeInstance renders the "n=3 δ=1" output prefix, extended with
-// the π vector when the instance is heterogeneous. The homogeneous form
-// is kept byte-identical to the pre-π output.
-func describeInstance(inst core.Instance) string {
-	s := fmt.Sprintf("n=%d δ=%g", inst.N, inst.Delta)
-	if inst.Heterogeneous() {
-		s += fmt.Sprintf(" π=(%s)", problem.FormatPi(inst.Pi))
-	}
-	return s
+	return problem.NewPi(n, delta, pi)
 }
 
 func cmdEval(g *obsFlags, args []string) (err error) {
@@ -347,19 +336,19 @@ func cmdEval(g *obsFlags, args []string) (err error) {
 	cfg := sim.Config{Trials: *trials, Seed: *seed, Workers: *workers, Replicates: *replicates, Obs: sess.observer}
 	eng := engine.New(engine.Config{Sim: cfg, Obs: sess.observer, ExactWorkers: cfg.Workers, Store: st})
 	sp := sess.observer.StartSpan("eval")
-	res, err := eng.Evaluate(inst.EngineInstance(), rule, b)
+	res, err := eng.Evaluate(inst, rule, b)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	if res.Backend == engine.MonteCarloQMC {
 		fmt.Printf("%s %s(%g): P(win) = %.9f ± %.6f (mc-qmc, %d trials, %d replicates)\n",
-			describeInstance(inst), *kind, *param, res.P, res.StdErr, res.Sim.Trials, res.Sim.Replicates)
+			inst, *kind, *param, res.P, res.StdErr, res.Sim.Trials, res.Sim.Replicates)
 	} else if res.Backend == engine.MonteCarlo {
 		fmt.Printf("%s %s(%g): P(win) = %.9f ± %.6f (mc, %d trials)\n",
-			describeInstance(inst), *kind, *param, res.P, res.StdErr, res.Sim.Trials)
+			inst, *kind, *param, res.P, res.StdErr, res.Sim.Trials)
 	} else {
-		fmt.Printf("%s %s(%g): P(win) = %.9f\n", describeInstance(inst), *kind, *param, res.P)
+		fmt.Printf("%s %s(%g): P(win) = %.9f\n", inst, *kind, *param, res.P)
 	}
 	return nil
 }
@@ -422,7 +411,11 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 
 	// Homogeneous scalar kinds keep the certified symbolic output.
 	if !inst.Heterogeneous() && *kind == "threshold" {
-		res, err := inst.OptimalThreshold()
+		dr, ok := inst.DeltaRat()
+		if !ok {
+			return fmt.Errorf("capacity %v is not an exact rational; the certified optimum needs exact arithmetic", inst.Delta)
+		}
+		res, err := nonoblivious.OptimalSymmetric(inst.N, dr)
 		if err != nil {
 			return err
 		}
@@ -443,7 +436,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 			// Numeric cross-check of the symbolic optimum, searched
 			// through the engine (memo cache, optimize.* counters, the
 			// engine.optimize span tree in the run log).
-			num, err := eng.OptimizeCtx(ctx, inst.EngineInstance(), fam, opts)
+			num, err := eng.OptimizeCtx(ctx, inst, fam, opts)
 			if err != nil {
 				return err
 			}
@@ -453,11 +446,11 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 		return nil
 	}
 	if !inst.Heterogeneous() && *kind == "oblivious" {
-		res, err := inst.OptimalOblivious()
+		res, err := oblivious.Optimal(inst.N, inst.Delta)
 		if err != nil {
 			return err
 		}
-		det, err := inst.OptimalObliviousDeterministic()
+		det, err := oblivious.OptimalDeterministic(inst.N, inst.Delta)
 		if err != nil {
 			return err
 		}
@@ -466,7 +459,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 		fmt.Printf("  deterministic vertex optimum: %d players to bin 1, P = %.9f\n",
 			det.Bin1Count, det.WinProbability)
 		if o.Enabled() {
-			num, err := eng.OptimizeCtx(ctx, inst.EngineInstance(), fam, opts)
+			num, err := eng.OptimizeCtx(ctx, inst, fam, opts)
 			if err != nil {
 				return err
 			}
@@ -478,16 +471,16 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 
 	// Engine-native numeric search: the vector family, and scalar kinds on
 	// heterogeneous instances (no symbolic path exists there).
-	res, err := eng.OptimizeCtx(ctx, inst.EngineInstance(), fam, opts)
+	res, err := eng.OptimizeCtx(ctx, inst, fam, opts)
 	if err != nil {
 		return err
 	}
 	switch *kind {
 	case "vector":
-		fmt.Printf("%s optimal threshold vector (%s backend):\n", describeInstance(inst), res.Backend)
+		fmt.Printf("%s optimal threshold vector (%s backend):\n", inst, res.Backend)
 		fmt.Printf("  a* = (%s)\n", formatVector(res.Params))
 		fmt.Printf("  P* = %.9f\n", res.Value)
-		sym, err := eng.OptimizeCtx(ctx, inst.EngineInstance(), engine.ThresholdBetaFamily{}, opts)
+		sym, err := eng.OptimizeCtx(ctx, inst, engine.ThresholdBetaFamily{}, opts)
 		if err != nil {
 			return err
 		}
@@ -498,10 +491,10 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 		fmt.Printf("  symmetric best: β* = %.9f, P = %.9f (departure max|a_i−β*| = %.3e)\n",
 			sym.Params[0], sym.Value, departure)
 	case "threshold":
-		fmt.Printf("%s optimal symmetric threshold (%s backend):\n", describeInstance(inst), res.Backend)
+		fmt.Printf("%s optimal symmetric threshold (%s backend):\n", inst, res.Backend)
 		fmt.Printf("  β* = %.9f\n  P* = %.9f\n", res.Params[0], res.Value)
 	case "oblivious":
-		fmt.Printf("%s optimal symmetric oblivious (%s backend):\n", describeInstance(inst), res.Backend)
+		fmt.Printf("%s optimal symmetric oblivious (%s backend):\n", inst, res.Backend)
 		fmt.Printf("  α* = %.9f\n  P* = %.9f\n", res.Params[0], res.Value)
 	}
 	fmt.Printf("  search: %d evals (%d cached), %d iterations\n", res.Evals, res.CacheHits, res.Iterations)
@@ -542,7 +535,7 @@ func formatVector(vs []float64) string {
 // big.Rat Theorem 5.1 oracle (every float64 converted bit-exactly) and
 // returns the exact value alongside the float path's documented error
 // bound.
-func certifyThresholdVector(inst core.Instance, a []float64) (exact, bound float64, err error) {
+func certifyThresholdVector(inst problem.Instance, a []float64) (exact, bound float64, err error) {
 	aRat := make([]*big.Rat, len(a))
 	for i, v := range a {
 		aRat[i] = new(big.Rat).SetFloat64(v)
@@ -593,12 +586,18 @@ func cmdSimulate(g *obsFlags, args []string) (err error) {
 	}
 	var res sim.Result
 	switch *kind {
-	case "threshold":
-		res, err = inst.SimulateThreshold(*param, cfg)
-	case "oblivious":
-		res, err = inst.SimulateOblivious(*param, cfg)
+	case "threshold", "oblivious":
+		var rule engine.Rule = engine.SymmetricThreshold{Beta: *param}
+		if *kind == "oblivious" {
+			rule = engine.SymmetricOblivious{A: *param}
+		}
+		sys, serr := rule.System(inst)
+		if serr != nil {
+			return serr
+		}
+		res, err = sim.WinProbability(sys, cfg)
 	case "feasibility":
-		res, err = inst.FeasibilityUpperBound(cfg)
+		res, err = sim.FeasibilityProbability(inst, cfg)
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)
 	}
@@ -606,7 +605,7 @@ func cmdSimulate(g *obsFlags, args []string) (err error) {
 		return err
 	}
 	fmt.Printf("%s %s(%g): P = %.6f ± %.6f (95%% CI [%.6f, %.6f], %d trials)\n",
-		describeInstance(inst), *kind, *param, res.P, res.StdErr, res.CILo, res.CIHi, res.Trials)
+		inst, *kind, *param, res.P, res.StdErr, res.CILo, res.CIHi, res.Trials)
 	return nil
 }
 
@@ -779,7 +778,7 @@ func cmdCertify(g *obsFlags, args []string) (err error) {
 		return err
 	}
 	defer sess.finish(&err)
-	inst, err := core.NewInstance(*n, *delta)
+	inst, err := problem.New(*n, *delta)
 	if err != nil {
 		return err
 	}

@@ -187,3 +187,18 @@ func TestRunTableWritesCSV(t *testing.T) {
 		t.Errorf("T1 CSV missing the 5/12 value:\n%s", data)
 	}
 }
+
+// TestEvalAutoPastExactCap pins -backend auto past the exact oracle's
+// player cap: it answers with a Monte-Carlo estimate, while -backend exact
+// still refuses and names the cap.
+func TestEvalAutoPastExactCap(t *testing.T) {
+	args := []string{"eval", "-n", "30", "-delta", "10", "-trials", "2000", "-workers", "1"}
+	got := captureStdout(t, func() error { return run(append(args, "-backend", "auto")) })
+	if want := "n=30 δ=10 threshold(0.5): P(win) = "; !strings.HasPrefix(got, want) || !strings.HasSuffix(got, "(mc, 2000 trials)\n") {
+		t.Errorf("auto output = %q, want a 2000-trial mc estimate", got)
+	}
+	err := run(append(args, "-backend", "exact"))
+	if err == nil || !strings.Contains(err.Error(), "limited to 25 players") {
+		t.Errorf("exact error = %v, want the 25-player cap", err)
+	}
+}

@@ -2,8 +2,9 @@
 // "Optimal, Distributed Decision-Making: The Case of No Communication"
 // (FCT 1999) as a production-quality Go library.
 //
-// The implementation lives under internal/: see internal/core for the
-// task-oriented API, internal/obs for the dependency-free observability
+// The implementation lives under internal/: see internal/engine for the
+// one evaluation API over every rule class and backend (on instances from
+// internal/problem), internal/obs for the dependency-free observability
 // layer (metrics, spans, JSONL run logs) threaded through the simulation
 // and optimization engines, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -1,9 +1,7 @@
 package repro
 
-// Benchmarks for the exact-evaluation backend, tracked in the
-// BENCH_sim.json perf trajectory (pre-exact vs post-exact snapshots) and
-// gated by `make bench-check`. All three pin the n = 10, δ = n/3 workload
-// the ISSUE targets: the general threshold vector (Theorem 5.1), its
+// Benchmarks for the exact-evaluation backend. All three pin the n = 10,
+// δ = n/3 workload: the general threshold vector (Theorem 5.1), its
 // heterogeneous generalization, and the heterogeneous oblivious sum.
 
 import (

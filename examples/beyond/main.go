@@ -20,9 +20,9 @@ import (
 	"log"
 	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/nonoblivious"
+	"repro/internal/problem"
 	"repro/internal/response"
 	"repro/internal/sim"
 )
@@ -33,21 +33,20 @@ func main() {
 
 	const n = 4
 	capacity := big.NewRat(4, 3)
-	inst, err := core.NewInstance(n, 4.0/3)
+	inst, err := problem.New(n, 4.0/3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("instance: n=%d, δ=4/3 (the paper's Section 5.2.2 case)\n\n", n)
 
 	eng := engine.New(engine.Config{Sim: sim.Config{Trials: 2_000_000, Seed: 404}})
-	ei := inst.EngineInstance()
 
 	// The paper's contenders.
 	thr, err := nonoblivious.OptimalSymmetric(n, capacity)
 	if err != nil {
 		log.Fatal(err)
 	}
-	coin, err := eng.Evaluate(ei, engine.SymmetricOblivious{A: 0.5}, engine.Exact)
+	coin, err := eng.Evaluate(inst, engine.SymmetricOblivious{A: 0.5}, engine.Exact)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func main() {
 	// simulator is unbiased. The same IntervalRule value drives both
 	// backends — only the backend argument changes.
 	band := engine.IntervalRule{Set: best.Set, Grid: 1024}
-	res, err := eng.Evaluate(ei, band, engine.MonteCarlo)
+	res, err := eng.Evaluate(inst, band, engine.MonteCarlo)
 	if err != nil {
 		log.Fatal(err)
 	}

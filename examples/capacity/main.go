@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/big"
@@ -52,7 +53,7 @@ func main() {
 			Rule:     engine.SymmetricOblivious{A: 0.5},
 		}
 	}
-	coins, err := eng.Sweep(points, engine.SweepOptions{Backend: engine.Exact})
+	coins, err := eng.Sweep(context.Background(), points, engine.SweepOptions{Backend: engine.Exact})
 	if err != nil {
 		log.Fatal(err)
 	}

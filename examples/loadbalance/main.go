@@ -16,9 +16,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/big"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/nonoblivious"
+	"repro/internal/problem"
 	"repro/internal/sim"
 )
 
@@ -29,14 +32,14 @@ func main() {
 	const fleet = 5 // edge nodes deciding simultaneously each round
 	// Server capacity per round, in job-size units. The paper's scaling
 	// δ = n/3 keeps the instance tight as the fleet grows.
-	inst, err := core.PaperInstance(fleet)
+	inst, err := problem.PaperInstance(fleet)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fleet of %d edge nodes, two servers of capacity %.3f each, no communication\n\n",
 		inst.N, inst.Delta)
 
-	opt, err := inst.OptimalThreshold()
+	opt, err := nonoblivious.OptimalSymmetric(fleet, big.NewRat(fleet, 3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,10 +50,10 @@ func main() {
 		name string
 		sys  func() (*model.System, error)
 	}{
-		{"coin (oblivious 1/2)", func() (*model.System, error) { return inst.ObliviousSystem(0.5) }},
-		{"naive cutoff 0.50", func() (*model.System, error) { return inst.ThresholdSystem(0.5) }},
+		{"coin (oblivious 1/2)", func() (*model.System, error) { return engine.SymmetricOblivious{A: 0.5}.System(inst) }},
+		{"naive cutoff 0.50", func() (*model.System, error) { return engine.SymmetricThreshold{Beta: 0.5}.System(inst) }},
 		{fmt.Sprintf("optimal cutoff %.3f", opt.BetaFloat), func() (*model.System, error) {
-			return inst.ThresholdSystem(opt.BetaFloat)
+			return engine.SymmetricThreshold{Beta: opt.BetaFloat}.System(inst)
 		}},
 	}
 

@@ -14,9 +14,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/nonoblivious"
+	"repro/internal/problem"
 	"repro/internal/sim"
 )
 
@@ -26,7 +28,7 @@ func main() {
 
 	// The paper's flagship instance: n = 3 players with the δ = n/3
 	// capacity scaling, i.e. bins of capacity 1.
-	inst, err := core.PaperInstance(3)
+	inst, err := problem.PaperInstance(3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,11 +37,10 @@ func main() {
 	// One engine evaluates every rule in this example. Its simulation
 	// defaults apply whenever a rule runs on the Monte-Carlo backend.
 	eng := engine.New(engine.Config{Sim: sim.Config{Trials: 1_000_000, Seed: 2026}})
-	ei := inst.EngineInstance()
 
 	// Strategy 1: flip a fair coin (the optimal symmetric oblivious
 	// algorithm, Theorem 4.3).
-	coin, err := eng.Evaluate(ei, engine.SymmetricOblivious{A: 0.5}, engine.Exact)
+	coin, err := eng.Evaluate(inst, engine.SymmetricOblivious{A: 0.5}, engine.Exact)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 
 	// Strategy 2: the naive threshold 1/2 — small loads to bin 0, large
 	// to bin 1.
-	half, err := eng.Evaluate(ei, engine.SymmetricThreshold{Beta: 0.5}, engine.Exact)
+	half, err := eng.Evaluate(inst, engine.SymmetricThreshold{Beta: 0.5}, engine.Exact)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func main() {
 
 	// Strategy 3: the certified optimum. The framework derives the exact
 	// piecewise polynomial P(β) and maximizes it symbolically.
-	opt, err := inst.OptimalThreshold()
+	opt, err := nonoblivious.OptimalSymmetric(inst.N, big.NewRat(1, 1))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func main() {
 	// Trust, but verify: the same Rule value, Monte-Carlo backend, one
 	// million rounds.
 	best := engine.SymmetricThreshold{Beta: opt.BetaFloat}
-	res, err := eng.Evaluate(ei, best, engine.MonteCarlo)
+	res, err := eng.Evaluate(inst, best, engine.MonteCarlo)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func main() {
 
 	// Ask again and the engine answers from its memoization cache: same
 	// instance, same rule fingerprint, same backend — no trials re-run.
-	again, err := eng.Evaluate(ei, best, engine.MonteCarlo)
+	again, err := eng.Evaluate(inst, best, engine.MonteCarlo)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("asked again:      P = %.6f (served from cache: %v)\n", again.P, again.Cached)
 
 	// And the ceiling: what could an omniscient scheduler achieve?
-	feas, err := inst.FeasibilityUpperBound(sim.Config{Trials: 1_000_000, Seed: 2027})
+	feas, err := sim.FeasibilityProbability(inst, sim.Config{Trials: 1_000_000, Seed: 2027})
 	if err != nil {
 		log.Fatal(err)
 	}

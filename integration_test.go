@@ -5,11 +5,11 @@ package repro
 // executable summary of EXPERIMENTS.md.
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/geometry"
@@ -22,14 +22,10 @@ import (
 )
 
 // TestEndToEndPaperHeadlines re-derives every headline number of the paper
-// through the public facade and checks them against the published values.
+// through the library and checks them against the published values.
 func TestEndToEndPaperHeadlines(t *testing.T) {
-	inst, err := core.NewInstance(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Theorem 4.3 value at n=3: 5/12.
-	obl, err := inst.OptimalOblivious()
+	obl, err := oblivious.Optimal(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +33,7 @@ func TestEndToEndPaperHeadlines(t *testing.T) {
 		t.Errorf("oblivious optimum = %v, want 5/12", obl.WinProbability)
 	}
 	// Section 5.2.1: β* = 1-sqrt(1/7), P* ≈ 0.545.
-	thr, err := inst.OptimalThreshold()
+	thr, err := nonoblivious.OptimalSymmetric(3, big.NewRat(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +44,7 @@ func TestEndToEndPaperHeadlines(t *testing.T) {
 		t.Errorf("P* = %v", thr.WinProbabilityFloat)
 	}
 	// Section 5.2.2: β* ≈ 0.678 at n=4, δ=4/3.
-	inst4, err := core.PaperInstance(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thr4, err := inst4.OptimalThreshold()
+	thr4, err := nonoblivious.OptimalSymmetric(4, big.NewRat(4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +107,11 @@ func TestEndToEndChainOfOracles(t *testing.T) {
 		t.Errorf("convolution %v vs exact %v", conv, want)
 	}
 	// Path 5: Monte-Carlo.
-	inst, err := core.NewInstance(n, 1)
+	sys, err := engine.SymmetricThreshold{Beta: betaF}.System(problem.Instance{N: n, Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := inst.SimulateThreshold(betaF, sim.Config{Trials: 300000, Seed: 99})
+	mc, err := sim.WinProbability(sys, sim.Config{Trials: 300000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,24 +193,25 @@ func TestEndToEndPY91Settled(t *testing.T) {
 // classes, and shrinking a player's range must help the threshold
 // algorithm (player 1's load shrinks stochastically).
 func TestEndToEndHeterogeneousInstance(t *testing.T) {
-	inst, err := core.NewInstancePi(3, 1, []float64{0.5, 1, 1})
+	inst, err := problem.NewPi(3, 1, []float64{0.5, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Heterogeneous() {
 		t.Fatal("instance should be heterogeneous")
 	}
+	eng := engine.New(engine.Config{})
 	cfg := sim.Config{Trials: 400_000, Seed: 29, Workers: 2}
 	for _, r := range []engine.Rule{
 		engine.SymmetricOblivious{A: 0.5},
 		engine.SymmetricThreshold{Beta: 0.5},
 		engine.Threshold{Thresholds: []float64{0.25, 0.5, 0.5}},
 	} {
-		exact, err := inst.Evaluate(r, engine.Exact)
+		exact, err := eng.Evaluate(inst, r, engine.Exact)
 		if err != nil {
 			t.Fatalf("%s exact: %v", r.Name(), err)
 		}
-		mc, err := engine.Default().EvaluateWith(inst.EngineInstance(), r, engine.MonteCarlo, cfg)
+		mc, err := eng.EvaluateWithCtx(context.Background(), inst, r, engine.MonteCarlo, cfg)
 		if err != nil {
 			t.Fatalf("%s mc: %v", r.Name(), err)
 		}
@@ -233,19 +226,15 @@ func TestEndToEndHeterogeneousInstance(t *testing.T) {
 	}
 	// Shrinking π_1 can only reduce the total load, so the best threshold
 	// value on the heterogeneous instance dominates the homogeneous one.
-	hom, err := core.NewInstance(3, 1)
+	homP, err := eng.Evaluate(problem.Instance{N: 3, Delta: 1}, engine.SymmetricThreshold{Beta: 0.5}, engine.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homP, err := hom.SymmetricThresholdWinProbability(0.5)
+	hetP, err := eng.Evaluate(inst, engine.SymmetricThreshold{Beta: 0.5}, engine.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetP, err := inst.SymmetricThresholdWinProbability(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(hetP > homP) {
+	if !(hetP.P > homP.P) {
 		t.Errorf("heterogeneous threshold value %v should beat homogeneous %v", hetP, homP)
 	}
 }

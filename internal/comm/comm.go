@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/optimize"
+	"repro/internal/problem"
 	"repro/internal/response"
 )
 
@@ -45,7 +46,7 @@ func (p OneBitBroadcast) Validate() error {
 		return fmt.Errorf("comm: need at least 2 players, got %d", p.N)
 	}
 	if p.N > 10 {
-		return fmt.Errorf("comm: exact evaluation limited to 10 players, got %d", p.N)
+		return problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
 	for name, v := range map[string]float64{
 		"cut": p.Cut, "senderTheta": p.SenderTheta, "betaLow": p.BetaLow, "betaHigh": p.BetaHigh,
@@ -166,7 +167,7 @@ func (p OneBitToOne) Validate() error {
 		return fmt.Errorf("comm: one-way protocol needs at least 3 players, got %d", p.N)
 	}
 	if p.N > 10 {
-		return fmt.Errorf("comm: exact evaluation limited to 10 players, got %d", p.N)
+		return problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
 	for name, v := range map[string]float64{
 		"cut": p.Cut, "senderTheta": p.SenderTheta,
@@ -275,7 +276,7 @@ func OptimizeOneWay(n int, capacity, betaStar float64) (OneBitToOne, float64, er
 	bestVal := math.Inf(-1)
 	var best OneBitToOne
 	for _, start := range starts {
-		res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.12, 3000, 1e-10)
+		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.12, 3000, 1e-10)
 		if err != nil {
 			return OneBitToOne{}, 0, err
 		}
@@ -338,7 +339,7 @@ func Optimize(n int, capacity, betaStar float64) (OptimizeResult, error) {
 	}
 	best := OptimizeResult{WinProbability: math.Inf(-1)}
 	for _, start := range starts {
-		res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.12, 3000, 1e-10)
+		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.12, 3000, 1e-10)
 		if err != nil {
 			return OptimizeResult{}, err
 		}

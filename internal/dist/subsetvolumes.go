@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"repro/internal/combin"
+	"repro/internal/obs"
 )
 
 // SubsetVolumeStats counts the work one AllSubsetVolumes call performed,
@@ -21,6 +22,18 @@ type SubsetVolumeStats struct {
 	// from scratch rather than updated incrementally (zero here: the
 	// shared threshold makes every radix exponent-independent).
 	Rebuilt uint64
+}
+
+// Record flushes one exact evaluation's work into the exact backend's
+// observability counters: the subset table's cells and steps, the chunks
+// of the final mask sum, and the worker count. A nil observer records
+// nothing.
+func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
+	o.Counter("exact.subsets").Add(int64(s.Subsets))
+	o.Counter("exact.steps.incremental").Add(int64(s.Incremental))
+	o.Counter("exact.steps.rebuilt").Add(int64(s.Rebuilt))
+	o.Counter("exact.chunks").Add(int64(chunks))
+	o.Gauge("exact.workers").Set(float64(workers))
 }
 
 // AllSubsetVolumes returns vol[T] = Vol{y : 0 ≤ y_i ≤ w_i (i ∈ T),

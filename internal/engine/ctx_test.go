@@ -13,7 +13,7 @@ import (
 	"repro/internal/sim"
 )
 
-// slowExactRule is an ExactEvaluator whose oracle blocks until released,
+// slowExactRule is an ExactOpts rule whose oracle blocks until released,
 // standing in for a large-n exact evaluation in deadline tests.
 type slowExactRule struct {
 	release chan struct{}
@@ -25,7 +25,7 @@ func (r *slowExactRule) Fingerprint() string { return "slow-exact" }
 func (r *slowExactRule) System(Instance) (*model.System, error) {
 	return nil, ErrNoSystem
 }
-func (r *slowExactRule) ExactWinProbability(Instance) (float64, error) {
+func (r *slowExactRule) ExactWinProbabilityOpts(Instance, int, *obs.Observer) (float64, error) {
 	<-r.release
 	return r.value, nil
 }
@@ -42,9 +42,9 @@ func TestEvaluateCtxDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := eng.EvaluateCtx(ctx, inst, rule, Exact)
+	_, err := eng.EvaluateWithCtx(ctx, inst, rule, Exact, sim.Config{})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("EvaluateCtx error = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("EvaluateWithCtx error = %v, want context.DeadlineExceeded", err)
 	}
 	if got := o.Counter("engine.evals.abandoned").Value(); got != 1 {
 		t.Errorf("engine.evals.abandoned = %d, want 1", got)
@@ -86,10 +86,10 @@ func TestEvaluateCtxSpanTree(t *testing.T) {
 	rule := SymmetricThreshold{Beta: 0.5}
 
 	root, ctx := o.StartSpanCtx(context.Background(), "handler")
-	if _, err := eng.EvaluateCtx(ctx, inst, rule, Exact); err != nil {
+	if _, err := eng.EvaluateWithCtx(ctx, inst, rule, Exact, sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.EvaluateCtx(ctx, inst, rule, Exact)
+	res, err := eng.EvaluateWithCtx(ctx, inst, rule, Exact, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,8 @@ func TestSweepCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pts := []Point{{Instance: inst, Rule: SymmetricThreshold{Beta: 0.3}}}
-	if _, err := eng.SweepCtx(ctx, pts, SweepOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SweepCtx error = %v, want context.Canceled", err)
+	if _, err := eng.Sweep(ctx, pts, SweepOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sweep error = %v, want context.Canceled", err)
 	}
 	cfg := sim.Config{}
 	_ = cfg // keep sim imported for future config-sensitive cases

@@ -13,24 +13,24 @@
 //   - MonteCarlo — the sim package's deterministic parallel estimator;
 //   - MonteCarloQMC — the randomized quasi-Monte-Carlo estimator
 //     (scrambled Sobol replicates) for local-rule systems;
-//   - Auto — exact when the rule has an exact evaluator, simulation
-//     otherwise.
+//   - Auto — exact when the rule has an exact evaluator and the instance
+//     is within its player cap, simulation otherwise.
 //
 // Every evaluation is memoized behind a concurrency-safe cache keyed on
 // (instance, rule fingerprint, resolved backend, backend tolerance), with
 // hit/miss counters registered in the internal/obs registry, and Sweep
 // shards whole parameter grids across workers. The engine is the seam the
-// layers above share: core delegates its per-class methods here, harness
-// experiments build rule sets instead of bespoke closures, and both CLIs
-// expose the backend choice as a flag.
+// layers above share: harness experiments build rule sets instead of
+// bespoke closures, and both CLIs and the HTTP service expose the backend
+// choice as a flag.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/problem"
@@ -41,8 +41,8 @@ import (
 // Instance is the canonical problem instance: N players with inputs
 // uniform on [0, π_i] (nil Pi ⇒ the homogeneous U[0,1] game) and two
 // bins of capacity Delta. It is an alias of problem.Instance, so the
-// engine, core and the harness all share one definition, one Validate,
-// and one cache key.
+// engine and the harness share one definition, one Validate, and one
+// cache key.
 type Instance = problem.Instance
 
 // Backend selects how a rule is evaluated.
@@ -50,8 +50,9 @@ type Backend int
 
 // The three backends.
 const (
-	// Auto picks Exact when the rule implements ExactEvaluator and falls
-	// back to MonteCarlo otherwise.
+	// Auto picks Exact when the rule implements ExactOpts and falls back
+	// to MonteCarlo otherwise, or when the exact oracle refuses the
+	// instance on its player cap (problem.ErrPlayerCap).
 	Auto Backend = iota
 	// Exact evaluates through the rule's analytic oracle.
 	Exact
@@ -170,20 +171,6 @@ func New(cfg Config) *Engine {
 	return &Engine{simCfg: cfg.Sim, obs: cfg.Obs, exactWorkers: cfg.ExactWorkers, store: st}
 }
 
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the process-wide shared engine (no observability, the
-// DefaultTrials Monte-Carlo configuration). core's per-class methods
-// delegate through it, so repeated evaluations of the same rule anywhere
-// in the process hit one shared cache.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(Config{}) })
-	return defaultEngine
-}
-
 // SimConfig returns the engine's default Monte-Carlo configuration.
 func (e *Engine) SimConfig() sim.Config { return e.simCfg }
 
@@ -200,15 +187,9 @@ func (e *Engine) Evaluate(inst Instance, r Rule, backend Backend) (Result, error
 	return e.EvaluateWithCtx(context.Background(), inst, r, backend, e.simCfg)
 }
 
-// EvaluateCtx is Evaluate with a caller context: the evaluation's spans
-// parent onto any obs span riding ctx, and a cancellable ctx bounds the
-// wait (see EvaluateWithCtx).
-func (e *Engine) EvaluateCtx(ctx context.Context, inst Instance, r Rule, backend Backend) (Result, error) {
-	return e.EvaluateWithCtx(ctx, inst, r, backend, e.simCfg)
-}
-
-// EvaluateWith evaluates the rule on the instance, using simCfg when the
-// resolved backend is MonteCarlo. Results are memoized: the cache key is
+// EvaluateWithCtx evaluates the rule on the instance, using simCfg when
+// the resolved backend is Monte-Carlo; a zero simCfg.Trials selects the
+// engine's default configuration. Results are memoized: the cache key is
 // (instance, rule fingerprint, resolved backend, backend tolerance), where
 // the tolerance is the (Trials, Seed, Workers) triple for Monte-Carlo —
 // the knobs that change the returned bits — and is empty for Exact
@@ -219,19 +200,14 @@ func (e *Engine) EvaluateCtx(ctx context.Context, inst Instance, r Rule, backend
 // settings are likewise excluded: they never change the result, but a
 // cache hit skips the simulation and therefore re-emits no convergence
 // events.
-func (e *Engine) EvaluateWith(inst Instance, r Rule, backend Backend, simCfg sim.Config) (Result, error) {
-	return e.EvaluateWithCtx(context.Background(), inst, r, backend, simCfg)
-}
-
-// EvaluateWithCtx is EvaluateWith with a caller context, the seam the
-// serving layer runs on. Two context features are honored:
+//
+// Two context features are honored:
 //
 //   - Span parenting: when ctx carries an obs span (obs.ContextWithSpan),
 //     the evaluation opens an engine.evaluate child span, and an uncached
 //     computation opens a backend.exact / backend.mc child under that —
 //     the handler → engine → backend trace tree. Without a span in ctx
-//     the evaluation emits no spans, keeping the library path identical
-//     to the pre-context behavior.
+//     the evaluation emits no spans.
 //   - Deadline/cancellation: a cancellable ctx bounds the *wait*, not the
 //     work. If ctx expires while the result is being computed, the call
 //     returns ctx.Err() immediately, the computation keeps running in the
@@ -243,6 +219,13 @@ func (e *Engine) EvaluateWith(inst Instance, r Rule, backend Backend, simCfg sim
 // The cache key is unchanged by ctx: contexts never alter the returned
 // bits, only how long the caller is willing to wait for them.
 func (e *Engine) EvaluateWithCtx(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config) (Result, error) {
+	return e.evaluate(ctx, inst, r, backend, simCfg, nil)
+}
+
+// evaluate is EvaluateWithCtx with an optional sweep worker's reusable
+// oblivious tables (nil outside qualifying sweeps), which serve the Exact
+// computation instead of a one-shot table build.
+func (e *Engine) evaluate(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *sweepTables) (Result, error) {
 	if r == nil {
 		return Result{}, fmt.Errorf("engine: nil rule")
 	}
@@ -290,7 +273,7 @@ func (e *Engine) EvaluateWithCtx(ctx context.Context, inst Instance, r Rule, bac
 		slot.Fill(func() (store.Value, error) {
 			computed = true
 			e.obs.Counter("engine.cache.misses").Inc()
-			res, err := e.compute(ctx, inst, r, resolved, simCfg)
+			res, err := e.compute(ctx, inst, r, resolved, simCfg, tables)
 			if err != nil {
 				return store.Value{}, err
 			}
@@ -317,6 +300,11 @@ func (e *Engine) EvaluateWithCtx(ctx context.Context, inst Instance, r Rule, bac
 	}
 	val, err := slot.Result()
 	if err != nil {
+		if backend == Auto && resolved == Exact && errors.Is(err, problem.ErrPlayerCap) {
+			// The exact oracle refused the instance on its player cap:
+			// Auto falls through to simulation.
+			return e.evaluate(ctx, inst, r, MonteCarlo, simCfg, nil)
+		}
 		return Result{}, err
 	}
 	res, err := resultFromValue(val)
@@ -360,7 +348,7 @@ func resultFromValue(v store.Value) (Result, error) {
 func (e *Engine) resolve(r Rule, backend Backend) (Backend, error) {
 	switch backend {
 	case Exact:
-		if _, ok := r.(ExactEvaluator); !ok {
+		if _, ok := r.(ExactOpts); !ok {
 			return 0, fmt.Errorf("engine: rule %s has no exact evaluator", r.Name())
 		}
 		return Exact, nil
@@ -372,7 +360,7 @@ func (e *Engine) resolve(r Rule, backend Backend) (Backend, error) {
 		}
 		return MonteCarloQMC, nil
 	case Auto:
-		if _, ok := r.(ExactEvaluator); ok {
+		if _, ok := r.(ExactOpts); ok {
 			return Exact, nil
 		}
 		return MonteCarlo, nil
@@ -385,7 +373,7 @@ func (e *Engine) resolve(r Rule, backend Backend) (Backend, error) {
 // carries an obs span (the engine.evaluate span of the caller that won the
 // singleflight race) the computation runs under a backend.exact /
 // backend.mc child span.
-func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config) (Result, error) {
+func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *sweepTables) (Result, error) {
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp := parent.Child("backend." + backend.String())
 		defer sp.End()
@@ -393,24 +381,18 @@ func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Bac
 	switch backend {
 	case Exact:
 		e.obs.Counter("engine.evals.exact").Inc()
-		if res, ok, err := e.overriddenExact(ctx, inst, r); ok {
-			if err != nil {
-				return Result{}, err
-			}
-			return res, nil
-		}
 		var p float64
 		var err error
-		if ro, ok := r.(ExactOpts); ok {
+		if tables != nil {
+			p, err = tables.evaluate(e.obs, r.(obliviousAlphaRule).alphaVector(inst.N))
+		} else {
 			// Clamp to the shard grid: combin.ChunkedMaskSum splits every
 			// enumeration into 64 chunks, so more workers would sit idle.
 			workers, werr := sim.WorkerCount(e.exactWorkers, 64)
 			if werr != nil {
 				return Result{}, werr
 			}
-			p, err = ro.ExactWinProbabilityOpts(inst, workers, e.obs)
-		} else {
-			p, err = r.(ExactEvaluator).ExactWinProbability(inst)
+			p, err = r.(ExactOpts).ExactWinProbabilityOpts(inst, workers, e.obs)
 		}
 		if err != nil {
 			return Result{}, err

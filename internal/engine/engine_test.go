@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
 	"repro/internal/obs"
+	"repro/internal/problem"
 	"repro/internal/py91"
 	"repro/internal/response"
 	"repro/internal/sim"
@@ -181,7 +184,7 @@ func TestMonteCarloParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.EvaluateWith(inst, r, MonteCarlo, cfg)
+		got, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +206,7 @@ func TestMonteCarloParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.EvaluateWith(inst, r, MonteCarlo, cfg)
+		got, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +221,7 @@ func TestMonteCarloParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.EvaluateWith(inst, PY91Rule{Protocol: proto}, MonteCarlo, cfg)
+		got, err := e.EvaluateWithCtx(context.Background(), inst, PY91Rule{Protocol: proto}, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +238,7 @@ func TestMonteCarloParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := e.EvaluateWith(inst, r, MonteCarlo, sim.Config{Trials: 200000, Seed: 4})
+		mc, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, sim.Config{Trials: 200000, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +257,7 @@ func TestMonteCarloParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := e.EvaluateWith(inst, r, MonteCarlo, sim.Config{Trials: 200000, Seed: 4})
+		mc, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, sim.Config{Trials: 200000, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,6 +289,46 @@ func TestAutoResolution(t *testing.T) {
 	// Forcing Exact on it fails up front.
 	if _, err := e.Evaluate(inst, mcOnlyRule{}, Exact); err == nil {
 		t.Error("exact on mc-only rule: expected error")
+	}
+}
+
+// TestAutoFallsThroughPlayerCap checks Auto past an exact oracle's player
+// cap: the oracle's refusal (problem.ErrPlayerCap) sends Auto to
+// Monte-Carlo with the same bits an explicit mc request returns, while an
+// explicit Exact request still refuses and names the cap.
+func TestAutoFallsThroughPlayerCap(t *testing.T) {
+	cfg := sim.Config{Trials: 2000, Seed: 3, Workers: 1}
+	cases := []struct {
+		name string
+		inst Instance
+		rule Rule
+		cap  string
+	}{
+		{"symmetric threshold", mustInstance(t, 30, 10), SymmetricThreshold{Beta: 0.5}, "limited to 25 players"},
+		{"hetero oblivious", mustInstancePi(t, 22, 7, append([]float64{0.5}, repeated(1, 21)...)), SymmetricOblivious{A: 0.5}, "limited to 20 players"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(Config{Sim: cfg})
+			_, err := e.Evaluate(c.inst, c.rule, Exact)
+			if !errors.Is(err, problem.ErrPlayerCap) || !strings.Contains(err.Error(), c.cap) {
+				t.Fatalf("explicit exact: error %v, want a player-cap refusal naming %q", err, c.cap)
+			}
+			auto, err := e.Evaluate(c.inst, c.rule, Auto)
+			if err != nil {
+				t.Fatalf("auto: %v", err)
+			}
+			if auto.Backend != MonteCarlo || auto.Sim == nil || auto.Sim.Trials != int64(cfg.Trials) {
+				t.Fatalf("auto resolved to %v (%+v), want a %d-trial mc estimate", auto.Backend, auto.Sim, cfg.Trials)
+			}
+			mc, err := New(Config{Sim: cfg}).Evaluate(c.inst, c.rule, MonteCarlo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto.P != mc.P || auto.StdErr != mc.StdErr {
+				t.Errorf("auto fallback %v ± %v != explicit mc %v ± %v", auto.P, auto.StdErr, mc.P, mc.StdErr)
+			}
+		})
 	}
 }
 
@@ -347,14 +390,14 @@ func TestCacheHitSemantics(t *testing.T) {
 	inst := mustInstance(t, 3, 1)
 	cfg := sim.Config{Trials: 20000, Seed: 5, Workers: 2}
 
-	first, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, cfg)
+	first, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Error("first evaluation claims to be cached")
 	}
-	second, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, cfg)
+	second, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +408,7 @@ func TestCacheHitSemantics(t *testing.T) {
 		t.Errorf("cache returned different bits: %v vs %v", second, first)
 	}
 	// A different seed is a different key.
-	third, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, sim.Config{Trials: 20000, Seed: 6, Workers: 2})
+	third, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: 0.622}, MonteCarlo, sim.Config{Trials: 20000, Seed: 6, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +449,7 @@ func TestCacheConcurrency(t *testing.T) {
 	// Uncached reference results.
 	want := make([]Result, len(betas))
 	for i, b := range betas {
-		r, err := New(Config{}).EvaluateWith(inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
+		r, err := New(Config{}).EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +465,7 @@ func TestCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			got[g] = make([]Result, len(betas))
 			for i, b := range betas {
-				r, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
+				r, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -448,11 +491,8 @@ func TestCacheConcurrency(t *testing.T) {
 	}
 }
 
-func TestDefaultEngineShared(t *testing.T) {
-	if Default() != Default() {
-		t.Error("Default() is not a singleton")
-	}
-	if Default().SimConfig().Trials != DefaultTrials {
-		t.Errorf("default trials = %d", Default().SimConfig().Trials)
+func TestNewDefaultTrials(t *testing.T) {
+	if got := New(Config{}).SimConfig().Trials; got != DefaultTrials {
+		t.Errorf("default trials = %d, want %d", got, DefaultTrials)
 	}
 }

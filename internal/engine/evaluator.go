@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/oblivious"
+	"repro/internal/obs"
 )
 
 // obliviousAlphaRule is implemented by the oblivious rules that can expose
@@ -19,31 +19,37 @@ func (r SymmetricOblivious) alphaVector(n int) []float64 { return repeated(r.A, 
 
 func (r Oblivious) alphaVector(int) []float64 { return r.Alphas }
 
-// exactOverride carries a reusable oblivious evaluator through the context
-// into compute()'s Exact branch. The evaluator is bit-identical to the
-// one-shot WinningProbabilityPiOpts, so overridden results land in the
+// sweepTables is one sweep worker's reusable oblivious evaluator, passed
+// to compute()'s Exact branch. The evaluator is bit-identical to the
+// one-shot WinningProbabilityPiOpts, so its results land in the
 // memoization cache under the normal keys. The mutex serializes the owner
 // worker against abandoned evaluations still running in the background
 // after their caller's deadline struck.
-type exactOverride struct {
-	mu      sync.Mutex
-	ev      *oblivious.Evaluator
-	instKey string
+type sweepTables struct {
+	mu sync.Mutex
+	ev *oblivious.Evaluator
 }
 
-type exactOverrideKey struct{}
-
-func withExactOverride(ctx context.Context, ov *exactOverride) context.Context {
-	return context.WithValue(ctx, exactOverrideKey{}, ov)
+// evaluate serves one α-vector from the tables, flushing the delta-update
+// work into the exact.delta.* counters.
+func (t *sweepTables) evaluate(o *obs.Observer, alphas []float64) (float64, error) {
+	t.mu.Lock()
+	before := t.ev.Stats()
+	p, err := t.ev.Evaluate(alphas)
+	after := t.ev.Stats()
+	t.mu.Unlock()
+	o.Counter("exact.delta.updates").Add(int64(after.DeltaUpdates - before.DeltaUpdates))
+	o.Counter("exact.delta.subsets").Add(int64(after.DeltaSubsets - before.DeltaSubsets))
+	return p, err
 }
 
-// sweepOverrideFactory decides whether a sweep qualifies for per-worker
+// sweepTablesFactory decides whether a sweep qualifies for per-worker
 // reusable evaluators — an Exact/Auto backend, every point on one shared
 // heterogeneous instance within the evaluator's range, every rule an
 // oblivious rule exposing its α-vector (the 1-D α sweeps and their
 // chunked/streamed variants) — and returns a constructor for per-worker
-// overrides, or nil when the sweep should take the one-shot path.
-func (e *Engine) sweepOverrideFactory(points []Point, backend Backend) func() *exactOverride {
+// tables, or nil when the sweep should take the one-shot path.
+func sweepTablesFactory(points []Point, backend Backend) func() *sweepTables {
 	if backend != Exact && backend != Auto {
 		return nil
 	}
@@ -63,39 +69,14 @@ func (e *Engine) sweepOverrideFactory(points []Point, backend Backend) func() *e
 			return nil
 		}
 	}
-	return func() *exactOverride {
+	return func() *sweepTables {
 		ev, err := oblivious.NewEvaluator(inst.Pi, inst.Delta, 1)
 		if err != nil {
 			// Instance rejected by the evaluator (e.g. a capacity the
-			// one-shot path will reject identically): disable the override
-			// and let the points fail through the normal path.
+			// one-shot path will reject identically): let the points fail
+			// through the normal path.
 			return nil
 		}
-		return &exactOverride{ev: ev, instKey: key}
+		return &sweepTables{ev: ev}
 	}
-}
-
-// overriddenExact serves an Exact computation from the context's reusable
-// evaluator when one is riding ctx and matches (instance, rule shape).
-// The bool reports whether the override applied.
-func (e *Engine) overriddenExact(ctx context.Context, inst Instance, r Rule) (Result, bool, error) {
-	ov, ok := ctx.Value(exactOverrideKey{}).(*exactOverride)
-	if !ok || ov == nil {
-		return Result{}, false, nil
-	}
-	ar, ok := r.(obliviousAlphaRule)
-	if !ok || inst.Key() != ov.instKey {
-		return Result{}, false, nil
-	}
-	ov.mu.Lock()
-	before := ov.ev.Stats()
-	p, err := ov.ev.Evaluate(ar.alphaVector(inst.N))
-	after := ov.ev.Stats()
-	ov.mu.Unlock()
-	e.obs.Counter("exact.delta.updates").Add(int64(after.DeltaUpdates - before.DeltaUpdates))
-	e.obs.Counter("exact.delta.subsets").Add(int64(after.DeltaSubsets - before.DeltaSubsets))
-	if err != nil {
-		return Result{}, true, err
-	}
-	return Result{P: p, Backend: Exact}, true, nil
 }

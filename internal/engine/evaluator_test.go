@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/oblivious"
@@ -23,12 +24,12 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 	for _, a := range alphas {
 		points = append(points, Point{Instance: inst, Rule: SymmetricOblivious{A: a}})
 	}
-	// A full-vector rule rides the same sweep: the override handles any
-	// rule exposing its α-vector, not just the symmetric ones.
+	// A full-vector rule rides the same sweep: the reusable tables handle
+	// any rule exposing its α-vector, not just the symmetric ones.
 	full := Oblivious{Alphas: []float64{0.15, 0.35, 0.55, 0.75, 0.95}}
 	points = append(points, Point{Instance: inst, Rule: full})
 
-	results, err := e.Sweep(points, SweepOptions{Backend: Exact, Workers: 3})
+	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +53,9 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 		t.Errorf("vector point: sweep %v != one-shot %v", results[len(alphas)].P, wantFull)
 	}
 
-	// Overridden results memoize under the normal keys: a repeated sweep is
-	// 100% cache hits with identical bits.
-	again, err := e.Sweep(points, SweepOptions{Backend: Exact, Workers: 2})
+	// Table-served results memoize under the normal keys: a repeated sweep
+	// is 100% cache hits with identical bits.
+	again, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSweepDeltaUpdateCounters(t *testing.T) {
 	for i, a := range walk {
 		points[i] = Point{Instance: inst, Rule: Oblivious{Alphas: a}}
 	}
-	results, err := e.Sweep(points, SweepOptions{Backend: Exact, Workers: 1})
+	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,6 @@ func TestSweepDeltaUpdateCounters(t *testing.T) {
 // heterogeneous instance, all α-exposing rules, exact backend, ≥2 points)
 // does not hold.
 func TestSweepOverrideFactoryGating(t *testing.T) {
-	e := New(Config{})
 	het := mustInstancePi(t, 3, 1, []float64{0.5, 1, 0.75})
 	het2 := mustInstancePi(t, 3, 1, []float64{0.6, 1, 0.75})
 	hom := Instance{N: 3, Delta: 1}
@@ -139,19 +139,24 @@ func TestSweepOverrideFactoryGating(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := e.sweepOverrideFactory(c.points, c.backend)
+			got := sweepTablesFactory(c.points, c.backend)
 			if (got != nil) != c.want {
 				t.Errorf("factory non-nil = %v, want %v", got != nil, c.want)
 			}
 			if got != nil {
-				ov := got()
-				if ov == nil || ov.ev == nil {
+				tables := got()
+				if tables == nil || tables.ev == nil {
 					t.Fatal("qualifying factory built no evaluator")
 				}
 			}
 		})
 	}
 }
+
+// oneShotVectorFamily is ThresholdVectorFamily under another type: the
+// optimizer reuses tables only for ThresholdVectorFamily itself, so this
+// family probes through the one-shot exact path.
+type oneShotVectorFamily struct{ ThresholdVectorFamily }
 
 // TestOptimizeVectorTableReuse compares the vector search with and without
 // the per-search reusable evaluator: the reused search must record delta
@@ -162,11 +167,11 @@ func TestOptimizeVectorTableReuse(t *testing.T) {
 	e := New(Config{Obs: obs.New(reg, nil)})
 	inst := Instance{N: 4, Delta: 4.0 / 3}
 
-	reused, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
+	reused, err := e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := New(Config{}).Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact, NoTableReuse: true})
+	baseline, err := New(Config{}).OptimizeCtx(context.Background(), inst, oneShotVectorFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestOptimizeVectorTableReuse(t *testing.T) {
 		t.Error("table-reuse search recorded no delta updates")
 	}
 	if baseline.DeltaUpdates != 0 {
-		t.Errorf("NoTableReuse search recorded %d delta updates", baseline.DeltaUpdates)
+		t.Errorf("one-shot search recorded %d delta updates", baseline.DeltaUpdates)
 	}
 	if du := reg.Counter("exact.delta.updates").Value(); du != int64(reused.DeltaUpdates) {
 		t.Errorf("exact.delta.updates counter %d != result DeltaUpdates %d", du, reused.DeltaUpdates)
@@ -221,7 +226,7 @@ func TestOptimizeParallelTableReuseDeterministic(t *testing.T) {
 	done := make(chan int, searches)
 	for g := 0; g < searches; g++ {
 		go func(g int) {
-			results[g], errs[g] = e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
+			results[g], errs[g] = e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
 			done <- g
 		}(g)
 	}

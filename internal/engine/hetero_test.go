@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestHeteroExactVsMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s exact: %v", r.Name(), err)
 		}
-		mc, err := e.EvaluateWith(inst, r, MonteCarlo, cfg)
+		mc, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatalf("%s mc: %v", r.Name(), err)
 		}
@@ -132,7 +133,7 @@ func TestHeteroUnsupportedRules(t *testing.T) {
 	}
 	// Interval rules still simulate on heterogeneous instances: only the
 	// exact interval-set oracle is homogeneous-bound.
-	if _, err := e.EvaluateWith(inst, iv, MonteCarlo, sim.Config{Trials: 1000, Seed: 1}); err != nil {
+	if _, err := e.EvaluateWithCtx(context.Background(), inst, iv, MonteCarlo, sim.Config{Trials: 1000, Seed: 1}); err != nil {
 		t.Errorf("interval mc on heterogeneous instance: %v", err)
 	}
 }
@@ -181,7 +182,7 @@ func TestMonteCarloEvaluateAllocs(t *testing.T) {
 	cfg := sim.Config{Trials: 50_000, Seed: 3, Workers: 1}
 	allocs := testing.AllocsPerRun(5, func() {
 		e := New(Config{})
-		if _, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: 0.5}, MonteCarlo, cfg); err != nil {
+		if _, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: 0.5}, MonteCarlo, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})

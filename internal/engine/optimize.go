@@ -43,15 +43,6 @@ type OptimizeOptions struct {
 	// midpoint. Ignored by the scalar path (the grid scan brackets the
 	// global maximum on its own).
 	Start []float64
-	// SkipPolish skips the vector path's Nelder-Mead polish, returning the
-	// coordinate-ascent optimum directly. Benchmarks isolating the ascent
-	// use it; production searches should leave it false.
-	SkipPolish bool
-	// NoTableReuse disables the per-search reusable evaluator, forcing
-	// every probe through the one-shot exact path. It exists to measure
-	// the table-reuse speedup; leaving it false is strictly faster and
-	// agrees within the exact backend's certified error bound.
-	NoTableReuse bool
 }
 
 // OptimizeResult is the outcome of one optimization run.
@@ -80,12 +71,6 @@ type OptimizeResult struct {
 	// is the best point evaluated before the deadline, not a converged
 	// optimum.
 	Degraded bool
-}
-
-// Optimize maximizes the family's winning probability over its parameter
-// box with Background context; see OptimizeCtx.
-func (e *Engine) Optimize(inst Instance, fam RuleFamily, opts OptimizeOptions) (OptimizeResult, error) {
-	return e.OptimizeCtx(context.Background(), inst, fam, opts)
 }
 
 // OptimizeCtx maximizes the family's winning probability over its parameter
@@ -144,8 +129,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 	// memoizing path below, so the returned Value carries the one-shot
 	// bits and repeated searches hit the cache there.
 	var pev *nonoblivious.Evaluator
-	if len(lo) > 1 && !opts.NoTableReuse &&
-		(opts.Backend == Exact || opts.Backend == Auto) && !inst.Heterogeneous() {
+	if len(lo) > 1 && (opts.Backend == Exact || opts.Backend == Auto) && !inst.Heterogeneous() {
 		if _, ok := fam.(ThresholdVectorFamily); ok && inst.N <= nonoblivious.MaxNGeneral {
 			if evp, eerr := nonoblivious.NewEvaluator(inst.N, inst.Delta); eerr == nil {
 				pev = evp
@@ -205,7 +189,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 	}
 
 	if len(lo) == 1 {
-		res, serr := optimize.GridThenGoldenMaxObserved(e.obs, func(x float64) float64 {
+		res, serr := optimize.GridThenGoldenMax(e.obs, func(x float64) float64 {
 			return objective([]float64{x})
 		}, lo[0], hi[0], opts.GridPoints, opts.Tol)
 		if serr != nil {
@@ -220,24 +204,21 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 				start[i] = (lo[i] + hi[i]) / 2
 			}
 		}
-		ca, serr := optimize.CoordinateAscentBoxObserved(e.obs, objective, start, lo, hi, opts.Passes, opts.Tol)
+		ca, serr := optimize.CoordinateAscentBox(e.obs, objective, start, lo, hi, opts.Passes, opts.Tol)
 		if serr != nil {
 			return OptimizeResult{}, serr
 		}
-		best.Iterations = ca.Iterations
-		if !opts.SkipPolish {
-			// Polish with Nelder-Mead from the ascent's optimum: coordinate
-			// ascent can stall on diagonal ridges that simplex moves cross.
-			minWidth := math.Inf(1)
-			for i := range lo {
-				minWidth = math.Min(minWidth, hi[i]-lo[i])
-			}
-			nm, serr := optimize.NelderMeadMaxObserved(e.obs, objective, ca.X, lo, hi, minWidth/8, 200*len(lo), opts.Tol)
-			if serr != nil {
-				return OptimizeResult{}, serr
-			}
-			best.Iterations += nm.Iterations
+		// Polish with Nelder-Mead from the ascent's optimum: coordinate
+		// ascent can stall on diagonal ridges that simplex moves cross.
+		minWidth := math.Inf(1)
+		for i := range lo {
+			minWidth = math.Min(minWidth, hi[i]-lo[i])
 		}
+		nm, serr := optimize.NelderMeadMax(e.obs, objective, ca.X, lo, hi, minWidth/8, 200*len(lo), opts.Tol)
+		if serr != nil {
+			return OptimizeResult{}, serr
+		}
+		best.Iterations = ca.Iterations + nm.Iterations
 	}
 
 	if pev != nil {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"os"
+	"context"
 	"testing"
 
 	"repro/internal/problem"
@@ -30,7 +30,7 @@ func BenchmarkOptimizeScalarCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(Config{})
-		if _, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+		if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,12 +42,12 @@ func BenchmarkOptimizeScalarCold(b *testing.B) {
 func BenchmarkOptimizeScalarWarm(b *testing.B) {
 	inst := benchInstance(b, 3, 1, nil)
 	e := New(Config{})
-	if _, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+	if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+		if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,38 +61,8 @@ func BenchmarkOptimizeVectorCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := New(Config{})
-		if _, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+		if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeVectorN15 prices one coordinate-ascent pass over the
-// homogeneous n=15 a-vector box with a cold cache every iteration — the
-// table-reuse pair's workload. By default probes route through the
-// per-search reusable evaluator (the ascent-head snapshot);
-// NOCOMM_ASCENT_BENCH=legacy forces NoTableReuse, rebuilding the exact
-// tables from scratch on every probe (the ascent-baseline snapshot). The
-// polish is skipped and the pass count pinned so both sides run the
-// identical probe sequence. Record both sides with
-// `make bench-ascent-json`; bench-check requires the head ≥5× faster.
-func BenchmarkOptimizeVectorN15(b *testing.B) {
-	inst := benchInstance(b, 15, 5, nil)
-	legacy := os.Getenv("NOCOMM_ASCENT_BENCH") == "legacy"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := New(Config{})
-		res, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{
-			Backend:      Exact,
-			Passes:       1,
-			SkipPolish:   true,
-			NoTableReuse: legacy,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if legacy == (res.DeltaUpdates > 0) {
-			b.Fatalf("legacy=%v but DeltaUpdates=%d: benchmark not exercising the intended path", legacy, res.DeltaUpdates)
 		}
 	}
 }
@@ -102,12 +72,12 @@ func BenchmarkOptimizeVectorN15(b *testing.B) {
 func BenchmarkOptimizeVectorWarm(b *testing.B) {
 	inst := benchInstance(b, 3, 1, []float64{0.5, 1, 1})
 	e := New(Config{})
-	if _, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+	if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
+		if _, err := e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func optInstance(t *testing.T, n int, delta float64, pi []float64) Instance {
 func TestOptimizeScalarThresholdRecoversPinnedOptimum(t *testing.T) {
 	e := New(Config{})
 	inst := optInstance(t, 3, 1, nil)
-	res, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
+	res, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestOptimizeScalarThresholdRecoversPinnedOptimum(t *testing.T) {
 func TestOptimizeVectorRecoversSymmetricOptimum(t *testing.T) {
 	e := New(Config{})
 	inst := optInstance(t, 3, 1, nil)
-	res, err := e.Optimize(inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
+	res, err := e.OptimizeCtx(context.Background(), inst, ThresholdVectorFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -86,11 +86,11 @@ func TestOptimizeVectorRecoversSymmetricOptimum(t *testing.T) {
 func TestOptimizeScalarMatchesSearcher(t *testing.T) {
 	e := New(Config{})
 	inst := optInstance(t, 3, 1, nil)
-	res, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
+	res, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	direct, err := optimize.GridThenGoldenMax(func(beta float64) float64 {
+	direct, err := optimize.GridThenGoldenMax(nil, func(beta float64) float64 {
 		r, err := e.Evaluate(inst, SymmetricThreshold{Beta: beta}, Exact)
 		if err != nil {
 			return math.Inf(-1)
@@ -116,11 +116,11 @@ func TestOptimizeWarmCache(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
 	e := New(Config{Obs: o})
 	inst := optInstance(t, 3, 1, nil)
-	cold, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
+	cold, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("cold Optimize: %v", err)
 	}
-	warm, err := e.Optimize(inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
+	warm, err := e.OptimizeCtx(context.Background(), inst, ThresholdBetaFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("warm Optimize: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestOptimizeWarmCache(t *testing.T) {
 }
 
 // TestOptimizeParallelSharedCache is the singleflight hammer: parallel
-// engine.Optimize calls on the same instance share the memo cache without
+// engine.OptimizeCtx calls on the same instance share the memo cache without
 // races and every goroutine observes bit-identical results.
 func TestOptimizeParallelSharedCache(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
@@ -160,7 +160,7 @@ func TestOptimizeParallelSharedCache(t *testing.T) {
 			if g%2 == 1 {
 				fam = ThresholdVectorFamily{}
 			}
-			results[g], errs[g] = e.Optimize(inst, fam, OptimizeOptions{Backend: Exact})
+			results[g], errs[g] = e.OptimizeCtx(context.Background(), inst, fam, OptimizeOptions{Backend: Exact})
 		}(g)
 	}
 	wg.Wait()
@@ -238,7 +238,7 @@ func (f *cancelAfterFamily) Rule(inst Instance, params []float64) (Rule, error) 
 func TestOptimizeObliviousFamily(t *testing.T) {
 	e := New(Config{})
 	inst := optInstance(t, 3, 1, nil)
-	res, err := e.Optimize(inst, ObliviousAlphaFamily{}, OptimizeOptions{Backend: Exact})
+	res, err := e.OptimizeCtx(context.Background(), inst, ObliviousAlphaFamily{}, OptimizeOptions{Backend: Exact})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestFamilyForKind(t *testing.T) {
 	if _, err := FamilyForKind("bogus"); err == nil {
 		t.Errorf("unknown kind accepted")
 	}
-	if _, err := New(Config{}).Optimize(optInstance(t, 3, 1, nil), nil, OptimizeOptions{}); err == nil {
+	if _, err := New(Config{}).OptimizeCtx(context.Background(), optInstance(t, 3, 1, nil), nil, OptimizeOptions{}); err == nil {
 		t.Errorf("nil family accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -28,7 +29,7 @@ func TestParseBackendQMC(t *testing.T) {
 func TestQMCBackendDispatch(t *testing.T) {
 	e := New(Config{})
 	inst := Instance{N: 3, Delta: 1}
-	res, err := e.EvaluateWith(inst, SymmetricThreshold{Beta: 0.622}, MonteCarloQMC,
+	res, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: 0.622}, MonteCarloQMC,
 		sim.Config{Trials: 1 << 14, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestQMCRejectsSimulatorRules(t *testing.T) {
 	e := New(Config{})
 	inst := Instance{N: 2, Delta: 1}
 	r := OneBitRule{}
-	if _, err := e.EvaluateWith(inst, r, MonteCarloQMC, sim.Config{Trials: 1000}); err == nil {
+	if _, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC, sim.Config{Trials: 1000}); err == nil {
 		t.Error("mc-qmc accepted a Simulator-only protocol rule")
 	}
 }
@@ -64,7 +65,7 @@ func TestQMCCacheKeyWorkerIndependent(t *testing.T) {
 	inst := Instance{N: 3, Delta: 1}
 	r := SymmetricThreshold{Beta: 0.5}
 	base := sim.Config{Trials: 1 << 13, Seed: 11, Workers: 1}
-	first, err := e.EvaluateWith(inst, r, MonteCarloQMC, base)
+	first, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestQMCCacheKeyWorkerIndependent(t *testing.T) {
 		t.Fatal("first evaluation reported cached")
 	}
 	base.Workers = 4
-	again, err := e.EvaluateWith(inst, r, MonteCarloQMC, base)
+	again, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestQMCCacheKeyWorkerIndependent(t *testing.T) {
 		t.Errorf("cached result %+v differs from first %+v", again, first)
 	}
 	base.Replicates = 8
-	other, err := e.EvaluateWith(inst, r, MonteCarloQMC, base)
+	other, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +119,17 @@ func TestQMCMatchesExactOnDyadicInstances(t *testing.T) {
 			}
 			inst.Pi = pi
 		}
-		var r ExactEvaluator
+		var r ExactOpts
 		if i%4 < 2 {
 			r = SymmetricThreshold{Beta: dyadic(4)}
 		} else {
 			r = SymmetricOblivious{A: dyadic(4)}
 		}
-		exact, err := e.EvaluateWith(inst, r, Exact, sim.Config{})
+		exact, err := e.EvaluateWithCtx(context.Background(), inst, r, Exact, sim.Config{})
 		if err != nil {
 			t.Fatalf("case %d (%s on %+v): exact: %v", i, r.Name(), inst, err)
 		}
-		qmc, err := e.EvaluateWith(inst, r, MonteCarloQMC,
+		qmc, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC,
 			sim.Config{Trials: trials, Seed: uint64(1000 + i)})
 		if err != nil {
 			t.Fatalf("case %d (%s on %+v): qmc: %v", i, r.Name(), inst, err)

@@ -23,7 +23,7 @@ import (
 // Rule is one decision-making algorithm viewed through the engine: it can
 // name itself, fingerprint its parameters canonically for the memoization
 // cache, and build the runnable model.System the Monte-Carlo backend
-// plays. Rules that also have an analytic oracle implement ExactEvaluator;
+// plays. Rules that also have an analytic oracle implement ExactOpts;
 // rules whose trial logic cannot be expressed as per-player local rules
 // (communication protocols) implement Simulator instead of System.
 type Rule interface {
@@ -39,25 +39,18 @@ type Rule interface {
 	System(inst Instance) (*model.System, error)
 }
 
-// ExactEvaluator is implemented by rules with an analytic oracle
-// (Theorem 4.1, Theorem 5.1, the grid-convolution oracle, the
-// interval-pair conditioning of one-bit protocols, PY91 quadrature).
-type ExactEvaluator interface {
-	Rule
-	// ExactWinProbability computes the rule's winning probability on the
-	// instance without sampling.
-	ExactWinProbability(inst Instance) (float64, error)
-}
-
-// ExactOpts is implemented by exact rules whose oracle supports sharded
-// subset enumeration and observability — the oblivious and threshold
-// families, whose Theorem 4.1 / 5.1 evaluations shard across workers with
-// bit-identical results for every worker count. The engine prefers it over
-// plain ExactEvaluator, passing its resolved ExactWorkers and observer.
+// ExactOpts is implemented by rules with an analytic oracle (Theorem 4.1,
+// Theorem 5.1, the grid-convolution oracle, the interval-pair
+// conditioning of one-bit protocols, PY91 quadrature). The engine passes
+// its resolved ExactWorkers and observer: the oblivious and threshold
+// families shard their subset enumerations across workers with
+// bit-identical results for every worker count and count their work in
+// the exact.* counters; the other oracles ignore both arguments.
 type ExactOpts interface {
-	ExactEvaluator
-	// ExactWinProbabilityOpts is ExactWinProbability with explicit worker
-	// sharding (≤ 1 means serial) and optional instrumentation.
+	Rule
+	// ExactWinProbabilityOpts computes the rule's winning probability on
+	// the instance without sampling, with explicit worker sharding (≤ 1
+	// means serial) and optional instrumentation.
 	ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error)
 }
 
@@ -130,15 +123,10 @@ func (r SymmetricOblivious) System(inst Instance) (*model.System, error) {
 	return model.UniformSystemPi(inst.N, rule, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbability implements ExactEvaluator through Theorem 4.1 (its
-// heterogeneous generalization when the instance carries a π vector).
-func (r SymmetricOblivious) ExactWinProbability(inst Instance) (float64, error) {
-	return r.ExactWinProbabilityOpts(inst, 0, nil)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts. The homogeneous closed
-// form is O(n²) and ignores the worker count; the heterogeneous subset
-// enumeration shards across workers.
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
+// heterogeneous generalization when the instance carries a π vector). The
+// homogeneous closed form is O(n²) and ignores the worker count; the
+// heterogeneous subset enumeration shards across workers.
 func (r SymmetricOblivious) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
 		return oblivious.WinningProbabilityPiOpts(repeated(r.A, inst.N), inst.Pi, inst.Delta, workers, o)
@@ -182,15 +170,10 @@ func (r Oblivious) System(inst Instance) (*model.System, error) {
 	return model.NewSystemPi(rules, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbability implements ExactEvaluator through Theorem 4.1 (its
-// heterogeneous generalization when the instance carries a π vector).
-func (r Oblivious) ExactWinProbability(inst Instance) (float64, error) {
-	return r.ExactWinProbabilityOpts(inst, 0, nil)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts. The homogeneous
-// Poisson-binomial evaluation is O(n²) and ignores the worker count; the
-// heterogeneous subset enumeration shards across workers.
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
+// heterogeneous generalization when the instance carries a π vector). The
+// homogeneous Poisson-binomial evaluation is O(n²) and ignores the worker
+// count; the heterogeneous subset enumeration shards across workers.
 func (r Oblivious) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
@@ -235,13 +218,8 @@ func (r DeterministicSplit) System(inst Instance) (*model.System, error) {
 	return Oblivious{Alphas: alphas}.System(inst)
 }
 
-// ExactWinProbability implements ExactEvaluator through Theorem 4.1 at the
-// 0/1 vertex.
-func (r DeterministicSplit) ExactWinProbability(inst Instance) (float64, error) {
-	return r.ExactWinProbabilityOpts(inst, 0, nil)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts (see Oblivious).
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 at the
+// 0/1 vertex (see Oblivious).
 func (r DeterministicSplit) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
 	alphas, err := r.alphas(inst)
 	if err != nil {
@@ -275,15 +253,10 @@ func (r SymmetricThreshold) System(inst Instance) (*model.System, error) {
 	return model.UniformSystemPi(inst.N, rule, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbability implements ExactEvaluator through Theorem 5.1 (its
-// heterogeneous generalization when the instance carries a π vector).
-func (r SymmetricThreshold) ExactWinProbability(inst Instance) (float64, error) {
-	return r.ExactWinProbabilityOpts(inst, 0, nil)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts. The homogeneous symmetric
-// closed form ignores the worker count; the heterogeneous subset
-// enumeration shards across workers.
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1 (its
+// heterogeneous generalization when the instance carries a π vector). The
+// homogeneous symmetric closed form ignores the worker count; the
+// heterogeneous subset enumeration shards across workers.
 func (r SymmetricThreshold) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
 		return nonoblivious.WinningProbabilityPiOpts(repeated(r.Beta, inst.N), inst.Pi, inst.Delta, workers, o)
@@ -327,14 +300,8 @@ func (r Threshold) System(inst Instance) (*model.System, error) {
 	return model.NewSystemPi(rules, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbability implements ExactEvaluator through Theorem 5.1 (its
-// heterogeneous generalization when the instance carries a π vector).
-func (r Threshold) ExactWinProbability(inst Instance) (float64, error) {
-	return r.ExactWinProbabilityOpts(inst, 0, nil)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts: both the homogeneous and
-// heterogeneous Theorem 5.1 enumerations shard across workers.
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1: both
+// the homogeneous and heterogeneous enumerations shard across workers.
 func (r Threshold) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
@@ -396,10 +363,10 @@ func (r IntervalRule) System(inst Instance) (*model.System, error) {
 	return model.UniformSystemPi(inst.N, rule, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbability implements ExactEvaluator through the
+// ExactWinProbabilityOpts implements ExactOpts through the
 // grid-convolution oracle. The oracle discretizes U[0,1] inputs, so
 // heterogeneous instances are rejected here (simulate them instead).
-func (r IntervalRule) ExactWinProbability(inst Instance) (float64, error) {
+func (r IntervalRule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
 	if err := homogeneousOnly(inst, "the interval-set oracle"); err != nil {
 		return 0, err
 	}
@@ -454,9 +421,9 @@ func (r OneBitRule) System(Instance) (*model.System, error) {
 	return nil, fmt.Errorf("%w: the broadcast bit couples the players", ErrNoSystem)
 }
 
-// ExactWinProbability implements ExactEvaluator by conditioning on the bit
+// ExactWinProbabilityOpts implements ExactOpts by conditioning on the bit
 // and evaluating each world's interval-pair vector.
-func (r OneBitRule) ExactWinProbability(inst Instance) (float64, error) {
+func (r OneBitRule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
 	p, err := r.protocol(inst)
 	if err != nil {
 		return 0, err
@@ -565,9 +532,9 @@ func (r PY91Rule) System(Instance) (*model.System, error) {
 	return nil, fmt.Errorf("%w: py91 protocols may communicate", ErrNoSystem)
 }
 
-// ExactWinProbability implements ExactEvaluator: the Theorem 5.1 closed
+// ExactWinProbabilityOpts implements ExactOpts: the Theorem 5.1 closed
 // form for threshold protocols, midpoint quadrature otherwise.
-func (r PY91Rule) ExactWinProbability(inst Instance) (float64, error) {
+func (r PY91Rule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}

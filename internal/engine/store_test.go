@@ -79,12 +79,12 @@ func TestDiskRoundTripMC(t *testing.T) {
 	cfg := sim.Config{Trials: 5000, Seed: 11, Workers: 2}
 
 	e1, _ := newDiskEngine(t, dir)
-	cold, err := e1.EvaluateWith(inst, rule, MonteCarlo, cfg)
+	cold, err := e1.EvaluateWithCtx(context.Background(), inst, rule, MonteCarlo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, _ := newDiskEngine(t, dir)
-	warm, err := e2.EvaluateWith(inst, rule, MonteCarlo, cfg)
+	warm, err := e2.EvaluateWithCtx(context.Background(), inst, rule, MonteCarlo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSweepChunksCtx(t *testing.T) {
 	}
 	opts := SweepOptions{Backend: Exact, Workers: 2}
 
-	want, err := e.SweepCtx(context.Background(), points, opts)
+	want, err := e.Sweep(context.Background(), points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

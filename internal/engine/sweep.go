@@ -20,7 +20,7 @@ type Point struct {
 	Rule Rule
 }
 
-// SweepOptions configures Engine.Sweep.
+// SweepOptions configures Engine.Sweep and Engine.SweepChunksCtx.
 type SweepOptions struct {
 	// Backend selects the backend for every point (Auto resolves per
 	// rule).
@@ -40,31 +40,19 @@ type SweepOptions struct {
 // memoized individually, so a repeated sweep — or a sweep overlapping an
 // earlier one — is served from cache. On failure the error of the
 // lowest-indexed failing point is returned, independent of scheduling.
-func (e *Engine) Sweep(points []Point, opts SweepOptions) ([]Result, error) {
-	return e.SweepCtx(context.Background(), points, opts)
-}
-
-// SweepCtx is Sweep with a caller context: every point evaluates through
-// EvaluateWithCtx, so spans parent onto any obs span riding ctx and a
-// cancelled or expired ctx stops workers from claiming further points
-// (points already in flight finish in the background and land in the
-// cache). On cancellation the context's error is returned.
-func (e *Engine) SweepCtx(ctx context.Context, points []Point, opts SweepOptions) ([]Result, error) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	results := make([]Result, len(points))
-	errs := make([]error, len(points))
-	if err := e.sweepInto(ctx, points, results, errs, opts); err != nil {
+// Points evaluate as EvaluateWithCtx does, so spans parent
+// onto any obs span riding ctx, and a cancelled or expired ctx stops
+// workers from claiming further points (points already in flight finish
+// in the background and land in the cache); on cancellation the context's
+// error is returned.
+func (e *Engine) Sweep(ctx context.Context, points []Point, opts SweepOptions) ([]Result, error) {
+	var results []Result
+	err := e.SweepChunksCtx(ctx, points, opts, 0, func(_ int, chunk []Result) error {
+		results = chunk // one chunk spans the whole grid, so nothing reuses it
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("engine: sweep point %d: %w", i, err)
-		}
 	}
 	return results, nil
 }
@@ -120,22 +108,20 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 		return fmt.Errorf("engine: %w", err)
 	}
 	// Qualifying sweeps (one shared heterogeneous instance, all-oblivious
-	// rules, exact backend) give each worker a reusable evaluator that
-	// builds the instance's subset-CDF table once and delta-updates per
-	// point — bit-identical to the one-shot path, so results memoize under
-	// the same keys.
-	makeOverride := e.sweepOverrideFactory(points, opts.Backend)
+	// rules, exact backend) give each worker reusable tables that build the
+	// instance's subset-CDF table once and delta-update per point —
+	// bit-identical to the one-shot path, so results memoize under the
+	// same keys.
+	makeTables := sweepTablesFactory(points, opts.Backend)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wctx := ctx
-			if makeOverride != nil {
-				if ov := makeOverride(); ov != nil {
-					wctx = withExactOverride(ctx, ov)
-				}
+			var tables *sweepTables
+			if makeTables != nil {
+				tables = makeTables()
 			}
 			for {
 				if ctx.Err() != nil {
@@ -145,7 +131,7 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 				if i >= len(points) {
 					return
 				}
-				results[i], errs[i] = e.EvaluateWithCtx(wctx, points[i].Instance, points[i].Rule, opts.Backend, opts.Sim)
+				results[i], errs[i] = e.evaluate(ctx, points[i].Instance, points[i].Rule, opts.Backend, opts.Sim, tables)
 			}
 		}()
 	}

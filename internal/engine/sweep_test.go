@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -22,7 +23,7 @@ func TestSweepMatchesPointwise(t *testing.T) {
 	e := New(Config{})
 	inst := Instance{N: 3, Delta: 1}
 	betas := []float64{0.1, 0.3, 0.5, 0.622, 0.8, 1}
-	results, err := e.Sweep(betaGrid(inst, betas), SweepOptions{Backend: Exact, Workers: 3})
+	results, err := e.Sweep(context.Background(), betaGrid(inst, betas), SweepOptions{Backend: Exact, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSweepVaryingInstance(t *testing.T) {
 	for _, d := range []float64{0.5, 0.75, 1, 1.25} {
 		points = append(points, Point{Instance: Instance{N: 3, Delta: d}, Rule: SymmetricOblivious{A: 0.5}})
 	}
-	results, err := e.Sweep(points, SweepOptions{Backend: Exact})
+	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestSweepVaryingInstance(t *testing.T) {
 func TestSweepErrorsAndEdgeCases(t *testing.T) {
 	e := New(Config{})
 	inst := Instance{N: 3, Delta: 1}
-	if res, err := e.Sweep(nil, SweepOptions{}); err != nil || res != nil {
+	if res, err := e.Sweep(context.Background(), nil, SweepOptions{}); err != nil || res != nil {
 		t.Errorf("empty sweep: got %v, %v", res, err)
 	}
 	// The lowest-indexed failing point's error wins deterministically.
@@ -80,14 +81,14 @@ func TestSweepErrorsAndEdgeCases(t *testing.T) {
 		{Instance: Instance{N: 1, Delta: 1}, Rule: SymmetricThreshold{Beta: 0.5}},
 		{Instance: Instance{N: 0, Delta: 0}, Rule: nil},
 	}
-	_, err := e.Sweep(points, SweepOptions{Backend: Exact, Workers: 4})
+	_, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 4})
 	if err == nil {
 		t.Fatal("expected error")
 	}
 	if got := err.Error(); !strings.Contains(got, "sweep point 1") {
 		t.Errorf("error %q should name point 1 (lowest failing index)", got)
 	}
-	if _, err := e.Sweep(points[:1], SweepOptions{Workers: -2}); err == nil {
+	if _, err := e.Sweep(context.Background(), points[:1], SweepOptions{Workers: -2}); err == nil {
 		t.Error("negative workers: expected error")
 	}
 }
@@ -105,7 +106,7 @@ func TestConcurrentSweepsShareCache(t *testing.T) {
 
 	want := map[float64]Result{}
 	for _, b := range append(append([]float64{}, shared...), 0.45, 0.55, 0.65, 0.7, 0.2, 0.3) {
-		r, err := New(Config{}).EvaluateWith(inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
+		r, err := New(Config{}).EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: b}, MonteCarlo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestConcurrentSweepsShareCache(t *testing.T) {
 		wg.Add(2)
 		go func() { // identical sweep, repeated concurrently
 			defer wg.Done()
-			res, err := e.Sweep(betaGrid(inst, shared), SweepOptions{Backend: MonteCarlo, Sim: cfg, Workers: 2})
+			res, err := e.Sweep(context.Background(), betaGrid(inst, shared), SweepOptions{Backend: MonteCarlo, Sim: cfg, Workers: 2})
 			if err != nil {
 				t.Error(err)
 				return
@@ -133,7 +134,7 @@ func TestConcurrentSweepsShareCache(t *testing.T) {
 		}()
 		go func(g int) { // distinct sweep per goroutine
 			defer wg.Done()
-			res, err := e.Sweep(betaGrid(inst, distinct[g]), SweepOptions{Backend: MonteCarlo, Sim: cfg, Workers: 2})
+			res, err := e.Sweep(context.Background(), betaGrid(inst, distinct[g]), SweepOptions{Backend: MonteCarlo, Sim: cfg, Workers: 2})
 			if err != nil {
 				t.Error(err)
 				return
@@ -161,11 +162,11 @@ func TestRepeatedSweepServedFromCache(t *testing.T) {
 	points := betaGrid(inst, []float64{0.3, 0.5, 0.7})
 	opts := SweepOptions{Backend: MonteCarlo, Sim: sim.Config{Trials: 2000, Seed: 2, Workers: 2}}
 
-	cold, err := e.Sweep(points, opts)
+	cold, err := e.Sweep(context.Background(), points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Sweep(points, opts)
+	warm, err := e.Sweep(context.Background(), points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func BenchmarkSweepCold(b *testing.B) {
 	points, opts := benchmarkPoints()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(Config{}).Sweep(points, opts); err != nil {
+		if _, err := New(Config{}).Sweep(context.Background(), points, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,13 +206,13 @@ func BenchmarkSweepCold(b *testing.B) {
 func BenchmarkSweepWarm(b *testing.B) {
 	points, opts := benchmarkPoints()
 	e := New(Config{})
-	if _, err := e.Sweep(points, opts); err != nil {
+	if _, err := e.Sweep(context.Background(), points, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Sweep(points, opts); err != nil {
+		if _, err := e.Sweep(context.Background(), points, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +229,7 @@ func TestSweepAutoMixedRules(t *testing.T) {
 		{Instance: inst, Rule: SymmetricThreshold{Beta: 0.622}},
 		{Instance: inst, Rule: OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}},
 	}
-	results, err := e.Sweep(points, SweepOptions{Backend: Auto})
+	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,18 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
 	"repro/internal/plot"
+	"repro/internal/problem"
 	"repro/internal/py91"
+	"repro/internal/sim"
 )
 
 // FigureNs are the instance sizes shown in the paper's figures ("the
@@ -27,17 +29,17 @@ func figureSweep(p Params, rule func(x float64) engine.Rule) ([]plot.Series, err
 	var points []engine.Point
 	var xs []float64
 	for _, n := range FigureNs {
-		inst, err := core.PaperInstance(n)
+		inst, err := problem.PaperInstance(n)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < p.Points; i++ {
 			x := float64(i) / float64(p.Points-1)
-			points = append(points, engine.Point{Instance: inst.EngineInstance(), Rule: rule(x)})
+			points = append(points, engine.Point{Instance: inst, Rule: rule(x)})
 			xs = append(xs, x)
 		}
 	}
-	results, err := p.engine().Sweep(points, engine.SweepOptions{
+	results, err := p.engine().Sweep(context.Background(), points, engine.SweepOptions{
 		Backend: p.Backend, Workers: p.Sim.Workers, Sim: p.Sim,
 	})
 	if err != nil {
@@ -213,26 +215,80 @@ func TableTradeoff(ns []int, p Params) (Table, error) {
 		Columns: []string{"n", "δ", "oblivious α=1/2", "oblivious split", "threshold β*", "P* threshold", "feasibility (sim)"},
 	}
 	for _, n := range ns {
-		inst, err := core.PaperInstance(n)
+		inst, err := problem.PaperInstance(n)
 		if err != nil {
 			return Table{}, err
 		}
-		row, err := inst.ComputeTradeoff(p.Sim)
+		row, err := computeTradeoff(inst, p.Sim)
 		if err != nil {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.4f", inst.Delta),
-			fmt.Sprintf("%.6f", row.ObliviousHalf),
-			fmt.Sprintf("%.6f", row.ObliviousDeterministic),
-			fmt.Sprintf("%.6f", row.OptimalBeta),
-			fmt.Sprintf("%.6f", row.ThresholdOptimum),
-			fmt.Sprintf("%.6f", row.Feasibility),
+			fmt.Sprintf("%.6f", row.obliviousHalf),
+			fmt.Sprintf("%.6f", row.obliviousDeterministic),
+			fmt.Sprintf("%.6f", row.optimalBeta),
+			fmt.Sprintf("%.6f", row.thresholdOptimum),
+			fmt.Sprintf("%.6f", row.feasibility),
 		})
 	}
 	t.Notes = append(t.Notes, "feasibility is the omniscient full-information upper bound (Monte-Carlo).")
 	return t, nil
+}
+
+// tradeoff is one T4 row: the paper's three algorithm classes plus the
+// omniscient bound on one instance.
+type tradeoff struct {
+	// obliviousHalf is the Theorem 4.3 value at α = 1/2.
+	obliviousHalf float64
+	// obliviousDeterministic is the balanced-partition vertex optimum.
+	obliviousDeterministic float64
+	// thresholdOptimum is the Section 5.2 optimal threshold value, with
+	// optimalBeta its argmax.
+	thresholdOptimum float64
+	optimalBeta      float64
+	// feasibility is the simulated omniscient upper bound.
+	feasibility float64
+}
+
+// computeTradeoff assembles the trade-off row for a homogeneous instance,
+// using cfg for the simulated feasibility column.
+func computeTradeoff(inst problem.Instance, cfg sim.Config) (tradeoff, error) {
+	obl, err := oblivious.Optimal(inst.N, inst.Delta)
+	if err != nil {
+		return tradeoff{}, err
+	}
+	det, err := oblivious.OptimalDeterministic(inst.N, inst.Delta)
+	if err != nil {
+		return tradeoff{}, err
+	}
+	thr, err := optimalThreshold(inst)
+	if err != nil {
+		return tradeoff{}, err
+	}
+	feas, err := sim.FeasibilityProbability(inst, cfg)
+	if err != nil {
+		return tradeoff{}, err
+	}
+	return tradeoff{
+		obliviousHalf:          obl.WinProbability,
+		obliviousDeterministic: det.WinProbability,
+		thresholdOptimum:       thr.WinProbabilityFloat,
+		optimalBeta:            thr.BetaFloat,
+		feasibility:            feas.P,
+	}, nil
+}
+
+// optimalThreshold derives the certified Section 5.2 optimum of a
+// homogeneous instance whose capacity is an exact rational (DeltaRat), as
+// every paper instance's δ = n/3 is.
+func optimalThreshold(inst problem.Instance) (nonoblivious.OptimalResult, error) {
+	d, ok := inst.DeltaRat()
+	if !ok {
+		return nonoblivious.OptimalResult{}, fmt.Errorf("harness: capacity %v is not an exact rational", inst.Delta)
+	}
+	return nonoblivious.OptimalSymmetric(inst.N, d)
 }
 
 // TableValidation builds V1: every analytic winning probability checked
@@ -254,18 +310,18 @@ func TableValidation(p Params) (Table, error) {
 	}
 	var checks []check
 	for _, n := range FigureNs {
-		inst, err := core.PaperInstance(n)
+		inst, err := problem.PaperInstance(n)
 		if err != nil {
 			return Table{}, err
 		}
 		label := fmt.Sprintf("n=%d δ=%.3f", n, inst.Delta)
-		checks = append(checks, check{label, "oblivious a=0.5", inst.EngineInstance(), engine.SymmetricOblivious{A: 0.5}})
-		opt, err := inst.OptimalThreshold()
+		checks = append(checks, check{label, "oblivious a=0.5", inst, engine.SymmetricOblivious{A: 0.5}})
+		opt, err := optimalThreshold(inst)
 		if err != nil {
 			return Table{}, err
 		}
 		checks = append(checks, check{label, fmt.Sprintf("threshold β*=%.4f", opt.BetaFloat),
-			inst.EngineInstance(), engine.SymmetricThreshold{Beta: opt.BetaFloat}})
+			inst, engine.SymmetricThreshold{Beta: opt.BetaFloat}})
 	}
 	checks = append(checks, check{"n=3 δ=1", "PY91 conjectured",
 		engine.Instance{N: py91.Players, Delta: py91.Capacity}, engine.PY91Rule{Protocol: py91.ConjecturedOptimal()}})
@@ -275,7 +331,7 @@ func TableValidation(p Params) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		mc, err := eng.EvaluateWith(c.inst, c.rule, engine.MonteCarlo, p.Sim)
+		mc, err := eng.EvaluateWithCtx(context.Background(), c.inst, c.rule, engine.MonteCarlo, p.Sim)
 		if err != nil {
 			return Table{}, err
 		}

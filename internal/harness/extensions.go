@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -72,7 +73,7 @@ func Figure3(n int, p Params) (Figure, error) {
 		split.X = append(split.X, df)
 		split.Y = append(split.Y, det.WinProbability)
 	}
-	coinRes, err := p.engine().Sweep(coinPoints, engine.SweepOptions{
+	coinRes, err := p.engine().Sweep(context.Background(), coinPoints, engine.SweepOptions{
 		Backend: p.Backend, Workers: p.Sim.Workers, Sim: p.Sim,
 	})
 	if err != nil {
@@ -159,7 +160,7 @@ func TableValueOfInformation(p Params) (Table, error) {
 
 	// Rung 3: full information (the feasibility bound, exactly 3/4),
 	// simulated through the engine's py91 Monte-Carlo backend.
-	evFull, err := p.engine().EvaluateWith(py91Inst,
+	evFull, err := p.engine().EvaluateWithCtx(context.Background(), py91Inst,
 		engine.PY91Rule{Protocol: py91.FullInformationProtocol{}}, engine.MonteCarlo, cfg)
 	if err != nil {
 		return Table{}, err
@@ -240,7 +241,7 @@ func TableAsymptotics(ns []int, p Params) (Table, error) {
 // float fast path (grid + golden-section), for instance sizes beyond the
 // symbolic pipeline's comfort zone.
 func numericThresholdOptimum(n int, delta float64) (beta, p float64, err error) {
-	res, err := optimize.GridThenGoldenMax(func(b float64) float64 {
+	res, err := optimize.GridThenGoldenMax(nil, func(b float64) float64 {
 		v, err := nonoblivious.SymmetricWinningProbability(n, delta, b)
 		if err != nil {
 			return -1

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/plot"
+	"repro/internal/problem"
 	"repro/internal/sim"
 )
 
@@ -317,5 +318,29 @@ func TestRegistryRunnersExecute(t *testing.T) {
 				t.Errorf("%s render: %v", id, err)
 			}
 		}
+	}
+}
+
+func TestComputeTradeoffOrdering(t *testing.T) {
+	inst, err := problem.PaperInstance(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := computeTradeoff(inst, sim.Config{Trials: 150000, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ladder for n=3, δ=1: oblivious 1/2 (5/12) < deterministic split
+	// (1/2) < threshold optimum (0.5446) < feasibility (3/4).
+	if !(row.obliviousHalf < row.obliviousDeterministic &&
+		row.obliviousDeterministic < row.thresholdOptimum &&
+		row.thresholdOptimum < row.feasibility) {
+		t.Errorf("trade-off ordering violated: %+v", row)
+	}
+	if math.Abs(row.optimalBeta-(1-math.Sqrt(1.0/7))) > 1e-12 {
+		t.Errorf("optimal β = %v", row.optimalBeta)
+	}
+	if _, err := optimalThreshold(problem.Instance{N: 3, Delta: math.Pi / 3}); err == nil {
+		t.Error("irrational capacity: expected error from optimalThreshold")
 	}
 }

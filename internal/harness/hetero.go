@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -51,7 +52,7 @@ func TableHeterogeneous(p Params) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		mc, err := eng.EvaluateWith(inst, r, engine.MonteCarlo, p.Sim)
+		mc, err := eng.EvaluateWithCtx(context.Background(), inst, r, engine.MonteCarlo, p.Sim)
 		if err != nil {
 			return Table{}, err
 		}

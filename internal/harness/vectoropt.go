@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -80,11 +81,11 @@ func VectorOptimumRows(p Params, instances []problem.Instance) ([]VectorOptimumR
 	eng := p.engine()
 	rows := make([]VectorOptimumRow, 0, len(instances))
 	for _, inst := range instances {
-		vec, err := eng.Optimize(inst, engine.ThresholdVectorFamily{}, engine.OptimizeOptions{Backend: engine.Exact})
+		vec, err := eng.OptimizeCtx(context.Background(), inst, engine.ThresholdVectorFamily{}, engine.OptimizeOptions{Backend: engine.Exact})
 		if err != nil {
 			return nil, fmt.Errorf("harness: vector optimum on %s: %w", inst, err)
 		}
-		sym, err := eng.Optimize(inst, engine.ThresholdBetaFamily{}, engine.OptimizeOptions{Backend: engine.Exact})
+		sym, err := eng.OptimizeCtx(context.Background(), inst, engine.ThresholdBetaFamily{}, engine.OptimizeOptions{Backend: engine.Exact})
 		if err != nil {
 			return nil, fmt.Errorf("harness: symmetric optimum on %s: %w", inst, err)
 		}

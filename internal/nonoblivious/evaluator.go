@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/dist"
+	"repro/internal/problem"
 )
 
 // MaxNProfile bounds the player count for the evaluator's single-coordinate
@@ -116,7 +117,7 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 		return nil, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
 	}
 	if n > MaxNGeneral {
-		return nil, fmt.Errorf("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
+		return nil, problem.PlayerCapError("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
 	}
 	if err := validateCapacity(capacity); err != nil {
 		return nil, err

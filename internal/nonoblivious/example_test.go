@@ -2,6 +2,7 @@ package nonoblivious_test
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"repro/internal/nonoblivious"
@@ -26,6 +27,24 @@ func ExampleOptimalSymmetric() {
 	// n=3, δ=1:   β* = 0.622036, P* = 0.544631
 	// n=4, δ=4/3: β* = 0.677998, P* = 0.428539
 	// non-uniform: true
+}
+
+// ExampleOptimalSymmetric_condition derives the Section 5.2.1 headline
+// result: the certified optimal threshold for three players is 1 - √(1/7),
+// the root of the printed optimality condition.
+func ExampleOptimalSymmetric_condition() {
+	opt, err := nonoblivious.OptimalSymmetric(3, big.NewRat(1, 1))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("β* = %.6f (= 1 - √(1/7): %v)\n", opt.BetaFloat,
+		math.Abs(opt.BetaFloat-(1-math.Sqrt(1.0/7))) < 1e-12)
+	fmt.Printf("P* = %.6f\n", opt.WinProbabilityFloat)
+	fmt.Printf("optimality condition: %s = 0\n", opt.Condition)
+	// Output:
+	// β* = 0.622036 (= 1 - √(1/7): true)
+	// P* = 0.544631
+	// optimality condition: 21/2·x^2 - 21·x + 9 = 0
 }
 
 // ExampleSymbolicSymmetric prints the exact piecewise polynomial P(β) the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/problem"
 )
 
 // WinningProbabilityOpts is WinningProbability with explicit worker
@@ -36,7 +37,7 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
 	}
 	if n > MaxNGeneral {
-		return 0, fmt.Errorf("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
+		return 0, problem.PlayerCapError("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
 	}
 	if err := validateCapacity(capacity); err != nil {
 		return 0, err
@@ -72,11 +73,7 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 	if err != nil {
 		return 0, err
 	}
-	o.Counter("exact.subsets").Add(int64(stats.Subsets))
-	o.Counter("exact.steps.incremental").Add(int64(stats.Incremental))
-	o.Counter("exact.steps.rebuilt").Add(int64(stats.Rebuilt))
-	o.Counter("exact.chunks").Add(int64(chunks))
-	o.Gauge("exact.workers").Set(float64(workers))
+	stats.Record(o, chunks, workers)
 	return clamp01(total), nil
 }
 

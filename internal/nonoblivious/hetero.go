@@ -10,6 +10,7 @@ import (
 	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/problem"
 )
 
 // MaxNHetero bounds the player count for heterogeneous-input evaluation.
@@ -81,7 +82,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 		}
 	}
 	if n > MaxNHetero {
-		return 0, fmt.Errorf("nonoblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
+		return 0, problem.PlayerCapError("nonoblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
 	}
 	if err := validateCapacity(capacity); err != nil {
 		return 0, err
@@ -207,11 +208,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	for _, c := range dfsTerms {
 		stats.Rebuilt += *c
 	}
-	o.Counter("exact.subsets").Add(int64(stats.Subsets))
-	o.Counter("exact.steps.incremental").Add(int64(stats.Incremental))
-	o.Counter("exact.steps.rebuilt").Add(int64(stats.Rebuilt))
-	o.Counter("exact.chunks").Add(int64(chunks))
-	o.Gauge("exact.workers").Set(float64(workers))
+	stats.Record(o, chunks, workers)
 	return clamp01(total / piProd), nil
 }
 

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/poly"
+	"repro/internal/problem"
 )
 
 // MaxNGeneral bounds the player count for arbitrary threshold vectors.
@@ -71,7 +72,7 @@ func SymmetricWinningProbability(n int, capacity, beta float64) (float64, error)
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
 	}
 	if n > MaxNSymmetric {
-		return 0, fmt.Errorf("nonoblivious: symmetric evaluation limited to %d players, got %d", MaxNSymmetric, n)
+		return 0, problem.PlayerCapError("nonoblivious: symmetric evaluation limited to %d players, got %d", MaxNSymmetric, n)
 	}
 	if err := validateCapacity(capacity); err != nil {
 		return 0, err

@@ -304,7 +304,7 @@ func TestOptimalSymmetricAgainstNumericSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		cf, _ := c.capacity.Float64()
-		num, err := optimize.GridThenGoldenMax(func(b float64) float64 {
+		num, err := optimize.GridThenGoldenMax(nil, func(b float64) float64 {
 			p, err := SymmetricWinningProbability(c.n, cf, b)
 			if err != nil {
 				return math.Inf(-1)
@@ -338,7 +338,7 @@ func TestOptimalIsSymmetricViaFreeOptimization(t *testing.T) {
 		}
 		return p
 	}
-	nm, err := optimize.NelderMeadMax(obj,
+	nm, err := optimize.NelderMeadMax(nil, obj,
 		[]float64{0.4, 0.55, 0.7},
 		[]float64{0, 0, 0}, []float64{1, 1, 1},
 		0.15, 20000, 1e-15)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/dist"
+	"repro/internal/problem"
 )
 
 // EvalStats counts the work an Evaluator performed since construction.
@@ -22,23 +23,26 @@ type EvalStats struct {
 	DeltaUpdates uint64
 	// DeltaSubsets is the number of subset cells those updates touched.
 	DeltaSubsets uint64
+	// Table is the work of the one-time subset-CDF table build.
+	Table dist.SubsetVolumeStats
 }
 
 // Evaluator is a reusable heterogeneous Theorem 4.1 evaluator for a fixed
-// instance (π, δ): the O(n²·2^n) subset-CDF table — the only part of
-// WinningProbabilityPiOpts that depends on the instance rather than the
-// rule — is built once at construction, and each α-vector evaluation then
-// costs one product-table refresh plus the O(2^n) bin-choice sum. A
+// instance (π, δ): the O(n²·2^n) subset-CDF table — the only part of the
+// evaluation that depends on the instance rather than the rule — is built
+// once at construction, and each α-vector evaluation then costs one
+// product-table refresh plus the O(2^n) bin-choice sum. A
 // single-coordinate change (the 1-D sweep and coordinate-search pattern)
 // re-propagates only the 2^(n-1) weight cells containing the changed
-// coordinate.
+// coordinate. WinningProbabilityPiOpts is a one-shot Evaluator.
 //
-// Every path is bit-identical to WinningProbabilityPiOpts(α, π, δ, …): the
-// product tables delta-update with the exact build recurrence and the
-// bin-choice sum replicates the fixed chunk grid, Neumaier partials, and
-// pairwise reduction of ChunkedMaskSum. Values from the evaluator are
-// therefore safe to memoize under the same cache keys as the one-shot
-// evaluator. Zero steady-state allocations.
+// Every path is bit-identical to a fresh evaluator's full evaluation (and
+// so to WinningProbabilityPiOpts): the product tables delta-update with
+// the exact build recurrence and the bin-choice sum replicates the fixed
+// chunk grid, Neumaier partials, and pairwise reduction of
+// combin.ChunkedMaskSum. Values from a reused evaluator are therefore safe
+// to memoize under the same cache keys as the one-shot path. Zero
+// steady-state allocations.
 type Evaluator struct {
 	n        int
 	capacity float64
@@ -66,7 +70,7 @@ func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, erro
 		return nil, fmt.Errorf("oblivious: need at least 2 players, got %d", n)
 	}
 	if n > MaxNHetero {
-		return nil, fmt.Errorf("oblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
+		return nil, problem.PlayerCapError("oblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
 	}
 	hetero := false
 	for i, w := range pi {
@@ -86,7 +90,7 @@ func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, erro
 	if workers <= 0 {
 		workers = 1
 	}
-	vol, _, err := dist.AllSubsetVolumes(pi, capacity, workers)
+	vol, table, err := dist.AllSubsetVolumes(pi, capacity, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -116,6 +120,7 @@ func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, erro
 		pZero:    pZero,
 		pOne:     pOne,
 		partial:  make([]float64, chunks),
+		stats:    EvalStats{Table: table},
 	}, nil
 }
 
@@ -216,8 +221,7 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 
 // maskSum reduces Σ_S w(S)·F_{Sᶜ}(δ)·F_S(δ) over the fixed chunk grid with
 // Neumaier partials and the fixed-order pairwise tree — bit-identical to
-// the ChunkedMaskSum reduction in WinningProbabilityPiOpts for every
-// worker count.
+// the combin.ChunkedMaskSum reduction for every worker count.
 func (ev *Evaluator) maskSum() float64 {
 	pZero, pOne, cdf := ev.pZero.Values(), ev.pOne.Values(), ev.cdf
 	size := uint64(1) << uint(ev.n)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/combin"
-	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -24,9 +22,8 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, erro
 }
 
 // WinningProbabilityPiOpts is WinningProbabilityPi with explicit worker
-// sharding and observability. workers ≤ 1 evaluates serially; any worker
-// count returns bit-identical results (the enumeration is split on a fixed
-// chunk grid with a fixed-order reduction), so callers may key caches on
+// sharding and observability. workers ≤ 1 builds the tables serially; any
+// worker count returns bit-identical results, so callers may key caches on
 // the inputs alone. A nil observer disables instrumentation.
 //
 // With unequal ranges the bin loads are no longer exchangeable, so the
@@ -38,15 +35,13 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, erro
 // where S is the bin-1 set and F_T is the Lemma 2.4 CDF of Σ_{i∈T} x_i
 // (F_∅ ≡ 1) — the φ_δ(k) = F_k(δ)F_{n-k}(δ) product of the homogeneous
 // proof with Irwin-Hall CDFs replaced by their heterogeneous
-// generalization. All 2^n CDFs come from one dist.AllSubsetVolumes
-// sum-over-subsets table (O(n²·2^n) total) instead of a fresh Θ(2^|T|)
-// inclusion-exclusion per subset, and the bin-choice weights come from two
-// low-bit-recurrence product tables, making each summand O(1).
+// generalization. It is a one-shot Evaluator: all 2^n CDFs come from one
+// dist.AllSubsetVolumes sum-over-subsets table (O(n²·2^n) total) and the
+// bin-choice weights from two product tables, making each summand O(1).
 func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers int, o *obs.Observer) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
 	}
-	n := len(alphas)
 	hetero := false
 	for _, w := range pi {
 		if w != 1 {
@@ -57,68 +52,22 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	if !hetero {
 		return WinningProbability(alphas, capacity)
 	}
-	if len(pi) != n {
-		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), n)
-	}
-	for i, w := range pi {
-		if !(w > 0) || math.IsInf(w, 1) {
-			return 0, fmt.Errorf("oblivious: input range π[%d] = %v must be strictly positive and finite", i, w)
-		}
-	}
-	if n > MaxNHetero {
-		return 0, fmt.Errorf("oblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
-	}
-	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)
+	if len(pi) != len(alphas) {
+		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), len(alphas))
 	}
 	if workers <= 0 {
 		workers = 1
 	}
-	vol, stats, err := dist.AllSubsetVolumes(pi, capacity, workers)
+	ev, err := NewEvaluator(pi, capacity, workers)
 	if err != nil {
 		return 0, err
 	}
-	piProd, err := combin.SubsetProducts(pi)
+	p, err := ev.Evaluate(alphas)
 	if err != nil {
 		return 0, err
 	}
-	pZero, err := combin.SubsetProducts(alphas) // Π_{i∈T} α_i
-	if err != nil {
-		return 0, err
-	}
-	oneMinus := make([]float64, n)
-	for i, a := range alphas {
-		oneMinus[i] = 1 - a
-	}
-	pOne, err := combin.SubsetProducts(oneMinus) // Π_{i∈T} (1-α_i)
-	if err != nil {
-		return 0, err
-	}
-	// F_T(δ) = vol[T] / Π_{i∈T} π_i, reusing the volume table in place.
-	cdf := vol
-	for mask := range cdf {
-		cdf[mask] = clamp01(cdf[mask] / piProd[mask])
-	}
-	full := (uint64(1) << uint(n)) - 1
-	total, chunks, err := combin.ChunkedMaskSum(n, workers, func() func(uint64) float64 {
-		return func(s uint64) float64 {
-			z := full &^ s
-			w := pZero[z] * pOne[s]
-			if w == 0 {
-				return 0
-			}
-			return w * cdf[z] * cdf[s]
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	o.Counter("exact.subsets").Add(int64(stats.Subsets))
-	o.Counter("exact.steps.incremental").Add(int64(stats.Incremental))
-	o.Counter("exact.steps.rebuilt").Add(int64(stats.Rebuilt))
-	o.Counter("exact.chunks").Add(int64(chunks))
-	o.Gauge("exact.workers").Set(float64(workers))
-	return clamp01(total), nil
+	ev.stats.Table.Record(o, len(ev.partial), workers)
+	return p, nil
 }
 
 func clamp01(v float64) float64 {

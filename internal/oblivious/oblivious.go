@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/dist"
+	"repro/internal/problem"
 )
 
 // MaxN bounds the number of players for float64 evaluation; it matches the
@@ -37,7 +38,7 @@ func phiTable(n int, capacity float64) ([]float64, error) {
 		return nil, fmt.Errorf("oblivious: need at least 2 players, got %d", n)
 	}
 	if n > MaxN {
-		return nil, fmt.Errorf("oblivious: float64 evaluation limited to %d players, got %d", MaxN, n)
+		return nil, problem.PlayerCapError("oblivious: float64 evaluation limited to %d players, got %d", MaxN, n)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return nil, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)

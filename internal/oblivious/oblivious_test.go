@@ -251,7 +251,7 @@ func TestHalfIsSymmetricMaximumByScalarSearch(t *testing.T) {
 	// over a ∈ [0, 1] lands on 1/2 for every n.
 	for _, n := range []int{3, 4, 5, 8} {
 		capacity := float64(n) / 3
-		res, err := optimize.GridThenGoldenMax(func(a float64) float64 {
+		res, err := optimize.GridThenGoldenMax(nil, func(a float64) float64 {
 			p, err := SymmetricWinningProbability(n, capacity, a)
 			if err != nil {
 				return math.Inf(-1)
@@ -340,7 +340,7 @@ func TestCoordinateAscentFindsVertexOptimum(t *testing.T) {
 			start[i] = 0.2 + 0.1*float64(i%3)
 			hi[i] = 1
 		}
-		res, err := optimize.CoordinateAscentBox(func(x []float64) float64 {
+		res, err := optimize.CoordinateAscentBox(nil, func(x []float64) float64 {
 			p, err := WinningProbability(x, capacity)
 			if err != nil {
 				return math.Inf(-1)

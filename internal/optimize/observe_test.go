@@ -14,7 +14,7 @@ func TestGoldenSectionObserved(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.New(obs.NewRegistry(), obs.NewSink(&buf))
 	f := func(x float64) float64 { return -(x - 0.3) * (x - 0.3) }
-	res, err := GoldenSectionMaxObserved(o, f, 0, 1, 1e-8)
+	res, err := GoldenSectionMax(o, f, 0, 1, 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGoldenSectionObserved(t *testing.T) {
 // finder.
 func TestBrentRootObserved(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
-	root, err := BrentRootObserved(o, func(x float64) float64 { return x*x*x - 2 }, 0, 2, 1e-12)
+	root, err := BrentRoot(o, func(x float64) float64 { return x*x*x - 2 }, 0, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +75,19 @@ func TestBrentRootObserved(t *testing.T) {
 	}
 }
 
-// TestObservedVariantsMatchPlain pins that the nil-observer fast path and
-// the plain entry points agree exactly.
+// TestObservedVariantsMatchPlain pins that an enabled observer never
+// changes a search: each entry point returns the same result with a nil
+// observer and with an enabled one.
 func TestObservedVariantsMatchPlain(t *testing.T) {
 	f := func(x float64) float64 { return math.Sin(3*x) - 0.2*x }
-	plain, err := GridThenGoldenMax(f, 0, 2, 41, 1e-9)
+	g := func(x []float64) float64 { return -(x[0]-0.3)*(x[0]-0.3) - (x[1]-0.6)*(x[1]-0.6) - 0.5*x[0]*x[1] }
+	lo, hi := []float64{0, 0}, []float64{1, 1}
+	o := obs.New(obs.NewRegistry(), nil)
+	plain, err := GridThenGoldenMax(nil, f, 0, 2, 41, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New(obs.NewRegistry(), nil)
-	observed, err := GridThenGoldenMaxObserved(o, f, 0, 2, 41, 1e-9)
+	observed, err := GridThenGoldenMax(o, f, 0, 2, 41, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,4 +97,35 @@ func TestObservedVariantsMatchPlain(t *testing.T) {
 	if o.Counter("opt.grid.evals").Value() != 41 {
 		t.Errorf("opt.grid.evals = %d, want 41", o.Counter("opt.grid.evals").Value())
 	}
+	cube := func(x float64) float64 { return x*x*x - 2 }
+	r1, err1 := BrentRoot(nil, cube, 0, 2, 1e-12)
+	r2, err2 := BrentRoot(o, cube, 0, 2, 1e-12)
+	if err1 != nil || err2 != nil || r1 != r2 {
+		t.Errorf("BrentRoot: plain %v (%v), observed %v (%v)", r1, err1, r2, err2)
+	}
+	ca1, err1 := CoordinateAscentBox(nil, g, []float64{0.5, 0.5}, lo, hi, 20, 1e-10)
+	ca2, err2 := CoordinateAscentBox(o, g, []float64{0.5, 0.5}, lo, hi, 20, 1e-10)
+	if err1 != nil || err2 != nil || !sameVector(ca1, ca2) {
+		t.Errorf("CoordinateAscentBox: plain %+v (%v), observed %+v (%v)", ca1, err1, ca2, err2)
+	}
+	nm1, err1 := NelderMeadMax(nil, g, []float64{0.5, 0.5}, lo, hi, 0.1, 500, 1e-12)
+	nm2, err2 := NelderMeadMax(o, g, []float64{0.5, 0.5}, lo, hi, 0.1, 500, 1e-12)
+	if err1 != nil || err2 != nil || !sameVector(nm1, nm2) {
+		t.Errorf("NelderMeadMax: plain %+v (%v), observed %+v (%v)", nm1, err1, nm2, err2)
+	}
+	if o.Counter("opt.coord.passes").Value() <= 0 || o.Counter("opt.nm.iterations").Value() <= 0 {
+		t.Error("vector searches recorded no passes or iterations")
+	}
+}
+
+func sameVector(a, b VectorResult) bool {
+	if a.Value != b.Value || a.Iterations != b.Iterations || len(a.X) != len(b.X) {
+		return false
+	}
+	for i := range a.X {
+		if a.X[i] != b.X[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -37,17 +37,13 @@ type ScalarResult struct {
 // to be the global maximum; on multimodal functions it returns some local
 // maximum. It returns an error for invalid intervals, tolerances, or a nil
 // function.
-func GoldenSectionMax(f func(float64) float64, lo, hi, tol float64) (ScalarResult, error) {
-	return GoldenSectionMaxObserved(nil, f, lo, hi, tol)
-}
-
-// GoldenSectionMaxObserved is GoldenSectionMax with observability: it
-// counts function evaluations and iterations (opt.golden.evals,
-// opt.golden.iterations), records the final bracket width
-// (opt.golden.bracket_width), and emits one opt.golden_section checkpoint
-// event per iteration with the live bracket. A nil observer makes it
-// identical to GoldenSectionMax.
-func GoldenSectionMaxObserved(o *obs.Observer, f func(float64) float64, lo, hi, tol float64) (ScalarResult, error) {
+//
+// A non-nil observer counts function evaluations and iterations
+// (opt.golden.evals, opt.golden.iterations), records the final bracket
+// width (opt.golden.bracket_width), and emits one opt.golden_section
+// checkpoint event per iteration with the live bracket; nil means
+// uninstrumented.
+func GoldenSectionMax(o *obs.Observer, f func(float64) float64, lo, hi, tol float64) (ScalarResult, error) {
 	if f == nil {
 		return ScalarResult{}, fmt.Errorf("optimize: nil objective")
 	}
@@ -113,15 +109,11 @@ func GoldenSectionMaxObserved(o *obs.Observer, f func(float64) float64, lo, hi, 
 // bracket the global maximum of a possibly multimodal function, then
 // refines the best bracket with golden-section search. It returns an error
 // for invalid arguments.
-func GridThenGoldenMax(f func(float64) float64, lo, hi float64, gridPoints int, tol float64) (ScalarResult, error) {
-	return GridThenGoldenMaxObserved(nil, f, lo, hi, gridPoints, tol)
-}
-
-// GridThenGoldenMaxObserved is GridThenGoldenMax with observability: the
-// grid scan is counted under opt.grid.evals and wrapped, together with the
-// golden-section refinement, in an opt.grid_then_golden span. A nil
-// observer makes it identical to GridThenGoldenMax.
-func GridThenGoldenMaxObserved(o *obs.Observer, f func(float64) float64, lo, hi float64, gridPoints int, tol float64) (ScalarResult, error) {
+//
+// A non-nil observer counts the grid scan under opt.grid.evals and wraps
+// it, together with the golden-section refinement, in an
+// opt.grid_then_golden span; nil means uninstrumented.
+func GridThenGoldenMax(o *obs.Observer, f func(float64) float64, lo, hi float64, gridPoints int, tol float64) (ScalarResult, error) {
 	if f == nil {
 		return ScalarResult{}, fmt.Errorf("optimize: nil objective")
 	}
@@ -149,7 +141,7 @@ func GridThenGoldenMaxObserved(o *obs.Observer, f func(float64) float64, lo, hi 
 	o.Counter("opt.grid.evals").Add(int64(evals))
 	bLo := lo + float64(max(bestI-1, 0))*h
 	bHi := lo + float64(min(bestI+1, gridPoints-1))*h
-	res, err := GoldenSectionMaxObserved(o, f, bLo, bHi, tol)
+	res, err := GoldenSectionMax(o, f, bLo, bHi, tol)
 	if err != nil {
 		return ScalarResult{}, err
 	}
@@ -204,16 +196,12 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 // quadratic interpolation guarded by bisection). f(lo) and f(hi) must
 // bracket a root. It returns an error on invalid input, same-sign
 // endpoints, or failure to converge in 200 iterations.
-func BrentRoot(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	return BrentRootObserved(nil, f, lo, hi, tol)
-}
-
-// BrentRootObserved is BrentRoot with observability: it counts function
-// evaluations and iterations (opt.brent.evals, opt.brent.iterations),
-// records the final bracket width (opt.brent.bracket_width), and emits one
-// opt.brent_root checkpoint event per iteration. A nil observer makes it
-// identical to BrentRoot.
-func BrentRootObserved(o *obs.Observer, f func(float64) float64, lo, hi, tol float64) (float64, error) {
+//
+// A non-nil observer counts function evaluations and iterations
+// (opt.brent.evals, opt.brent.iterations), records the final bracket width
+// (opt.brent.bracket_width), and emits one opt.brent_root checkpoint event
+// per iteration; nil means uninstrumented.
+func BrentRoot(o *obs.Observer, f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	if f == nil {
 		return 0, fmt.Errorf("optimize: nil function")
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestGoldenSectionMaxQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return -(x - 0.3) * (x - 0.3) }
-	res, err := GoldenSectionMax(f, 0, 1, 1e-10)
+	res, err := GoldenSectionMax(nil, f, 0, 1, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestGoldenSectionMaxPaperCubic(t *testing.T) {
 	f := func(b float64) float64 {
 		return -11.0/6 + 9*b - 10.5*b*b + 3.5*b*b*b
 	}
-	res, err := GoldenSectionMax(f, 0.5, 1, 1e-12)
+	res, err := GoldenSectionMax(nil, f, 0.5, 1, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGoldenSectionMaxPaperCubic(t *testing.T) {
 }
 
 func TestGoldenSectionMaxMonotone(t *testing.T) {
-	res, err := GoldenSectionMax(func(x float64) float64 { return x }, 0, 2, 1e-10)
+	res, err := GoldenSectionMax(nil, func(x float64) float64 { return x }, 0, 2, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +53,16 @@ func TestGoldenSectionMaxMonotone(t *testing.T) {
 
 func TestGoldenSectionMaxValidation(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, err := GoldenSectionMax(nil, 0, 1, 1e-6); err == nil {
+	if _, err := GoldenSectionMax(nil, nil, 0, 1, 1e-6); err == nil {
 		t.Error("nil objective: expected error")
 	}
-	if _, err := GoldenSectionMax(f, 1, 0, 1e-6); err == nil {
+	if _, err := GoldenSectionMax(nil, f, 1, 0, 1e-6); err == nil {
 		t.Error("inverted interval: expected error")
 	}
-	if _, err := GoldenSectionMax(f, 0, 1, 0); err == nil {
+	if _, err := GoldenSectionMax(nil, f, 0, 1, 0); err == nil {
 		t.Error("zero tolerance: expected error")
 	}
-	if _, err := GoldenSectionMax(f, math.NaN(), 1, 1e-6); err == nil {
+	if _, err := GoldenSectionMax(nil, f, math.NaN(), 1, 1e-6); err == nil {
 		t.Error("NaN bound: expected error")
 	}
 }
@@ -72,7 +72,7 @@ func TestGridThenGoldenMaxMultimodal(t *testing.T) {
 	f := func(x float64) float64 {
 		return math.Exp(-100*(x-0.2)*(x-0.2)) + 1.5*math.Exp(-400*(x-0.8)*(x-0.8))
 	}
-	res, err := GridThenGoldenMax(f, 0, 1, 101, 1e-10)
+	res, err := GridThenGoldenMax(nil, f, 0, 1, 101, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +86,16 @@ func TestGridThenGoldenMaxMultimodal(t *testing.T) {
 
 func TestGridThenGoldenMaxValidation(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, err := GridThenGoldenMax(nil, 0, 1, 10, 1e-6); err == nil {
+	if _, err := GridThenGoldenMax(nil, nil, 0, 1, 10, 1e-6); err == nil {
 		t.Error("nil objective: expected error")
 	}
-	if _, err := GridThenGoldenMax(f, 1, 0, 10, 1e-6); err == nil {
+	if _, err := GridThenGoldenMax(nil, f, 1, 0, 10, 1e-6); err == nil {
 		t.Error("inverted interval: expected error")
 	}
-	if _, err := GridThenGoldenMax(f, 0, 1, 2, 1e-6); err == nil {
+	if _, err := GridThenGoldenMax(nil, f, 0, 1, 2, 1e-6); err == nil {
 		t.Error("tiny grid: expected error")
 	}
-	if _, err := GridThenGoldenMax(f, 0, 1, 10, 0); err == nil {
+	if _, err := GridThenGoldenMax(nil, f, 0, 1, 10, 0); err == nil {
 		t.Error("zero tolerance: expected error")
 	}
 }
@@ -107,7 +107,7 @@ func TestGridThenGoldenFindsGlobalOnRandomBimodalProperty(t *testing.T) {
 		obj := func(x float64) float64 {
 			return math.Exp(-200*(x-p1)*(x-p1)) + 2*math.Exp(-200*(x-p2)*(x-p2))
 		}
-		res, err := GridThenGoldenMax(obj, 0, 1, 201, 1e-9)
+		res, err := GridThenGoldenMax(nil, obj, 0, 1, 201, 1e-9)
 		if err != nil {
 			return false
 		}
@@ -156,7 +156,7 @@ func TestBisectValidation(t *testing.T) {
 func TestBrentRoot(t *testing.T) {
 	// Paper's n=3 optimality condition: β² - 2β + 6/7 = 0 on (0, 1).
 	f := func(b float64) float64 { return b*b - 2*b + 6.0/7 }
-	root, err := BrentRoot(f, 0, 1, 1e-14)
+	root, err := BrentRoot(nil, f, 0, 1, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestBrentRoot(t *testing.T) {
 	}
 	// A hard case for secant-only methods.
 	g := func(x float64) float64 { return math.Pow(x, 9) - 0.5 }
-	root, err = BrentRoot(g, 0, 1, 1e-13)
+	root, err = BrentRoot(nil, g, 0, 1, 1e-13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,24 +177,24 @@ func TestBrentRoot(t *testing.T) {
 
 func TestBrentRootEndpointsAndValidation(t *testing.T) {
 	f := func(x float64) float64 { return x - 0.25 }
-	r, err := BrentRoot(func(x float64) float64 { return x }, 0, 1, 1e-12)
+	r, err := BrentRoot(nil, func(x float64) float64 { return x }, 0, 1, 1e-12)
 	if err != nil || r != 0 {
 		t.Errorf("root at lo: %v, %v", r, err)
 	}
-	r, err = BrentRoot(func(x float64) float64 { return x - 1 }, 0, 1, 1e-12)
+	r, err = BrentRoot(nil, func(x float64) float64 { return x - 1 }, 0, 1, 1e-12)
 	if err != nil || r != 1 {
 		t.Errorf("root at hi: %v, %v", r, err)
 	}
-	if _, err := BrentRoot(nil, 0, 1, 1e-6); err == nil {
+	if _, err := BrentRoot(nil, nil, 0, 1, 1e-6); err == nil {
 		t.Error("nil function: expected error")
 	}
-	if _, err := BrentRoot(f, 1, 0, 1e-6); err == nil {
+	if _, err := BrentRoot(nil, f, 1, 0, 1e-6); err == nil {
 		t.Error("inverted interval: expected error")
 	}
-	if _, err := BrentRoot(f, 0.5, 1, 1e-6); err == nil {
+	if _, err := BrentRoot(nil, f, 0.5, 1, 1e-6); err == nil {
 		t.Error("same-sign endpoints: expected error")
 	}
-	if _, err := BrentRoot(f, 0, 1, 0); err == nil {
+	if _, err := BrentRoot(nil, f, 0, 1, 0); err == nil {
 		t.Error("zero tolerance: expected error")
 	}
 }
@@ -204,7 +204,7 @@ func TestBrentMatchesBisectProperty(t *testing.T) {
 		c := 0.05 + 0.9*float64(cRaw)/255
 		obj := func(x float64) float64 { return x*x*x - c }
 		b1, err1 := Bisect(obj, 0, 1, 1e-12)
-		b2, err2 := BrentRoot(obj, 0, 1, 1e-12)
+		b2, err2 := BrentRoot(nil, obj, 0, 1, 1e-12)
 		return err1 == nil && err2 == nil && math.Abs(b1-b2) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -23,17 +23,13 @@ type VectorResult struct {
 // for the paper's smooth winning-probability surfaces coincides with the
 // stationary points the optimality conditions describe. It returns an
 // error on invalid bounds, a nil objective, or an out-of-box start.
-func CoordinateAscentBox(f func([]float64) float64, start, lo, hi []float64, passes int, tol float64) (VectorResult, error) {
-	return CoordinateAscentBoxObserved(nil, f, start, lo, hi, passes, tol)
-}
-
-// CoordinateAscentBoxObserved is CoordinateAscentBox with observability: the
-// whole ascent runs under an opt.coordinate_ascent span, passes are counted
-// in opt.coord.passes, each line search runs through
-// GoldenSectionMaxObserved (so its opt.golden.* counters accumulate), and one
+//
+// With a non-nil observer the whole ascent runs under an
+// opt.coordinate_ascent span, passes are counted in opt.coord.passes, each
+// line search's opt.golden.* counters accumulate, and one
 // opt.coordinate_ascent checkpoint event per pass records the live best
-// value. A nil observer makes it identical to CoordinateAscentBox.
-func CoordinateAscentBoxObserved(o *obs.Observer, f func([]float64) float64, start, lo, hi []float64, passes int, tol float64) (VectorResult, error) {
+// value; nil means uninstrumented.
+func CoordinateAscentBox(o *obs.Observer, f func([]float64) float64, start, lo, hi []float64, passes int, tol float64) (VectorResult, error) {
 	n := len(start)
 	if f == nil {
 		return VectorResult{}, fmt.Errorf("optimize: nil objective")
@@ -72,7 +68,7 @@ func CoordinateAscentBoxObserved(o *obs.Observer, f func([]float64) float64, sta
 				x[i] = xi
 				return out
 			}
-			res, err := GoldenSectionMaxObserved(o, line, lo[i], hi[i], tol)
+			res, err := GoldenSectionMax(o, line, lo[i], hi[i], tol)
 			if err != nil {
 				return VectorResult{}, fmt.Errorf("optimize: line search on coordinate %d: %w", i, err)
 			}
@@ -107,15 +103,11 @@ func CoordinateAscentBoxObserved(o *obs.Observer, f func([]float64) float64, sta
 // vertices onto a boundary face and degenerate the search), and the search
 // automatically restarts once from its own optimum with a smaller step to
 // escape collapsed simplices. It returns an error on invalid arguments.
-func NelderMeadMax(f func([]float64) float64, start, lo, hi []float64, step float64, maxIter int, tol float64) (VectorResult, error) {
-	return NelderMeadMaxObserved(nil, f, start, lo, hi, step, maxIter, tol)
-}
-
-// NelderMeadMaxObserved is NelderMeadMax with observability: the search
-// (both descents) runs under an opt.nelder_mead span and the total simplex
-// iteration count lands in opt.nm.iterations. A nil observer makes it
-// identical to NelderMeadMax.
-func NelderMeadMaxObserved(o *obs.Observer, f func([]float64) float64, start, lo, hi []float64, step float64, maxIter int, tol float64) (VectorResult, error) {
+//
+// With a non-nil observer the search (both descents) runs under an
+// opt.nelder_mead span and the total simplex iteration count lands in
+// opt.nm.iterations; nil means uninstrumented.
+func NelderMeadMax(o *obs.Observer, f func([]float64) float64, start, lo, hi []float64, step float64, maxIter int, tol float64) (VectorResult, error) {
 	n := len(start)
 	if f == nil {
 		return VectorResult{}, fmt.Errorf("optimize: nil objective")

@@ -19,7 +19,7 @@ func quadObjective(center []float64) func([]float64) float64 {
 func TestCoordinateAscentBoxQuadratic(t *testing.T) {
 	center := []float64{0.3, 0.7, 0.5}
 	f := quadObjective(center)
-	res, err := CoordinateAscentBox(f,
+	res, err := CoordinateAscentBox(nil, f,
 		[]float64{0.5, 0.5, 0.5},
 		[]float64{0, 0, 0},
 		[]float64{1, 1, 1},
@@ -43,7 +43,7 @@ func TestCoordinateAscentBoxQuadratic(t *testing.T) {
 func TestCoordinateAscentBoxBoundaryOptimum(t *testing.T) {
 	// Optimum outside the box: ascent should pin to the boundary.
 	f := quadObjective([]float64{2, 2})
-	res, err := CoordinateAscentBox(f,
+	res, err := CoordinateAscentBox(nil, f,
 		[]float64{0.5, 0.5}, []float64{0, 0}, []float64{1, 1}, 50, 1e-10)
 	if err != nil {
 		t.Fatal(err)
@@ -60,25 +60,25 @@ func TestCoordinateAscentBoxValidation(t *testing.T) {
 	ok := []float64{0.5}
 	lo := []float64{0}
 	hi := []float64{1}
-	if _, err := CoordinateAscentBox(nil, ok, lo, hi, 5, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, nil, ok, lo, hi, 5, 1e-6); err == nil {
 		t.Error("nil objective: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, nil, lo, hi, 5, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, nil, lo, hi, 5, 1e-6); err == nil {
 		t.Error("empty start: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, ok, []float64{0, 0}, hi, 5, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, ok, []float64{0, 0}, hi, 5, 1e-6); err == nil {
 		t.Error("dimension mismatch: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, ok, lo, hi, 0, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, ok, lo, hi, 0, 1e-6); err == nil {
 		t.Error("zero passes: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, ok, lo, hi, 5, 0); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, ok, lo, hi, 5, 0); err == nil {
 		t.Error("zero tolerance: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, []float64{2}, lo, hi, 5, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, []float64{2}, lo, hi, 5, 1e-6); err == nil {
 		t.Error("start outside box: expected error")
 	}
-	if _, err := CoordinateAscentBox(f, ok, []float64{1}, []float64{0}, 5, 1e-6); err == nil {
+	if _, err := CoordinateAscentBox(nil, f, ok, []float64{1}, []float64{0}, 5, 1e-6); err == nil {
 		t.Error("inverted bounds: expected error")
 	}
 }
@@ -86,7 +86,7 @@ func TestCoordinateAscentBoxValidation(t *testing.T) {
 func TestNelderMeadMaxQuadratic(t *testing.T) {
 	center := []float64{0.25, 0.6}
 	f := quadObjective(center)
-	res, err := NelderMeadMax(f,
+	res, err := NelderMeadMax(nil, f,
 		[]float64{0.9, 0.1},
 		[]float64{0, 0}, []float64{1, 1},
 		0.2, 2000, 1e-14)
@@ -108,7 +108,7 @@ func TestNelderMeadMaxRosenbrockStyle(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return -(a*a + 100*b*b)
 	}
-	res, err := NelderMeadMax(f, []float64{0.2, 0.2}, []float64{0, 0}, []float64{2, 2}, 0.3, 20000, 1e-15)
+	res, err := NelderMeadMax(nil, f, []float64{0.2, 0.2}, []float64{0, 0}, []float64{2, 2}, 0.3, 20000, 1e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestNelderMeadMaxAgreesWithCoordinateAscent(t *testing.T) {
 	}
 	lo := []float64{0, 0}
 	hi := []float64{1, 1}
-	ca, err := CoordinateAscentBox(f, []float64{0.5, 0.5}, lo, hi, 100, 1e-12)
+	ca, err := CoordinateAscentBox(nil, f, []float64{0.5, 0.5}, lo, hi, 100, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm, err := NelderMeadMax(f, []float64{0.9, 0.9}, lo, hi, 0.2, 5000, 1e-15)
+	nm, err := NelderMeadMax(nil, f, []float64{0.9, 0.9}, lo, hi, 0.2, 5000, 1e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +147,22 @@ func TestNelderMeadMaxValidation(t *testing.T) {
 	ok := []float64{0.5}
 	lo := []float64{0}
 	hi := []float64{1}
-	if _, err := NelderMeadMax(nil, ok, lo, hi, 0.1, 100, 1e-9); err == nil {
+	if _, err := NelderMeadMax(nil, nil, ok, lo, hi, 0.1, 100, 1e-9); err == nil {
 		t.Error("nil objective: expected error")
 	}
-	if _, err := NelderMeadMax(f, nil, lo, hi, 0.1, 100, 1e-9); err == nil {
+	if _, err := NelderMeadMax(nil, f, nil, lo, hi, 0.1, 100, 1e-9); err == nil {
 		t.Error("empty start: expected error")
 	}
-	if _, err := NelderMeadMax(f, ok, []float64{0, 1}, hi, 0.1, 100, 1e-9); err == nil {
+	if _, err := NelderMeadMax(nil, f, ok, []float64{0, 1}, hi, 0.1, 100, 1e-9); err == nil {
 		t.Error("dimension mismatch: expected error")
 	}
-	if _, err := NelderMeadMax(f, ok, lo, hi, 0, 100, 1e-9); err == nil {
+	if _, err := NelderMeadMax(nil, f, ok, lo, hi, 0, 100, 1e-9); err == nil {
 		t.Error("zero step: expected error")
 	}
-	if _, err := NelderMeadMax(f, ok, lo, hi, 0.1, 0, 1e-9); err == nil {
+	if _, err := NelderMeadMax(nil, f, ok, lo, hi, 0.1, 0, 1e-9); err == nil {
 		t.Error("zero maxIter: expected error")
 	}
-	if _, err := NelderMeadMax(f, ok, lo, hi, 0.1, 100, 0); err == nil {
+	if _, err := NelderMeadMax(nil, f, ok, lo, hi, 0.1, 100, 0); err == nil {
 		t.Error("zero tolerance: expected error")
 	}
 }

@@ -7,19 +7,41 @@
 // Sections 4 and 5.
 //
 // The package is a leaf: it imports only the standard library, so model,
-// sim, engine, core and the harness can all depend on the one Instance
-// type without cycles. It owns the single Validate implementation (the
-// checks previously duplicated across engine.Instance and core.Instance)
-// and the canonical bit-pattern cache key used by the evaluation engine's
-// memoization layer.
+// sim, the exact evaluators, engine and the harness can all depend on the
+// one Instance type without cycles. It owns the single Validate
+// implementation, the canonical bit-pattern cache key used by the
+// evaluation engine's memoization layer, and ErrPlayerCap, the refusal
+// every exact evaluator wraps when an instance has too many players.
 package problem
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 )
+
+// ErrPlayerCap is wrapped by an exact evaluator's refusal of an instance
+// with more players than it supports. errors.Is tells such a refusal apart
+// from an invalid request, so the engine's Auto backend can fall through
+// to Monte-Carlo instead of failing.
+var ErrPlayerCap = errors.New("player count exceeds the exact evaluator's cap")
+
+// playerCapError keeps an evaluator's own cap message while wrapping
+// ErrPlayerCap.
+type playerCapError string
+
+func (e playerCapError) Error() string { return string(e) }
+
+func (playerCapError) Unwrap() error { return ErrPlayerCap }
+
+// PlayerCapError formats an exact evaluator's player-cap refusal. The
+// message reads exactly as formatted; the error wraps ErrPlayerCap.
+func PlayerCapError(format string, args ...any) error {
+	return playerCapError(fmt.Sprintf(format, args...))
+}
 
 // Instance is one distributed decision-making problem: N players with
 // independent inputs x_i ~ U[0, π_i] and two bins of capacity Delta, no
@@ -40,6 +62,12 @@ type Instance struct {
 // New validates and returns a homogeneous U[0, 1] instance.
 func New(n int, delta float64) (Instance, error) {
 	return NewPi(n, delta, nil)
+}
+
+// PaperInstance returns the homogeneous instance with the paper's scaling
+// δ = n/3 (δ=1 at n=3, δ=4/3 at n=4, ...).
+func PaperInstance(n int) (Instance, error) {
+	return New(n, float64(n)/3)
 }
 
 // NewPi validates and returns an instance with per-player input ranges.
@@ -82,6 +110,29 @@ func (inst Instance) Validate() error {
 		}
 	}
 	return nil
+}
+
+// DeltaRat returns the capacity as an exact rational when it is one (the
+// paper's instances all are); it reports ok=false when Delta is not
+// exactly representable as a small fraction.
+func (inst Instance) DeltaRat() (r *big.Rat, ok bool) {
+	r = new(big.Rat).SetFloat64(inst.Delta)
+	if r == nil {
+		return nil, false
+	}
+	// Accept only small denominators: the paper's δ are n/3-style
+	// fractions; float64 artifacts produce huge denominators.
+	if r.Denom().BitLen() > 20 {
+		// Try to snap to a nearby small fraction k/d, d ≤ 64.
+		for d := int64(1); d <= 64; d++ {
+			num := math.Round(inst.Delta * float64(d))
+			if math.Abs(inst.Delta-num/float64(d)) < 1e-12 {
+				return big.NewRat(int64(num), d), true
+			}
+		}
+		return nil, false
+	}
+	return r, true
 }
 
 // Heterogeneous reports whether the instance departs from the homogeneous

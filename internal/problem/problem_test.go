@@ -1,7 +1,9 @@
 package problem
 
 import (
+	"errors"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -77,6 +79,53 @@ func TestNewRejects(t *testing.T) {
 	}
 	if _, err := NewPi(3, 1, []float64{0.5, 1}); err == nil {
 		t.Fatalf("NewPi with short π succeeded")
+	}
+}
+
+func TestPaperInstanceScaling(t *testing.T) {
+	inst, err := PaperInstance(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst.N != 4 || math.Abs(inst.Delta-4.0/3) > 1e-15 || inst.Pi != nil {
+		t.Errorf("PaperInstance(4) = %+v, want homogeneous δ = 4/3", inst)
+	}
+	if _, err := PaperInstance(1); err == nil {
+		t.Error("n=1: expected error")
+	}
+}
+
+func TestDeltaRat(t *testing.T) {
+	inst, err := PaperInstance(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := inst.DeltaRat()
+	if !ok {
+		t.Fatal("δ = 4/3 should be recognized as rational")
+	}
+	if r.Cmp(big.NewRat(4, 3)) != 0 {
+		t.Errorf("DeltaRat = %v, want 4/3", r)
+	}
+	r, ok = Instance{N: 3, Delta: 0.5}.DeltaRat()
+	if !ok || r.Cmp(big.NewRat(1, 2)) != 0 {
+		t.Errorf("DeltaRat(0.5) = %v, %v", r, ok)
+	}
+	if _, ok := (Instance{N: 3, Delta: math.Pi / 3}).DeltaRat(); ok {
+		t.Error("π/3 should not be recognized as a small rational")
+	}
+}
+
+func TestPlayerCapError(t *testing.T) {
+	err := PlayerCapError("pkg: evaluation limited to %d players, got %d", 20, 22)
+	if got, want := err.Error(), "pkg: evaluation limited to 20 players, got 22"; got != want {
+		t.Errorf("message = %q, want %q", got, want)
+	}
+	if !errors.Is(err, ErrPlayerCap) {
+		t.Error("PlayerCapError does not wrap ErrPlayerCap")
+	}
+	if errors.Is(errors.New("pkg: other failure"), ErrPlayerCap) {
+		t.Error("unrelated error matched ErrPlayerCap")
 	}
 }
 

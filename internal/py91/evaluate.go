@@ -177,7 +177,7 @@ func OptimizeWeighted(pattern Pattern, cfg SimConfig) (*WeightedAverageProtocol,
 		return ev.P
 	}
 	b := ConjecturedOptimalThreshold
-	res, err := optimize.NelderMeadMax(objective,
+	res, err := optimize.NelderMeadMax(nil, objective,
 		[]float64{b, b, b, 0.3},
 		[]float64{0, 0, 0, 0},
 		[]float64{1, 1.5, 1.5, 1},

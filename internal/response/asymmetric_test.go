@@ -161,7 +161,7 @@ func TestAsymmetricSearchAtN4(t *testing.T) {
 	for i := range hi {
 		hi[i] = 1
 	}
-	res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.1, 4000, 1e-10)
+	res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.1, 4000, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBalancedSplitIsLocalOptimumAmongAsymmetricRules(t *testing.T) {
 		hi[i] = 1
 	}
 	start := []float64{0, 1, 0, 1, 0.5, 0.5, 0.5, 0.5} // the balanced split
-	res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.08, 6000, 1e-12)
+	res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.08, 6000, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

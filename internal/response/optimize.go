@@ -32,7 +32,7 @@ func (e *Evaluator) OptimizeThreshold() (OptimizeResult, error) {
 		}
 		return p
 	}
-	res, err := optimize.GridThenGoldenMax(obj, 0, 1, 101, 1e-6)
+	res, err := optimize.GridThenGoldenMax(nil, obj, 0, 1, 101, 1e-6)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -92,7 +92,7 @@ func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 	lo := []float64{0, 0, 0}
 	hi := []float64{1, 1, 1}
 	for _, start := range starts {
-		res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.1, 3000, 1e-10)
+		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.1, 3000, 1e-10)
 		if err != nil {
 			return OptimizeResult{}, fmt.Errorf("response: two-interval search from %v: %w", start, err)
 		}

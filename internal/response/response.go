@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/model"
+	"repro/internal/problem"
 )
 
 // Interval is a closed subinterval [Lo, Hi] of [0, 1].
@@ -194,7 +195,7 @@ func NewEvaluator(n int, capacity float64, grid int) (*Evaluator, error) {
 		return nil, fmt.Errorf("response: need at least 2 players, got %d", n)
 	}
 	if n > 12 {
-		return nil, fmt.Errorf("response: evaluator limited to 12 players, got %d", n)
+		return nil, problem.PlayerCapError("response: evaluator limited to 12 players, got %d", n)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return nil, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)

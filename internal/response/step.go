@@ -210,7 +210,7 @@ func (e *Evaluator) OptimizeStep(cells int) (*StepRule, float64, error) {
 	bestVal := math.Inf(-1)
 	var bestProbs []float64
 	for _, start := range [][]float64{thresholdStart, bandStart, coinStart} {
-		res, err := optimize.NelderMeadMax(obj, start, lo, hi, 0.25, 4000, 1e-10)
+		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.25, 4000, 1e-10)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -5,9 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -85,32 +83,19 @@ func BenchmarkOptimizeWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmRestartEval prices the tentpole contract: a restarted
-// server answering a previously-computed exact evaluation. Every
-// iteration builds a fresh server — a fresh memory tier, as after a
-// process restart — over a cache directory and serves one /v1/eval of
-// the same heavy exact result (a heterogeneous n=15 instance, so a cold
-// recompute pays the Theorem 5.1 O(n²·2ⁿ) subset enumeration rather
-// than the homogeneous closed form). Warm (the default, recorded as
-// store-head): the directory was seeded once before the loop, so every
-// "restart" fills from the disk tier. Cold (NOCOMM_STORE_BENCH=cold,
-// recorded as store-baseline): every iteration starts from an empty
-// directory and recomputes. The bench-check gate requires the warm
-// restart to be ≥10x faster.
+// BenchmarkWarmRestartEval prices a restarted server answering a
+// previously-computed exact evaluation. Every iteration builds a fresh
+// server — a fresh memory tier, as after a process restart — over a cache
+// directory seeded once before the loop, and serves one /v1/eval of the
+// same heavy exact result (a heterogeneous n=15 instance, so a recompute
+// would pay the Theorem 5.1 O(n²·2ⁿ) subset enumeration rather than the
+// homogeneous closed form); every "restart" fills from the disk tier.
 func BenchmarkWarmRestartEval(b *testing.B) {
-	cold := os.Getenv("NOCOMM_STORE_BENCH") == "cold"
 	body := warmRestartBody(15)
-	root := b.TempDir()
-	warmDir := filepath.Join(root, "warm")
-	if !cold {
-		restartEval(b, warmDir, body) // seed the disk tier
-	}
+	dir := filepath.Join(b.TempDir(), "warm")
+	restartEval(b, dir, body) // seed the disk tier
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dir := warmDir
-		if cold {
-			dir = filepath.Join(root, strconv.Itoa(i))
-		}
 		restartEval(b, dir, body)
 	}
 }

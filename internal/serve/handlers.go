@@ -371,7 +371,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.streamSweep(ctx, w, req, inst, params, points, opts)
 		return
 	}
-	results, err := s.eng.SweepCtx(ctx, points, opts)
+	results, err := s.eng.Sweep(ctx, points, opts)
 	if err != nil {
 		writeErr(w, err)
 		return

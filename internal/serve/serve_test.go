@@ -135,6 +135,24 @@ func TestEvalMonteCarlo(t *testing.T) {
 	}
 }
 
+// TestEvalAutoPastExactCap checks that an auto request beyond the exact
+// oracle's player cap (n=30 > 25) is answered by Monte-Carlo, not refused.
+func TestEvalAutoPastExactCap(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	body := `{"n":30,"delta":10,"kind":"threshold","param":0.5,"backend":"auto","trials":2000,"seed":7}`
+	rec := postJSON(t, s.Handler(), "/v1/eval", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	var resp EvalResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Backend != "mc" || resp.Trials != 2000 || resp.Degraded {
+		t.Errorf("unexpected auto response: %+v", resp)
+	}
+}
+
 // TestEvalQMC drives /v1/eval on the mc-qmc backend end to end: the
 // response carries the replicate count and a replicate-based stderr, a
 // worker-count change is a cache hit (QMC results are worker-
@@ -440,7 +458,7 @@ func (r *slowExact) System(inst engine.Instance) (*model.System, error) {
 	// β=0.5 threshold game so the Monte-Carlo estimate is meaningful.
 	return engine.SymmetricThreshold{Beta: 0.5}.System(inst)
 }
-func (r *slowExact) ExactWinProbability(engine.Instance) (float64, error) {
+func (r *slowExact) ExactWinProbabilityOpts(engine.Instance, int, *obs.Observer) (float64, error) {
 	<-r.release
 	return 0.25, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/problem"
 )
 
 // TestObservedRunMatchesPlainRun pins the key invariant of the
@@ -37,6 +38,41 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 	if got := o.Counter("sim.rng_draws").Value(); got < 3*20000 {
 		t.Errorf("sim.rng_draws = %d, want >= 60000", got)
 	}
+	// The same invariant on the other merged paths: the batch kernel's
+	// inline single-worker path against an observed one-worker run, and the
+	// per-trial path (feasibility trials) with and without an observer.
+	one := Config{Trials: 20000, Workers: 1, Seed: 7}
+	plainOne, err := WinProbability(sys, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Obs = obs.New(obs.NewRegistry(), nil)
+	observedOne, err := WinProbability(sys, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainOne != observedOne {
+		t.Errorf("observability changed the one-worker result: plain %+v, observed %+v", plainOne, observedOne)
+	}
+	inst := problem.Instance{N: 3, Delta: 1}
+	feasCfg := Config{Trials: 20000, Workers: 3, Seed: 7}
+	plainFeas, err := FeasibilityProbability(inst, feasCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo := obs.New(obs.NewRegistry(), nil)
+	feasCfg.Obs = fo
+	observedFeas, err := FeasibilityProbability(inst, feasCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainFeas != observedFeas {
+		t.Errorf("observability changed the per-trial result: plain %+v, observed %+v", plainFeas, observedFeas)
+	}
+	if got := fo.Counter("sim.trials").Value(); got != 20000 {
+		t.Errorf("per-trial path sim.trials = %d, want 20000", got)
+	}
+
 	snap := o.Metrics.Snapshot()
 	throughput := 0
 	for name, v := range snap.Gauges {

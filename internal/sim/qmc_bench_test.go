@@ -2,19 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/model"
 )
-
-// precisionSampler selects which estimator the trials-to-precision
-// benchmark drives: "mc" for the pseudo-random baseline, anything else
-// (default) for quasi-Monte-Carlo. The Makefile's qmc-baseline/qmc-head
-// snapshots record the same benchmark names under both settings, so
-// `benchjson -check qmc-baseline,qmc-head -improve 4` gates the
-// variance-reduction claim directly.
-const precisionSamplerEnv = "NOCOMM_PRECISION_SAMPLER"
 
 // precisionTarget is the standard-error budget each benchmark op must
 // reach: ±1e-4, the paper-table precision.
@@ -22,25 +13,16 @@ const precisionTarget = 1e-4
 
 // benchTrialsToPrecision runs a doubling ladder until the estimator's
 // reported standard error is at or under the target; one benchmark op is
-// one ladder, so ns/op is the full cost of buying ±1e-4 — the effective
-// ns-per-unit-of-precision both samplers are judged on. The ladder
-// doubles from the same floor for both samplers (its geometric overhead
-// is a fair constant factor), and the final trial count is reported as
-// the "trials" metric.
+// one ladder, so ns/op is the full cost of buying ±1e-4 with the
+// quasi-Monte-Carlo sampler, and the final trial count is reported as the
+// "trials" metric.
 func benchTrialsToPrecision(b *testing.B, sys *model.System) {
-	useMC := os.Getenv(precisionSamplerEnv) == "mc"
 	var lastTrials int64
 	for i := 0; i < b.N; i++ {
 		trials := 1 << 14
 		for {
 			cfg := Config{Trials: trials, Workers: 1, Seed: uint64(55 + i)}
-			var res Result
-			var err error
-			if useMC {
-				res, err = WinProbability(sys, cfg)
-			} else {
-				res, err = WinProbabilityQMC(sys, cfg)
-			}
+			res, err := WinProbabilityQMC(sys, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

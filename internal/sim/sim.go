@@ -53,8 +53,9 @@ type Config struct {
 	// Obs optionally instruments the run: sim.trials / sim.wins /
 	// sim.rng_draws counters, per-worker throughput gauges, nested
 	// run → worker spans, and a convergence checkpoint trace. A nil
-	// Observer keeps the hot loop exactly as fast as the uninstrumented
-	// engine (a single branch per run, not per trial).
+	// Observer adds no instrumentation work: no RNG indirection, spans,
+	// clocks or checkpoints, only a nil check per trial on the per-trial
+	// path and per batch on the batched path.
 	Obs *obs.Observer
 	// CheckpointEvery emits one convergence checkpoint (running estimate
 	// + Wilson CI) every k trials when Obs is enabled. 0 picks
@@ -197,62 +198,26 @@ func splitQuota(trials, workers, w int) int {
 }
 
 // runBernoulli fans per-trial rounds out over workers and merges the
-// counts. The name labels the run's root span when observability is on.
-// This is the generic path: the batched kernel in runBatch handles
+// counts. This is the generic path: the batched kernel in runBatch handles
 // systems whose rules all implement model.BatchRule.
+//
+// With observability enabled (cfg.Obs) the run also opens a root span
+// labelled name with one child span per worker, counts RNG draws, sets
+// per-worker throughput gauges, and emits a convergence checkpoint every
+// cfg.CheckpointEvery trials. Seeding and per-worker quotas are the same
+// either way, so results are bit-identical with and without observability.
 func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Obs.Enabled() {
-		return runBernoulliObserved(cfg, name, newTrial)
-	}
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				trial := newTrial(w)
-				rng := cfg.workerRNG(w)
-				for i := 0; i < quota; i++ {
-					ok, err := trial(rng)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					counters[w].Add(ok)
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, wrapTrialErr(err)
-		}
-	}
-	var total stats.Proportion
-	for _, c := range counters {
-		total.Merge(c)
-	}
-	return resultFrom(total)
-}
-
-// runBernoulliObserved is the instrumented twin of runBernoulli's fan-out:
-// same seeding, same per-worker quotas (so results are bit-identical with
-// and without observability), plus a root span with one child span per
-// worker, RNG-draw accounting, per-worker throughput gauges, and a
-// convergence checkpoint trace emitted every cfg.CheckpointEvery trials.
-func runBernoulliObserved(cfg Config, name string, newTrial trialFactory) (Result, error) {
 	o := cfg.Obs
 	root := o.StartSpan("sim." + name)
 	defer root.End()
-
-	ck := newCheckpointer(cfg, o)
+	var ck *checkpointer
+	if o.Enabled() {
+		ck = newCheckpointer(cfg, o)
+	}
 	counters := make([]stats.Proportion, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 	var rngDraws atomic.Int64
@@ -262,13 +227,9 @@ func runBernoulliObserved(cfg Config, name string, newTrial trialFactory) (Resul
 		go func(w, quota int) {
 			defer wg.Done()
 			runLabeled(w, func() {
-				sp := root.Child(fmt.Sprintf("worker[%d]", w))
-				defer sp.End()
 				trial := newTrial(w)
-				src := &countingSource{src: cfg.workerSource(w)}
+				src, done := ck.startWorker(cfg, root, w, &rngDraws)
 				rng := rand.New(src)
-				start := time.Now()
-				done := 0
 				for i := 0; i < quota; i++ {
 					ok, err := trial(rng)
 					if err != nil {
@@ -276,23 +237,21 @@ func runBernoulliObserved(cfg Config, name string, newTrial trialFactory) (Resul
 						break
 					}
 					counters[w].Add(ok)
-					done++
-					ck.record(ok)
+					if ck != nil {
+						ck.record(ok)
+					}
 				}
-				rngDraws.Add(src.n)
-				if el := time.Since(start).Seconds(); el > 0 && done > 0 {
-					o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(done) / el)
-				}
+				done(counters[w].Trials())
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
 	wg.Wait()
-	return finishObserved(o, counters, errs, rngDraws.Load())
+	return finish(o, counters, errs, rngDraws.Load())
 }
 
 // checkpointer carries the shared convergence-trace state of an observed
 // run: atomic live counts and the checkpoint cadence. Both the per-trial
-// and the batched observed paths record through it trial by trial, so the
+// and the batched paths record through it trial by trial, so the
 // checkpoint stream is identical between them.
 type checkpointer struct {
 	o          *obs.Observer
@@ -313,6 +272,26 @@ func newCheckpointer(cfg Config, o *obs.Observer) *checkpointer {
 	return &checkpointer{o: o, every: every, estHist: o.Histogram("sim.estimate", 0, 1, 20)}
 }
 
+// startWorker opens worker w's random stream. In an observed run (ck
+// non-nil) the stream counts its draws under a worker[w] child span of
+// root, and the returned done ends the span and flushes the draw count
+// and the worker's throughput gauge; otherwise done does nothing.
+func (ck *checkpointer) startWorker(cfg Config, root *obs.Span, w int, draws *atomic.Int64) (src rand.Source, done func(trials int64)) {
+	if ck == nil {
+		return cfg.workerSource(w), func(int64) {}
+	}
+	sp := root.Child(fmt.Sprintf("worker[%d]", w))
+	counting := &countingSource{src: cfg.workerSource(w)}
+	start := time.Now()
+	return counting, func(trials int64) {
+		draws.Add(counting.n)
+		if el := time.Since(start).Seconds(); el > 0 && trials > 0 {
+			ck.o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(trials) / el)
+		}
+		sp.End()
+	}
+}
+
 // record accounts one finished trial and emits a checkpoint whenever the
 // global trial count crosses a cadence boundary.
 func (c *checkpointer) record(win bool) {
@@ -324,9 +303,9 @@ func (c *checkpointer) record(win bool) {
 	}
 }
 
-// finishObserved merges worker counters into the final observed Result
-// and flushes the run-level counters.
-func finishObserved(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws int64) (Result, error) {
+// finish merges worker counters into the final Result and flushes the
+// run-level counters (no-ops without an observer).
+func finish(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws int64) (Result, error) {
 	o.Counter("sim.runs").Inc()
 	o.Counter("sim.rng_draws").Add(rngDraws)
 	var total stats.Proportion
@@ -350,59 +329,61 @@ func finishObserved(o *obs.Observer, counters []stats.Proportion, errs []error, 
 // no per-trial slices, no per-player interface dispatch. Seeding and
 // per-worker quotas match runBernoulli exactly, and the kernel preserves
 // the per-trial RNG draw order, so results are bit-identical to the
-// per-trial path for a fixed (Seed, Workers) pair.
+// per-trial path for a fixed (Seed, Workers) pair. Observability works as
+// in runBernoulli: worker counters update at batch granularity, while the
+// checkpointer replays each batch's per-trial win flags so the checkpoint
+// stream (cadence and values) is identical to the per-trial path.
 func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Obs.Enabled() {
-		return runBatchObserved(cfg, name, k)
-	}
-	if cfg.Workers == 1 {
-		// Single-worker runs skip the fan-out scaffolding (WaitGroup,
-		// goroutine closure, per-worker slices). Seeding and quota are the
-		// worker-0 values of the general path, so results stay
-		// bit-identical to a one-goroutine fan-out.
+	o := cfg.Obs
+	if cfg.Workers == 1 && !o.Enabled() {
+		// Uninstrumented single-worker runs skip the fan-out scaffolding
+		// (WaitGroup, goroutine closure, per-worker slices). Seeding and
+		// quota are the worker-0 values of the general path, so results
+		// stay bit-identical to a one-goroutine fan-out.
 		var total stats.Proportion
 		runLabeled(0, func() {
-			err = batchWorker(cfg, k, 0, cfg.Trials, &total)
+			err = batchWorker(k, cfg.workerSource(0), cfg.Trials, nil, &total)
 		})
 		if err != nil {
 			return Result{}, err
 		}
 		return resultFrom(total)
 	}
+	root := o.StartSpan("sim." + name)
+	defer root.End()
+	var ck *checkpointer
+	if o.Enabled() {
+		ck = newCheckpointer(cfg, o)
+	}
 	counters := make([]stats.Proportion, cfg.Workers)
 	errs := make([]error, cfg.Workers)
+	var rngDraws atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w, quota int) {
 			defer wg.Done()
 			runLabeled(w, func() {
-				errs[w] = batchWorker(cfg, k, w, quota, &counters[w])
+				src, done := ck.startWorker(cfg, root, w, &rngDraws)
+				errs[w] = batchWorker(k, src, quota, ck, &counters[w])
+				done(counters[w].Trials())
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	var total stats.Proportion
-	for _, c := range counters {
-		total.Merge(c)
-	}
-	return resultFrom(total)
+	return finish(o, counters, errs, rngDraws.Load())
 }
 
-// batchWorker plays worker w's quota of trials through the kernel from
-// pooled scratch, accumulating wins into out. It is the shared body of
-// runBatch's inline single-worker path and its goroutine fan-out.
-func batchWorker(cfg Config, k *model.BatchKernel, w, quota int, out *stats.Proportion) error {
-	src := cfg.workerSource(w)
+// batchWorker plays a worker's quota of trials through the kernel from
+// pooled scratch, drawing from src and accumulating wins into out. It is
+// the shared body of runBatch's inline single-worker path and its
+// goroutine fan-out; a non-nil checkpointer records every trial for the
+// convergence trace.
+func batchWorker(k *model.BatchKernel, src rand.Source, quota int, ck *checkpointer, out *stats.Proportion) error {
 	sc := model.GetBatchScratch()
 	defer sc.Release()
 	var wins, trials int64
@@ -414,58 +395,13 @@ func batchWorker(cfg Config, k *model.BatchKernel, w, quota int, out *stats.Prop
 		wins += int64(k.PlaySrc(sc, src, b))
 		trials += int64(b)
 		done += b
+		if ck != nil {
+			for _, win := range sc.Wins()[:b] {
+				ck.record(win)
+			}
+		}
 	}
 	return out.AddN(wins, trials)
-}
-
-// runBatchObserved is the instrumented twin of runBatch: worker counters
-// update at batch granularity, while the convergence checkpointer replays
-// the batch's per-trial win flags so the checkpoint stream (cadence and
-// values) is identical to the per-trial observed path.
-func runBatchObserved(cfg Config, name string, k *model.BatchKernel) (Result, error) {
-	o := cfg.Obs
-	root := o.StartSpan("sim." + name)
-	defer root.End()
-
-	ck := newCheckpointer(cfg, o)
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var rngDraws atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				sp := root.Child(fmt.Sprintf("worker[%d]", w))
-				defer sp.End()
-				src := &countingSource{src: cfg.workerSource(w)}
-				sc := model.GetBatchScratch()
-				defer sc.Release()
-				start := time.Now()
-				var wins, trials int64
-				for done := 0; done < quota; {
-					b := batchSize
-					if quota-done < b {
-						b = quota - done
-					}
-					wins += int64(k.PlaySrc(sc, src, b))
-					trials += int64(b)
-					done += b
-					for _, win := range sc.Wins()[:b] {
-						ck.record(win)
-					}
-				}
-				errs[w] = counters[w].AddN(wins, trials)
-				rngDraws.Add(src.n)
-				if el := time.Since(start).Seconds(); el > 0 && trials > 0 {
-					o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(trials) / el)
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	return finishObserved(o, counters, errs, rngDraws.Load())
 }
 
 // emitCheckpoint records one point of the convergence trace: the running
