@@ -13,7 +13,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build test race vet bench bench-module ci
+.PHONY: build fmt test race vet bench bench-module ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,10 @@ race:
 vet:
 	$(GO) vet ./...
 
+# gofmt must have nothing to rewrite (the bench module included).
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) $(PKG)
 
@@ -35,4 +39,4 @@ bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet test race bench-module
+ci: build fmt vet test race bench-module

@@ -58,7 +58,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/big"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -509,7 +508,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 		// A posteriori certification: re-evaluate the float optimum with
 		// the big.Rat oracle and require agreement within the documented
 		// forward-error bound.
-		exact, bound, err := certifyThresholdVector(inst, res.Params)
+		exact, bound, err := nonoblivious.CertifyThresholds(res.Params, inst.Pi, inst.Delta)
 		if err != nil {
 			return err
 		}
@@ -529,32 +528,6 @@ func formatVector(vs []float64) string {
 		parts[i] = fmt.Sprintf("%.9f", v)
 	}
 	return strings.Join(parts, ", ")
-}
-
-// certifyThresholdVector evaluates the threshold vector with the exact
-// big.Rat Theorem 5.1 oracle (every float64 converted bit-exactly) and
-// returns the exact value alongside the float path's documented error
-// bound.
-func certifyThresholdVector(inst problem.Instance, a []float64) (exact, bound float64, err error) {
-	aRat := make([]*big.Rat, len(a))
-	for i, v := range a {
-		aRat[i] = new(big.Rat).SetFloat64(v)
-	}
-	piMin := 1.0
-	piRat := make([]*big.Rat, inst.N)
-	for i := range piRat {
-		piRat[i] = big.NewRat(1, 1)
-		if inst.Pi != nil {
-			piRat[i] = new(big.Rat).SetFloat64(inst.Pi[i])
-			piMin = math.Min(piMin, inst.Pi[i])
-		}
-	}
-	p, err := nonoblivious.WinningProbabilityPiRat(aRat, piRat, new(big.Rat).SetFloat64(inst.Delta))
-	if err != nil {
-		return 0, 0, err
-	}
-	exact, _ = p.Float64()
-	return exact, nonoblivious.ExactErrorBound(inst.N, inst.Delta, piMin), nil
 }
 
 func cmdSimulate(g *obsFlags, args []string) (err error) {

@@ -145,18 +145,26 @@ func ChunkedMaskSum(n, workers int, makeTerm func() func(mask uint64) float64) (
 		}
 		wg.Wait()
 	}
-	// Fixed-order pairwise tree over the chunk totals.
-	for len(partial) > 1 {
-		half := (len(partial) + 1) / 2
-		for i := 0; i < len(partial)/2; i++ {
-			partial[i] = partial[2*i] + partial[2*i+1]
+	return ReducePartials(partial), int(nChunks), nil
+}
+
+// ReducePartials combines the non-empty per-chunk totals part by the
+// fixed-order pairwise tree of ChunkedMaskSum, overwriting part, and
+// returns the root. Reusable evaluators that Neumaier-sum each chunk of
+// the ChunkSpan grid into their own buffer and reduce it here reproduce
+// ChunkedMaskSum's bits for every worker count.
+func ReducePartials(part []float64) float64 {
+	for len(part) > 1 {
+		half := (len(part) + 1) / 2
+		for i := 0; i < len(part)/2; i++ {
+			part[i] = part[2*i] + part[2*i+1]
 		}
-		if len(partial)%2 == 1 {
-			partial[half-1] = partial[len(partial)-1]
+		if len(part)%2 == 1 {
+			part[half-1] = part[len(part)-1]
 		}
-		partial = partial[:half]
+		part = part[:half]
 	}
-	return partial[0], int(nChunks), nil
+	return part[0]
 }
 
 // PowInt returns x^k for k ≥ 0 by binary exponentiation — cheaper and, for

@@ -63,69 +63,111 @@ func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
 // fixed by n alone.
 func AllSubsetVolumes(widths []float64, t float64, workers int) ([]float64, SubsetVolumeStats, error) {
 	n := len(widths)
-	var stats SubsetVolumeStats
 	if n > combin.MaxSubsetTable {
-		return nil, stats, fmt.Errorf("dist: subset-volume table limited to %d dimensions, got %d", combin.MaxSubsetTable, n)
+		return nil, SubsetVolumeStats{}, fmt.Errorf("dist: subset-volume table limited to %d dimensions, got %d", combin.MaxSubsetTable, n)
 	}
-	for i, w := range widths {
-		if math.IsNaN(w) || w < 0 || math.IsInf(w, 1) {
-			return nil, stats, fmt.Errorf("dist: width %d = %v must be finite and non-negative", i, w)
-		}
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, stats, fmt.Errorf("dist: subset-volume threshold %v must be finite", t)
-	}
-	size := uint64(1) << uint(n)
-	stats.Subsets = size
-	vol := make([]float64, size)
-	if t >= 0 {
-		vol[0] = 1 // the empty box-simplex
-	}
-	if n == 0 {
-		return vol, stats, nil
+	if err := checkVolumeInput(widths, t); err != nil {
+		return nil, SubsetVolumeStats{}, err
 	}
 	sums, err := combin.SubsetSums(widths)
 	if err != nil {
-		return nil, stats, err
+		return nil, SubsetVolumeStats{}, err
 	}
-	// radix[I] = t − σ_I, reusing the sums table in place.
-	radix := sums
-	p := make([]float64, size)
-	for mask := uint64(0); mask < size; mask++ {
-		r := t - radix[mask]
-		radix[mask] = r
-		if r > 0 {
-			if bits.OnesCount64(mask)%2 == 1 {
+	size := uint64(len(sums))
+	vol := make([]float64, size)
+	if err := volumeLadder(sums, make([]float64, size), make([]float64, size), vol, vol, n, t, workers); err != nil {
+		return nil, SubsetVolumeStats{}, err
+	}
+	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
+	return vol, SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2}, nil
+}
+
+// checkVolumeInput validates a width vector and its shared threshold.
+func checkVolumeInput(widths []float64, t float64) error {
+	for i, w := range widths {
+		if err := checkWidth(i, w); err != nil {
+			return err
+		}
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("dist: subset-volume threshold %v must be finite", t)
+	}
+	return nil
+}
+
+func checkWidth(i int, w float64) error {
+	if math.IsNaN(w) || w < 0 || math.IsInf(w, 1) {
+		return fmt.Errorf("dist: width %d = %v must be finite and non-negative", i, w)
+	}
+	return nil
+}
+
+// volumeLadder is the one Proposition 2.2 table kernel behind
+// AllSubsetVolumes and VolumeTable.Build. From the subset sums σ_I of the
+// widths it runs the signed power ladder p[I] ← p[I]·(t−σ_I)/m, one zeta
+// pass per exponent m, and reads off the |T| = m entries: raw receives
+// the unclamped volumes and vol the volumes clamped below at 0 (the two
+// may alias). p and zeta are 2^n-entry scratch; workers shards the zeta
+// passes without changing any bit.
+func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers int) error {
+	for mask := range p {
+		p[mask] = 0
+		if t-sums[mask] > 0 {
+			p[mask] = 1
+			if bits.OnesCount64(uint64(mask))%2 == 1 {
 				p[mask] = -1
-			} else {
-				p[mask] = 1
 			}
 		}
 	}
-	scratch := make([]float64, size)
+	raw[0], vol[0] = 0, 0
+	if t >= 0 {
+		raw[0], vol[0] = 1, 1 // the empty box-simplex
+	}
 	for m := 1; m <= n; m++ {
 		invM := 1 / float64(m)
-		for mask := uint64(0); mask < size; mask++ {
-			v := p[mask] * radix[mask] * invM
+		for mask := range p {
+			v := p[mask] * (t - sums[mask]) * invM
 			p[mask] = v
-			scratch[mask] = v
+			zeta[mask] = v
 		}
-		if err := combin.SumOverSubsets(scratch, n, workers); err != nil {
-			return nil, stats, err
+		if err := combin.SumOverSubsets(zeta, n, workers); err != nil {
+			return err
 		}
 		// Only the |T| = m entries are volumes at this exponent.
 		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
-			v := scratch[mask]
+			v := zeta[mask]
+			raw[mask] = v
 			if v < 0 {
 				v = 0
 			}
 			vol[mask] = v
 			return true
 		}); err != nil {
-			return nil, stats, err
+			return err
 		}
 	}
-	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
-	stats.Incremental = uint64(n)*size + uint64(n)*uint64(n)*size/2
-	return vol, stats, nil
+	return nil
+}
+
+// VolumeErrorBound is the forward-error kernel behind the exact
+// evaluators' ExactErrorBound: ops compensated float64 operations on
+// inclusion-exclusion terms no larger than M = max_m r^m/m! with
+// r = max(t, n−t, 1), inflated by the worst-case range normalization
+// min(piMin, 1)^−n. piMin is the smallest input range (1 for homogeneous
+// inputs). It returns 32·ops·M·norm·2^−53, and 0 for n < 1.
+func VolumeErrorBound(n int, t, piMin, ops float64) float64 {
+	if n < 1 {
+		return 0
+	}
+	r := math.Max(math.Max(t, float64(n)-t), 1)
+	mag, term := 1.0, 1.0
+	for m := 1; m <= n; m++ {
+		term *= r / float64(m)
+		mag = math.Max(mag, term)
+	}
+	norm := 1.0
+	if piMin > 0 && piMin < 1 {
+		norm = math.Pow(piMin, -float64(n))
+	}
+	return 32 * ops * mag * norm * 0x1p-53
 }

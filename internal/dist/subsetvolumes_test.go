@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"testing"
@@ -123,6 +125,40 @@ func TestAllSubsetVolumesPopcountCoverage(t *testing.T) {
 		want := math.Pow(0.5, float64(bits.OnesCount64(mask)))
 		if math.Abs(vol[mask]-want) > 1e-12 {
 			t.Fatalf("vol[%b] = %v, want full box %v", mask, vol[mask], want)
+		}
+	}
+}
+
+// TestAllSubsetVolumesChecksum pins an FNV-64a checksum of every table
+// bit at n = 12 for two width vectors, so the shared volume kernel cannot
+// move any entry (not just the ones other tests read).
+func TestAllSubsetVolumesChecksum(t *testing.T) {
+	cases := []struct {
+		name   string
+		widths func(i int) float64
+		t      float64
+		sum    uint64
+	}{
+		{"graded", func(i int) float64 { return 0.25 + 0.125*float64(i%5) }, 2.5, 0x136f3c7274ca62be},
+		{"wide", func(i int) float64 { return 0.1 + 0.3*float64((7*i)%11) }, 4.25, 0xe6161165ccc53b80},
+	}
+	for _, tc := range cases {
+		widths := make([]float64, 12)
+		for i := range widths {
+			widths[i] = tc.widths(i)
+		}
+		vol, _, err := AllSubsetVolumes(widths, tc.t, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range vol {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != tc.sum {
+			t.Errorf("%s: checksum %#x, want %#x", tc.name, got, tc.sum)
 		}
 	}
 }

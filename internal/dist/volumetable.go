@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/combin"
@@ -27,8 +26,8 @@ type DeltaStats struct {
 //
 // Build is bit-identical to AllSubsetVolumes (same operations in the same
 // order). SetCoord tracks a fresh rebuild within the evaluators'
-// ExactErrorBound rather than bit-exactly: the subset-sum and radix state
-// is re-propagated with the exact build recurrence (so it never drifts),
+// ExactErrorBound rather than bit-exactly: the subset sums are
+// re-propagated with the exact build recurrence (so they never drift),
 // but the per-exponent volume contributions are applied as additive
 // corrections
 //
@@ -44,14 +43,14 @@ type VolumeTable struct {
 	t      float64
 	built  bool
 	widths []float64
-	sums   []float64 // subset sums of widths (exact build-recurrence bits)
-	radix  []float64 // t − sums, maintained alongside
-	p      []float64 // signed power ladder, build scratch
-	zeta   []float64 // zeta-pass scratch
-	raw    []float64 // unclamped per-cardinality readoffs
-	vol    []float64 // clamped volumes
+	sums   *combin.SumTable // subset sums of widths
+	p      []float64        // signed power ladder, build scratch
+	zeta   []float64        // zeta-pass scratch
+	raw    []float64        // unclamped per-cardinality readoffs
+	vol    []float64        // clamped volumes
 
-	// SetCoord scratch over the compressed (n-1)-bit lattice.
+	// SetCoord scratch over the compressed (n-1)-bit lattice, allocated
+	// by the first SetCoord.
 	ro, rn, lo, ln, d []float64
 
 	stats DeltaStats
@@ -62,22 +61,19 @@ func NewVolumeTable(n int) (*VolumeTable, error) {
 	if n < 1 || n > combin.MaxSubsetTable {
 		return nil, fmt.Errorf("dist: volume table dimension %d out of range [1, %d]", n, combin.MaxSubsetTable)
 	}
+	sums, err := combin.NewSumTable(n)
+	if err != nil {
+		return nil, err
+	}
 	size := uint64(1) << uint(n)
-	half := size / 2
 	return &VolumeTable{
 		n:      n,
 		widths: make([]float64, n),
-		sums:   make([]float64, size),
-		radix:  make([]float64, size),
+		sums:   sums,
 		p:      make([]float64, size),
 		zeta:   make([]float64, size),
 		raw:    make([]float64, size),
 		vol:    make([]float64, size),
-		ro:     make([]float64, half),
-		rn:     make([]float64, half),
-		lo:     make([]float64, half),
-		ln:     make([]float64, half),
-		d:      make([]float64, half),
 	}, nil
 }
 
@@ -96,93 +92,42 @@ func (v *VolumeTable) Vol() []float64 { return v.vol }
 // table; callers must not modify it.
 func (v *VolumeTable) Widths() []float64 { return v.widths }
 
+// Sums returns the subset sums of the current widths, indexed by subset
+// mask — the combin.SumTable the volumes are built from, bit-identical to
+// combin.SubsetSums(Widths()) after Build and after every SetCoord. The
+// slice is owned by the table; callers must not modify it.
+func (v *VolumeTable) Sums() []float64 { return v.sums.Values() }
+
 // Stats returns the delta-update counters accumulated since New.
 func (v *VolumeTable) Stats() DeltaStats { return v.stats }
 
-func checkWidth(i int, w float64) error {
-	if math.IsNaN(w) || w < 0 || math.IsInf(w, 1) {
-		return fmt.Errorf("dist: width %d = %v must be finite and non-negative", i, w)
-	}
-	return nil
-}
-
 // Build fills the table for (widths, t), reusing the allocated storage.
 // The volumes are bit-identical to AllSubsetVolumes(widths, t, workers):
-// same validation, same signed-power-ladder/zeta pass structure, same
-// clamping. workers shards the zeta passes (≤ 1 serial); every worker
-// count produces the same bits.
+// same validation, same subset-sum recurrence, same volume kernel.
+// workers shards the zeta passes (≤ 1 serial); every worker count
+// produces the same bits.
 func (v *VolumeTable) Build(widths []float64, t float64, workers int) error {
 	if len(widths) != v.n {
 		return fmt.Errorf("dist: volume table built for %d coordinates, got %d", v.n, len(widths))
 	}
-	for i, w := range widths {
-		if err := checkWidth(i, w); err != nil {
-			return err
-		}
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("dist: subset-volume threshold %v must be finite", t)
+	if err := checkVolumeInput(widths, t); err != nil {
+		return err
 	}
 	copy(v.widths, widths)
 	v.t = t
-	size := uint64(1) << uint(v.n)
-	for mask := range v.vol {
-		v.vol[mask] = 0
-		v.raw[mask] = 0
+	if err := v.sums.Build(widths); err != nil {
+		return err
 	}
-	if t >= 0 {
-		v.vol[0] = 1
-		v.raw[0] = 1
-	}
-	// Subset sums by the exact low-bit build recurrence, then the radix
-	// t − σ_I and the signed base table, exactly as AllSubsetVolumes.
-	sums, radix, p := v.sums, v.radix, v.p
-	sums[0] = 0
-	for mask := uint64(1); mask < size; mask++ {
-		sums[mask] = sums[mask&(mask-1)] + v.widths[bits.TrailingZeros64(mask)]
-	}
-	for mask := uint64(0); mask < size; mask++ {
-		r := t - sums[mask]
-		radix[mask] = r
-		if r > 0 {
-			if bits.OnesCount64(mask)%2 == 1 {
-				p[mask] = -1
-			} else {
-				p[mask] = 1
-			}
-		} else {
-			p[mask] = 0
-		}
-	}
-	for m := 1; m <= v.n; m++ {
-		invM := 1 / float64(m)
-		for mask := uint64(0); mask < size; mask++ {
-			pv := p[mask] * radix[mask] * invM
-			p[mask] = pv
-			v.zeta[mask] = pv
-		}
-		if err := combin.SumOverSubsets(v.zeta, v.n, workers); err != nil {
-			return err
-		}
-		for mask := uint64(0); mask < size; mask++ {
-			if bits.OnesCount64(mask) != m {
-				continue
-			}
-			val := v.zeta[mask]
-			v.raw[mask] = val
-			if val < 0 {
-				val = 0
-			}
-			v.vol[mask] = val
-		}
+	if err := volumeLadder(v.sums.Values(), v.p, v.zeta, v.raw, v.vol, v.n, t, workers); err != nil {
+		return err
 	}
 	v.built = true
 	return nil
 }
 
 // SetCoord changes width i to w and re-propagates the 2^(n-1) subsets
-// containing i: the subset-sum and radix entries are recomputed with the
-// exact build recurrence, and each touched volume receives the zeta-summed
+// containing i: the subset sums are recomputed with the exact build
+// recurrence, and each touched volume receives the zeta-summed
 // difference of its signed base terms under the old and new radix. The
 // updated table agrees with a fresh Build within the evaluators'
 // ExactErrorBound (property-tested along random coordinate walks). Cost is
@@ -203,29 +148,29 @@ func (v *VolumeTable) SetCoord(i int, w float64) error {
 	bit := uint64(1) << uint(i)
 	lowMask := bit - 1
 	half := uint64(1) << uint(v.n-1)
-	// Old radix of every subset containing i, gathered onto the
+	if v.d == nil {
+		v.ro = make([]float64, half)
+		v.rn = make([]float64, half)
+		v.lo = make([]float64, half)
+		v.ln = make([]float64, half)
+		v.d = make([]float64, half)
+	}
+	// Old radix t − σ of every subset containing i, gathered onto the
 	// compressed lattice of the other n-1 coordinates.
+	sums := v.sums.Values()
 	for j := uint64(0); j < half; j++ {
 		full := (j & lowMask) | (j&^lowMask)<<1 | bit
-		v.ro[j] = v.radix[full]
+		v.ro[j] = v.t - sums[full]
 	}
-	// Exact state update: re-propagate sums with the build recurrence
-	// (bit-identical to a fresh subset-sum pass — the recurrence parent of
-	// a mask containing i either excludes i and is unchanged, or contains
-	// i and was already updated), refresh the radix, gather its new
-	// values.
+	// Exact state update: SumTable.SetCoord re-propagates the sums
+	// bit-identically to a fresh build; then gather the new radix.
 	v.widths[i] = w
-	size := uint64(1) << uint(v.n)
-	for mask := bit; mask < size; mask++ {
-		if mask&bit == 0 {
-			continue
-		}
-		v.sums[mask] = v.sums[mask&(mask-1)] + v.widths[bits.TrailingZeros64(mask)]
-		v.radix[mask] = v.t - v.sums[mask]
+	if err := v.sums.SetCoord(i, w); err != nil {
+		return err
 	}
 	for j := uint64(0); j < half; j++ {
 		full := (j & lowMask) | (j&^lowMask)<<1 | bit
-		v.rn[j] = v.radix[full]
+		v.rn[j] = v.t - sums[full]
 	}
 	// Signed power ladders for the old and new base terms of the subsets
 	// I = J ∪ {i}: sign (−1)^(|J|+1), power m of the radix, mirroring the

@@ -73,3 +73,32 @@ func TestExactWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestExactCountersHomogeneousThreshold pins the exact.* counters of one
+// homogeneous Threshold evaluation at n = 6, δ = 2: both 2^6-cell subset
+// tables, the N₁ side's 6·2^6 rebuilt base cells, the N₀ ladder updates
+// plus both tables' zeta additions, and the 64-chunk mask-sum grid.
+func TestExactCountersHomogeneousThreshold(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := New(Config{Obs: obs.New(reg, nil), ExactWorkers: 2})
+	inst := problem.Instance{N: 6, Delta: 2}
+	rule := Threshold{Thresholds: []float64{0.25, 0.5, 0.75, 0.375, 0.625, 0.5}}
+	if _, err := e.Evaluate(inst, rule, Exact); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	want := map[string]int64{
+		"exact.subsets":           128,
+		"exact.steps.rebuilt":     384,
+		"exact.steps.incremental": 2688,
+		"exact.chunks":            64,
+	}
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("counter %s = %d, want %d", name, got, v)
+		}
+	}
+	if got := snap.Gauges["exact.workers"]; got != 2 {
+		t.Errorf("exact.workers gauge = %v, want 2", got)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 	"strings"
 
 	"repro/internal/engine"
@@ -101,7 +100,7 @@ func VectorOptimumRows(p Params, instances []problem.Instance) ([]VectorOptimumR
 			row.Departure = math.Max(row.Departure, math.Abs(a-row.Beta))
 		}
 		if inst.N <= nonoblivious.MaxNExact {
-			exact, bound, err := certifyVector(inst, vec.Params)
+			exact, bound, err := nonoblivious.CertifyThresholds(vec.Params, inst.Pi, inst.Delta)
 			if err != nil {
 				return nil, fmt.Errorf("harness: certifying %s: %w", inst, err)
 			}
@@ -115,32 +114,6 @@ func VectorOptimumRows(p Params, instances []problem.Instance) ([]VectorOptimumR
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// certifyVector re-evaluates the threshold vector with the big.Rat
-// oracle at exactly the float-rounded point (SetFloat64 is exact, so no
-// snapping is introduced) and returns the oracle value plus the
-// certified float64 round-off bound.
-func certifyVector(inst problem.Instance, a []float64) (exact, bound float64, err error) {
-	aRat := make([]*big.Rat, len(a))
-	for i, v := range a {
-		aRat[i] = new(big.Rat).SetFloat64(v)
-	}
-	piMin := 1.0
-	piRat := make([]*big.Rat, inst.N)
-	for i := range piRat {
-		piRat[i] = big.NewRat(1, 1)
-		if inst.Pi != nil {
-			piRat[i] = new(big.Rat).SetFloat64(inst.Pi[i])
-			piMin = math.Min(piMin, inst.Pi[i])
-		}
-	}
-	p, err := nonoblivious.WinningProbabilityPiRat(aRat, piRat, new(big.Rat).SetFloat64(inst.Delta))
-	if err != nil {
-		return 0, 0, err
-	}
-	exact, _ = p.Float64()
-	return exact, nonoblivious.ExactErrorBound(inst.N, inst.Delta, piMin), nil
 }
 
 // TableVectorOptimum builds T11: where the optimal threshold vector

@@ -12,7 +12,8 @@ import (
 
 // MaxNProfile bounds the player count for the evaluator's single-coordinate
 // line-profile fast path, which materializes two n·2^(n-1)-entry
-// cardinality-indexed superset-sum tables (8 MiB at n = 16). Beyond it,
+// cardinality-indexed superset-sum tables (8 MiB at n = 16) on the first
+// probe. Beyond it,
 // single-coordinate probes fall back to delta-updating the committed tables
 // directly.
 const MaxNProfile = 16
@@ -37,8 +38,9 @@ type EvalStats struct {
 // threshold vectors: it builds the N₀ subset-volume and N₁ bin-1 tail
 // tables once and then supports
 //
-//   - Evaluate: a full evaluation reusing the allocated tables — bit-
-//     identical to WinningProbabilityOpts, zero steady-state allocations;
+//   - Evaluate: a full evaluation reusing the allocated tables — the one
+//     float Theorem 5.1 kernel (WinningProbabilityOpts is a one-shot
+//     Evaluator), zero steady-state allocations;
 //
 //   - SetCoord(i, a_i): a delta update that re-propagates only the 2^(n-1)
 //     subsets containing coordinate i (dist.VolumeTable's restricted zeta
@@ -61,7 +63,7 @@ type EvalStats struct {
 // probe O(2^(n-1)) — the polynomial Horner pass is O(n) and the crossing
 // corrections dominate — against O(n²·2^n) for a rebuild.
 //
-// Full evaluations are bit-identical to WinningProbabilityOpts; delta
+// Full evaluations are bit-identical for every worker count; delta
 // updates and profile probes agree with a fresh rebuild within
 // ExactErrorBound (property-tested along random coordinate walks), so
 // search loops probe through the evaluator and re-evaluate only the final
@@ -69,18 +71,19 @@ type EvalStats struct {
 type Evaluator struct {
 	n        int
 	capacity float64
+	workers  int // zeta-pass sharding of full rebuilds (the one-shot's)
 	built    bool
 	a        []float64 // committed thresholds
 	value    float64   // P at the committed thresholds
 
-	vt *dist.VolumeTable // N₀: box-simplex volumes at threshold δ
+	// N₀: box-simplex volumes at threshold δ; its Sums() are the subset
+	// sums σ_J a the N₁ side reads.
+	vt *dist.VolumeTable
 
-	// N₁ state (Lemma 2.7 tails), rebuilt per exponent like bin1Table.
-	sumsA    *combin.SumTable     // subset sums of a
+	// N₁ state (Lemma 2.7 tails), rebuilt per exponent.
 	prod     *combin.ProductTable // subset products of 1−a
 	oneMinus []float64
 	sm1      []float64 // σ_J a − |J|
-	pcf      []float64 // float64 popcounts (fixed)
 	sign     []float64 // parity signs (fixed)
 	n1       []float64 // clamped N₁ table
 	base     []float64 // zeta scratch
@@ -110,23 +113,15 @@ type lineProfile struct {
 	k1, tAt0, vAt1      float64
 }
 
-// NewEvaluator allocates an evaluator for n players at capacity δ. All
-// tables are allocated here; subsequent evaluations reuse them.
+// NewEvaluator allocates an evaluator for n players at capacity δ. The
+// full-evaluation tables are allocated here and reused by every
+// evaluation; the line-profile tables are allocated by the first profile
+// probe.
 func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
-	}
-	if n > MaxNGeneral {
-		return nil, problem.PlayerCapError("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
-	}
-	if err := validateCapacity(capacity); err != nil {
+	if err := checkGeneral(n, capacity); err != nil {
 		return nil, err
 	}
 	vt, err := dist.NewVolumeTable(n)
-	if err != nil {
-		return nil, err
-	}
-	sumsA, err := combin.NewSumTable(n)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +133,12 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	ev := &Evaluator{
 		n:        n,
 		capacity: capacity,
+		workers:  1,
 		a:        make([]float64, n),
 		vt:       vt,
-		sumsA:    sumsA,
 		prod:     prod,
 		oneMinus: make([]float64, n),
 		sm1:      make([]float64, size),
-		pcf:      make([]float64, size),
 		sign:     make([]float64, size),
 		n1:       make([]float64, size),
 		base:     make([]float64, size),
@@ -156,7 +150,6 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	ev.partial = make([]float64, chunks)
 	ev.sign[0] = 1
 	for mask := 1; mask < size; mask++ {
-		ev.pcf[mask] = float64(bits.OnesCount64(uint64(mask)))
 		ev.sign[mask] = -ev.sign[mask&(mask-1)]
 	}
 	for m := 0; m <= n+1; m++ {
@@ -177,23 +170,36 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 		}
 	}
 	ev.prof.coord = -1
-	if n <= MaxNProfile {
-		h := 1 << uint(n-1)
-		ev.prof.aR = make([]float64, n-1)
-		ev.prof.omR = make([]float64, n-1)
-		ev.prof.sumsR = make([]float64, h)
-		ev.prof.signR = make([]float64, h)
-		ev.prof.prodR = make([]float64, h)
-		ev.prof.m = make([]float64, h*n)
-		ev.prof.p = make([]float64, h*n)
-		ev.prof.tCoef = make([]float64, n+2)
-		ev.prof.vCoef = make([]float64, n+2)
-		ev.prof.crossT = make([]int32, h)
-		ev.prof.vxRho = make([]float64, h)
-		ev.prof.vxW = make([]float64, h)
-		ev.prof.vxE = make([]int32, h)
-	}
 	return ev, nil
+}
+
+// checkGeneral validates the player count and capacity of a general
+// (per-player threshold) evaluation.
+func checkGeneral(n int, capacity float64) error {
+	if n < 2 {
+		return fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
+	}
+	if n > MaxNGeneral {
+		return problem.PlayerCapError("nonoblivious: general evaluation limited to %d players, got %d", MaxNGeneral, n)
+	}
+	return validateCapacity(capacity)
+}
+
+// checkThresholds validates that every threshold lies in [0, 1].
+func checkThresholds(thresholds []float64) error {
+	for i, a := range thresholds {
+		if err := checkThreshold(i, a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkThreshold(i int, a float64) error {
+	if math.IsNaN(a) || a < 0 || a > 1 {
+		return fmt.Errorf("nonoblivious: threshold[%d] = %v outside [0, 1]", i, a)
+	}
+	return nil
 }
 
 // N returns the player count.
@@ -217,17 +223,12 @@ func (ev *Evaluator) validate(thresholds []float64) error {
 	if len(thresholds) != ev.n {
 		return fmt.Errorf("nonoblivious: evaluator built for %d players, got %d thresholds", ev.n, len(thresholds))
 	}
-	for i, a := range thresholds {
-		if math.IsNaN(a) || a < 0 || a > 1 {
-			return fmt.Errorf("nonoblivious: threshold[%d] = %v outside [0, 1]", i, a)
-		}
-	}
-	return nil
+	return checkThresholds(thresholds)
 }
 
 // Evaluate computes the winning probability of the threshold vector with a
 // full table rebuild that reuses the allocated storage — zero steady-state
-// allocations, bit-identical to WinningProbabilityOpts — and commits the
+// allocations, the same bits as WinningProbabilityOpts — and commits the
 // vector as the evaluator's new state.
 func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 	if err := ev.validate(thresholds); err != nil {
@@ -237,16 +238,13 @@ func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 }
 
 func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
-	if err := ev.vt.Build(thresholds, ev.capacity, 1); err != nil {
+	if err := ev.vt.Build(thresholds, ev.capacity, ev.workers); err != nil {
 		return 0, err
 	}
 	copy(ev.a, thresholds)
-	if err := ev.sumsA.Build(ev.a); err != nil {
-		return 0, err
-	}
-	sums := ev.sumsA.Values()
+	sums := ev.vt.Sums()
 	for mask := range ev.sm1 {
-		ev.sm1[mask] = sums[mask] - ev.pcf[mask]
+		ev.sm1[mask] = sums[mask] - float64(bits.OnesCount64(uint64(mask)))
 	}
 	for i, a := range ev.a {
 		ev.oneMinus[i] = 1 - a
@@ -267,10 +265,11 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 
 // SetCoord commits threshold i to v with a delta update: the N₀ volume
 // table re-propagates only the 2^(n-1) subsets containing i
-// (dist.VolumeTable.SetCoord), the subset-sum and product state is
-// re-propagated with the exact build recurrences, and the N₁ per-exponent
-// passes rerun over the updated state. It returns the updated winning
-// probability, which agrees with a fresh rebuild within ExactErrorBound.
+// (dist.VolumeTable.SetCoord, which also re-propagates the subset sums),
+// the product state is re-propagated with the exact build recurrence, and
+// the N₁ per-exponent passes rerun over the updated state. It returns the
+// updated winning probability, which agrees with a fresh rebuild within
+// ExactErrorBound.
 func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	if !ev.built {
 		return 0, fmt.Errorf("nonoblivious: evaluator SetCoord before any full evaluation")
@@ -278,8 +277,8 @@ func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	if i < 0 || i >= ev.n {
 		return 0, fmt.Errorf("nonoblivious: evaluator coordinate %d out of range [0, %d)", i, ev.n)
 	}
-	if math.IsNaN(v) || v < 0 || v > 1 {
-		return 0, fmt.Errorf("nonoblivious: threshold[%d] = %v outside [0, 1]", i, v)
+	if err := checkThreshold(i, v); err != nil {
+		return 0, err
 	}
 	if v == ev.a[i] {
 		ev.stats.Evaluations++
@@ -290,21 +289,18 @@ func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	}
 	ev.a[i] = v
 	ev.oneMinus[i] = 1 - v
-	if err := ev.sumsA.SetCoord(i, v); err != nil {
-		return 0, err
-	}
 	if err := ev.prod.SetCoord(i, ev.oneMinus[i]); err != nil {
 		return 0, err
 	}
 	// Refresh σ_J a − |J| on the re-propagated half-lattice.
-	sums := ev.sumsA.Values()
+	sums := ev.vt.Sums()
 	bit := 1 << uint(i)
 	size := 1 << uint(ev.n)
 	for mask := bit; mask < size; mask++ {
 		if mask&bit == 0 {
 			continue
 		}
-		ev.sm1[mask] = sums[mask] - ev.pcf[mask]
+		ev.sm1[mask] = sums[mask] - float64(bits.OnesCount64(uint64(mask)))
 	}
 	if err := ev.bin1Passes(); err != nil {
 		return 0, err
@@ -379,9 +375,16 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 	return ev.profEval(v), nil
 }
 
-// bin1Passes rebuilds the N₁ table from the current subset-sum/product
-// state, mirroring bin1Table's per-exponent signed-base/zeta/readoff
-// passes operation for operation.
+// bin1Passes rebuilds N₁[O] = P(x_i > a_i ∀i∈O ∧ Σ_O x ≤ δ) for every
+// subset O from the current subset-sum/product state — the Lemma 2.7 tail
+//
+//	Π_{i∈O}(1-a_i) − (1/m!) Σ_{J⊆O} (−1)^{|J|} (m − δ − |J| + σ_J a)_+^m
+//
+// with m = |O|. The base term depends on J only through |J| and σ_J a, so
+// for each exponent m one signed base table over all J feeds a single
+// sum-over-subsets pass that yields every |O| = m entry at once. Unlike
+// the N₀ radix, this radix shifts with m, so each exponent's base is
+// rebuilt from the σ_J a − |J| table rather than updated incrementally.
 func (ev *Evaluator) bin1Passes() error {
 	n := ev.n
 	size := 1 << uint(n)
@@ -398,27 +401,28 @@ func (ev *Evaluator) bin1Passes() error {
 				ev.base[mask] = 0
 			}
 		}
-		if err := combin.SumOverSubsets(ev.base, n, 1); err != nil {
+		if err := combin.SumOverSubsets(ev.base, n, ev.workers); err != nil {
 			return err
 		}
-		for mask := 0; mask < size; mask++ {
-			if bits.OnesCount64(uint64(mask)) != m {
-				continue
-			}
+		// Only the |O| = m entries are Lemma 2.7 tails at this exponent.
+		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
 			v := prod[mask] - ev.base[mask]
 			if v < 0 {
 				v = 0
 			}
 			ev.n1[mask] = v
+			return true
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // maskSum reduces the Theorem 5.1 sum Σ_s N₀[full∖s]·N₁[s] over the fixed
-// chunk grid with Neumaier partials and the fixed-order pairwise tree —
-// bit-identical to the ChunkedMaskSum reduction in WinningProbabilityOpts
-// for every worker count — into the evaluator-owned partial buffer.
+// chunk grid with Neumaier partials into the evaluator-owned partial
+// buffer and combines them with combin.ReducePartials — the summation
+// order of combin.ChunkedMaskSum.
 func (ev *Evaluator) maskSum() float64 {
 	n0 := ev.vt.Vol()
 	n1 := ev.n1
@@ -441,18 +445,7 @@ func (ev *Evaluator) maskSum() float64 {
 		}
 		ev.partial[c] = acc.Sum()
 	}
-	part := ev.partial[:chunks]
-	for len(part) > 1 {
-		half := (len(part) + 1) / 2
-		for i := 0; i < len(part)/2; i++ {
-			part[i] = part[2*i] + part[2*i+1]
-		}
-		if len(part)%2 == 1 {
-			part[half-1] = part[len(part)-1]
-		}
-		part = part[:half]
-	}
-	return clamp01(part[0])
+	return clamp01(combin.ReducePartials(ev.partial[:chunks]))
 }
 
 // openProfile builds the line profile for coordinate i from the committed
@@ -466,6 +459,21 @@ func (ev *Evaluator) openProfile(i int) {
 	p.coord = -1
 	n := ev.n
 	h := 1 << uint(n-1)
+	if p.m == nil {
+		p.aR = make([]float64, n-1)
+		p.omR = make([]float64, n-1)
+		p.sumsR = make([]float64, h)
+		p.signR = make([]float64, h)
+		p.prodR = make([]float64, h)
+		p.m = make([]float64, h*n)
+		p.p = make([]float64, h*n)
+		p.tCoef = make([]float64, n+2)
+		p.vCoef = make([]float64, n+2)
+		p.crossT = make([]int32, h)
+		p.vxRho = make([]float64, h)
+		p.vxW = make([]float64, h)
+		p.vxE = make([]int32, h)
+	}
 	hm := uint64(h - 1)
 	bit := uint64(1) << uint(i)
 	lowMask := bit - 1

@@ -25,10 +25,10 @@ const MaxNHetero = 15
 // WinningProbabilityPi generalizes Theorem 5.1 to heterogeneous inputs
 // x_i ~ U[0, π_i]: the probability that neither bin overflows capacity δ
 // when player i sends its input to bin 0 exactly when x_i ≤ thresholds[i].
-// A nil (or all-ones) π delegates to the homogeneous Theorem 5.1
-// evaluator. Thresholds stay in [0, 1], matching the rule class the model
-// layer admits; a threshold above π_i simply sends player i to bin 0
-// always.
+// A nil (or empty, or all-ones) π delegates to the homogeneous Theorem 5.1
+// evaluator; any other π must have one entry per player. Thresholds stay
+// in [0, 1], matching the rule class the model layer admits; a threshold
+// above π_i simply sends player i to bin 0 always.
 func WinningProbabilityPi(thresholds, pi []float64, capacity float64) (float64, error) {
 	return WinningProbabilityPiOpts(thresholds, pi, capacity, 0, nil)
 }
@@ -63,6 +63,9 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	if n < 2 {
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
 	}
+	if len(pi) > 0 && len(pi) != n {
+		return 0, fmt.Errorf("nonoblivious: %d input ranges for %d players", len(pi), n)
+	}
 	hetero := false
 	for _, w := range pi {
 		if w != 1 {
@@ -72,9 +75,6 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	}
 	if !hetero {
 		return WinningProbabilityOpts(thresholds, capacity, workers, o)
-	}
-	if len(pi) != n {
-		return 0, fmt.Errorf("nonoblivious: %d input ranges for %d players", len(pi), n)
 	}
 	for i, w := range pi {
 		if !(w > 0) || math.IsInf(w, 1) {
@@ -87,10 +87,8 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	if err := validateCapacity(capacity); err != nil {
 		return 0, err
 	}
-	for i, a := range thresholds {
-		if math.IsNaN(a) || a < 0 || a > 1 {
-			return 0, fmt.Errorf("nonoblivious: threshold[%d] = %v outside [0, 1]", i, a)
-		}
+	if err := checkThresholds(thresholds); err != nil {
+		return 0, err
 	}
 	if workers <= 0 {
 		workers = 1

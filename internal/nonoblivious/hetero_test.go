@@ -115,6 +115,8 @@ func TestWinningProbabilityPiRejects(t *testing.T) {
 		capacity float64
 	}{
 		{"short pi", []float64{0.5, 0.5}, []float64{0.5}, 1},
+		{"long all-ones pi", []float64{0.5, 0.5}, []float64{1, 1, 1}, 1},
+		{"short all-ones pi", []float64{0.5, 0.5, 0.5}, []float64{1, 1}, 1},
 		{"zero range", []float64{0.5, 0.5}, []float64{0, 1}, 1},
 		{"negative range", []float64{0.5, 0.5}, []float64{-1, 2}, 1},
 		{"NaN range", []float64{0.5, 0.5}, []float64{math.NaN(), 2}, 1},
@@ -127,5 +129,36 @@ func TestWinningProbabilityPiRejects(t *testing.T) {
 				t.Fatalf("WinningProbabilityPi(%v, %v, %v) succeeded, want error", tc.ths, tc.pi, tc.capacity)
 			}
 		})
+	}
+}
+
+// TestCertifyThresholds checks the a-posteriori certificate: the oracle
+// value at the float point agrees with the float path within the returned
+// bound, the bound is ExactErrorBound at the smallest range, and a π of
+// the wrong length is refused.
+func TestCertifyThresholds(t *testing.T) {
+	ths := []float64{0.25, 0.5, 0.75}
+	for _, pi := range [][]float64{nil, {0.5, 1.25, 1}} {
+		exact, bound, err := CertifyThresholds(ths, pi, 1)
+		if err != nil {
+			t.Fatalf("pi=%v: %v", pi, err)
+		}
+		piMin := 1.0
+		for _, w := range pi {
+			piMin = math.Min(piMin, w)
+		}
+		if want := ExactErrorBound(3, 1, piMin); bound != want {
+			t.Errorf("pi=%v: bound %g, want ExactErrorBound %g", pi, bound, want)
+		}
+		p, err := WinningProbabilityPi(ths, pi, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(p-exact) > bound {
+			t.Errorf("pi=%v: float %v vs oracle %v exceeds bound %g", pi, p, exact, bound)
+		}
+	}
+	if _, _, err := CertifyThresholds(ths, []float64{1, 1}, 1); err == nil {
+		t.Error("CertifyThresholds accepted a π of the wrong length")
 	}
 }

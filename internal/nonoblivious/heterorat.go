@@ -2,6 +2,7 @@ package nonoblivious
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"repro/internal/combin"
@@ -114,4 +115,33 @@ func subsetCDFRat(widths []*big.Rat, t *big.Rat) (*big.Rat, error) {
 		return big.NewRat(1, 1), nil
 	}
 	return dist.CDFRat(widths, t)
+}
+
+// CertifyThresholds re-evaluates a float64 threshold vector with the
+// big.Rat oracle WinningProbabilityPiRat at exactly the float-rounded
+// point (SetFloat64 is exact, so no snapping is introduced) and returns
+// the oracle value alongside ExactErrorBound, the certified round-off
+// bound of the float64 path. A nil or empty pi is the homogeneous game.
+func CertifyThresholds(thresholds, pi []float64, capacity float64) (exact, bound float64, err error) {
+	n := len(thresholds)
+	if len(pi) > 0 && len(pi) != n {
+		return 0, 0, fmt.Errorf("nonoblivious: %d input ranges for %d players", len(pi), n)
+	}
+	aRat := make([]*big.Rat, n)
+	piRat := make([]*big.Rat, n)
+	piMin := 1.0
+	for i, v := range thresholds {
+		aRat[i] = new(big.Rat).SetFloat64(v)
+		piRat[i] = big.NewRat(1, 1)
+		if len(pi) > 0 {
+			piRat[i] = new(big.Rat).SetFloat64(pi[i])
+			piMin = math.Min(piMin, pi[i])
+		}
+	}
+	p, err := WinningProbabilityPiRat(aRat, piRat, new(big.Rat).SetFloat64(capacity))
+	if err != nil {
+		return 0, 0, err
+	}
+	exact, _ = p.Float64()
+	return exact, ExactErrorBound(n, capacity, piMin), nil
 }

@@ -220,8 +220,8 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 }
 
 // maskSum reduces Σ_S w(S)·F_{Sᶜ}(δ)·F_S(δ) over the fixed chunk grid with
-// Neumaier partials and the fixed-order pairwise tree — bit-identical to
-// the combin.ChunkedMaskSum reduction for every worker count.
+// Neumaier partials and combin.ReducePartials — bit-identical to the
+// combin.ChunkedMaskSum reduction for every worker count.
 func (ev *Evaluator) maskSum() float64 {
 	pZero, pOne, cdf := ev.pZero.Values(), ev.pOne.Values(), ev.cdf
 	size := uint64(1) << uint(ev.n)
@@ -244,16 +244,5 @@ func (ev *Evaluator) maskSum() float64 {
 		}
 		ev.partial[c] = acc.Sum()
 	}
-	part := ev.partial[:chunks]
-	for len(part) > 1 {
-		half := (len(part) + 1) / 2
-		for i := 0; i < len(part)/2; i++ {
-			part[i] = part[2*i] + part[2*i+1]
-		}
-		if len(part)%2 == 1 {
-			part[half-1] = part[len(part)-1]
-		}
-		part = part[:half]
-	}
-	return clamp01(part[0])
+	return clamp01(combin.ReducePartials(ev.partial[:chunks]))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -16,7 +17,8 @@ const MaxNHetero = 20
 // WinningProbabilityPi generalizes Theorem 4.1 to heterogeneous inputs
 // x_i ~ U[0, π_i]: the probability that neither bin overflows capacity δ
 // when player i chooses bin 0 with probability alphas[i]. A nil (or
-// all-ones) π delegates to the homogeneous Theorem 4.1 evaluator.
+// empty, or all-ones) π delegates to the homogeneous Theorem 4.1
+// evaluator; any other π must have one entry per player.
 func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, error) {
 	return WinningProbabilityPiOpts(alphas, pi, capacity, 0, nil)
 }
@@ -42,6 +44,9 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
 	}
+	if len(pi) > 0 && len(pi) != len(alphas) {
+		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), len(alphas))
+	}
 	hetero := false
 	for _, w := range pi {
 		if w != 1 {
@@ -51,9 +56,6 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	}
 	if !hetero {
 		return WinningProbability(alphas, capacity)
-	}
-	if len(pi) != len(alphas) {
-		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), len(alphas))
 	}
 	if workers <= 0 {
 		workers = 1
@@ -82,34 +84,12 @@ func clamp01(v float64) float64 {
 
 // ExactErrorBound is the documented absolute-error bound of the float64
 // heterogeneous evaluator against the exact rational value (see
-// WinningProbabilityPiRat): a conservative forward-error analysis of the
-// inclusion-exclusion terms — at most n²·2^n compensated operations on
-// terms no larger than M = max_m r^m/m! with r = max(δ, n−δ, 1), divided
-// by the subset range products (bounded below by min(π_i, 1)^n). piMin is
-// the smallest input range (pass 1 for homogeneous inputs). The bound is
-// deliberately loose — observed errors at n = 10 are several orders of
-// magnitude smaller — but it is certified: the property tests pin the
-// float path against the big.Rat oracle within exactly this bound.
+// WinningProbabilityPiRat): dist.VolumeErrorBound over the at most n²·2^n
+// compensated operations of the subset-volume table and the bin-choice
+// sum. piMin is the smallest input range (pass 1 for homogeneous inputs).
+// The bound is deliberately loose — observed errors at n = 10 are several
+// orders of magnitude smaller — but it is certified: the property tests
+// pin the float path against the big.Rat oracle within exactly this bound.
 func ExactErrorBound(n int, capacity, piMin float64) float64 {
-	return sosErrorBound(n, capacity, piMin, float64(n)*float64(n)*math.Exp2(float64(n)))
-}
-
-// sosErrorBound is the shared bound kernel: ops compensated operations on
-// inclusion-exclusion terms of magnitude ≤ max_m r^m/m!, inflated by the
-// worst-case range normalization.
-func sosErrorBound(n int, capacity, piMin, ops float64) float64 {
-	if n < 1 {
-		return 0
-	}
-	r := math.Max(math.Max(capacity, float64(n)-capacity), 1)
-	mag, term := 1.0, 1.0
-	for m := 1; m <= n; m++ {
-		term *= r / float64(m)
-		mag = math.Max(mag, term)
-	}
-	norm := 1.0
-	if piMin > 0 && piMin < 1 {
-		norm = math.Pow(piMin, -float64(n))
-	}
-	return 32 * ops * mag * norm * 0x1p-53
+	return dist.VolumeErrorBound(n, capacity, piMin, float64(n)*float64(n)*math.Exp2(float64(n)))
 }

@@ -107,6 +107,8 @@ func TestWinningProbabilityPiRejects(t *testing.T) {
 		capacity float64
 	}{
 		{"short pi", []float64{0.5, 0.5}, []float64{0.5}, 1},
+		{"long all-ones pi", []float64{0.5, 0.5}, []float64{1, 1, 1}, 1},
+		{"short all-ones pi", []float64{0.5, 0.5, 0.5}, []float64{1, 1}, 1},
 		{"zero range", []float64{0.5, 0.5}, []float64{0, 1}, 1},
 		{"negative range", []float64{0.5, 0.5}, []float64{-1, 2}, 1},
 		{"NaN range", []float64{0.5, 0.5}, []float64{math.NaN(), 2}, 1},
