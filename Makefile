@@ -2,8 +2,9 @@
 # in ROADMAP.md; the race target covers the concurrency-heavy packages
 # (the Monte-Carlo engine with its batch kernel and scratch pools, the
 # metrics/span layer it feeds, the memoizing evaluation engine with its
-# sharded sweeps, and the exact evaluators with their sharded subset
-# enumerations) plus the canonical problem package they all share.
+# sharded sweeps, the exact evaluators with their sharded subset
+# enumerations, and the PY91 evaluator with one goroutine per worker)
+# plus the canonical problem package they all share.
 
 GO ?= go
 
@@ -22,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/...
+	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/... ./internal/py91/...
 
 vet:
 	$(GO) vet ./...

@@ -306,6 +306,9 @@ func cmdEval(g *obsFlags, args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := sim.CheckTrials(*trials); err != nil {
+		return err
+	}
 	b, err := engine.ParseBackend(*backend)
 	if err != nil {
 		return err
@@ -374,6 +377,9 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 	verbose := fs.Bool("v", false, "print search-cost detail (evals, cache hits, delta updates)")
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := sim.CheckTrials(*trials); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)
@@ -600,6 +606,9 @@ func cmdFigure(g *obsFlags, args []string) (err error) {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	if err := sim.CheckTrials(*trials); err != nil {
+		return err
+	}
 	b, err := engine.ParseBackend(*backend)
 	if err != nil {
 		return err
@@ -677,6 +686,9 @@ func cmdTable(g *obsFlags, args []string) (err error) {
 	csvPath := fs.String("csv", "", "write CSV to this path")
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if err := sim.CheckTrials(*trials); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)

@@ -61,6 +61,28 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestTrialsFlagRefused requires every -trials flag to refuse a
+// non-positive count with the simulator's wording, whatever the backend,
+// instead of silently running the default trial count.
+func TestTrialsFlagRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"eval", "-backend", "mc", "-trials", "-5"},
+		{"eval", "-trials", "0"},
+		{"figure", "F1", "-backend", "mc", "-points", "3", "-trials", "-5"},
+		{"figure", "F1", "-points", "3", "-trials", "0"},
+		{"optimize", "-backend", "mc", "-trials", "-5"},
+		{"optimize", "-trials", "0"},
+		{"table", "T1", "-trials", "-5"},
+		{"simulate", "-trials", "-5"},
+	} {
+		trials := args[len(args)-1]
+		want := "sim: trial count " + trials + " must be positive"
+		if err := run(args); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", args, err, want)
+		}
+	}
+}
+
 // TestUsageErrorListsAllSubcommands keeps the first-line usage error, the
 // help output, and the dispatch switch consistent: every subcommand —
 // including certify and metrics — must appear in the advertised list.

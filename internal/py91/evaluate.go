@@ -70,11 +70,12 @@ func Evaluate(p Protocol, cfg SimConfig) (Evaluation, error) {
 		go func(w, quota int) {
 			defer wg.Done()
 			s := cfg.Seed + 0x9e3779b97f4a7c15*uint64(w+1)
-			rng := rand.New(rand.NewPCG(s, s^0xda3e39cb94b95bdb))
+			pcg := rand.NewPCG(s, s^0xda3e39cb94b95bdb)
 			if batched {
-				evalBatched(bp, rng, quota, &counters[w])
+				evalBatched(bp, pcg, quota, &counters[w])
 				return
 			}
+			rng := rand.New(pcg)
 			for i := 0; i < quota; i++ {
 				var x [Players]float64
 				for j := range x {
@@ -118,9 +119,12 @@ func Evaluate(p Protocol, cfg SimConfig) (Evaluation, error) {
 
 // evalBatched is one worker's batched evaluation loop: sample a batch of
 // input vectors (in the per-trial draw order), decide them with a single
-// DecideBatch call, and count wins. The buffers are allocated once per
-// worker, so the steady-state loop allocates nothing per trial.
-func evalBatched(bp BatchProtocol, rng *rand.Rand, quota int, counter *stats.Proportion) {
+// DecideBatch call, and count wins. Draws come straight from the worker's
+// *rand.PCG through model.SrcFloat64, bit-identical to rand.Rand.Float64
+// on the same source without the Source interface dispatch. The buffers
+// are allocated once per worker, so the steady-state loop allocates
+// nothing per trial.
+func evalBatched(bp BatchProtocol, pcg *rand.PCG, quota int, counter *stats.Proportion) {
 	xs := make([]float64, evalBatchSize*Players)
 	outs := make([][Players]model.Bin, evalBatchSize)
 	var wins, trials int64
@@ -131,7 +135,7 @@ func evalBatched(bp BatchProtocol, rng *rand.Rand, quota int, counter *stats.Pro
 		}
 		batch := xs[:b*Players]
 		for j := range batch {
-			batch[j] = rng.Float64()
+			batch[j] = model.SrcFloat64(pcg.Uint64())
 		}
 		bp.DecideBatch(batch, outs[:b])
 		for t := 0; t < b; t++ {

@@ -59,6 +59,10 @@ func TestEvaluateMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ow, err := NewWeightedAverageProtocol(OneWay, 0.6, 0.8, 0.65, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tp, err := NewThresholdProtocol([3]float64{0.62, 0.55, 0.7})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +72,7 @@ func TestEvaluateMatchesGolden(t *testing.T) {
 		wins map[int]int64 // workers → golden win count (P * 20000)
 	}{
 		{wa, map[int]int64{1: 6850, 4: 6933}},
+		{ow, map[int]int64{1: 9196, 4: 9166}},
 		{tp, map[int]int64{1: 10820, 4: 10894}},
 	} {
 		for w, want := range tc.wins {

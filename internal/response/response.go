@@ -235,28 +235,44 @@ func (e *Evaluator) density(s IntervalSet) []float64 {
 	return d
 }
 
-// convolve returns the discrete convolution h·(f*g).
-func (e *Evaluator) convolve(f, g []float64) []float64 {
-	out := make([]float64, len(f)+len(g)-1)
-	for i, fv := range f {
-		if fv == 0 {
-			continue
-		}
-		for j, gv := range g {
-			out[i+j] += fv * gv
-		}
+// weight is the fraction of cell i of a generation-m density (halfGen =
+// m/2) that lies below the capacity, before clamping to 1. Sample i of an
+// m-fold convolution sits at position (i + m/2)·h and represents mass
+// d[i]·h spread over a width-h cell centred there. Cell positions are
+// non-negative and increase with i, so the weight never increases with i.
+func (e *Evaluator) weight(i int, halfGen float64) float64 {
+	center := (float64(i) + halfGen) * e.h
+	cellLo := center - e.h/2
+	return (e.capacity - cellLo) / e.h
+}
+
+// cutoff returns the number of leading cells of a generation-m density
+// that carry weight below the capacity: weight(i) > 0 exactly for
+// i < cutoff(m), capped at the m-fold convolution's length m·(grid-1)+1.
+// It is decided by the same float expression massBelow weights with, so
+// the two cannot disagree about the last cell.
+func (e *Evaluator) cutoff(m int) int {
+	limit := m*(e.grid-1) + 1
+	halfGen := float64(m) / 2
+	// weight(i) > 0 ⇔ i < δ·grid - (m-1)/2 in exact arithmetic; start
+	// there and settle on the float predicate.
+	k := limit
+	if est := e.capacity*float64(e.grid) - (halfGen - 0.5); est < float64(limit) {
+		k = max(0, int(est))
 	}
-	for i := range out {
-		out[i] *= e.h
+	for k > 0 && e.weight(k-1, halfGen) <= 0 {
+		k--
 	}
-	return out
+	for k < limit && e.weight(k, halfGen) > 0 {
+		k++
+	}
+	return k
 }
 
 // massBelow returns the total mass of the (defective) generation-m
-// density below the capacity. Sample i of an m-fold convolution sits at
-// position (i + m/2)·h and represents mass d[i]·h spread over a width-h
-// cell centred there; the boundary cell is weighted by its overlap with
-// (-∞, δ].
+// density below the capacity; the boundary cell is weighted by its
+// overlap with (-∞, δ]. d holds at most cutoff(m) cells, every one of
+// them with positive weight, so d may be a prefix of the convolution.
 func (e *Evaluator) massBelow(d []float64, m int) float64 {
 	var acc combin.Accumulator
 	halfGen := float64(m) / 2
@@ -264,16 +280,7 @@ func (e *Evaluator) massBelow(d []float64, m int) float64 {
 		if v == 0 {
 			continue
 		}
-		center := (float64(i) + halfGen) * e.h
-		cellLo := center - e.h/2
-		w := (e.capacity - cellLo) / e.h
-		if w <= 0 {
-			break
-		}
-		if w > 1 {
-			w = 1
-		}
-		acc.Add(v * w)
+		acc.Add(v * min(e.weight(i, halfGen), 1))
 	}
 	return acc.Sum() * e.h
 }
@@ -310,15 +317,73 @@ func (e *Evaluator) WinProbability(s IntervalSet) (float64, error) {
 
 // partialMasses returns N(m) for m = 0..n where N(m) is the mass of the
 // m-fold self-convolution of d below the capacity; N(0) = 1.
+//
+// Generation m is computed only over its first cutoff(m) cells, the ones
+// massBelow weights. Cell positions are non-negative, so output cell k of
+// cur*d depends on cur[0..k] alone and the prefix is exact; and a cell's
+// weight never grows with the generation, so cutoff(m+1) ≤ cutoff(m)
+// whenever generation m is truncated at all. The inner loop walks only
+// the nonzero runs of d: a skipped term is an exact zero, and every
+// output cell still adds its products in ascending order of cur's index
+// before the final ×h, so the result is bit-identical to the full
+// convolution.
 func (e *Evaluator) partialMasses(d []float64) []float64 {
 	out := make([]float64, e.n+1)
 	out[0] = 1
-	cur := d
+	runs := nonzeroRuns(d)
+	cur := d[:min(len(d), e.cutoff(1))]
 	for m := 1; m <= e.n; m++ {
 		out[m] = e.massBelow(cur, m)
 		if m < e.n {
-			cur = e.convolve(cur, d)
+			cur = e.convolvePrefix(cur, d, runs, e.cutoff(m+1))
 		}
+	}
+	return out
+}
+
+// run is a maximal half-open range [lo, hi) of nonzero density cells.
+type run struct{ lo, hi int }
+
+// nonzeroRuns returns the maximal runs of nonzero cells of d, ascending.
+func nonzeroRuns(d []float64) []run {
+	var runs []run
+	for i := 0; i < len(d); {
+		if d[i] == 0 {
+			i++
+			continue
+		}
+		lo := i
+		for i < len(d) && d[i] != 0 {
+			i++
+		}
+		runs = append(runs, run{lo, i})
+	}
+	return runs
+}
+
+// convolvePrefix returns the first length cells of h·(cur*d), visiting
+// only the nonzero runs of d. length must not exceed len(cur)+len(d)-1.
+func (e *Evaluator) convolvePrefix(cur, d []float64, runs []run, length int) []float64 {
+	out := make([]float64, length)
+	for i, fv := range cur[:min(len(cur), length)] {
+		if fv == 0 {
+			continue
+		}
+		lim := length - i
+		for _, r := range runs {
+			if r.lo >= lim {
+				break
+			}
+			src := d[r.lo:min(r.hi, lim)]
+			dst := out[i+r.lo:]
+			dst = dst[:len(src)]
+			for j, gv := range src {
+				dst[j] += fv * gv
+			}
+		}
+	}
+	for k := range out {
+		out[k] *= e.h
 	}
 	return out
 }

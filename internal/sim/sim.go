@@ -69,8 +69,8 @@ type Config struct {
 }
 
 func (c Config) validate() (Config, error) {
-	if c.Trials <= 0 {
-		return c, fmt.Errorf("sim: trial count %d must be positive", c.Trials)
+	if err := CheckTrials(c.Trials); err != nil {
+		return c, err
 	}
 	if c.CheckpointEvery < 0 {
 		return c, fmt.Errorf("sim: checkpoint interval %d must be non-negative", c.CheckpointEvery)
@@ -81,6 +81,16 @@ func (c Config) validate() (Config, error) {
 	}
 	c.Workers = w
 	return c, nil
+}
+
+// CheckTrials refuses a non-positive trial count. Config validation and
+// the CLI -trials flags share it, so a bad count is refused with the same
+// wording on every path instead of being read as "use the default".
+func CheckTrials(trials int) error {
+	if trials <= 0 {
+		return fmt.Errorf("sim: trial count %d must be positive", trials)
+	}
+	return nil
 }
 
 // WorkerCount resolves a requested parallel worker count against the
