@@ -14,7 +14,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build fmt test race vet bench bench-module ci
+.PHONY: build fmt test race vet bench bench-module results-check ci
 
 build:
 	$(GO) build ./...
@@ -40,4 +40,9 @@ bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build fmt vet test race bench-module
+# The committed results/ must be exactly what the current tree generates.
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -workers 2 -out "$$tmp" >/dev/null && diff -r "$$tmp" results
+
+ci: build fmt vet test race bench-module results-check

@@ -9,7 +9,7 @@
 //   - Exact — the per-class analytic oracle (Theorem 4.1 for oblivious
 //     rules, Theorem 5.1 for thresholds, the grid-convolution oracle for
 //     interval sets, the conditioned interval-pair evaluation for one-bit
-//     protocols, closed form or quadrature for PY91 protocols);
+//     protocols, the closed-form oracles for PY91 protocols);
 //   - MonteCarlo — the sim package's deterministic parallel estimator;
 //   - MonteCarloQMC — the randomized quasi-Monte-Carlo estimator
 //     (scrambled Sobol replicates) for local-rule systems;

@@ -148,21 +148,27 @@ func TestExactParity(t *testing.T) {
 		if got.P != want {
 			t.Errorf("engine %v != py91 closed form %v", got.P, want)
 		}
-		// Non-threshold protocols fall through to quadrature.
+		// Weighted averages and full information use their own oracles.
 		w, err := py91.NewWeightedAverageProtocol(py91.Broadcast, 0.6, 0.8, 0.8, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantQ, err := py91.EvaluateByQuadrature(w, DefaultQuadratureGrid)
-		if err != nil {
-			t.Fatal(err)
+		for _, p := range []py91.Protocol{w, py91.FullInformationProtocol{}} {
+			want, err := p.(py91Exact).ExactWinProbability()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Evaluate(inst, PY91Rule{Protocol: p}, Exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.P != want {
+				t.Errorf("%s: engine %v != py91 oracle %v", p.Name(), got.P, want)
+			}
 		}
-		gotQ, err := e.Evaluate(inst, PY91Rule{Protocol: w}, Exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotQ.P != wantQ {
-			t.Errorf("engine %v != py91 quadrature %v", gotQ.P, wantQ)
+		if _, err := e.Evaluate(inst, PY91Rule{Protocol: noOracleProtocol{}}, Exact); err == nil ||
+			!strings.Contains(err.Error(), "no-oracle") {
+			t.Errorf("protocol without an oracle: err = %v, want one naming it", err)
 		}
 	})
 }
@@ -433,6 +439,53 @@ func TestCacheHitSemantics(t *testing.T) {
 	if _, err := e.Evaluate(inst, Threshold{Thresholds: []float64{0.5}}, Exact); err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+// TestPY91FingerprintKeepsFullPrecision pins the cache key of weighted
+// PY91 protocols: two protocols whose rounded names agree must still get
+// distinct keys, so the second evaluation is not served the first one's
+// value.
+func TestPY91FingerprintKeepsFullPrecision(t *testing.T) {
+	e := New(Config{})
+	inst := mustInstance(t, 3, 1)
+	a, err := py91.NewWeightedAverageProtocol(py91.OneWay, 0.6, 0.7, 0.65, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := py91.NewWeightedAverageProtocol(py91.OneWay, 0.6, 0.7, 0.65, 0.3002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Name() != b.Name() {
+		t.Fatalf("names %q and %q differ; pick parameters that round alike", a.Name(), b.Name())
+	}
+	ra, err := e.Evaluate(inst, PY91Rule{Protocol: a}, Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := e.Evaluate(inst, PY91Rule{Protocol: b}, Exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Cached || ra.P == rb.P {
+		t.Errorf("second protocol served %v (cached %v), first %v", rb.P, rb.Cached, ra.P)
+	}
+	want, err := b.ExactWinProbability()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.P != want {
+		t.Errorf("engine %v != oracle %v", rb.P, want)
+	}
+}
+
+// noOracleProtocol is a PY91 protocol without an exact oracle.
+type noOracleProtocol struct{}
+
+func (noOracleProtocol) Name() string          { return "no-oracle" }
+func (noOracleProtocol) Pattern() py91.Pattern { return py91.Full }
+func (noOracleProtocol) Decide([py91.Players]float64) ([py91.Players]model.Bin, error) {
+	return [py91.Players]model.Bin{}, nil
 }
 
 // TestCacheConcurrency exercises the singleflight cache under the race

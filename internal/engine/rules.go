@@ -41,9 +41,9 @@ type Rule interface {
 
 // ExactOpts is implemented by rules with an analytic oracle (Theorem 4.1,
 // Theorem 5.1, the grid-convolution oracle, the interval-pair
-// conditioning of one-bit protocols, PY91 quadrature). The engine passes
-// its resolved ExactWorkers and observer: the oblivious and threshold
-// families shard their subset enumerations across workers with
+// conditioning of one-bit protocols, the PY91 protocol oracles). The
+// engine passes its resolved ExactWorkers and observer: the oblivious and
+// threshold families shard their subset enumerations across workers with
 // bit-identical results for every worker count and count their work in
 // the exact.* counters; the other oracles ignore both arguments.
 type ExactOpts interface {
@@ -465,22 +465,22 @@ func (r OneBitRule) Simulate(inst Instance, cfg sim.Config) (sim.Result, error) 
 // ---------------------------------------------------------------------------
 // PY91 baseline protocols
 
-// DefaultQuadratureGrid is the quadrature resolution PY91Rule uses for
-// non-threshold protocols when Grid is zero.
-const DefaultQuadratureGrid = 400
+// py91Exact is implemented by the PY91 protocols with an exact oracle:
+// every protocol package py91 defines.
+type py91Exact interface {
+	ExactWinProbability() (float64, error)
+}
 
 // PY91Rule wraps a Papadimitriou–Yannakakis 1991 protocol. It only
-// evaluates on the PY91 instance (3 players, capacity 1); threshold
-// protocols go through the reproduced Theorem 5.1 closed form, every other
-// deterministic protocol through midpoint quadrature, and Monte-Carlo
+// evaluates on the PY91 instance (3 players, capacity 1). Exact
+// evaluation uses the protocol's own oracle: the Theorem 5.1 closed form
+// for threshold protocols, the piecewise-quadratic integral over x₀ for
+// weighted averages, and 3/4 for full information. Monte-Carlo goes
 // through the py91 evaluator (its own seeding discipline, preserved
 // bit-for-bit from the pre-engine entry point).
 type PY91Rule struct {
 	// Protocol is the wrapped protocol.
 	Protocol py91.Protocol
-	// Grid is the quadrature resolution for non-threshold protocols; 0
-	// selects DefaultQuadratureGrid.
-	Grid int
 }
 
 // Name implements Rule.
@@ -491,25 +491,20 @@ func (r PY91Rule) Name() string {
 	return "py91:" + r.Protocol.Name()
 }
 
-// Fingerprint implements Rule. Protocol names embed their parameters at
-// 4-decimal precision, so the fingerprint appends the exact threshold bits
-// when available.
+// Fingerprint implements Rule. Protocol names print their parameters
+// rounded, so the fingerprint appends their exact bits.
 func (r PY91Rule) Fingerprint() string {
 	if r.Protocol == nil {
 		return "py91:nil"
 	}
-	fp := "py91:" + r.Protocol.Name() + ";g=" + strconv.Itoa(r.grid())
-	if tp, ok := r.Protocol.(*py91.ThresholdProtocol); ok {
-		fp += ";θ=" + fbitsList(tp.Theta[:])
+	fp := "py91:" + r.Protocol.Name()
+	switch p := r.Protocol.(type) {
+	case *py91.ThresholdProtocol:
+		fp += ";θ=" + fbitsList(p.Theta[:])
+	case *py91.WeightedAverageProtocol:
+		fp += ";θw=" + fbitsList([]float64{p.Theta0, p.Theta1, p.Theta2, p.W})
 	}
 	return fp
-}
-
-func (r PY91Rule) grid() int {
-	if r.Grid <= 0 {
-		return DefaultQuadratureGrid
-	}
-	return r.Grid
 }
 
 func (r PY91Rule) check(inst Instance) error {
@@ -532,16 +527,17 @@ func (r PY91Rule) System(Instance) (*model.System, error) {
 	return nil, fmt.Errorf("%w: py91 protocols may communicate", ErrNoSystem)
 }
 
-// ExactWinProbabilityOpts implements ExactOpts: the Theorem 5.1 closed
-// form for threshold protocols, midpoint quadrature otherwise.
+// ExactWinProbabilityOpts implements ExactOpts through the protocol's
+// exact oracle; protocols without one are refused.
 func (r PY91Rule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
-	if tp, ok := r.Protocol.(*py91.ThresholdProtocol); ok {
-		return tp.ExactWinProbability()
+	ep, ok := r.Protocol.(py91Exact)
+	if !ok {
+		return 0, fmt.Errorf("engine: py91 protocol %s has no exact oracle", r.Protocol.Name())
 	}
-	return py91.EvaluateByQuadrature(r.Protocol, r.grid())
+	return ep.ExactWinProbability()
 }
 
 // Simulate implements Simulator by delegating to py91.Evaluate, keeping

@@ -97,8 +97,6 @@ func TableValueOfInformation(p Params) (Table, error) {
 		Title:   "Value of information (PY91 ladder, n=3, δ=1; extension)",
 		Columns: []string{"pattern", "protocol", "P(win)", "std err", "source"},
 	}
-	cfg := p.Sim
-	pcfg := py91.SimConfig{Trials: cfg.Trials, Workers: cfg.Workers, Seed: cfg.Seed}
 	py91Inst := engine.Instance{N: py91.Players, Delta: py91.Capacity}
 
 	// Rung 0: no communication, proven optimal threshold (exact, through
@@ -128,15 +126,15 @@ func TableValueOfInformation(p Params) (Table, error) {
 	})
 
 	// Rung 1: one-way communication. Two families: the PY91
-	// weighted-average shape (simulated) and the exact one-bit-to-one
-	// protocol, whose freed third player makes it surprisingly strong.
-	oneWay, evOne, err := py91.OptimizeWeighted(py91.OneWay, pcfg)
+	// weighted-average shape and the one-bit-to-one protocol, whose freed
+	// third player makes it surprisingly strong; both exact.
+	oneWay, pOne, err := py91.OptimizeWeighted(py91.OneWay)
 	if err != nil {
 		return Table{}, err
 	}
 	t.Rows = append(t.Rows, []string{
 		py91.OneWay.String(), oneWay.Name(),
-		fmt.Sprintf("%.6f", evOne.P), fmt.Sprintf("%.6f", evOne.StdErr), "simulated, tuned",
+		fmt.Sprintf("%.6f", pOne), "0 (exact)", "py91 exact oracle, tuned",
 	})
 	owBit, owVal, err := comm.OptimizeOneWay(3, 1, py91.ConjecturedOptimalThreshold)
 	if err != nil {
@@ -149,25 +147,24 @@ func TableValueOfInformation(p Params) (Table, error) {
 	})
 
 	// Rung 2: broadcast.
-	bc, evBC, err := py91.OptimizeWeighted(py91.Broadcast, pcfg)
+	bc, pBC, err := py91.OptimizeWeighted(py91.Broadcast)
 	if err != nil {
 		return Table{}, err
 	}
 	t.Rows = append(t.Rows, []string{
 		py91.Broadcast.String(), bc.Name(),
-		fmt.Sprintf("%.6f", evBC.P), fmt.Sprintf("%.6f", evBC.StdErr), "simulated, tuned",
+		fmt.Sprintf("%.6f", pBC), "0 (exact)", "py91 exact oracle, tuned",
 	})
 
-	// Rung 3: full information (the feasibility bound, exactly 3/4),
-	// simulated through the engine's py91 Monte-Carlo backend.
-	evFull, err := p.engine().EvaluateWithCtx(context.Background(), py91Inst,
-		engine.PY91Rule{Protocol: py91.FullInformationProtocol{}}, engine.MonteCarlo, cfg)
+	// Rung 3: full information, the feasibility bound 3/4, through the
+	// engine's exact backend.
+	full, err := p.engine().Evaluate(py91Inst, engine.PY91Rule{Protocol: py91.FullInformationProtocol{}}, engine.Exact)
 	if err != nil {
 		return Table{}, err
 	}
 	t.Rows = append(t.Rows, []string{
 		py91.Full.String(), "full-information",
-		fmt.Sprintf("%.6f", evFull.P), fmt.Sprintf("%.6f", evFull.StdErr), "simulated (exact value 3/4)",
+		fmt.Sprintf("%.6f", full.P), "0 (exact)", "exact (3/4)",
 	})
 	t.Notes = append(t.Notes,
 		"Tuned protocols use the PY91 weighted-average shape; their values are lower bounds on the pattern optimum.",

@@ -11,10 +11,13 @@
 //
 // The package provides the communication-pattern ladder (none → one-way →
 // broadcast → full information), parameterized weighted-average protocols
-// for each pattern, exact evaluation for the no-communication member, and
-// simulation-based evaluation for the richer patterns, so experiments can
-// chart the value of information against the paper's no-communication
-// optimum.
+// for each pattern, and an exact oracle for every protocol it defines:
+// Theorem 5.1 for the no-communication member, a closed-form integral
+// over player 0's input for the weighted averages (exact.go), and 3/4 for
+// full information. OptimizeWeighted tunes the weighted averages on that
+// exact objective, so experiments can chart the value of information
+// against the paper's no-communication optimum. Evaluate is the
+// Monte-Carlo cross-check.
 package py91
 
 import (
@@ -172,22 +175,30 @@ type WeightedAverageProtocol struct {
 
 // NewWeightedAverageProtocol validates the parameters.
 func NewWeightedAverageProtocol(pattern Pattern, theta0, theta1, theta2, w float64) (*WeightedAverageProtocol, error) {
-	if pattern != OneWay && pattern != Broadcast {
-		return nil, fmt.Errorf("py91: weighted-average protocol needs OneWay or Broadcast, got %v", pattern)
-	}
-	for i, v := range []float64{theta0, theta1, theta2} {
-		if math.IsNaN(v) || v < -1 || v > 2 {
-			return nil, fmt.Errorf("py91: theta%d = %v outside [-1, 2]", i, v)
-		}
-	}
-	if math.IsNaN(w) || w < 0 || w > 1 {
-		return nil, fmt.Errorf("py91: weight %v outside [0, 1]", w)
-	}
-	return &WeightedAverageProtocol{
+	p := &WeightedAverageProtocol{
 		CommPattern: pattern,
 		Theta0:      theta0, Theta1: theta1, Theta2: theta2,
 		W: w,
-	}, nil
+	}
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func (p *WeightedAverageProtocol) validate() error {
+	if p.CommPattern != OneWay && p.CommPattern != Broadcast {
+		return fmt.Errorf("py91: weighted-average protocol needs OneWay or Broadcast, got %v", p.CommPattern)
+	}
+	for i, v := range []float64{p.Theta0, p.Theta1, p.Theta2} {
+		if math.IsNaN(v) || v < -1 || v > 2 {
+			return fmt.Errorf("py91: theta%d = %v outside [-1, 2]", i, v)
+		}
+	}
+	if math.IsNaN(p.W) || p.W < 0 || p.W > 1 {
+		return fmt.Errorf("py91: weight %v outside [0, 1]", p.W)
+	}
+	return nil
 }
 
 // Name implements Protocol.

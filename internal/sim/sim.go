@@ -269,6 +269,12 @@ type checkpointer struct {
 	estHist    *obs.Histogram
 	liveTrials atomic.Int64
 	liveWins   atomic.Int64
+	// mu, turn and emitted keep the stream in trial order across workers:
+	// the trial that crosses a boundary waits until the previous boundary
+	// has been emitted.
+	mu      sync.Mutex
+	turn    *sync.Cond
+	emitted int64
 }
 
 func newCheckpointer(cfg Config, o *obs.Observer) *checkpointer {
@@ -279,7 +285,9 @@ func newCheckpointer(cfg Config, o *obs.Observer) *checkpointer {
 			every = 1
 		}
 	}
-	return &checkpointer{o: o, every: every, estHist: o.Histogram("sim.estimate", 0, 1, 20)}
+	ck := &checkpointer{o: o, every: every, estHist: o.Histogram("sim.estimate", 0, 1, 20)}
+	ck.turn = sync.NewCond(&ck.mu)
+	return ck
 }
 
 // startWorker opens worker w's random stream. In an observed run (ck
@@ -308,9 +316,18 @@ func (c *checkpointer) record(win bool) {
 	if win {
 		c.liveWins.Add(1)
 	}
-	if nt := c.liveTrials.Add(1); nt%c.every == 0 {
-		emitCheckpoint(c.o, c.liveWins.Load(), nt, c.estHist)
+	nt := c.liveTrials.Add(1)
+	if nt%c.every != 0 {
+		return
 	}
+	c.mu.Lock()
+	for c.emitted != nt-c.every {
+		c.turn.Wait()
+	}
+	emitCheckpoint(c.o, c.liveWins.Load(), nt, c.estHist)
+	c.emitted = nt
+	c.turn.Broadcast()
+	c.mu.Unlock()
 }
 
 // finish merges worker counters into the final Result and flushes the
