@@ -3,8 +3,9 @@
 # (the Monte-Carlo engine with its batch kernel and scratch pools, the
 # metrics/span layer it feeds, the memoizing evaluation engine with its
 # sharded sweeps, the exact evaluators with their sharded subset
-# enumerations, and the PY91 evaluator with one goroutine per worker)
-# plus the canonical problem package they all share.
+# enumerations, and the PY91 cross-checks, which simulate protocols through
+# the engine's worker pool) plus the canonical problem package they all
+# share.
 
 GO ?= go
 

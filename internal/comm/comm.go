@@ -45,9 +45,6 @@ func (p OneBitBroadcast) Validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("comm: need at least 2 players, got %d", p.N)
 	}
-	if p.N > 10 {
-		return problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
-	}
 	for name, v := range map[string]float64{
 		"cut": p.Cut, "senderTheta": p.SenderTheta, "betaLow": p.BetaLow, "betaHigh": p.BetaHigh,
 	} {
@@ -61,9 +58,14 @@ func (p OneBitBroadcast) Validate() error {
 // WinProbability evaluates the protocol exactly (up to float64 rounding in
 // the Lemma 2.4 kernels): the two bit values partition the probability
 // space, and each conditional world is a vector of interval-pair regions.
+// It evaluates at most 10 players; larger systems are refused with an
+// error wrapping problem.ErrPlayerCap.
 func (p OneBitBroadcast) WinProbability(capacity float64) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
+	}
+	if p.N > 10 {
+		return 0, problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("comm: capacity %v must be strictly positive and finite", capacity)
@@ -166,9 +168,6 @@ func (p OneBitToOne) Validate() error {
 	if p.N < 3 {
 		return fmt.Errorf("comm: one-way protocol needs at least 3 players, got %d", p.N)
 	}
-	if p.N > 10 {
-		return problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
-	}
 	for name, v := range map[string]float64{
 		"cut": p.Cut, "senderTheta": p.SenderTheta,
 		"betaLow": p.BetaLow, "betaHigh": p.BetaHigh, "beta": p.Beta,
@@ -181,10 +180,13 @@ func (p OneBitToOne) Validate() error {
 }
 
 // WinProbability evaluates the one-way protocol exactly by conditioning on
-// the bit, exactly as OneBitBroadcast does.
+// the bit, exactly as OneBitBroadcast does, with the same 10-player cap.
 func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
+	}
+	if p.N > 10 {
+		return 0, problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("comm: capacity %v must be strictly positive and finite", capacity)

@@ -1,11 +1,13 @@
 package comm
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/nonoblivious"
+	"repro/internal/problem"
 	"repro/internal/stats"
 )
 
@@ -16,7 +18,6 @@ func TestValidate(t *testing.T) {
 	}
 	cases := []OneBitBroadcast{
 		{N: 1, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5},
-		{N: 11, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5},
 		{N: 3, Cut: -0.1, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5},
 		{N: 3, Cut: 0.5, SenderTheta: 1.5, BetaLow: 0.5, BetaHigh: 0.5},
 		{N: 3, Cut: 0.5, SenderTheta: 0.5, BetaLow: math.NaN(), BetaHigh: 0.5},
@@ -25,6 +26,26 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+}
+
+// The 10-player cap belongs to the exact oracle, not to the protocol:
+// Validate accepts 11 players and WinProbability refuses them with a
+// player-cap error.
+func TestWinProbabilityPlayerCap(t *testing.T) {
+	p := OneBitBroadcast{N: 11, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5}
+	if err := p.Validate(); err != nil {
+		t.Errorf("11 players rejected by Validate: %v", err)
+	}
+	if _, err := p.WinProbability(11.0 / 3); !errors.Is(err, problem.ErrPlayerCap) {
+		t.Errorf("WinProbability at 11 players: err = %v, want problem.ErrPlayerCap", err)
+	}
+	q := OneBitToOne{N: 11, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: 0.5}
+	if err := q.Validate(); err != nil {
+		t.Errorf("11 players rejected by OneBitToOne.Validate: %v", err)
+	}
+	if _, err := q.WinProbability(11.0 / 3); !errors.Is(err, problem.ErrPlayerCap) {
+		t.Errorf("OneBitToOne.WinProbability at 11 players: err = %v, want problem.ErrPlayerCap", err)
 	}
 }
 

@@ -12,7 +12,6 @@ func TestOneBitToOneValidate(t *testing.T) {
 	}
 	bad := []OneBitToOne{
 		{N: 2, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: 0.5},
-		{N: 11, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: 0.5},
 		{N: 3, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: -0.1},
 		{N: 3, Cut: math.NaN(), SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: 0.5},
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -222,17 +223,23 @@ func TestMonteCarloParity(t *testing.T) {
 	})
 
 	t.Run("py91", func(t *testing.T) {
-		proto := py91.ConjecturedOptimal()
-		want, err := py91.Evaluate(proto, py91.SimConfig{Trials: cfg.Trials, Workers: cfg.Workers, Seed: cfg.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.EvaluateWithCtx(context.Background(), inst, PY91Rule{Protocol: proto}, MonteCarlo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.P != want.P || got.StdErr != want.StdErr {
-			t.Errorf("engine %v ± %v != py91.Evaluate %v ± %v", got.P, got.StdErr, want.P, want.StdErr)
+		// The PY91 simulator draws x₀, x₁, x₂ in player order from the
+		// same worker streams as the batch kernel, so the conjectured
+		// protocol reproduces the symmetric threshold rule at β = 1 − √(1/7)
+		// bit for bit, at every worker count.
+		for workers := 1; workers <= 4; workers++ {
+			cfg := sim.Config{Trials: 30001, Seed: 9, Workers: workers}
+			want, err := e.EvaluateWithCtx(context.Background(), inst, SymmetricThreshold{Beta: py91.ConjecturedOptimalThreshold}, MonteCarlo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.EvaluateWithCtx(context.Background(), inst, PY91Rule{Protocol: py91.ConjecturedOptimal()}, MonteCarlo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Backend != MonteCarlo || *got.Sim != *want.Sim {
+				t.Errorf("workers=%d: py91 %+v (%v) != threshold %+v", workers, *got.Sim, got.Backend, *want.Sim)
+			}
 		}
 	})
 
@@ -312,6 +319,7 @@ func TestAutoFallsThroughPlayerCap(t *testing.T) {
 	}{
 		{"symmetric threshold", mustInstance(t, 30, 10), SymmetricThreshold{Beta: 0.5}, "limited to 25 players"},
 		{"hetero oblivious", mustInstancePi(t, 22, 7, append([]float64{0.5}, repeated(1, 21)...)), SymmetricOblivious{A: 0.5}, "limited to 20 players"},
+		{"one-bit broadcast", mustInstance(t, 11, 11.0/3), OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, "limited to 10 players"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -479,11 +487,44 @@ func TestPY91FingerprintKeepsFullPrecision(t *testing.T) {
 	}
 }
 
+// TestPY91SimulateObserved checks that PY91 Monte-Carlo runs on the
+// shared simulator: an observed run moves the sim counters and opens a
+// sim.engine.py91 span.
+func TestPY91SimulateObserved(t *testing.T) {
+	var buf bytes.Buffer
+	reg := obs.NewRegistry()
+	o := obs.New(reg, obs.NewSink(&buf))
+	inst := mustInstance(t, 3, 1)
+	const trials = 20001
+	cfg := sim.Config{Trials: trials, Seed: 3, Workers: 2, Obs: o}
+	if _, err := New(Config{}).EvaluateWithCtx(context.Background(), inst, PY91Rule{Protocol: py91.ConjecturedOptimal()}, MonteCarlo, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("sim.runs").Value(); got != 1 {
+		t.Errorf("sim.runs = %d, want 1", got)
+	}
+	if got := reg.Counter("sim.trials").Value(); got != trials {
+		t.Errorf("sim.trials = %d, want %d", got, trials)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range events {
+		if ev.Type == obs.EventSpanStart && ev.Name == "sim.engine.py91" {
+			spans++
+		}
+	}
+	if spans != 1 {
+		t.Errorf("sim.engine.py91 spans = %d, want 1", spans)
+	}
+}
+
 // noOracleProtocol is a PY91 protocol without an exact oracle.
 type noOracleProtocol struct{}
 
-func (noOracleProtocol) Name() string          { return "no-oracle" }
-func (noOracleProtocol) Pattern() py91.Pattern { return py91.Full }
+func (noOracleProtocol) Name() string { return "no-oracle" }
 func (noOracleProtocol) Decide([py91.Players]float64) ([py91.Players]model.Bin, error) {
 	return [py91.Players]model.Bin{}, nil
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/py91"
 	"repro/internal/response"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Rule is one decision-making algorithm viewed through the engine: it can
@@ -475,9 +474,8 @@ type py91Exact interface {
 // evaluates on the PY91 instance (3 players, capacity 1). Exact
 // evaluation uses the protocol's own oracle: the Theorem 5.1 closed form
 // for threshold protocols, the piecewise-quadratic integral over x₀ for
-// weighted averages, and 3/4 for full information. Monte-Carlo goes
-// through the py91 evaluator (its own seeding discipline, preserved
-// bit-for-bit from the pre-engine entry point).
+// weighted averages, and 3/4 for full information. Monte-Carlo plays the
+// protocol's Decide through sim.Bernoulli, like OneBitRule.
 type PY91Rule struct {
 	// Protocol is the wrapped protocol.
 	Protocol py91.Protocol
@@ -540,24 +538,30 @@ func (r PY91Rule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer)
 	return ep.ExactWinProbability()
 }
 
-// Simulate implements Simulator by delegating to py91.Evaluate, keeping
-// the baseline's historical per-worker seeding (and therefore its
-// published estimates) intact.
+// Simulate implements Simulator: one trial draws x₀, x₁, x₂ in player
+// order, lets the protocol decide, and checks both bin loads against the
+// PY91 capacity.
 func (r PY91Rule) Simulate(inst Instance, cfg sim.Config) (sim.Result, error) {
 	if err := r.check(inst); err != nil {
 		return sim.Result{}, err
 	}
-	ev, err := py91.Evaluate(r.Protocol, py91.SimConfig{Trials: cfg.Trials, Workers: cfg.Workers, Seed: cfg.Seed})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	var prop stats.Proportion
-	if err := prop.AddN(int64(math.Round(ev.P*float64(ev.Trials))), ev.Trials); err != nil {
-		return sim.Result{}, err
-	}
-	lo, hi, err := prop.WilsonCI(1.96)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Result{P: ev.P, StdErr: ev.StdErr, CILo: lo, CIHi: hi, Wins: prop.Successes(), Trials: ev.Trials}, nil
+	return sim.Bernoulli(cfg, "engine.py91", func(rng *rand.Rand) (bool, error) {
+		var x [py91.Players]float64
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		bins, err := r.Protocol.Decide(x)
+		if err != nil {
+			return false, err
+		}
+		var load0, load1 float64
+		for i, b := range bins {
+			if b == model.Bin0 {
+				load0 += x[i]
+			} else {
+				load1 += x[i]
+			}
+		}
+		return load0 <= py91.Capacity && load1 <= py91.Capacity, nil
+	})
 }

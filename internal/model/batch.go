@@ -483,7 +483,7 @@ func (k *BatchKernel) playFusedPCG(pcg *rand.PCG, b int, winbuf []bool) int {
 		for t := range winbuf {
 			l0, l1 := 0.0, 0.0
 			for i, liLo := range lo {
-				x := SrcFloat64(pcg.Uint64())
+				x := srcFloat64(pcg.Uint64())
 				m := math.Float64frombits(math.Float64bits(x) & -(b2u(x >= liLo) & b2u(x <= hi[i])))
 				l0 += m
 				l1 += x - m
@@ -498,7 +498,7 @@ func (k *BatchKernel) playFusedPCG(pcg *rand.PCG, b int, winbuf []bool) int {
 	for t := range winbuf {
 		l0, l1 := 0.0, 0.0
 		for i, liLo := range lo {
-			x := SrcFloat64(pcg.Uint64()) * widths[i]
+			x := srcFloat64(pcg.Uint64()) * widths[i]
 			m := math.Float64frombits(math.Float64bits(x) & -(b2u(x >= liLo) & b2u(x <= hi[i])))
 			l0 += m
 			l1 += x - m
@@ -521,7 +521,7 @@ func (k *BatchKernel) playFusedThPCG(pcg *rand.PCG, b int, winbuf []bool) int {
 		for t := range winbuf {
 			l0, l1 := 0.0, 0.0
 			for _, th := range hi {
-				x := SrcFloat64(pcg.Uint64())
+				x := srcFloat64(pcg.Uint64())
 				m := math.Float64frombits(math.Float64bits(x) & -b2u(x <= th))
 				l0 += m
 				l1 += x - m
@@ -536,7 +536,7 @@ func (k *BatchKernel) playFusedThPCG(pcg *rand.PCG, b int, winbuf []bool) int {
 	for t := range winbuf {
 		l0, l1 := 0.0, 0.0
 		for i, th := range hi {
-			x := SrcFloat64(pcg.Uint64()) * widths[i]
+			x := srcFloat64(pcg.Uint64()) * widths[i]
 			m := math.Float64frombits(math.Float64bits(x) & -b2u(x <= th))
 			l0 += m
 			l1 += x - m
@@ -558,7 +558,7 @@ func (k *BatchKernel) playFusedSrc(src rand.Source, b int, winbuf []bool) int {
 	for t := 0; t < b; t++ {
 		l0, l1 := 0.0, 0.0
 		for i := 0; i < n; i++ {
-			x := SrcFloat64(src.Uint64())
+			x := srcFloat64(src.Uint64())
 			if k.widths != nil {
 				x *= k.widths[i]
 			}
@@ -632,12 +632,12 @@ func (k *BatchKernel) fillRand(sc *BatchScratch, rng *rand.Rand, c int) {
 	}
 }
 
-// SrcFloat64 is the math/rand/v2 Float64 construction applied to a raw
+// srcFloat64 is the math/rand/v2 Float64 construction applied to a raw
 // source draw, for kernels that draw from a concrete *rand.PCG rather
 // than through *rand.Rand. The multiply by 0x1p-53 is bit-identical to the stdlib's
 // division by 2^53 — both are exact scalings of a 53-bit integer — but
 // compiles to MULSD instead of the slower DIVSD.
-func SrcFloat64(u uint64) float64 { return float64(u<<11>>11) * 0x1p-53 }
+func srcFloat64(u uint64) float64 { return float64(u<<11>>11) * 0x1p-53 }
 
 // fillSrc is fillRand drawing from a raw Source (the observed-mode
 // counting wrapper takes this path).
@@ -647,17 +647,17 @@ func (k *BatchKernel) fillSrc(sc *BatchScratch, src rand.Source, c int) {
 	if k.widths == nil {
 		for t := 0; t < c; t++ {
 			for i := 0; i < n+cc; i++ {
-				lanes[i*BatchSize+t] = SrcFloat64(src.Uint64())
+				lanes[i*BatchSize+t] = srcFloat64(src.Uint64())
 			}
 		}
 		return
 	}
 	for t := 0; t < c; t++ {
 		for i := 0; i < n; i++ {
-			lanes[i*BatchSize+t] = SrcFloat64(src.Uint64()) * k.widths[i]
+			lanes[i*BatchSize+t] = srcFloat64(src.Uint64()) * k.widths[i]
 		}
 		for j := n; j < n+cc; j++ {
-			lanes[j*BatchSize+t] = SrcFloat64(src.Uint64())
+			lanes[j*BatchSize+t] = srcFloat64(src.Uint64())
 		}
 	}
 }
@@ -670,17 +670,17 @@ func (k *BatchKernel) fillPCG(sc *BatchScratch, pcg *rand.PCG, c int) {
 	if k.widths == nil {
 		for t := 0; t < c; t++ {
 			for i := 0; i < n+cc; i++ {
-				lanes[i*BatchSize+t] = SrcFloat64(pcg.Uint64())
+				lanes[i*BatchSize+t] = srcFloat64(pcg.Uint64())
 			}
 		}
 		return
 	}
 	for t := 0; t < c; t++ {
 		for i := 0; i < n; i++ {
-			lanes[i*BatchSize+t] = SrcFloat64(pcg.Uint64()) * k.widths[i]
+			lanes[i*BatchSize+t] = srcFloat64(pcg.Uint64()) * k.widths[i]
 		}
 		for j := n; j < n+cc; j++ {
-			lanes[j*BatchSize+t] = SrcFloat64(pcg.Uint64())
+			lanes[j*BatchSize+t] = srcFloat64(pcg.Uint64())
 		}
 	}
 }

@@ -81,42 +81,6 @@ func TestExactClosedFormPoint(t *testing.T) {
 	}
 }
 
-func TestExactMatchesSimulation(t *testing.T) {
-	for i, p := range []*WeightedAverageProtocol{
-		mustWeighted(t, OneWay, 0.62, 0.6, 0.64, 0.3),
-		mustWeighted(t, Broadcast, 0.55, 0.7, 0.7, 0.3),
-		// Cuts clamp at 0 and at 1 inside (0, 1).
-		mustWeighted(t, Broadcast, 0.4, 0.9, 0.2, 0.7),
-		mustWeighted(t, OneWay, 0.8, 0.5, 0.3, 0.95),
-		// Thresholds outside [0, 1].
-		mustWeighted(t, Broadcast, -0.5, 1.4, 0.6, 0.5),
-		mustWeighted(t, OneWay, 1.7, -0.2, 1.3, 0.4),
-		mustWeighted(t, Broadcast, 0.3, 1.2, -0.1, 0.85),
-	} {
-		want := mustExact(t, p)
-		ev, err := Evaluate(p, SimConfig{Trials: 1_000_000, Seed: uint64(40 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ev.P-want) > 4*ev.StdErr {
-			t.Errorf("%s: oracle %v, simulation %v ± %v", p.Name(), want, ev.P, ev.StdErr)
-		}
-	}
-}
-
-func TestExactFullInformationIsThreeQuarters(t *testing.T) {
-	if got := mustExact(t, FullInformationProtocol{}); got != 0.75 {
-		t.Errorf("full information = %v, want 3/4", got)
-	}
-	ev, err := Evaluate(FullInformationProtocol{}, SimConfig{Trials: 1_000_000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ev.P-0.75) > 4*ev.StdErr {
-		t.Errorf("simulation %v ± %v, want 3/4", ev.P, ev.StdErr)
-	}
-}
-
 func TestExactValidation(t *testing.T) {
 	for _, p := range []*WeightedAverageProtocol{
 		{CommPattern: Full, Theta0: 0.5, Theta1: 0.5, Theta2: 0.5},

@@ -32,17 +32,3 @@ func TestOptimizeWeightedGolden(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEvaluate(b *testing.B) {
-	p, err := NewWeightedAverageProtocol(Broadcast, 0.62, 0.9, 0.9, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimConfig{Trials: 400_000, Workers: 1, Seed: 5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(p, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

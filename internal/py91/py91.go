@@ -16,8 +16,9 @@
 // over player 0's input for the weighted averages (exact.go), and 3/4 for
 // full information. OptimizeWeighted tunes the weighted averages on that
 // exact objective, so experiments can chart the value of information
-// against the paper's no-communication optimum. Evaluate is the
-// Monte-Carlo cross-check.
+// against the paper's no-communication optimum. Monte-Carlo runs through
+// the evaluation engine's PY91Rule, which plays Decide on the shared
+// simulator.
 package py91
 
 import (
@@ -75,23 +76,9 @@ func (p Pattern) String() string {
 type Protocol interface {
 	// Name labels the protocol.
 	Name() string
-	// Pattern reports which inputs each player may read.
-	Pattern() Pattern
 	// Decide maps the full input vector to the three bin choices, reading
-	// only the inputs its pattern allows.
+	// only the inputs its communication pattern allows.
 	Decide(x [Players]float64) ([Players]model.Bin, error)
-}
-
-// BatchProtocol is implemented by protocols that can decide many
-// pre-sampled trials in one call, letting the Monte-Carlo evaluator skip
-// the per-trial interface dispatch through Decide. Trial t's inputs are
-// xs[t*Players : (t+1)*Players] (the order they were drawn in), and
-// out[t] receives the three bin choices. Implementations must agree with
-// Decide element for element.
-type BatchProtocol interface {
-	Protocol
-	// DecideBatch decides len(out) trials; len(xs) = len(out)*Players.
-	DecideBatch(xs []float64, out [][Players]model.Bin)
 }
 
 // ThresholdProtocol is the no-communication member of the PY91 family:
@@ -124,9 +111,6 @@ func (p *ThresholdProtocol) Name() string {
 	return fmt.Sprintf("threshold(%.4f,%.4f,%.4f)", p.Theta[0], p.Theta[1], p.Theta[2])
 }
 
-// Pattern implements Protocol.
-func (p *ThresholdProtocol) Pattern() Pattern { return NoCommunication }
-
 // Decide implements Protocol.
 func (p *ThresholdProtocol) Decide(x [Players]float64) ([Players]model.Bin, error) {
 	var out [Players]model.Bin
@@ -138,17 +122,6 @@ func (p *ThresholdProtocol) Decide(x [Players]float64) ([Players]model.Bin, erro
 		}
 	}
 	return out, nil
-}
-
-// DecideBatch implements BatchProtocol.
-func (p *ThresholdProtocol) DecideBatch(xs []float64, out [][Players]model.Bin) {
-	t0, t1, t2 := p.Theta[0], p.Theta[1], p.Theta[2]
-	for t := range out {
-		x := xs[t*Players : t*Players+Players]
-		out[t][0] = binFor(x[0] <= t0)
-		out[t][1] = binFor(x[1] <= t1)
-		out[t][2] = binFor(x[2] <= t2)
-	}
 }
 
 // ExactWinProbability evaluates the threshold protocol exactly through the
@@ -207,9 +180,6 @@ func (p *WeightedAverageProtocol) Name() string {
 		p.CommPattern, p.Theta0, p.Theta1, p.Theta2, p.W)
 }
 
-// Pattern implements Protocol.
-func (p *WeightedAverageProtocol) Pattern() Pattern { return p.CommPattern }
-
 // Decide implements Protocol.
 func (p *WeightedAverageProtocol) Decide(x [Players]float64) ([Players]model.Bin, error) {
 	var out [Players]model.Bin
@@ -221,23 +191,6 @@ func (p *WeightedAverageProtocol) Decide(x [Players]float64) ([Players]model.Bin
 		out[2] = binFor(x[2] <= p.Theta2)
 	}
 	return out, nil
-}
-
-// DecideBatch implements BatchProtocol, hoisting the pattern branch out
-// of the trial loop.
-func (p *WeightedAverageProtocol) DecideBatch(xs []float64, out [][Players]model.Bin) {
-	w, t0, t1, t2 := p.W, p.Theta0, p.Theta1, p.Theta2
-	broadcast := p.CommPattern == Broadcast
-	for t := range out {
-		x := xs[t*Players : t*Players+Players]
-		out[t][0] = binFor(x[0] <= t0)
-		out[t][1] = binFor(w*x[0]+(1-w)*x[1] <= t1)
-		if broadcast {
-			out[t][2] = binFor(w*x[0]+(1-w)*x[2] <= t2)
-		} else {
-			out[t][2] = binFor(x[2] <= t2)
-		}
-	}
 }
 
 func binFor(low bool) model.Bin {
@@ -254,9 +207,6 @@ type FullInformationProtocol struct{}
 
 // Name implements Protocol.
 func (FullInformationProtocol) Name() string { return "full-information" }
-
-// Pattern implements Protocol.
-func (FullInformationProtocol) Pattern() Pattern { return Full }
 
 // Decide implements Protocol. It returns the first feasible assignment in
 // mask order, or the all-but-first split when none is feasible (the
@@ -287,9 +237,7 @@ func (FullInformationProtocol) Decide(x [Players]float64) ([Players]model.Bin, e
 
 // Compile-time interface compliance checks.
 var (
-	_ Protocol      = (*ThresholdProtocol)(nil)
-	_ Protocol      = (*WeightedAverageProtocol)(nil)
-	_ Protocol      = FullInformationProtocol{}
-	_ BatchProtocol = (*ThresholdProtocol)(nil)
-	_ BatchProtocol = (*WeightedAverageProtocol)(nil)
+	_ Protocol = (*ThresholdProtocol)(nil)
+	_ Protocol = (*WeightedAverageProtocol)(nil)
+	_ Protocol = FullInformationProtocol{}
 )

@@ -97,9 +97,9 @@ func CheckTrials(trials int) error {
 // repo-wide policy: 0 selects the default of runtime.GOMAXPROCS(0),
 // negative counts are rejected, and a positive jobs bound clamps the count
 // so no worker sits idle (jobs ≤ 0 means "unbounded"). Every parallel
-// fan-out — sim.Config, py91.Evaluate, engine.Sweep, and the CLI -workers
-// flags — routes through this one helper so defaulting and clamping cannot
-// drift between layers again.
+// fan-out — sim.Config, engine.Sweep and the exact backends' shard count,
+// and through them the CLI -workers flags — routes through this one helper
+// so defaulting and clamping cannot drift between layers again.
 func WorkerCount(requested, jobs int) (int, error) {
 	if requested < 0 {
 		return 0, fmt.Errorf("sim: worker count %d must be non-negative", requested)
