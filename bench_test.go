@@ -81,10 +81,10 @@ func BenchmarkTable5ValueOfInformation(b *testing.B) {
 }
 
 // BenchmarkTable6BeyondThresholds regenerates the T6 extension table
-// (two-interval rule search at grid 256).
+// (two-interval rule search).
 func BenchmarkTable6BeyondThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.TableBeyondThresholds(256); err != nil {
+		if _, err := harness.TableBeyondThresholds(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,10 +244,10 @@ func BenchmarkSymbolicDerivation(b *testing.B) {
 	}
 }
 
-// BenchmarkResponseGridOracle times the grid-convolution winning
-// probability of a band rule at n = 4, grid 1024.
-func BenchmarkResponseGridOracle(b *testing.B) {
-	ev, err := response.NewEvaluator(4, 4.0/3, 1024)
+// BenchmarkResponseOracle times the float64 winning probability of a
+// band rule at n = 4.
+func BenchmarkResponseOracle(b *testing.B) {
+	ev, err := response.NewEvaluator(4, 4.0/3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -55,8 +55,8 @@ func TestEndToEndPaperHeadlines(t *testing.T) {
 
 // TestEndToEndChainOfOracles checks one fixed quantity through every
 // independent computational path the repository has: exact rational,
-// float64 closed form, symbolic piecewise polynomial, grid convolution,
-// and Monte-Carlo simulation.
+// float64 closed form, symbolic piecewise polynomial, the general-rule
+// pattern masses, and Monte-Carlo simulation.
 func TestEndToEndChainOfOracles(t *testing.T) {
 	const n = 3
 	capacity := big.NewRat(1, 1)
@@ -90,8 +90,8 @@ func TestEndToEndChainOfOracles(t *testing.T) {
 	if sym.Cmp(exact) != 0 {
 		t.Errorf("symbolic %v vs exact %v (should be identical rationals)", sym, exact)
 	}
-	// Path 4: grid convolution over the general-rule evaluator.
-	ev, err := response.NewEvaluator(n, 1, 2048)
+	// Path 4: Lemma 2.4 pattern masses in the general-rule evaluator.
+	ev, err := response.NewEvaluator(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestEndToEndChainOfOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(conv-want) > 3e-4 {
-		t.Errorf("convolution %v vs exact %v", conv, want)
+	if math.Abs(conv-want) > 1e-12 {
+		t.Errorf("pattern masses %v vs exact %v", conv, want)
 	}
 	// Path 5: Monte-Carlo.
 	sys, err := engine.SymmetricThreshold{Beta: betaF}.System(problem.Instance{N: n, Delta: 1})

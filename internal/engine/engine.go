@@ -7,7 +7,7 @@
 // Four backends are provided:
 //
 //   - Exact — the per-class analytic oracle (Theorem 4.1 for oblivious
-//     rules, Theorem 5.1 for thresholds, the grid-convolution oracle for
+//     rules, Theorem 5.1 for thresholds, the Lemma 2.4 pattern masses for
 //     interval sets, the conditioned interval-pair evaluation for one-bit
 //     protocols, the closed-form oracles for PY91 protocols);
 //   - MonteCarlo — the sim package's deterministic parallel estimator;
@@ -193,8 +193,7 @@ func (e *Engine) Evaluate(inst Instance, r Rule, backend Backend) (Result, error
 // (instance, rule fingerprint, resolved backend, backend tolerance), where
 // the tolerance is the (Trials, Seed, Workers) triple for Monte-Carlo —
 // the knobs that change the returned bits — and is empty for Exact
-// (rule-level tolerances such as oracle grids are part of the
-// fingerprint). ExactWorkers is deliberately NOT part of the key: the
+// (a rule-level tolerance would be part of the fingerprint). ExactWorkers is deliberately NOT part of the key: the
 // sharded exact backend reduces over a fixed chunk grid in a fixed order,
 // so every worker count returns bit-identical values. Observability
 // settings are likewise excluded: they never change the result, but a

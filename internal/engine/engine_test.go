@@ -104,7 +104,7 @@ func TestExactParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := response.NewEvaluator(3, 1, 2048)
+		ev, err := response.NewEvaluator(3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestExactParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Evaluate(inst, IntervalRule{Set: set, Grid: 2048}, Exact)
+		got, err := e.Evaluate(inst, IntervalRule{Set: set}, Exact)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,6 +311,10 @@ func TestAutoResolution(t *testing.T) {
 // explicit Exact request still refuses and names the cap.
 func TestAutoFallsThroughPlayerCap(t *testing.T) {
 	cfg := sim.Config{Trials: 2000, Seed: 3, Workers: 1}
+	band, err := response.NewIntervalSet([]response.Interval{{Lo: 0.3, Hi: 0.75}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		inst Instance
@@ -320,6 +324,7 @@ func TestAutoFallsThroughPlayerCap(t *testing.T) {
 		{"symmetric threshold", mustInstance(t, 30, 10), SymmetricThreshold{Beta: 0.5}, "limited to 25 players"},
 		{"hetero oblivious", mustInstancePi(t, 22, 7, append([]float64{0.5}, repeated(1, 21)...)), SymmetricOblivious{A: 0.5}, "limited to 20 players"},
 		{"one-bit broadcast", mustInstance(t, 11, 11.0/3), OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, "limited to 10 players"},
+		{"interval rule", mustInstance(t, 13, 13.0/3), IntervalRule{Set: band}, "limited to 12 players"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -126,13 +126,10 @@ func (f ThresholdVectorFamily) Rule(inst Instance, params []float64) (Rule, erro
 // IntervalFamily is the symmetric interval-set family: 2K free endpoints in
 // [0, 1], sorted and paired into K bin-0 intervals (overlapping or touching
 // pairs merge, so the family continuously covers unions of fewer than K
-// intervals too). Evaluated by the grid-convolution oracle at the Grid
-// resolution.
+// intervals too). Evaluated exactly by IntervalRule's oracle.
 type IntervalFamily struct {
 	// K is the number of intervals (2K parameters).
 	K int
-	// Grid is the oracle resolution; 0 selects DefaultOracleGrid.
-	Grid int
 }
 
 // Name implements RuleFamily.
@@ -171,7 +168,7 @@ func (f IntervalFamily) Rule(inst Instance, params []float64) (Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return IntervalRule{Set: set, Grid: f.Grid}, nil
+	return IntervalRule{Set: set}, nil
 }
 
 // FamilyForKind maps the CLI/HTTP spelling of an optimization kind onto its

@@ -253,7 +253,7 @@ func TestOptimizeObliviousFamily(t *testing.T) {
 
 func TestIntervalFamily(t *testing.T) {
 	inst := optInstance(t, 3, 1, nil)
-	fam := IntervalFamily{K: 2, Grid: 512}
+	fam := IntervalFamily{K: 2}
 	lo, hi, err := fam.Bounds(inst)
 	if err != nil {
 		t.Fatalf("Bounds: %v", err)

@@ -39,7 +39,7 @@ type Rule interface {
 }
 
 // ExactOpts is implemented by rules with an analytic oracle (Theorem 4.1,
-// Theorem 5.1, the grid-convolution oracle, the interval-pair
+// Theorem 5.1, the interval-set pattern masses, the interval-pair
 // conditioning of one-bit protocols, the PY91 protocol oracles). The
 // engine passes its resolved ExactWorkers and observer: the oblivious and
 // threshold families shard their subset enumerations across workers with
@@ -314,21 +314,12 @@ func (r Threshold) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Ob
 // ---------------------------------------------------------------------------
 // Interval-set response rules (beyond-threshold deterministic rules)
 
-// DefaultOracleGrid is the grid resolution the interval-set oracle uses
-// when IntervalRule.Grid is zero. It matches the resolution the beyond
-// example and harness extensions were using before the engine existed.
-const DefaultOracleGrid = 4096
-
 // IntervalRule is the symmetric deterministic rule whose bin-0 region is
 // an arbitrary finite union of intervals, evaluated exactly by the
-// grid-convolution oracle.
+// response package's Lemma 2.4 pattern masses.
 type IntervalRule struct {
 	// Set is the bin-0 region S ⊆ [0, 1].
 	Set response.IntervalSet
-	// Grid is the oracle resolution (cells per unit); 0 selects
-	// DefaultOracleGrid. It is part of the fingerprint because it bounds
-	// the oracle's discretization error.
-	Grid int
 }
 
 // Name implements Rule.
@@ -341,14 +332,7 @@ func (r IntervalRule) Fingerprint() string {
 	for i, iv := range ivs {
 		parts[i] = fbits(iv.Lo) + "-" + fbits(iv.Hi)
 	}
-	return "ivl:" + strings.Join(parts, ",") + ";g=" + strconv.Itoa(r.grid())
-}
-
-func (r IntervalRule) grid() int {
-	if r.Grid <= 0 {
-		return DefaultOracleGrid
-	}
-	return r.Grid
+	return "ivl:" + strings.Join(parts, ",")
 }
 
 // System implements Rule. Heterogeneous instances are allowed — inputs
@@ -362,14 +346,14 @@ func (r IntervalRule) System(inst Instance) (*model.System, error) {
 	return model.UniformSystemPi(inst.N, rule, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbabilityOpts implements ExactOpts through the
-// grid-convolution oracle. The oracle discretizes U[0,1] inputs, so
-// heterogeneous instances are rejected here (simulate them instead).
+// ExactWinProbabilityOpts implements ExactOpts through the interval-set
+// oracle. The oracle assumes U[0,1] inputs, so heterogeneous instances are
+// rejected here (simulate them instead).
 func (r IntervalRule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
 	if err := homogeneousOnly(inst, "the interval-set oracle"); err != nil {
 		return 0, err
 	}
-	ev, err := response.NewEvaluator(inst.N, inst.Delta, r.grid())
+	ev, err := response.NewEvaluator(inst.N, inst.Delta)
 	if err != nil {
 		return 0, err
 	}

@@ -369,10 +369,7 @@ func TableNonUniformInputs() (Table, error) {
 // instance and reports whether leaving the single-threshold family helps.
 // The headline reproduction finding: at n=4, δ=4/3 a middle-band rule
 // beats both the optimal threshold AND the oblivious coin.
-func TableBeyondThresholds(grid int) (Table, error) {
-	if grid <= 0 {
-		grid = 512
-	}
+func TableBeyondThresholds() (Table, error) {
 	t := Table{
 		ID:      "T6",
 		Title:   "Beyond single thresholds: two-interval rules (extension)",
@@ -392,7 +389,18 @@ func TableBeyondThresholds(grid int) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		ev, err := response.NewEvaluator(c.n, cf, grid)
+		ev, err := response.NewEvaluator(c.n, cf)
+		if err != nil {
+			return Table{}, err
+		}
+		// The exact threshold optimum [0, β*] is a candidate, and the
+		// improvement is measured against the oracle's own value there, so
+		// it is ≥ 0 by construction.
+		thr, err := response.Threshold(exactOpt.BetaFloat)
+		if err != nil {
+			return Table{}, err
+		}
+		thrP, err := ev.WinProbability(thr)
 		if err != nil {
 			return Table{}, err
 		}
@@ -400,17 +408,20 @@ func TableBeyondThresholds(grid int) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
+		if double.WinProbability < thrP {
+			double = response.OptimizeResult{Set: thr, WinProbability: thrP}
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", c.n),
 			c.capacity.RatString(),
 			fmt.Sprintf("%.6f", exactOpt.WinProbabilityFloat),
 			fmt.Sprintf("%.6f", double.WinProbability),
 			double.Set.String(),
-			fmt.Sprintf("%+.6f", double.WinProbability-exactOpt.WinProbabilityFloat),
+			fmt.Sprintf("%+.6f", double.WinProbability-thrP),
 		})
 	}
 	t.Notes = append(t.Notes,
-		"Two-interval values come from the grid-convolution oracle (O(1/grid²) accuracy) and are simulation-verified in tests.",
+		"Two-interval values come from the exact Lemma 2.4 pattern-mass oracle (float64, checked against big.Rat in tests); the improvement is over that oracle's value at the exact threshold optimum [0, β*].",
 		"n=3: the search collapses back to [0, 0.622] — the paper's single-threshold restriction is lossless there.",
 		"n=4: the middle band beats the threshold optimum AND the oblivious coin; single thresholds are not optimal in the full §3 model.",
 	)

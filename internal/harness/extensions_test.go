@@ -2,10 +2,13 @@ package harness
 
 import (
 	"math"
+	"math/big"
 	"strconv"
 	"testing"
 
+	"repro/internal/nonoblivious"
 	"repro/internal/py91"
+	"repro/internal/response"
 	"repro/internal/sim"
 )
 
@@ -77,7 +80,7 @@ func TestFigure3Validation(t *testing.T) {
 }
 
 func TestTableBeyondThresholds(t *testing.T) {
-	tab, err := TableBeyondThresholds(192) // coarse grid: shape checks only
+	tab, err := TableBeyondThresholds()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +93,42 @@ func TestTableBeyondThresholds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parsing %q: %v", row[5], err)
 		}
+		if v < 0 {
+			t.Errorf("row %d: improvement %v < 0 over the threshold optimum", i, v)
+		}
 		improvements[i] = v
 	}
-	// n=3: no improvement beyond grid noise; n=4: the band rule improves
-	// by ≈ +0.05.
-	if math.Abs(improvements[0]) > 5e-3 {
-		t.Errorf("n=3 improvement = %v, want ≈ 0 (threshold optimal)", improvements[0])
+	// n=3: the search collapses onto the threshold optimum; n=4: the
+	// band rule improves by ≈ +0.05.
+	if got := tab.Rows[0][4]; got != "[0.0000, 0.6220]" {
+		t.Errorf("n=3 region = %q, want [0.0000, 0.6220]", got)
+	}
+	if improvements[0] != 0 {
+		t.Errorf("n=3 improvement = %v, want 0 (threshold optimal)", improvements[0])
 	}
 	if improvements[1] < 0.03 {
 		t.Errorf("n=4 improvement = %v, want ≈ +0.05 (band rule)", improvements[1])
+	}
+	// The oracle the improvements are measured against reproduces the
+	// exact §5.2 optimum at [0, β*].
+	opt, err := nonoblivious.OptimalSymmetric(3, big.NewRat(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := response.NewEvaluator(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thr, err := response.Threshold(opt.BetaFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ev.WinProbability(thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(p-opt.WinProbabilityFloat) > 1e-12 {
+		t.Errorf("oracle at [0, β*] = %v, exact P* = %v", p, opt.WinProbabilityFloat)
 	}
 }
 

@@ -82,7 +82,7 @@ func Registry() map[string]Experiment {
 			ID: "T6", Kind: KindTable,
 			Title: "Beyond single thresholds: two-interval rules (extension)",
 			RunTable: func(Params) (Table, error) {
-				return TableBeyondThresholds(512)
+				return TableBeyondThresholds()
 			},
 		},
 		"T7": {

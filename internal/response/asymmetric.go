@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/combin"
-	"repro/internal/dist"
 )
 
 // WinProbabilityVector evaluates the fully general deterministic
@@ -19,48 +18,14 @@ import (
 // Cost grows as 2^n × Π(intervals per player), so n is capped at 10 and
 // each player's region at 4 intervals.
 func WinProbabilityVector(sets []IntervalSet, capacity float64) (float64, error) {
-	n := len(sets)
-	if n < 2 {
-		return 0, fmt.Errorf("response: need at least 2 players, got %d", n)
-	}
-	if n > 10 {
-		return 0, fmt.Errorf("response: vector evaluation limited to 10 players, got %d", n)
-	}
-	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
-	}
-	complements := make([]IntervalSet, n)
+	complements := make([]IntervalSet, len(sets))
 	for i, s := range sets {
 		if len(s.intervals) > 4 {
 			return 0, fmt.Errorf("response: player %d has %d intervals, max 4", i, len(s.intervals))
 		}
 		complements[i] = s.Complement()
 	}
-	var total combin.Accumulator
-	zeroSets := make([]IntervalSet, 0, n)
-	oneSets := make([]IntervalSet, 0, n)
-	err := combin.ForEachSubset(n, func(b uint64) bool {
-		zeroSets = zeroSets[:0]
-		oneSets = oneSets[:0]
-		for i := 0; i < n; i++ {
-			if b&(1<<uint(i)) == 0 {
-				zeroSets = append(zeroSets, sets[i])
-			} else {
-				oneSets = append(oneSets, complements[i])
-			}
-		}
-		m0 := jointMass(zeroSets, capacity)
-		if m0 == 0 {
-			return true
-		}
-		m1 := jointMass(oneSets, capacity)
-		total.Add(m0 * m1)
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	return clamp01(total.Sum()), nil
+	return vectorWin(sets, complements, capacity)
 }
 
 // WinProbabilityVectorPairs evaluates the most general event this package
@@ -74,20 +39,10 @@ func WinProbabilityVector(sets []IntervalSet, capacity float64) (float64, error)
 // P(all inputs covered ∧ Σ₀ ≤ δ ∧ Σ₁ ≤ δ); summing it over a partition of
 // conditioning events yields a protocol's total winning probability.
 func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
-	n := len(bin0)
-	if n < 2 {
-		return 0, fmt.Errorf("response: need at least 2 players, got %d", n)
+	if len(bin1) != len(bin0) {
+		return 0, fmt.Errorf("response: %d bin-0 regions but %d bin-1 regions", len(bin0), len(bin1))
 	}
-	if len(bin1) != n {
-		return 0, fmt.Errorf("response: %d bin-0 regions but %d bin-1 regions", n, len(bin1))
-	}
-	if n > 10 {
-		return 0, fmt.Errorf("response: vector evaluation limited to 10 players, got %d", n)
-	}
-	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
-	}
-	for i := 0; i < n; i++ {
+	for i := range bin0 {
 		if len(bin0[i].intervals) > 4 || len(bin1[i].intervals) > 4 {
 			return 0, fmt.Errorf("response: player %d exceeds 4 intervals per region", i)
 		}
@@ -99,6 +54,23 @@ func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (floa
 				}
 			}
 		}
+	}
+	return vectorWin(bin0, bin1, capacity)
+}
+
+// vectorWin sums, over every decision vector b, the joint mass of the
+// bin-0 players in their bin0 regions times that of the bin-1 players in
+// their bin1 regions, each with a fitting sum.
+func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
+	n := len(bin0)
+	if n < 2 {
+		return 0, fmt.Errorf("response: need at least 2 players, got %d", n)
+	}
+	if n > 10 {
+		return 0, fmt.Errorf("response: vector evaluation limited to 10 players, got %d", n)
+	}
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return 0, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
 	}
 	var total combin.Accumulator
 	zeroSets := make([]IntervalSet, 0, n)
@@ -129,7 +101,7 @@ func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (floa
 
 // jointMass returns P(x_i ∈ regions[i] for all i, Σ x_i ≤ capacity) for
 // independent U[0,1] inputs, by summing over the interval pattern each
-// input selects.
+// input selects the box volume of the shifted Lemma 2.4 event.
 func jointMass(regions []IntervalSet, capacity float64) float64 {
 	m := len(regions)
 	if m == 0 {
@@ -137,36 +109,24 @@ func jointMass(regions []IntervalSet, capacity float64) float64 {
 	}
 	var acc combin.Accumulator
 	widths := make([]float64, m)
-	pattern := make([]int, m)
-	var recurse func(idx int, lowSum, volume float64)
-	recurse = func(idx int, lowSum, volume float64) {
-		if volume == 0 {
-			return
-		}
+	ones := make([]int, m)
+	for i := range ones {
+		ones[i] = 1
+	}
+	var recurse func(idx int, lowSum float64)
+	recurse = func(idx int, lowSum float64) {
 		if idx == m {
-			shifted := capacity - lowSum
-			if shifted <= 0 {
-				return
-			}
-			// Widths may contain zeros for degenerate intervals; those
-			// were filtered out by the volume check (volume would be 0).
-			u, err := dist.NewUniformSum(widths)
-			if err != nil {
-				return
-			}
-			acc.Add(volume * u.CDF(shifted))
+			acc.Add(boxVolume(widths, ones, capacity-lowSum))
 			return
 		}
-		for j, iv := range regions[idx].intervals {
-			w := iv.Hi - iv.Lo
-			if w <= 0 {
-				continue
+		for _, iv := range regions[idx].intervals {
+			// Zero-width intervals carry no mass.
+			if w := iv.Hi - iv.Lo; w > 0 {
+				widths[idx] = w
+				recurse(idx+1, lowSum+iv.Lo)
 			}
-			pattern[idx] = j
-			widths[idx] = w
-			recurse(idx+1, lowSum+iv.Lo, volume*w)
 		}
 	}
-	recurse(0, 0, 1)
+	recurse(0, 0)
 	return acc.Sum()
 }

@@ -3,9 +3,6 @@ package response
 import (
 	"fmt"
 	"math/big"
-
-	"repro/internal/combin"
-	"repro/internal/dist"
 )
 
 // RatInterval is a closed rational subinterval [Lo, Hi] of [0, 1].
@@ -74,7 +71,7 @@ func (s RatIntervalSet) Complement() RatIntervalSet {
 }
 
 // Float converts to the float64 IntervalSet (for the simulator and the
-// grid oracle).
+// float oracle).
 func (s RatIntervalSet) Float() (IntervalSet, error) {
 	out := make([]Interval, len(s.intervals))
 	for i, iv := range s.intervals {
@@ -94,13 +91,15 @@ func (s RatIntervalSet) Float() (IntervalSet, error) {
 // joint event to the Lemma 2.4 CDF with per-player widths and a shifted
 // capacity:
 //
-//	N(m) = Σ_{k_1+..+k_r = m} multinomial(m; k) ·
+//	N(m) = Σ_{k_1+..+k_r = m} multinomial(m; k) · Π_j w_j^{k_j} ·
 //	        F_{widths(k)}(δ - Σ_j k_j·lo_j),
 //
 // where width w_j = hi_j - lo_j appears k_j times. The winning probability
 // is then Theorem 5.1's Σ_k C(n,k) N₀(n-k) N₁(k) with N₀ over s and N₁
 // over its complement. Degenerate intervals (zero width) carry zero mass
-// and are skipped.
+// and are skipped. It is the uniform-density case of
+// ExactWinProbabilityDist, with the larger player cap the single-piece
+// density allows.
 func ExactWinProbability(n int, capacity *big.Rat, s RatIntervalSet) (*big.Rat, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("response: need at least 2 players, got %d", n)
@@ -111,108 +110,5 @@ func ExactWinProbability(n int, capacity *big.Rat, s RatIntervalSet) (*big.Rat, 
 	if capacity == nil || capacity.Sign() <= 0 {
 		return nil, fmt.Errorf("response: capacity must be strictly positive")
 	}
-	n0, err := exactMasses(n, capacity, s)
-	if err != nil {
-		return nil, err
-	}
-	n1, err := exactMasses(n, capacity, s.Complement())
-	if err != nil {
-		return nil, err
-	}
-	total := new(big.Rat)
-	term := new(big.Rat)
-	for k := 0; k <= n; k++ {
-		c, err := combin.BinomialBig(n, k)
-		if err != nil {
-			return nil, err
-		}
-		term.SetInt(c)
-		term.Mul(term, n0[n-k])
-		term.Mul(term, n1[k])
-		total.Add(total, term)
-	}
-	return total, nil
-}
-
-// exactMasses returns N(m) for m = 0..n: the probability that m
-// independent U[0,1] inputs all land in the region AND their sum stays at
-// most the capacity.
-func exactMasses(n int, capacity *big.Rat, s RatIntervalSet) ([]*big.Rat, error) {
-	// Drop zero-width intervals: they carry no probability mass.
-	var ivs []RatInterval
-	for _, iv := range s.intervals {
-		if iv.Lo.Cmp(iv.Hi) < 0 {
-			ivs = append(ivs, iv)
-		}
-	}
-	out := make([]*big.Rat, n+1)
-	out[0] = big.NewRat(1, 1)
-	r := len(ivs)
-	if r == 0 {
-		for m := 1; m <= n; m++ {
-			out[m] = new(big.Rat)
-		}
-		return out, nil
-	}
-	widths := make([]*big.Rat, r)
-	for j, iv := range ivs {
-		widths[j] = new(big.Rat).Sub(iv.Hi, iv.Lo)
-	}
-	for m := 1; m <= n; m++ {
-		total := new(big.Rat)
-		var innerErr error
-		err := combin.ForEachComposition(m, r, func(parts []int) bool {
-			// Assemble the width multiset and the shifted capacity.
-			var ws []*big.Rat
-			shifted := new(big.Rat).Set(capacity)
-			tmp := new(big.Rat)
-			for j, kj := range parts {
-				for c := 0; c < kj; c++ {
-					ws = append(ws, widths[j])
-				}
-				tmp.SetInt64(int64(kj))
-				tmp.Mul(tmp, ivs[j].Lo)
-				shifted.Sub(shifted, tmp)
-			}
-			// Joint probability: multinomial ways are NOT needed —
-			// the players are distinguishable and each lands in a fixed
-			// interval pattern; summing over ordered assignments means
-			// multiplying the unordered composition by the multinomial
-			// count.
-			mult, err := combin.Multinomial(parts...)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			var cdf *big.Rat
-			if shifted.Sign() <= 0 {
-				cdf = new(big.Rat)
-			} else {
-				cdf, err = dist.CDFRat(ws, shifted)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-			}
-			// Probability that a specific ordered pattern occurs and the
-			// sum fits: Π w_j^{k_j} × conditionalCDF — but CDFRat already
-			// integrates the volume ratio; the joint mass is the volume
-			// itself: Π widths × CDF.
-			mass := new(big.Rat).SetInt64(mult)
-			for _, w := range ws {
-				mass.Mul(mass, w)
-			}
-			mass.Mul(mass, cdf)
-			total.Add(total, mass)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if innerErr != nil {
-			return nil, innerErr
-		}
-		out[m] = total
-	}
-	return out, nil
+	return exactWin(n, capacity, s, UniformDensity())
 }

@@ -3,6 +3,8 @@ package response
 import (
 	"math"
 	"math/big"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/nonoblivious"
@@ -101,9 +103,9 @@ func TestExactWinProbabilityMatchesThresholdTheory(t *testing.T) {
 	}
 }
 
-func TestExactWinProbabilityBandMatchesGridOracle(t *testing.T) {
-	// The n=4 band finding, now in exact arithmetic: the grid-convolution
-	// value must agree to its stated accuracy.
+func TestExactWinProbabilityBandMatchesFloatOracle(t *testing.T) {
+	// The n=4 band finding, in exact arithmetic: the float oracle must
+	// agree to rounding.
 	band, err := NewRatIntervalSet([]RatInterval{ri(rr(327, 1000), rr(742, 1000))})
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +119,16 @@ func TestExactWinProbabilityBandMatchesGridOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(4, 4.0/3, 2048)
+	ev, err := NewEvaluator(4, 4.0/3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := ev.WinProbability(fb)
+	float, err := ev.WinProbability(fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(grid-ef) > 5e-4 {
-		t.Errorf("grid %v vs exact %v", grid, ef)
+	if math.Abs(float-ef) > 1e-12 {
+		t.Errorf("float %v vs exact %v", float, ef)
 	}
 	// The finding itself, certified: the band beats both paper classes.
 	if !(ef > 0.431328) {
@@ -205,5 +207,55 @@ func TestExactWinProbabilityValidation(t *testing.T) {
 	}
 	if _, err := ExactWinProbability(3, rr(0, 1), s); err == nil {
 		t.Error("zero capacity: expected error")
+	}
+}
+
+// TestWinProbabilityMatchesExactProperty checks the float kernel against
+// the big.Rat oracle on seeded random rational sets: one to three
+// intervals with endpoints on the 1/60 lattice, some shrunk to slivers
+// 2⁻²⁰ wide, n ∈ [2, 12] and δ = j/3 up to 2n/3.
+func TestWinProbabilityMatchesExactProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 0x0ac1e))
+	sliver := rr(1, 1<<20)
+	for trial := 0; trial < 24; trial++ {
+		n := 2 + rng.IntN(11)
+		capacity := rr(int64(1+rng.IntN(2*n)), 3)
+		k := 1 + rng.IntN(3)
+		ends := rng.Perm(61)[:2*k]
+		slices.Sort(ends)
+		ivs := make([]RatInterval, k)
+		for i := range ivs {
+			lo := rr(int64(ends[2*i]), 60)
+			hi := rr(int64(ends[2*i+1]), 60)
+			if rng.IntN(3) == 0 {
+				hi = new(big.Rat).Add(lo, sliver)
+			}
+			ivs[i] = ri(lo, hi)
+		}
+		s, err := NewRatIntervalSet(ivs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ExactWinProbability(n, capacity, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := exact.Float64()
+		fs, err := s.Float()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, _ := capacity.Float64()
+		ev, err := NewEvaluator(n, cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ev.WinProbability(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("n=%d δ=%v S=%v: float %v vs exact %v (diff %.3g)", n, capacity, fs, got, want, got-want)
+		}
 	}
 }

@@ -11,15 +11,14 @@ import (
 type OptimizeResult struct {
 	// Set is the best bin-0 region found.
 	Set IntervalSet
-	// WinProbability is its winning probability under the evaluator's
-	// grid.
+	// WinProbability is its winning probability under the evaluator.
 	WinProbability float64
 }
 
 // OptimizeThreshold maximizes over the paper's single-threshold family
-// S = [0, β] using golden-section search on the evaluator's grid oracle.
-// It exists mainly as a consistency anchor: its result must match the
-// exact §5.2 optimum to within grid accuracy.
+// S = [0, β] using golden-section search on the evaluator. It exists
+// mainly as a consistency anchor: its result must match the exact §5.2
+// optimum to within the search tolerance.
 func (e *Evaluator) OptimizeThreshold() (OptimizeResult, error) {
 	obj := func(beta float64) float64 {
 		s, err := Threshold(beta)
@@ -46,9 +45,10 @@ func (e *Evaluator) OptimizeThreshold() (OptimizeResult, error) {
 // OptimizeTwoInterval maximizes over bin-0 regions of the form
 // [0, a] ∪ [b, c] with 0 ≤ a ≤ b ≤ c ≤ 1 — the smallest family that
 // strictly contains the paper's single thresholds (a = β, b = c collapses
-// the second interval). A Nelder-Mead search from several starts probes
-// whether leaving the single-threshold family helps; the single-threshold
-// optimum is always a candidate, so the result never falls below it.
+// the second interval; a = 0 drops the first). A Nelder-Mead search from
+// several starts probes whether leaving the single-threshold family
+// helps; the single-threshold optimum is always a candidate, so the result
+// never falls below it.
 func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 	setFrom := func(v []float64) (IntervalSet, error) {
 		a := clamp01(v[0])
@@ -59,6 +59,9 @@ func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 		}
 		if a > b {
 			a = b
+		}
+		if a == 0 {
+			return NewIntervalSet([]Interval{{b, c}})
 		}
 		return NewIntervalSet([]Interval{{0, a}, {b, c}})
 	}
@@ -89,7 +92,10 @@ func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 		{0.3, 0.6, 0.8},                // middle band
 		{0.1, 0.45, 0.65},              // two low bands
 	}
-	lo := []float64{0, 0, 0}
+	// a's box extends below 0, where setFrom clamps it to 0: the search can
+	// then reach the single band [b, c] instead of stalling a sliver above
+	// a bound whose exterior penalty starts at 0.
+	lo := []float64{-1, 0, 0}
 	hi := []float64{1, 1, 1}
 	for _, start := range starts {
 		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.1, 3000, 1e-10)

@@ -12,11 +12,13 @@
 //
 // where N₀(m) is the defective m-fold convolution mass
 // P(x_1..x_m ∈ S, Σ x_i ≤ δ) and N₁ its complement analogue. This package
-// represents S as a finite union of intervals and evaluates the
-// convolutions numerically on a uniform grid, giving a winning-probability
-// oracle for rules far outside the paper's single-threshold family — and a
-// way to test whether that family is actually optimal (see
-// OptimizeTwoInterval and EXPERIMENTS.md).
+// represents S as a finite union of intervals. Conditioned on the interval
+// each input falls into, the inputs are uniform on their intervals, so
+// every N(m) is a finite sum of Lemma 2.4 box volumes — evaluated in
+// float64 by Evaluator and in exact rationals by ExactWinProbability. That
+// gives a winning-probability oracle for rules far outside the paper's
+// single-threshold family — and a way to test whether that family is
+// actually optimal (see OptimizeTwoInterval and EXPERIMENTS.md).
 //
 // Since the winning probability is linear in each player's response
 // function with the others fixed, some deterministic rule is always
@@ -177,20 +179,20 @@ func (s IntervalSet) String() string {
 	return out
 }
 
-// Evaluator computes winning probabilities of symmetric interval-set rules
-// by grid convolution. Construct once per (n, capacity, grid) and reuse
-// across candidate sets — optimization loops evaluate thousands of sets.
+// Evaluator computes winning probabilities of symmetric interval-set and
+// step rules through Theorem 5.1's factorization, with every N(m) a sum of
+// Lemma 2.4 box volumes in float64 — the float twin of
+// ExactWinProbability. Construct once per (n, capacity) and reuse across
+// candidate sets — optimization loops evaluate thousands of sets.
 type Evaluator struct {
 	n        int
 	capacity float64
-	grid     int     // samples per unit interval
-	h        float64 // grid spacing = 1/grid
+	row      []float64 // C(n, k) for k = 0..n
 }
 
-// NewEvaluator validates the parameters. grid controls accuracy: the
-// convolution error is O(1/grid²); 512 gives ≈ 1e-5 on the paper's
-// instances.
-func NewEvaluator(n int, capacity float64, grid int) (*Evaluator, error) {
+// NewEvaluator validates the parameters. The exact domain is n ≤ 12
+// players; larger n is refused with a problem.PlayerCapError.
+func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("response: need at least 2 players, got %d", n)
 	}
@@ -200,190 +202,122 @@ func NewEvaluator(n int, capacity float64, grid int) (*Evaluator, error) {
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return nil, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
 	}
-	if grid < 16 || grid > 1<<16 {
-		return nil, fmt.Errorf("response: grid %d outside [16, 65536]", grid)
+	row, err := combin.PascalRow(n)
+	if err != nil {
+		return nil, err
 	}
-	return &Evaluator{n: n, capacity: capacity, grid: grid, h: 1.0 / float64(grid)}, nil
-}
-
-// density samples the indicator of the set on the evaluator's grid using
-// midpoint sampling with partial-cell weights (exact for interval
-// endpoints aligned or not).
-func (e *Evaluator) density(s IntervalSet) []float64 {
-	d := make([]float64, e.grid)
-	for _, iv := range s.intervals {
-		// Weight each cell by the overlap fraction.
-		loCell := int(iv.Lo * float64(e.grid))
-		hiCell := int(iv.Hi * float64(e.grid))
-		if hiCell >= e.grid {
-			hiCell = e.grid - 1
-		}
-		for c := loCell; c <= hiCell; c++ {
-			cellLo := float64(c) * e.h
-			cellHi := cellLo + e.h
-			overlap := math.Min(iv.Hi, cellHi) - math.Max(iv.Lo, cellLo)
-			if overlap > 0 {
-				d[c] += overlap / e.h
-			}
-		}
-	}
-	for i, v := range d {
-		if v > 1 {
-			d[i] = 1
-		}
-	}
-	return d
-}
-
-// weight is the fraction of cell i of a generation-m density (halfGen =
-// m/2) that lies below the capacity, before clamping to 1. Sample i of an
-// m-fold convolution sits at position (i + m/2)·h and represents mass
-// d[i]·h spread over a width-h cell centred there. Cell positions are
-// non-negative and increase with i, so the weight never increases with i.
-func (e *Evaluator) weight(i int, halfGen float64) float64 {
-	center := (float64(i) + halfGen) * e.h
-	cellLo := center - e.h/2
-	return (e.capacity - cellLo) / e.h
-}
-
-// cutoff returns the number of leading cells of a generation-m density
-// that carry weight below the capacity: weight(i) > 0 exactly for
-// i < cutoff(m), capped at the m-fold convolution's length m·(grid-1)+1.
-// It is decided by the same float expression massBelow weights with, so
-// the two cannot disagree about the last cell.
-func (e *Evaluator) cutoff(m int) int {
-	limit := m*(e.grid-1) + 1
-	halfGen := float64(m) / 2
-	// weight(i) > 0 ⇔ i < δ·grid - (m-1)/2 in exact arithmetic; start
-	// there and settle on the float predicate.
-	k := limit
-	if est := e.capacity*float64(e.grid) - (halfGen - 0.5); est < float64(limit) {
-		k = max(0, int(est))
-	}
-	for k > 0 && e.weight(k-1, halfGen) <= 0 {
-		k--
-	}
-	for k < limit && e.weight(k, halfGen) > 0 {
-		k++
-	}
-	return k
-}
-
-// massBelow returns the total mass of the (defective) generation-m
-// density below the capacity; the boundary cell is weighted by its
-// overlap with (-∞, δ]. d holds at most cutoff(m) cells, every one of
-// them with positive weight, so d may be a prefix of the convolution.
-func (e *Evaluator) massBelow(d []float64, m int) float64 {
-	var acc combin.Accumulator
-	halfGen := float64(m) / 2
-	for i, v := range d {
-		if v == 0 {
-			continue
-		}
-		acc.Add(v * min(e.weight(i, halfGen), 1))
-	}
-	return acc.Sum() * e.h
+	return &Evaluator{n: n, capacity: capacity, row: row}, nil
 }
 
 // WinProbability evaluates the symmetric rule with bin-0 region s:
 //
 //	P = Σ_k C(n,k) N₀(n-k) N₁(k),
 //
-// with N₀(m) = P(all of x_1..x_m in S, Σ ≤ δ) computed by m-fold grid
-// convolution of the indicator density of S, and N₁ likewise on the
-// complement.
+// with N₀(m) = P(all of x_1..x_m in S, Σ ≤ δ) and N₁ likewise on the
+// complement. Conditioned on which interval each input falls into, the
+// inputs are independent uniforms on those intervals, so N(m) is a sum
+// over the compositions k of m across the intervals:
+//
+//	N(m) = Σ_k multinomial(m; k) · vol(widths(k), δ - Σ_j k_j·lo_j),
+//
+// where vol is the Lemma 2.4 box volume (see boxVolume) with width
+// w_j = hi_j - lo_j repeated k_j times.
 func (e *Evaluator) WinProbability(s IntervalSet) (float64, error) {
-	f0 := e.density(s)
-	f1 := e.density(s.Complement())
-	n0 := e.partialMasses(f0)
-	n1 := e.partialMasses(f1)
-	row, err := combin.PascalRow(e.n)
-	if err != nil {
-		return 0, err
-	}
+	return e.combine(e.intervalMasses(s), e.intervalMasses(s.Complement())), nil
+}
+
+// combine is Theorem 5.1's Σ_k C(n,k) N₀(n-k) N₁(k), clamped to [0, 1].
+func (e *Evaluator) combine(n0, n1 []float64) float64 {
 	var acc combin.Accumulator
 	for k := 0; k <= e.n; k++ {
-		acc.Add(row[k] * n0[e.n-k] * n1[k])
+		acc.Add(e.row[k] * n0[e.n-k] * n1[k])
 	}
-	p := acc.Sum()
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
+	return clamp01(acc.Sum())
 }
 
-// partialMasses returns N(m) for m = 0..n where N(m) is the mass of the
-// m-fold self-convolution of d below the capacity; N(0) = 1.
-//
-// Generation m is computed only over its first cutoff(m) cells, the ones
-// massBelow weights. Cell positions are non-negative, so output cell k of
-// cur*d depends on cur[0..k] alone and the prefix is exact; and a cell's
-// weight never grows with the generation, so cutoff(m+1) ≤ cutoff(m)
-// whenever generation m is truncated at all. The inner loop walks only
-// the nonzero runs of d: a skipped term is an exact zero, and every
-// output cell still adds its products in ascending order of cur's index
-// before the final ×h, so the result is bit-identical to the full
-// convolution.
-func (e *Evaluator) partialMasses(d []float64) []float64 {
+// intervalMasses returns N(m) for m = 0..n over the region s. Zero-width
+// intervals carry no mass and are skipped.
+func (e *Evaluator) intervalMasses(s IntervalSet) []float64 {
+	var lo, w []float64
+	for _, iv := range s.intervals {
+		if iv.Hi > iv.Lo {
+			lo = append(lo, iv.Lo)
+			w = append(w, iv.Hi-iv.Lo)
+		}
+	}
 	out := make([]float64, e.n+1)
 	out[0] = 1
-	runs := nonzeroRuns(d)
-	cur := d[:min(len(d), e.cutoff(1))]
+	if len(w) == 0 {
+		return out
+	}
 	for m := 1; m <= e.n; m++ {
-		out[m] = e.massBelow(cur, m)
-		if m < e.n {
-			cur = e.convolvePrefix(cur, d, runs, e.cutoff(m+1))
-		}
+		var acc combin.Accumulator
+		// m ≤ 12 parts cannot overflow the multinomial or fail to enumerate.
+		_ = combin.ForEachComposition(m, len(w), func(parts []int) bool {
+			t := e.capacity
+			for j, k := range parts {
+				t -= float64(k) * lo[j]
+			}
+			if t > 0 {
+				mult, _ := combin.Multinomial(parts...)
+				acc.Add(float64(mult) * boxVolume(w, parts, t))
+			}
+			return true
+		})
+		out[m] = acc.Sum()
 	}
 	return out
 }
 
-// run is a maximal half-open range [lo, hi) of nonzero density cells.
-type run struct{ lo, hi int }
-
-// nonzeroRuns returns the maximal runs of nonzero cells of d, ascending.
-func nonzeroRuns(d []float64) []run {
-	var runs []run
-	for i := 0; i < len(d); {
-		if d[i] == 0 {
-			i++
-			continue
-		}
-		lo := i
-		for i < len(d) && d[i] != 0 {
-			i++
-		}
-		runs = append(runs, run{lo, i})
+// boxVolume returns the volume of {y ∈ Π_j [0, w_j]^k_j : Σ y ≤ t}, the
+// Lemma 2.4 CDF times the box volume Π w_j^k_j:
+//
+//	(1/m!) Σ_{i ≤ k} Π_j C(k_j, i_j) · (-1)^Σi · (t - Σ_j i_j·w_j)₊^m,
+//
+// which is Lemma 2.4's subset sum with the subsets of equal widths grouped
+// (m = Σ k_j; every w_j > 0). Past the midpoint of the support it uses the
+// box's point symmetry y ↦ w - y, so the alternating terms stay small; the
+// result is clamped to [0, Π w_j^k_j], which also bounds the absolute
+// error on thin boxes.
+func boxVolume(w []float64, k []int, t float64) float64 {
+	m := 0
+	total, vol := 0.0, 1.0
+	for j, kj := range k {
+		m += kj
+		total += float64(kj) * w[j]
+		vol *= combin.PowInt(w[j], kj)
 	}
-	return runs
-}
-
-// convolvePrefix returns the first length cells of h·(cur*d), visiting
-// only the nonzero runs of d. length must not exceed len(cur)+len(d)-1.
-func (e *Evaluator) convolvePrefix(cur, d []float64, runs []run, length int) []float64 {
-	out := make([]float64, length)
-	for i, fv := range cur[:min(len(cur), length)] {
-		if fv == 0 {
-			continue
+	if t <= 0 {
+		return 0
+	}
+	if t >= total {
+		return vol
+	}
+	flip := t > total/2
+	if flip {
+		t = total - t
+	}
+	var acc combin.Accumulator
+	var walk func(j int, sum, coef float64)
+	walk = func(j int, sum, coef float64) {
+		if j == len(k) {
+			acc.Add(coef * combin.PowInt(t-sum, m))
+			return
 		}
-		lim := length - i
-		for _, r := range runs {
-			if r.lo >= lim {
-				break
-			}
-			src := d[r.lo:min(r.hi, lim)]
-			dst := out[i+r.lo:]
-			dst = dst[:len(src)]
-			for j, gv := range src {
-				dst[j] += fv * gv
-			}
+		for i := 0; i <= k[j] && sum < t; i++ {
+			walk(j+1, sum, coef)
+			sum += w[j]
+			coef = -coef * float64(k[j]-i) / float64(i+1)
 		}
 	}
-	for k := range out {
-		out[k] *= e.h
+	walk(0, 0, 1)
+	fact := 1.0
+	for i := 2; i <= m; i++ {
+		fact *= float64(i)
 	}
-	return out
+	v := min(max(acc.Sum()/fact, 0), vol)
+	if flip {
+		return vol - v
+	}
+	return v
 }

@@ -1,12 +1,14 @@
 package response
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/model"
 	"repro/internal/nonoblivious"
+	"repro/internal/problem"
 	"repro/internal/sim"
 )
 
@@ -122,26 +124,23 @@ func TestThresholdConstructor(t *testing.T) {
 }
 
 func TestNewEvaluatorValidation(t *testing.T) {
-	if _, err := NewEvaluator(1, 1, 512); err == nil {
+	if _, err := NewEvaluator(1, 1); err == nil {
 		t.Error("n=1: expected error")
 	}
-	if _, err := NewEvaluator(13, 1, 512); err == nil {
-		t.Error("n=13: expected error")
+	if _, err := NewEvaluator(13, 1); !errors.Is(err, problem.ErrPlayerCap) {
+		t.Errorf("n=13: error %v, want a player-cap refusal", err)
 	}
-	if _, err := NewEvaluator(3, 0, 512); err == nil {
+	if _, err := NewEvaluator(3, 0); err == nil {
 		t.Error("zero capacity: expected error")
 	}
-	if _, err := NewEvaluator(3, 1, 8); err == nil {
-		t.Error("tiny grid: expected error")
-	}
-	if _, err := NewEvaluator(3, 1, 1<<17); err == nil {
-		t.Error("huge grid: expected error")
+	if _, err := NewEvaluator(3, math.Inf(1)); err == nil {
+		t.Error("infinite capacity: expected error")
 	}
 }
 
 func TestEvaluatorMatchesExactThresholdTheory(t *testing.T) {
-	// The convolution oracle restricted to [0, β] must reproduce the
-	// paper's Theorem 5.1 values.
+	// The oracle restricted to [0, β] must reproduce the paper's
+	// Theorem 5.1 values.
 	cases := []struct {
 		n        int
 		capacity float64
@@ -151,7 +150,7 @@ func TestEvaluatorMatchesExactThresholdTheory(t *testing.T) {
 		{5, 5.0 / 3},
 	}
 	for _, c := range cases {
-		ev, err := NewEvaluator(c.n, c.capacity, 2048)
+		ev, err := NewEvaluator(c.n, c.capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +167,8 @@ func TestEvaluatorMatchesExactThresholdTheory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(got-want) > 3e-4 {
-				t.Errorf("n=%d δ=%v β=%v: convolution %v vs exact %v", c.n, c.capacity, beta, got, want)
+			if math.Abs(got-want) > 1e-12 {
+				t.Errorf("n=%d δ=%v β=%v: oracle %v vs exact %v", c.n, c.capacity, beta, got, want)
 			}
 		}
 	}
@@ -181,7 +180,7 @@ func TestEvaluatorMatchesSimulationOnBandRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(3, 1, 2048)
+	ev, err := NewEvaluator(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +200,13 @@ func TestEvaluatorMatchesSimulationOnBandRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.P-analytic) > 4*res.StdErr+5e-4 {
-		t.Errorf("convolution %v vs simulation %v ± %v", analytic, res.P, res.StdErr)
+	if math.Abs(res.P-analytic) > 4*res.StdErr {
+		t.Errorf("oracle %v vs simulation %v ± %v", analytic, res.P, res.StdErr)
 	}
 }
 
 func TestEvaluatorEmptyAndFullSets(t *testing.T) {
-	ev, err := NewEvaluator(3, 1, 512)
+	ev, err := NewEvaluator(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestEvaluatorEmptyAndFullSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-1.0/6) > 1e-3 {
+	if math.Abs(p-1.0/6) > 1e-15 {
 		t.Errorf("P(∅) = %v, want 1/6", p)
 	}
 	full, err := NewIntervalSet([]Interval{{0, 1}})
@@ -231,13 +230,13 @@ func TestEvaluatorEmptyAndFullSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-1.0/6) > 1e-3 {
+	if math.Abs(p-1.0/6) > 1e-15 {
 		t.Errorf("P([0,1]) = %v, want 1/6", p)
 	}
 }
 
 func TestOptimizeThresholdRecoversPaperOptimum(t *testing.T) {
-	ev, err := NewEvaluator(3, 1, 1024)
+	ev, err := NewEvaluator(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +248,11 @@ func TestOptimizeThresholdRecoversPaperOptimum(t *testing.T) {
 	if len(ivs) != 1 {
 		t.Fatalf("threshold optimum set = %v", res.Set)
 	}
-	if math.Abs(ivs[0].Hi-0.622) > 0.01 {
-		t.Errorf("recovered β = %v, want ≈ 0.622", ivs[0].Hi)
+	if math.Abs(ivs[0].Hi-0.6220355269907728) > 1e-5 {
+		t.Errorf("recovered β = %v, want ≈ 0.622036", ivs[0].Hi)
 	}
-	if math.Abs(res.WinProbability-0.5446) > 2e-3 {
-		t.Errorf("recovered P = %v, want ≈ 0.5446", res.WinProbability)
+	if math.Abs(res.WinProbability-0.5446311396758939) > 1e-9 {
+		t.Errorf("recovered P = %v, want ≈ 0.544631", res.WinProbability)
 	}
 }
 
@@ -262,7 +261,7 @@ func TestOptimizeTwoIntervalDoesNotBeatThresholdByMuch(t *testing.T) {
 	// family. The search must never fall below the single-threshold
 	// optimum (it contains it); the measured improvement, if any, is
 	// recorded in EXPERIMENTS.md.
-	ev, err := NewEvaluator(3, 1, 512)
+	ev, err := NewEvaluator(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +287,12 @@ func TestBandRuleBeatsThresholdAndCoinAtN4(t *testing.T) {
 	// strictly beating BOTH the optimal single threshold (0.42854) and
 	// the oblivious 1/2-coin (0.43133). The paper's single-threshold
 	// restriction is therefore lossy for n = 4. Verified here by the
-	// convolution oracle and by simulation.
+	// oracle and by simulation.
 	band, err := NewIntervalSet([]Interval{{0.3271, 0.7416}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(4, 4.0/3, 1024)
+	ev, err := NewEvaluator(4, 4.0/3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestBandRuleBeatsThresholdAndCoinAtN4(t *testing.T) {
 		t.Fatal(err)
 	}
 	if analytic < 0.47 {
-		t.Errorf("band rule convolution value = %v, want ≈ 0.478", analytic)
+		t.Errorf("band rule oracle value = %v, want ≈ 0.478", analytic)
 	}
 	rule, err := band.Rule("band")
 	if err != nil {

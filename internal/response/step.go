@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/optimize"
 )
@@ -88,62 +89,74 @@ func (s stepLocalRule) Decide(input float64, rng *rand.Rand) (model.Bin, error) 
 // WinProbabilityStep evaluates the symmetric randomized rule: every player
 // applies the same step response g. Conditioning on the decision vector,
 // the bin-0 inputs are iid with (defective) density g(x) on [0,1] and the
-// bin-1 inputs with density 1-g(x), so the convolution factorization of
-// Theorem 5.1 carries over verbatim with soft densities.
+// bin-1 inputs with density 1-g(x), so the factorization of Theorem 5.1
+// carries over verbatim with soft densities (see stepMasses).
 func (e *Evaluator) WinProbabilityStep(r *StepRule) (float64, error) {
 	if r == nil {
 		return 0, fmt.Errorf("response: nil step rule")
 	}
-	f0 := e.resample(r.probs)
-	f1 := make([]float64, len(f0))
-	for i, v := range f0 {
-		f1[i] = 1 - v
+	comp := make([]float64, len(r.probs))
+	for i, p := range r.probs {
+		comp[i] = 1 - p
 	}
-	n0 := e.partialMasses(f0)
-	n1 := e.partialMasses(f1)
-	row, err := combin.PascalRow(e.n)
-	if err != nil {
-		return 0, err
-	}
-	var acc combin.Accumulator
-	for k := 0; k <= e.n; k++ {
-		acc.Add(row[k] * n0[e.n-k] * n1[k])
-	}
-	return clamp01(acc.Sum()), nil
+	return e.combine(e.stepMasses(r.probs), e.stepMasses(comp)), nil
 }
 
-// resample maps the rule's cell probabilities onto the evaluator's grid
-// (cellwise-constant interpolation with exact partial-cell averaging).
-func (e *Evaluator) resample(probs []float64) []float64 {
-	out := make([]float64, e.grid)
-	k := float64(len(probs))
-	for i := range out {
-		// Grid cell i covers [i, i+1)·h; average the rule over it.
-		lo := float64(i) * e.h * k
-		hi := (float64(i) + 1) * e.h * k
-		loCell := int(lo)
-		hiCell := int(hi)
-		if hiCell >= len(probs) {
-			hiCell = len(probs) - 1
+// stepMasses returns N(m) for m = 0..n under the defective density with
+// height a_i on cell [i/k, (i+1)/k]. The cells sit on a lattice of equal
+// width, so an input in cell i is (i + u)/k with u ~ U[0,1], and
+//
+//	N(m) = Σ_s [z^s] (Σ_i (a_i/k) z^i)^m · F_m(kδ - s),
+//
+// with F_m the Irwin–Hall CDF (Corollary 2.6) of the m summed u's.
+func (e *Evaluator) stepMasses(a []float64) []float64 {
+	k := float64(len(a))
+	kd := k * e.capacity
+	base := make([]float64, len(a))
+	for i, v := range a {
+		base[i] = v / k
+	}
+	out := make([]float64, e.n+1)
+	out[0] = 1
+	coef := []float64{1}
+	for m := 1; m <= e.n; m++ {
+		// coef ← coef · base, truncated to the lattice sums s < kδ that
+		// can still fit.
+		size := len(coef) + len(a) - 1
+		if float64(size) > kd {
+			size = int(math.Ceil(kd))
 		}
-		if loCell >= len(probs) {
-			loCell = len(probs) - 1
-		}
-		if loCell == hiCell {
-			out[i] = probs[loCell]
-			continue
-		}
-		var sum float64
-		for c := loCell; c <= hiCell; c++ {
-			cLo := math.Max(lo, float64(c))
-			cHi := math.Min(hi, float64(c+1))
-			if cHi > cLo {
-				sum += probs[c] * (cHi - cLo)
+		next := make([]float64, size)
+		for s, c := range coef {
+			if c == 0 {
+				continue
+			}
+			for i, b := range base[:min(len(base), len(next)-s)] {
+				next[s+i] += c * b
 			}
 		}
-		out[i] = sum / (hi - lo)
+		coef = next
+		ih, err := dist.NewIrwinHall(m)
+		if err != nil {
+			// Unreachable: m ≥ 1.
+			panic(err)
+		}
+		var acc combin.Accumulator
+		for s, c := range coef {
+			acc.Add(c * irwinHallCDF(ih, kd-float64(s)))
+		}
+		out[m] = acc.Sum()
 	}
 	return out
+}
+
+// irwinHallCDF evaluates F_m(t) through its symmetry F_m(t) = 1 - F_m(m-t)
+// past the mean, where the alternating sum would cancel.
+func irwinHallCDF(ih *dist.IrwinHall, t float64) float64 {
+	if m := float64(ih.N()); t > m/2 {
+		return 1 - ih.CDF(m-t)
+	}
+	return ih.CDF(t)
 }
 
 // OptimizeStep searches symmetric randomized step rules with the given

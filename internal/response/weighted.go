@@ -145,6 +145,12 @@ func ExactWinProbabilityDist(n int, capacity *big.Rat, s RatIntervalSet, d Piece
 	if len(d.heights) == 0 {
 		return nil, fmt.Errorf("response: empty density (use NewPiecewiseDensity)")
 	}
+	return exactWin(n, capacity, s, d)
+}
+
+// exactWin is Theorem 5.1's Σ_k C(n,k) N₀(n-k) N₁(k) in exact arithmetic,
+// with N₀ over the cells of s under d and N₁ over those of its complement.
+func exactWin(n int, capacity *big.Rat, s RatIntervalSet, d PiecewiseDensity) (*big.Rat, error) {
 	n0, err := weightedMasses(n, capacity, d.cells(s))
 	if err != nil {
 		return nil, err
