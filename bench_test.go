@@ -431,7 +431,7 @@ func (nb noBatchRule) Decide(x float64, rng *rand.Rand) (model.Bin, error) {
 }
 
 // BenchmarkBatchKernel times the batch kernel's fast pseudo-random entry
-// (PlaySrc over the worker PCG, the path sim.WinProbability runs) — the
+// (Play over the worker PCG, the path sim.WinProbability runs) — the
 // allocation-free inner loop of the Monte-Carlo engine — in trials/op.
 func BenchmarkBatchKernel(b *testing.B) {
 	sys := obsBenchSystem(b)
@@ -443,11 +443,11 @@ func BenchmarkBatchKernel(b *testing.B) {
 	defer sc.Release()
 	src := rand.NewPCG(1, 2)
 	const batch = 256
-	k.PlaySrc(sc, src, batch) // warm the scratch buffers
+	k.Play(sc, src, batch) // warm the scratch buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		k.PlaySrc(sc, src, batch)
+		k.Play(sc, src, batch)
 	}
 }
 

@@ -115,18 +115,6 @@ func PascalRow(n int) ([]float64, error) {
 	return row, nil
 }
 
-// PascalRowBig returns row n of Pascal's triangle as exact big integers.
-func PascalRowBig(n int) ([]*big.Int, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("combin: Pascal row of negative %d", n)
-	}
-	row := make([]*big.Int, n+1)
-	for k := 0; k <= n; k++ {
-		row[k] = new(big.Int).Binomial(int64(n), int64(k))
-	}
-	return row, nil
-}
-
 // Multinomial returns the multinomial coefficient (Σks)! / Π ks[i]! as an
 // int64, or an error on negative parts or overflow.
 func Multinomial(ks ...int) (int64, error) {

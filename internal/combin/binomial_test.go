@@ -192,21 +192,6 @@ func TestPascalRowErrors(t *testing.T) {
 	}
 }
 
-func TestPascalRowBig(t *testing.T) {
-	row, err := PascalRowBig(64)
-	if err != nil {
-		t.Fatalf("PascalRowBig(64): %v", err)
-	}
-	mid := row[32]
-	want, _ := BinomialBig(64, 32)
-	if mid.Cmp(want) != 0 {
-		t.Errorf("PascalRowBig(64)[32] = %v, want %v", mid, want)
-	}
-	if _, err := PascalRowBig(-1); err == nil {
-		t.Error("PascalRowBig(-1): expected error")
-	}
-}
-
 func TestMultinomial(t *testing.T) {
 	cases := []struct {
 		ks   []int

@@ -12,8 +12,8 @@
 //     enumeration that changes one element at a time,
 //   - compensated (Neumaier) floating-point summation for the alternating
 //     series the inclusion-exclusion formulas produce, and
-//   - a generic signed subset-sum engine that evaluates inclusion-exclusion
-//     expressions of the form Σ_I (-1)^|I| f(I) over guarded subsets I.
+//   - signed binomial sums Σ_i (-1)^i C(n, i) f(i), the form those
+//     expressions take when all weights are equal.
 //
 // Everything here is deterministic, allocation-conscious and safe for
 // concurrent use; none of the functions retain references to caller slices.

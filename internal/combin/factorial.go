@@ -65,18 +65,6 @@ func FactorialFloat(n int) (float64, error) {
 	return math.Exp(lg), nil
 }
 
-// LogFactorial returns ln(n!). It returns an error if n is negative.
-func LogFactorial(n int) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("combin: factorial of negative %d", n)
-	}
-	if n <= MaxFactorial64 {
-		return math.Log(float64(factorialTable[n])), nil
-	}
-	lg, _ := math.Lgamma(float64(n) + 1)
-	return lg, nil
-}
-
 // InvFactorialRat returns 1/n! as an exact rational.
 // It returns an error if n is negative.
 func InvFactorialRat(n int) (*big.Rat, error) {

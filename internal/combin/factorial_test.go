@@ -114,29 +114,6 @@ func TestFactorialFloatNegative(t *testing.T) {
 	}
 }
 
-func TestLogFactorialConsistency(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 20, 50, 170} {
-		lf, err := LogFactorial(n)
-		if err != nil {
-			t.Fatalf("LogFactorial(%d): %v", n, err)
-		}
-		exact, err := FactorialBig(n)
-		if err != nil {
-			t.Fatalf("FactorialBig(%d): %v", n, err)
-		}
-		wantLog := logBig(exact)
-		if math.Abs(lf-wantLog) > 1e-9*math.Max(1, wantLog) {
-			t.Errorf("LogFactorial(%d) = %v, want %v", n, lf, wantLog)
-		}
-	}
-}
-
-func TestLogFactorialNegative(t *testing.T) {
-	if _, err := LogFactorial(-1); err == nil {
-		t.Error("LogFactorial(-1): expected error, got nil")
-	}
-}
-
 func logBig(x *big.Int) float64 {
 	f := new(big.Float).SetInt(x)
 	mant := new(big.Float)

@@ -5,66 +5,6 @@ import (
 	"math/big"
 )
 
-// SignedSubsetSum evaluates the inclusion-exclusion expression
-//
-//	Σ_{I ⊆ {0..n-1}, guard(I)} (-1)^|I| · term(I)
-//
-// where subsets are presented to guard and term as bitmasks. This is the
-// float64 workhorse behind Proposition 2.2 (volume of the simplex/box
-// intersection) and Lemmas 2.4 and 2.7 (CDFs of uniform sums): in all of
-// them, term is a power of an affine form in the subset sum and guard is a
-// positivity condition on that form.
-//
-// The guard is consulted for every subset; term is evaluated only for
-// subsets that pass. Summation is Neumaier-compensated.
-func SignedSubsetSum(n int, guard func(mask uint64) bool, term func(mask uint64) float64) (float64, error) {
-	if guard == nil || term == nil {
-		return 0, fmt.Errorf("combin: SignedSubsetSum requires non-nil guard and term")
-	}
-	var acc Accumulator
-	err := ForEachSubset(n, func(mask uint64) bool {
-		if !guard(mask) {
-			return true
-		}
-		v := term(mask)
-		if Popcount(mask)%2 == 1 {
-			v = -v
-		}
-		acc.Add(v)
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	return acc.Sum(), nil
-}
-
-// SignedSubsetSumRat evaluates the same inclusion-exclusion expression as
-// SignedSubsetSum exactly over the rationals. term must return a freshly
-// allocated or caller-owned value; it is not modified.
-func SignedSubsetSumRat(n int, guard func(mask uint64) bool, term func(mask uint64) *big.Rat) (*big.Rat, error) {
-	if guard == nil || term == nil {
-		return nil, fmt.Errorf("combin: SignedSubsetSumRat requires non-nil guard and term")
-	}
-	total := new(big.Rat)
-	err := ForEachSubset(n, func(mask uint64) bool {
-		if !guard(mask) {
-			return true
-		}
-		v := term(mask)
-		if Popcount(mask)%2 == 1 {
-			total.Sub(total, v)
-		} else {
-			total.Add(total, v)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return total, nil
-}
-
 // SignedBinomialSum evaluates the collapsed ("symmetric") form of an
 // inclusion-exclusion expression,
 //

@@ -19,10 +19,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.Sum() != 6 {
 		t.Errorf("sum = %g, want 6", a.Sum())
 	}
-	a.Reset()
-	if a.Sum() != 0 {
-		t.Errorf("after Reset sum = %g, want 0", a.Sum())
-	}
 }
 
 func TestAccumulatorCompensation(t *testing.T) {
@@ -45,114 +41,12 @@ func TestSumCompensatedAgainstExact(t *testing.T) {
 		exact.Add(exact, big.NewFloat(vs[i]))
 	}
 	want, _ := exact.Float64()
-	got := SumCompensated(vs)
-	if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
-		t.Errorf("SumCompensated = %v, want %v", got, want)
+	var a Accumulator
+	for _, v := range vs {
+		a.Add(v)
 	}
-}
-
-func TestSignedSubsetSumBinomialTheorem(t *testing.T) {
-	// Σ_I (-1)^|I| 1 = 0 for n >= 1 (binomial theorem at x = -1).
-	for n := 1; n <= 12; n++ {
-		got, err := SignedSubsetSum(n,
-			func(uint64) bool { return true },
-			func(uint64) float64 { return 1 })
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if math.Abs(got) > 1e-12 {
-			t.Errorf("n=%d: signed subset count = %g, want 0", n, got)
-		}
-	}
-}
-
-func TestSignedSubsetSumMatchesBinomialCollapse(t *testing.T) {
-	// With equal weights, the subset formulation must agree with the
-	// binomial collapse for a nontrivial alternating power sum.
-	const n = 8
-	const beta, tcap = 0.37, 1.9
-	subset, err := SignedSubsetSum(n,
-		func(mask uint64) bool { return tcap-beta*float64(Popcount(mask)) > 0 },
-		func(mask uint64) float64 {
-			return math.Pow(tcap-beta*float64(Popcount(mask)), n)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binom, err := SignedBinomialSum(n,
-		func(i int) bool { return tcap-beta*float64(i) > 0 },
-		func(i int) float64 { return math.Pow(tcap-beta*float64(i), n) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(subset-binom) > 1e-9*math.Max(1, math.Abs(binom)) {
-		t.Errorf("subset form %v != binomial collapse %v", subset, binom)
-	}
-}
-
-func TestSignedSubsetSumNilArgs(t *testing.T) {
-	if _, err := SignedSubsetSum(3, nil, func(uint64) float64 { return 0 }); err == nil {
-		t.Error("expected error for nil guard")
-	}
-	if _, err := SignedSubsetSum(3, func(uint64) bool { return true }, nil); err == nil {
-		t.Error("expected error for nil term")
-	}
-	if _, err := SignedSubsetSum(99, func(uint64) bool { return true }, func(uint64) float64 { return 0 }); err == nil {
-		t.Error("expected range error for n=99")
-	}
-}
-
-func TestSignedSubsetSumRatMatchesFloat(t *testing.T) {
-	const n = 6
-	weights := []*big.Rat{
-		big.NewRat(1, 3), big.NewRat(1, 4), big.NewRat(2, 5),
-		big.NewRat(1, 2), big.NewRat(3, 7), big.NewRat(1, 6),
-	}
-	wf := make([]float64, n)
-	for i, w := range weights {
-		wf[i], _ = w.Float64()
-	}
-	tcap := big.NewRat(3, 2)
-	tf, _ := tcap.Float64()
-
-	guardRat := func(mask uint64) bool {
-		s := new(big.Rat)
-		for _, i := range MaskIndices(mask, nil) {
-			s.Add(s, weights[i])
-		}
-		return s.Cmp(tcap) < 0
-	}
-	exact, err := SignedSubsetSumRat(n, guardRat, func(mask uint64) *big.Rat {
-		s := new(big.Rat).Set(tcap)
-		for _, i := range MaskIndices(mask, nil) {
-			s.Sub(s, weights[i])
-		}
-		return ratPow(s, n)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := SignedSubsetSum(n, guardRat, func(mask uint64) float64 {
-		return math.Pow(tf-MaskSum(mask, wf), n)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactF, _ := exact.Float64()
-	if math.Abs(approx-exactF) > 1e-10*math.Max(1, math.Abs(exactF)) {
-		t.Errorf("float %v != exact %v", approx, exactF)
-	}
-}
-
-func TestSignedSubsetSumRatNilArgs(t *testing.T) {
-	if _, err := SignedSubsetSumRat(3, nil, func(uint64) *big.Rat { return new(big.Rat) }); err == nil {
-		t.Error("expected error for nil guard")
-	}
-	if _, err := SignedSubsetSumRat(3, func(uint64) bool { return true }, nil); err == nil {
-		t.Error("expected error for nil term")
-	}
-	if _, err := SignedSubsetSumRat(-1, func(uint64) bool { return true }, func(uint64) *big.Rat { return new(big.Rat) }); err == nil {
-		t.Error("expected range error")
+	if got := a.Sum(); math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+		t.Errorf("compensated sum = %v, want %v", got, want)
 	}
 }
 
@@ -162,6 +56,38 @@ func ratPow(r *big.Rat, n int) *big.Rat {
 		out.Mul(out, r)
 	}
 	return out
+}
+
+func TestSignedSubsetSumMatchesBinomialCollapse(t *testing.T) {
+	// With equal weights, the subset expansion Σ_I (-1)^|I| f(|I|) must
+	// agree with the binomial collapse for a nontrivial alternating power
+	// sum.
+	const n = 8
+	const beta, tcap = 0.37, 1.9
+	var acc Accumulator
+	if err := ForEachSubset(n, func(mask uint64) bool {
+		r := tcap - beta*float64(Popcount(mask))
+		if r > 0 {
+			term := math.Pow(r, n)
+			if Popcount(mask)%2 == 1 {
+				term = -term
+			}
+			acc.Add(term)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	subset := acc.Sum()
+	binom, err := SignedBinomialSum(n,
+		func(i int) bool { return tcap-beta*float64(i) > 0 },
+		func(i int) float64 { return math.Pow(tcap-beta*float64(i), n) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(subset-binom) > 1e-9*math.Max(1, math.Abs(binom)) {
+		t.Errorf("subset form %v != binomial collapse %v", subset, binom)
+	}
 }
 
 func TestSignedBinomialSumIrwinHallUnitCube(t *testing.T) {

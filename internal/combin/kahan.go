@@ -25,21 +25,9 @@ func (a *Accumulator) Add(v float64) {
 // Sum returns the compensated running total.
 func (a *Accumulator) Sum() float64 { return a.sum + a.c }
 
-// Reset clears the accumulator back to zero.
-func (a *Accumulator) Reset() { a.sum, a.c = 0, 0 }
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-// SumCompensated returns the Neumaier-compensated sum of vs.
-func SumCompensated(vs []float64) float64 {
-	var a Accumulator
-	for _, v := range vs {
-		a.Add(v)
-	}
-	return a.Sum()
 }

@@ -55,40 +55,6 @@ func ForEachSubsetGray(n int, fn func(mask uint64, flipped int, added bool) bool
 	return nil
 }
 
-// ForEachKSubset invokes fn once for every k-element subset of
-// {0, ..., n-1}, presented as a sorted index slice. The slice is reused
-// between calls; callers must copy it if they retain it. Subsets are visited
-// in lexicographic order. Iteration stops early if fn returns false.
-func ForEachKSubset(n, k int, fn func(idx []int) bool) error {
-	if n < 0 || k < 0 {
-		return fmt.Errorf("combin: k-subset with negative argument (n=%d, k=%d)", n, k)
-	}
-	if k > n {
-		return nil // no k-subsets exist; vacuously done
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		if !fn(idx) {
-			return nil
-		}
-		// Advance to the next k-subset in lexicographic order.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
-		}
-		if i < 0 {
-			return nil
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
-
 // ForEachKSubsetMask invokes fn once for every k-element subset of
 // {0, ..., n-1}, presented as a bitmask, in colexicographic order produced by
 // Gosper's hack. Iteration stops early if fn returns false.
@@ -115,17 +81,6 @@ func ForEachKSubsetMask(n, k int, fn func(mask uint64) bool) error {
 		mask = (((r ^ mask) >> 2) / c) | r
 	}
 	return nil
-}
-
-// MaskIndices appends the set bit positions of mask to dst and returns the
-// extended slice. Positions are appended in increasing order.
-func MaskIndices(mask uint64, dst []int) []int {
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		dst = append(dst, i)
-		mask &^= 1 << uint(i)
-	}
-	return dst
 }
 
 // MaskSum returns the sum of vals[i] over the set bits i of mask.

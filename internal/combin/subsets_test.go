@@ -106,60 +106,43 @@ func TestForEachSubsetGrayEarlyStopAndErrors(t *testing.T) {
 }
 
 func TestForEachKSubsetEnumeration(t *testing.T) {
-	for n := 0; n <= 9; n++ {
+	for n := 0; n <= 10; n++ {
 		for k := 0; k <= n+1; k++ {
-			var visited [][]int
-			err := ForEachKSubset(n, k, func(idx []int) bool {
-				cp := make([]int, len(idx))
-				copy(cp, idx)
-				visited = append(visited, cp)
+			var visited []uint64
+			err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
+				visited = append(visited, mask)
 				return true
 			})
 			if err != nil {
-				t.Fatalf("ForEachKSubset(%d, %d): %v", n, k, err)
+				t.Fatalf("ForEachKSubsetMask(%d, %d): %v", n, k, err)
 			}
 			want := int64(0)
 			if k <= n {
 				want = MustBinomial(n, k)
 			}
 			if int64(len(visited)) != want {
-				t.Fatalf("ForEachKSubset(%d, %d) visited %d, want %d", n, k, len(visited), want)
+				t.Fatalf("ForEachKSubsetMask(%d, %d) visited %d, want %d", n, k, len(visited), want)
 			}
-			for i, s := range visited {
-				for j := 1; j < len(s); j++ {
-					if s[j] <= s[j-1] {
-						t.Fatalf("subset %v not strictly increasing", s)
-					}
+			// Distinct in-range masks of popcount k, C(n, k) of them, are
+			// exactly the k-subsets; Gosper's hack visits them ascending.
+			for i, m := range visited {
+				if bits.OnesCount64(m) != k || m >= 1<<uint(n) {
+					t.Fatalf("mask %b is not a %d-subset of [0, %d)", m, k, n)
 				}
-				if len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= n) {
-					t.Fatalf("subset %v out of range [0, %d)", s, n)
-				}
-				if i > 0 && !lexLess(visited[i-1], s) {
-					t.Fatalf("subsets %v, %v not in lexicographic order", visited[i-1], s)
+				if i > 0 && m <= visited[i-1] {
+					t.Fatalf("masks %b, %b not in increasing order", visited[i-1], m)
 				}
 			}
 		}
 	}
-}
-
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 func TestForEachKSubsetErrorsAndEarlyStop(t *testing.T) {
-	if err := ForEachKSubset(-1, 2, func([]int) bool { return true }); err == nil {
-		t.Error("ForEachKSubset(-1, 2): expected error")
-	}
-	if err := ForEachKSubset(3, -1, func([]int) bool { return true }); err == nil {
-		t.Error("ForEachKSubset(3, -1): expected error")
+	if err := ForEachKSubsetMask(-1, 2, func(uint64) bool { return true }); err == nil {
+		t.Error("ForEachKSubsetMask(-1, 2): expected error")
 	}
 	count := 0
-	if err := ForEachKSubset(6, 3, func([]int) bool { count++; return false }); err != nil {
+	if err := ForEachKSubsetMask(6, 3, func(uint64) bool { count++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -167,19 +150,32 @@ func TestForEachKSubsetErrorsAndEarlyStop(t *testing.T) {
 	}
 }
 
+// kSubsetsRef lists the k-subsets of [0, n) as index slices, by the
+// textbook recursion on whether n-1 is in the subset.
+func kSubsetsRef(n, k int) [][]int {
+	if k == 0 {
+		return [][]int{{}}
+	}
+	if k > n {
+		return nil
+	}
+	out := kSubsetsRef(n-1, k)
+	for _, s := range kSubsetsRef(n-1, k-1) {
+		out = append(out, append(append([]int(nil), s...), n-1))
+	}
+	return out
+}
+
 func TestForEachKSubsetMaskMatchesSliceVersion(t *testing.T) {
 	for n := 0; n <= 10; n++ {
 		for k := 0; k <= n; k++ {
 			want := make(map[uint64]bool)
-			if err := ForEachKSubset(n, k, func(idx []int) bool {
+			for _, idx := range kSubsetsRef(n, k) {
 				var m uint64
 				for _, i := range idx {
 					m |= 1 << uint(i)
 				}
 				want[m] = true
-				return true
-			}); err != nil {
-				t.Fatal(err)
 			}
 			got := make(map[uint64]bool)
 			if err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
@@ -212,17 +208,7 @@ func TestForEachKSubsetMaskErrors(t *testing.T) {
 	}
 }
 
-func TestMaskIndicesAndSum(t *testing.T) {
-	idx := MaskIndices(0b10110, nil)
-	want := []int{1, 2, 4}
-	if len(idx) != len(want) {
-		t.Fatalf("MaskIndices = %v, want %v", idx, want)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("MaskIndices = %v, want %v", idx, want)
-		}
-	}
+func TestMaskSum(t *testing.T) {
 	vals := []float64{0.5, 1.5, 2.5, 3.5, 4.5}
 	if got := MaskSum(0b10110, vals); got != 1.5+2.5+4.5 {
 		t.Errorf("MaskSum = %g, want %g", got, 1.5+2.5+4.5)
@@ -237,8 +223,10 @@ func TestMaskSumMatchesIndicesProperty(t *testing.T) {
 	f := func(m uint8) bool {
 		mask := uint64(m)
 		var s float64
-		for _, i := range MaskIndices(mask, nil) {
-			s += vals[i]
+		for i := range vals {
+			if mask&(1<<uint(i)) != 0 {
+				s += vals[i]
+			}
 		}
 		return s == MaskSum(mask, vals) && s == float64(mask)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/model"
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/response"
@@ -114,37 +113,6 @@ func (p OneBitBroadcast) WinProbability(capacity float64) (float64, error) {
 		total = 1
 	}
 	return total, nil
-}
-
-// Rules materializes the protocol for the Monte-Carlo simulator: because
-// model.LocalRule sees only the player's own input, the bit is threaded by
-// constructing one rule set per possible bit value; the caller (or
-// Simulate below) selects the set matching the sampled x₀.
-func (p OneBitBroadcast) Rules(bit int) ([]model.LocalRule, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if bit != 0 && bit != 1 {
-		return nil, fmt.Errorf("comm: bit %d must be 0 or 1", bit)
-	}
-	beta := p.BetaLow
-	if bit == 1 {
-		beta = p.BetaHigh
-	}
-	rules := make([]model.LocalRule, p.N)
-	sender, err := model.NewThresholdRule(p.SenderTheta)
-	if err != nil {
-		return nil, err
-	}
-	rules[0] = sender
-	listener, err := model.NewThresholdRule(beta)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < p.N; i++ {
-		rules[i] = listener
-	}
-	return rules, nil
 }
 
 // OneBitToOne is the one-way variant: the bit 1{x₀ > Cut} is seen ONLY by

@@ -88,33 +88,20 @@ func TestWinProbabilityMatchesSimulation(t *testing.T) {
 	var prop stats.Proportion
 	const trials = 400000
 	for i := 0; i < trials; i++ {
-		x0 := rng.Float64()
-		bit := 0
-		if x0 > p.Cut {
-			bit = 1
-		}
-		rules, err := p.Rules(bit)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var load0, load1 float64
 		// Sender.
-		b, err := rules[0].Decide(x0, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == 0 {
+		x0 := rng.Float64()
+		if x0 <= p.SenderTheta {
 			load0 += x0
 		} else {
 			load1 += x0
 		}
+		beta := p.BetaLow
+		if x0 > p.Cut {
+			beta = p.BetaHigh
+		}
 		for j := 1; j < p.N; j++ {
-			x := rng.Float64()
-			b, err := rules[j].Decide(x, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == 0 {
+			if x := rng.Float64(); x <= beta {
 				load0 += x
 			} else {
 				load1 += x
@@ -135,28 +122,6 @@ func TestWinProbabilityValidation(t *testing.T) {
 	bad := OneBitBroadcast{N: 1}
 	if _, err := bad.WinProbability(1); err == nil {
 		t.Error("invalid protocol: expected error")
-	}
-}
-
-func TestRulesValidation(t *testing.T) {
-	p := OneBitBroadcast{N: 3, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.4, BetaHigh: 0.7}
-	if _, err := p.Rules(2); err == nil {
-		t.Error("bit=2: expected error")
-	}
-	rules, err := p.Rules(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 3 {
-		t.Fatalf("got %d rules", len(rules))
-	}
-	// Listener with bit=1 uses BetaHigh.
-	b, err := rules[1].Decide(0.6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != 0 { // 0.6 ≤ 0.7 → bin 0
-		t.Error("listener should use BetaHigh = 0.7 when bit = 1")
 	}
 }
 

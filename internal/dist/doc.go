@@ -10,7 +10,7 @@
 //     density is Lemma 2.5 — the paper notes the density formula answers a
 //     research problem posed by Rota.
 //   - IrwinHall: the classical special case π_i = 1 (Corollary 2.6), with
-//     the O(m) binomial-collapse fast path, quantiles, and sampling.
+//     the O(m) binomial-collapse fast path.
 //   - ShiftedUniformSum: Σ x_i with x_i ~ U[π_i, 1] (Lemma 2.7), the
 //     conditional distribution of inputs that chose the "high" bin under a
 //     single-threshold algorithm.

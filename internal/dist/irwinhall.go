@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand/v2"
 
 	"repro/internal/combin"
 )
@@ -40,15 +39,6 @@ func NewIrwinHall(m int) (*IrwinHall, error) {
 // N returns the order m.
 func (ih *IrwinHall) N() int { return ih.m }
 
-// Mean returns m/2.
-func (ih *IrwinHall) Mean() float64 { return float64(ih.m) / 2 }
-
-// Variance returns m/12.
-func (ih *IrwinHall) Variance() float64 { return float64(ih.m) / 12 }
-
-// Support returns [0, m].
-func (ih *IrwinHall) Support() (lo, hi float64) { return 0, float64(ih.m) }
-
 // CDF evaluates Corollary 2.6,
 //
 //	F_m(t) = (1/m!) Σ_{0 ≤ i ≤ m, i < t} (-1)^i C(m, i) (t - i)^m,
@@ -81,77 +71,6 @@ func (ih *IrwinHall) CDF(t float64) float64 {
 		return math.NaN()
 	}
 	return clamp01(sum / f)
-}
-
-// PDF evaluates the Irwin-Hall density, the m = "all ones" case of
-// Lemma 2.5:
-//
-//	f_m(t) = (1/(m-1)!) Σ_{0 ≤ i ≤ m, i < t} (-1)^i C(m, i) (t - i)^(m-1).
-//
-// The density is 0 outside the open support, and the m = 0 point mass has
-// no density (PDF returns 0 everywhere for m = 0).
-func (ih *IrwinHall) PDF(t float64) float64 {
-	if ih.m == 0 {
-		return 0
-	}
-	if t <= 0 || t >= float64(ih.m) {
-		return 0
-	}
-	m := ih.m
-	sum, err := combin.SignedBinomialSum(m,
-		func(i int) bool { return float64(i) < t },
-		func(i int) float64 { return math.Pow(t-float64(i), float64(m-1)) })
-	if err != nil {
-		return math.NaN()
-	}
-	f, err := combin.FactorialFloat(m - 1)
-	if err != nil {
-		return math.NaN()
-	}
-	v := sum / f
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Quantile returns the t with CDF(t) = p, found by bisection with Newton
-// polish. It returns an error if p is outside [0, 1].
-func (ih *IrwinHall) Quantile(p float64) (float64, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("dist: quantile probability %v outside [0, 1]", p)
-	}
-	if ih.m == 0 {
-		return 0, nil
-	}
-	if p == 0 {
-		return 0, nil
-	}
-	if p == 1 {
-		return float64(ih.m), nil
-	}
-	lo, hi := 0.0, float64(ih.m)
-	for i := 0; i < 200 && hi-lo > 1e-14; i++ {
-		mid := (lo + hi) / 2
-		if ih.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// Sample draws one value of the sum. It returns an error if rng is nil.
-func (ih *IrwinHall) Sample(rng *rand.Rand) (float64, error) {
-	if rng == nil {
-		return 0, fmt.Errorf("dist: nil random source")
-	}
-	var s float64
-	for i := 0; i < ih.m; i++ {
-		s += rng.Float64()
-	}
-	return s, nil
 }
 
 // IrwinHallCDF is a convenience wrapper evaluating F_m(t) without
@@ -205,4 +124,40 @@ func IrwinHallCDFRat(m int, t *big.Rat) (*big.Rat, error) {
 		return nil, err
 	}
 	return sum.Mul(sum, invFact), nil
+}
+
+// NormalApproxError reports how far the Irwin-Hall distribution of order m
+// is from its moment-matched normal approximation N(m/2, m/12), as the
+// Kolmogorov distance sup_t |F_m(t) - Φ((t-m/2)/√(m/12))| evaluated on a
+// uniform grid of the support. The CLT makes this shrink like O(1/√m),
+// which quantifies when the paper's exact formulas actually matter: for
+// the small n of the paper's instances the error is several percent.
+func NormalApproxError(m int, gridPoints int) (float64, error) {
+	if gridPoints < 2 {
+		return 0, fmt.Errorf("dist: need at least 2 grid points, got %d", gridPoints)
+	}
+	ih, err := NewIrwinHall(m)
+	if err != nil {
+		return 0, err
+	}
+	if m == 0 {
+		return 0, fmt.Errorf("dist: normal approximation undefined for m = 0")
+	}
+	mean := float64(m) / 2
+	sd := math.Sqrt(float64(m) / 12)
+	var worst float64
+	for i := 0; i < gridPoints; i++ {
+		t := float64(m) * float64(i) / float64(gridPoints-1)
+		exact := ih.CDF(t)
+		approx := stdNormalCDF((t - mean) / sd)
+		if d := math.Abs(exact - approx); d > worst {
+			worst = d
+		}
+	}
+	return worst, nil
+}
+
+// stdNormalCDF is Φ, the standard normal CDF.
+func stdNormalCDF(z float64) float64 {
+	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }

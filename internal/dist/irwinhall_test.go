@@ -38,13 +38,6 @@ func TestIrwinHallDegenerateOrderZero(t *testing.T) {
 	if got := ih.CDF(3); got != 1 {
 		t.Errorf("F_0(3) = %v, want 1", got)
 	}
-	if got := ih.PDF(0.5); got != 0 {
-		t.Errorf("f_0(0.5) = %v, want 0", got)
-	}
-	q, err := ih.Quantile(0.7)
-	if err != nil || q != 0 {
-		t.Errorf("Quantile(0.7) = %v, %v; want 0, nil", q, err)
-	}
 }
 
 func TestIrwinHallKnownValues(t *testing.T) {
@@ -86,23 +79,6 @@ func TestIrwinHallCDFBoundaries(t *testing.T) {
 	if ih.CDF(4) != 1 || ih.CDF(10) != 1 {
 		t.Error("CDF above support should be 1")
 	}
-	lo, hi := ih.Support()
-	if lo != 0 || hi != 4 {
-		t.Errorf("support = [%v, %v], want [0, 4]", lo, hi)
-	}
-}
-
-func TestIrwinHallMoments(t *testing.T) {
-	ih, err := NewIrwinHall(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ih.Mean() != 3.5 {
-		t.Errorf("mean = %v, want 3.5", ih.Mean())
-	}
-	if math.Abs(ih.Variance()-7.0/12) > 1e-15 {
-		t.Errorf("variance = %v, want 7/12", ih.Variance())
-	}
 }
 
 func TestIrwinHallCDFMonotoneProperty(t *testing.T) {
@@ -140,15 +116,31 @@ func TestIrwinHallSymmetryProperty(t *testing.T) {
 	}
 }
 
+// unitWidthSum is the Irwin-Hall distribution of order m as a UniformSum,
+// whose PDF is the Lemma 2.5 density.
+func unitWidthSum(t *testing.T, m int) *UniformSum {
+	t.Helper()
+	widths := make([]float64, m)
+	for i := range widths {
+		widths[i] = 1
+	}
+	u, err := NewUniformSum(widths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestIrwinHallPDFIsDerivativeOfCDF(t *testing.T) {
 	ih, err := NewIrwinHall(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	u := unitWidthSum(t, 5)
 	const h = 1e-6
 	for _, x := range []float64{0.4, 1.1, 2.5, 3.9, 4.6} {
 		numeric := (ih.CDF(x+h) - ih.CDF(x-h)) / (2 * h)
-		analytic := ih.PDF(x)
+		analytic := u.PDF(x)
 		if math.Abs(numeric-analytic) > 1e-5 {
 			t.Errorf("f_5(%v): analytic %v vs numeric %v", x, analytic, numeric)
 		}
@@ -156,10 +148,7 @@ func TestIrwinHallPDFIsDerivativeOfCDF(t *testing.T) {
 }
 
 func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
-	ih, err := NewIrwinHall(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := unitWidthSum(t, 6)
 	const steps = 6000
 	var sum float64
 	h := 6.0 / steps
@@ -168,7 +157,7 @@ func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
 		if i == 0 || i == steps {
 			w = 0.5
 		}
-		sum += w * ih.PDF(float64(i)*h)
+		sum += w * u.PDF(float64(i)*h)
 	}
 	sum *= h
 	if math.Abs(sum-1) > 1e-6 {
@@ -177,43 +166,9 @@ func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
 }
 
 func TestIrwinHallPDFOutsideSupport(t *testing.T) {
-	ih, err := NewIrwinHall(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ih.PDF(-0.1) != 0 || ih.PDF(0) != 0 || ih.PDF(3) != 0 || ih.PDF(3.5) != 0 {
+	u := unitWidthSum(t, 3)
+	if u.PDF(-0.1) != 0 || u.PDF(0) != 0 || u.PDF(3) != 0 || u.PDF(3.5) != 0 {
 		t.Error("PDF outside open support should be 0")
-	}
-}
-
-func TestIrwinHallQuantileRoundTrip(t *testing.T) {
-	ih, err := NewIrwinHall(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		q, err := ih.Quantile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ih.CDF(q)-p) > 1e-9 {
-			t.Errorf("CDF(Quantile(%v)) = %v", p, ih.CDF(q))
-		}
-	}
-	if q, err := ih.Quantile(0); err != nil || q != 0 {
-		t.Errorf("Quantile(0) = %v, %v", q, err)
-	}
-	if q, err := ih.Quantile(1); err != nil || q != 4 {
-		t.Errorf("Quantile(1) = %v, %v", q, err)
-	}
-	if _, err := ih.Quantile(-0.1); err == nil {
-		t.Error("Quantile(-0.1): expected error")
-	}
-	if _, err := ih.Quantile(1.1); err == nil {
-		t.Error("Quantile(1.1): expected error")
-	}
-	if _, err := ih.Quantile(math.NaN()); err == nil {
-		t.Error("Quantile(NaN): expected error")
 	}
 }
 
@@ -224,27 +179,16 @@ func TestIrwinHallSampleMatchesCDF(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(11, 13))
 	const n = 200000
-	var below15 int
-	var sum float64
-	for i := 0; i < n; i++ {
-		v, err := ih.Sample(rng)
-		if err != nil {
-			t.Fatal(err)
+	for _, x := range []float64{0.7, 1.5, 2.2} {
+		below := 0
+		for i := 0; i < n; i++ {
+			if rng.Float64()+rng.Float64()+rng.Float64() <= x {
+				below++
+			}
 		}
-		sum += v
-		if v <= 1.5 {
-			below15++
+		if empirical := float64(below) / n; math.Abs(empirical-ih.CDF(x)) > 0.005 {
+			t.Errorf("empirical F_3(%v) = %v, want ≈ %v", x, empirical, ih.CDF(x))
 		}
-	}
-	empirical := float64(below15) / n
-	if math.Abs(empirical-0.5) > 0.005 {
-		t.Errorf("empirical F_3(1.5) = %v, want ≈ 0.5", empirical)
-	}
-	if math.Abs(sum/n-1.5) > 0.01 {
-		t.Errorf("empirical mean = %v, want ≈ 1.5", sum/n)
-	}
-	if _, err := ih.Sample(nil); err == nil {
-		t.Error("nil rng: expected error")
 	}
 }
 
@@ -307,5 +251,58 @@ func TestIrwinHallCDFRatValidation(t *testing.T) {
 	v, err = IrwinHallCDFRat(2, big.NewRat(7, 2))
 	if err != nil || v.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Errorf("F_2(7/2) = %v, %v; want 1", v, err)
+	}
+}
+
+func TestNormalApproxErrorShrinksWithM(t *testing.T) {
+	e3, err := NormalApproxError(3, 2001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e12, err := NormalApproxError(12, 2001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e25, err := NormalApproxError(25, 2001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(e3 > e12 && e12 > e25) {
+		t.Errorf("normal approximation error should shrink: m=3 %v, m=12 %v, m=25 %v", e3, e12, e25)
+	}
+	// At the paper's n=3 the CLT is visibly wrong (≈ 1% Kolmogorov
+	// distance), justifying the exact combinatorial treatment.
+	if e3 < 0.005 {
+		t.Errorf("m=3 error %v suspiciously small", e3)
+	}
+	if e25 > 0.01 {
+		t.Errorf("m=25 error %v suspiciously large", e25)
+	}
+}
+
+func TestNormalApproxErrorValidation(t *testing.T) {
+	if _, err := NormalApproxError(0, 100); err == nil {
+		t.Error("m=0: expected error")
+	}
+	if _, err := NormalApproxError(-1, 100); err == nil {
+		t.Error("m=-1: expected error")
+	}
+	if _, err := NormalApproxError(3, 1); err == nil {
+		t.Error("1 grid point: expected error")
+	}
+	if _, err := NormalApproxError(MaxIrwinHallN+1, 100); err == nil {
+		t.Error("m over limit: expected error")
+	}
+}
+
+func TestStdNormalCDFKnownValues(t *testing.T) {
+	if math.Abs(stdNormalCDF(0)-0.5) > 1e-15 {
+		t.Error("Φ(0) != 1/2")
+	}
+	if math.Abs(stdNormalCDF(1.959963985)-0.975) > 1e-6 {
+		t.Errorf("Φ(1.96) = %v", stdNormalCDF(1.959963985))
+	}
+	if math.Abs(stdNormalCDF(-1.959963985)-0.025) > 1e-6 {
+		t.Errorf("Φ(-1.96) = %v", stdNormalCDF(-1.959963985))
 	}
 }

@@ -39,13 +39,6 @@ func NewShiftedUniformSum(lowers []float64) (*ShiftedUniformSum, error) {
 // N returns the number of summands m.
 func (s *ShiftedUniformSum) N() int { return len(s.lowers) }
 
-// Lowers returns a copy of the lower bounds π_i.
-func (s *ShiftedUniformSum) Lowers() []float64 {
-	out := make([]float64, len(s.lowers))
-	copy(out, s.lowers)
-	return out
-}
-
 // Support returns [Σ π_i, m].
 func (s *ShiftedUniformSum) Support() (lo, hi float64) {
 	var sum float64
@@ -53,24 +46,6 @@ func (s *ShiftedUniformSum) Support() (lo, hi float64) {
 		sum += l
 	}
 	return sum, float64(len(s.lowers))
-}
-
-// Mean returns Σ (1 + π_i)/2.
-func (s *ShiftedUniformSum) Mean() float64 {
-	var sum float64
-	for _, l := range s.lowers {
-		sum += (1 + l) / 2
-	}
-	return sum
-}
-
-// Variance returns Σ (1 - π_i)²/12.
-func (s *ShiftedUniformSum) Variance() float64 {
-	var sum float64
-	for _, l := range s.lowers {
-		sum += (1 - l) * (1 - l) / 12
-	}
-	return sum
 }
 
 // CDF evaluates Lemma 2.7:

@@ -42,13 +42,6 @@ func NewUniformSum(widths []float64) (*UniformSum, error) {
 // N returns the number of summands m.
 func (u *UniformSum) N() int { return len(u.widths) }
 
-// Widths returns a copy of the interval widths π_i.
-func (u *UniformSum) Widths() []float64 {
-	out := make([]float64, len(u.widths))
-	copy(out, u.widths)
-	return out
-}
-
 // Support returns the support [0, Σ π_i] of the sum.
 func (u *UniformSum) Support() (lo, hi float64) {
 	var s float64
@@ -56,24 +49,6 @@ func (u *UniformSum) Support() (lo, hi float64) {
 		s += w
 	}
 	return 0, s
-}
-
-// Mean returns E[Σ x_i] = Σ π_i / 2.
-func (u *UniformSum) Mean() float64 {
-	var s float64
-	for _, w := range u.widths {
-		s += w / 2
-	}
-	return s
-}
-
-// Variance returns Var[Σ x_i] = Σ π_i² / 12.
-func (u *UniformSum) Variance() float64 {
-	var s float64
-	for _, w := range u.widths {
-		s += w * w / 12
-	}
-	return s
 }
 
 // CDF evaluates Lemma 2.4:
@@ -179,17 +154,22 @@ func (u *UniformSum) Sample(rng *rand.Rand) (float64, error) {
 }
 
 // CDFRat evaluates Lemma 2.4 exactly for rational widths and threshold.
-// It returns an error on invalid widths, threshold, or dimension.
+// The empty sum is identically zero, so with no widths the CDF is 1 for
+// t ≥ 0 and 0 for t < 0. It returns an error on invalid widths, threshold,
+// or dimension.
 func CDFRat(widths []*big.Rat, t *big.Rat) (*big.Rat, error) {
 	m := len(widths)
+	if t == nil {
+		return nil, fmt.Errorf("dist: nil threshold")
+	}
 	if m == 0 {
-		return nil, fmt.Errorf("dist: uniform sum needs at least one summand")
+		if t.Sign() < 0 {
+			return new(big.Rat), nil
+		}
+		return big.NewRat(1, 1), nil
 	}
 	if m > 24 {
 		return nil, fmt.Errorf("dist: exact rational CDF supports at most 24 summands, got %d", m)
-	}
-	if t == nil {
-		return nil, fmt.Errorf("dist: nil threshold")
 	}
 	support := new(big.Rat)
 	for i, w := range widths {

@@ -1,15 +1,13 @@
 // Package engine is the unified evaluation service of the reproduction:
-// one Rule abstraction covering every algorithm class the repo analyses
-// (oblivious coins, single thresholds, interval-set response rules, one-bit
-// communication protocols, and the PY91 baseline), evaluated on any
-// instance through pluggable backends.
+// one Rule abstraction covering oblivious coins, single thresholds,
+// interval-set response rules and the PY91 baseline protocols, evaluated
+// on any instance through pluggable backends.
 //
 // Four backends are provided:
 //
 //   - Exact — the per-class analytic oracle (Theorem 4.1 for oblivious
 //     rules, Theorem 5.1 for thresholds, the Lemma 2.4 pattern masses for
-//     interval sets, the conditioned interval-pair evaluation for one-bit
-//     protocols, the closed-form oracles for PY91 protocols);
+//     interval sets, the closed-form oracles for PY91 protocols);
 //   - MonteCarlo — the sim package's deterministic parallel estimator;
 //   - MonteCarloQMC — the randomized quasi-Monte-Carlo estimator
 //     (scrambled Sobol replicates) for local-rule systems;

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
@@ -121,21 +120,6 @@ func TestExactParity(t *testing.T) {
 		}
 	})
 
-	t.Run("comm", func(t *testing.T) {
-		p := comm.OneBitBroadcast{N: 3, Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}
-		want, err := p.WinProbability(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Evaluate(inst, OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, Exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.P != want {
-			t.Errorf("engine %v != comm %v", got.P, want)
-		}
-	})
-
 	t.Run("py91", func(t *testing.T) {
 		proto := py91.ConjecturedOptimal()
 		want, err := proto.ExactWinProbability()
@@ -243,23 +227,6 @@ func TestMonteCarloParity(t *testing.T) {
 		}
 	})
 
-	t.Run("comm", func(t *testing.T) {
-		// No pre-refactor MC entry point existed; check the simulator
-		// against the exact value instead.
-		r := OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}
-		exact, err := e.Evaluate(inst, r, Exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarlo, sim.Config{Trials: 200000, Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(mc.P-exact.P) > 4*mc.StdErr {
-			t.Errorf("one-bit MC %v ± %v far from exact %v", mc.P, mc.StdErr, exact.P)
-		}
-	})
-
 	t.Run("interval", func(t *testing.T) {
 		set, err := response.Threshold(0.622)
 		if err != nil {
@@ -323,7 +290,6 @@ func TestAutoFallsThroughPlayerCap(t *testing.T) {
 	}{
 		{"symmetric threshold", mustInstance(t, 30, 10), SymmetricThreshold{Beta: 0.5}, "limited to 25 players"},
 		{"hetero oblivious", mustInstancePi(t, 22, 7, append([]float64{0.5}, repeated(1, 21)...)), SymmetricOblivious{A: 0.5}, "limited to 20 players"},
-		{"one-bit broadcast", mustInstance(t, 11, 11.0/3), OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, "limited to 10 players"},
 		{"interval rule", mustInstance(t, 13, 13.0/3), IntervalRule{Set: band}, "limited to 12 players"},
 	}
 	for _, c := range cases {
@@ -392,10 +358,7 @@ func TestEvaluateValidation(t *testing.T) {
 		t.Error("wrong vector length: expected error")
 	}
 	// System on a communication rule reports ErrNoSystem.
-	if _, err := (OneBitRule{}).System(inst); !errors.Is(err, ErrNoSystem) {
-		t.Error("one-bit System should wrap ErrNoSystem")
-	}
-	if _, err := (PY91Rule{}).System(inst); !errors.Is(err, ErrNoSystem) {
+	if _, err := (PY91Rule{Protocol: py91.ConjecturedOptimal()}).System(inst); !errors.Is(err, ErrNoSystem) {
 		t.Error("py91 System should wrap ErrNoSystem")
 	}
 }

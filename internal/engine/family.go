@@ -3,10 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-
-	"repro/internal/response"
 )
 
 // RuleFamily is a parametric family of rules viewed through the optimizer:
@@ -123,58 +119,9 @@ func (f ThresholdVectorFamily) Rule(inst Instance, params []float64) (Rule, erro
 	return Threshold{Thresholds: thresholds}, nil
 }
 
-// IntervalFamily is the symmetric interval-set family: 2K free endpoints in
-// [0, 1], sorted and paired into K bin-0 intervals (overlapping or touching
-// pairs merge, so the family continuously covers unions of fewer than K
-// intervals too). Evaluated exactly by IntervalRule's oracle.
-type IntervalFamily struct {
-	// K is the number of intervals (2K parameters).
-	K int
-}
-
-// Name implements RuleFamily.
-func (f IntervalFamily) Name() string { return "interval(k=" + strconv.Itoa(f.K) + ")" }
-
-// Bounds implements RuleFamily.
-func (f IntervalFamily) Bounds(Instance) ([]float64, []float64, error) {
-	if f.K <= 0 {
-		return nil, nil, fmt.Errorf("engine: interval family needs K ≥ 1, got %d", f.K)
-	}
-	lo := make([]float64, 2*f.K)
-	hi := make([]float64, 2*f.K)
-	for i := range hi {
-		hi[i] = 1
-	}
-	return lo, hi, nil
-}
-
-// Rule implements RuleFamily.
-func (f IntervalFamily) Rule(inst Instance, params []float64) (Rule, error) {
-	lo, hi, err := f.Bounds(inst)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkParams("interval family", params, lo, hi); err != nil {
-		return nil, err
-	}
-	ends := make([]float64, len(params))
-	copy(ends, params)
-	sort.Float64s(ends)
-	ivs := make([]response.Interval, f.K)
-	for i := range ivs {
-		ivs[i] = response.Interval{Lo: ends[2*i], Hi: ends[2*i+1]}
-	}
-	set, err := response.NewIntervalSet(ivs)
-	if err != nil {
-		return nil, err
-	}
-	return IntervalRule{Set: set}, nil
-}
-
 // FamilyForKind maps the CLI/HTTP spelling of an optimization kind onto its
 // rule family: "threshold" (symmetric β), "oblivious" (symmetric α), or
-// "vector" (the full per-player threshold vector). The interval family is
-// constructed directly (it needs an interval count).
+// "vector" (the full per-player threshold vector).
 func FamilyForKind(kind string) (RuleFamily, error) {
 	switch kind {
 	case "threshold":

@@ -104,7 +104,7 @@ func TestHeteroExactVsMonteCarlo(t *testing.T) {
 // instances with a diagnostic naming the π vector.
 func TestHeteroUnsupportedRules(t *testing.T) {
 	e := New(Config{})
-	inst := mustInstancePi(t, 2, 1, []float64{0.5, 1})
+	inst := mustInstancePi(t, 3, 1, []float64{0.5, 1, 1})
 	set, err := response.NewIntervalSet([]response.Interval{{Lo: 0, Hi: 0.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +116,8 @@ func TestHeteroUnsupportedRules(t *testing.T) {
 		backend Backend
 	}{
 		{"interval exact", iv, Exact},
-		{"one-bit exact", OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, Exact},
-		{"one-bit mc", OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}, MonteCarlo},
 		{"py91 exact", PY91Rule{Protocol: py91.ConjecturedOptimal()}, Exact},
+		{"py91 mc", PY91Rule{Protocol: py91.ConjecturedOptimal()}, MonteCarlo},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -126,7 +125,7 @@ func TestHeteroUnsupportedRules(t *testing.T) {
 			if err == nil {
 				t.Fatal("expected heterogeneous rejection")
 			}
-			if !strings.Contains(err.Error(), "π=(0.5,1)") {
+			if !strings.Contains(err.Error(), "π=(0.5,1,1)") {
 				t.Errorf("error should name the π vector: %v", err)
 			}
 		})

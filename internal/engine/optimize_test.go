@@ -251,38 +251,6 @@ func TestOptimizeObliviousFamily(t *testing.T) {
 	}
 }
 
-func TestIntervalFamily(t *testing.T) {
-	inst := optInstance(t, 3, 1, nil)
-	fam := IntervalFamily{K: 2}
-	lo, hi, err := fam.Bounds(inst)
-	if err != nil {
-		t.Fatalf("Bounds: %v", err)
-	}
-	if len(lo) != 4 || len(hi) != 4 {
-		t.Fatalf("dim = %d/%d, want 4", len(lo), len(hi))
-	}
-	// Unsorted endpoints sort into intervals; touching pairs merge.
-	r, err := fam.Rule(inst, []float64{0.7, 0.1, 0.3, 0.3})
-	if err != nil {
-		t.Fatalf("Rule: %v", err)
-	}
-	ir, ok := r.(IntervalRule)
-	if !ok {
-		t.Fatalf("rule type %T", r)
-	}
-	ivs := ir.Set.Intervals()
-	if len(ivs) != 1 || ivs[0].Lo != 0.1 || ivs[0].Hi != 0.7 {
-		t.Errorf("intervals = %v, want one merged [0.1, 0.7]", ivs)
-	}
-	if _, err := fam.Rule(inst, []float64{0.1, 0.2}); err == nil {
-		t.Errorf("wrong dimension accepted")
-	}
-	empty := IntervalFamily{}
-	if _, _, err := empty.Bounds(inst); err == nil {
-		t.Errorf("K = 0 accepted")
-	}
-}
-
 func TestThresholdVectorFamilyBounds(t *testing.T) {
 	inst := optInstance(t, 3, 1, []float64{0.5, 1, 2})
 	lo, hi, err := ThresholdVectorFamily{}.Bounds(inst)

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/py91"
 	"repro/internal/sim"
 )
 
@@ -50,8 +51,8 @@ func TestQMCBackendDispatch(t *testing.T) {
 // fall back.
 func TestQMCRejectsSimulatorRules(t *testing.T) {
 	e := New(Config{})
-	inst := Instance{N: 2, Delta: 1}
-	r := OneBitRule{}
+	inst := Instance{N: 3, Delta: 1}
+	r := PY91Rule{Protocol: py91.ConjecturedOptimal()}
 	if _, err := e.EvaluateWithCtx(context.Background(), inst, r, MonteCarloQMC, sim.Config{Trials: 1000}); err == nil {
 		t.Error("mc-qmc accepted a Simulator-only protocol rule")
 	}

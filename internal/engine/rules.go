@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/model"
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
@@ -39,8 +38,8 @@ type Rule interface {
 }
 
 // ExactOpts is implemented by rules with an analytic oracle (Theorem 4.1,
-// Theorem 5.1, the interval-set pattern masses, the interval-pair
-// conditioning of one-bit protocols, the PY91 protocol oracles). The
+// Theorem 5.1, the interval-set pattern masses, the PY91 protocol
+// oracles). The
 // engine passes its resolved ExactWorkers and observer: the oblivious and
 // threshold families shard their subset enumerations across workers with
 // bit-identical results for every worker count and count their work in
@@ -361,91 +360,6 @@ func (r IntervalRule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Obser
 }
 
 // ---------------------------------------------------------------------------
-// One-bit broadcast protocols (communication extension)
-
-// OneBitRule is the one-bit broadcast protocol: player 0 announces
-// 1{x₀ > Cut}; it enters bin 0 when x₀ ≤ SenderTheta, and every listener
-// thresholds its own input at BetaLow (bit 0) or BetaHigh (bit 1). The bit
-// couples the players, so the rule has no local-rule System; Monte-Carlo
-// runs through its own Simulator.
-type OneBitRule struct {
-	// Cut is the broadcast cut point.
-	Cut float64
-	// SenderTheta is the sender's own bin-0 threshold.
-	SenderTheta float64
-	// BetaLow and BetaHigh are the listeners' bit-conditional thresholds.
-	BetaLow, BetaHigh float64
-}
-
-// Name implements Rule.
-func (r OneBitRule) Name() string {
-	return fmt.Sprintf("onebit(cut=%g,θ=%g,β=%g|%g)", r.Cut, r.SenderTheta, r.BetaLow, r.BetaHigh)
-}
-
-// Fingerprint implements Rule.
-func (r OneBitRule) Fingerprint() string {
-	return "comm1:" + fbits(r.Cut) + "," + fbits(r.SenderTheta) + "," + fbits(r.BetaLow) + "," + fbits(r.BetaHigh)
-}
-
-func (r OneBitRule) protocol(inst Instance) (comm.OneBitBroadcast, error) {
-	if err := homogeneousOnly(inst, "the one-bit protocol"); err != nil {
-		return comm.OneBitBroadcast{}, err
-	}
-	p := comm.OneBitBroadcast{N: inst.N, Cut: r.Cut, SenderTheta: r.SenderTheta, BetaLow: r.BetaLow, BetaHigh: r.BetaHigh}
-	if err := p.Validate(); err != nil {
-		return comm.OneBitBroadcast{}, err
-	}
-	return p, nil
-}
-
-// System implements Rule; the broadcast bit makes the players dependent,
-// so no no-communication system exists.
-func (r OneBitRule) System(Instance) (*model.System, error) {
-	return nil, fmt.Errorf("%w: the broadcast bit couples the players", ErrNoSystem)
-}
-
-// ExactWinProbabilityOpts implements ExactOpts by conditioning on the bit
-// and evaluating each world's interval-pair vector.
-func (r OneBitRule) ExactWinProbabilityOpts(inst Instance, _ int, _ *obs.Observer) (float64, error) {
-	p, err := r.protocol(inst)
-	if err != nil {
-		return 0, err
-	}
-	return p.WinProbability(inst.Delta)
-}
-
-// Simulate implements Simulator: one trial samples all inputs, resolves
-// the bit from the sender's input, and plays the matching threshold set.
-func (r OneBitRule) Simulate(inst Instance, cfg sim.Config) (sim.Result, error) {
-	if _, err := r.protocol(inst); err != nil {
-		return sim.Result{}, err
-	}
-	n, delta := inst.N, inst.Delta
-	return sim.Bernoulli(cfg, "engine.onebit", func(rng *rand.Rand) (bool, error) {
-		var load0, load1 float64
-		x0 := rng.Float64()
-		if x0 <= r.SenderTheta {
-			load0 = x0
-		} else {
-			load1 = x0
-		}
-		beta := r.BetaLow
-		if x0 > r.Cut {
-			beta = r.BetaHigh
-		}
-		for i := 1; i < n; i++ {
-			x := rng.Float64()
-			if x <= beta {
-				load0 += x
-			} else {
-				load1 += x
-			}
-		}
-		return load0 <= delta && load1 <= delta, nil
-	})
-}
-
-// ---------------------------------------------------------------------------
 // PY91 baseline protocols
 
 // py91Exact is implemented by the PY91 protocols with an exact oracle:
@@ -459,7 +373,7 @@ type py91Exact interface {
 // evaluation uses the protocol's own oracle: the Theorem 5.1 closed form
 // for threshold protocols, the piecewise-quadratic integral over x₀ for
 // weighted averages, and 3/4 for full information. Monte-Carlo plays the
-// protocol's Decide through sim.Bernoulli, like OneBitRule.
+// protocol's Decide through sim.Bernoulli.
 type PY91Rule struct {
 	// Protocol is the wrapped protocol.
 	Protocol py91.Protocol

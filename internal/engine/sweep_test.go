@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/py91"
 	"repro/internal/sim"
 )
 
@@ -227,7 +228,7 @@ func TestSweepAutoMixedRules(t *testing.T) {
 		{Instance: inst, Rule: SymmetricOblivious{A: 0.5}},
 		{Instance: inst, Rule: DeterministicSplit{K: 2}},
 		{Instance: inst, Rule: SymmetricThreshold{Beta: 0.622}},
-		{Instance: inst, Rule: OneBitRule{Cut: 0.5, SenderTheta: 0.6, BetaLow: 0.7, BetaHigh: 0.5}},
+		{Instance: inst, Rule: PY91Rule{Protocol: py91.ConjecturedOptimal()}},
 	}
 	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Auto})
 	if err != nil {

@@ -417,52 +417,29 @@ func classify(br BatchRule) laneOp {
 // N returns the number of players.
 func (k *BatchKernel) N() int { return len(k.ops) }
 
-// Play samples and plays b trials drawn from rng, using sc's buffers, and
+// Play samples and plays b trials drawn from pcg, using sc's buffers, and
 // returns the number of wins. Per-trial win flags are left in
-// sc.Wins()[:b]. The rng draw order is identical to b successive
-// SampleInputs + Play rounds, so batched results are bit-identical to the
-// per-trial path on a fixed stream.
-func (k *BatchKernel) Play(sc *BatchScratch, rng *rand.Rand, b int) int {
+// sc.Wins()[:b]. Every trial draws exactly Dims() values, in the order
+// and with the Float64 construction of b successive SampleInputs + Play
+// rounds on rand.New(pcg), so batched results are bit-identical to the
+// per-trial path on a fixed stream. The draws are direct *rand.PCG calls,
+// not Source interface calls.
+func (k *BatchKernel) Play(sc *BatchScratch, pcg *rand.PCG, b int) int {
 	n, cc := len(k.ops), len(k.coinPlayers)
-	sc.ensure(n+cc, b)
-	wins := 0
-	for off := 0; off < b; off += BatchSize {
-		c := min(BatchSize, b-off)
-		k.fillRand(sc, rng, c)
-		wins += k.playChunk(sc, c, sc.wins[off:off+c])
-	}
-	return wins
-}
-
-// PlaySrc is Play drawing straight from a rand.Source: the same stream a
-// rand.New(src) would consume, with the identical Float64 construction,
-// so results are bit-identical to Play on the same source state. When src
-// is a *rand.PCG (the simulator's worker source) the draws devirtualize
-// into direct calls, which is the kernel's fastest pseudo-random path.
-func (k *BatchKernel) PlaySrc(sc *BatchScratch, src rand.Source, b int) int {
-	n, cc := len(k.ops), len(k.coinPlayers)
-	pcg, _ := src.(*rand.PCG)
 	if k.fused {
 		// Coin-free simple systems skip the lane slab: draws, decisions
 		// and load sums all stay in registers, one pass per trial.
 		sc.ensure(0, b)
-		if pcg != nil {
-			if k.fusedTh {
-				return k.playFusedThPCG(pcg, b, sc.wins)
-			}
-			return k.playFusedPCG(pcg, b, sc.wins)
+		if k.fusedTh {
+			return k.playFusedThPCG(pcg, b, sc.wins)
 		}
-		return k.playFusedSrc(src, b, sc.wins)
+		return k.playFusedPCG(pcg, b, sc.wins)
 	}
 	sc.ensure(n+cc, b)
 	wins := 0
 	for off := 0; off < b; off += BatchSize {
 		c := min(BatchSize, b-off)
-		if pcg != nil {
-			k.fillPCG(sc, pcg, c)
-		} else {
-			k.fillSrc(sc, src, c)
-		}
+		k.fillPCG(sc, pcg, c)
 		wins += k.playChunk(sc, c, sc.wins[off:off+c])
 	}
 	return wins
@@ -548,31 +525,6 @@ func (k *BatchKernel) playFusedThPCG(pcg *rand.PCG, b int, winbuf []bool) int {
 	return wins
 }
 
-// playFusedSrc is playFusedPCG over an abstract Source (the observed-mode
-// counting wrapper lands here); same arithmetic, interface draws.
-func (k *BatchKernel) playFusedSrc(src rand.Source, b int, winbuf []bool) int {
-	n := len(k.ops)
-	lo, hi := k.fusedLo, k.fusedHi
-	cap := k.capacity
-	wins := 0
-	for t := 0; t < b; t++ {
-		l0, l1 := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			x := srcFloat64(src.Uint64())
-			if k.widths != nil {
-				x *= k.widths[i]
-			}
-			m := math.Float64frombits(math.Float64bits(x) & -(b2u(x >= lo[i]) & b2u(x <= hi[i])))
-			l0 += m
-			l1 += x - m
-		}
-		u := b2u(l0 <= cap) & b2u(l1 <= cap)
-		winbuf[t] = u != 0
-		wins += int(u)
-	}
-	return wins
-}
-
 // PlayQMC plays b trials whose coordinates are points start..start+b-1
 // of a low-discrepancy sequence: dimension i < n is player i's input
 // (scaled by π_i in the heterogeneous game), dimension n+c is coin
@@ -606,32 +558,6 @@ func (k *BatchKernel) PlayQMC(sc *BatchScratch, seq LaneSampler, start uint64, b
 // handed to PlayQMC must provide at least this many dimensions.
 func (k *BatchKernel) Dims() int { return len(k.ops) + len(k.coinPlayers) }
 
-// fillRand draws one chunk of c trials from rng into the lane slab,
-// trial-major (the per-trial draw order: n inputs, then the coins in
-// ascending player order), storing column-major. The homogeneous loop is
-// kept separate so its stream of operations — and therefore its bits —
-// matches the pre-heterogeneous kernel exactly.
-func (k *BatchKernel) fillRand(sc *BatchScratch, rng *rand.Rand, c int) {
-	n, cc := len(k.ops), len(k.coinPlayers)
-	lanes := sc.lanes
-	if k.widths == nil {
-		for t := 0; t < c; t++ {
-			for i := 0; i < n+cc; i++ {
-				lanes[i*BatchSize+t] = rng.Float64()
-			}
-		}
-		return
-	}
-	for t := 0; t < c; t++ {
-		for i := 0; i < n; i++ {
-			lanes[i*BatchSize+t] = rng.Float64() * k.widths[i]
-		}
-		for j := n; j < n+cc; j++ {
-			lanes[j*BatchSize+t] = rng.Float64()
-		}
-	}
-}
-
 // srcFloat64 is the math/rand/v2 Float64 construction applied to a raw
 // source draw, for kernels that draw from a concrete *rand.PCG rather
 // than through *rand.Rand. The multiply by 0x1p-53 is bit-identical to the stdlib's
@@ -639,31 +565,11 @@ func (k *BatchKernel) fillRand(sc *BatchScratch, rng *rand.Rand, c int) {
 // compiles to MULSD instead of the slower DIVSD.
 func srcFloat64(u uint64) float64 { return float64(u<<11>>11) * 0x1p-53 }
 
-// fillSrc is fillRand drawing from a raw Source (the observed-mode
-// counting wrapper takes this path).
-func (k *BatchKernel) fillSrc(sc *BatchScratch, src rand.Source, c int) {
-	n, cc := len(k.ops), len(k.coinPlayers)
-	lanes := sc.lanes
-	if k.widths == nil {
-		for t := 0; t < c; t++ {
-			for i := 0; i < n+cc; i++ {
-				lanes[i*BatchSize+t] = srcFloat64(src.Uint64())
-			}
-		}
-		return
-	}
-	for t := 0; t < c; t++ {
-		for i := 0; i < n; i++ {
-			lanes[i*BatchSize+t] = srcFloat64(src.Uint64()) * k.widths[i]
-		}
-		for j := n; j < n+cc; j++ {
-			lanes[j*BatchSize+t] = srcFloat64(src.Uint64())
-		}
-	}
-}
-
-// fillPCG is fillSrc specialized to the concrete *rand.PCG so the draw
-// calls are direct rather than through the Source interface.
+// fillPCG draws one chunk of c trials from pcg into the lane slab,
+// trial-major (the per-trial draw order: n inputs, then the coins in
+// ascending player order), storing column-major. The homogeneous loop is
+// kept separate so its stream of operations — and therefore its bits —
+// matches the pre-heterogeneous kernel exactly.
 func (k *BatchKernel) fillPCG(sc *BatchScratch, pcg *rand.PCG, c int) {
 	n, cc := len(k.ops), len(k.coinPlayers)
 	lanes := sc.lanes

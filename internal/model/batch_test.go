@@ -11,9 +11,11 @@ type plainRule struct{ r LocalRule }
 
 func (p plainRule) Decide(x float64, rng *rand.Rand) (Bin, error) { return p.r.Decide(x, rng) }
 
-func testRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x94d049bb133111eb))
+func testPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x94d049bb133111eb)
 }
+
+func testRNG(seed uint64) *rand.Rand { return rand.New(testPCG(seed)) }
 
 // TestDecideBatchMatchesDecide pins the core BatchRule contract: for
 // every rule family, DecideBatch must agree element-for-element with
@@ -151,7 +153,7 @@ func TestBatchKernelMatchesPerTrialPlay(t *testing.T) {
 	const b = 777 // odd size exercises the partial-batch path
 	sc := GetBatchScratch()
 	defer sc.Release()
-	batchRNG := testRNG(99)
+	batchRNG := testPCG(99)
 	wins := k.Play(sc, batchRNG, b)
 
 	perTrialRNG := testRNG(99)
@@ -203,7 +205,7 @@ func TestBatchKernelMatchesPerTrialPlayPi(t *testing.T) {
 	const b = 777
 	sc := GetBatchScratch()
 	defer sc.Release()
-	batchRNG := testRNG(41)
+	batchRNG := testPCG(41)
 	wins := k.Play(sc, batchRNG, b)
 
 	perTrialRNG := testRNG(41)
@@ -275,7 +277,7 @@ func TestBatchKernelPlayAllocationFree(t *testing.T) {
 			t.Fatalf("%s: expected batch kernel", tc.name)
 		}
 		sc := GetBatchScratch()
-		rng := testRNG(5)
+		rng := testPCG(5)
 		k.Play(sc, rng, 256) // warm the buffers
 		allocs := testing.AllocsPerRun(10, func() {
 			k.Play(sc, rng, 256)
@@ -340,12 +342,6 @@ func TestPlayIntoReusesBuffers(t *testing.T) {
 	}
 }
 
-// rawSource hides a source's concrete type so tests can force the
-// interface-draw paths (fillSrc / playFusedSrc).
-type rawSource struct{ s rand.Source }
-
-func (r rawSource) Uint64() uint64 { return r.s.Uint64() }
-
 // playSrcSystems builds one system per kernel path: the pure-threshold
 // register loop, the banded register loop, the lane path with coins, and
 // the heterogeneous variants.
@@ -387,10 +383,11 @@ func playSrcSystems(t *testing.T) map[string]*System {
 	return sys
 }
 
-// TestPlaySrcMatchesPlay pins the bit-identity of every PlaySrc
-// specialization (fused threshold, fused band, lane path; PCG-concrete
-// and interface sources) against the reference Play over the same
-// stream: identical win flags, counts, and final source state.
+// TestPlaySrcMatchesPlay pins the bit-identity of every kernel path
+// (fused threshold, fused band, lane path with coins, and their
+// heterogeneous variants) against the per-trial SampleInputsInto +
+// PlayInto reference over the same PCG stream: identical win flags,
+// counts, and final source state.
 func TestPlaySrcMatchesPlay(t *testing.T) {
 	const b = 777
 	for name, sys := range playSrcSystems(t) {
@@ -398,37 +395,34 @@ func TestPlaySrcMatchesPlay(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: expected batch kernel", name)
 		}
-		ref := GetBatchScratch()
-		refWins := k.Play(ref, testRNG(7), b)
-		refFlags := append([]bool(nil), ref.Wins()[:b]...)
-		ref.Release()
+		sc := GetBatchScratch()
+		pcg := testPCG(7)
+		wins := k.Play(sc, pcg, b)
 
-		for _, src := range []struct {
-			label string
-			src   rand.Source
-		}{
-			{"pcg", rand.NewPCG(7, 7^0x94d049bb133111eb)},
-			{"interface", rawSource{rand.NewPCG(7, 7^0x94d049bb133111eb)}},
-		} {
-			sc := GetBatchScratch()
-			wins := k.PlaySrc(sc, src.src, b)
-			if wins != refWins {
-				t.Errorf("%s/%s: PlaySrc wins %d, Play wins %d", name, src.label, wins, refWins)
+		ref := testRNG(7)
+		inputs := make([]float64, sys.N())
+		var out Outcome
+		refWins := 0
+		for i := 0; i < b; i++ {
+			if err := sys.SampleInputsInto(inputs, ref); err != nil {
+				t.Fatal(err)
 			}
-			for i := range refFlags {
-				if sc.Wins()[i] != refFlags[i] {
-					t.Fatalf("%s/%s: trial %d flag %v, want %v", name, src.label, i, sc.Wins()[i], refFlags[i])
-				}
+			if err := sys.PlayInto(&out, inputs, ref); err != nil {
+				t.Fatal(err)
 			}
-			sc.Release()
-			// Both paths must leave the stream in the same state.
-			want := testRNG(7)
-			for i := 0; i < b*k.Dims(); i++ {
-				want.Float64()
+			if sc.Wins()[i] != out.Win {
+				t.Fatalf("%s: trial %d flag %v, want %v", name, i, sc.Wins()[i], out.Win)
 			}
-			if a, bb := src.src.Uint64(), want.Uint64(); a != bb {
-				t.Errorf("%s/%s: stream diverged after play: %x vs %x", name, src.label, a, bb)
+			if out.Win {
+				refWins++
 			}
+		}
+		sc.Release()
+		if wins != refWins {
+			t.Errorf("%s: kernel wins %d, per-trial wins %d", name, wins, refWins)
+		}
+		if a, bb := pcg.Uint64(), ref.Uint64(); a != bb {
+			t.Errorf("%s: stream diverged after play: %x vs %x", name, a, bb)
 		}
 	}
 }
@@ -463,7 +457,7 @@ func TestBatchScratchMixedSizes(t *testing.T) {
 	}
 	sc := GetBatchScratch()
 	defer sc.Release()
-	rng := testRNG(3)
+	rng := testPCG(3)
 	// Warm with the widest lane demand and the largest batch once.
 	kernels[len(kernels)-2].Play(sc, rng, 777)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -575,11 +569,11 @@ func TestPlaySrcAndQMCAllocationFree(t *testing.T) {
 	src := rand.NewPCG(9, 9)
 	sc := GetBatchScratch()
 	defer sc.Release()
-	k.PlaySrc(sc, src, 256)
+	k.Play(sc, src, 256)
 	if allocs := testing.AllocsPerRun(10, func() {
-		k.PlaySrc(sc, src, 256)
+		k.Play(sc, src, 256)
 	}); allocs != 0 {
-		t.Errorf("steady-state PlaySrc allocates %v times per batch, want 0", allocs)
+		t.Errorf("steady-state Play allocates %v times per batch, want 0", allocs)
 	}
 	k.PlayQMC(sc, fillSampler{}, 0, 256)
 	var at uint64

@@ -89,11 +89,11 @@ func WinningProbabilityPiRat(thresholds, pi []*big.Rat, capacity *big.Rat) (*big
 		if shifted.Sign() <= 0 {
 			return true
 		}
-		f0, err := subsetCDFRat(zeroWidths, capacity)
+		f0, err := dist.CDFRat(zeroWidths, capacity)
 		if err != nil || f0.Sign() == 0 {
 			return true
 		}
-		f1, err := subsetCDFRat(oneWidths, shifted)
+		f1, err := dist.CDFRat(oneWidths, shifted)
 		if err != nil {
 			return true
 		}
@@ -106,15 +106,6 @@ func WinningProbabilityPiRat(thresholds, pi []*big.Rat, capacity *big.Rat) (*big
 		return nil, err
 	}
 	return total, nil
-}
-
-// subsetCDFRat returns P(Σ U[0, w_i] ≤ t) exactly; the empty sum always
-// fits (t > 0 is validated by the caller).
-func subsetCDFRat(widths []*big.Rat, t *big.Rat) (*big.Rat, error) {
-	if len(widths) == 0 {
-		return big.NewRat(1, 1), nil
-	}
-	return dist.CDFRat(widths, t)
 }
 
 // CertifyThresholds re-evaluates a float64 threshold vector with the

@@ -66,11 +66,11 @@ func WinningProbabilityPiRat(alphas, pi []*big.Rat, capacity *big.Rat) (*big.Rat
 		if weight.Sign() == 0 {
 			return true
 		}
-		f0, err := subsetCDFRat(zeros, capacity)
+		f0, err := dist.CDFRat(zeros, capacity)
 		if err != nil || f0.Sign() == 0 {
 			return true
 		}
-		f1, err := subsetCDFRat(ones, capacity)
+		f1, err := dist.CDFRat(ones, capacity)
 		if err != nil {
 			return true
 		}
@@ -83,13 +83,4 @@ func WinningProbabilityPiRat(alphas, pi []*big.Rat, capacity *big.Rat) (*big.Rat
 		return nil, err
 	}
 	return total, nil
-}
-
-// subsetCDFRat returns P(Σ U[0, w_i] ≤ t) exactly; the empty sum always
-// fits (t > 0 is validated by the caller).
-func subsetCDFRat(widths []*big.Rat, t *big.Rat) (*big.Rat, error) {
-	if len(widths) == 0 {
-		return big.NewRat(1, 1), nil
-	}
-	return dist.CDFRat(widths, t)
 }

@@ -1,7 +1,6 @@
 // Package obs is the reproduction's dependency-free observability layer:
 // a concurrency-safe metrics registry (counters, gauges, timers and
-// fixed-bucket histograms with the same edge semantics as
-// internal/stats.Histogram), a lightweight span/trace API for nested
+// fixed-bucket histograms), a lightweight span/trace API for nested
 // phases (simulate → worker[i] → batch), and a structured JSONL event
 // sink with pluggable writers.
 //

@@ -7,10 +7,9 @@ import (
 )
 
 // Histogram bins observations into equal-width buckets over [lo, hi],
-// counting out-of-range values in Under/Over. It mirrors the bucket-edge
-// semantics of internal/stats.Histogram — values below Lo count as Under,
-// values equal to Hi land in the last bucket, values above Hi count as
-// Over — but is safe for concurrent Observe calls. A nil *Histogram is a
+// counting out-of-range values in Under/Over: values below Lo count as
+// Under, values equal to Hi land in the last bucket, values above Hi count
+// as Over. It is safe for concurrent Observe calls. A nil *Histogram is a
 // no-op.
 type Histogram struct {
 	lo, hi  float64

@@ -2,10 +2,9 @@ package obs
 
 import "testing"
 
-// TestHistogramBucketEdges pins the edge semantics shared with
-// internal/stats.Histogram: below-range counts as Under, x == Lo lands in
-// the first bucket, x == Hi lands in the last bucket, above-range counts
-// as Over.
+// TestHistogramBucketEdges pins the bucket-edge semantics: below-range
+// counts as Under, x == Lo lands in the first bucket, x == Hi lands in the
+// last bucket, above-range counts as Over.
 func TestHistogramBucketEdges(t *testing.T) {
 	h, err := NewHistogram(0, 1, 4)
 	if err != nil {
@@ -23,7 +22,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 		{0.74999, 2},
 		{0.75, 3},
 		{0.99999, 3},
-		{1, 3}, // x == Hi goes in the last bucket, matching stats.Histogram
+		{1, 3}, // x == Hi goes in the last bucket
 		{1.0001, -2},
 	}
 	for _, c := range cases {

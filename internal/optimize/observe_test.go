@@ -56,25 +56,6 @@ func TestGoldenSectionObserved(t *testing.T) {
 	}
 }
 
-// TestBrentRootObserved checks eval/iteration accounting on the root
-// finder.
-func TestBrentRootObserved(t *testing.T) {
-	o := obs.New(obs.NewRegistry(), nil)
-	root, err := BrentRoot(o, func(x float64) float64 { return x*x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Cbrt(2)) > 1e-9 {
-		t.Errorf("root = %v, want cbrt(2)", root)
-	}
-	if o.Counter("opt.brent.iterations").Value() <= 0 {
-		t.Error("no Brent iterations recorded")
-	}
-	if o.Counter("opt.brent.evals").Value() < 3 {
-		t.Error("Brent evals not accounted")
-	}
-}
-
 // TestObservedVariantsMatchPlain pins that an enabled observer never
 // changes a search: each entry point returns the same result with a nil
 // observer and with an enabled one.
@@ -96,12 +77,6 @@ func TestObservedVariantsMatchPlain(t *testing.T) {
 	}
 	if o.Counter("opt.grid.evals").Value() != 41 {
 		t.Errorf("opt.grid.evals = %d, want 41", o.Counter("opt.grid.evals").Value())
-	}
-	cube := func(x float64) float64 { return x*x*x - 2 }
-	r1, err1 := BrentRoot(nil, cube, 0, 2, 1e-12)
-	r2, err2 := BrentRoot(o, cube, 0, 2, 1e-12)
-	if err1 != nil || err2 != nil || r1 != r2 {
-		t.Errorf("BrentRoot: plain %v (%v), observed %v (%v)", r1, err1, r2, err2)
 	}
 	ca1, err1 := CoordinateAscentBox(nil, g, []float64{0.5, 0.5}, lo, hi, 20, 1e-10)
 	ca2, err2 := CoordinateAscentBox(o, g, []float64{0.5, 0.5}, lo, hi, 20, 1e-10)

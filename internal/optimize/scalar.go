@@ -1,7 +1,6 @@
-// Package optimize provides the numeric optimization and root-finding
-// routines used to cross-check the paper's symbolic optimality results:
-// golden-section and Brent scalar maximization (for threshold sweeps),
-// bisection and Brent root finding (for optimality conditions), and
+// Package optimize provides the numeric optimization routines used to
+// cross-check the paper's symbolic optimality results:
+// golden-section scalar maximization (for threshold sweeps) and
 // derivative-free vector maximization (coordinate ascent and Nelder-Mead)
 // over probability/threshold vectors.
 //
@@ -151,144 +150,4 @@ func GridThenGoldenMax(o *obs.Observer, f func(float64) float64, lo, hi float64,
 		res.Value = bestV
 	}
 	return res, nil
-}
-
-// Bisect finds a root of f in [lo, hi] by bisection. f(lo) and f(hi) must
-// have opposite (or zero) signs. The returned x satisfies an interval width
-// of at most tol. It returns an error on invalid input or same-sign
-// endpoints.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if f == nil {
-		return 0, fmt.Errorf("optimize: nil function")
-	}
-	if !(lo < hi) {
-		return 0, fmt.Errorf("optimize: invalid interval [%v, %v]", lo, hi)
-	}
-	if !(tol > 0) {
-		return 0, fmt.Errorf("optimize: non-positive tolerance %v", tol)
-	}
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, fmt.Errorf("optimize: f has the same sign at %v and %v", lo, hi)
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// BrentRoot finds a root of f in [lo, hi] with Brent's method (inverse
-// quadratic interpolation guarded by bisection). f(lo) and f(hi) must
-// bracket a root. It returns an error on invalid input, same-sign
-// endpoints, or failure to converge in 200 iterations.
-//
-// A non-nil observer counts function evaluations and iterations
-// (opt.brent.evals, opt.brent.iterations), records the final bracket width
-// (opt.brent.bracket_width), and emits one opt.brent_root checkpoint event
-// per iteration; nil means uninstrumented.
-func BrentRoot(o *obs.Observer, f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if f == nil {
-		return 0, fmt.Errorf("optimize: nil function")
-	}
-	if !(lo < hi) {
-		return 0, fmt.Errorf("optimize: invalid interval [%v, %v]", lo, hi)
-	}
-	if !(tol > 0) {
-		return 0, fmt.Errorf("optimize: non-positive tolerance %v", tol)
-	}
-	sp := o.StartSpan("opt.brent_root")
-	defer sp.End()
-	evals := 0
-	iters := 0
-	finish := func(root float64, err error) (float64, error) {
-		o.Counter("opt.brent.evals").Add(int64(evals))
-		o.Counter("opt.brent.iterations").Add(int64(iters))
-		return root, err
-	}
-	eval := func(x float64) float64 {
-		evals++
-		return f(x)
-	}
-	a, b := lo, hi
-	fa, fb := eval(a), eval(b)
-	if fa == 0 {
-		return finish(a, nil)
-	}
-	if fb == 0 {
-		return finish(b, nil)
-	}
-	if (fa > 0) == (fb > 0) {
-		return finish(0, fmt.Errorf("optimize: f has the same sign at %v and %v", lo, hi))
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		iters++
-		if o.Enabled() {
-			o.Emit(obs.Event{
-				Type: obs.EventCheckpoint,
-				Name: "opt.brent_root",
-				Attrs: map[string]float64{
-					"iter":  float64(iters),
-					"width": math.Abs(b - a),
-					"fb":    fb,
-				},
-			})
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-		if fb == 0 || math.Abs(b-a) < tol {
-			o.Gauge("opt.brent.bracket_width").Set(math.Abs(b - a))
-			return finish(b, nil)
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant step.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		cond := (s < (3*a+b)/4 && s < b) || (s > (3*a+b)/4 && s > b)
-		if !((s > (3*a+b)/4 && s < b) || (s < (3*a+b)/4 && s > b)) {
-			cond = true
-		}
-		switch {
-		case cond,
-			mflag && math.Abs(s-b) >= math.Abs(b-c)/2,
-			!mflag && math.Abs(s-b) >= math.Abs(c-d)/2:
-			s = (a + b) / 2
-			mflag = true
-		default:
-			mflag = false
-		}
-		fs := eval(s)
-		d, c, fc = c, b, fb
-		if (fa > 0) != (fs > 0) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-	}
-	return finish(0, fmt.Errorf("optimize: Brent root did not converge on [%v, %v]", lo, hi))
 }

@@ -117,97 +117,3 @@ func TestGridThenGoldenFindsGlobalOnRandomBimodalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBisect(t *testing.T) {
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Errorf("root = %v, want sqrt(2)", root)
-	}
-	// Exact hits at endpoints.
-	r, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12)
-	if err != nil || r != 0 {
-		t.Errorf("root at lo: %v, %v", r, err)
-	}
-	r, err = Bisect(func(x float64) float64 { return x - 1 }, 0, 1, 1e-12)
-	if err != nil || r != 1 {
-		t.Errorf("root at hi: %v, %v", r, err)
-	}
-}
-
-func TestBisectValidation(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, 0, 1, 1e-6); err == nil {
-		t.Error("same-sign endpoints: expected error")
-	}
-	if _, err := Bisect(nil, 0, 1, 1e-6); err == nil {
-		t.Error("nil function: expected error")
-	}
-	if _, err := Bisect(f, 1, 0, 1e-6); err == nil {
-		t.Error("inverted interval: expected error")
-	}
-	if _, err := Bisect(f, 0, 1, -1); err == nil {
-		t.Error("negative tolerance: expected error")
-	}
-}
-
-func TestBrentRoot(t *testing.T) {
-	// Paper's n=3 optimality condition: β² - 2β + 6/7 = 0 on (0, 1).
-	f := func(b float64) float64 { return b*b - 2*b + 6.0/7 }
-	root, err := BrentRoot(nil, f, 0, 1, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 - math.Sqrt(1.0/7)
-	if math.Abs(root-want) > 1e-10 {
-		t.Errorf("root = %.15g, want %.15g", root, want)
-	}
-	// A hard case for secant-only methods.
-	g := func(x float64) float64 { return math.Pow(x, 9) - 0.5 }
-	root, err = BrentRoot(nil, g, 0, 1, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Pow(0.5, 1.0/9)) > 1e-9 {
-		t.Errorf("x^9=0.5 root = %v", root)
-	}
-}
-
-func TestBrentRootEndpointsAndValidation(t *testing.T) {
-	f := func(x float64) float64 { return x - 0.25 }
-	r, err := BrentRoot(nil, func(x float64) float64 { return x }, 0, 1, 1e-12)
-	if err != nil || r != 0 {
-		t.Errorf("root at lo: %v, %v", r, err)
-	}
-	r, err = BrentRoot(nil, func(x float64) float64 { return x - 1 }, 0, 1, 1e-12)
-	if err != nil || r != 1 {
-		t.Errorf("root at hi: %v, %v", r, err)
-	}
-	if _, err := BrentRoot(nil, nil, 0, 1, 1e-6); err == nil {
-		t.Error("nil function: expected error")
-	}
-	if _, err := BrentRoot(nil, f, 1, 0, 1e-6); err == nil {
-		t.Error("inverted interval: expected error")
-	}
-	if _, err := BrentRoot(nil, f, 0.5, 1, 1e-6); err == nil {
-		t.Error("same-sign endpoints: expected error")
-	}
-	if _, err := BrentRoot(nil, f, 0, 1, 0); err == nil {
-		t.Error("zero tolerance: expected error")
-	}
-}
-
-func TestBrentMatchesBisectProperty(t *testing.T) {
-	f := func(cRaw uint8) bool {
-		c := 0.05 + 0.9*float64(cRaw)/255
-		obj := func(x float64) float64 { return x*x*x - c }
-		b1, err1 := Bisect(obj, 0, 1, 1e-12)
-		b2, err2 := BrentRoot(nil, obj, 0, 1, 1e-12)
-		return err1 == nil && err2 == nil && math.Abs(b1-b2) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,5 +1,5 @@
-// Package poly implements univariate polynomial algebra in two numeric
-// domains: exact rationals (RatPoly, over math/big.Rat) and float64 (Poly).
+// Package poly implements univariate polynomial algebra over exact
+// rationals (RatPoly, over math/big.Rat).
 //
 // The reproduction uses polynomials to derive and solve the paper's
 // optimality conditions symbolically rather than only numerically:

@@ -21,22 +21,26 @@ func ExampleRatPoly() {
 	// value at 1/2: 3/28
 }
 
-// ExampleRoots isolates and refines the real roots of the Section 5.2.1
-// optimality condition inside (0, 1) with Sturm sequences.
-func ExampleRoots() {
+// ExampleRefineRoot isolates the real roots of the Section 5.2.1
+// optimality condition inside (0, 1] with Sturm sequences and refines them.
+func ExampleRefineRoot() {
 	cond, err := poly.RatPolyFromFracs([]int64{6, -2, 1}, []int64{7, 1, 1})
 	if err != nil {
 		panic(err)
 	}
 	tol := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 60))
-	roots, err := poly.Roots(cond, new(big.Rat), big.NewRat(1, 1), tol)
+	ivs, err := poly.IsolateRoots(cond, new(big.Rat), big.NewRat(1, 1))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("roots in [0, 1]: %d\n", len(roots))
-	fmt.Printf("β* = %.12f\n", roots[0])
+	root, err := poly.RefineRoot(cond, ivs[0], tol)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("roots in (0, 1]: %d\n", len(ivs))
+	fmt.Printf("β* = %.12f\n", root.MidFloat())
 	// Output:
-	// roots in [0, 1]: 1
+	// roots in (0, 1]: 1
 	// β* = 0.622035526991
 }
 

@@ -51,15 +51,6 @@ func (pw *Piecewise) Domain() (lo, hi *big.Rat) {
 	return new(big.Rat).Set(pw.breaks[0]), new(big.Rat).Set(pw.breaks[len(pw.breaks)-1])
 }
 
-// Breakpoints returns a copy of the breakpoint slice.
-func (pw *Piecewise) Breakpoints() []*big.Rat {
-	out := make([]*big.Rat, len(pw.breaks))
-	for i, b := range pw.breaks {
-		out[i] = new(big.Rat).Set(b)
-	}
-	return out
-}
-
 // Piece returns the i-th polynomial piece and its interval.
 func (pw *Piecewise) Piece(i int) (RatPoly, Interval, error) {
 	if i < 0 || i >= len(pw.pieces) {
@@ -94,28 +85,6 @@ func (pw *Piecewise) Eval(x *big.Rat) (*big.Rat, error) {
 		return nil, fmt.Errorf("poly: %v outside piecewise domain [%v, %v]", x, lo, hi)
 	}
 	return pw.pieces[i].Eval(x), nil
-}
-
-// EvalFloat evaluates the piecewise function at a float64 point, clamping
-// to the domain boundary values.
-func (pw *Piecewise) EvalFloat(x float64) float64 {
-	r := new(big.Rat).SetFloat64(x)
-	if r == nil {
-		return 0
-	}
-	lo, hi := pw.Domain()
-	if r.Cmp(lo) < 0 {
-		r = lo
-	}
-	if r.Cmp(hi) > 0 {
-		r = hi
-	}
-	v, err := pw.Eval(r)
-	if err != nil {
-		return 0
-	}
-	f, _ := v.Float64()
-	return f
 }
 
 // Derivative returns the piecewise derivative (pieces differentiated

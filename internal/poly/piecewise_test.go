@@ -57,10 +57,6 @@ func TestPiecewiseAccessors(t *testing.T) {
 	if lo.Sign() != 0 || hi.Cmp(rat(1, 1)) != 0 {
 		t.Errorf("domain = [%v, %v], want [0, 1]", lo, hi)
 	}
-	bs := pw.Breakpoints()
-	if len(bs) != 3 || bs[1].Cmp(rat(1, 2)) != 0 {
-		t.Errorf("breakpoints = %v", bs)
-	}
 	piece, iv, err := pw.Piece(1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,21 +96,6 @@ func TestPiecewiseEval(t *testing.T) {
 	}
 	if _, err := pw.Eval(rat(-1, 10)); err == nil {
 		t.Error("below-domain Eval: expected error")
-	}
-}
-
-func TestPiecewiseEvalFloatClamping(t *testing.T) {
-	pw := paperN3Piecewise(t)
-	if got := pw.EvalFloat(-0.5); math.Abs(got-1.0/6) > 1e-15 {
-		t.Errorf("EvalFloat(-0.5) = %v, want clamp to P(0) = 1/6", got)
-	}
-	if got := pw.EvalFloat(2); math.Abs(got-1.0/6) > 1e-15 {
-		t.Errorf("EvalFloat(2) = %v, want clamp to P(1) = 1/6", got)
-	}
-	mid := pw.EvalFloat(0.25)
-	want := 1.0/6 + 1.5*0.0625 - 0.5*0.015625
-	if math.Abs(mid-want) > 1e-12 {
-		t.Errorf("EvalFloat(0.25) = %v, want %v", mid, want)
 	}
 }
 

@@ -56,14 +56,6 @@ func RatPolyFromFracs(nums, dens []int64) (RatPoly, error) {
 	return RatPoly{coeffs: trimRat(cp)}, nil
 }
 
-// RatPolyConstant returns the constant polynomial c.
-func RatPolyConstant(c *big.Rat) RatPoly {
-	if c == nil || c.Sign() == 0 {
-		return RatPoly{}
-	}
-	return RatPoly{coeffs: []*big.Rat{new(big.Rat).Set(c)}}
-}
-
 // RatPolyX returns the monomial x.
 func RatPolyX() RatPoly {
 	return RatPoly{coeffs: []*big.Rat{new(big.Rat), big.NewRat(1, 1)}}
@@ -224,56 +216,12 @@ func (p RatPoly) Derivative() RatPoly {
 	return RatPoly{coeffs: trimRat(out)}
 }
 
-// AntiDerivative returns the antiderivative of p with constant term 0.
-func (p RatPoly) AntiDerivative() RatPoly {
-	if p.IsZero() {
-		return RatPoly{}
-	}
-	out := make([]*big.Rat, len(p.coeffs)+1)
-	out[0] = new(big.Rat)
-	for i, c := range p.coeffs {
-		out[i+1] = new(big.Rat).Mul(c, big.NewRat(1, int64(i+1)))
-	}
-	return RatPoly{coeffs: trimRat(out)}
-}
-
 // Eval evaluates p at the rational point x exactly, using Horner's scheme.
 func (p RatPoly) Eval(x *big.Rat) *big.Rat {
 	result := new(big.Rat)
 	for i := len(p.coeffs) - 1; i >= 0; i-- {
 		result.Mul(result, x)
 		result.Add(result, p.coeffs[i])
-	}
-	return result
-}
-
-// EvalFloat evaluates p at the float64 point x using Horner's scheme on
-// float64-converted coefficients.
-func (p RatPoly) EvalFloat(x float64) float64 {
-	var result float64
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		c, _ := p.coeffs[i].Float64()
-		result = result*x + c
-	}
-	return result
-}
-
-// ComposeAffine returns p(a + b·x), expanded.
-func (p RatPoly) ComposeAffine(a, b *big.Rat) RatPoly {
-	// Horner in the polynomial ring: result = result*(a + b x) + c_i.
-	affine := RatPolyAffine(a, b)
-	result := RatPoly{}
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		result = result.Mul(affine).Add(RatPolyConstant(p.coeffs[i]))
-	}
-	return result
-}
-
-// Compose returns p(q(x)), expanded.
-func (p RatPoly) Compose(q RatPoly) RatPoly {
-	result := RatPoly{}
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		result = result.Mul(q).Add(RatPolyConstant(p.coeffs[i]))
 	}
 	return result
 }
@@ -385,13 +333,4 @@ func (p RatPoly) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Float converts p to a float64-coefficient polynomial.
-func (p RatPoly) Float() Poly {
-	out := make([]float64, len(p.coeffs))
-	for i, c := range p.coeffs {
-		out[i], _ = c.Float64()
-	}
-	return NewPoly(out)
 }

@@ -10,11 +10,6 @@ type Interval struct {
 	Lo, Hi *big.Rat
 }
 
-// Width returns Hi - Lo.
-func (iv Interval) Width() *big.Rat {
-	return new(big.Rat).Sub(iv.Hi, iv.Lo)
-}
-
 // Mid returns the midpoint (Lo + Hi)/2.
 func (iv Interval) Mid() *big.Rat {
 	m := new(big.Rat).Add(iv.Lo, iv.Hi)
@@ -206,37 +201,4 @@ func RefineRoot(p RatPoly, iv Interval, tol *big.Rat) (Interval, error) {
 		width.Sub(hi, lo)
 	}
 	return Interval{Lo: lo, Hi: hi}, nil
-}
-
-// Roots returns float64 approximations of all distinct real roots of p in
-// [lo, hi], each accurate to within tol (which must be positive), in
-// increasing order.
-func Roots(p RatPoly, lo, hi *big.Rat, tol *big.Rat) ([]float64, error) {
-	ivs, err := IsolateRoots(p, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	// Sturm counts roots in (lo, hi]; pick up a root exactly at lo.
-	var out []float64
-	if p.Eval(lo).Sign() == 0 {
-		f, _ := lo.Float64()
-		out = append(out, f)
-	}
-	for _, iv := range ivs {
-		refined, err := RefineRoot(p, iv, tol)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, refined.MidFloat())
-	}
-	sortFloats(out)
-	return out, nil
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

