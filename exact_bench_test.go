@@ -1,8 +1,9 @@
 package repro
 
-// Benchmarks for the exact-evaluation backend. All three pin the n = 10,
+// Benchmarks for the exact-evaluation backend. All four pin the n = 10,
 // δ = n/3 workload: the general threshold vector (Theorem 5.1), its
-// heterogeneous generalization, and the heterogeneous oblivious sum.
+// heterogeneous generalization with distinct and with shared thresholds,
+// and the heterogeneous oblivious sum.
 
 import (
 	"testing"
@@ -53,9 +54,28 @@ func BenchmarkExactNonoblivious(b *testing.B) {
 }
 
 // BenchmarkExactHetero times the heterogeneous Theorem 5.1
-// generalization (conditional Lemma 2.4/2.7 subset sums) at n = 10.
+// generalization (conditional Lemma 2.4/2.7 subset sums) at n = 10. The
+// thresholds are all distinct, so the bin-1 side takes the per-set walk.
 func BenchmarkExactHetero(b *testing.B) {
 	ths := exactBenchThresholds()
+	pi := exactBenchPi()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(exactBenchN)/3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExactHeteroShared times the heterogeneous Theorem 5.1
+// generalization at n = 10 with one threshold shared by every player, the
+// case whose bin-1 side is a per-exponent sum-over-subsets table.
+func BenchmarkExactHeteroShared(b *testing.B) {
+	ths := make([]float64, exactBenchN)
+	for i := range ths {
+		ths[i] = 0.45
+	}
 	pi := exactBenchPi()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -52,11 +52,17 @@ func SubsetProducts(vals []float64) ([]float64, error) {
 }
 
 // SumOverSubsets transforms arr in place into its zeta transform:
-// arr[T] becomes Σ_{I⊆T} arr[I]. arr must have length 2^n. The standard
-// bitwise DP runs n passes of 2^(n-1) pair additions each; pass b adds the
-// bit-b-clear half of every aligned block into the bit-b-set half, so
-// writes are disjoint and the result is independent of how the block range
-// is scheduled across workers. workers ≤ 1 runs serially.
+// arr[T] becomes Σ_{I⊆T} arr[I]. arr must have length 2^n. It performs the
+// additions of the standard bitwise DP — pass b adds every bit-b-clear
+// cell into its bit-b-set partner, n·2^(n-1) additions in all — but fuses
+// passes so each cell is loaded and stored fewer times: bits 0–2 run in
+// registers on aligned 8-cells, and the higher bits run two at a time over
+// aligned quads {x, x+h, x+2h, x+3h} (h = 2^b), with a single-bit pass
+// left over when their count is odd. Every cell still receives the same
+// additions in the same order as the one-bit-per-pass DP, so the result
+// is bit-identical to it. Writes are disjoint within a fused pass, so the
+// units of each pass are sharded over the fixed chunk grid and the result
+// is the same for every worker count. workers ≤ 1 runs serially.
 func SumOverSubsets(arr []float64, n, workers int) error {
 	if n < 0 || n > MaxSubsetTable {
 		return fmt.Errorf("combin: sum-over-subsets ground size %d out of range [0, %d]", n, MaxSubsetTable)
@@ -65,36 +71,96 @@ func SumOverSubsets(arr []float64, n, workers int) error {
 	if uint64(len(arr)) != size {
 		return fmt.Errorf("combin: sum-over-subsets table length %d, want %d", len(arr), size)
 	}
-	for b := 0; b < n; b++ {
-		half := uint64(1) << uint(b)
-		step := half << 1
-		blocks := size / step
-		if workers <= 1 {
-			// Serial fast path: writes are disjoint, so this is the same
-			// sequence of pair additions the chunked path performs, without
-			// the per-pass closure (which escapes through forChunks' worker
-			// branch and would heap-allocate even when run serially).
-			for base := uint64(0); base < size; base += step {
-				low := arr[base : base+half]
-				high := arr[base+half : base+step : base+step]
-				for i := range high {
-					high[i] += low[i]
-				}
-			}
-			continue
+	for b := 0; b < n; {
+		width := 1 // bits fused into this pass
+		switch {
+		case b == 0 && n >= 3:
+			width = 3
+		case b+1 < n:
+			width = 2
 		}
-		forChunks(workers, blocks, func(_, lo, hi uint64) {
-			for blk := lo; blk < hi; blk++ {
-				base := blk * step
-				low := arr[base : base+half]
-				high := arr[base+half : base+step : base+step]
-				for i := range high {
-					high[i] += low[i]
-				}
-			}
-		})
+		if workers <= 1 {
+			// Serial fast path: the same units the chunked path runs,
+			// without the per-pass closure (which escapes through
+			// forChunks' worker branch and would heap-allocate even when
+			// run serially).
+			zetaPass(arr, uint(b), width, 0, size>>uint(width))
+		} else {
+			pb, pw := uint(b), width
+			forChunks(workers, size>>uint(width), func(_, lo, hi uint64) {
+				zetaPass(arr, pb, pw, lo, hi)
+			})
+		}
+		b += width
 	}
 	return nil
+}
+
+// zetaPass runs units [lo, hi) of one fused sum-over-subsets pass: width 3
+// is bits 0–2 on aligned 8-cells (unit k is cells 8k…8k+7), width 2 is
+// bits b and b+1 on quads, width 1 is bit b on pairs. A quad or pair unit
+// q lives in group q>>b at offset q mod 2^b, so a unit range is walked one
+// group segment at a time.
+func zetaPass(arr []float64, b uint, width int, lo, hi uint64) {
+	if width == 3 {
+		zetaOctets(arr[8*lo : 8*hi])
+		return
+	}
+	h := uint64(1) << b
+	for q := lo; q < hi; {
+		g, j := q>>b, q&(h-1)
+		end := min(hi, (g+1)<<b)
+		cnt := end - q
+		s := (g<<uint(width))*h + j
+		if width == 2 {
+			zetaQuads(arr[s:s+cnt], arr[s+h:s+h+cnt], arr[s+2*h:s+2*h+cnt], arr[s+3*h:s+3*h+cnt])
+		} else {
+			zetaPairs(arr[s:s+cnt], arr[s+h:s+h+cnt])
+		}
+		q = end
+	}
+}
+
+// zetaOctets applies bits 0, 1 and 2 of the zeta DP to every aligned
+// 8-cell of c, in registers.
+func zetaOctets(c []float64) {
+	for ; len(c) >= 8; c = c[8:] {
+		x := (*[8]float64)(c)
+		v0, v1, v2, v3, v4, v5, v6, v7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+		v1 += v0
+		v3 += v2
+		v5 += v4
+		v7 += v6
+		v2 += v0
+		v3 += v1
+		v6 += v4
+		v7 += v5
+		v4 += v0
+		v5 += v1
+		v6 += v2
+		v7 += v3
+		x[1], x[2], x[3], x[4], x[5], x[6], x[7] = v1, v2, v3, v4, v5, v6, v7
+	}
+}
+
+// zetaQuads applies bits b and b+1 to the quads (a0[i], a1[i], a2[i],
+// a3[i]) — offsets 0, h, 2h and 3h from the quad's base.
+func zetaQuads(a0, a1, a2, a3 []float64) {
+	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+	for i, v0 := range a0 {
+		v1 := a1[i] + v0
+		v2 := a2[i] + v0
+		v3 := a3[i] + a2[i] + v1
+		a1[i], a2[i], a3[i] = v1, v2, v3
+	}
+}
+
+// zetaPairs applies one bit to the pairs (lo[i], hi[i]).
+func zetaPairs(lo, hi []float64) {
+	hi = hi[:len(lo)]
+	for i, v := range lo {
+		hi[i] += v
+	}
 }
 
 // ChunkedMaskSum sums term(mask) over all 2^n masks through a fixed chunk

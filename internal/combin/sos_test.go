@@ -1,7 +1,9 @@
 package combin
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -99,6 +101,80 @@ func TestSumOverSubsets(t *testing.T) {
 		if math.Float64bits(serial[mask]) != math.Float64bits(parallel[mask]) {
 			t.Fatalf("zeta transform not bit-identical across worker counts at mask %b", mask)
 		}
+	}
+}
+
+// zetaReference is the plain one-bit-per-pass zeta DP: pass b adds every
+// bit-b-clear cell into its bit-b-set partner.
+func zetaReference(arr []float64, n int) {
+	for b := 0; b < n; b++ {
+		half := 1 << uint(b)
+		for base := 0; base < len(arr); base += 2 * half {
+			for i := base; i < base+half; i++ {
+				arr[i+half] += arr[i]
+			}
+		}
+	}
+}
+
+// TestSumOverSubsetsBitIdenticalToReference pins the fused passes to the
+// one-bit-per-pass DP bit for bit, for every ground size the fusion
+// treats differently (no octet, an odd or even count of bits above it)
+// and for worker counts that split quads and pairs across chunks.
+func TestSumOverSubsetsBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 1))
+	for n := 0; n <= 20; n++ {
+		base := make([]float64, 1<<uint(n))
+		for i := range base {
+			base[i] = rng.NormFloat64() * math.Exp2(float64(rng.IntN(40)-20))
+		}
+		want := append([]float64(nil), base...)
+		zetaReference(want, n)
+		for _, workers := range []int{1, 2, 3, 7} {
+			got := append([]float64(nil), base...)
+			if err := SumOverSubsets(got, n, workers); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for mask := range got {
+				if math.Float64bits(got[mask]) != math.Float64bits(want[mask]) {
+					t.Fatalf("n=%d workers=%d: zeta[%b] = %v, reference %v", n, workers, mask, got[mask], want[mask])
+				}
+			}
+		}
+	}
+}
+
+// TestSumOverSubsetsSerialAllocs requires the serial transform to run
+// without heap allocation: the reusable evaluators call it in their
+// zero-allocation steady state.
+func TestSumOverSubsetsSerialAllocs(t *testing.T) {
+	arr := make([]float64, 1<<12)
+	for _, workers := range []int{0, 1} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := SumOverSubsets(arr, 12, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: %v allocs per transform, want 0", workers, allocs)
+		}
+	}
+}
+
+// BenchmarkSumOverSubsets times the serial transform at the exact
+// backends' typical ground sizes.
+func BenchmarkSumOverSubsets(b *testing.B) {
+	for _, n := range []int{12, 15, 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			arr := make([]float64, 1<<uint(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := SumOverSubsets(arr, n, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

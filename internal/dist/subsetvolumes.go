@@ -149,6 +149,50 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers i
 	return nil
 }
 
+// RadixLadder is the rebuilt-base twin of volumeLadder, for
+// inclusion-exclusion sums whose radix shifts with the exponent. For every
+// exponent m = 1, …, len(t)−1 it fills the signed base table
+//
+//	base[J] = (−1)^{|J|} (t[m] + off[J])_+^m / m!
+//
+// over all 2^n subsets J, runs one zeta pass and hands every |O| = m entry
+// Σ_{J⊆O} base[J] to emit, in increasing mask order within one exponent.
+// off holds the caller's per-subset radix offsets and base is 2^n-entry
+// scratch. Because t[m] + off[J] changes with m, every exponent rebuilds
+// all 2^n base cells before its n·2^(n-1) zeta additions. workers shards
+// the zeta passes without changing any bit.
+func RadixLadder(off, t, base []float64, n, workers int, emit func(mask uint64, v float64)) error {
+	for m := 1; m < len(t); m++ {
+		f, err := combin.FactorialFloat(m)
+		if err != nil {
+			return err
+		}
+		invFact, tm := 1/f, t[m]
+		for mask := range base {
+			r := tm + off[mask]
+			if r <= 0 {
+				base[mask] = 0
+				continue
+			}
+			v := invFact * combin.PowInt(r, m)
+			if bits.OnesCount64(uint64(mask))%2 == 1 {
+				v = -v
+			}
+			base[mask] = v
+		}
+		if err := combin.SumOverSubsets(base, n, workers); err != nil {
+			return err
+		}
+		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
+			emit(mask, base[mask])
+			return true
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // VolumeErrorBound is the forward-error kernel behind the exact
 // evaluators' ExactErrorBound: ops compensated float64 operations on
 // inclusion-exclusion terms no larger than M = max_m r^m/m! with

@@ -77,7 +77,9 @@ func TestExactWorkersBitIdentical(t *testing.T) {
 // TestExactCountersHomogeneousThreshold pins the exact.* counters of one
 // homogeneous Threshold evaluation at n = 6, δ = 2: both 2^6-cell subset
 // tables, the N₁ side's 6·2^6 rebuilt base cells, the N₀ ladder updates
-// plus both tables' zeta additions, and the 64-chunk mask-sum grid.
+// plus both tables' zeta additions, and the 64-chunk mask-sum grid. It
+// then pins a shared threshold on a π instance, whose bin-1 table is
+// rebuilt per exponent too and so moves exact.steps.rebuilt.
 func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Config{Obs: obs.New(reg, nil), ExactWorkers: 2})
@@ -100,5 +102,27 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	}
 	if got := snap.Gauges["exact.workers"]; got != 2 {
 		t.Errorf("exact.workers gauge = %v, want 2", got)
+	}
+	// β = 0.625 on π = (0.5, 1.25, 0.75, 2, 1, 1.5): player 0 can never
+	// choose bin 1 and sets of more than 3 vanish (4·0.625 ≥ δ), so the
+	// bin-1 table runs 3 exponents: 3·2^6 rebuilt base cells and 3·6·2^5
+	// zeta additions on top of the bin-0 table's 6·2^6 + 6²·2^5.
+	reg = obs.NewRegistry()
+	e = New(Config{Obs: obs.New(reg, nil), ExactWorkers: 2})
+	pi := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
+	if _, err := e.Evaluate(pi, SymmetricThreshold{Beta: 0.625}, Exact); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	want = map[string]int64{
+		"exact.subsets":           128,
+		"exact.steps.rebuilt":     192,
+		"exact.steps.incremental": 2112,
+		"exact.chunks":            64,
+	}
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("shared β on π: counter %s = %d, want %d", name, got, v)
+		}
 	}
 }

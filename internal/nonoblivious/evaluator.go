@@ -84,7 +84,7 @@ type Evaluator struct {
 	prod     *combin.ProductTable // subset products of 1−a
 	oneMinus []float64
 	sm1      []float64 // σ_J a − |J|
-	sign     []float64 // parity signs (fixed)
+	shift    []float64 // per-exponent radix shift m − δ (fixed)
 	n1       []float64 // clamped N₁ table
 	base     []float64 // zeta scratch
 	partial  []float64 // chunked-sum partials (fixed grid)
@@ -139,7 +139,7 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 		prod:     prod,
 		oneMinus: make([]float64, n),
 		sm1:      make([]float64, size),
-		sign:     make([]float64, size),
+		shift:    make([]float64, n+1),
 		n1:       make([]float64, size),
 		base:     make([]float64, size),
 		invFact:  make([]float64, n+2),
@@ -148,9 +148,8 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	}
 	_, chunks := combin.ChunkSpan(uint64(size))
 	ev.partial = make([]float64, chunks)
-	ev.sign[0] = 1
-	for mask := 1; mask < size; mask++ {
-		ev.sign[mask] = -ev.sign[mask&(mask-1)]
+	for m := range ev.shift {
+		ev.shift[m] = float64(m) - capacity
 	}
 	for m := 0; m <= n+1; m++ {
 		f, ferr := combin.FactorialFloat(m)
@@ -382,41 +381,20 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 //
 // with m = |O|. The base term depends on J only through |J| and σ_J a, so
 // for each exponent m one signed base table over all J feeds a single
-// sum-over-subsets pass that yields every |O| = m entry at once. Unlike
-// the N₀ radix, this radix shifts with m, so each exponent's base is
-// rebuilt from the σ_J a − |J| table rather than updated incrementally.
+// sum-over-subsets pass that yields every |O| = m entry at once: the
+// dist.RadixLadder kernel with radix (m − δ) + (σ_J a − |J|). Unlike the
+// N₀ radix, this radix shifts with m, so each exponent's base is rebuilt
+// from the σ_J a − |J| table rather than updated incrementally.
 func (ev *Evaluator) bin1Passes() error {
-	n := ev.n
-	size := 1 << uint(n)
 	prod := ev.prod.Values()
 	ev.n1[0] = 1
-	for m := 1; m <= n; m++ {
-		invFact := ev.invFact[m]
-		shift := float64(m) - ev.capacity
-		for mask := 0; mask < size; mask++ {
-			r := shift + ev.sm1[mask]
-			if r > 0 {
-				ev.base[mask] = ev.sign[mask] * invFact * combin.PowInt(r, m)
-			} else {
-				ev.base[mask] = 0
-			}
+	return dist.RadixLadder(ev.sm1, ev.shift, ev.base, ev.n, ev.workers, func(mask uint64, v float64) {
+		v = prod[mask] - v
+		if v < 0 {
+			v = 0
 		}
-		if err := combin.SumOverSubsets(ev.base, n, ev.workers); err != nil {
-			return err
-		}
-		// Only the |O| = m entries are Lemma 2.7 tails at this exponent.
-		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
-			v := prod[mask] - ev.base[mask]
-			if v < 0 {
-				v = 0
-			}
-			ev.n1[mask] = v
-			return true
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		ev.n1[mask] = v
+	})
 }
 
 // maskSum reduces the Theorem 5.1 sum Σ_s N₀[full∖s]·N₁[s] over the fixed

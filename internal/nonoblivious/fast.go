@@ -61,12 +61,14 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 // ExactErrorBound is the documented absolute-error bound of the float64
 // exact evaluators (WinningProbability and WinningProbabilityPi) against
 // the big.Rat oracles (WinningProbabilityRat, WinningProbabilityPiRat):
-// dist.VolumeErrorBound over at most n²·3^n compensated operations — the
-// 3^n covers the heterogeneous evaluator's pruned inclusion-exclusion
-// walk. piMin is the smallest input range (pass 1 for homogeneous
-// inputs). Deliberately loose — observed n = 10 errors are orders of
-// magnitude smaller — but certified: the property tests pin the float
-// path against the rational oracle within exactly this bound.
+// dist.VolumeErrorBound over at most n²·3^n compensated operations. The
+// 3^n covers the heterogeneous evaluator's pruned per-set walk, which
+// runs only for threshold vectors with distinct thresholds; the
+// homogeneous evaluator and the shared-threshold heterogeneous table stay
+// within n²·2^n. piMin is the smallest input range (pass 1 for
+// homogeneous inputs). Deliberately loose — observed n = 10 errors are
+// orders of magnitude smaller — but certified: the property tests pin the
+// float path against the rational oracle within exactly this bound.
 func ExactErrorBound(n int, capacity, piMin float64) float64 {
 	return dist.VolumeErrorBound(n, capacity, piMin, float64(n)*float64(n)*math.Pow(3, float64(n)))
 }

@@ -14,11 +14,13 @@ import (
 )
 
 // MaxNHetero bounds the player count for heterogeneous-input evaluation.
-// Unlike the homogeneous path, the bin-1 numerator's inclusion-exclusion
-// threshold δ − Σ_{i∈S} a_i varies with the outer set S, which defeats the
-// sum-over-subsets collapse; the evaluation falls back to a pruned
-// depth-first walk per outer set (worst case Θ(3^n), heavily cut by the
-// positivity guards), so the heterogeneous cap stays at the old general
+// When the bin-1-capable players share one threshold, the bin-1 side is a
+// per-exponent sum-over-subsets table (O(n²·2^n)). With distinct
+// thresholds the inclusion-exclusion threshold δ − Σ_{i∈S} a_i varies
+// with the outer set S in a way no exponent index absorbs, which defeats
+// that collapse; the evaluation falls back to a pruned depth-first walk
+// per outer set (worst case Θ(3^n), heavily cut by the positivity
+// guards). That worst case keeps the heterogeneous cap at the old general
 // limit while the homogeneous MaxNGeneral moved to 20.
 const MaxNHetero = 15
 
@@ -48,16 +50,21 @@ func WinningProbabilityPi(thresholds, pi []float64, capacity float64) (float64, 
 //     dist.AllSubsetVolumes sum-over-subsets table;
 //   - bin 1 contributes P(x_i > a_i ∀i∈S, Σ_S x ≤ δ) =
 //     Vol{0 ≤ y_i ≤ w_i, Σ y ≤ δ − Σ_{i∈S} a_i} / Π_{i∈S} π_i — the shift
-//     identity behind Lemma 2.7. Its threshold depends on S, so this side
-//     is evaluated per outer set by a depth-first inclusion-exclusion walk
-//     over S's widths in ascending order, visiting only the subsets with
-//     positive remainder (once a partial width sum reaches the threshold,
-//     every extension and every later sibling is pruned).
+//     identity behind Lemma 2.7. Its threshold depends on S. When every
+//     player that can choose bin 1 has the same threshold β, it depends
+//     on S only through |S|, and sharedBin1Table builds all 2^n volumes
+//     with one rebuilt-base zeta pass per cardinality (dist.RadixLadder,
+//     O(n²·2^n)). Otherwise each outer set runs a depth-first
+//     inclusion-exclusion walk over its widths in ascending order,
+//     visiting only the subsets with positive remainder (once a partial
+//     width sum reaches the threshold, every extension and every later
+//     sibling is pruned).
 //
 // Outer sets are skipped wholesale when any member has a_i ≥ π_i (it can
 // never choose bin 1), when δ − Σ_{i∈S} a_i ≤ 0, when |S| exceeds the
 // largest cardinality whose cheapest threshold sum stays below δ, or when
-// the bin-0 side already vanishes.
+// the bin-0 side already vanishes; a set whose whole residual box fits
+// under its threshold takes the exact volume Π_{i∈S} w_i on both paths.
 func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, workers int, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if n < 2 {
@@ -110,10 +117,6 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	if err != nil {
 		return 0, err
 	}
-	aSums, err := combin.SubsetSums(thresholds)
-	if err != nil {
-		return 0, err
-	}
 	wSums, err := combin.SubsetSums(highs)
 	if err != nil {
 		return 0, err
@@ -141,6 +144,21 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 			break
 		}
 		kmax = k
+	}
+	// The shared-threshold table holds every bin-1 volume; otherwise the
+	// walk needs each set's threshold sum.
+	var vol1, aSums []float64
+	if beta, ok := sharedThreshold(thresholds, badHigh); ok {
+		mmax := min(kmax, n-bits.OnesCount64(badHigh))
+		if vol1, err = sharedBin1Table(wSums, wProd, capacity, beta, mmax, n, workers); err != nil {
+			return 0, err
+		}
+		size := uint64(len(vol1))
+		stats.Subsets += size
+		stats.Incremental += uint64(mmax) * uint64(n) * size / 2
+		stats.Rebuilt += uint64(mmax) * size
+	} else if aSums, err = combin.SubsetSums(thresholds); err != nil {
+		return 0, err
 	}
 	// DFS element order: ascending residual width, so the first sibling
 	// whose width no longer fits under the remainder prunes the rest.
@@ -176,6 +194,9 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 			if m == 0 {
 				return v0 // empty bin 1 always fits
 			}
+			if vol1 != nil {
+				return v0 * vol1[s]
+			}
 			t := capacity - aSums[s]
 			if t <= 0 {
 				return 0
@@ -208,6 +229,58 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	}
 	stats.Record(o, chunks, workers)
 	return clamp01(total / piProd), nil
+}
+
+// sharedThreshold reports whether every player outside bad (the players
+// that can never choose bin 1) has the same threshold, and returns it.
+// Vacuously true when every player is in bad.
+func sharedThreshold(thresholds []float64, bad uint64) (float64, bool) {
+	beta, seen := 0.0, false
+	for i, a := range thresholds {
+		if bad&(1<<uint(i)) != 0 {
+			continue
+		}
+		if seen && a != beta {
+			return 0, false
+		}
+		beta, seen = a, true
+	}
+	return beta, true
+}
+
+// sharedBin1Table returns vol1[S], the bin-1 volume
+// Vol{0 ≤ y_i ≤ w_i, Σ y ≤ δ − Σ_{i∈S} a_i} of every set S with
+// 1 ≤ |S| ≤ mmax, for threshold vectors whose bin-1-capable players share
+// one threshold β. Then the radix δ − β·|S| − σ_J w depends on S only
+// through m = |S|, so one dist.RadixLadder pass per exponent replaces the
+// per-set walk: O(mmax·n·2^n) in all. t_m is δ minus m β's summed in
+// order — the bits of combin.SubsetSums(thresholds) on every such set.
+// A set whose whole residual box fits under t_m gets exactly Π w_i, and
+// the rest are clamped below at 0. A player that can never choose bin 1
+// has width 0, so the base terms of J and J ∪ {i} cancel exactly and every
+// set containing it gets volume 0. wSums and wProd are the subset sums
+// and products of the widths.
+func sharedBin1Table(wSums, wProd []float64, capacity, beta float64, mmax, n, workers int) ([]float64, error) {
+	t := make([]float64, mmax+1)
+	aSum := 0.0
+	for m := 1; m <= mmax; m++ {
+		aSum += beta
+		t[m] = capacity - aSum
+	}
+	off := make([]float64, len(wSums))
+	for mask, w := range wSums {
+		off[mask] = -w
+	}
+	vol1 := make([]float64, len(wSums))
+	err := dist.RadixLadder(off, t, make([]float64, len(wSums)), n, workers, func(s uint64, v float64) {
+		if t[bits.OnesCount64(s)] >= wSums[s] {
+			v = wProd[s]
+		} else if v < 0 {
+			v = 0
+		}
+		vol1[s] = v
+	})
+	return vol1, err
 }
 
 // tailVolumeDFS evaluates the Proposition 2.2 volume

@@ -2,8 +2,14 @@ package nonoblivious
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"math/rand/v2"
+	"sort"
 	"testing"
+
+	"repro/internal/combin"
+	"repro/internal/obs"
 )
 
 // TestWinningProbabilityPiMatchesHomogeneous pins the heterogeneous
@@ -160,5 +166,152 @@ func TestCertifyThresholds(t *testing.T) {
 	}
 	if _, _, err := CertifyThresholds(ths, []float64{1, 1}, 1); err == nil {
 		t.Error("CertifyThresholds accepted a π of the wrong length")
+	}
+}
+
+// TestSharedThresholdMatchesRatOracle pins the shared-threshold bin-1
+// table against the rational oracle on random dyadic instances: β = 0
+// (nobody can choose bin 0), β = 1 (everyone is bin-0-only or shares β),
+// and random β with ranges π ∈ [1/4, 2] so some players have β ≥ π_i and
+// small sets' whole residual boxes fit under the threshold.
+func TestSharedThresholdMatchesRatOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 2))
+	for n := 2; n <= MaxNExact; n++ {
+		capF, capR := dyadicCapacity(n)
+		for trial := 0; trial < 3; trial++ {
+			var betaF float64
+			var betaR *big.Rat
+			switch trial {
+			case 0:
+				betaF, betaR = 0, new(big.Rat)
+			case 1:
+				betaF, betaR = 1, big.NewRat(1, 1)
+			default:
+				betaF, betaR = dyadic64(rng, 8, 56)
+			}
+			ths := make([]float64, n)
+			thsR := make([]*big.Rat, n)
+			pis := make([]float64, n)
+			pisR := make([]*big.Rat, n)
+			piMin := math.Inf(1)
+			for i := range ths {
+				ths[i], thsR[i] = betaF, betaR
+				pis[i], pisR[i] = dyadic64(rng, 16, 128)
+				piMin = math.Min(piMin, pis[i])
+			}
+			got, err := WinningProbabilityPi(ths, pis, capF)
+			if err != nil {
+				t.Fatalf("n=%d β=%v float: %v", n, betaF, err)
+			}
+			want, err := WinningProbabilityPiRat(thsR, pisR, capR)
+			if err != nil {
+				t.Fatalf("n=%d β=%v rat: %v", n, betaF, err)
+			}
+			wf, _ := want.Float64()
+			if d, bound := math.Abs(got-wf), ExactErrorBound(n, capF, piMin); d > bound {
+				t.Errorf("n=%d β=%v π=%v: float %v vs oracle %v, |diff| %g exceeds certified bound %g",
+					n, betaF, pis, got, wf, d, bound)
+			}
+		}
+	}
+}
+
+// TestSharedBin1TableMatchesWalk compares every entry of the
+// shared-threshold bin-1 table with the per-set walk (tailVolumeDFS,
+// behind the same whole-box shortcut) for n ≤ MaxNHetero, including the
+// sets with a player that can never choose bin 1, whose volume is 0.
+func TestSharedBin1TableMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 3))
+	for n := 2; n <= MaxNHetero; n++ {
+		capacity := float64(n) * (0.2 + 0.3*rng.Float64())
+		beta := rng.Float64()
+		highs := make([]float64, n)
+		var bad uint64
+		for i := range highs {
+			if w := 0.5 + rng.Float64() - beta; w > 0 {
+				highs[i] = w
+			} else {
+				bad |= 1 << uint(i)
+			}
+		}
+		wSums, _ := combin.SubsetSums(highs)
+		wProd, _ := combin.SubsetProducts(highs)
+		mmax := 0
+		for m := 1; m <= n-bits.OnesCount64(bad) && float64(m)*beta < capacity; m++ {
+			mmax = m
+		}
+		vol1, err := sharedBin1Table(wSums, wProd, capacity, beta, mmax, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := 0
+		for s := uint64(1); s < uint64(len(vol1)); s++ {
+			m := bits.OnesCount64(s)
+			want := 0.0
+			if t := capacity - float64(m)*beta; s&bad == 0 && m <= mmax && t > 0 {
+				if t >= wSums[s] {
+					want = wProd[s]
+				} else {
+					var ws []float64
+					for i := 0; i < n; i++ {
+						if s&(1<<uint(i)) != 0 {
+							ws = append(ws, highs[i])
+						}
+					}
+					sort.Float64s(ws)
+					f, _ := combin.FactorialFloat(m)
+					want, _ = tailVolumeDFS(ws, t, m, 1/f)
+					want = math.Max(want, 0)
+					walked++
+				}
+			}
+			if math.Abs(vol1[s]-want) > 1e-12 {
+				t.Fatalf("n=%d β=%v δ=%v set %b: table %v, walk %v", n, beta, capacity, s, vol1[s], want)
+			}
+		}
+		if walked == 0 {
+			t.Errorf("n=%d β=%v δ=%v: no set needed inclusion-exclusion", n, beta, capacity)
+		}
+	}
+}
+
+// TestSharedThresholdPathSelection checks through the exact.* counters
+// that a shared threshold builds the bin-1 table (a second 2^n-cell table
+// and its rebuilt base cells) while a vector with one threshold nudged by
+// an ulp keeps the per-set walk, and that the two agree within 1e-12.
+func TestSharedThresholdPathSelection(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 4))
+	for n := 4; n <= MaxNHetero; n += 3 {
+		pis := make([]float64, n)
+		for i := range pis {
+			pis[i] = 0.5 + 0.5*rng.Float64()
+		}
+		capacity := float64(n) / 3
+		shared := make([]float64, n)
+		for i := range shared {
+			shared[i] = 0.45
+		}
+		nudged := append([]float64(nil), shared...)
+		nudged[n/2] = math.Nextafter(shared[n/2], 1)
+		eval := func(ths []float64) (float64, map[string]int64) {
+			reg := obs.NewRegistry()
+			p, err := WinningProbabilityPiOpts(ths, pis, capacity, 1, obs.New(reg, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, reg.Snapshot().Counters
+		}
+		pShared, cShared := eval(shared)
+		pWalk, cWalk := eval(nudged)
+		size := int64(1) << uint(n)
+		if cShared["exact.subsets"] != 2*size {
+			t.Errorf("n=%d shared β: exact.subsets = %d, want %d (bin-0 and bin-1 tables)", n, cShared["exact.subsets"], 2*size)
+		}
+		if cWalk["exact.subsets"] != size {
+			t.Errorf("n=%d nudged β: exact.subsets = %d, want %d (bin-0 table only)", n, cWalk["exact.subsets"], size)
+		}
+		if math.Abs(pShared-pWalk) > 1e-12 {
+			t.Errorf("n=%d: shared-β table %v vs walk %v", n, pShared, pWalk)
+		}
 	}
 }
