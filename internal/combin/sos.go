@@ -22,33 +22,89 @@ const sumChunkGrid = 64
 // of {0, ..., len(vals)-1}, via the one-pass low-bit recurrence
 // sums[mask] = sums[mask without its lowest bit] + vals[lowest bit]. Each
 // entry costs one addition, so consecutive-mask walks see fully incremental
-// subset-sum state.
-func SubsetSums(vals []float64) ([]float64, error) {
-	n := len(vals)
-	if n > MaxSubsetTable {
-		return nil, fmt.Errorf("combin: subset-sum table for %d elements exceeds the %d-element limit", n, MaxSubsetTable)
+// subset-sum state. The table is written to dst when dst has room for its
+// 2^n entries, and to a new slice otherwise.
+func SubsetSums(dst, vals []float64) ([]float64, error) {
+	out, err := subsetTable(dst, len(vals), "subset-sum")
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, uint64(1)<<uint(n))
-	for mask := uint64(1); mask < uint64(len(out)); mask++ {
-		out[mask] = out[mask&(mask-1)] + vals[bits.TrailingZeros64(mask)]
-	}
+	fillSubsetSums(out, vals)
 	return out, nil
 }
 
 // SubsetProducts returns prods[mask] = Π_{i∈mask} vals[i] for every subset
 // mask of {0, ..., len(vals)-1} (empty product 1), via the same low-bit
-// recurrence as SubsetSums.
-func SubsetProducts(vals []float64) ([]float64, error) {
-	n := len(vals)
-	if n > MaxSubsetTable {
-		return nil, fmt.Errorf("combin: subset-product table for %d elements exceeds the %d-element limit", n, MaxSubsetTable)
+// recurrence as SubsetSums, written to dst when it has room.
+func SubsetProducts(dst, vals []float64) ([]float64, error) {
+	out, err := subsetTable(dst, len(vals), "subset-product")
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, uint64(1)<<uint(n))
+	fillSubsetProducts(out, vals)
+	return out, nil
+}
+
+// subsetTable returns the 2^n-entry table of SubsetSums and
+// SubsetProducts: dst resliced when its capacity allows, else a new slice.
+func subsetTable(dst []float64, n int, what string) ([]float64, error) {
+	if n > MaxSubsetTable {
+		return nil, fmt.Errorf("combin: %s table for %d elements exceeds the %d-element limit", what, n, MaxSubsetTable)
+	}
+	size := 1 << uint(n)
+	if cap(dst) >= size {
+		return dst[:size], nil
+	}
+	return make([]float64, size), nil
+}
+
+// fillSubsetSums writes the low-bit subset-sum recurrence of vals into out
+// (2^len(vals) entries).
+func fillSubsetSums(out, vals []float64) {
+	out[0] = 0
+	for mask := uint64(1); mask < uint64(len(out)); mask++ {
+		out[mask] = out[mask&(mask-1)] + vals[bits.TrailingZeros64(mask)]
+	}
+}
+
+// fillSubsetProducts is the multiplicative twin of fillSubsetSums.
+func fillSubsetProducts(out, vals []float64) {
 	out[0] = 1
 	for mask := uint64(1); mask < uint64(len(out)); mask++ {
 		out[mask] = out[mask&(mask-1)] * vals[bits.TrailingZeros64(mask)]
 	}
-	return out, nil
+}
+
+// zetaShardCells is the smallest table SumOverSubsets shards. Every fused
+// pass forks and joins its workers, and below this size the fork-join
+// costs more CPU than the pass and saves no wall time (crossover table
+// and the benchmark that measures it: DESIGN.md, "Exact backend").
+const zetaShardCells = 1 << 19
+
+// maskSumShardMasks is the smallest mask range ChunkedMaskSum shards:
+// below it, chunks of cheap terms (one product of two table reads) are too
+// short to pay for the fork-join.
+const maskSumShardMasks = 1 << 16
+
+// shardWorkers returns workers for a table of size cells at or above
+// minCells and 1 below it.
+func shardWorkers(size, minCells uint64, workers int) int {
+	if size < minCells {
+		return 1
+	}
+	return workers
+}
+
+// ZetaWorkers returns the worker count SumOverSubsets runs a 2^n-cell
+// table with: workers from 2^19 cells up, 1 below.
+func ZetaWorkers(n, workers int) int {
+	return shardWorkers(uint64(1)<<uint(n), zetaShardCells, workers)
+}
+
+// MaskSumWorkers returns the worker count ChunkedMaskSum runs 2^n masks
+// with: workers from 2^16 masks up, 1 below.
+func MaskSumWorkers(n, workers int) int {
+	return shardWorkers(uint64(1)<<uint(n), maskSumShardMasks, workers)
 }
 
 // SumOverSubsets transforms arr in place into its zeta transform:
@@ -60,10 +116,17 @@ func SubsetProducts(vals []float64) ([]float64, error) {
 // aligned quads {x, x+h, x+2h, x+3h} (h = 2^b), with a single-bit pass
 // left over when their count is odd. Every cell still receives the same
 // additions in the same order as the one-bit-per-pass DP, so the result
-// is bit-identical to it. Writes are disjoint within a fused pass, so the
-// units of each pass are sharded over the fixed chunk grid and the result
-// is the same for every worker count. workers ≤ 1 runs serially.
+// is bit-identical to it. Writes are disjoint within a fused pass, so
+// tables of 2^19 cells and more shard the units of each pass over the
+// fixed chunk grid, and the result is the same for every worker count.
+// Smaller tables, and workers ≤ 1, run serially (ZetaWorkers).
 func SumOverSubsets(arr []float64, n, workers int) error {
+	return sumOverSubsets(arr, n, ZetaWorkers(n, workers))
+}
+
+// sumOverSubsets is SumOverSubsets sharded over exactly workers workers,
+// whatever the table size.
+func sumOverSubsets(arr []float64, n, workers int) error {
 	if n < 0 || n > MaxSubsetTable {
 		return fmt.Errorf("combin: sum-over-subsets ground size %d out of range [0, %d]", n, MaxSubsetTable)
 	}
@@ -167,11 +230,19 @@ func zetaPairs(lo, hi []float64) {
 // grid: each chunk is Neumaier-summed on its own Accumulator, and the
 // per-chunk totals are combined by a fixed-order pairwise tree. Both the
 // grid and the reduction order depend only on n, so the result is
-// bit-identical for every worker count. makeTerm is invoked once per
-// worker to build that worker's term function, letting callers attach
-// private scratch state; each term function then sees strictly increasing
-// masks within a chunk. It returns the total and the number of chunks.
+// bit-identical for every worker count. Ranges of 2^16 masks and more
+// shard the chunks over workers; smaller ranges run serially
+// (MaskSumWorkers). makeTerm is invoked once per worker to build that
+// worker's term function, letting callers attach private scratch state;
+// each term function then sees strictly increasing masks within a chunk.
+// It returns the total and the number of chunks.
 func ChunkedMaskSum(n, workers int, makeTerm func() func(mask uint64) float64) (float64, int, error) {
+	return chunkedMaskSum(n, MaskSumWorkers(n, workers), makeTerm)
+}
+
+// chunkedMaskSum is ChunkedMaskSum sharded over exactly workers workers,
+// whatever the mask range.
+func chunkedMaskSum(n, workers int, makeTerm func() func(mask uint64) float64) (float64, int, error) {
 	if n < 0 || n > MaxSubsetTable {
 		return 0, 0, fmt.Errorf("combin: chunked mask sum ground size %d out of range [0, %d]", n, MaxSubsetTable)
 	}

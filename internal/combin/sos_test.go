@@ -3,6 +3,7 @@ package combin
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
@@ -11,11 +12,11 @@ import (
 // per-mask evaluation.
 func TestSubsetSumsAndProducts(t *testing.T) {
 	vals := []float64{0.5, 1.25, 2, 0.125, 3}
-	sums, err := SubsetSums(vals)
+	sums, err := SubsetSums(nil, vals)
 	if err != nil {
 		t.Fatalf("SubsetSums: %v", err)
 	}
-	prods, err := SubsetProducts(vals)
+	prods, err := SubsetProducts(nil, vals)
 	if err != nil {
 		t.Fatalf("SubsetProducts: %v", err)
 	}
@@ -43,10 +44,10 @@ func TestSubsetSumsAndProducts(t *testing.T) {
 // TestSubsetTableLimits covers the table-size guards.
 func TestSubsetTableLimits(t *testing.T) {
 	big := make([]float64, MaxSubsetTable+1)
-	if _, err := SubsetSums(big); err == nil {
+	if _, err := SubsetSums(nil, big); err == nil {
 		t.Fatal("SubsetSums accepted an oversized ground set")
 	}
-	if _, err := SubsetProducts(big); err == nil {
+	if _, err := SubsetProducts(nil, big); err == nil {
 		t.Fatal("SubsetProducts accepted an oversized ground set")
 	}
 	if err := SumOverSubsets(make([]float64, 8), 4, 1); err == nil {
@@ -215,5 +216,70 @@ func TestChunkedMaskSumDeterminism(t *testing.T) {
 	}
 	if math.Abs(ref-acc.Sum()) > 1e-10 {
 		t.Fatalf("chunked sum %v far from compensated serial sum %v", ref, acc.Sum())
+	}
+}
+
+// shardCutoffs are the ground sizes at which each chunked kernel starts
+// sharding, with a run of the kernel over a seeded 2^n table.
+var shardCutoffs = []struct {
+	name string
+	n    int
+	run  func(t *testing.T, arr []float64, n, workers int) []float64
+}{
+	{"zeta", bits.Len64(zetaShardCells) - 1, func(t *testing.T, arr []float64, n, workers int) []float64 {
+		out := append([]float64(nil), arr...)
+		if err := SumOverSubsets(out, n, workers); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}},
+	{"masksum", bits.Len64(maskSumShardMasks) - 1, func(t *testing.T, arr []float64, n, workers int) []float64 {
+		full := uint64(len(arr) - 1)
+		total, _, err := ChunkedMaskSum(n, workers, func() func(uint64) float64 {
+			return func(mask uint64) float64 { return arr[full&^mask] * arr[mask] }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []float64{total}
+	}},
+}
+
+// TestShardCutoffs pins the size gate of both chunked kernels. One size
+// below its cutoff, a kernel asked for 8 workers allocates exactly what
+// it allocates serially, so the serial path ran; at the cutoff, 2 workers
+// allocate more (the sharded path's goroutines). At both sizes the
+// output is bit-identical for 1, 2 and 7 workers, which keeps the
+// sharded branch under the race detector.
+func TestShardCutoffs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 3))
+	for _, k := range shardCutoffs {
+		for _, n := range []int{k.n - 1, k.n} {
+			arr := make([]float64, 1<<uint(n))
+			for i := range arr {
+				arr[i] = rng.NormFloat64()
+			}
+			want := k.run(t, arr, n, 1)
+			for _, workers := range []int{2, 7} {
+				got := k.run(t, arr, n, workers)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d workers=%d: cell %d = %v, serial %v", k.name, n, workers, i, got[i], want[i])
+					}
+				}
+			}
+			serial := testing.AllocsPerRun(2, func() { k.run(t, arr, n, 1) })
+			wide := 8
+			if n == k.n {
+				wide = 2
+			}
+			sharded := testing.AllocsPerRun(2, func() { k.run(t, arr, n, wide) })
+			if n < k.n && sharded != serial {
+				t.Errorf("%s n=%d below the cutoff: %v allocs with %d workers, %v serially", k.name, n, sharded, wide, serial)
+			}
+			if n == k.n && sharded <= serial {
+				t.Errorf("%s n=%d at the cutoff: %v allocs with %d workers, %v serially; the sharded path did not run", k.name, n, sharded, wide, serial)
+			}
+		}
 	}
 }

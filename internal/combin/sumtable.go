@@ -49,17 +49,13 @@ func (t *SumTable) N() int { return t.n }
 func (t *SumTable) Values() []float64 { return t.out }
 
 // Build fills the table for vals, reusing the allocated storage. The
-// result is bit-identical to SubsetSums(vals).
+// result is bit-identical to SubsetSums(nil, vals).
 func (t *SumTable) Build(vals []float64) error {
 	if len(vals) != t.n {
 		return fmt.Errorf("combin: sum table built for %d elements, got %d", t.n, len(vals))
 	}
 	copy(t.vals, vals)
-	out := t.out
-	out[0] = 0
-	for mask := uint64(1); mask < uint64(len(out)); mask++ {
-		out[mask] = out[mask&(mask-1)] + t.vals[bits.TrailingZeros64(mask)]
-	}
+	fillSubsetSums(t.out, t.vals)
 	return nil
 }
 
@@ -109,17 +105,13 @@ func (t *ProductTable) N() int { return t.n }
 func (t *ProductTable) Values() []float64 { return t.out }
 
 // Build fills the table for vals, reusing the allocated storage. The
-// result is bit-identical to SubsetProducts(vals).
+// result is bit-identical to SubsetProducts(nil, vals).
 func (t *ProductTable) Build(vals []float64) error {
 	if len(vals) != t.n {
 		return fmt.Errorf("combin: product table built for %d elements, got %d", t.n, len(vals))
 	}
 	copy(t.vals, vals)
-	out := t.out
-	out[0] = 1
-	for mask := uint64(1); mask < uint64(len(out)); mask++ {
-		out[mask] = out[mask&(mask-1)] * t.vals[bits.TrailingZeros64(mask)]
-	}
+	fillSubsetProducts(t.out, t.vals)
 	return nil
 }
 

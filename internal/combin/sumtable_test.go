@@ -15,7 +15,7 @@ func TestSumTableBuildMatchesSubsetSums(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Float64() * 3
 		}
-		want, err := SubsetSums(vals)
+		want, err := SubsetSums(nil, vals)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -68,11 +68,11 @@ func TestSumTableSetCoordBitIdentical(t *testing.T) {
 		if err := pt.SetCoord(i, vals[i]); err != nil {
 			t.Fatal(err)
 		}
-		wantS, err := SubsetSums(vals)
+		wantS, err := SubsetSums(nil, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantP, err := SubsetProducts(vals)
+		wantP, err := SubsetProducts(nil, vals)
 		if err != nil {
 			t.Fatal(err)
 		}

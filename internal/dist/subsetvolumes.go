@@ -26,8 +26,8 @@ type SubsetVolumeStats struct {
 
 // Record flushes one exact evaluation's work into the exact backend's
 // observability counters: the subset table's cells and steps, the chunks
-// of the final mask sum, and the worker count. A nil observer records
-// nothing.
+// of the final mask sum, and the worker count the kernel ran with (see
+// combin.ZetaWorkers). A nil observer records nothing.
 func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
 	o.Counter("exact.subsets").Add(int64(s.Subsets))
 	o.Counter("exact.steps.incremental").Add(int64(s.Incremental))
@@ -58,10 +58,14 @@ func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
 // Σ_{i∈T} U[0, w_i] at t. Zero widths are admitted (their coordinates
 // contribute zero volume, so vol[T] = 0 for any T containing one).
 //
-// workers shards the zeta passes; results are bit-identical for every
-// worker count because the pass structure and all write locations are
-// fixed by n alone.
-func AllSubsetVolumes(widths []float64, t float64, workers int) ([]float64, SubsetVolumeStats, error) {
+// workers shards the zeta passes of tables large enough to pay for it
+// (combin.SumOverSubsets); results are bit-identical for every worker
+// count because the pass structure and all write locations are fixed by
+// n alone. The ladder needs three more 2^n-entry tables as scratch: they
+// are carved from scratch when its capacity holds them (3·2^n entries),
+// and allocated otherwise. They hold nothing the volumes need afterwards,
+// so a caller can reuse them for its own tables once the call returns.
+func AllSubsetVolumes(widths []float64, t float64, workers int, scratch []float64) ([]float64, SubsetVolumeStats, error) {
 	n := len(widths)
 	if n > combin.MaxSubsetTable {
 		return nil, SubsetVolumeStats{}, fmt.Errorf("dist: subset-volume table limited to %d dimensions, got %d", combin.MaxSubsetTable, n)
@@ -69,17 +73,21 @@ func AllSubsetVolumes(widths []float64, t float64, workers int) ([]float64, Subs
 	if err := checkVolumeInput(widths, t); err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
-	sums, err := combin.SubsetSums(widths)
+	size := 1 << uint(n)
+	if cap(scratch) < 3*size {
+		scratch = make([]float64, 3*size)
+	}
+	sums, err := combin.SubsetSums(scratch[:size:size], widths)
 	if err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
-	size := uint64(len(sums))
 	vol := make([]float64, size)
-	if err := volumeLadder(sums, make([]float64, size), make([]float64, size), vol, vol, n, t, workers); err != nil {
+	if err := volumeLadder(sums, scratch[size:2*size], scratch[2*size:3*size], vol, vol, n, t, workers); err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
 	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
-	return vol, SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2}, nil
+	u := uint64(size)
+	return vol, SubsetVolumeStats{Subsets: u, Incremental: uint64(n)*u + uint64(n)*uint64(n)*u/2}, nil
 }
 
 // checkVolumeInput validates a width vector and its shared threshold.
@@ -151,25 +159,37 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers i
 
 // RadixLadder is the rebuilt-base twin of volumeLadder, for
 // inclusion-exclusion sums whose radix shifts with the exponent. For every
-// exponent m = 1, …, len(t)−1 it fills the signed base table
+// exponent m = m0, …, len(t)−1 it fills the signed base table
 //
-//	base[J] = (−1)^{|J|} (t[m] + off[J])_+^m / m!
+//	base[J] = (−1)^{|J|} (t[m] − sub[J])_+^m / m!
 //
 // over all 2^n subsets J, runs one zeta pass and hands every |O| = m entry
 // Σ_{J⊆O} base[J] to emit, in increasing mask order within one exponent.
-// off holds the caller's per-subset radix offsets and base is 2^n-entry
-// scratch. Because t[m] + off[J] changes with m, every exponent rebuilds
-// all 2^n base cells before its n·2^(n-1) zeta additions. workers shards
-// the zeta passes without changing any bit.
-func RadixLadder(off, t, base []float64, n, workers int, emit func(mask uint64, v float64)) error {
+// sub holds the caller's per-subset radix offsets and base is 2^n-entry
+// scratch. Because t[m] − sub[J] changes with m, every exponent rebuilds
+// all 2^n base cells before its n·2^(n-1) zeta additions. The caller
+// passes as m0 the first exponent that needs a pass: the exponents
+// 1, …, m0−1 build no base and run no zeta pass, and emit receives 0 for
+// each of their entries (the sum of an all-zero base). workers shards the
+// zeta passes without changing any bit.
+func RadixLadder(sub, t, base []float64, n, m0, workers int, emit func(mask uint64, v float64)) error {
 	for m := 1; m < len(t); m++ {
+		if m < m0 {
+			if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
+				emit(mask, 0)
+				return true
+			}); err != nil {
+				return err
+			}
+			continue
+		}
 		f, err := combin.FactorialFloat(m)
 		if err != nil {
 			return err
 		}
 		invFact, tm := 1/f, t[m]
 		for mask := range base {
-			r := tm + off[mask]
+			r := tm - sub[mask]
 			if r <= 0 {
 				base[mask] = 0
 				continue

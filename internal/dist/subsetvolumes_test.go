@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 	widths := []float64{0.5, 1, 0.75, 2, 0.25, 1.5}
 	n := len(widths)
 	for _, thr := range []float64{0.2, 1, 2.5, 7} {
-		vol, stats, err := AllSubsetVolumes(widths, thr, 1)
+		vol, stats, err := AllSubsetVolumes(widths, thr, 1, nil)
 		if err != nil {
 			t.Fatalf("AllSubsetVolumes(t=%v): %v", thr, err)
 		}
@@ -53,7 +54,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 // TestAllSubsetVolumesZeroWidth checks that zero widths flatten their
 // subsets' volumes to zero while leaving disjoint subsets untouched.
 func TestAllSubsetVolumesZeroWidth(t *testing.T) {
-	vol, _, err := AllSubsetVolumes([]float64{0.5, 0, 1}, 1, 1)
+	vol, _, err := AllSubsetVolumes([]float64{0.5, 0, 1}, 1, 1, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -79,12 +80,12 @@ func TestAllSubsetVolumesWorkersBitIdentical(t *testing.T) {
 	for i := range widths {
 		widths[i] = 0.25 + 0.125*float64(i%5)
 	}
-	ref, _, err := AllSubsetVolumes(widths, 2.5, 1)
+	ref, _, err := AllSubsetVolumes(widths, 2.5, 1, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, _, err := AllSubsetVolumes(widths, 2.5, workers)
+		got, _, err := AllSubsetVolumes(widths, 2.5, workers, nil)
 		if err != nil {
 			t.Fatalf("AllSubsetVolumes(workers=%d): %v", workers, err)
 		}
@@ -99,16 +100,16 @@ func TestAllSubsetVolumesWorkersBitIdentical(t *testing.T) {
 
 // TestAllSubsetVolumesRejects covers the validation paths.
 func TestAllSubsetVolumesRejects(t *testing.T) {
-	if _, _, err := AllSubsetVolumes([]float64{-1}, 1, 1); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{-1}, 1, 1, nil); err == nil {
 		t.Fatal("accepted a negative width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{math.NaN()}, 1, 1); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{math.NaN()}, 1, 1, nil); err == nil {
 		t.Fatal("accepted a NaN width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{1}, math.Inf(1), 1); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{1}, math.Inf(1), 1, nil); err == nil {
 		t.Fatal("accepted an infinite threshold")
 	}
-	if _, _, err := AllSubsetVolumes(make([]float64, 40), 1, 1); err == nil {
+	if _, _, err := AllSubsetVolumes(make([]float64, 40), 1, 1, nil); err == nil {
 		t.Fatal("accepted an oversized dimension")
 	}
 }
@@ -117,7 +118,7 @@ func TestAllSubsetVolumesRejects(t *testing.T) {
 // cardinality layer was filled (no pass skipped).
 func TestAllSubsetVolumesPopcountCoverage(t *testing.T) {
 	widths := []float64{0.5, 0.5, 0.5, 0.5}
-	vol, _, err := AllSubsetVolumes(widths, 10, 1) // t beyond support: every CDF is 1
+	vol, _, err := AllSubsetVolumes(widths, 10, 1, nil) // t beyond support: every CDF is 1
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 		for i := range widths {
 			widths[i] = tc.widths(i)
 		}
-		vol, _, err := AllSubsetVolumes(widths, tc.t, 1)
+		vol, _, err := AllSubsetVolumes(widths, tc.t, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -159,6 +160,49 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 		}
 		if got := h.Sum64(); got != tc.sum {
 			t.Errorf("%s: checksum %#x, want %#x", tc.name, got, tc.sum)
+		}
+	}
+}
+
+// TestRadixLadderFromMatchesFullLadder runs RadixLadder from every first
+// exponent m0 on seeded offsets and radii: each cell of an exponent ≥ m0
+// gets the full ladder's bits, each cell of a skipped exponent gets 0,
+// and every cell with 1 ≤ |O| < len(t) is emitted exactly once.
+func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 2))
+	for _, n := range []int{1, 4, 7, 10} {
+		size := 1 << uint(n)
+		sub := make([]float64, size)
+		for mask := range sub {
+			sub[mask] = 2 * rng.Float64() * float64(bits.OnesCount64(uint64(mask)))
+		}
+		tm := make([]float64, n+1)
+		for m := range tm {
+			tm[m] = float64(n) * rng.Float64()
+		}
+		ladder := func(m0 int) ([]float64, []int) {
+			out := make([]float64, size)
+			seen := make([]int, size)
+			if err := RadixLadder(sub, tm, make([]float64, size), n, m0, 1, func(mask uint64, v float64) {
+				out[mask] = v
+				seen[mask]++
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return out, seen
+		}
+		full, _ := ladder(1)
+		for m0 := 0; m0 <= n+1; m0++ {
+			got, seen := ladder(m0)
+			for mask := 1; mask < size; mask++ {
+				want := full[mask]
+				if bits.OnesCount64(uint64(mask)) < m0 {
+					want = 0
+				}
+				if seen[mask] != 1 || math.Float64bits(got[mask]) != math.Float64bits(want) {
+					t.Fatalf("n=%d m0=%d cell %b: emitted %d times, %v, want once, %v", n, m0, mask, seen[mask], got[mask], want)
+				}
+			}
 		}
 	}
 }

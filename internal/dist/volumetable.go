@@ -94,7 +94,7 @@ func (v *VolumeTable) Widths() []float64 { return v.widths }
 
 // Sums returns the subset sums of the current widths, indexed by subset
 // mask — the combin.SumTable the volumes are built from, bit-identical to
-// combin.SubsetSums(Widths()) after Build and after every SetCoord. The
+// combin.SubsetSums(nil, Widths()) after Build and after every SetCoord. The
 // slice is owned by the table; callers must not modify it.
 func (v *VolumeTable) Sums() []float64 { return v.sums.Values() }
 
@@ -102,7 +102,7 @@ func (v *VolumeTable) Sums() []float64 { return v.sums.Values() }
 func (v *VolumeTable) Stats() DeltaStats { return v.stats }
 
 // Build fills the table for (widths, t), reusing the allocated storage.
-// The volumes are bit-identical to AllSubsetVolumes(widths, t, workers):
+// The volumes are bit-identical to AllSubsetVolumes(widths, t, workers, nil):
 // same validation, same subset-sum recurrence, same volume kernel.
 // workers shards the zeta passes (≤ 1 serial); every worker count
 // produces the same bits.

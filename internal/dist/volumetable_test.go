@@ -25,7 +25,7 @@ func TestVolumeTableBuildMatchesAllSubsetVolumes(t *testing.T) {
 			widths[i] = rng.Float64()
 		}
 		threshold := float64(n) / 3
-		want, _, err := AllSubsetVolumes(widths, threshold, 1)
+		want, _, err := AllSubsetVolumes(widths, threshold, 1, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -70,7 +70,7 @@ func TestVolumeTableSetCoordTracksRebuild(t *testing.T) {
 			if err := vt.SetCoord(i, widths[i]); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := AllSubsetVolumes(widths, threshold, 1)
+			want, _, err := AllSubsetVolumes(widths, threshold, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

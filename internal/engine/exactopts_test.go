@@ -76,10 +76,14 @@ func TestExactWorkersBitIdentical(t *testing.T) {
 
 // TestExactCountersHomogeneousThreshold pins the exact.* counters of one
 // homogeneous Threshold evaluation at n = 6, δ = 2: both 2^6-cell subset
-// tables, the N₁ side's 6·2^6 rebuilt base cells, the N₀ ladder updates
-// plus both tables' zeta additions, and the 64-chunk mask-sum grid. It
-// then pins a shared threshold on a π instance, whose bin-1 table is
-// rebuilt per exponent too and so moves exact.steps.rebuilt.
+// tables, the N₀ ladder's 6·2^6 power updates and its 6·6·2^5 zeta
+// additions, and the 64-chunk mask-sum grid. The N₁ side runs only the
+// exponents m > δ, here m = 3…6: 4·2^6 = 256 rebuilt base cells and
+// 4·6·2^5 = 768 zeta additions, so 384 + 1152 + 768 = 2304 incremental
+// steps. A 2^6-cell table is far below the sharding cutoff, so the kernel
+// ran on 1 worker although the engine offered 2. It then pins a shared
+// threshold on a π instance, whose bin-1 table is rebuilt per exponent
+// too and so moves exact.steps.rebuilt.
 func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Config{Obs: obs.New(reg, nil), ExactWorkers: 2})
@@ -91,8 +95,8 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	snap := reg.Snapshot()
 	want := map[string]int64{
 		"exact.subsets":           128,
-		"exact.steps.rebuilt":     384,
-		"exact.steps.incremental": 2688,
+		"exact.steps.rebuilt":     256,
+		"exact.steps.incremental": 2304,
 		"exact.chunks":            64,
 	}
 	for name, v := range want {
@@ -100,13 +104,16 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 			t.Errorf("counter %s = %d, want %d", name, got, v)
 		}
 	}
-	if got := snap.Gauges["exact.workers"]; got != 2 {
-		t.Errorf("exact.workers gauge = %v, want 2", got)
+	if got := snap.Gauges["exact.workers"]; got != 1 {
+		t.Errorf("exact.workers gauge = %v, want 1", got)
 	}
 	// β = 0.625 on π = (0.5, 1.25, 0.75, 2, 1, 1.5): player 0 can never
 	// choose bin 1 and sets of more than 3 vanish (4·0.625 ≥ δ), so the
-	// bin-1 table runs 3 exponents: 3·2^6 rebuilt base cells and 3·6·2^5
-	// zeta additions on top of the bin-0 table's 6·2^6 + 6²·2^5.
+	// bin-1 table covers 3 exponents. The widest residual width is
+	// 2 − 0.625 = 1.375 = δ − β, so every single set fits its whole box
+	// and m = 1 takes Π w without a pass. The table runs m = 2, 3:
+	// 2·2^6 rebuilt base cells and 2·6·2^5 zeta additions on top of the
+	// bin-0 table's 6·2^6 + 6²·2^5.
 	reg = obs.NewRegistry()
 	e = New(Config{Obs: obs.New(reg, nil), ExactWorkers: 2})
 	pi := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
@@ -116,13 +123,16 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	snap = reg.Snapshot()
 	want = map[string]int64{
 		"exact.subsets":           128,
-		"exact.steps.rebuilt":     192,
-		"exact.steps.incremental": 2112,
+		"exact.steps.rebuilt":     128,
+		"exact.steps.incremental": 1920,
 		"exact.chunks":            64,
 	}
 	for name, v := range want {
 		if got := snap.Counters[name]; got != v {
 			t.Errorf("shared β on π: counter %s = %d, want %d", name, got, v)
 		}
+	}
+	if got := snap.Gauges["exact.workers"]; got != 1 {
+		t.Errorf("shared β on π: exact.workers gauge = %v, want 1", got)
 	}
 }

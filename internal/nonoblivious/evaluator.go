@@ -83,8 +83,9 @@ type Evaluator struct {
 	// N₁ state (Lemma 2.7 tails), rebuilt per exponent.
 	prod     *combin.ProductTable // subset products of 1−a
 	oneMinus []float64
-	sm1      []float64 // σ_J a − |J|
+	gap      []float64 // |J| − σ_J a
 	shift    []float64 // per-exponent radix shift m − δ (fixed)
+	bin1From int       // first exponent whose radix can be positive
 	n1       []float64 // clamped N₁ table
 	base     []float64 // zeta scratch
 	partial  []float64 // chunked-sum partials (fixed grid)
@@ -138,7 +139,7 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 		vt:       vt,
 		prod:     prod,
 		oneMinus: make([]float64, n),
-		sm1:      make([]float64, size),
+		gap:      make([]float64, size),
 		shift:    make([]float64, n+1),
 		n1:       make([]float64, size),
 		base:     make([]float64, size),
@@ -148,8 +149,12 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	}
 	_, chunks := combin.ChunkSpan(uint64(size))
 	ev.partial = make([]float64, chunks)
-	for m := range ev.shift {
+	ev.bin1From = n + 1
+	for m := n; m >= 0; m-- {
 		ev.shift[m] = float64(m) - capacity
+		if m >= 1 && ev.shift[m] > 0 {
+			ev.bin1From = m
+		}
 	}
 	for m := 0; m <= n+1; m++ {
 		f, ferr := combin.FactorialFloat(m)
@@ -242,8 +247,8 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 	}
 	copy(ev.a, thresholds)
 	sums := ev.vt.Sums()
-	for mask := range ev.sm1 {
-		ev.sm1[mask] = sums[mask] - float64(bits.OnesCount64(uint64(mask)))
+	for mask := range ev.gap {
+		ev.gap[mask] = float64(bits.OnesCount64(uint64(mask))) - sums[mask]
 	}
 	for i, a := range ev.a {
 		ev.oneMinus[i] = 1 - a
@@ -291,7 +296,7 @@ func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	if err := ev.prod.SetCoord(i, ev.oneMinus[i]); err != nil {
 		return 0, err
 	}
-	// Refresh σ_J a − |J| on the re-propagated half-lattice.
+	// Refresh |J| − σ_J a on the re-propagated half-lattice.
 	sums := ev.vt.Sums()
 	bit := 1 << uint(i)
 	size := 1 << uint(ev.n)
@@ -299,7 +304,7 @@ func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 		if mask&bit == 0 {
 			continue
 		}
-		ev.sm1[mask] = sums[mask] - float64(bits.OnesCount64(uint64(mask)))
+		ev.gap[mask] = float64(bits.OnesCount64(uint64(mask))) - sums[mask]
 	}
 	if err := ev.bin1Passes(); err != nil {
 		return 0, err
@@ -382,13 +387,16 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 // with m = |O|. The base term depends on J only through |J| and σ_J a, so
 // for each exponent m one signed base table over all J feeds a single
 // sum-over-subsets pass that yields every |O| = m entry at once: the
-// dist.RadixLadder kernel with radix (m − δ) + (σ_J a − |J|). Unlike the
+// dist.RadixLadder kernel with radix (m − δ) − (|J| − σ_J a). Unlike the
 // N₀ radix, this radix shifts with m, so each exponent's base is rebuilt
-// from the σ_J a − |J| table rather than updated incrementally.
+// from the |J| − σ_J a table rather than updated incrementally. Thresholds
+// lie in [0, 1], so |J| − σ_J a ≥ 0 and every radix of an exponent m ≤ δ
+// is ≤ 0: those exponents' bases are all zero and the ladder skips them
+// (bin1From), leaving N₁[O] = Π(1−a_i), the same bits the pass would give.
 func (ev *Evaluator) bin1Passes() error {
 	prod := ev.prod.Values()
 	ev.n1[0] = 1
-	return dist.RadixLadder(ev.sm1, ev.shift, ev.base, ev.n, ev.workers, func(mask uint64, v float64) {
+	return dist.RadixLadder(ev.gap, ev.shift, ev.base, ev.n, ev.bin1From, ev.workers, func(mask uint64, v float64) {
 		v = prod[mask] - v
 		if v < 0 {
 			v = 0

@@ -3,6 +3,7 @@ package nonoblivious
 import (
 	"math"
 
+	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
@@ -45,16 +46,18 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 	if err != nil {
 		return 0, err
 	}
-	// One build of each table: the N₀ ladder's 2^n power updates and both
-	// tables' n·2^(n-1) zeta additions per exponent are incremental; the
-	// N₁ base is rebuilt per exponent.
+	// One build of each table: per exponent, the N₀ ladder's 2^n power
+	// updates and both tables' n·2^(n-1) zeta additions are incremental
+	// and the N₁ base's 2^n cells are rebuilt. The N₁ side runs only the
+	// exponents m > δ (Evaluator.bin1Passes).
 	size := uint64(1) << uint(n)
+	passes := uint64(n + 1 - ev.bin1From)
 	stats := dist.SubsetVolumeStats{
 		Subsets:     2 * size,
-		Incremental: uint64(n)*size + uint64(n)*uint64(n)*size,
-		Rebuilt:     uint64(n) * size,
+		Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2 + passes*uint64(n)*size/2,
+		Rebuilt:     passes * size,
 	}
-	stats.Record(o, len(ev.partial), ev.workers)
+	stats.Record(o, len(ev.partial), combin.ZetaWorkers(n, ev.workers))
 	return p, nil
 }
 

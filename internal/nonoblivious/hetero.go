@@ -113,18 +113,24 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 			badHigh |= 1 << uint(i)
 		}
 	}
-	vol0, stats, err := dist.AllSubsetVolumes(lows, capacity, workers)
+	// One slab is the bin-0 ladder's scratch. Once that table is built it
+	// holds the residual widths' subset sums and products and either the
+	// bin-1 ladder's base or the threshold sums of the per-set walk.
+	size := 1 << uint(n)
+	slab := make([]float64, 3*size)
+	vol0, stats, err := dist.AllSubsetVolumes(lows, capacity, workers, slab)
 	if err != nil {
 		return 0, err
 	}
-	wSums, err := combin.SubsetSums(highs)
+	wSums, err := combin.SubsetSums(slab[:size:size], highs)
 	if err != nil {
 		return 0, err
 	}
-	wProd, err := combin.SubsetProducts(highs)
+	wProd, err := combin.SubsetProducts(slab[size:2*size:2*size], highs)
 	if err != nil {
 		return 0, err
 	}
+	rest := slab[2*size:]
 	invFact := make([]float64, n+1)
 	for m := 0; m <= n; m++ {
 		f, err := combin.FactorialFloat(m)
@@ -150,14 +156,15 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	var vol1, aSums []float64
 	if beta, ok := sharedThreshold(thresholds, badHigh); ok {
 		mmax := min(kmax, n-bits.OnesCount64(badHigh))
-		if vol1, err = sharedBin1Table(wSums, wProd, capacity, beta, mmax, n, workers); err != nil {
+		vol1 = make([]float64, size)
+		passes, err := sharedBin1Table(vol1, wSums, wProd, rest, capacity, beta, mmax, n, workers)
+		if err != nil {
 			return 0, err
 		}
-		size := uint64(len(vol1))
-		stats.Subsets += size
-		stats.Incremental += uint64(mmax) * uint64(n) * size / 2
-		stats.Rebuilt += uint64(mmax) * size
-	} else if aSums, err = combin.SubsetSums(thresholds); err != nil {
+		stats.Subsets += uint64(size)
+		stats.Incremental += uint64(passes) * uint64(n) * uint64(size) / 2
+		stats.Rebuilt += uint64(passes) * uint64(size)
+	} else if aSums, err = combin.SubsetSums(rest, thresholds); err != nil {
 		return 0, err
 	}
 	// DFS element order: ascending residual width, so the first sibling
@@ -227,7 +234,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	for _, c := range dfsTerms {
 		stats.Rebuilt += *c
 	}
-	stats.Record(o, chunks, workers)
+	stats.Record(o, chunks, max(combin.ZetaWorkers(n, workers), combin.MaskSumWorkers(n, workers)))
 	return clamp01(total / piProd), nil
 }
 
@@ -248,31 +255,36 @@ func sharedThreshold(thresholds []float64, bad uint64) (float64, bool) {
 	return beta, true
 }
 
-// sharedBin1Table returns vol1[S], the bin-1 volume
+// sharedBin1Table writes to vol1[S] the bin-1 volume
 // Vol{0 ≤ y_i ≤ w_i, Σ y ≤ δ − Σ_{i∈S} a_i} of every set S with
 // 1 ≤ |S| ≤ mmax, for threshold vectors whose bin-1-capable players share
-// one threshold β. Then the radix δ − β·|S| − σ_J w depends on S only
-// through m = |S|, so one dist.RadixLadder pass per exponent replaces the
-// per-set walk: O(mmax·n·2^n) in all. t_m is δ minus m β's summed in
-// order — the bits of combin.SubsetSums(thresholds) on every such set.
-// A set whose whole residual box fits under t_m gets exactly Π w_i, and
-// the rest are clamped below at 0. A player that can never choose bin 1
-// has width 0, so the base terms of J and J ∪ {i} cancel exactly and every
-// set containing it gets volume 0. wSums and wProd are the subset sums
-// and products of the widths.
-func sharedBin1Table(wSums, wProd []float64, capacity, beta float64, mmax, n, workers int) ([]float64, error) {
+// one threshold β, and returns the number of ladder passes it ran. Then
+// the radix δ − β·|S| − σ_J w depends on S only through m = |S|, so one
+// dist.RadixLadder pass per exponent replaces the per-set walk:
+// O(mmax·n·2^n) in all. t_m is δ minus m β's summed in order — the bits
+// of combin.SubsetSums of the thresholds on every such set. A set whose
+// whole residual box fits under t_m gets exactly Π w_i, and the rest are
+// clamped below at 0. Exponents in which every m-set fits take Π w_i
+// whatever the pass gives, so the ladder starts at the first exponent with
+// a set that does not fit. A player that can never choose bin 1 has width
+// 0, so the base terms of J and J ∪ {i} cancel exactly and every set
+// containing it gets volume 0. wSums and wProd are the subset sums and
+// products of the widths, and base is 2^n-entry scratch. Entries of vol1
+// for other cardinalities are left as they were.
+func sharedBin1Table(vol1, wSums, wProd, base []float64, capacity, beta float64, mmax, n, workers int) (int, error) {
 	t := make([]float64, mmax+1)
 	aSum := 0.0
 	for m := 1; m <= mmax; m++ {
 		aSum += beta
 		t[m] = capacity - aSum
 	}
-	off := make([]float64, len(wSums))
-	for mask, w := range wSums {
-		off[mask] = -w
+	m0 := mmax + 1
+	for s, w := range wSums {
+		if m := bits.OnesCount64(uint64(s)); m < m0 && w > t[m] {
+			m0 = m
+		}
 	}
-	vol1 := make([]float64, len(wSums))
-	err := dist.RadixLadder(off, t, make([]float64, len(wSums)), n, workers, func(s uint64, v float64) {
+	err := dist.RadixLadder(wSums, t, base[:len(wSums)], n, m0, workers, func(s uint64, v float64) {
 		if t[bits.OnesCount64(s)] >= wSums[s] {
 			v = wProd[s]
 		} else if v < 0 {
@@ -280,7 +292,7 @@ func sharedBin1Table(wSums, wProd []float64, capacity, beta float64, mmax, n, wo
 		}
 		vol1[s] = v
 	})
-	return vol1, err
+	return mmax + 1 - m0, err
 }
 
 // tailVolumeDFS evaluates the Proposition 2.2 volume

@@ -5,10 +5,12 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -234,13 +236,14 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 				bad |= 1 << uint(i)
 			}
 		}
-		wSums, _ := combin.SubsetSums(highs)
-		wProd, _ := combin.SubsetProducts(highs)
+		wSums, _ := combin.SubsetSums(nil, highs)
+		wProd, _ := combin.SubsetProducts(nil, highs)
 		mmax := 0
 		for m := 1; m <= n-bits.OnesCount64(bad) && float64(m)*beta < capacity; m++ {
 			mmax = m
 		}
-		vol1, err := sharedBin1Table(wSums, wProd, capacity, beta, mmax, n, 2)
+		vol1 := make([]float64, len(wSums))
+		_, err := sharedBin1Table(vol1, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,5 +316,103 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		if math.Abs(pShared-pWalk) > 1e-12 {
 			t.Errorf("n=%d: shared-β table %v vs walk %v", n, pShared, pWalk)
 		}
+	}
+}
+
+// TestSharedBin1TableSkipBitIdentical checks that starting the bin-1
+// ladder past the whole-box exponents changes no bit: for n ≤ MaxNHetero
+// the table equals one whose ladder runs every exponent from 1 with the
+// same emit rule, and at least one instance per n skips an exponent. The
+// last instance per n puts one width a step above t_1, so exactly one
+// single set misses its whole box and the first exponent must run.
+func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 1))
+	for n := 2; n <= MaxNHetero; n++ {
+		skipped := false
+		for trial := 0; trial < 5; trial++ {
+			capacity := float64(n) * (0.2 + 0.4*rng.Float64())
+			beta := 0.5 * rng.Float64()
+			highs := make([]float64, n)
+			for i := range highs {
+				highs[i] = math.Max(0, 0.3+rng.Float64()-beta)
+			}
+			if trial == 4 && capacity > beta {
+				for i := range highs {
+					highs[i] = math.Min(highs[i], 0.5*(capacity-beta))
+				}
+				highs[n-1] = math.Nextafter(capacity-beta, math.Inf(1))
+			}
+			wSums, _ := combin.SubsetSums(nil, highs)
+			wProd, _ := combin.SubsetProducts(nil, highs)
+			mmax := 0
+			for m := 1; m <= n && float64(m)*beta < capacity; m++ {
+				mmax = m
+			}
+			got := make([]float64, len(wSums))
+			passes, err := sharedBin1Table(got, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skipped = skipped || passes < mmax
+			if trial == 4 && passes != mmax {
+				t.Fatalf("n=%d: a width just past t_1 ran %d of %d exponents", n, passes, mmax)
+			}
+			tm := make([]float64, mmax+1)
+			aSum := 0.0
+			for m := 1; m <= mmax; m++ {
+				aSum += beta
+				tm[m] = capacity - aSum
+			}
+			want := make([]float64, len(wSums))
+			if err := dist.RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, 1, func(s uint64, v float64) {
+				if tm[bits.OnesCount64(s)] >= wSums[s] {
+					v = wProd[s]
+				} else if v < 0 {
+					v = 0
+				}
+				want[s] = v
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					t.Fatalf("n=%d β=%v δ=%v set %b: skipping table %v, full ladder %v", n, beta, capacity, s, got[s], want[s])
+				}
+			}
+		}
+		if !skipped {
+			t.Errorf("n=%d: no instance skipped a whole-box exponent", n)
+		}
+	}
+}
+
+// TestWinningProbabilityPiBytesPerCall bounds the shared-threshold π
+// path's heap use at n = 11: it reuses the bin-0 ladder's scratch for the
+// residual widths' tables and the bin-1 base, so a call allocates at
+// most six 2^n-entry float64 tables (it needs five) plus small slices.
+func TestWinningProbabilityPiBytesPerCall(t *testing.T) {
+	const n, calls = 11, 20
+	ths := make([]float64, n)
+	pis := make([]float64, n)
+	for i := range ths {
+		ths[i] = 0.4
+		pis[i] = 0.6 + 0.05*float64(i)
+	}
+	run := func() {
+		if _, err := WinningProbabilityPiOpts(ths, pis, 3.5, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	const limit = 6*8<<n + 4096
+	if perCall > limit {
+		t.Errorf("n=%d: %d bytes per call, want at most %d (six 2^n-entry tables plus small slices)", n, perCall, limit)
 	}
 }

@@ -90,11 +90,11 @@ func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, erro
 	if workers <= 0 {
 		workers = 1
 	}
-	vol, table, err := dist.AllSubsetVolumes(pi, capacity, workers)
+	vol, table, err := dist.AllSubsetVolumes(pi, capacity, workers, nil)
 	if err != nil {
 		return nil, err
 	}
-	piProd, err := combin.SubsetProducts(pi)
+	piProd, err := combin.SubsetProducts(nil, pi)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
@@ -68,7 +69,7 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	if err != nil {
 		return 0, err
 	}
-	ev.stats.Table.Record(o, len(ev.partial), workers)
+	ev.stats.Table.Record(o, len(ev.partial), combin.ZetaWorkers(len(alphas), workers))
 	return p, nil
 }
 
