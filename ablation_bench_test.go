@@ -8,9 +8,7 @@ package repro
 //   - Gray-code subset walk vs. recomputing each subset sum from scratch
 //     (the inclusion-exclusion kernels of Proposition 2.2 / Lemma 2.4);
 //   - Poisson-binomial O(n²) collapse vs. the paper's literal 2^n sum
-//     over decision vectors (Theorem 4.1);
-//   - Neumaier-compensated vs. naive summation on the alternating
-//     Irwin-Hall series (accuracy ablation, reported via b.Log).
+//     over decision vectors (Theorem 4.1).
 
 import (
 	"math"
@@ -91,12 +89,13 @@ func BenchmarkAblationSubsetNaive(b *testing.B) {
 func theorem41Enumerated(alphas []float64, capacity float64) (float64, error) {
 	n := len(alphas)
 	cdf := make([]float64, n+1)
+	var l dist.IrwinHallLadder
+	l.Reset(capacity, n)
 	for k := 0; k <= n; k++ {
-		v, err := dist.IrwinHallCDF(k, capacity)
-		if err != nil {
-			return 0, err
+		if k > 0 {
+			l.Step()
 		}
-		cdf[k] = v
+		cdf[k] = l.CDF(0)
 	}
 	var acc combin.Accumulator
 	err := combin.ForEachSubset(n, func(mask uint64) bool {
@@ -158,60 +157,5 @@ func BenchmarkAblationTheorem41Enumerated(b *testing.B) {
 		if _, err := theorem41Enumerated(alphas, 20.0/3); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// irwinHallNaive evaluates Corollary 2.6 with uncompensated summation.
-func irwinHallNaive(m int, t float64) float64 {
-	row, err := combin.PascalRow(m)
-	if err != nil {
-		return math.NaN()
-	}
-	var sum float64
-	for i := 0; i <= m; i++ {
-		if float64(i) >= t {
-			continue
-		}
-		v := row[i] * math.Pow(t-float64(i), float64(m))
-		if i%2 == 1 {
-			sum -= v
-		} else {
-			sum += v
-		}
-	}
-	f, err := combin.FactorialFloat(m)
-	if err != nil {
-		return math.NaN()
-	}
-	return sum / f
-}
-
-// BenchmarkAblationCompensatedSum reports, via b.Log, the accuracy gained
-// by Neumaier compensation on the alternating Irwin-Hall series at the
-// stability edge (m = 25), measured against the exact rational value, and
-// times the compensated kernel.
-func BenchmarkAblationCompensatedSum(b *testing.B) {
-	const m = 25
-	tPoint := float64(m) / 2 // exact value 1/2 by symmetry
-	ih, err := dist.NewIrwinHall(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	compErr := math.Abs(ih.CDF(tPoint) - 0.5)
-	naiveErr := math.Abs(irwinHallNaive(m, tPoint) - 0.5)
-	b.Logf("m=%d: |error| compensated %.3e vs naive %.3e", m, compErr, naiveErr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ih.CDF(tPoint)
-	}
-}
-
-// BenchmarkAblationNaiveSum times the uncompensated kernel for
-// comparison.
-func BenchmarkAblationNaiveSum(b *testing.B) {
-	const m = 25
-	tPoint := float64(m) / 2
-	for i := 0; i < b.N; i++ {
-		_ = irwinHallNaive(m, tPoint)
 	}
 }

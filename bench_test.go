@@ -8,6 +8,7 @@ package repro
 // headline values.
 
 import (
+	"fmt"
 	"io"
 	"math/big"
 	"math/rand/v2"
@@ -164,15 +165,15 @@ func BenchmarkValidationSweep(b *testing.B) {
 
 // ---- kernel micro-benchmarks ----
 
-// BenchmarkIrwinHallCDF times the Corollary 2.6 kernel (m = 10).
+// BenchmarkIrwinHallCDF times the Corollary 2.6 ladder: F_m(4.2) for
+// every order m ≤ 10 from one ladder.
 func BenchmarkIrwinHallCDF(b *testing.B) {
-	ih, err := dist.NewIrwinHall(10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	var l dist.IrwinHallLadder
 	for i := 0; i < b.N; i++ {
-		_ = ih.CDF(4.2)
+		l.Reset(4.2, 10)
+		for l.Order() < 10 {
+			l.Step()
+		}
 	}
 }
 
@@ -223,13 +224,17 @@ func BenchmarkThresholdWinProbabilityGeneral(b *testing.B) {
 	}
 }
 
-// BenchmarkThresholdWinProbabilitySymmetric times the O(n²) symmetric fast
-// path at n = 20.
+// BenchmarkThresholdWinProbabilitySymmetric times the symmetric fast path
+// (Irwin-Hall ladders, O(n³)) at δ = n/3 from n = 3 to its cap.
 func BenchmarkThresholdWinProbabilitySymmetric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.SymmetricWinningProbability(20, 20.0/3, 0.63); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{3, 10, 20, 25, nonoblivious.MaxNSymmetric} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := nonoblivious.SymmetricWinningProbability(n, float64(n)/3, 0.63); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -210,17 +210,24 @@ func TestRunTableWritesCSV(t *testing.T) {
 	}
 }
 
-// TestEvalAutoPastExactCap pins -backend auto past the exact oracle's
-// player cap: it answers with a Monte-Carlo estimate, while -backend exact
-// still refuses and names the cap.
+// TestEvalAutoPastExactCap pins -backend auto past an exact oracle's
+// player cap: a 16-player π instance (the heterogeneous threshold oracle
+// stops at 15) answers with a Monte-Carlo estimate, while -backend exact
+// still refuses and names the cap. A homogeneous 30-player instance is
+// inside the symmetric oracle's domain and answers exactly.
 func TestEvalAutoPastExactCap(t *testing.T) {
-	args := []string{"eval", "-n", "30", "-delta", "10", "-trials", "2000", "-workers", "1"}
+	pi := "0.5" + strings.Repeat(",1", 15)
+	args := []string{"eval", "-pi", pi, "-delta", "5", "-trials", "2000", "-workers", "1"}
 	got := captureStdout(t, func() error { return run(append(args, "-backend", "auto")) })
-	if want := "n=30 δ=10 threshold(0.5): P(win) = "; !strings.HasPrefix(got, want) || !strings.HasSuffix(got, "(mc, 2000 trials)\n") {
+	if want := "n=16 δ=5 π=(" + pi + ") threshold(0.5): P(win) = "; !strings.HasPrefix(got, want) || !strings.HasSuffix(got, "(mc, 2000 trials)\n") {
 		t.Errorf("auto output = %q, want a 2000-trial mc estimate", got)
 	}
 	err := run(append(args, "-backend", "exact"))
-	if err == nil || !strings.Contains(err.Error(), "limited to 25 players") {
-		t.Errorf("exact error = %v, want the 25-player cap", err)
+	if err == nil || !strings.Contains(err.Error(), "limited to 15 players") {
+		t.Errorf("exact error = %v, want the 15-player cap", err)
+	}
+	got = captureStdout(t, func() error { return run([]string{"eval", "-n", "30", "-delta", "10", "-backend", "exact"}) })
+	if want := "n=30 δ=10 threshold(0.5): P(win) = 0.281187245\n"; got != want {
+		t.Errorf("exact n=30 output = %q, want %q", got, want)
 	}
 }

@@ -12,8 +12,9 @@
 //     enumeration that changes one element at a time,
 //   - compensated (Neumaier) floating-point summation for the alternating
 //     series the inclusion-exclusion formulas produce, and
-//   - signed binomial sums Σ_i (-1)^i C(n, i) f(i), the form those
-//     expressions take when all weights are equal.
+//   - exact signed binomial sums Σ_i (-1)^i C(n, i) f(i), the form those
+//     expressions take when all weights are equal (the rational oracles'
+//     form; in float64 the collapse cancels, see dist.IrwinHallLadder).
 //
 // Everything here is deterministic, allocation-conscious and safe for
 // concurrent use; none of the functions retain references to caller slices.

@@ -5,38 +5,16 @@ import (
 	"math/big"
 )
 
-// SignedBinomialSum evaluates the collapsed ("symmetric") form of an
-// inclusion-exclusion expression,
+// SignedBinomialSumRat evaluates the collapsed ("symmetric") form of an
+// inclusion-exclusion expression exactly,
 //
 //	Σ_{i=0..n, guard(i)} (-1)^i · C(n, i) · term(i),
 //
 // which arises whenever the per-element weights are all equal, so that the
 // subset sum depends only on the subset's cardinality (Corollary 2.6 and the
-// symmetric-threshold formulas of Section 5.2). Summation is compensated.
-func SignedBinomialSum(n int, guard func(i int) bool, term func(i int) float64) (float64, error) {
-	if guard == nil || term == nil {
-		return 0, fmt.Errorf("combin: SignedBinomialSum requires non-nil guard and term")
-	}
-	row, err := PascalRow(n)
-	if err != nil {
-		return 0, err
-	}
-	var acc Accumulator
-	for i := 0; i <= n; i++ {
-		if !guard(i) {
-			continue
-		}
-		v := row[i] * term(i)
-		if i%2 == 1 {
-			v = -v
-		}
-		acc.Add(v)
-	}
-	return acc.Sum(), nil
-}
-
-// SignedBinomialSumRat is the exact rational counterpart of
-// SignedBinomialSum.
+// symmetric-threshold formulas of Section 5.2). Its terms can be far
+// larger than its value, so it exists only in big.Rat; the float64 paths
+// use dist.IrwinHallLadder.
 func SignedBinomialSumRat(n int, guard func(i int) bool, term func(i int) *big.Rat) (*big.Rat, error) {
 	if guard == nil || term == nil {
 		return nil, fmt.Errorf("combin: SignedBinomialSumRat requires non-nil guard and term")

@@ -58,16 +58,80 @@ func ratPow(r *big.Rat, n int) *big.Rat {
 	return out
 }
 
+// ratGuardTerm returns the guard tcap − β·i > 0 and the term
+// (tcap − β·i)^n of the Corollary 2.6-shaped alternating power sum.
+func ratGuardTerm(n int, beta, tcap *big.Rat) (func(int) bool, func(int) *big.Rat) {
+	rest := func(i int) *big.Rat {
+		v := new(big.Rat).SetInt64(int64(i))
+		v.Mul(v, beta)
+		return v.Sub(tcap, v)
+	}
+	return func(i int) bool { return rest(i).Sign() > 0 },
+		func(i int) *big.Rat { return ratPow(rest(i), n) }
+}
+
 func TestSignedSubsetSumMatchesBinomialCollapse(t *testing.T) {
 	// With equal weights, the subset expansion Σ_I (-1)^|I| f(|I|) must
-	// agree with the binomial collapse for a nontrivial alternating power
-	// sum.
+	// agree exactly with the binomial collapse for a nontrivial
+	// alternating power sum.
 	const n = 8
-	const beta, tcap = 0.37, 1.9
+	guard, term := ratGuardTerm(n, big.NewRat(37, 100), big.NewRat(19, 10))
+	subset := new(big.Rat)
+	if err := ForEachSubset(n, func(mask uint64) bool {
+		if k := Popcount(mask); guard(k) {
+			if k%2 == 1 {
+				subset.Sub(subset, term(k))
+			} else {
+				subset.Add(subset, term(k))
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	binom, err := SignedBinomialSumRat(n, guard, term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if subset.Cmp(binom) != 0 {
+		t.Errorf("subset form %v != binomial collapse %v", subset.RatString(), binom.RatString())
+	}
+}
+
+func TestSignedBinomialSumIrwinHallUnitCube(t *testing.T) {
+	// F_n(n) = 1: the whole cube satisfies Σ x_i <= n.
+	for n := 1; n <= 30; n++ {
+		guard, term := ratGuardTerm(n, big.NewRat(1, 1), big.NewRat(int64(n), 1))
+		got, err := SignedBinomialSumRat(n, guard, term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := InvFactorialRat(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mul(got, inv).Cmp(big.NewRat(1, 1)) != 0 {
+			t.Errorf("n=%d: normalized Irwin-Hall F(n) = %v, want 1", n, got.RatString())
+		}
+	}
+}
+
+// TestSignedBinomialSumRatMatchesFloat checks the exact collapse against
+// the float64 subset expansion with compensated summation, at a size where
+// the float series is still accurate.
+func TestSignedBinomialSumRatMatchesFloat(t *testing.T) {
+	const n = 9
+	beta, tcap := big.NewRat(2, 7), big.NewRat(5, 3)
+	bf, _ := beta.Float64()
+	tf, _ := tcap.Float64()
+	guard, term := ratGuardTerm(n, beta, tcap)
+	exact, err := SignedBinomialSumRat(n, guard, term)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var acc Accumulator
 	if err := ForEachSubset(n, func(mask uint64) bool {
-		r := tcap - beta*float64(Popcount(mask))
-		if r > 0 {
+		if r := tf - bf*float64(Popcount(mask)); r > 0 {
 			term := math.Pow(r, n)
 			if Popcount(mask)%2 == 1 {
 				term = -term
@@ -78,97 +142,33 @@ func TestSignedSubsetSumMatchesBinomialCollapse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	subset := acc.Sum()
-	binom, err := SignedBinomialSum(n,
-		func(i int) bool { return tcap-beta*float64(i) > 0 },
-		func(i int) float64 { return math.Pow(tcap-beta*float64(i), n) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(subset-binom) > 1e-9*math.Max(1, math.Abs(binom)) {
-		t.Errorf("subset form %v != binomial collapse %v", subset, binom)
-	}
-}
-
-func TestSignedBinomialSumIrwinHallUnitCube(t *testing.T) {
-	// F_n(n) = 1: the whole cube satisfies Σ x_i <= n.
-	for n := 1; n <= 15; n++ {
-		nf := float64(n)
-		got, err := SignedBinomialSum(n,
-			func(i int) bool { return float64(i) < nf },
-			func(i int) float64 { return math.Pow(nf-float64(i), float64(n)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		got /= float64(MustFactorial(min(n, MaxFactorial64)))
-		if n <= MaxFactorial64 && math.Abs(got-1) > 1e-9 {
-			t.Errorf("n=%d: normalized Irwin-Hall F(n) = %v, want 1", n, got)
-		}
-	}
-}
-
-func TestSignedBinomialSumRatMatchesFloat(t *testing.T) {
-	const n = 9
-	beta := big.NewRat(2, 7)
-	tcap := big.NewRat(5, 3)
-	bf, _ := beta.Float64()
-	tf, _ := tcap.Float64()
-	exact, err := SignedBinomialSumRat(n,
-		func(i int) bool {
-			v := new(big.Rat).SetInt64(int64(i))
-			v.Mul(v, beta)
-			return v.Cmp(tcap) < 0
-		},
-		func(i int) *big.Rat {
-			v := new(big.Rat).SetInt64(int64(i))
-			v.Mul(v, beta)
-			v.Sub(tcap, v)
-			return ratPow(v, n)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := SignedBinomialSum(n,
-		func(i int) bool { return bf*float64(i) < tf },
-		func(i int) float64 { return math.Pow(tf-bf*float64(i), n) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	exactF, _ := exact.Float64()
-	if math.Abs(approx-exactF) > 1e-9*math.Max(1, math.Abs(exactF)) {
-		t.Errorf("float %v != exact %v", approx, exactF)
+	if math.Abs(acc.Sum()-exactF) > 1e-9*math.Max(1, math.Abs(exactF)) {
+		t.Errorf("float %v != exact %v", acc.Sum(), exactF)
 	}
 }
 
 func TestSignedBinomialSumNilArgs(t *testing.T) {
-	if _, err := SignedBinomialSum(3, nil, func(int) float64 { return 0 }); err == nil {
+	if _, err := SignedBinomialSumRat(3, nil, func(int) *big.Rat { return new(big.Rat) }); err == nil {
 		t.Error("expected error for nil guard")
 	}
-	if _, err := SignedBinomialSum(3, func(int) bool { return true }, nil); err == nil {
-		t.Error("expected error for nil term")
-	}
-	if _, err := SignedBinomialSumRat(3, nil, func(int) *big.Rat { return new(big.Rat) }); err == nil {
-		t.Error("expected error for nil guard (rat)")
-	}
 	if _, err := SignedBinomialSumRat(3, func(int) bool { return true }, nil); err == nil {
-		t.Error("expected error for nil term (rat)")
+		t.Error("expected error for nil term")
 	}
 }
 
 func TestSignedBinomialSumVanishesForConstantTermProperty(t *testing.T) {
 	// Property: for any n >= 1 and constant c, Σ (-1)^i C(n,i) c = 0.
 	f := func(a uint8, c float64) bool {
-		if math.IsNaN(c) || math.IsInf(c, 0) || math.Abs(c) > 1e6 {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return true
 		}
-		n := 1 + int(a%20)
-		got, err := SignedBinomialSum(n,
+		n := 1 + int(a%40)
+		cr := new(big.Rat).SetFloat64(c)
+		got, err := SignedBinomialSumRat(n,
 			func(int) bool { return true },
-			func(int) float64 { return c })
-		if err != nil {
-			return false
-		}
-		return math.Abs(got) <= 1e-7*math.Max(1, math.Abs(c))
+			func(int) *big.Rat { return cr })
+		return err == nil && got.Sign() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

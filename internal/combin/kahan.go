@@ -1,9 +1,13 @@
 package combin
 
 // Accumulator is a Neumaier-compensated floating-point accumulator. It keeps
-// a running correction term so that long alternating sums — such as the
-// inclusion-exclusion series in Proposition 2.2 and Corollary 2.6 of the
-// paper — lose far less precision than naive summation.
+// a running correction term so that long sums of mixed sign — such as the
+// inclusion-exclusion series of Proposition 2.2 and Lemma 2.4 — lose far
+// less precision than naive summation. Compensation removes the rounding of
+// the additions, not the cancellation: an alternating series whose terms
+// dwarf its sum still loses the digits the terms' own rounding carries,
+// which is why the Irwin-Hall CDF steps a convex recurrence instead
+// (dist.IrwinHallLadder).
 //
 // The zero value is an accumulator with sum 0 and is ready for use.
 type Accumulator struct {

@@ -75,36 +75,18 @@ func fillSubsetProducts(out, vals []float64) {
 	}
 }
 
-// zetaShardCells is the smallest table SumOverSubsets shards. Every fused
-// pass forks and joins its workers, and below this size the fork-join
-// costs more CPU than the pass and saves no wall time (crossover table
-// and the benchmark that measures it: DESIGN.md, "Exact backend").
-const zetaShardCells = 1 << 19
-
 // maskSumShardMasks is the smallest mask range ChunkedMaskSum shards:
 // below it, chunks of cheap terms (one product of two table reads) are too
 // short to pay for the fork-join.
 const maskSumShardMasks = 1 << 16
 
-// shardWorkers returns workers for a table of size cells at or above
-// minCells and 1 below it.
-func shardWorkers(size, minCells uint64, workers int) int {
-	if size < minCells {
-		return 1
-	}
-	return workers
-}
-
-// ZetaWorkers returns the worker count SumOverSubsets runs a 2^n-cell
-// table with: workers from 2^19 cells up, 1 below.
-func ZetaWorkers(n, workers int) int {
-	return shardWorkers(uint64(1)<<uint(n), zetaShardCells, workers)
-}
-
 // MaskSumWorkers returns the worker count ChunkedMaskSum runs 2^n masks
 // with: workers from 2^16 masks up, 1 below.
 func MaskSumWorkers(n, workers int) int {
-	return shardWorkers(uint64(1)<<uint(n), maskSumShardMasks, workers)
+	if uint64(1)<<uint(n) < maskSumShardMasks {
+		return 1
+	}
+	return workers
 }
 
 // SumOverSubsets transforms arr in place into its zeta transform:
@@ -116,17 +98,10 @@ func MaskSumWorkers(n, workers int) int {
 // aligned quads {x, x+h, x+2h, x+3h} (h = 2^b), with a single-bit pass
 // left over when their count is odd. Every cell still receives the same
 // additions in the same order as the one-bit-per-pass DP, so the result
-// is bit-identical to it. Writes are disjoint within a fused pass, so
-// tables of 2^19 cells and more shard the units of each pass over the
-// fixed chunk grid, and the result is the same for every worker count.
-// Smaller tables, and workers ≤ 1, run serially (ZetaWorkers).
-func SumOverSubsets(arr []float64, n, workers int) error {
-	return sumOverSubsets(arr, n, ZetaWorkers(n, workers))
-}
-
-// sumOverSubsets is SumOverSubsets sharded over exactly workers workers,
-// whatever the table size.
-func sumOverSubsets(arr []float64, n, workers int) error {
+// is bit-identical to it. The passes run serially: sharding them costs
+// more CPU than it saves at every table size the exact backends build
+// (DESIGN.md, "Exact backend").
+func SumOverSubsets(arr []float64, n int) error {
 	if n < 0 || n > MaxSubsetTable {
 		return fmt.Errorf("combin: sum-over-subsets ground size %d out of range [0, %d]", n, MaxSubsetTable)
 	}
@@ -142,45 +117,28 @@ func sumOverSubsets(arr []float64, n, workers int) error {
 		case b+1 < n:
 			width = 2
 		}
-		if workers <= 1 {
-			// Serial fast path: the same units the chunked path runs,
-			// without the per-pass closure (which escapes through
-			// forChunks' worker branch and would heap-allocate even when
-			// run serially).
-			zetaPass(arr, uint(b), width, 0, size>>uint(width))
-		} else {
-			pb, pw := uint(b), width
-			forChunks(workers, size>>uint(width), func(_, lo, hi uint64) {
-				zetaPass(arr, pb, pw, lo, hi)
-			})
-		}
+		zetaPass(arr, uint(b), width)
 		b += width
 	}
 	return nil
 }
 
-// zetaPass runs units [lo, hi) of one fused sum-over-subsets pass: width 3
-// is bits 0–2 on aligned 8-cells (unit k is cells 8k…8k+7), width 2 is
-// bits b and b+1 on quads, width 1 is bit b on pairs. A quad or pair unit
-// q lives in group q>>b at offset q mod 2^b, so a unit range is walked one
-// group segment at a time.
-func zetaPass(arr []float64, b uint, width int, lo, hi uint64) {
+// zetaPass runs one fused sum-over-subsets pass over the whole table:
+// width 3 is bits 0–2 on aligned 8-cells, width 2 is bits b and b+1 on
+// quads, width 1 is bit b on pairs. The quads or pairs of a group of
+// 2^(b+width) cells are its 2^b-cell segments.
+func zetaPass(arr []float64, b uint, width int) {
 	if width == 3 {
-		zetaOctets(arr[8*lo : 8*hi])
+		zetaOctets(arr)
 		return
 	}
-	h := uint64(1) << b
-	for q := lo; q < hi; {
-		g, j := q>>b, q&(h-1)
-		end := min(hi, (g+1)<<b)
-		cnt := end - q
-		s := (g<<uint(width))*h + j
+	h := 1 << b
+	for s := 0; s < len(arr); s += h << uint(width) {
 		if width == 2 {
-			zetaQuads(arr[s:s+cnt], arr[s+h:s+h+cnt], arr[s+2*h:s+2*h+cnt], arr[s+3*h:s+3*h+cnt])
+			zetaQuads(arr[s:s+h], arr[s+h:s+2*h], arr[s+2*h:s+3*h], arr[s+3*h:s+4*h])
 		} else {
-			zetaPairs(arr[s:s+cnt], arr[s+h:s+h+cnt])
+			zetaPairs(arr[s:s+h], arr[s+h:s+2*h])
 		}
-		q = end
 	}
 }
 
@@ -327,36 +285,4 @@ func chunkSpan(total uint64) (span, chunks uint64) {
 	}
 	span = (total + sumChunkGrid - 1) / sumChunkGrid
 	return span, (total + span - 1) / span
-}
-
-// forChunks splits [0, total) into the fixed chunk grid and invokes fn for
-// every chunk, pulled by workers goroutines from an atomic cursor. fn must
-// write only state owned by its range; under that contract the outcome is
-// independent of scheduling.
-func forChunks(workers int, total uint64, fn func(chunk, lo, hi uint64)) {
-	span, nChunks := chunkSpan(total)
-	if workers <= 1 || nChunks <= 1 {
-		for c := uint64(0); c < nChunks; c++ {
-			lo := c * span
-			fn(c, lo, min(lo+span, total))
-		}
-		return
-	}
-	var cursor atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := cursor.Add(1) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * span
-				fn(c, lo, min(lo+span, total))
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -50,7 +50,7 @@ func TestSubsetTableLimits(t *testing.T) {
 	if _, err := SubsetProducts(nil, big); err == nil {
 		t.Fatal("SubsetProducts accepted an oversized ground set")
 	}
-	if err := SumOverSubsets(make([]float64, 8), 4, 1); err == nil {
+	if err := SumOverSubsets(make([]float64, 8), 4); err == nil {
 		t.Fatal("SumOverSubsets accepted a mismatched table length")
 	}
 	if _, _, err := ChunkedMaskSum(MaxSubsetTable+1, 1, nil); err == nil {
@@ -59,8 +59,7 @@ func TestSubsetTableLimits(t *testing.T) {
 }
 
 // TestSumOverSubsets pins the zeta transform against the O(3^n) direct
-// submask sum, serial and worker-parallel (which must agree exactly: the
-// pair additions are identical, only their scheduling differs).
+// submask sum.
 func TestSumOverSubsets(t *testing.T) {
 	const n = 8
 	base := make([]float64, 1<<n)
@@ -79,28 +78,13 @@ func TestSumOverSubsets(t *testing.T) {
 			sub = (sub - 1) & mask
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		got := append([]float64(nil), base...)
-		if err := SumOverSubsets(got, n, workers); err != nil {
-			t.Fatalf("SumOverSubsets(workers=%d): %v", workers, err)
-		}
-		for mask := range got {
-			if math.Abs(got[mask]-want[mask]) > 1e-12*(1+math.Abs(want[mask])) {
-				t.Fatalf("workers=%d: zeta[%b] = %v, want %v", workers, mask, got[mask], want[mask])
-			}
-		}
-	}
-	serial := append([]float64(nil), base...)
-	parallel := append([]float64(nil), base...)
-	if err := SumOverSubsets(serial, n, 1); err != nil {
+	got := append([]float64(nil), base...)
+	if err := SumOverSubsets(got, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := SumOverSubsets(parallel, n, 3); err != nil {
-		t.Fatal(err)
-	}
-	for mask := range serial {
-		if math.Float64bits(serial[mask]) != math.Float64bits(parallel[mask]) {
-			t.Fatalf("zeta transform not bit-identical across worker counts at mask %b", mask)
+	for mask := range got {
+		if math.Abs(got[mask]-want[mask]) > 1e-12*(1+math.Abs(want[mask])) {
+			t.Fatalf("zeta[%b] = %v, want %v", mask, got[mask], want[mask])
 		}
 	}
 }
@@ -120,8 +104,7 @@ func zetaReference(arr []float64, n int) {
 
 // TestSumOverSubsetsBitIdenticalToReference pins the fused passes to the
 // one-bit-per-pass DP bit for bit, for every ground size the fusion
-// treats differently (no octet, an odd or even count of bits above it)
-// and for worker counts that split quads and pairs across chunks.
+// treats differently (no octet, an odd or even count of bits above it).
 func TestSumOverSubsetsBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 1))
 	for n := 0; n <= 20; n++ {
@@ -131,34 +114,30 @@ func TestSumOverSubsetsBitIdenticalToReference(t *testing.T) {
 		}
 		want := append([]float64(nil), base...)
 		zetaReference(want, n)
-		for _, workers := range []int{1, 2, 3, 7} {
-			got := append([]float64(nil), base...)
-			if err := SumOverSubsets(got, n, workers); err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			for mask := range got {
-				if math.Float64bits(got[mask]) != math.Float64bits(want[mask]) {
-					t.Fatalf("n=%d workers=%d: zeta[%b] = %v, reference %v", n, workers, mask, got[mask], want[mask])
-				}
+		got := append([]float64(nil), base...)
+		if err := SumOverSubsets(got, n); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for mask := range got {
+			if math.Float64bits(got[mask]) != math.Float64bits(want[mask]) {
+				t.Fatalf("n=%d: zeta[%b] = %v, reference %v", n, mask, got[mask], want[mask])
 			}
 		}
 	}
 }
 
-// TestSumOverSubsetsSerialAllocs requires the serial transform to run
-// without heap allocation: the reusable evaluators call it in their
+// TestSumOverSubsetsSerialAllocs requires the transform to run without
+// heap allocation: the reusable evaluators call it in their
 // zero-allocation steady state.
 func TestSumOverSubsetsSerialAllocs(t *testing.T) {
 	arr := make([]float64, 1<<12)
-	for _, workers := range []int{0, 1} {
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := SumOverSubsets(arr, 12, workers); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("workers=%d: %v allocs per transform, want 0", workers, allocs)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := SumOverSubsets(arr, 12); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per transform, want 0", allocs)
 	}
 }
 
@@ -171,7 +150,7 @@ func BenchmarkSumOverSubsets(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := SumOverSubsets(arr, n, 1); err != nil {
+				if err := SumOverSubsets(arr, n); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -219,67 +198,48 @@ func TestChunkedMaskSumDeterminism(t *testing.T) {
 	}
 }
 
-// shardCutoffs are the ground sizes at which each chunked kernel starts
-// sharding, with a run of the kernel over a seeded 2^n table.
-var shardCutoffs = []struct {
-	name string
-	n    int
-	run  func(t *testing.T, arr []float64, n, workers int) []float64
-}{
-	{"zeta", bits.Len64(zetaShardCells) - 1, func(t *testing.T, arr []float64, n, workers int) []float64 {
-		out := append([]float64(nil), arr...)
-		if err := SumOverSubsets(out, n, workers); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}},
-	{"masksum", bits.Len64(maskSumShardMasks) - 1, func(t *testing.T, arr []float64, n, workers int) []float64 {
-		full := uint64(len(arr) - 1)
-		total, _, err := ChunkedMaskSum(n, workers, func() func(uint64) float64 {
-			return func(mask uint64) float64 { return arr[full&^mask] * arr[mask] }
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []float64{total}
-	}},
-}
-
-// TestShardCutoffs pins the size gate of both chunked kernels. One size
-// below its cutoff, a kernel asked for 8 workers allocates exactly what
-// it allocates serially, so the serial path ran; at the cutoff, 2 workers
-// allocate more (the sharded path's goroutines). At both sizes the
-// output is bit-identical for 1, 2 and 7 workers, which keeps the
-// sharded branch under the race detector.
+// TestShardCutoffs pins the size gate of ChunkedMaskSum, the one sharded
+// kernel (SumOverSubsets always runs serially). One size below the cutoff,
+// the sum asked for 8 workers allocates exactly what it allocates
+// serially, so the serial path ran; at the cutoff, 2 workers allocate more
+// (the sharded path's goroutines). At both sizes the total is
+// bit-identical for 1, 2 and 7 workers, which keeps the sharded branch
+// under the race detector.
 func TestShardCutoffs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 3))
-	for _, k := range shardCutoffs {
-		for _, n := range []int{k.n - 1, k.n} {
-			arr := make([]float64, 1<<uint(n))
-			for i := range arr {
-				arr[i] = rng.NormFloat64()
+	cutoff := bits.Len64(maskSumShardMasks) - 1
+	for _, n := range []int{cutoff - 1, cutoff} {
+		arr := make([]float64, 1<<uint(n))
+		for i := range arr {
+			arr[i] = rng.NormFloat64()
+		}
+		full := uint64(len(arr) - 1)
+		run := func(workers int) float64 {
+			total, _, err := ChunkedMaskSum(n, workers, func() func(uint64) float64 {
+				return func(mask uint64) float64 { return arr[full&^mask] * arr[mask] }
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := k.run(t, arr, n, 1)
-			for _, workers := range []int{2, 7} {
-				got := k.run(t, arr, n, workers)
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s n=%d workers=%d: cell %d = %v, serial %v", k.name, n, workers, i, got[i], want[i])
-					}
-				}
+			return total
+		}
+		want := run(1)
+		for _, workers := range []int{2, 7} {
+			if got := run(workers); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d workers=%d: sum %v, serial %v", n, workers, got, want)
 			}
-			serial := testing.AllocsPerRun(2, func() { k.run(t, arr, n, 1) })
-			wide := 8
-			if n == k.n {
-				wide = 2
-			}
-			sharded := testing.AllocsPerRun(2, func() { k.run(t, arr, n, wide) })
-			if n < k.n && sharded != serial {
-				t.Errorf("%s n=%d below the cutoff: %v allocs with %d workers, %v serially", k.name, n, sharded, wide, serial)
-			}
-			if n == k.n && sharded <= serial {
-				t.Errorf("%s n=%d at the cutoff: %v allocs with %d workers, %v serially; the sharded path did not run", k.name, n, sharded, wide, serial)
-			}
+		}
+		serial := testing.AllocsPerRun(2, func() { run(1) })
+		wide := 8
+		if n == cutoff {
+			wide = 2
+		}
+		sharded := testing.AllocsPerRun(2, func() { run(wide) })
+		if n < cutoff && sharded != serial {
+			t.Errorf("n=%d below the cutoff: %v allocs with %d workers, %v serially", n, sharded, wide, serial)
+		}
+		if n == cutoff && sharded <= serial {
+			t.Errorf("n=%d at the cutoff: %v allocs with %d workers, %v serially; the sharded path did not run", n, sharded, wide, serial)
 		}
 	}
 }

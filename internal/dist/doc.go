@@ -9,13 +9,15 @@
 //   - UniformSum: Σ x_i with x_i ~ U[0, π_i]. Its CDF is Lemma 2.4 and its
 //     density is Lemma 2.5 — the paper notes the density formula answers a
 //     research problem posed by Rota.
-//   - IrwinHall: the classical special case π_i = 1 (Corollary 2.6), with
-//     the O(m) binomial-collapse fast path.
+//   - IrwinHallLadder: the classical special case π_i = 1 (Corollary 2.6),
+//     stepped order by order through a convex recurrence that keeps full
+//     float64 accuracy at every order.
 //   - ShiftedUniformSum: Σ x_i with x_i ~ U[π_i, 1] (Lemma 2.7), the
 //     conditional distribution of inputs that chose the "high" bin under a
 //     single-threshold algorithm.
 //
-// Every CDF has a float64 implementation with compensated summation and an
-// exact rational implementation used as a test oracle and for the certified
-// optimality computations.
+// Every CDF has a float64 implementation and an exact rational
+// implementation used as a test oracle and for the certified optimality
+// computations. The Lemma 2.4 and 2.7 series are summed with compensation;
+// the Irwin-Hall ladder needs none.
 package dist

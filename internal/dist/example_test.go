@@ -7,18 +7,22 @@ import (
 	"repro/internal/dist"
 )
 
-// ExampleIrwinHall evaluates Corollary 2.6: the probability that the sum
-// of three unit uniforms stays below 1 is the volume of the unit simplex.
-func ExampleIrwinHall() {
-	ih, err := dist.NewIrwinHall(3)
-	if err != nil {
-		panic(err)
+// ExampleIrwinHallLadder evaluates Corollary 2.6: the probability that
+// the sum of three unit uniforms stays below 1 is the volume of the unit
+// simplex. One ladder at x = 2.5 reads F_m(2.5 − i) for every shift i.
+func ExampleIrwinHallLadder() {
+	var l dist.IrwinHallLadder
+	l.Reset(2.5, 3)
+	for l.Order() < 3 {
+		l.Step()
 	}
-	fmt.Printf("F_3(1.0) = %.6f\n", ih.CDF(1.0))
-	fmt.Printf("F_3(1.5) = %.6f (symmetry about the mean)\n", ih.CDF(1.5))
+	fmt.Printf("F_3(2.5) = %.6f\n", l.CDF(0))
+	fmt.Printf("F_3(1.5) = %.6f (symmetry about the mean)\n", l.CDF(1))
+	fmt.Printf("F_3(0.5) = %.6f\n", l.CDF(2))
 	// Output:
-	// F_3(1.0) = 0.166667
+	// F_3(2.5) = 0.979167
 	// F_3(1.5) = 0.500000 (symmetry about the mean)
+	// F_3(0.5) = 0.020833
 }
 
 // ExampleIrwinHallCDFRat evaluates the same CDF exactly: F_3(1) = 1/6.

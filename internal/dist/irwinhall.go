@@ -4,88 +4,111 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
 	"repro/internal/combin"
 )
 
-// MaxIrwinHallN bounds the Irwin-Hall order for which the alternating
-// binomial series of Corollary 2.6 remains numerically trustworthy in
-// float64 (catastrophic cancellation sets in around m ≈ 25-30; the exact
-// rational path has no such limit within MaxIrwinHallRatN).
-const MaxIrwinHallN = 25
-
 // MaxIrwinHallRatN bounds the exact rational Irwin-Hall order.
 const MaxIrwinHallRatN = 200
 
-// IrwinHall is the distribution of the sum of m independent U[0,1] random
-// variables (Corollary 2.6 of the paper). The degenerate case m = 0 — the
-// empty sum, identically zero — is allowed because the winning-probability
-// formulas sum over decision vectors that may leave a bin empty.
-type IrwinHall struct {
-	m int
+// IrwinHallLadder tabulates the Irwin-Hall CDF F_m (Corollary 2.6: the
+// distribution of the sum of m independent U[0,1] variables) at the unit
+// shifts x, x−1, x−2, … of one point x, one order at a time. Step raises
+// the order by the B-spline recurrence
+//
+//	F_j(y) = (y·F_{j−1}(y) + (j−y)·F_{j−1}(y−1)) / j,
+//
+// which for 0 ≤ y ≤ j is a convex combination of two CDF values, so
+// nothing cancels and every order keeps full float64 accuracy; the
+// alternating binomial series of Corollary 2.6 sums terms far larger than
+// its value and loses the digits they carry. Only shifts in [0, maxM) are
+// stored: F_j(y) = 1 for every y ≥ maxM ≥ j and 0 for y < 0. The order
+// m = 0 is the empty sum, F_0(y) = 1 for y ≥ 0.
+//
+// A ladder is ready after Reset, which also re-targets a used ladder and
+// reuses its storage.
+type IrwinHallLadder struct {
+	m, maxM int
+	frac    float64   // x − ⌊x⌋
+	lo      int       // shifts i < lo have x − i ≥ maxM
+	f       []float64 // f[k] = F_m(frac + top − k) for shift lo+k, then a 0 sentinel
 }
 
-// NewIrwinHall constructs the Irwin-Hall distribution of order m ≥ 0.
-func NewIrwinHall(m int) (*IrwinHall, error) {
-	if m < 0 {
-		return nil, fmt.Errorf("dist: Irwin-Hall order %d must be non-negative", m)
+// Reset puts the ladder at order 0 for the point x (not NaN), ready to
+// step up to order maxM.
+func (l *IrwinHallLadder) Reset(x float64, maxM int) {
+	l.m, l.maxM = 0, max(maxM, 0)
+	l.f, l.lo, l.frac = l.f[:0], 0, 0
+	if x < 0 {
+		return // every shift is below the support
 	}
-	if m > MaxIrwinHallN {
-		return nil, fmt.Errorf("dist: float64 Irwin-Hall limited to order %d, got %d (use CDFRat)", MaxIrwinHallN, m)
+	fl := math.Floor(x)
+	if !math.IsInf(x, 1) {
+		l.frac = x - fl
 	}
-	return &IrwinHall{m: m}, nil
+	top := min(fl, float64(l.maxM-1))
+	l.lo = int(min(fl-top, 1<<62))
+	n := int(top) + 1 // stored shifts, then the 0 sentinel
+	l.f = slices.Grow(l.f, n+1)[:n+1]
+	for k := range n {
+		l.f[k] = 1
+	}
+	l.f[n] = 0
 }
 
-// N returns the order m.
-func (ih *IrwinHall) N() int { return ih.m }
+// Order returns the current order m.
+func (l *IrwinHallLadder) Order() int { return l.m }
 
-// CDF evaluates Corollary 2.6,
-//
-//	F_m(t) = (1/m!) Σ_{0 ≤ i ≤ m, i < t} (-1)^i C(m, i) (t - i)^m,
-//
-// clamped to [0, 1]. For m = 0 the empty sum is identically zero, so
-// F_0(t) = 1 for t ≥ 0 and 0 otherwise.
-func (ih *IrwinHall) CDF(t float64) float64 {
-	if ih.m == 0 {
-		if t >= 0 {
-			return 1
-		}
-		return 0
+// Step raises the order by one. It panics past the maxM given to Reset.
+func (l *IrwinHallLadder) Step() {
+	if l.m == l.maxM {
+		panic(fmt.Sprintf("dist: Irwin-Hall ladder stepped past its maximum order %d", l.maxM))
 	}
-	if t <= 0 {
-		return 0
+	l.m++
+	j := float64(l.m)
+	top := len(l.f) - 2
+	// Shifts y ≥ j stay at 1; the rest update in place in increasing k,
+	// which reads f[k+1] (y − 1) before it is overwritten.
+	for k := max(0, top-l.m+1); k <= top; k++ {
+		y := l.frac + float64(top-k)
+		l.f[k] = (y*l.f[k] + (j-y)*l.f[k+1]) / j
 	}
-	if t >= float64(ih.m) {
+}
+
+// CDF returns F_m(x − i) at the current order m, for a shift i ≥ 0.
+func (l *IrwinHallLadder) CDF(i int) float64 {
+	switch k := i - l.lo; {
+	case k < 0:
 		return 1
+	case k >= len(l.f)-1:
+		return 0 // x − i < 0
+	default:
+		return l.f[k]
 	}
-	m := ih.m
-	sum, err := combin.SignedBinomialSum(m,
-		func(i int) bool { return float64(i) < t },
-		func(i int) float64 { return math.Pow(t-float64(i), float64(m)) })
-	if err != nil {
-		// Unreachable: guards and terms are non-nil and m is validated.
-		return math.NaN()
-	}
-	f, err := combin.FactorialFloat(m)
-	if err != nil {
-		return math.NaN()
-	}
-	return clamp01(sum / f)
 }
 
-// IrwinHallCDF is a convenience wrapper evaluating F_m(t) without
-// constructing a distribution value. It returns an error for invalid m.
+// IrwinHallCDF evaluates one value F_m(t) by stepping a ladder at t to
+// order m. It returns an error for negative m or NaN t. Loops over orders
+// or over points reuse one IrwinHallLadder instead.
 func IrwinHallCDF(m int, t float64) (float64, error) {
-	ih, err := NewIrwinHall(m)
-	if err != nil {
-		return 0, err
+	if m < 0 {
+		return 0, fmt.Errorf("dist: Irwin-Hall order %d must be non-negative", m)
 	}
-	return ih.CDF(t), nil
+	if math.IsNaN(t) {
+		return 0, fmt.Errorf("dist: Irwin-Hall CDF at NaN")
+	}
+	var l IrwinHallLadder
+	l.Reset(t, m)
+	for range m {
+		l.Step()
+	}
+	return l.CDF(0), nil
 }
 
 // IrwinHallCDFRat evaluates Corollary 2.6 exactly at a rational point.
 // Orders up to MaxIrwinHallRatN are supported; m = 0 follows the same
-// point-mass convention as CDF.
+// point-mass convention as IrwinHallLadder.
 func IrwinHallCDFRat(m int, t *big.Rat) (*big.Rat, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("dist: Irwin-Hall order %d must be non-negative", m)
@@ -124,40 +147,4 @@ func IrwinHallCDFRat(m int, t *big.Rat) (*big.Rat, error) {
 		return nil, err
 	}
 	return sum.Mul(sum, invFact), nil
-}
-
-// NormalApproxError reports how far the Irwin-Hall distribution of order m
-// is from its moment-matched normal approximation N(m/2, m/12), as the
-// Kolmogorov distance sup_t |F_m(t) - Φ((t-m/2)/√(m/12))| evaluated on a
-// uniform grid of the support. The CLT makes this shrink like O(1/√m),
-// which quantifies when the paper's exact formulas actually matter: for
-// the small n of the paper's instances the error is several percent.
-func NormalApproxError(m int, gridPoints int) (float64, error) {
-	if gridPoints < 2 {
-		return 0, fmt.Errorf("dist: need at least 2 grid points, got %d", gridPoints)
-	}
-	ih, err := NewIrwinHall(m)
-	if err != nil {
-		return 0, err
-	}
-	if m == 0 {
-		return 0, fmt.Errorf("dist: normal approximation undefined for m = 0")
-	}
-	mean := float64(m) / 2
-	sd := math.Sqrt(float64(m) / 12)
-	var worst float64
-	for i := 0; i < gridPoints; i++ {
-		t := float64(m) * float64(i) / float64(gridPoints-1)
-		exact := ih.CDF(t)
-		approx := stdNormalCDF((t - mean) / sd)
-		if d := math.Abs(exact - approx); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
-// stdNormalCDF is Φ, the standard normal CDF.
-func stdNormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }

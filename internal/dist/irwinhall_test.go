@@ -8,35 +8,41 @@ import (
 	"testing/quick"
 )
 
-func TestNewIrwinHallValidation(t *testing.T) {
-	if _, err := NewIrwinHall(-1); err == nil {
+func TestIrwinHallCDFValidation(t *testing.T) {
+	if _, err := IrwinHallCDF(-1, 0.5); err == nil {
 		t.Error("negative order: expected error")
 	}
-	if _, err := NewIrwinHall(MaxIrwinHallN + 1); err == nil {
-		t.Error("over-limit order: expected error")
+	if _, err := IrwinHallCDF(3, math.NaN()); err == nil {
+		t.Error("NaN point: expected error")
 	}
-	ih, err := NewIrwinHall(0)
-	if err != nil {
-		t.Fatalf("order 0 should be allowed: %v", err)
+	if _, err := IrwinHallCDF(0, 0.5); err != nil {
+		t.Errorf("order 0 should be allowed: %v", err)
 	}
-	if ih.N() != 0 {
-		t.Errorf("N = %d, want 0", ih.N())
+	defer func() {
+		if recover() == nil {
+			t.Error("stepping past the maximum order: expected a panic")
+		}
+	}()
+	var l IrwinHallLadder
+	l.Reset(1.5, 2)
+	for range 3 {
+		l.Step()
 	}
 }
 
 func TestIrwinHallDegenerateOrderZero(t *testing.T) {
-	ih, err := NewIrwinHall(0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ t, want float64 }{{0, 1}, {-0.5, 0}, {3, 1}} {
+		if got, _ := IrwinHallCDF(0, c.t); got != c.want {
+			t.Errorf("F_0(%v) = %v, want %v (point mass at 0)", c.t, got, c.want)
+		}
 	}
-	if got := ih.CDF(0); got != 1 {
-		t.Errorf("F_0(0) = %v, want 1 (point mass at 0)", got)
-	}
-	if got := ih.CDF(-0.5); got != 0 {
-		t.Errorf("F_0(-0.5) = %v, want 0", got)
-	}
-	if got := ih.CDF(3); got != 1 {
-		t.Errorf("F_0(3) = %v, want 1", got)
+	// A ladder that may not step reads F_0 at every shift.
+	var l IrwinHallLadder
+	l.Reset(2.5, 0)
+	for i, want := range []float64{1, 1, 1, 0, 0} {
+		if got := l.CDF(i); got != want {
+			t.Errorf("F_0(2.5 - %d) = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -69,14 +75,17 @@ func TestIrwinHallKnownValues(t *testing.T) {
 }
 
 func TestIrwinHallCDFBoundaries(t *testing.T) {
-	ih, err := NewIrwinHall(4)
-	if err != nil {
-		t.Fatal(err)
+	cdf := func(x float64) float64 {
+		v, err := IrwinHallCDF(4, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	if ih.CDF(0) != 0 || ih.CDF(-1) != 0 {
+	if cdf(0) != 0 || cdf(-1) != 0 || cdf(math.Inf(-1)) != 0 {
 		t.Error("CDF below support should be 0")
 	}
-	if ih.CDF(4) != 1 || ih.CDF(10) != 1 {
+	if cdf(4) != 1 || cdf(10) != 1 || cdf(1e300) != 1 || cdf(math.Inf(1)) != 1 {
 		t.Error("CDF above support should be 1")
 	}
 }
@@ -89,11 +98,9 @@ func TestIrwinHallCDFMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		ih, err := NewIrwinHall(m)
-		if err != nil {
-			return false
-		}
-		return ih.CDF(a) <= ih.CDF(b)+1e-12
+		fa, errA := IrwinHallCDF(m, a)
+		fb, errB := IrwinHallCDF(m, b)
+		return errA == nil && errB == nil && fa <= fb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -105,11 +112,9 @@ func TestIrwinHallSymmetryProperty(t *testing.T) {
 	f := func(mRaw uint8, tRaw uint16) bool {
 		m := 1 + int(mRaw%12)
 		tt := float64(tRaw) / 65535 * float64(m)
-		ih, err := NewIrwinHall(m)
-		if err != nil {
-			return false
-		}
-		return math.Abs(ih.CDF(tt)+ih.CDF(float64(m)-tt)-1) < 1e-9
+		lo, errLo := IrwinHallCDF(m, tt)
+		hi, errHi := IrwinHallCDF(m, float64(m)-tt)
+		return errLo == nil && errHi == nil && math.Abs(lo+hi-1) < 1e-14
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -132,14 +137,12 @@ func unitWidthSum(t *testing.T, m int) *UniformSum {
 }
 
 func TestIrwinHallPDFIsDerivativeOfCDF(t *testing.T) {
-	ih, err := NewIrwinHall(5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	u := unitWidthSum(t, 5)
 	const h = 1e-6
 	for _, x := range []float64{0.4, 1.1, 2.5, 3.9, 4.6} {
-		numeric := (ih.CDF(x+h) - ih.CDF(x-h)) / (2 * h)
+		hi, _ := IrwinHallCDF(5, x+h)
+		lo, _ := IrwinHallCDF(5, x-h)
+		numeric := (hi - lo) / (2 * h)
 		analytic := u.PDF(x)
 		if math.Abs(numeric-analytic) > 1e-5 {
 			t.Errorf("f_5(%v): analytic %v vs numeric %v", x, analytic, numeric)
@@ -173,10 +176,6 @@ func TestIrwinHallPDFOutsideSupport(t *testing.T) {
 }
 
 func TestIrwinHallSampleMatchesCDF(t *testing.T) {
-	ih, err := NewIrwinHall(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewPCG(11, 13))
 	const n = 200000
 	for _, x := range []float64{0.7, 1.5, 2.2} {
@@ -186,28 +185,46 @@ func TestIrwinHallSampleMatchesCDF(t *testing.T) {
 				below++
 			}
 		}
-		if empirical := float64(below) / n; math.Abs(empirical-ih.CDF(x)) > 0.005 {
-			t.Errorf("empirical F_3(%v) = %v, want ≈ %v", x, empirical, ih.CDF(x))
+		want, _ := IrwinHallCDF(3, x)
+		if empirical := float64(below) / n; math.Abs(empirical-want) > 0.005 {
+			t.Errorf("empirical F_3(%v) = %v, want ≈ %v", x, empirical, want)
 		}
 	}
 }
 
+// TestIrwinHallCDFRatMatchesFloat checks the ladder against the exact
+// Corollary 2.6 series at every order m ≤ MaxIrwinHallRatN, at rational
+// points and at their unit shifts, to a relative error of 1e-13 — deep
+// into the left tail and at orders where the float64 alternating series
+// loses every digit.
 func TestIrwinHallCDFRatMatchesFloat(t *testing.T) {
-	for m := 1; m <= 10; m++ {
-		for num := int64(0); num <= int64(4*m); num++ {
-			tr := big.NewRat(num, 4)
-			tf, _ := tr.Float64()
-			exact, err := IrwinHallCDFRat(m, tr)
-			if err != nil {
-				t.Fatal(err)
+	points := []*big.Rat{
+		big.NewRat(1, 2), big.NewRat(7, 3), big.NewRat(5, 1), big.NewRat(29, 4),
+		big.NewRat(50, 1), big.NewRat(301, 2), big.NewRat(1599, 8),
+	}
+	shifts := []int{0, 1, 3}
+	if testing.Short() {
+		points = points[:4]
+	}
+	var l IrwinHallLadder
+	for _, x := range points {
+		xf, _ := x.Float64()
+		l.Reset(xf, MaxIrwinHallRatN)
+		for m := 0; m <= MaxIrwinHallRatN; m++ {
+			if m > 0 {
+				l.Step()
 			}
-			approx, err := IrwinHallCDF(m, tf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ef, _ := exact.Float64()
-			if math.Abs(approx-ef) > 1e-10 {
-				t.Errorf("m=%d t=%v: float %v vs exact %v", m, tf, approx, ef)
+			for _, i := range shifts {
+				y := new(big.Rat).Sub(x, new(big.Rat).SetInt64(int64(i)))
+				exact, err := IrwinHallCDFRat(m, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := exact.Float64()
+				got := l.CDF(i)
+				if math.Abs(got-want) > 1e-13*want {
+					t.Errorf("F_%d(%v − %d) = %v, exact %v (rel. error %.2e)", m, x.RatString(), i, got, want, math.Abs(got-want)/want)
+				}
 			}
 		}
 	}
@@ -251,58 +268,5 @@ func TestIrwinHallCDFRatValidation(t *testing.T) {
 	v, err = IrwinHallCDFRat(2, big.NewRat(7, 2))
 	if err != nil || v.Cmp(big.NewRat(1, 1)) != 0 {
 		t.Errorf("F_2(7/2) = %v, %v; want 1", v, err)
-	}
-}
-
-func TestNormalApproxErrorShrinksWithM(t *testing.T) {
-	e3, err := NormalApproxError(3, 2001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e12, err := NormalApproxError(12, 2001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e25, err := NormalApproxError(25, 2001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(e3 > e12 && e12 > e25) {
-		t.Errorf("normal approximation error should shrink: m=3 %v, m=12 %v, m=25 %v", e3, e12, e25)
-	}
-	// At the paper's n=3 the CLT is visibly wrong (≈ 1% Kolmogorov
-	// distance), justifying the exact combinatorial treatment.
-	if e3 < 0.005 {
-		t.Errorf("m=3 error %v suspiciously small", e3)
-	}
-	if e25 > 0.01 {
-		t.Errorf("m=25 error %v suspiciously large", e25)
-	}
-}
-
-func TestNormalApproxErrorValidation(t *testing.T) {
-	if _, err := NormalApproxError(0, 100); err == nil {
-		t.Error("m=0: expected error")
-	}
-	if _, err := NormalApproxError(-1, 100); err == nil {
-		t.Error("m=-1: expected error")
-	}
-	if _, err := NormalApproxError(3, 1); err == nil {
-		t.Error("1 grid point: expected error")
-	}
-	if _, err := NormalApproxError(MaxIrwinHallN+1, 100); err == nil {
-		t.Error("m over limit: expected error")
-	}
-}
-
-func TestStdNormalCDFKnownValues(t *testing.T) {
-	if math.Abs(stdNormalCDF(0)-0.5) > 1e-15 {
-		t.Error("Φ(0) != 1/2")
-	}
-	if math.Abs(stdNormalCDF(1.959963985)-0.975) > 1e-6 {
-		t.Errorf("Φ(1.96) = %v", stdNormalCDF(1.959963985))
-	}
-	if math.Abs(stdNormalCDF(-1.959963985)-0.025) > 1e-6 {
-		t.Errorf("Φ(-1.96) = %v", stdNormalCDF(-1.959963985))
 	}
 }

@@ -46,13 +46,13 @@ func TestShiftedSumZeroLowersMatchesIrwinHall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ih, err := NewIrwinHall(m)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for tt := 0.05; tt < float64(m); tt += 0.17 {
-			if d := math.Abs(s.CDF(tt) - ih.CDF(tt)); d > 1e-9 {
-				t.Errorf("m=%d t=%v: shifted %v vs IrwinHall %v", m, tt, s.CDF(tt), ih.CDF(tt))
+			ih, err := IrwinHallCDF(m, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(s.CDF(tt) - ih); d > 1e-9 {
+				t.Errorf("m=%d t=%v: shifted %v vs IrwinHall %v", m, tt, s.CDF(tt), ih)
 			}
 		}
 	}

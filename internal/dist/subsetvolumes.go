@@ -26,8 +26,8 @@ type SubsetVolumeStats struct {
 
 // Record flushes one exact evaluation's work into the exact backend's
 // observability counters: the subset table's cells and steps, the chunks
-// of the final mask sum, and the worker count the kernel ran with (see
-// combin.ZetaWorkers). A nil observer records nothing.
+// of the final mask sum, and the worker count the kernel ran with (1 when
+// it ran serially). A nil observer records nothing.
 func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
 	o.Counter("exact.subsets").Add(int64(s.Subsets))
 	o.Counter("exact.steps.incremental").Add(int64(s.Incremental))
@@ -58,14 +58,11 @@ func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
 // Σ_{i∈T} U[0, w_i] at t. Zero widths are admitted (their coordinates
 // contribute zero volume, so vol[T] = 0 for any T containing one).
 //
-// workers shards the zeta passes of tables large enough to pay for it
-// (combin.SumOverSubsets); results are bit-identical for every worker
-// count because the pass structure and all write locations are fixed by
-// n alone. The ladder needs three more 2^n-entry tables as scratch: they
+// The ladder needs three more 2^n-entry tables as scratch: they
 // are carved from scratch when its capacity holds them (3·2^n entries),
 // and allocated otherwise. They hold nothing the volumes need afterwards,
 // so a caller can reuse them for its own tables once the call returns.
-func AllSubsetVolumes(widths []float64, t float64, workers int, scratch []float64) ([]float64, SubsetVolumeStats, error) {
+func AllSubsetVolumes(widths []float64, t float64, scratch []float64) ([]float64, SubsetVolumeStats, error) {
 	n := len(widths)
 	if n > combin.MaxSubsetTable {
 		return nil, SubsetVolumeStats{}, fmt.Errorf("dist: subset-volume table limited to %d dimensions, got %d", combin.MaxSubsetTable, n)
@@ -82,7 +79,7 @@ func AllSubsetVolumes(widths []float64, t float64, workers int, scratch []float6
 		return nil, SubsetVolumeStats{}, err
 	}
 	vol := make([]float64, size)
-	if err := volumeLadder(sums, scratch[size:2*size], scratch[2*size:3*size], vol, vol, n, t, workers); err != nil {
+	if err := volumeLadder(sums, scratch[size:2*size], scratch[2*size:3*size], vol, vol, n, t); err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
 	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
@@ -115,9 +112,8 @@ func checkWidth(i int, w float64) error {
 // widths it runs the signed power ladder p[I] ← p[I]·(t−σ_I)/m, one zeta
 // pass per exponent m, and reads off the |T| = m entries: raw receives
 // the unclamped volumes and vol the volumes clamped below at 0 (the two
-// may alias). p and zeta are 2^n-entry scratch; workers shards the zeta
-// passes without changing any bit.
-func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers int) error {
+// may alias). p and zeta are 2^n-entry scratch.
+func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64) error {
 	for mask := range p {
 		p[mask] = 0
 		if t-sums[mask] > 0 {
@@ -138,7 +134,7 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers i
 			p[mask] = v
 			zeta[mask] = v
 		}
-		if err := combin.SumOverSubsets(zeta, n, workers); err != nil {
+		if err := combin.SumOverSubsets(zeta, n); err != nil {
 			return err
 		}
 		// Only the |T| = m entries are volumes at this exponent.
@@ -170,9 +166,8 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64, workers i
 // all 2^n base cells before its n·2^(n-1) zeta additions. The caller
 // passes as m0 the first exponent that needs a pass: the exponents
 // 1, …, m0−1 build no base and run no zeta pass, and emit receives 0 for
-// each of their entries (the sum of an all-zero base). workers shards the
-// zeta passes without changing any bit.
-func RadixLadder(sub, t, base []float64, n, m0, workers int, emit func(mask uint64, v float64)) error {
+// each of their entries (the sum of an all-zero base).
+func RadixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) error {
 	for m := 1; m < len(t); m++ {
 		if m < m0 {
 			if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
@@ -200,7 +195,7 @@ func RadixLadder(sub, t, base []float64, n, m0, workers int, emit func(mask uint
 			}
 			base[mask] = v
 		}
-		if err := combin.SumOverSubsets(base, n, workers); err != nil {
+		if err := combin.SumOverSubsets(base, n); err != nil {
 			return err
 		}
 		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {

@@ -15,7 +15,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 	widths := []float64{0.5, 1, 0.75, 2, 0.25, 1.5}
 	n := len(widths)
 	for _, thr := range []float64{0.2, 1, 2.5, 7} {
-		vol, stats, err := AllSubsetVolumes(widths, thr, 1, nil)
+		vol, stats, err := AllSubsetVolumes(widths, thr, nil)
 		if err != nil {
 			t.Fatalf("AllSubsetVolumes(t=%v): %v", thr, err)
 		}
@@ -54,7 +54,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 // TestAllSubsetVolumesZeroWidth checks that zero widths flatten their
 // subsets' volumes to zero while leaving disjoint subsets untouched.
 func TestAllSubsetVolumesZeroWidth(t *testing.T) {
-	vol, _, err := AllSubsetVolumes([]float64{0.5, 0, 1}, 1, 1, nil)
+	vol, _, err := AllSubsetVolumes([]float64{0.5, 0, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -73,43 +73,46 @@ func TestAllSubsetVolumesZeroWidth(t *testing.T) {
 	}
 }
 
-// TestAllSubsetVolumesWorkersBitIdentical requires the sharded zeta passes
-// to reproduce the serial bits exactly.
-func TestAllSubsetVolumesWorkersBitIdentical(t *testing.T) {
+// TestAllSubsetVolumesScratchBitIdentical requires a reused scratch slab,
+// still holding an earlier call's tables, to reproduce the bits of a
+// freshly allocated one.
+func TestAllSubsetVolumesScratchBitIdentical(t *testing.T) {
 	widths := make([]float64, 12)
 	for i := range widths {
 		widths[i] = 0.25 + 0.125*float64(i%5)
 	}
-	ref, _, err := AllSubsetVolumes(widths, 2.5, 1, nil)
+	ref, _, err := AllSubsetVolumes(widths, 2.5, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
-	for _, workers := range []int{2, 4} {
-		got, _, err := AllSubsetVolumes(widths, 2.5, workers, nil)
+	slab := make([]float64, 3<<len(widths))
+	for _, thr := range []float64{4.5, 2.5} {
+		got, _, err := AllSubsetVolumes(widths, thr, slab)
 		if err != nil {
-			t.Fatalf("AllSubsetVolumes(workers=%d): %v", workers, err)
+			t.Fatalf("AllSubsetVolumes(t=%v, slab): %v", thr, err)
+		}
+		if thr != 2.5 {
+			continue
 		}
 		for mask := range got {
 			if math.Float64bits(got[mask]) != math.Float64bits(ref[mask]) {
-				t.Fatalf("workers=%d: vol[%b] differs from serial (%v vs %v)",
-					workers, mask, got[mask], ref[mask])
+				t.Fatalf("vol[%b] differs with a reused slab (%v vs %v)", mask, got[mask], ref[mask])
 			}
 		}
 	}
 }
 
-// TestAllSubsetVolumesRejects covers the validation paths.
 func TestAllSubsetVolumesRejects(t *testing.T) {
-	if _, _, err := AllSubsetVolumes([]float64{-1}, 1, 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{-1}, 1, nil); err == nil {
 		t.Fatal("accepted a negative width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{math.NaN()}, 1, 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{math.NaN()}, 1, nil); err == nil {
 		t.Fatal("accepted a NaN width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{1}, math.Inf(1), 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes([]float64{1}, math.Inf(1), nil); err == nil {
 		t.Fatal("accepted an infinite threshold")
 	}
-	if _, _, err := AllSubsetVolumes(make([]float64, 40), 1, 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes(make([]float64, 40), 1, nil); err == nil {
 		t.Fatal("accepted an oversized dimension")
 	}
 }
@@ -118,7 +121,7 @@ func TestAllSubsetVolumesRejects(t *testing.T) {
 // cardinality layer was filled (no pass skipped).
 func TestAllSubsetVolumesPopcountCoverage(t *testing.T) {
 	widths := []float64{0.5, 0.5, 0.5, 0.5}
-	vol, _, err := AllSubsetVolumes(widths, 10, 1, nil) // t beyond support: every CDF is 1
+	vol, _, err := AllSubsetVolumes(widths, 10, nil) // t beyond support: every CDF is 1
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -148,7 +151,7 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 		for i := range widths {
 			widths[i] = tc.widths(i)
 		}
-		vol, _, err := AllSubsetVolumes(widths, tc.t, 1, nil)
+		vol, _, err := AllSubsetVolumes(widths, tc.t, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -183,7 +186,7 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 		ladder := func(m0 int) ([]float64, []int) {
 			out := make([]float64, size)
 			seen := make([]int, size)
-			if err := RadixLadder(sub, tm, make([]float64, size), n, m0, 1, func(mask uint64, v float64) {
+			if err := RadixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
 				out[mask] = v
 				seen[mask]++
 			}); err != nil {

@@ -50,13 +50,13 @@ func TestUniformSumMatchesIrwinHallForUnitWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ih, err := NewIrwinHall(m)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for tt := 0.0; tt <= float64(m); tt += 0.13 {
-			if d := math.Abs(u.CDF(tt) - ih.CDF(tt)); d > 1e-10 {
-				t.Errorf("m=%d t=%v: UniformSum %v vs IrwinHall %v", m, tt, u.CDF(tt), ih.CDF(tt))
+			ih, err := IrwinHallCDF(m, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(u.CDF(tt) - ih); d > 1e-10 {
+				t.Errorf("m=%d t=%v: UniformSum %v vs IrwinHall %v", m, tt, u.CDF(tt), ih)
 			}
 		}
 	}

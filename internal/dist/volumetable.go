@@ -102,11 +102,9 @@ func (v *VolumeTable) Sums() []float64 { return v.sums.Values() }
 func (v *VolumeTable) Stats() DeltaStats { return v.stats }
 
 // Build fills the table for (widths, t), reusing the allocated storage.
-// The volumes are bit-identical to AllSubsetVolumes(widths, t, workers, nil):
-// same validation, same subset-sum recurrence, same volume kernel.
-// workers shards the zeta passes (≤ 1 serial); every worker count
-// produces the same bits.
-func (v *VolumeTable) Build(widths []float64, t float64, workers int) error {
+// The volumes are bit-identical to AllSubsetVolumes(widths, t, nil): same
+// validation, same subset-sum recurrence, same volume kernel.
+func (v *VolumeTable) Build(widths []float64, t float64) error {
 	if len(widths) != v.n {
 		return fmt.Errorf("dist: volume table built for %d coordinates, got %d", v.n, len(widths))
 	}
@@ -118,7 +116,7 @@ func (v *VolumeTable) Build(widths []float64, t float64, workers int) error {
 	if err := v.sums.Build(widths); err != nil {
 		return err
 	}
-	if err := volumeLadder(v.sums.Values(), v.p, v.zeta, v.raw, v.vol, v.n, t, workers); err != nil {
+	if err := volumeLadder(v.sums.Values(), v.p, v.zeta, v.raw, v.vol, v.n, t); err != nil {
 		return err
 	}
 	v.built = true
@@ -203,7 +201,7 @@ func (v *VolumeTable) SetCoord(i int, w float64) error {
 		// Zeta pass restricted to the changed coordinate: summing d over
 		// the compressed lattice accumulates Σ_{I⊆T, I∋i} Δp[I] for every
 		// T ∋ i at once.
-		if err := combin.SumOverSubsets(v.d, v.n-1, 1); err != nil {
+		if err := combin.SumOverSubsets(v.d, v.n-1); err != nil {
 			return err
 		}
 		for j := uint64(0); j < half; j++ {

@@ -15,8 +15,7 @@ import (
 const volumeWalkBound = 1e-10
 
 // TestVolumeTableBuildMatchesAllSubsetVolumes pins Build against the
-// one-shot AllSubsetVolumes bit for bit, for serial and sharded zeta
-// passes.
+// one-shot AllSubsetVolumes bit for bit.
 func TestVolumeTableBuildMatchesAllSubsetVolumes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(62, 1))
 	for _, n := range []int{1, 2, 5, 9} {
@@ -25,7 +24,7 @@ func TestVolumeTableBuildMatchesAllSubsetVolumes(t *testing.T) {
 			widths[i] = rng.Float64()
 		}
 		threshold := float64(n) / 3
-		want, _, err := AllSubsetVolumes(widths, threshold, 1, nil)
+		want, _, err := AllSubsetVolumes(widths, threshold, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -33,15 +32,13 @@ func TestVolumeTableBuildMatchesAllSubsetVolumes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		for _, workers := range []int{1, 4} {
-			if err := vt.Build(widths, threshold, workers); err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			for mask, w := range want {
-				if math.Float64bits(vt.Vol()[mask]) != math.Float64bits(w) {
-					t.Fatalf("n=%d workers=%d mask=%d: table %x, AllSubsetVolumes %x",
-						n, workers, mask, math.Float64bits(vt.Vol()[mask]), math.Float64bits(w))
-				}
+		if err := vt.Build(widths, threshold); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for mask, w := range want {
+			if math.Float64bits(vt.Vol()[mask]) != math.Float64bits(w) {
+				t.Fatalf("n=%d mask=%d: table %x, AllSubsetVolumes %x",
+					n, mask, math.Float64bits(vt.Vol()[mask]), math.Float64bits(w))
 			}
 		}
 	}
@@ -61,7 +58,7 @@ func TestVolumeTableSetCoordTracksRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vt.Build(widths, threshold, 1); err != nil {
+		if err := vt.Build(widths, threshold); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 200; step++ {
@@ -70,7 +67,7 @@ func TestVolumeTableSetCoordTracksRebuild(t *testing.T) {
 			if err := vt.SetCoord(i, widths[i]); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := AllSubsetVolumes(widths, threshold, 1, nil)
+			want, _, err := AllSubsetVolumes(widths, threshold, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +93,7 @@ func TestVolumeTableSetCoordNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	widths := []float64{0.25, 0.5, 0.75}
-	if err := vt.Build(widths, 1, 1); err != nil {
+	if err := vt.Build(widths, 1); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]float64(nil), vt.Vol()...)
@@ -126,19 +123,19 @@ func TestVolumeTableErrors(t *testing.T) {
 	if err := vt.SetCoord(0, 0.5); err == nil {
 		t.Error("SetCoord before Build accepted")
 	}
-	if err := vt.Build([]float64{0.5}, 1, 1); err == nil {
+	if err := vt.Build([]float64{0.5}, 1); err == nil {
 		t.Error("Build with wrong length accepted")
 	}
-	if err := vt.Build([]float64{0.5, math.NaN()}, 1, 1); err == nil {
+	if err := vt.Build([]float64{0.5, math.NaN()}, 1); err == nil {
 		t.Error("Build with NaN width accepted")
 	}
-	if err := vt.Build([]float64{0.5, -1}, 1, 1); err == nil {
+	if err := vt.Build([]float64{0.5, -1}, 1); err == nil {
 		t.Error("Build with negative width accepted")
 	}
-	if err := vt.Build([]float64{0.5, 0.5}, math.NaN(), 1); err == nil {
+	if err := vt.Build([]float64{0.5, 0.5}, math.NaN()); err == nil {
 		t.Error("Build with NaN threshold accepted")
 	}
-	if err := vt.Build([]float64{0.5, 0.5}, 1, 1); err != nil {
+	if err := vt.Build([]float64{0.5, 0.5}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := vt.SetCoord(-1, 0.5); err == nil {

@@ -133,9 +133,9 @@ type Config struct {
 	// ExactWorkers shards the exact backend's subset enumeration for rules
 	// implementing ExactOpts. 0 selects the repo-wide default
 	// (sim.WorkerCount: GOMAXPROCS), clamped to the 64-chunk shard grid.
-	// Only tables large enough to pay for the fork-join are sharded
-	// (combin.ZetaWorkers, combin.MaskSumWorkers); smaller ones run on
-	// one worker whatever this says, with the same bits.
+	// Only mask sums large enough to pay for the fork-join are sharded
+	// (combin.MaskSumWorkers); smaller ones, and every sum-over-subsets
+	// pass, run on one worker whatever this says, with the same bits.
 	ExactWorkers int
 	// Store is the tiered result store backing the memoization cache.
 	// Nil selects a private, unbounded memory store — the engine's

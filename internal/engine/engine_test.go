@@ -288,7 +288,7 @@ func TestAutoFallsThroughPlayerCap(t *testing.T) {
 		rule Rule
 		cap  string
 	}{
-		{"symmetric threshold", mustInstance(t, 30, 10), SymmetricThreshold{Beta: 0.5}, "limited to 25 players"},
+		{"symmetric threshold", mustInstance(t, 57, 19), SymmetricThreshold{Beta: 0.5}, "limited to 56 players"},
 		{"hetero oblivious", mustInstancePi(t, 22, 7, append([]float64{0.5}, repeated(1, 21)...)), SymmetricOblivious{A: 0.5}, "limited to 20 players"},
 		{"interval rule", mustInstance(t, 13, 13.0/3), IntervalRule{Set: band}, "limited to 12 players"},
 	}

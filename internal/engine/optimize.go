@@ -196,6 +196,14 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 			return OptimizeResult{}, serr
 		}
 		best.Iterations = res.Iterations
+		// On a flat maximum several probes tie the best value; report the
+		// searcher's own argmax among them, so the engine answers exactly
+		// what the plain search does.
+		if len(best.Params) == 1 && res.Value == best.Value && res.X != best.Params[0] {
+			if r, rerr := fam.Rule(inst, []float64{res.X}); rerr == nil {
+				best.Params[0], best.Rule = res.X, r
+			}
+		}
 	} else {
 		start := opts.Start
 		if start == nil {

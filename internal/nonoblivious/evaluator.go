@@ -71,7 +71,6 @@ type EvalStats struct {
 type Evaluator struct {
 	n        int
 	capacity float64
-	workers  int // zeta-pass sharding of full rebuilds (the one-shot's)
 	built    bool
 	a        []float64 // committed thresholds
 	value    float64   // P at the committed thresholds
@@ -134,7 +133,6 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	ev := &Evaluator{
 		n:        n,
 		capacity: capacity,
-		workers:  1,
 		a:        make([]float64, n),
 		vt:       vt,
 		prod:     prod,
@@ -242,7 +240,7 @@ func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 }
 
 func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
-	if err := ev.vt.Build(thresholds, ev.capacity, ev.workers); err != nil {
+	if err := ev.vt.Build(thresholds, ev.capacity); err != nil {
 		return 0, err
 	}
 	copy(ev.a, thresholds)
@@ -396,7 +394,7 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 func (ev *Evaluator) bin1Passes() error {
 	prod := ev.prod.Values()
 	ev.n1[0] = 1
-	return dist.RadixLadder(ev.gap, ev.shift, ev.base, ev.n, ev.bin1From, ev.workers, func(mask uint64, v float64) {
+	return dist.RadixLadder(ev.gap, ev.shift, ev.base, ev.n, ev.bin1From, func(mask uint64, v float64) {
 		v = prod[mask] - v
 		if v < 0 {
 			v = 0

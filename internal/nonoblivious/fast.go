@@ -3,16 +3,16 @@ package nonoblivious
 import (
 	"math"
 
-	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
-// WinningProbabilityOpts is WinningProbability with explicit worker
-// sharding and observability. workers ≤ 1 evaluates serially; every worker
-// count returns bit-identical results (fixed pass structure, fixed chunk
-// grid, fixed-order reduction), so callers may key caches on the inputs
-// alone. A nil observer disables instrumentation.
+// WinningProbabilityOpts is WinningProbability with observability. It
+// takes a worker count like the other exact kernels but runs serially:
+// its sum-over-subsets passes cost less CPU unsharded at every n ≤
+// MaxNGeneral (DESIGN.md, "Exact backend"), so every worker count returns
+// the same bits and exact.workers records 1. A nil observer
+// disables instrumentation.
 //
 // It is a one-shot Evaluator: the Theorem 5.1 sum Σ_b N₀(b)·N₁(b) is
 // evaluated from two subset tables instead of Θ(3^n) per-subset
@@ -27,9 +27,9 @@ import (
 //     signed base table before the zeta pass (counted as rebuilt steps).
 //
 // Total cost O(n²·2^n) time and a few 2^n-entry float64 arrays, which is
-// what lets MaxNGeneral sit at 20 with certified float64 accuracy (see
-// ExactErrorBound) instead of the old Θ(3^n) limit of 15.
-func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int, o *obs.Observer) (float64, error) {
+// what lets MaxNGeneral sit at 20 instead of the old Θ(3^n) limit of 15
+// (its accuracy at that size: see MaxNGeneral).
+func WinningProbabilityOpts(thresholds []float64, capacity float64, _ int, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if err := checkGeneral(n, capacity); err != nil {
 		return 0, err
@@ -41,7 +41,6 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 	if err != nil {
 		return 0, err
 	}
-	ev.workers = max(workers, 1)
 	p, err := ev.Evaluate(thresholds)
 	if err != nil {
 		return 0, err
@@ -57,7 +56,7 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, workers int,
 		Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2 + passes*uint64(n)*size/2,
 		Rebuilt:     passes * size,
 	}
-	stats.Record(o, len(ev.partial), combin.ZetaWorkers(n, ev.workers))
+	stats.Record(o, len(ev.partial), 1)
 	return p, nil
 }
 

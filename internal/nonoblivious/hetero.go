@@ -118,7 +118,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	// bin-1 ladder's base or the threshold sums of the per-set walk.
 	size := 1 << uint(n)
 	slab := make([]float64, 3*size)
-	vol0, stats, err := dist.AllSubsetVolumes(lows, capacity, workers, slab)
+	vol0, stats, err := dist.AllSubsetVolumes(lows, capacity, slab)
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +157,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	if beta, ok := sharedThreshold(thresholds, badHigh); ok {
 		mmax := min(kmax, n-bits.OnesCount64(badHigh))
 		vol1 = make([]float64, size)
-		passes, err := sharedBin1Table(vol1, wSums, wProd, rest, capacity, beta, mmax, n, workers)
+		passes, err := sharedBin1Table(vol1, wSums, wProd, rest, capacity, beta, mmax, n)
 		if err != nil {
 			return 0, err
 		}
@@ -234,7 +234,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	for _, c := range dfsTerms {
 		stats.Rebuilt += *c
 	}
-	stats.Record(o, chunks, max(combin.ZetaWorkers(n, workers), combin.MaskSumWorkers(n, workers)))
+	stats.Record(o, chunks, combin.MaskSumWorkers(n, workers))
 	return clamp01(total / piProd), nil
 }
 
@@ -271,7 +271,7 @@ func sharedThreshold(thresholds []float64, bad uint64) (float64, bool) {
 // containing it gets volume 0. wSums and wProd are the subset sums and
 // products of the widths, and base is 2^n-entry scratch. Entries of vol1
 // for other cardinalities are left as they were.
-func sharedBin1Table(vol1, wSums, wProd, base []float64, capacity, beta float64, mmax, n, workers int) (int, error) {
+func sharedBin1Table(vol1, wSums, wProd, base []float64, capacity, beta float64, mmax, n int) (int, error) {
 	t := make([]float64, mmax+1)
 	aSum := 0.0
 	for m := 1; m <= mmax; m++ {
@@ -284,7 +284,7 @@ func sharedBin1Table(vol1, wSums, wProd, base []float64, capacity, beta float64,
 			m0 = m
 		}
 	}
-	err := dist.RadixLadder(wSums, t, base[:len(wSums)], n, m0, workers, func(s uint64, v float64) {
+	err := dist.RadixLadder(wSums, t, base[:len(wSums)], n, m0, func(s uint64, v float64) {
 		if t[bits.OnesCount64(s)] >= wSums[s] {
 			v = wProd[s]
 		} else if v < 0 {

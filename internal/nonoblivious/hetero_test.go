@@ -243,7 +243,7 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 			mmax = m
 		}
 		vol1 := make([]float64, len(wSums))
-		_, err := sharedBin1Table(vol1, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n, 2)
+		_, err := sharedBin1Table(vol1, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				mmax = m
 			}
 			got := make([]float64, len(wSums))
-			passes, err := sharedBin1Table(got, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n, 1)
+			passes, err := sharedBin1Table(got, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +364,7 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				tm[m] = capacity - aSum
 			}
 			want := make([]float64, len(wSums))
-			if err := dist.RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, 1, func(s uint64, v float64) {
+			if err := dist.RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
 				if tm[bits.OnesCount64(s)] >= wSums[s] {
 					v = wProd[s]
 				} else if v < 0 {

@@ -28,22 +28,31 @@ import (
 	"sort"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/poly"
 	"repro/internal/problem"
 )
 
 // MaxNGeneral bounds the player count for arbitrary threshold vectors.
 // The sum-over-subsets evaluation (see WinningProbabilityOpts) costs
-// O(n²·2^n) time and a handful of 2^n-entry float64 tables, with float64
-// accuracy certified against the rational oracle by ExactErrorBound —
-// which is what allows 20 players where the old Θ(3^n) per-subset
-// inclusion-exclusion capped out at 15.
+// O(n²·2^n) time and a handful of 2^n-entry float64 tables, which is what
+// allows 20 players where the old Θ(3^n) per-subset inclusion-exclusion
+// capped out at 15. Its accuracy is not certified at that size:
+// ExactErrorBound is 1.7e3 at n = 20, and the N₁ table, a product minus a
+// zeta-summed alternating tail, cancels — with equal thresholds at β = 7/8
+// it is off the exact value by 2.0e-9 at n = 16, δ = 5 and by 4.4e-6 at
+// n = 20, δ = 5 (ROADMAP item 2).
 const MaxNGeneral = 20
 
-// MaxNSymmetric bounds the player count for the symmetric fast path,
-// matching the float64 cancellation limit of the underlying alternating
-// series.
-const MaxNSymmetric = 25
+// MaxNSymmetric bounds the player count for the symmetric fast path. Its
+// Irwin-Hall ladders are accurate at every order; the bound is the largest
+// n whose Pascal row C(n, ·) is exact in float64 (C(56, 28) ≈ 7.65e15 <
+// 2^53), the same as oblivious.MaxN.
+const MaxNSymmetric = 56
+
+// MaxNSymbolic bounds the player count for SymbolicSymmetric, whose cost is
+// exact big.Rat polynomial arithmetic over O(n²) pieces.
+const MaxNSymbolic = 25
 
 func validateCapacity(capacity float64) error {
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
@@ -64,9 +73,14 @@ func WinningProbability(thresholds []float64, capacity float64) (float64, error)
 // SymmetricWinningProbability evaluates Theorem 5.1 when every player uses
 // the same threshold β, via the binomial collapse of Section 5.2:
 //
-//	P(β) = Σ_k C(n,k) N₀(n-k, β) N₁(k, β)
+//	P(β) = Σ_k C(n,k) N₀(n-k, β) N₁(k, β),
 //
-// in O(n²) arithmetic. This is the curve reproduced in Figure 1.
+// with N₀(m) = β^m·F_m(δ/β) (m inputs below β, scaled to unit uniforms) and
+// N₁(k) = (1-β)^k·F_k((δ-kβ)/(1-β)) (k inputs above β, shifted by β and
+// scaled), F the Irwin-Hall CDF of Corollary 2.6. Every F comes from the
+// convex recurrence of dist.IrwinHallLadder, so no term cancels: O(n³)
+// arithmetic at full float64 accuracy. This is the curve reproduced in
+// Figure 1.
 func SymmetricWinningProbability(n int, capacity, beta float64) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
@@ -86,62 +100,29 @@ func SymmetricWinningProbability(n int, capacity, beta float64) (float64, error)
 	}
 	n0 := make([]float64, n+1) // N₀ by bin-0 size m
 	n1 := make([]float64, n+1) // N₁ by bin-1 size k
-	for m := 0; m <= n; m++ {
-		n0[m] = symBin0(m, capacity, beta)
-		n1[m] = symBin1(m, capacity, beta)
+	n0[0], n1[0] = 1, 1
+	var l dist.IrwinHallLadder
+	if beta > 0 { // at β = 0 no input falls below the threshold: N₀(m ≥ 1) = 0
+		l.Reset(capacity/beta, n)
+		for m := 1; m <= n; m++ {
+			l.Step()
+			n0[m] = math.Pow(beta, float64(m)) * l.CDF(0)
+		}
+	}
+	if beta < 1 { // at β = 1 no input falls above it: N₁(k ≥ 1) = 0
+		for k := 1; k <= n; k++ {
+			l.Reset((capacity-float64(k)*beta)/(1-beta), k)
+			for range k {
+				l.Step()
+			}
+			n1[k] = math.Pow(1-beta, float64(k)) * l.CDF(0)
+		}
 	}
 	var acc combin.Accumulator
 	for k := 0; k <= n; k++ {
 		acc.Add(row[k] * n0[n-k] * n1[k])
 	}
 	return clamp01(acc.Sum()), nil
-}
-
-// symBin0 is bin0Numerator with all thresholds equal to β:
-// (1/m!) Σ_{l : δ-lβ > 0} (-1)^l C(m,l) (δ - lβ)^m.
-func symBin0(m int, capacity, beta float64) float64 {
-	if m == 0 {
-		return 1
-	}
-	sum, err := combin.SignedBinomialSum(m,
-		func(l int) bool { return capacity-float64(l)*beta > 0 },
-		func(l int) float64 { return math.Pow(capacity-float64(l)*beta, float64(m)) })
-	if err != nil {
-		return math.NaN()
-	}
-	f, err := combin.FactorialFloat(m)
-	if err != nil {
-		return math.NaN()
-	}
-	v := sum / f
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// symBin1 is bin1Numerator with all thresholds equal to β:
-// (1-β)^k - (1/k!) Σ_{l : k-δ-l(1-β) > 0} (-1)^l C(k,l) (k - δ - l(1-β))^k.
-func symBin1(k int, capacity, beta float64) float64 {
-	if k == 0 {
-		return 1
-	}
-	base := float64(k) - capacity
-	sum, err := combin.SignedBinomialSum(k,
-		func(l int) bool { return base-float64(l)*(1-beta) > 0 },
-		func(l int) float64 { return math.Pow(base-float64(l)*(1-beta), float64(k)) })
-	if err != nil {
-		return math.NaN()
-	}
-	f, err := combin.FactorialFloat(k)
-	if err != nil {
-		return math.NaN()
-	}
-	v := math.Pow(1-beta, float64(k)) - sum/f
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 func clamp01(v float64) float64 {
@@ -163,8 +144,8 @@ func SymbolicSymmetric(n int, capacity *big.Rat) (*poly.Piecewise, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
 	}
-	if n > MaxNSymmetric {
-		return nil, fmt.Errorf("nonoblivious: symbolic analysis limited to %d players, got %d", MaxNSymmetric, n)
+	if n > MaxNSymbolic {
+		return nil, fmt.Errorf("nonoblivious: symbolic analysis limited to %d players, got %d", MaxNSymbolic, n)
 	}
 	if capacity == nil || capacity.Sign() <= 0 {
 		return nil, fmt.Errorf("nonoblivious: capacity must be strictly positive")

@@ -1,16 +1,19 @@
 package nonoblivious
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/oblivious"
 	"repro/internal/optimize"
 	"repro/internal/poly"
+	"repro/internal/problem"
 	"repro/internal/sim"
 )
 
@@ -101,8 +104,22 @@ func TestSymmetricValidation(t *testing.T) {
 	if _, err := SymmetricWinningProbability(1, 1, 0.5); err == nil {
 		t.Error("n=1: expected error")
 	}
-	if _, err := SymmetricWinningProbability(MaxNSymmetric+1, 1, 0.5); err == nil {
-		t.Error("n over limit: expected error")
+	// The cap is the last exact float64 Pascal row, shared with the
+	// oblivious closed form; past it the refusal is a player-cap error.
+	if MaxNSymmetric != oblivious.MaxN {
+		t.Errorf("MaxNSymmetric = %d, oblivious.MaxN = %d; want one value", MaxNSymmetric, oblivious.MaxN)
+	}
+	if _, err := combin.PascalRow(MaxNSymmetric); err != nil {
+		t.Errorf("Pascal row %d: %v", MaxNSymmetric, err)
+	}
+	if _, err := combin.PascalRow(MaxNSymmetric + 1); err == nil {
+		t.Errorf("Pascal row %d should exceed exact float64 range", MaxNSymmetric+1)
+	}
+	if p, err := SymmetricWinningProbability(MaxNSymmetric, float64(MaxNSymmetric)/3, 0.6); err != nil || !(p > 0 && p < 1) {
+		t.Errorf("n at limit: P = %v, %v", p, err)
+	}
+	if _, err := SymmetricWinningProbability(MaxNSymmetric+1, 1, 0.5); !errors.Is(err, problem.ErrPlayerCap) {
+		t.Errorf("n over limit: error %v, want a player-cap refusal", err)
 	}
 	if _, err := SymmetricWinningProbability(3, -1, 0.5); err == nil {
 		t.Error("negative capacity: expected error")
@@ -148,6 +165,12 @@ func TestSymbolicSymmetricMatchesPaperN3(t *testing.T) {
 	}
 }
 
+// TestSymbolicSymmetricMatchesFloatEverywhere checks the float64 curve
+// against the exact piecewise polynomial to 1e-14 absolute: at 65 rational
+// thresholds for small n, and at 11 (β = i/10, 0 and 1 included) for
+// n = 16, 20 and 25, where alternating binomial series lose up to the third
+// decimal. The large cases evaluate only the piece through each β
+// (symbolicPiece), since building every piece costs seconds there.
 func TestSymbolicSymmetricMatchesFloatEverywhere(t *testing.T) {
 	cases := []struct {
 		n        int
@@ -159,20 +182,32 @@ func TestSymbolicSymmetricMatchesFloatEverywhere(t *testing.T) {
 		{5, rat(5, 3)},
 		{6, rat(2, 1)},
 		{4, rat(1, 2)},
+		{16, rat(5, 1)},
+		{20, rat(5, 1)},
+		{25, rat(8, 1)},
 	}
 	for _, c := range cases {
-		pw, err := SymbolicSymmetric(c.n, c.capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pw.IsContinuous() {
-			t.Errorf("n=%d δ=%v: P(β) should be continuous", c.n, c.capacity)
-		}
 		cf, _ := c.capacity.Float64()
-		for num := int64(0); num <= 64; num++ {
-			b := rat(num, 64)
-			bf, _ := b.Float64()
-			exact, err := pw.Eval(b)
+		steps := int64(64)
+		exactAt := func(b *big.Rat) (*big.Rat, error) {
+			piece, err := symbolicPiece(c.n, c.capacity, b)
+			return piece.Eval(b), err
+		}
+		if c.n <= 6 {
+			pw, err := SymbolicSymmetric(c.n, c.capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pw.IsContinuous() {
+				t.Errorf("n=%d δ=%v: P(β) should be continuous", c.n, c.capacity)
+			}
+			exactAt = pw.Eval
+		} else {
+			steps = 10
+		}
+		for num := int64(0); num <= steps; num++ {
+			bf, _ := rat(num, steps).Float64()
+			exact, err := exactAt(new(big.Rat).SetFloat64(bf))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +216,8 @@ func TestSymbolicSymmetricMatchesFloatEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(approx-ef) > 1e-10 {
-				t.Errorf("n=%d δ=%v β=%v: float %v vs exact %v", c.n, c.capacity, bf, approx, ef)
+			if math.Abs(approx-ef) > 1e-14 {
+				t.Errorf("n=%d δ=%v β=%v: float %v vs exact %v (off by %.2e)", c.n, c.capacity, bf, approx, ef, math.Abs(approx-ef))
 			}
 		}
 	}
@@ -198,7 +233,7 @@ func TestSymbolicSymmetricValidation(t *testing.T) {
 	if _, err := SymbolicSymmetric(3, rat(0, 1)); err == nil {
 		t.Error("zero capacity: expected error")
 	}
-	if _, err := SymbolicSymmetric(MaxNSymmetric+1, rat(1, 1)); err == nil {
+	if _, err := SymbolicSymmetric(MaxNSymbolic+1, rat(1, 1)); err == nil {
 		t.Error("n over limit: expected error")
 	}
 }

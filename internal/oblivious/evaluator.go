@@ -59,12 +59,14 @@ type Evaluator struct {
 }
 
 // NewEvaluator builds the subset-CDF table for a heterogeneous instance
-// x_i ~ U[0, π_i] with bin capacity δ. workers shards the construction
-// (the result is bit-identical for every worker count). Homogeneous
+// x_i ~ U[0, π_i] with bin capacity δ. It takes a worker count like the
+// other exact kernels but builds the table serially: its sum-over-subsets
+// passes cost less CPU unsharded at every n ≤ MaxNHetero (DESIGN.md,
+// "Exact backend"), so every worker count gives the same table. Homogeneous
 // instances (all π_i = 1) are rejected: they have a closed-form evaluator
 // (WinningProbability) that is already cheap, and WinningProbabilityPiOpts
 // delegates to it rather than building tables.
-func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, error) {
+func NewEvaluator(pi []float64, capacity float64, _ int) (*Evaluator, error) {
 	n := len(pi)
 	if n < 2 {
 		return nil, fmt.Errorf("oblivious: need at least 2 players, got %d", n)
@@ -87,10 +89,7 @@ func NewEvaluator(pi []float64, capacity float64, workers int) (*Evaluator, erro
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return nil, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	vol, table, err := dist.AllSubsetVolumes(pi, capacity, workers, nil)
+	vol, table, err := dist.AllSubsetVolumes(pi, capacity, nil)
 	if err != nil {
 		return nil, err
 	}

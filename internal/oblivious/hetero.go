@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
@@ -24,10 +23,10 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, erro
 	return WinningProbabilityPiOpts(alphas, pi, capacity, 0, nil)
 }
 
-// WinningProbabilityPiOpts is WinningProbabilityPi with explicit worker
-// sharding and observability. workers ≤ 1 builds the tables serially; any
-// worker count returns bit-identical results, so callers may key caches on
-// the inputs alone. A nil observer disables instrumentation.
+// WinningProbabilityPiOpts is WinningProbabilityPi with observability. It
+// takes a worker count like the other exact kernels but builds its tables
+// serially (see NewEvaluator), so every worker count returns the same bits
+// and exact.workers records 1. A nil observer disables instrumentation.
 //
 // With unequal ranges the bin loads are no longer exchangeable, so the
 // Poisson-binomial collapse over |b| does not apply; the 2^n bin-choice
@@ -41,7 +40,7 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, erro
 // generalization. It is a one-shot Evaluator: all 2^n CDFs come from one
 // dist.AllSubsetVolumes sum-over-subsets table (O(n²·2^n) total) and the
 // bin-choice weights from two product tables, making each summand O(1).
-func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers int, o *obs.Observer) (float64, error) {
+func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, _ int, o *obs.Observer) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
 	}
@@ -58,10 +57,7 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	if !hetero {
 		return WinningProbability(alphas, capacity)
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	ev, err := NewEvaluator(pi, capacity, workers)
+	ev, err := NewEvaluator(pi, capacity, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -69,7 +65,7 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, workers in
 	if err != nil {
 		return 0, err
 	}
-	ev.stats.Table.Record(o, len(ev.partial), combin.ZetaWorkers(len(alphas), workers))
+	ev.stats.Table.Record(o, len(ev.partial), 1)
 	return p, nil
 }
 

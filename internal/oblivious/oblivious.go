@@ -28,9 +28,11 @@ import (
 	"repro/internal/problem"
 )
 
-// MaxN bounds the number of players for float64 evaluation; it matches the
-// Irwin-Hall float64 stability limit.
-const MaxN = dist.MaxIrwinHallN
+// MaxN bounds the number of players for float64 evaluation. The
+// Irwin-Hall ladder is accurate at every order; the bound is the largest n
+// whose Pascal row C(n, ·) is exact in float64 (C(56, 28) ≈ 7.65e15 <
+// 2^53), the same as nonoblivious.MaxNSymmetric.
+const MaxN = 56
 
 // phiTable returns φ_δ(k) = F_k(δ) F_{n-k}(δ) for k = 0..n.
 func phiTable(n int, capacity float64) ([]float64, error) {
@@ -44,12 +46,13 @@ func phiTable(n int, capacity float64) ([]float64, error) {
 		return nil, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)
 	}
 	cdf := make([]float64, n+1)
+	var l dist.IrwinHallLadder
+	l.Reset(capacity, n)
 	for k := 0; k <= n; k++ {
-		v, err := dist.IrwinHallCDF(k, capacity)
-		if err != nil {
-			return nil, err
+		if k > 0 {
+			l.Step()
 		}
-		cdf[k] = v
+		cdf[k] = l.CDF(0)
 	}
 	phi := make([]float64, n+1)
 	for k := 0; k <= n; k++ {

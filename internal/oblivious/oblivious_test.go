@@ -398,6 +398,32 @@ func TestWinningProbabilityRatMatchesFloat(t *testing.T) {
 	if math.Abs(approx-ef) > 1e-12 {
 		t.Errorf("float %v vs exact %v", approx, ef)
 	}
+
+	// The symmetric curve at δ = n/3, up to n = 32, to 1e-14 absolute:
+	// every F_k(δ) comes from the convex Irwin-Hall ladder, which keeps
+	// full accuracy where the alternating series cancels.
+	for _, n := range []int{3, 8, 16, 20, 24, 28, 32} {
+		cf := float64(n) / 3
+		capacity := new(big.Rat).SetFloat64(cf)
+		for _, a := range []*big.Rat{big.NewRat(0, 1), big.NewRat(1, 4), big.NewRat(1, 2), big.NewRat(5, 7), big.NewRat(1, 1)} {
+			af, _ := a.Float64()
+			as := make([]*big.Rat, n)
+			for i := range as {
+				as[i] = new(big.Rat).SetFloat64(af)
+			}
+			exact, err := WinningProbabilityRat(as, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			approx, err := SymmetricWinningProbability(n, cf, af)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ef, _ := exact.Float64(); math.Abs(approx-ef) > 1e-14 {
+				t.Errorf("n=%d a=%v: float %v vs exact %v (off by %.2e)", n, a, approx, ef, math.Abs(approx-ef))
+			}
+		}
+	}
 }
 
 func TestWinningProbabilityRatExactHalfN3(t *testing.T) {

@@ -108,7 +108,8 @@ func (e *Evaluator) WinProbabilityStep(r *StepRule) (float64, error) {
 //
 //	N(m) = Σ_s [z^s] (Σ_i (a_i/k) z^i)^m · F_m(kδ - s),
 //
-// with F_m the Irwin–Hall CDF (Corollary 2.6) of the m summed u's.
+// with F_m the Irwin–Hall CDF (Corollary 2.6) of the m summed u's, read for
+// every s from one ladder at kδ stepped through m = 1..n.
 func (e *Evaluator) stepMasses(a []float64) []float64 {
 	k := float64(len(a))
 	kd := k * e.capacity
@@ -119,6 +120,8 @@ func (e *Evaluator) stepMasses(a []float64) []float64 {
 	out := make([]float64, e.n+1)
 	out[0] = 1
 	coef := []float64{1}
+	var ladder dist.IrwinHallLadder
+	ladder.Reset(kd, e.n)
 	for m := 1; m <= e.n; m++ {
 		// coef ← coef · base, truncated to the lattice sums s < kδ that
 		// can still fit.
@@ -136,27 +139,14 @@ func (e *Evaluator) stepMasses(a []float64) []float64 {
 			}
 		}
 		coef = next
-		ih, err := dist.NewIrwinHall(m)
-		if err != nil {
-			// Unreachable: m ≥ 1.
-			panic(err)
-		}
+		ladder.Step()
 		var acc combin.Accumulator
 		for s, c := range coef {
-			acc.Add(c * irwinHallCDF(ih, kd-float64(s)))
+			acc.Add(c * ladder.CDF(s))
 		}
 		out[m] = acc.Sum()
 	}
 	return out
-}
-
-// irwinHallCDF evaluates F_m(t) through its symmetry F_m(t) = 1 - F_m(m-t)
-// past the mean, where the alternating sum would cancel.
-func irwinHallCDF(ih *dist.IrwinHall, t float64) float64 {
-	if m := float64(ih.N()); t > m/2 {
-		return 1 - ih.CDF(m-t)
-	}
-	return ih.CDF(t)
 }
 
 // OptimizeStep searches symmetric randomized step rules with the given

@@ -135,11 +135,14 @@ func TestEvalMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestEvalAutoPastExactCap checks that an auto request beyond the exact
-// oracle's player cap (n=30 > 25) is answered by Monte-Carlo, not refused.
+// TestEvalAutoPastExactCap checks that an auto request beyond an exact
+// oracle's player cap (a 16-player π instance; the heterogeneous threshold
+// oracle stops at 15) is answered by Monte-Carlo, not refused, while an
+// explicit exact request is refused with the cap named.
 func TestEvalAutoPastExactCap(t *testing.T) {
 	s, _, _ := newTestServer(t, Config{})
-	body := `{"n":30,"delta":10,"kind":"threshold","param":0.5,"backend":"auto","trials":2000,"seed":7}`
+	pi := `[0.5` + strings.Repeat(",1", 15) + `]`
+	body := `{"pi":` + pi + `,"delta":5,"kind":"threshold","param":0.5,"backend":"auto","trials":2000,"seed":7}`
 	rec := postJSON(t, s.Handler(), "/v1/eval", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
@@ -148,8 +151,12 @@ func TestEvalAutoPastExactCap(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Backend != "mc" || resp.Trials != 2000 || resp.Degraded {
+	if resp.N != 16 || resp.Backend != "mc" || resp.Trials != 2000 || resp.Degraded {
 		t.Errorf("unexpected auto response: %+v", resp)
+	}
+	rec = postJSON(t, s.Handler(), "/v1/eval", strings.Replace(body, `"auto"`, `"exact"`, 1))
+	if rec.Code == http.StatusOK || !strings.Contains(rec.Body.String(), "limited to 15 players") {
+		t.Errorf("explicit exact: status %d, body %s; want a refusal naming the 15-player cap", rec.Code, rec.Body.String())
 	}
 }
 
