@@ -2,8 +2,8 @@
 # in ROADMAP.md; the race target covers the concurrency-heavy packages
 # (the Monte-Carlo engine with its batch kernel and scratch pools, the
 # metrics/span layer it feeds, the memoizing evaluation engine with its
-# sharded sweeps, the exact evaluators with their sharded subset
-# enumerations, and the PY91 cross-checks, which simulate protocols through
+# sharded sweeps, the serial exact evaluators that those sweeps call from
+# many goroutines, and the PY91 cross-checks, which simulate protocols through
 # the engine's worker pool) plus the canonical problem package they all
 # share.
 

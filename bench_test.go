@@ -218,7 +218,7 @@ func BenchmarkThresholdWinProbabilityGeneral(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.WinningProbability(ths, 10.0/3); err != nil {
+		if _, err := nonoblivious.WinningProbability(ths, 10.0/3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

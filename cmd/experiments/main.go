@@ -35,7 +35,7 @@ func run(args []string) (err error) {
 	trials := fs.Int("trials", 400_000, "Monte-Carlo trials for simulated columns")
 	points := fs.Int("points", 201, "sweep points per figure curve")
 	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "Monte-Carlo worker goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "Monte-Carlo and sweep workers (0 = GOMAXPROCS)")
 	backend := fs.String("backend", "auto", "evaluation backend: exact, mc, mc-qmc or auto")
 	replicates := fs.Int("replicates", 0, "scrambled randomizations per estimate (mc-qmc backend, 0 = default 16)")
 	piStr := fs.String("pi", "", "comma-separated per-player input ranges π_i for experiments that accept heterogeneous instances (e.g. T10)")
@@ -43,6 +43,9 @@ func run(args []string) (err error) {
 	obsPath := fs.String("obs", "", "append a JSONL observability run log to this file")
 	metrics := fs.Bool("metrics", false, "print a JSON metrics snapshot on exit")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := sim.CheckWorkers(*workers); err != nil {
 		return err
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -86,7 +89,7 @@ func run(args []string) (err error) {
 	// same (n, δ, rule) point appearing in a figure and a table) are served
 	// from the memoization cache, and so -metrics shows one hit/miss tally.
 	// With -cache-dir the cache additionally persists across runs.
-	eng := engine.New(engine.Config{Sim: cfg, Obs: o, ExactWorkers: cfg.Workers, Store: st})
+	eng := engine.New(engine.Config{Sim: cfg, Obs: o, Store: st})
 	params := harness.Params{Points: *points, Sim: cfg, Backend: b, Pi: pi, Engine: eng}
 	var summary strings.Builder
 	for _, id := range harness.IDs() {

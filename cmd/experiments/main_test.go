@@ -10,6 +10,19 @@ import (
 	"repro/internal/obs"
 )
 
+// TestWorkersFlagRefused requires a negative -workers to be refused before
+// any artifact is written, even though the exact backend never reads it.
+func TestWorkersFlagRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	const want = "worker count -1 must be non-negative"
+	if err := run([]string{"-out", dir, "-workers", "-1"}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("run = %v, want an error containing %q", err, want)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("output directory created despite the refusal: %v", err)
+	}
+}
+
 func TestRunWritesAllArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment regeneration is slow")

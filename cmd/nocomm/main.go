@@ -55,6 +55,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -300,13 +301,13 @@ func cmdEval(g *obsFlags, args []string) (err error) {
 	backend := fs.String("backend", "exact", "evaluation backend: exact, mc, mc-qmc or auto")
 	trials := fs.Int("trials", engine.DefaultTrials, "sampled trials (mc / mc-qmc backends)")
 	seed := fs.Uint64("seed", 1, "random seed (mc / mc-qmc backends)")
-	workers := fs.Int("workers", 0, "parallel workers (mc backend, 0 = all cores)")
+	workers := fs.Int("workers", 0, "Monte-Carlo workers (mc and mc-qmc backends, 0 = all cores)")
 	replicates := fs.Int("replicates", 0, "scrambled randomizations (mc-qmc backend, 0 = default 16)")
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := sim.CheckTrials(*trials); err != nil {
+	if err := errors.Join(sim.CheckTrials(*trials), sim.CheckWorkers(*workers)); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)
@@ -336,7 +337,7 @@ func cmdEval(g *obsFlags, args []string) (err error) {
 		return err
 	}
 	cfg := sim.Config{Trials: *trials, Seed: *seed, Workers: *workers, Replicates: *replicates, Obs: sess.observer}
-	eng := engine.New(engine.Config{Sim: cfg, Obs: sess.observer, ExactWorkers: cfg.Workers, Store: st})
+	eng := engine.New(engine.Config{Sim: cfg, Obs: sess.observer, Store: st})
 	sp := sess.observer.StartSpan("eval")
 	res, err := eng.Evaluate(inst, rule, b)
 	sp.End()
@@ -370,7 +371,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 	backend := fs.String("backend", "exact", "evaluation backend: exact, mc or auto")
 	trials := fs.Int("trials", engine.DefaultTrials, "Monte-Carlo trials (mc backend)")
 	seed := fs.Uint64("seed", 1, "random seed (mc backend)")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores)")
+	workers := fs.Int("workers", 0, "Monte-Carlo workers (mc backend, 0 = all cores)")
 	grid := fs.Int("grid", engine.DefaultOptimizeGrid, "scalar search grid resolution")
 	tol := fs.Float64("tol", engine.DefaultOptimizeTol, "search tolerance")
 	passes := fs.Int("passes", 0, "vector coordinate-ascent pass cap (0 = default)")
@@ -379,7 +380,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := sim.CheckTrials(*trials); err != nil {
+	if err := errors.Join(sim.CheckTrials(*trials), sim.CheckWorkers(*workers)); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)
@@ -405,7 +406,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 		return err
 	}
 	cfg := sim.Config{Trials: *trials, Seed: *seed, Workers: *workers, Obs: o}
-	eng := engine.New(engine.Config{Sim: cfg, Obs: o, ExactWorkers: *workers, Store: st})
+	eng := engine.New(engine.Config{Sim: cfg, Obs: o, Store: st})
 	opts := engine.OptimizeOptions{Backend: b, Sim: cfg, GridPoints: *grid, Tol: *tol, Passes: *passes}
 	sp := o.StartSpan("optimize")
 	defer sp.End()
@@ -545,9 +546,12 @@ func cmdSimulate(g *obsFlags, args []string) (err error) {
 	param := fs.Float64("param", 0.5, "algorithm parameter")
 	trials := fs.Int("trials", 1_000_000, "number of Monte-Carlo trials")
 	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores)")
+	workers := fs.Int("workers", 0, "Monte-Carlo workers (0 = all cores)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "convergence checkpoint interval in trials (0 = trials/20; needs -obs)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := sim.CheckWorkers(*workers); err != nil {
 		return err
 	}
 	sess, err := g.start()
@@ -599,14 +603,14 @@ func cmdFigure(g *obsFlags, args []string) (err error) {
 	backend := fs.String("backend", "auto", "evaluation backend: exact, mc, mc-qmc or auto")
 	trials := fs.Int("trials", engine.DefaultTrials, "Monte-Carlo trials per point (mc backend)")
 	seed := fs.Uint64("seed", 1, "random seed (mc backend)")
-	workers := fs.Int("workers", 0, "sweep workers (0 = all cores)")
+	workers := fs.Int("workers", 0, "sweep and Monte-Carlo workers (0 = all cores)")
 	svgPath := fs.String("svg", "", "write SVG to this path")
 	csvPath := fs.String("csv", "", "write CSV to this path")
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := sim.CheckTrials(*trials); err != nil {
+	if err := errors.Join(sim.CheckTrials(*trials), sim.CheckWorkers(*workers)); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)
@@ -635,7 +639,7 @@ func cmdFigure(g *obsFlags, args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: sess.observer, ExactWorkers: *workers, Store: st})
+		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: sess.observer, Store: st})
 	}
 	out, err := exp.Run(sess.observer, p)
 	if err != nil {
@@ -680,7 +684,7 @@ func cmdTable(g *obsFlags, args []string) (err error) {
 	g.register(fs)
 	trials := fs.Int("trials", 200_000, "Monte-Carlo trials for simulated columns")
 	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = all cores)")
+	workers := fs.Int("workers", 0, "Monte-Carlo and sweep workers (0 = all cores)")
 	backend := fs.String("backend", "auto", "evaluation backend: exact, mc, mc-qmc or auto")
 	piStr := fs.String("pi", "", "comma-separated per-player input ranges π_i (experiments that accept heterogeneous instances, e.g. T10)")
 	csvPath := fs.String("csv", "", "write CSV to this path")
@@ -688,7 +692,7 @@ func cmdTable(g *obsFlags, args []string) (err error) {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := sim.CheckTrials(*trials); err != nil {
+	if err := errors.Join(sim.CheckTrials(*trials), sim.CheckWorkers(*workers)); err != nil {
 		return err
 	}
 	b, err := engine.ParseBackend(*backend)
@@ -721,7 +725,7 @@ func cmdTable(g *obsFlags, args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: sess.observer, ExactWorkers: *workers, Store: st})
+		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: sess.observer, Store: st})
 	}
 	out, err := exp.Run(sess.observer, p)
 	if err != nil {

@@ -83,6 +83,26 @@ func TestTrialsFlagRefused(t *testing.T) {
 	}
 }
 
+// TestWorkersFlagRefused requires every -workers flag to refuse a
+// negative count up front, whatever the backend: the exact backend runs
+// serially and never reads the count, so nothing downstream would refuse
+// it.
+func TestWorkersFlagRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"eval", "-workers", "-1", "-backend", "exact"},
+		{"eval", "-workers", "-1", "-backend", "mc"},
+		{"figure", "F1", "-points", "3", "-workers", "-1", "-backend", "exact"},
+		{"optimize", "-workers", "-1"},
+		{"table", "T1", "-workers", "-1"},
+		{"simulate", "-trials", "1000", "-workers", "-1"},
+	} {
+		const want = "worker count -1 must be non-negative"
+		if err := run(args); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", args, err, want)
+		}
+	}
+}
+
 // TestUsageErrorListsAllSubcommands keeps the first-line usage error, the
 // help output, and the dispatch switch consistent: every subcommand —
 // including certify and metrics — must appear in the advertised list.

@@ -47,7 +47,7 @@ func BenchmarkExactNonoblivious(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.WinningProbability(ths, float64(exactBenchN)/3); err != nil {
+		if _, err := nonoblivious.WinningProbability(ths, float64(exactBenchN)/3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkExactHetero(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(exactBenchN)/3); err != nil {
+		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(exactBenchN)/3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkExactHeteroShared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(exactBenchN)/3); err != nil {
+		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(exactBenchN)/3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func BenchmarkExactObliviousHetero(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := oblivious.WinningProbabilityPi(alphas, pi, float64(exactBenchN)/3); err != nil {
+		if _, err := oblivious.WinningProbabilityPi(alphas, pi, float64(exactBenchN)/3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,6 @@ package combin
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // MaxSubsetTable bounds the ground-set size for the table-building helpers
@@ -12,11 +10,10 @@ import (
 // table; n = 22 is 32 MiB per table).
 const MaxSubsetTable = 22
 
-// sumChunkGrid is the fixed number of chunks the mask range is split into
-// for sharded reductions. The grid depends only on the problem size — never
-// on the worker count — so per-chunk partial sums, and therefore the final
-// fixed-order reduction, are bit-identical for every worker count.
-const sumChunkGrid = 64
+// ChunkGrid is the fixed number of chunks ChunkedMaskSum splits the mask
+// range into. The grid depends only on the problem size, so it fixes the
+// summation order, and with it the bits, of every chunked mask sum.
+const ChunkGrid = 64
 
 // SubsetSums returns sums[mask] = Σ_{i∈mask} vals[i] for every subset mask
 // of {0, ..., len(vals)-1}, via the one-pass low-bit recurrence
@@ -73,20 +70,6 @@ func fillSubsetProducts(out, vals []float64) {
 	for mask := uint64(1); mask < uint64(len(out)); mask++ {
 		out[mask] = out[mask&(mask-1)] * vals[bits.TrailingZeros64(mask)]
 	}
-}
-
-// maskSumShardMasks is the smallest mask range ChunkedMaskSum shards:
-// below it, chunks of cheap terms (one product of two table reads) are too
-// short to pay for the fork-join.
-const maskSumShardMasks = 1 << 16
-
-// MaskSumWorkers returns the worker count ChunkedMaskSum runs 2^n masks
-// with: workers from 2^16 masks up, 1 below.
-func MaskSumWorkers(n, workers int) int {
-	if uint64(1)<<uint(n) < maskSumShardMasks {
-		return 1
-	}
-	return workers
 }
 
 // SumOverSubsets transforms arr in place into its zeta transform:
@@ -184,70 +167,35 @@ func zetaPairs(lo, hi []float64) {
 	}
 }
 
-// ChunkedMaskSum sums term(mask) over all 2^n masks through a fixed chunk
-// grid: each chunk is Neumaier-summed on its own Accumulator, and the
-// per-chunk totals are combined by a fixed-order pairwise tree. Both the
-// grid and the reduction order depend only on n, so the result is
-// bit-identical for every worker count. Ranges of 2^16 masks and more
-// shard the chunks over workers; smaller ranges run serially
-// (MaskSumWorkers). makeTerm is invoked once per worker to build that
-// worker's term function, letting callers attach private scratch state;
-// each term function then sees strictly increasing masks within a chunk.
-// It returns the total and the number of chunks.
-func ChunkedMaskSum(n, workers int, makeTerm func() func(mask uint64) float64) (float64, int, error) {
-	return chunkedMaskSum(n, MaskSumWorkers(n, workers), makeTerm)
-}
-
-// chunkedMaskSum is ChunkedMaskSum sharded over exactly workers workers,
-// whatever the mask range.
-func chunkedMaskSum(n, workers int, makeTerm func() func(mask uint64) float64) (float64, int, error) {
+// ChunkedMaskSum sums term(mask) over all 2^n masks, in increasing mask
+// order, through the fixed ChunkSpan grid: each chunk is Neumaier-summed
+// on its own Accumulator, and the per-chunk totals are combined by
+// ReducePartials. The grid and the reduction order depend only on n, so
+// they fix the summation order the exact backend's golden bits pin.
+func ChunkedMaskSum(n int, term func(mask uint64) float64) (float64, error) {
 	if n < 0 || n > MaxSubsetTable {
-		return 0, 0, fmt.Errorf("combin: chunked mask sum ground size %d out of range [0, %d]", n, MaxSubsetTable)
+		return 0, fmt.Errorf("combin: chunked mask sum ground size %d out of range [0, %d]", n, MaxSubsetTable)
 	}
 	total := uint64(1) << uint(n)
-	span, nChunks := chunkSpan(total)
-	partial := make([]float64, nChunks)
-	run := func(term func(mask uint64) float64, c, lo, hi uint64) {
+	span, chunks := ChunkSpan(total)
+	partial := make([]float64, chunks)
+	for c := range partial {
+		lo := uint64(c) * span
+		hi := min(lo+span, total)
 		var acc Accumulator
 		for mask := lo; mask < hi; mask++ {
 			acc.Add(term(mask))
 		}
 		partial[c] = acc.Sum()
 	}
-	if workers <= 1 {
-		term := makeTerm()
-		for c := uint64(0); c < nChunks; c++ {
-			lo := c * span
-			run(term, c, lo, min(lo+span, total))
-		}
-	} else {
-		var cursor atomic.Uint64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				term := makeTerm()
-				for {
-					c := cursor.Add(1) - 1
-					if c >= nChunks {
-						return
-					}
-					lo := c * span
-					run(term, c, lo, min(lo+span, total))
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return ReducePartials(partial), int(nChunks), nil
+	return ReducePartials(partial), nil
 }
 
 // ReducePartials combines the non-empty per-chunk totals part by the
 // fixed-order pairwise tree of ChunkedMaskSum, overwriting part, and
 // returns the root. Reusable evaluators that Neumaier-sum each chunk of
 // the ChunkSpan grid into their own buffer and reduce it here reproduce
-// ChunkedMaskSum's bits for every worker count.
+// ChunkedMaskSum's bits.
 func ReducePartials(part []float64) float64 {
 	for len(part) > 1 {
 		half := (len(part) + 1) / 2
@@ -277,12 +225,13 @@ func PowInt(x float64, k int) float64 {
 	return r
 }
 
-// chunkSpan splits [0, total) into at most sumChunkGrid equal spans,
-// independent of the worker count.
-func chunkSpan(total uint64) (span, chunks uint64) {
+// ChunkSpan splits [0, total) into at most ChunkGrid equal spans: the
+// fixed grid of ChunkedMaskSum. Exported so reusable evaluators can
+// replicate its summation order into caller-owned buffers.
+func ChunkSpan(total uint64) (span, chunks uint64) {
 	if total == 0 {
 		return 1, 0
 	}
-	span = (total + sumChunkGrid - 1) / sumChunkGrid
+	span = (total + ChunkGrid - 1) / ChunkGrid
 	return span, (total + span - 1) / span
 }

@@ -3,7 +3,6 @@ package combin
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
@@ -53,7 +52,7 @@ func TestSubsetTableLimits(t *testing.T) {
 	if err := SumOverSubsets(make([]float64, 8), 4); err == nil {
 		t.Fatal("SumOverSubsets accepted a mismatched table length")
 	}
-	if _, _, err := ChunkedMaskSum(MaxSubsetTable+1, 1, nil); err == nil {
+	if _, err := ChunkedMaskSum(MaxSubsetTable+1, nil); err == nil {
 		t.Fatal("ChunkedMaskSum accepted an oversized ground set")
 	}
 }
@@ -158,8 +157,8 @@ func BenchmarkSumOverSubsets(b *testing.B) {
 	}
 }
 
-// TestChunkedMaskSumDeterminism pins the sharded reduction: exact same
-// bits for 1, 2 and 7 workers, and agreement with a compensated serial sum.
+// TestChunkedMaskSumDeterminism checks the chunked sum of an
+// alternating-sign series against one compensated serial sum.
 func TestChunkedMaskSumDeterminism(t *testing.T) {
 	const n = 11
 	term := func(mask uint64) float64 {
@@ -169,77 +168,15 @@ func TestChunkedMaskSumDeterminism(t *testing.T) {
 		}
 		return v
 	}
-	makeTerm := func() func(uint64) float64 { return term }
-	ref, chunks, err := ChunkedMaskSum(n, 1, makeTerm)
+	got, err := ChunkedMaskSum(n, term)
 	if err != nil {
 		t.Fatalf("ChunkedMaskSum: %v", err)
-	}
-	if chunks <= 1 {
-		t.Fatalf("expected a multi-chunk grid at n=%d, got %d chunks", n, chunks)
-	}
-	for _, workers := range []int{2, 7} {
-		got, gotChunks, err := ChunkedMaskSum(n, workers, makeTerm)
-		if err != nil {
-			t.Fatalf("ChunkedMaskSum(workers=%d): %v", workers, err)
-		}
-		if gotChunks != chunks {
-			t.Fatalf("chunk grid changed with workers: %d vs %d", gotChunks, chunks)
-		}
-		if math.Float64bits(got) != math.Float64bits(ref) {
-			t.Fatalf("workers=%d sum %v not bit-identical to serial %v", workers, got, ref)
-		}
 	}
 	var acc Accumulator
 	for mask := uint64(0); mask < 1<<n; mask++ {
 		acc.Add(term(mask))
 	}
-	if math.Abs(ref-acc.Sum()) > 1e-10 {
-		t.Fatalf("chunked sum %v far from compensated serial sum %v", ref, acc.Sum())
-	}
-}
-
-// TestShardCutoffs pins the size gate of ChunkedMaskSum, the one sharded
-// kernel (SumOverSubsets always runs serially). One size below the cutoff,
-// the sum asked for 8 workers allocates exactly what it allocates
-// serially, so the serial path ran; at the cutoff, 2 workers allocate more
-// (the sharded path's goroutines). At both sizes the total is
-// bit-identical for 1, 2 and 7 workers, which keeps the sharded branch
-// under the race detector.
-func TestShardCutoffs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 3))
-	cutoff := bits.Len64(maskSumShardMasks) - 1
-	for _, n := range []int{cutoff - 1, cutoff} {
-		arr := make([]float64, 1<<uint(n))
-		for i := range arr {
-			arr[i] = rng.NormFloat64()
-		}
-		full := uint64(len(arr) - 1)
-		run := func(workers int) float64 {
-			total, _, err := ChunkedMaskSum(n, workers, func() func(uint64) float64 {
-				return func(mask uint64) float64 { return arr[full&^mask] * arr[mask] }
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return total
-		}
-		want := run(1)
-		for _, workers := range []int{2, 7} {
-			if got := run(workers); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d workers=%d: sum %v, serial %v", n, workers, got, want)
-			}
-		}
-		serial := testing.AllocsPerRun(2, func() { run(1) })
-		wide := 8
-		if n == cutoff {
-			wide = 2
-		}
-		sharded := testing.AllocsPerRun(2, func() { run(wide) })
-		if n < cutoff && sharded != serial {
-			t.Errorf("n=%d below the cutoff: %v allocs with %d workers, %v serially", n, sharded, wide, serial)
-		}
-		if n == cutoff && sharded <= serial {
-			t.Errorf("n=%d at the cutoff: %v allocs with %d workers, %v serially; the sharded path did not run", n, sharded, wide, serial)
-		}
+	if math.Abs(got-acc.Sum()) > 1e-10 {
+		t.Fatalf("chunked sum %v far from compensated serial sum %v", got, acc.Sum())
 	}
 }

@@ -142,13 +142,3 @@ func forEachMaskContaining(n, i int, fn func(mask uint64)) {
 		}
 	}
 }
-
-// ChunkSpan splits [0, total) into at most ChunkGrid equal spans,
-// independent of the worker count — the fixed grid every chunked reduction
-// in this package shards on. Exported so reusable evaluators can replicate
-// ChunkedMaskSum's exact summation order into caller-owned buffers.
-func ChunkSpan(total uint64) (span, chunks uint64) { return chunkSpan(total) }
-
-// ChunkGrid is the fixed chunk count of the sharded reductions (see
-// sumChunkGrid).
-const ChunkGrid = sumChunkGrid

@@ -25,15 +25,12 @@ type SubsetVolumeStats struct {
 }
 
 // Record flushes one exact evaluation's work into the exact backend's
-// observability counters: the subset table's cells and steps, the chunks
-// of the final mask sum, and the worker count the kernel ran with (1 when
-// it ran serially). A nil observer records nothing.
-func (s SubsetVolumeStats) Record(o *obs.Observer, chunks, workers int) {
+// observability counters: the subset table's cells and steps. A nil
+// observer records nothing.
+func (s SubsetVolumeStats) Record(o *obs.Observer) {
 	o.Counter("exact.subsets").Add(int64(s.Subsets))
 	o.Counter("exact.steps.incremental").Add(int64(s.Incremental))
 	o.Counter("exact.steps.rebuilt").Add(int64(s.Rebuilt))
-	o.Counter("exact.chunks").Add(int64(chunks))
-	o.Gauge("exact.workers").Set(float64(workers))
 }
 
 // AllSubsetVolumes returns vol[T] = Vol{y : 0 ≤ y_i ≤ w_i (i ∈ T),

@@ -130,12 +130,10 @@ type Config struct {
 	// engine.cache.misses, engine.evals.exact, engine.evals.mc) plus the
 	// exact backend's exact.* enumeration counters.
 	Obs *obs.Observer
-	// ExactWorkers shards the exact backend's subset enumeration for rules
-	// implementing ExactOpts. 0 selects the repo-wide default
-	// (sim.WorkerCount: GOMAXPROCS), clamped to the 64-chunk shard grid.
-	// Only mask sums large enough to pay for the fork-join are sharded
-	// (combin.MaskSumWorkers); smaller ones, and every sum-over-subsets
-	// pass, run on one worker whatever this says, with the same bits.
+	// ExactWorkers is ignored: the exact backend runs serially.
+	//
+	// Deprecated: kept only so the benchmark module, which still sets it,
+	// compiles; it changes neither the result nor the work.
 	ExactWorkers int
 	// Store is the tiered result store backing the memoization cache.
 	// Nil selects a private, unbounded memory store — the engine's
@@ -154,10 +152,9 @@ const DefaultTrials = 200_000
 // tier, optional content-addressed disk tier). The zero value is not
 // usable; use New.
 type Engine struct {
-	simCfg       sim.Config
-	obs          *obs.Observer
-	exactWorkers int
-	store        store.Store
+	simCfg sim.Config
+	obs    *obs.Observer
+	store  store.Store
 }
 
 // New builds an engine.
@@ -169,7 +166,7 @@ func New(cfg Config) *Engine {
 	if st == nil {
 		st = store.NewMemory(store.Options{Obs: cfg.Obs})
 	}
-	return &Engine{simCfg: cfg.Sim, obs: cfg.Obs, exactWorkers: cfg.ExactWorkers, store: st}
+	return &Engine{simCfg: cfg.Sim, obs: cfg.Obs, store: st}
 }
 
 // SimConfig returns the engine's default Monte-Carlo configuration.
@@ -194,12 +191,10 @@ func (e *Engine) Evaluate(inst Instance, r Rule, backend Backend) (Result, error
 // (instance, rule fingerprint, resolved backend, backend tolerance), where
 // the tolerance is the (Trials, Seed, Workers) triple for Monte-Carlo —
 // the knobs that change the returned bits — and is empty for Exact
-// (a rule-level tolerance would be part of the fingerprint). ExactWorkers is deliberately NOT part of the key: the
-// sharded exact backend reduces over a fixed chunk grid in a fixed order,
-// so every worker count returns bit-identical values. Observability
-// settings are likewise excluded: they never change the result, but a
-// cache hit skips the simulation and therefore re-emits no convergence
-// events.
+// (a rule-level tolerance would be part of the fingerprint).
+// Observability settings are excluded from the key: they never change
+// the result, but a cache hit skips the simulation and therefore
+// re-emits no convergence events.
 //
 // Two context features are honored:
 //
@@ -386,13 +381,7 @@ func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Bac
 		if tables != nil {
 			p, err = tables.evaluate(e.obs, r.(obliviousAlphaRule).alphaVector(inst.N))
 		} else {
-			// Clamp to the shard grid: combin.ChunkedMaskSum splits every
-			// enumeration into 64 chunks, so more workers would sit idle.
-			workers, werr := sim.WorkerCount(e.exactWorkers, 64)
-			if werr != nil {
-				return Result{}, werr
-			}
-			p, err = r.(ExactOpts).ExactWinProbabilityOpts(inst, workers, e.obs)
+			p, err = r.(ExactOpts).ExactWinProbabilityOpts(inst, 0, e.obs)
 		}
 		if err != nil {
 			return Result{}, err

@@ -85,7 +85,7 @@ func TestExactParity(t *testing.T) {
 			t.Errorf("engine %v != nonoblivious %v", got.P, want)
 		}
 		ths := []float64{0.6, 0.62, 0.64}
-		wantVec, err := nonoblivious.WinningProbability(ths, 1)
+		wantVec, err := nonoblivious.WinningProbability(ths, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

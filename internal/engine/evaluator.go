@@ -21,7 +21,7 @@ func (r Oblivious) alphaVector(int) []float64 { return r.Alphas }
 
 // sweepTables is one sweep worker's reusable oblivious evaluator, passed
 // to compute()'s Exact branch. The evaluator is bit-identical to the
-// one-shot WinningProbabilityPiOpts, so its results land in the
+// one-shot WinningProbabilityPi, so its results land in the
 // memoization cache under the normal keys. The mutex serializes the owner
 // worker against abandoned evaluations still running in the background
 // after their caller's deadline struck.

@@ -34,7 +34,7 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range alphas {
-		want, err := oblivious.WinningProbabilityPi([]float64{a, a, a, a, a}, pi, inst.Delta)
+		want, err := oblivious.WinningProbabilityPi([]float64{a, a, a, a, a}, pi, inst.Delta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 			t.Errorf("α=%v: backend %v, want exact", a, results[i].Backend)
 		}
 	}
-	wantFull, err := oblivious.WinningProbabilityPi(full.Alphas, pi, inst.Delta)
+	wantFull, err := oblivious.WinningProbabilityPi(full.Alphas, pi, inst.Delta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSweepDeltaUpdateCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range walk {
-		want, err := oblivious.WinningProbabilityPi(a, pi, inst.Delta)
+		want, err := oblivious.WinningProbabilityPi(a, pi, inst.Delta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestHeteroExactParity(t *testing.T) {
 	pi := []float64{0.5, 1, 0.75}
 	inst := mustInstancePi(t, 3, 1, pi)
 
-	wantObl, err := oblivious.WinningProbabilityPi([]float64{0.5, 0.5, 0.5}, pi, 1)
+	wantObl, err := oblivious.WinningProbabilityPi([]float64{0.5, 0.5, 0.5}, pi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestHeteroExactParity(t *testing.T) {
 		t.Errorf("oblivious: engine %v != evaluator %v", gotObl.P, wantObl)
 	}
 
-	wantThr, err := nonoblivious.WinningProbabilityPi([]float64{0.5, 0.5, 0.5}, pi, 1)
+	wantThr, err := nonoblivious.WinningProbabilityPi([]float64{0.5, 0.5, 0.5}, pi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestHeteroExactParity(t *testing.T) {
 		t.Errorf("threshold: engine %v != evaluator %v", gotThr.P, wantThr)
 	}
 
-	wantVec, err := nonoblivious.WinningProbabilityPi([]float64{0.3, 0.5, 0.7}, pi, 1)
+	wantVec, err := nonoblivious.WinningProbabilityPi([]float64{0.3, 0.5, 0.7}, pi, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

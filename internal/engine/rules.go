@@ -39,17 +39,16 @@ type Rule interface {
 
 // ExactOpts is implemented by rules with an analytic oracle (Theorem 4.1,
 // Theorem 5.1, the interval-set pattern masses, the PY91 protocol
-// oracles). The
-// engine passes its resolved ExactWorkers and observer: the oblivious and
-// threshold families shard their subset enumerations across workers with
-// bit-identical results for every worker count and count their work in
-// the exact.* counters; the other oracles ignore both arguments.
+// oracles). Every oracle runs serially. The engine passes its observer:
+// the oblivious and threshold families count their work in the exact.*
+// counters, and the other oracles ignore it.
 type ExactOpts interface {
 	Rule
 	// ExactWinProbabilityOpts computes the rule's winning probability on
-	// the instance without sampling, with explicit worker sharding (≤ 1
-	// means serial) and optional instrumentation.
-	ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error)
+	// the instance without sampling, with optional instrumentation. The
+	// int argument is ignored by every rule; it stays only for the
+	// benchmark module, which still passes a worker count.
+	ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error)
 }
 
 // Simulator is implemented by rules that carry their own Monte-Carlo
@@ -122,12 +121,10 @@ func (r SymmetricOblivious) System(inst Instance) (*model.System, error) {
 }
 
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
-// heterogeneous generalization when the instance carries a π vector). The
-// homogeneous closed form is O(n²) and ignores the worker count; the
-// heterogeneous subset enumeration shards across workers.
-func (r SymmetricOblivious) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
+// heterogeneous generalization when the instance carries a π vector).
+func (r SymmetricOblivious) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
-		return oblivious.WinningProbabilityPiOpts(repeated(r.A, inst.N), inst.Pi, inst.Delta, workers, o)
+		return oblivious.WinningProbabilityPi(repeated(r.A, inst.N), inst.Pi, inst.Delta, o)
 	}
 	return oblivious.SymmetricWinningProbability(inst.N, inst.Delta, r.A)
 }
@@ -169,15 +166,13 @@ func (r Oblivious) System(inst Instance) (*model.System, error) {
 }
 
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
-// heterogeneous generalization when the instance carries a π vector). The
-// homogeneous Poisson-binomial evaluation is O(n²) and ignores the worker
-// count; the heterogeneous subset enumeration shards across workers.
-func (r Oblivious) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
+// heterogeneous generalization when the instance carries a π vector).
+func (r Oblivious) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
 	if inst.Heterogeneous() {
-		return oblivious.WinningProbabilityPiOpts(r.Alphas, inst.Pi, inst.Delta, workers, o)
+		return oblivious.WinningProbabilityPi(r.Alphas, inst.Pi, inst.Delta, o)
 	}
 	return oblivious.WinningProbability(r.Alphas, inst.Delta)
 }
@@ -218,12 +213,12 @@ func (r DeterministicSplit) System(inst Instance) (*model.System, error) {
 
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 at the
 // 0/1 vertex (see Oblivious).
-func (r DeterministicSplit) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
+func (r DeterministicSplit) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
 	alphas, err := r.alphas(inst)
 	if err != nil {
 		return 0, err
 	}
-	return Oblivious{Alphas: alphas}.ExactWinProbabilityOpts(inst, workers, o)
+	return Oblivious{Alphas: alphas}.ExactWinProbabilityOpts(inst, 0, o)
 }
 
 // ---------------------------------------------------------------------------
@@ -252,12 +247,10 @@ func (r SymmetricThreshold) System(inst Instance) (*model.System, error) {
 }
 
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1 (its
-// heterogeneous generalization when the instance carries a π vector). The
-// homogeneous symmetric closed form ignores the worker count; the
-// heterogeneous subset enumeration shards across workers.
-func (r SymmetricThreshold) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
+// heterogeneous generalization when the instance carries a π vector).
+func (r SymmetricThreshold) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
-		return nonoblivious.WinningProbabilityPiOpts(repeated(r.Beta, inst.N), inst.Pi, inst.Delta, workers, o)
+		return nonoblivious.WinningProbabilityPi(repeated(r.Beta, inst.N), inst.Pi, inst.Delta, o)
 	}
 	return nonoblivious.SymmetricWinningProbability(inst.N, inst.Delta, r.Beta)
 }
@@ -298,16 +291,16 @@ func (r Threshold) System(inst Instance) (*model.System, error) {
 	return model.NewSystemPi(rules, inst.Delta, inst.Pi)
 }
 
-// ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1: both
-// the homogeneous and heterogeneous enumerations shard across workers.
-func (r Threshold) ExactWinProbabilityOpts(inst Instance, workers int, o *obs.Observer) (float64, error) {
+// ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1 (its
+// heterogeneous generalization when the instance carries a π vector).
+func (r Threshold) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
 	if inst.Heterogeneous() {
-		return nonoblivious.WinningProbabilityPiOpts(r.Thresholds, inst.Pi, inst.Delta, workers, o)
+		return nonoblivious.WinningProbabilityPi(r.Thresholds, inst.Pi, inst.Delta, o)
 	}
-	return nonoblivious.WinningProbabilityOpts(r.Thresholds, inst.Delta, workers, o)
+	return nonoblivious.WinningProbability(r.Thresholds, inst.Delta, o)
 }
 
 // ---------------------------------------------------------------------------

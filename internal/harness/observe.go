@@ -33,7 +33,7 @@ func (e Experiment) Run(o *obs.Observer, p Params) (RunOutput, error) {
 	o.Counter("harness.experiments").Inc()
 	p.Sim.Obs = o
 	if p.Engine == nil {
-		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: o, ExactWorkers: p.Sim.Workers})
+		p.Engine = engine.New(engine.Config{Sim: p.Sim, Obs: o})
 	}
 	switch e.Kind {
 	case KindFigure:

@@ -29,12 +29,12 @@ type Params struct {
 }
 
 // engine returns the params' engine, building one on demand so every
-// runner can assume a non-nil engine with the observer attached. The
-// Monte-Carlo worker count doubles as the exact backend's shard width —
-// one -workers knob steers both backends.
+// runner can assume a non-nil engine with the observer attached. Sim's
+// worker count sizes the Monte-Carlo and sweep workers; the exact backend
+// runs serially.
 func (p Params) engine() *engine.Engine {
 	if p.Engine != nil {
 		return p.Engine
 	}
-	return engine.New(engine.Config{Sim: p.Sim, Obs: p.Sim.Obs, ExactWorkers: p.Sim.Workers})
+	return engine.New(engine.Config{Sim: p.Sim, Obs: p.Sim.Obs})
 }

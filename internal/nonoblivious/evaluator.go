@@ -39,7 +39,7 @@ type EvalStats struct {
 // tables once and then supports
 //
 //   - Evaluate: a full evaluation reusing the allocated tables — the one
-//     float Theorem 5.1 kernel (WinningProbabilityOpts is a one-shot
+//     float Theorem 5.1 kernel (WinningProbability is a one-shot
 //     Evaluator), zero steady-state allocations;
 //
 //   - SetCoord(i, a_i): a delta update that re-propagates only the 2^(n-1)
@@ -63,7 +63,7 @@ type EvalStats struct {
 // probe O(2^(n-1)) — the polynomial Horner pass is O(n) and the crossing
 // corrections dominate — against O(n²·2^n) for a rebuild.
 //
-// Full evaluations are bit-identical for every worker count; delta
+// Full evaluations are bit-identical to WinningProbability; delta
 // updates and profile probes agree with a fresh rebuild within
 // ExactErrorBound (property-tested along random coordinate walks), so
 // search loops probe through the evaluator and re-evaluate only the final
@@ -230,7 +230,7 @@ func (ev *Evaluator) validate(thresholds []float64) error {
 
 // Evaluate computes the winning probability of the threshold vector with a
 // full table rebuild that reuses the allocated storage — zero steady-state
-// allocations, the same bits as WinningProbabilityOpts — and commits the
+// allocations, the same bits as WinningProbability — and commits the
 // vector as the evaluator's new state.
 func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 	if err := ev.validate(thresholds); err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestEvaluatorEvaluateBitIdentical pins the evaluator's full path against
-// WinningProbabilityOpts bit for bit across repeated reuse of the same
+// WinningProbability bit for bit across repeated reuse of the same
 // tables.
 func TestEvaluatorEvaluateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 1))
@@ -23,7 +23,7 @@ func TestEvaluatorEvaluateBitIdentical(t *testing.T) {
 			for i := range ths {
 				ths[i] = rng.Float64()
 			}
-			want, err := WinningProbabilityOpts(ths, capacity, 1, nil)
+			want, err := WinningProbability(ths, capacity, nil)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -32,7 +32,7 @@ func TestEvaluatorEvaluateBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("n=%d trial %d: evaluator %x, WinningProbabilityOpts %x",
+				t.Errorf("n=%d trial %d: evaluator %x, WinningProbability %x",
 					n, trial, math.Float64bits(got), math.Float64bits(want))
 			}
 			if math.Float64bits(ev.Value()) != math.Float64bits(want) {
@@ -44,7 +44,7 @@ func TestEvaluatorEvaluateBitIdentical(t *testing.T) {
 
 // TestEvaluatorCoordinateWalk drives a 200-step random coordinate walk of
 // SetCoord commits and checks every step against a fresh
-// WinningProbabilityOpts rebuild within ExactErrorBound.
+// WinningProbability rebuild within ExactErrorBound.
 func TestEvaluatorCoordinateWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 2))
 	for _, n := range []int{2, 6, 10} {
@@ -68,7 +68,7 @@ func TestEvaluatorCoordinateWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := WinningProbabilityOpts(ths, capacity, 1, nil)
+			want, err := WinningProbability(ths, capacity, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestEvaluatorProfileMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := WinningProbabilityOpts(probe, capacity, 1, nil)
+				want, err := WinningProbability(probe, capacity, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestEvaluatorAscentPattern(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := WinningProbabilityOpts(probe, capacity, 1, nil)
+				want, err := WinningProbability(probe, capacity, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func TestEvaluatorAscentPattern(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := WinningProbabilityOpts(probe, capacity, 1, nil)
+			want, err := WinningProbability(probe, capacity, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,7 +354,7 @@ func FuzzEvaluatorSetCoord(f *testing.F) {
 			t.Fatalf("SetCoord(%d, %v) accepted invalid input", i, v)
 		}
 		ths[i] = v
-		want, err := WinningProbabilityOpts(ths, capacity, 1, nil)
+		want, err := WinningProbability(ths, capacity, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestWinningProbabilityRatMatchesFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := WinningProbability(tf, cf)
+		approx, err := WinningProbability(tf, cf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func TestWinningProbabilityMatchesRatOracle(t *testing.T) {
 			for i := range ths {
 				ths[i], thsR[i] = dyadic64(rng, 0, 64)
 			}
-			got, err := WinningProbability(ths, capF)
+			got, err := WinningProbability(ths, capF, nil)
 			if err != nil {
 				t.Fatalf("n=%d float: %v", n, err)
 			}
@@ -74,7 +74,7 @@ func TestWinningProbabilityPiMatchesRatOracle(t *testing.T) {
 				piMin = math.Min(piMin, pis[i])
 			}
 			bound := ExactErrorBound(n, capF, piMin)
-			got, err := WinningProbabilityPi(ths, pis, capF)
+			got, err := WinningProbabilityPi(ths, pis, capF, nil)
 			if err != nil {
 				t.Fatalf("n=%d float: %v", n, err)
 			}
@@ -87,47 +87,6 @@ func TestWinningProbabilityPiMatchesRatOracle(t *testing.T) {
 				t.Errorf("n=%d trial %d: float %v vs oracle %v, |diff| %g exceeds certified bound %g",
 					n, trial, got, wf, d, bound)
 			}
-		}
-	}
-}
-
-// TestExactWorkerDeterminism requires the sharded enumerations to be
-// bit-identical across worker counts — the property that keeps the worker
-// count out of the engine's cache key.
-func TestExactWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewPCG(51, 3))
-	const n = 12
-	capF, _ := dyadicCapacity(n)
-	ths := make([]float64, n)
-	pis := make([]float64, n)
-	for i := range ths {
-		ths[i], _ = dyadic64(rng, 0, 64)
-		pis[i], _ = dyadic64(rng, 32, 128)
-	}
-	base, err := WinningProbabilityOpts(ths, capF, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseHet, err := WinningProbabilityPiOpts(ths, pis, capF, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		got, err := WinningProbabilityOpts(ths, capF, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(base) {
-			t.Errorf("homogeneous: workers=%d returned %x, workers=1 returned %x",
-				workers, math.Float64bits(got), math.Float64bits(base))
-		}
-		gotHet, err := WinningProbabilityPiOpts(ths, pis, capF, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(gotHet) != math.Float64bits(baseHet) {
-			t.Errorf("hetero: workers=%d returned %x, workers=1 returned %x",
-				workers, math.Float64bits(gotHet), math.Float64bits(baseHet))
 		}
 	}
 }

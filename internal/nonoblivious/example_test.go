@@ -64,7 +64,7 @@ func ExampleSymbolicSymmetric() {
 // ExampleWinningProbability evaluates Theorem 5.1 for a non-symmetric
 // threshold vector.
 func ExampleWinningProbability() {
-	p, err := nonoblivious.WinningProbability([]float64{0.5, 0.6, 0.7}, 1.0)
+	p, err := nonoblivious.WinningProbability([]float64{0.5, 0.6, 0.7}, 1.0, nil)
 	if err != nil {
 		panic(err)
 	}

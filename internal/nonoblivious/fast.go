@@ -7,12 +7,11 @@ import (
 	"repro/internal/obs"
 )
 
-// WinningProbabilityOpts is WinningProbability with observability. It
-// takes a worker count like the other exact kernels but runs serially:
-// its sum-over-subsets passes cost less CPU unsharded at every n ≤
-// MaxNGeneral (DESIGN.md, "Exact backend"), so every worker count returns
-// the same bits and exact.workers records 1. A nil observer
-// disables instrumentation.
+// WinningProbability evaluates Theorem 5.1: the probability that neither
+// bin overflows capacity δ when player i uses threshold thresholds[i] and
+// inputs are independent U[0,1]. WinningProbabilityPi handles
+// heterogeneous ranges x_i ~ U[0, π_i]. A non-nil observer receives the
+// exact.* work counters; nil disables instrumentation.
 //
 // It is a one-shot Evaluator: the Theorem 5.1 sum Σ_b N₀(b)·N₁(b) is
 // evaluated from two subset tables instead of Θ(3^n) per-subset
@@ -29,7 +28,7 @@ import (
 // Total cost O(n²·2^n) time and a few 2^n-entry float64 arrays, which is
 // what lets MaxNGeneral sit at 20 instead of the old Θ(3^n) limit of 15
 // (its accuracy at that size: see MaxNGeneral).
-func WinningProbabilityOpts(thresholds []float64, capacity float64, _ int, o *obs.Observer) (float64, error) {
+func WinningProbability(thresholds []float64, capacity float64, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if err := checkGeneral(n, capacity); err != nil {
 		return 0, err
@@ -56,7 +55,7 @@ func WinningProbabilityOpts(thresholds []float64, capacity float64, _ int, o *ob
 		Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2 + passes*uint64(n)*size/2,
 		Rebuilt:     passes * size,
 	}
-	stats.Record(o, len(ev.partial), 1)
+	stats.Record(o)
 	return p, nil
 }
 

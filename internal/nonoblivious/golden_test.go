@@ -7,9 +7,9 @@ import (
 )
 
 // TestWinningProbabilityOptsGoldenBits pins the float64 bits of the
-// Theorem 5.1 one-shot on seeded threshold vectors (δ = n/3) for every
-// listed worker count, so a refactor of the table kernels cannot move a
-// single bit at any player count up to MaxNGeneral.
+// Theorem 5.1 one-shot WinningProbability on seeded threshold vectors
+// (δ = n/3), so a refactor of the table kernels cannot move a single bit
+// at any player count up to MaxNGeneral.
 func TestWinningProbabilityOptsGoldenBits(t *testing.T) {
 	golden := []struct {
 		n    int
@@ -30,15 +30,13 @@ func TestWinningProbabilityOptsGoldenBits(t *testing.T) {
 		for i := range ths {
 			ths[i] = rng.Float64()
 		}
-		for _, workers := range []int{1, 2, 7} {
-			p, err := WinningProbabilityOpts(ths, float64(g.n)/3, workers, nil)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", g.n, workers, err)
-			}
-			if got := math.Float64bits(p); got != g.bits {
-				t.Errorf("n=%d workers=%d: bits %#x (%v), want %#x (%v)",
-					g.n, workers, got, p, g.bits, math.Float64frombits(g.bits))
-			}
+		p, err := WinningProbability(ths, float64(g.n)/3, nil)
+		if err != nil {
+			t.Fatalf("n=%d: %v", g.n, err)
+		}
+		if got := math.Float64bits(p); got != g.bits {
+			t.Errorf("n=%d: bits %#x (%v), want %#x (%v)",
+				g.n, got, p, g.bits, math.Float64frombits(g.bits))
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/combin"
 	"repro/internal/dist"
@@ -27,18 +26,12 @@ const MaxNHetero = 15
 // WinningProbabilityPi generalizes Theorem 5.1 to heterogeneous inputs
 // x_i ~ U[0, π_i]: the probability that neither bin overflows capacity δ
 // when player i sends its input to bin 0 exactly when x_i ≤ thresholds[i].
-// A nil (or empty, or all-ones) π delegates to the homogeneous Theorem 5.1
-// evaluator; any other π must have one entry per player. Thresholds stay
-// in [0, 1], matching the rule class the model layer admits; a threshold
-// above π_i simply sends player i to bin 0 always.
-func WinningProbabilityPi(thresholds, pi []float64, capacity float64) (float64, error) {
-	return WinningProbabilityPiOpts(thresholds, pi, capacity, 0, nil)
-}
-
-// WinningProbabilityPiOpts is WinningProbabilityPi with explicit worker
-// sharding and observability. workers ≤ 1 evaluates serially; every worker
-// count returns bit-identical results (fixed chunk grid, fixed-order
-// reduction). A nil observer disables instrumentation.
+// A nil (or empty, or all-ones) π delegates to the homogeneous
+// WinningProbability; any other π must have one entry per player.
+// Thresholds stay in [0, 1], matching the rule class the model layer
+// admits; a threshold above π_i simply sends player i to bin 0 always. A
+// non-nil observer receives the exact.* work counters; nil disables
+// instrumentation.
 //
 // The evaluation conditions per bin exactly as the homogeneous proof does.
 // Writing S for the bin-1 set, Z = Sᶜ, c_i = min(a_i, π_i) and
@@ -65,7 +58,7 @@ func WinningProbabilityPi(thresholds, pi []float64, capacity float64) (float64, 
 // largest cardinality whose cheapest threshold sum stays below δ, or when
 // the bin-0 side already vanishes; a set whose whole residual box fits
 // under its threshold takes the exact volume Π_{i∈S} w_i on both paths.
-func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, workers int, o *obs.Observer) (float64, error) {
+func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if n < 2 {
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
@@ -81,7 +74,7 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 		}
 	}
 	if !hetero {
-		return WinningProbabilityOpts(thresholds, capacity, workers, o)
+		return WinningProbability(thresholds, capacity, o)
 	}
 	for i, w := range pi {
 		if !(w > 0) || math.IsInf(w, 1) {
@@ -96,9 +89,6 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	}
 	if err := checkThresholds(thresholds); err != nil {
 		return 0, err
-	}
-	if workers <= 0 {
-		workers = 1
 	}
 	lows := make([]float64, n)  // c_i = min(a_i, π_i): conditional bin-0 widths
 	highs := make([]float64, n) // w_i = π_i − a_i: residual bin-1 widths
@@ -177,64 +167,53 @@ func WinningProbabilityPiOpts(thresholds, pi []float64, capacity float64, worker
 	}
 	sort.Slice(order, func(x, y int) bool { return highs[order[x]] < highs[order[y]] })
 
-	var mu sync.Mutex
-	var dfsTerms []*uint64
 	full := (uint64(1) << uint(n)) - 1
-	total, chunks, err := combin.ChunkedMaskSum(n, workers, func() func(uint64) float64 {
-		terms := new(uint64)
-		mu.Lock()
-		dfsTerms = append(dfsTerms, terms)
-		mu.Unlock()
-		ws := make([]float64, 0, n)
-		return func(s uint64) float64 {
-			if s&badHigh != 0 {
-				return 0
-			}
-			m := bits.OnesCount64(s)
-			if m > kmax {
-				return 0
-			}
-			v0 := vol0[full&^s]
-			if v0 <= 0 {
-				return 0
-			}
-			if m == 0 {
-				return v0 // empty bin 1 always fits
-			}
-			if vol1 != nil {
-				return v0 * vol1[s]
-			}
-			t := capacity - aSums[s]
-			if t <= 0 {
-				return 0
-			}
-			if t >= wSums[s] {
-				// The whole residual box fits under the threshold: the
-				// volume is exactly Π w_i, no inclusion-exclusion needed.
-				*terms++
-				return v0 * wProd[s]
-			}
-			ws = ws[:0]
-			for _, i := range order {
-				if s&(1<<uint(i)) != 0 {
-					ws = append(ws, highs[i])
-				}
-			}
-			v1, steps := tailVolumeDFS(ws, t, m, invFact[m])
-			*terms += steps
-			if v1 <= 0 {
-				return 0
-			}
-			return v0 * v1
+	ws := make([]float64, 0, n)
+	total, err := combin.ChunkedMaskSum(n, func(s uint64) float64 {
+		if s&badHigh != 0 {
+			return 0
 		}
+		m := bits.OnesCount64(s)
+		if m > kmax {
+			return 0
+		}
+		v0 := vol0[full&^s]
+		if v0 <= 0 {
+			return 0
+		}
+		if m == 0 {
+			return v0 // empty bin 1 always fits
+		}
+		if vol1 != nil {
+			return v0 * vol1[s]
+		}
+		t := capacity - aSums[s]
+		if t <= 0 {
+			return 0
+		}
+		if t >= wSums[s] {
+			// The whole residual box fits under the threshold: the
+			// volume is exactly Π w_i, no inclusion-exclusion needed.
+			stats.Rebuilt++
+			return v0 * wProd[s]
+		}
+		ws = ws[:0]
+		for _, i := range order {
+			if s&(1<<uint(i)) != 0 {
+				ws = append(ws, highs[i])
+			}
+		}
+		v1, steps := tailVolumeDFS(ws, t, m, invFact[m])
+		stats.Rebuilt += steps
+		if v1 <= 0 {
+			return 0
+		}
+		return v0 * v1
 	})
 	if err != nil {
 		return 0, err
 	}
-	for _, c := range dfsTerms {
-		stats.Rebuilt += *c
-	}
-	stats.Record(o, chunks, combin.MaskSumWorkers(n, workers))
+	stats.Record(o)
 	return clamp01(total / piProd), nil
 }
 

@@ -24,21 +24,21 @@ func TestWinningProbabilityPiMatchesHomogeneous(t *testing.T) {
 	}
 	for _, ths := range thresholdSets {
 		for _, capacity := range []float64{0.5, 1, 1.5} {
-			want, err := WinningProbability(ths, capacity)
+			want, err := WinningProbability(ths, capacity, nil)
 			if err != nil {
-				t.Fatalf("WinningProbability(%v, %v): %v", ths, capacity, err)
+				t.Fatalf("WinningProbability(%v, %v, nil): %v", ths, capacity, err)
 			}
 			ones := make([]float64, len(ths))
 			for i := range ones {
 				ones[i] = 1
 			}
 			for _, pi := range [][]float64{nil, ones} {
-				got, err := WinningProbabilityPi(ths, pi, capacity)
+				got, err := WinningProbabilityPi(ths, pi, capacity, nil)
 				if err != nil {
-					t.Fatalf("WinningProbabilityPi(%v, %v, %v): %v", ths, pi, capacity, err)
+					t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil): %v", ths, pi, capacity, err)
 				}
 				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("WinningProbabilityPi(%v, %v, %v) = %v, want %v", ths, pi, capacity, got, want)
+					t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil) = %v, want %v", ths, pi, capacity, got, want)
 				}
 			}
 		}
@@ -51,7 +51,7 @@ func TestWinningProbabilityPiDegenerate(t *testing.T) {
 	// Thresholds at the top of each range: both players always choose
 	// bin 0, so the game wins iff x_0 + x_1 ≤ δ; for π = (1/2, 1), δ = 1
 	// that is 3/4 (triangle cut off the (1/2)×1 rectangle).
-	got, err := WinningProbabilityPi([]float64{0.5, 1}, []float64{0.5, 1}, 1)
+	got, err := WinningProbabilityPi([]float64{0.5, 1}, []float64{0.5, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("WinningProbabilityPi: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestWinningProbabilityPiDegenerate(t *testing.T) {
 
 	// Zero thresholds: both players always choose bin 1 (x_i > 0 a.s.),
 	// same fit probability on the other bin.
-	got, err = WinningProbabilityPi([]float64{0, 0}, []float64{0.5, 1}, 1)
+	got, err = WinningProbabilityPi([]float64{0, 0}, []float64{0.5, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("WinningProbabilityPi: %v", err)
 	}
@@ -84,9 +84,9 @@ func TestWinningProbabilityPiMonteCarlo(t *testing.T) {
 		{[]float64{0.3, 0.9}, []float64{2, 0.25}, 1.2},
 	}
 	for _, tc := range cases {
-		exact, err := WinningProbabilityPi(tc.ths, tc.pi, tc.capacity)
+		exact, err := WinningProbabilityPi(tc.ths, tc.pi, tc.capacity, nil)
 		if err != nil {
-			t.Fatalf("WinningProbabilityPi(%v, %v, %v): %v", tc.ths, tc.pi, tc.capacity, err)
+			t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil): %v", tc.ths, tc.pi, tc.capacity, err)
 		}
 		rng := rand.New(rand.NewPCG(3, 13))
 		const trials = 400_000
@@ -133,8 +133,8 @@ func TestWinningProbabilityPiRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := WinningProbabilityPi(tc.ths, tc.pi, tc.capacity); err == nil {
-				t.Fatalf("WinningProbabilityPi(%v, %v, %v) succeeded, want error", tc.ths, tc.pi, tc.capacity)
+			if _, err := WinningProbabilityPi(tc.ths, tc.pi, tc.capacity, nil); err == nil {
+				t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil) succeeded, want error", tc.ths, tc.pi, tc.capacity)
 			}
 		})
 	}
@@ -158,7 +158,7 @@ func TestCertifyThresholds(t *testing.T) {
 		if want := ExactErrorBound(3, 1, piMin); bound != want {
 			t.Errorf("pi=%v: bound %g, want ExactErrorBound %g", pi, bound, want)
 		}
-		p, err := WinningProbabilityPi(ths, pi, 1)
+		p, err := WinningProbabilityPi(ths, pi, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestSharedThresholdMatchesRatOracle(t *testing.T) {
 				pis[i], pisR[i] = dyadic64(rng, 16, 128)
 				piMin = math.Min(piMin, pis[i])
 			}
-			got, err := WinningProbabilityPi(ths, pis, capF)
+			got, err := WinningProbabilityPi(ths, pis, capF, nil)
 			if err != nil {
 				t.Fatalf("n=%d β=%v float: %v", n, betaF, err)
 			}
@@ -298,7 +298,7 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		nudged[n/2] = math.Nextafter(shared[n/2], 1)
 		eval := func(ths []float64) (float64, map[string]int64) {
 			reg := obs.NewRegistry()
-			p, err := WinningProbabilityPiOpts(ths, pis, capacity, 1, obs.New(reg, nil))
+			p, err := WinningProbabilityPi(ths, pis, capacity, obs.New(reg, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +399,7 @@ func TestWinningProbabilityPiBytesPerCall(t *testing.T) {
 		pis[i] = 0.6 + 0.05*float64(i)
 	}
 	run := func() {
-		if _, err := WinningProbabilityPiOpts(ths, pis, 3.5, 1, nil); err != nil {
+		if _, err := WinningProbabilityPi(ths, pis, 3.5, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@
 //     joint probability that the "high" players fit in bin 1 (a Lemma 2.7
 //     tail). Both numerator families are tabulated for every subset at
 //     once by per-cardinality sum-over-subsets transforms (O(n²·2^n)
-//     total; see WinningProbabilityOpts), with an O(n²) fast path for
+//     total; see WinningProbability), with an O(n²) fast path for
 //     symmetric thresholds.
 //   - SymbolicSymmetric — the exact Section 5.2 analysis for any n and
 //     rational δ: the winning probability as a piecewise polynomial in the
@@ -34,7 +34,7 @@ import (
 )
 
 // MaxNGeneral bounds the player count for arbitrary threshold vectors.
-// The sum-over-subsets evaluation (see WinningProbabilityOpts) costs
+// The sum-over-subsets evaluation (see WinningProbability) costs
 // O(n²·2^n) time and a handful of 2^n-entry float64 tables, which is what
 // allows 20 players where the old Θ(3^n) per-subset inclusion-exclusion
 // capped out at 15. Its accuracy is not certified at that size:
@@ -59,15 +59,6 @@ func validateCapacity(capacity float64) error {
 		return fmt.Errorf("nonoblivious: capacity %v must be strictly positive and finite", capacity)
 	}
 	return nil
-}
-
-// WinningProbability evaluates Theorem 5.1: the probability that neither
-// bin overflows capacity δ when player i uses threshold thresholds[i] and
-// inputs are independent U[0,1]. WinningProbabilityPi handles
-// heterogeneous ranges x_i ~ U[0, π_i]; WinningProbabilityOpts exposes
-// worker sharding and observability.
-func WinningProbability(thresholds []float64, capacity float64) (float64, error) {
-	return WinningProbabilityOpts(thresholds, capacity, 0, nil)
 }
 
 // SymmetricWinningProbability evaluates Theorem 5.1 when every player uses

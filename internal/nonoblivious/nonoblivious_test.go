@@ -20,26 +20,26 @@ import (
 func rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
 
 func TestWinningProbabilityValidation(t *testing.T) {
-	if _, err := WinningProbability([]float64{0.5}, 1); err == nil {
+	if _, err := WinningProbability([]float64{0.5}, 1, nil); err == nil {
 		t.Error("single player: expected error")
 	}
-	if _, err := WinningProbability(make([]float64, MaxNGeneral+1), 1); err == nil {
+	if _, err := WinningProbability(make([]float64, MaxNGeneral+1), 1, nil); err == nil {
 		t.Error("too many players: expected error")
 	}
-	if _, err := WinningProbability([]float64{0.5, 1.5}, 1); err == nil {
+	if _, err := WinningProbability([]float64{0.5, 1.5}, 1, nil); err == nil {
 		t.Error("threshold > 1: expected error")
 	}
-	if _, err := WinningProbability([]float64{0.5, math.NaN()}, 1); err == nil {
+	if _, err := WinningProbability([]float64{0.5, math.NaN()}, 1, nil); err == nil {
 		t.Error("NaN threshold: expected error")
 	}
-	if _, err := WinningProbability([]float64{0.5, 0.5}, 0); err == nil {
+	if _, err := WinningProbability([]float64{0.5, 0.5}, 0, nil); err == nil {
 		t.Error("zero capacity: expected error")
 	}
 }
 
 func TestWinningProbabilityEndpoints(t *testing.T) {
 	// β = 0: everyone goes to bin 1, so P = F_n(δ) (Irwin-Hall).
-	p, err := WinningProbability([]float64{0, 0, 0}, 1)
+	p, err := WinningProbability([]float64{0, 0, 0}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWinningProbabilityEndpoints(t *testing.T) {
 		t.Errorf("P(all thresholds 0) = %v, want 1/6", p)
 	}
 	// β = 1: everyone goes to bin 0, same by symmetry.
-	p, err = WinningProbability([]float64{1, 1, 1}, 1)
+	p, err = WinningProbability([]float64{1, 1, 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSymmetricMatchesGeneralEqualThresholds(t *testing.T) {
 			for i := range ths {
 				ths[i] = b
 			}
-			general, err := WinningProbability(ths, capacity)
+			general, err := WinningProbability(ths, capacity, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func TestOptimalIsSymmetricViaFreeOptimization(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := func(x []float64) float64 {
-		p, err := WinningProbability(x, 1)
+		p, err := WinningProbability(x, 1, nil)
 		if err != nil {
 			return math.Inf(-1)
 		}
@@ -393,7 +393,7 @@ func TestOptimalIsSymmetricViaFreeOptimization(t *testing.T) {
 func TestWinningProbabilityAgainstSimulation(t *testing.T) {
 	ths := []float64{0.4, 0.7, 0.55, 0.62}
 	capacity := 4.0 / 3
-	analytic, err := WinningProbability(ths, capacity)
+	analytic, err := WinningProbability(ths, capacity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,8 +460,8 @@ func TestComplementSymmetryProperty(t *testing.T) {
 	f := func(aRaw, bRaw, cRaw uint16, capRaw uint8) bool {
 		ths := []float64{float64(aRaw) / 65535, float64(bRaw) / 65535, float64(cRaw) / 65535}
 		capacity := 0.4 + float64(capRaw)/100
-		p1, err1 := WinningProbability(ths, capacity)
-		p2, err2 := WinningProbability([]float64{ths[2], ths[0], ths[1]}, capacity)
+		p1, err1 := WinningProbability(ths, capacity, nil)
+		p2, err2 := WinningProbability([]float64{ths[2], ths[0], ths[1]}, capacity, nil)
 		return err1 == nil && err2 == nil && math.Abs(p1-p2) < 1e-11
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -34,10 +34,10 @@ type EvalStats struct {
 // product-table refresh plus the O(2^n) bin-choice sum. A
 // single-coordinate change (the 1-D sweep and coordinate-search pattern)
 // re-propagates only the 2^(n-1) weight cells containing the changed
-// coordinate. WinningProbabilityPiOpts is a one-shot Evaluator.
+// coordinate. WinningProbabilityPi is a one-shot Evaluator.
 //
 // Every path is bit-identical to a fresh evaluator's full evaluation (and
-// so to WinningProbabilityPiOpts): the product tables delta-update with
+// so to WinningProbabilityPi): the product tables delta-update with
 // the exact build recurrence and the bin-choice sum replicates the fixed
 // chunk grid, Neumaier partials, and pairwise reduction of
 // combin.ChunkedMaskSum. Values from a reused evaluator are therefore safe
@@ -59,12 +59,11 @@ type Evaluator struct {
 }
 
 // NewEvaluator builds the subset-CDF table for a heterogeneous instance
-// x_i ~ U[0, π_i] with bin capacity δ. It takes a worker count like the
-// other exact kernels but builds the table serially: its sum-over-subsets
-// passes cost less CPU unsharded at every n ≤ MaxNHetero (DESIGN.md,
-// "Exact backend"), so every worker count gives the same table. Homogeneous
-// instances (all π_i = 1) are rejected: they have a closed-form evaluator
-// (WinningProbability) that is already cheap, and WinningProbabilityPiOpts
+// x_i ~ U[0, π_i] with bin capacity δ. The int argument is ignored: the
+// table is built serially, and the parameter stays only for the benchmark
+// module, which still passes a worker count. Homogeneous instances (all
+// π_i = 1) are rejected: they have a closed-form evaluator
+// (WinningProbability) that is already cheap, and WinningProbabilityPi
 // delegates to it rather than building tables.
 func NewEvaluator(pi []float64, capacity float64, _ int) (*Evaluator, error) {
 	n := len(pi)
@@ -144,7 +143,7 @@ func (ev *Evaluator) Stats() EvalStats { return ev.stats }
 // fixed CDF table. A vector differing from the committed one in a single
 // coordinate is delta-updated; anything wider refreshes the product
 // tables in full (still no allocations). The result is committed and
-// bit-identical to WinningProbabilityPiOpts.
+// bit-identical to WinningProbabilityPi.
 func (ev *Evaluator) Evaluate(alphas []float64) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
@@ -220,7 +219,7 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 
 // maskSum reduces Σ_S w(S)·F_{Sᶜ}(δ)·F_S(δ) over the fixed chunk grid with
 // Neumaier partials and combin.ReducePartials — bit-identical to the
-// combin.ChunkedMaskSum reduction for every worker count.
+// combin.ChunkedMaskSum reduction.
 func (ev *Evaluator) maskSum() float64 {
 	pZero, pOne, cdf := ev.pZero.Values(), ev.pOne.Values(), ev.cdf
 	size := uint64(1) << uint(ev.n)

@@ -8,7 +8,7 @@ import (
 
 // TestEvaluatorBitIdenticalToOneShot requires every evaluator path — full
 // refresh, single-coordinate delta, repeated reuse — to return exactly the
-// bits of WinningProbabilityPiOpts, the property that lets engine sweeps
+// bits of WinningProbabilityPi, the property that lets engine sweeps
 // memoize evaluator results under the one-shot cache keys.
 func TestEvaluatorBitIdenticalToOneShot(t *testing.T) {
 	rng := rand.New(rand.NewPCG(64, 1))
@@ -28,7 +28,7 @@ func TestEvaluatorBitIdenticalToOneShot(t *testing.T) {
 		}
 		check := func(label string, got float64) {
 			t.Helper()
-			want, err := WinningProbabilityPiOpts(alphas, pi, capacity, 1, nil)
+			want, err := WinningProbabilityPi(alphas, pi, capacity, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func FuzzEvaluatorSetCoord(f *testing.F) {
 			t.Fatalf("SetCoord(%d, %v) accepted invalid input", i, a)
 		}
 		alphas[i] = a
-		want, err := WinningProbabilityPiOpts(alphas, pi, capacity, 1, nil)
+		want, err := WinningProbabilityPi(alphas, pi, capacity, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

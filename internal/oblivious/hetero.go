@@ -18,15 +18,9 @@ const MaxNHetero = 20
 // x_i ~ U[0, π_i]: the probability that neither bin overflows capacity δ
 // when player i chooses bin 0 with probability alphas[i]. A nil (or
 // empty, or all-ones) π delegates to the homogeneous Theorem 4.1
-// evaluator; any other π must have one entry per player.
-func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, error) {
-	return WinningProbabilityPiOpts(alphas, pi, capacity, 0, nil)
-}
-
-// WinningProbabilityPiOpts is WinningProbabilityPi with observability. It
-// takes a worker count like the other exact kernels but builds its tables
-// serially (see NewEvaluator), so every worker count returns the same bits
-// and exact.workers records 1. A nil observer disables instrumentation.
+// evaluator; any other π must have one entry per player. A non-nil
+// observer receives the exact.* work counters; nil disables
+// instrumentation.
 //
 // With unequal ranges the bin loads are no longer exchangeable, so the
 // Poisson-binomial collapse over |b| does not apply; the 2^n bin-choice
@@ -40,7 +34,7 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64) (float64, erro
 // generalization. It is a one-shot Evaluator: all 2^n CDFs come from one
 // dist.AllSubsetVolumes sum-over-subsets table (O(n²·2^n) total) and the
 // bin-choice weights from two product tables, making each summand O(1).
-func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, _ int, o *obs.Observer) (float64, error) {
+func WinningProbabilityPi(alphas, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
 	}
@@ -65,7 +59,7 @@ func WinningProbabilityPiOpts(alphas, pi []float64, capacity float64, _ int, o *
 	if err != nil {
 		return 0, err
 	}
-	ev.stats.Table.Record(o, len(ev.partial), 1)
+	ev.stats.Table.Record(o)
 	return p, nil
 }
 

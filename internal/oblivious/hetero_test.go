@@ -25,12 +25,12 @@ func TestWinningProbabilityPiMatchesHomogeneous(t *testing.T) {
 				ones[i] = 1
 			}
 			for _, pi := range [][]float64{nil, ones} {
-				got, err := WinningProbabilityPi(alphas, pi, capacity)
+				got, err := WinningProbabilityPi(alphas, pi, capacity, nil)
 				if err != nil {
-					t.Fatalf("WinningProbabilityPi(%v, %v, %v): %v", alphas, pi, capacity, err)
+					t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil): %v", alphas, pi, capacity, err)
 				}
 				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("WinningProbabilityPi(%v, %v, %v) = %v, want %v", alphas, pi, capacity, got, want)
+					t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil) = %v, want %v", alphas, pi, capacity, got, want)
 				}
 			}
 		}
@@ -45,7 +45,7 @@ func TestWinningProbabilityPiDegenerate(t *testing.T) {
 	// x_0 ~ U[0, 1/2], x_1 ~ U[0, 1]. For δ = 1:
 	// P = 1 - P(sum > 1) = 1 - (1/2)·(1/2)²·... compute directly:
 	// P(U[0,.5]+U[0,1] ≤ 1) = (area) = 1 - (0.5²/2)/(0.5·1) = 1 - 0.25.
-	got, err := WinningProbabilityPi([]float64{1, 1}, []float64{0.5, 1}, 1)
+	got, err := WinningProbabilityPi([]float64{1, 1}, []float64{0.5, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("WinningProbabilityPi: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestWinningProbabilityPiDegenerate(t *testing.T) {
 
 	// Split assignment: player 0 (range 1/2) to bin 0, player 1 (range 1)
 	// to bin 1. Each load fits capacity 1 surely: P = 1.
-	got, err = WinningProbabilityPi([]float64{1, 0}, []float64{0.5, 1}, 1)
+	got, err = WinningProbabilityPi([]float64{1, 0}, []float64{0.5, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("WinningProbabilityPi: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestWinningProbabilityPiMonteCarlo(t *testing.T) {
 	alphas := []float64{0.5, 0.3, 0.8}
 	pi := []float64{0.5, 1, 0.75}
 	capacity := 0.8
-	exact, err := WinningProbabilityPi(alphas, pi, capacity)
+	exact, err := WinningProbabilityPi(alphas, pi, capacity, nil)
 	if err != nil {
 		t.Fatalf("WinningProbabilityPi: %v", err)
 	}
@@ -118,8 +118,8 @@ func TestWinningProbabilityPiRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := WinningProbabilityPi(tc.alphas, tc.pi, tc.capacity); err == nil {
-				t.Fatalf("WinningProbabilityPi(%v, %v, %v) succeeded, want error", tc.alphas, tc.pi, tc.capacity)
+			if _, err := WinningProbabilityPi(tc.alphas, tc.pi, tc.capacity, nil); err == nil {
+				t.Fatalf("WinningProbabilityPi(%v, %v, %v, nil) succeeded, want error", tc.alphas, tc.pi, tc.capacity)
 			}
 		})
 	}

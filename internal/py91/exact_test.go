@@ -33,7 +33,7 @@ func TestExactZeroWeightMatchesTheorem51(t *testing.T) {
 	for _, th := range [][Players]float64{
 		{b, b, b}, {0.3, 0.5, 0.7}, {0.9, 0.1, 0.45}, {0, 1, 0.5}, {1, 1, 1}, {0.25, 0.75, 0.6},
 	} {
-		want, err := nonoblivious.WinningProbability(th[:], Capacity)
+		want, err := nonoblivious.WinningProbability(th[:], Capacity, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

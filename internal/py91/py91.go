@@ -127,7 +127,7 @@ func (p *ThresholdProtocol) Decide(x [Players]float64) ([Players]model.Bin, erro
 // ExactWinProbability evaluates the threshold protocol exactly through the
 // reproduced paper's Theorem 5.1.
 func (p *ThresholdProtocol) ExactWinProbability() (float64, error) {
-	return nonoblivious.WinningProbability(p.Theta[:], Capacity)
+	return nonoblivious.WinningProbability(p.Theta[:], Capacity, nil)
 }
 
 // WeightedAverageProtocol is the PY91 protocol shape for patterns with

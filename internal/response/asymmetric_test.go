@@ -31,7 +31,7 @@ func TestWinProbabilityVectorMatchesThresholdTheory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := nonoblivious.WinningProbability(betas, 1)
+	want, err := nonoblivious.WinningProbability(betas, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,16 +93,25 @@ func CheckTrials(trials int) error {
 	return nil
 }
 
+// CheckWorkers refuses a negative worker count, with WorkerCount's
+// wording, so the CLI -workers flags refuse it up front on every backend.
+func CheckWorkers(workers int) error {
+	if workers < 0 {
+		return fmt.Errorf("sim: worker count %d must be non-negative", workers)
+	}
+	return nil
+}
+
 // WorkerCount resolves a requested parallel worker count against the
 // repo-wide policy: 0 selects the default of runtime.GOMAXPROCS(0),
 // negative counts are rejected, and a positive jobs bound clamps the count
 // so no worker sits idle (jobs ≤ 0 means "unbounded"). Every parallel
-// fan-out — sim.Config, engine.Sweep and the exact backends' shard count,
-// and through them the CLI -workers flags — routes through this one helper
+// fan-out — sim.Config and engine.Sweep, and through them the CLI
+// -workers flags — routes through this one helper
 // so defaulting and clamping cannot drift between layers again.
 func WorkerCount(requested, jobs int) (int, error) {
-	if requested < 0 {
-		return 0, fmt.Errorf("sim: worker count %d must be non-negative", requested)
+	if err := CheckWorkers(requested); err != nil {
+		return 0, err
 	}
 	w := requested
 	if w == 0 {
