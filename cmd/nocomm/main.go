@@ -375,7 +375,7 @@ func cmdOptimize(g *obsFlags, args []string) (err error) {
 	grid := fs.Int("grid", engine.DefaultOptimizeGrid, "scalar search grid resolution")
 	tol := fs.Float64("tol", engine.DefaultOptimizeTol, "search tolerance")
 	passes := fs.Int("passes", 0, "vector coordinate-ascent pass cap (0 = default)")
-	verbose := fs.Bool("v", false, "print search-cost detail (evals, cache hits, delta updates)")
+	verbose := fs.Bool("v", false, "print search-cost detail (evals, cache hits, line-profile probes)")
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

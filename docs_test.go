@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// numberRE matches the numeric tokens of a table cell; a rational such as
-// 4/3 yields its numerator and denominator.
-var numberRE = regexp.MustCompile(`[+-]?\d+(\.\d+)?`)
+// numberRE matches the numeric tokens of a table cell, scientific
+// notation included; a rational such as 4/3 yields its numerator and
+// denominator.
+var numberRE = regexp.MustCompile(`[+-]?\d+(\.\d+)?([eE][+-]?\d+)?`)
 
 // TestExperimentsMatchResults checks that the tables EXPERIMENTS.md prints
 // agree with the committed results/ files. Columns are matched by header
@@ -108,7 +109,10 @@ func markdownTable(t *testing.T, doc []string, heading string) ([]string, [][]st
 }
 
 // cellMatches reports whether the document cell prints the numbers of the
-// CSV cell, each rounded to the document's precision.
+// CSV cell, each rounded to the document's precision. A number the
+// document prints in scientific notation must match in its mantissa at the
+// digits shown and in its exponent exactly, however either side pads it
+// (2.09e-5 prints 2.09e-05).
 func cellMatches(docCell, csvCell string) bool {
 	want := numberRE.FindAllString(docCell, -1)
 	got := numberRE.FindAllString(csvCell, -1)
@@ -120,13 +124,53 @@ func cellMatches(docCell, csvCell string) bool {
 		if err != nil {
 			return false
 		}
-		digits := 0
-		if dot := strings.IndexByte(w, '.'); dot >= 0 {
-			digits = len(w) - dot - 1
+		mant, exp := strings.TrimPrefix(w, "+"), ""
+		if e := strings.IndexAny(mant, "eE"); e >= 0 {
+			mant, exp = mant[:e], mant[e+1:]
 		}
-		if strconv.FormatFloat(v, 'f', digits, 64) != strings.TrimPrefix(w, "+") {
+		digits := 0
+		if dot := strings.IndexByte(mant, '.'); dot >= 0 {
+			digits = len(mant) - dot - 1
+		}
+		if exp == "" {
+			if strconv.FormatFloat(v, 'f', digits, 64) != mant {
+				return false
+			}
+			continue
+		}
+		gotMant, gotExp, _ := strings.Cut(strconv.FormatFloat(v, 'e', digits, 64), "e")
+		we, werr := strconv.Atoi(exp)
+		ge, gerr := strconv.Atoi(gotExp)
+		if gotMant != mant || werr != nil || gerr != nil || we != ge {
 			return false
 		}
 	}
 	return true
+}
+
+// TestCellMatches pins the document-cell checker on fixed, scientific and
+// rational cells.
+func TestCellMatches(t *testing.T) {
+	for _, c := range []struct {
+		doc, csv string
+		want     bool
+	}{
+		{"0.5446", "0.544631", true},
+		{"0.5447", "0.544631", false},
+		{"2.09e-05", "2.09e-05", true},
+		{"2.09e-5", "2.09e-05", true},   // unpadded document exponent
+		{"2.09e-05", "2.09e-5", true},   // unpadded CSV exponent
+		{"2.1e-05", "2.09e-05", true},   // mantissa rounded to the digits shown
+		{"2.08e-05", "2.09e-05", false}, // wrong mantissa
+		{"2.09e-04", "2.09e-05", false}, // wrong exponent
+		{"2.09e-05", "0.0000209", true},
+		{"-9.99e-16", "-9.99e-16", true},
+		{"4/3", "4/3", true},
+		{"4/3", "5/3", false},
+		{"δ=4/3", "δ=4/3 π=(0.5,1)", false}, // token count differs
+	} {
+		if got := cellMatches(c.doc, c.csv); got != c.want {
+			t.Errorf("cellMatches(%q, %q) = %v, want %v", c.doc, c.csv, got, c.want)
+		}
+	}
 }

@@ -180,3 +180,17 @@ func TestChunkedMaskSumDeterminism(t *testing.T) {
 		t.Fatalf("chunked sum %v far from compensated serial sum %v", got, acc.Sum())
 	}
 }
+
+// TestChunkSpanMatchesGrid requires the exported chunk geometry to cover
+// [0, total) exactly with at most ChunkGrid chunks.
+func TestChunkSpanMatchesGrid(t *testing.T) {
+	for _, total := range []uint64{1, 7, 64, 65, 1 << 15} {
+		span, chunks := ChunkSpan(total)
+		if chunks > ChunkGrid {
+			t.Errorf("total=%d: %d chunks exceeds grid %d", total, chunks, ChunkGrid)
+		}
+		if span*chunks < total || (chunks > 0 && (span*(chunks-1) >= total)) {
+			t.Errorf("total=%d: span %d × chunks %d does not tile", total, span, chunks)
+		}
+	}
+}

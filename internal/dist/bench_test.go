@@ -16,7 +16,7 @@ func BenchmarkAllSubsetVolumes(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := AllSubsetVolumes(widths, float64(n)/3, nil); err != nil {
+				if _, _, err := AllSubsetVolumes(nil, widths, float64(n)/3, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

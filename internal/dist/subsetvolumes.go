@@ -55,17 +55,24 @@ func (s SubsetVolumeStats) Record(o *obs.Observer) {
 // Σ_{i∈T} U[0, w_i] at t. Zero widths are admitted (their coordinates
 // contribute zero volume, so vol[T] = 0 for any T containing one).
 //
-// The ladder needs three more 2^n-entry tables as scratch: they
-// are carved from scratch when its capacity holds them (3·2^n entries),
-// and allocated otherwise. They hold nothing the volumes need afterwards,
-// so a caller can reuse them for its own tables once the call returns.
-func AllSubsetVolumes(widths []float64, t float64, scratch []float64) ([]float64, SubsetVolumeStats, error) {
+// The volumes are written to dst when it has room for their 2^n entries,
+// and to a new slice otherwise (as combin.SubsetSums does). The ladder
+// needs three more 2^n-entry tables as scratch: they are carved from
+// scratch when its capacity holds them (3·2^n entries), and allocated
+// otherwise. They hold nothing the volumes need afterwards, so a caller
+// can reuse them for its own tables once the call returns.
+func AllSubsetVolumes(dst, widths []float64, t float64, scratch []float64) ([]float64, SubsetVolumeStats, error) {
 	n := len(widths)
 	if n > combin.MaxSubsetTable {
 		return nil, SubsetVolumeStats{}, fmt.Errorf("dist: subset-volume table limited to %d dimensions, got %d", combin.MaxSubsetTable, n)
 	}
-	if err := checkVolumeInput(widths, t); err != nil {
-		return nil, SubsetVolumeStats{}, err
+	for i, w := range widths {
+		if math.IsNaN(w) || w < 0 || math.IsInf(w, 1) {
+			return nil, SubsetVolumeStats{}, fmt.Errorf("dist: width %d = %v must be finite and non-negative", i, w)
+		}
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return nil, SubsetVolumeStats{}, fmt.Errorf("dist: subset-volume threshold %v must be finite", t)
 	}
 	size := 1 << uint(n)
 	if cap(scratch) < 3*size {
@@ -75,8 +82,12 @@ func AllSubsetVolumes(widths []float64, t float64, scratch []float64) ([]float64
 	if err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
-	vol := make([]float64, size)
-	if err := volumeLadder(sums, scratch[size:2*size], scratch[2*size:3*size], vol, vol, n, t); err != nil {
+	vol := dst
+	if cap(vol) < size {
+		vol = make([]float64, size)
+	}
+	vol = vol[:size]
+	if err := volumeLadder(sums, scratch[size:2*size], scratch[2*size:3*size], vol, n, t); err != nil {
 		return nil, SubsetVolumeStats{}, err
 	}
 	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
@@ -84,33 +95,12 @@ func AllSubsetVolumes(widths []float64, t float64, scratch []float64) ([]float64
 	return vol, SubsetVolumeStats{Subsets: u, Incremental: uint64(n)*u + uint64(n)*uint64(n)*u/2}, nil
 }
 
-// checkVolumeInput validates a width vector and its shared threshold.
-func checkVolumeInput(widths []float64, t float64) error {
-	for i, w := range widths {
-		if err := checkWidth(i, w); err != nil {
-			return err
-		}
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("dist: subset-volume threshold %v must be finite", t)
-	}
-	return nil
-}
-
-func checkWidth(i int, w float64) error {
-	if math.IsNaN(w) || w < 0 || math.IsInf(w, 1) {
-		return fmt.Errorf("dist: width %d = %v must be finite and non-negative", i, w)
-	}
-	return nil
-}
-
-// volumeLadder is the one Proposition 2.2 table kernel behind
-// AllSubsetVolumes and VolumeTable.Build. From the subset sums σ_I of the
-// widths it runs the signed power ladder p[I] ← p[I]·(t−σ_I)/m, one zeta
-// pass per exponent m, and reads off the |T| = m entries: raw receives
-// the unclamped volumes and vol the volumes clamped below at 0 (the two
-// may alias). p and zeta are 2^n-entry scratch.
-func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64) error {
+// volumeLadder is the Proposition 2.2 table kernel behind
+// AllSubsetVolumes. From the subset sums σ_I of the widths it runs the
+// signed power ladder p[I] ← p[I]·(t−σ_I)/m, one zeta pass per exponent
+// m, and reads off the |T| = m entries into vol, clamped below at 0. p and
+// zeta are 2^n-entry scratch.
+func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 	for mask := range p {
 		p[mask] = 0
 		if t-sums[mask] > 0 {
@@ -120,9 +110,9 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64) error {
 			}
 		}
 	}
-	raw[0], vol[0] = 0, 0
+	vol[0] = 0
 	if t >= 0 {
-		raw[0], vol[0] = 1, 1 // the empty box-simplex
+		vol[0] = 1 // the empty box-simplex
 	}
 	for m := 1; m <= n; m++ {
 		invM := 1 / float64(m)
@@ -137,7 +127,6 @@ func volumeLadder(sums, p, zeta, raw, vol []float64, n int, t float64) error {
 		// Only the |T| = m entries are volumes at this exponent.
 		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
 			v := zeta[mask]
-			raw[mask] = v
 			if v < 0 {
 				v = 0
 			}

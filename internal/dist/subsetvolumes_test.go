@@ -15,7 +15,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 	widths := []float64{0.5, 1, 0.75, 2, 0.25, 1.5}
 	n := len(widths)
 	for _, thr := range []float64{0.2, 1, 2.5, 7} {
-		vol, stats, err := AllSubsetVolumes(widths, thr, nil)
+		vol, stats, err := AllSubsetVolumes(nil, widths, thr, nil)
 		if err != nil {
 			t.Fatalf("AllSubsetVolumes(t=%v): %v", thr, err)
 		}
@@ -54,7 +54,7 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 // TestAllSubsetVolumesZeroWidth checks that zero widths flatten their
 // subsets' volumes to zero while leaving disjoint subsets untouched.
 func TestAllSubsetVolumesZeroWidth(t *testing.T) {
-	vol, _, err := AllSubsetVolumes([]float64{0.5, 0, 1}, 1, nil)
+	vol, _, err := AllSubsetVolumes(nil, []float64{0.5, 0, 1}, 1, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -73,23 +73,28 @@ func TestAllSubsetVolumesZeroWidth(t *testing.T) {
 	}
 }
 
-// TestAllSubsetVolumesScratchBitIdentical requires a reused scratch slab,
-// still holding an earlier call's tables, to reproduce the bits of a
-// freshly allocated one.
+// TestAllSubsetVolumesScratchBitIdentical requires a reused scratch slab
+// and destination, still holding an earlier call's tables, to reproduce
+// the bits of freshly allocated ones — with the volumes written into the
+// destination and no allocation.
 func TestAllSubsetVolumesScratchBitIdentical(t *testing.T) {
 	widths := make([]float64, 12)
 	for i := range widths {
 		widths[i] = 0.25 + 0.125*float64(i%5)
 	}
-	ref, _, err := AllSubsetVolumes(widths, 2.5, nil)
+	ref, _, err := AllSubsetVolumes(nil, widths, 2.5, nil)
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
 	slab := make([]float64, 3<<len(widths))
+	dst := make([]float64, 1<<len(widths))
 	for _, thr := range []float64{4.5, 2.5} {
-		got, _, err := AllSubsetVolumes(widths, thr, slab)
+		got, _, err := AllSubsetVolumes(dst, widths, thr, slab)
 		if err != nil {
 			t.Fatalf("AllSubsetVolumes(t=%v, slab): %v", thr, err)
+		}
+		if &got[0] != &dst[0] {
+			t.Fatal("volumes not written to the destination")
 		}
 		if thr != 2.5 {
 			continue
@@ -100,19 +105,26 @@ func TestAllSubsetVolumesScratchBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	if got := testing.AllocsPerRun(5, func() {
+		if _, _, err := AllSubsetVolumes(dst, widths, 2.5, slab); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("AllSubsetVolumes with destination and scratch: %v allocs/op, want 0", got)
+	}
 }
 
 func TestAllSubsetVolumesRejects(t *testing.T) {
-	if _, _, err := AllSubsetVolumes([]float64{-1}, 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes(nil, []float64{-1}, 1, nil); err == nil {
 		t.Fatal("accepted a negative width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{math.NaN()}, 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes(nil, []float64{math.NaN()}, 1, nil); err == nil {
 		t.Fatal("accepted a NaN width")
 	}
-	if _, _, err := AllSubsetVolumes([]float64{1}, math.Inf(1), nil); err == nil {
+	if _, _, err := AllSubsetVolumes(nil, []float64{1}, math.Inf(1), nil); err == nil {
 		t.Fatal("accepted an infinite threshold")
 	}
-	if _, _, err := AllSubsetVolumes(make([]float64, 40), 1, nil); err == nil {
+	if _, _, err := AllSubsetVolumes(nil, make([]float64, 40), 1, nil); err == nil {
 		t.Fatal("accepted an oversized dimension")
 	}
 }
@@ -121,7 +133,7 @@ func TestAllSubsetVolumesRejects(t *testing.T) {
 // cardinality layer was filled (no pass skipped).
 func TestAllSubsetVolumesPopcountCoverage(t *testing.T) {
 	widths := []float64{0.5, 0.5, 0.5, 0.5}
-	vol, _, err := AllSubsetVolumes(widths, 10, nil) // t beyond support: every CDF is 1
+	vol, _, err := AllSubsetVolumes(nil, widths, 10, nil) // t beyond support: every CDF is 1
 	if err != nil {
 		t.Fatalf("AllSubsetVolumes: %v", err)
 	}
@@ -151,7 +163,7 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 		for i := range widths {
 			widths[i] = tc.widths(i)
 		}
-		vol, _, err := AllSubsetVolumes(widths, tc.t, nil)
+		vol, _, err := AllSubsetVolumes(nil, widths, tc.t, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

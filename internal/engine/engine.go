@@ -46,7 +46,7 @@ type Instance = problem.Instance
 // Backend selects how a rule is evaluated.
 type Backend int
 
-// The three backends.
+// The four Backend values: Auto and the three evaluation backends.
 const (
 	// Auto picks Exact when the rule implements ExactOpts and falls back
 	// to MonteCarlo otherwise, or when the exact oracle refuses the
@@ -115,7 +115,8 @@ type Result struct {
 	// Cached reports whether the value was served from the memoization
 	// cache rather than recomputed.
 	Cached bool
-	// Sim holds the full simulation result when Backend == MonteCarlo.
+	// Sim holds the full simulation result when Backend is MonteCarlo or
+	// MonteCarloQMC.
 	Sim *sim.Result
 }
 
@@ -379,7 +380,7 @@ func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Bac
 		var p float64
 		var err error
 		if tables != nil {
-			p, err = tables.evaluate(e.obs, r.(obliviousAlphaRule).alphaVector(inst.N))
+			p, err = tables.evaluate(r.(obliviousAlphaRule).alphaVector(inst.N))
 		} else {
 			p, err = r.(ExactOpts).ExactWinProbabilityOpts(inst, 0, e.obs)
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/oblivious"
-	"repro/internal/obs"
 )
 
 // obliviousAlphaRule is implemented by the oblivious rules that can expose
@@ -30,17 +29,11 @@ type sweepTables struct {
 	ev *oblivious.Evaluator
 }
 
-// evaluate serves one α-vector from the tables, flushing the delta-update
-// work into the exact.delta.* counters.
-func (t *sweepTables) evaluate(o *obs.Observer, alphas []float64) (float64, error) {
+// evaluate serves one α-vector from the tables.
+func (t *sweepTables) evaluate(alphas []float64) (float64, error) {
 	t.mu.Lock()
-	before := t.ev.Stats()
-	p, err := t.ev.Evaluate(alphas)
-	after := t.ev.Stats()
-	t.mu.Unlock()
-	o.Counter("exact.delta.updates").Add(int64(after.DeltaUpdates - before.DeltaUpdates))
-	o.Counter("exact.delta.subsets").Add(int64(after.DeltaSubsets - before.DeltaSubsets))
-	return p, err
+	defer t.mu.Unlock()
+	return t.ev.Evaluate(alphas)
 }
 
 // sweepTablesFactory decides whether a sweep qualifies for per-worker

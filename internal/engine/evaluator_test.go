@@ -69,49 +69,6 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepDeltaUpdateCounters walks a single-worker sweep through
-// full-vector points that each differ from their predecessor in exactly one
-// coordinate: the evaluator serves every point after the first with a
-// single-coordinate delta update, and the engine counters record it.
-func TestSweepDeltaUpdateCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(Config{Obs: obs.New(reg, nil)})
-	pi := []float64{0.5, 1, 0.75}
-	inst := mustInstancePi(t, 3, 1, pi)
-
-	walk := [][]float64{
-		{0.2, 0.4, 0.6},
-		{0.5, 0.4, 0.6}, // coord 0
-		{0.5, 0.7, 0.6}, // coord 1
-		{0.5, 0.7, 0.3}, // coord 2
-	}
-	points := make([]Point, len(walk))
-	for i, a := range walk {
-		points[i] = Point{Instance: inst, Rule: Oblivious{Alphas: a}}
-	}
-	results, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range walk {
-		want, err := oblivious.WinningProbabilityPi(a, pi, inst.Delta, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i].P != want {
-			t.Errorf("point %d: sweep %v != one-shot %v (must be bit-identical)", i, results[i].P, want)
-		}
-	}
-	// Points may be claimed in any order, but any serial order of this walk
-	// has at least one adjacent single-coordinate pair.
-	if du := reg.Counter("exact.delta.updates").Value(); du < 1 {
-		t.Errorf("exact.delta.updates = %d, want ≥ 1", du)
-	}
-	if ds := reg.Counter("exact.delta.subsets").Value(); ds < 1 {
-		t.Errorf("exact.delta.subsets = %d, want ≥ 1", ds)
-	}
-}
-
 // TestSweepOverrideFactoryGating enumerates the disqualifying shapes: the
 // factory must return nil whenever the reusable-evaluator contract (shared
 // heterogeneous instance, all α-exposing rules, exact backend, ≥2 points)

@@ -39,10 +39,6 @@ type OptimizeOptions struct {
 	// Passes caps the vector path's coordinate-ascent passes; 0 selects
 	// DefaultOptimizePasses.
 	Passes int
-	// Start optionally seeds the vector search; nil starts from the box
-	// midpoint. Ignored by the scalar path (the grid scan brackets the
-	// global maximum on its own).
-	Start []float64
 }
 
 // OptimizeResult is the outcome of one optimization run.
@@ -64,8 +60,9 @@ type OptimizeResult struct {
 	// Iterations counts searcher iterations (bracket shrinks for the
 	// scalar path, ascent passes plus simplex moves for the vector path).
 	Iterations int
-	// DeltaUpdates counts the reusable evaluator's single-coordinate
-	// delta evaluations (0 when the search ran without table reuse).
+	// DeltaUpdates counts the reusable evaluator's line-profile probes:
+	// single-coordinate evaluations served without a table rebuild (0
+	// when the search ran without table reuse).
 	DeltaUpdates uint64
 	// Degraded reports that the context expired mid-search and the result
 	// is the best point evaluated before the deadline, not a converged
@@ -120,14 +117,16 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 	}
 
 	// Vector searches over homogeneous threshold instances probe through a
-	// per-search reusable evaluator: the exact tables are built once and
-	// delta-updated per probe. Probes deliberately do NOT consult the memo
-	// store — probe values must depend only on the probe sequence, never on
-	// cache state, so concurrent searches stay bit-identical. Probe values
-	// agree with the one-shot path within the exact backend's certified
-	// error bound; the final optimum is re-evaluated through the normal
-	// memoizing path below, so the returned Value carries the one-shot
-	// bits and repeated searches hit the cache there.
+	// per-search reusable evaluator: its tables are allocated once, and a
+	// probe is a line-profile evaluation or a full rebuild (see
+	// nonoblivious.Evaluator.EvaluateVector). Probes deliberately do NOT
+	// consult the memo store — probe values must depend only on the probe
+	// sequence, never on cache state, so concurrent searches stay
+	// bit-identical. Profile probes agree with the one-shot path within
+	// the exact backend's certified error bound; the final optimum is
+	// re-evaluated through the normal memoizing path below, so the
+	// returned Value carries the one-shot bits and repeated searches hit
+	// the cache there.
 	var pev *nonoblivious.Evaluator
 	if len(lo) > 1 && (opts.Backend == Exact || opts.Backend == Auto) && !inst.Heterogeneous() {
 		if _, ok := fam.(ThresholdVectorFamily); ok && inst.N <= nonoblivious.MaxNGeneral {
@@ -205,12 +204,9 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 			}
 		}
 	} else {
-		start := opts.Start
-		if start == nil {
-			start = make([]float64, len(lo))
-			for i := range start {
-				start[i] = (lo[i] + hi[i]) / 2
-			}
+		start := make([]float64, len(lo))
+		for i := range start {
+			start[i] = (lo[i] + hi[i]) / 2
 		}
 		ca, serr := optimize.CoordinateAscentBox(e.obs, objective, start, lo, hi, opts.Passes, opts.Tol)
 		if serr != nil {
@@ -235,7 +231,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 		e.obs.Counter("exact.delta.updates").Add(int64(st.DeltaUpdates))
 		e.obs.Counter("exact.delta.subsets").Add(int64(st.DeltaSubsets))
 		if best.Rule != nil {
-			// Canonicalize: delta-updated probe values drift within the
+			// Canonicalize: line-profile probe values drift within the
 			// certified bound, so the reported optimum is re-evaluated
 			// through the normal memoizing path and carries the one-shot
 			// bits. A deadline striking here keeps the evaluator's value;

@@ -109,9 +109,9 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 	}
 	// Qualifying sweeps (one shared heterogeneous instance, all-oblivious
 	// rules, exact backend) give each worker reusable tables that build the
-	// instance's subset-CDF table once and delta-update per point —
-	// bit-identical to the one-shot path, so results memoize under the
-	// same keys.
+	// instance's subset-CDF table once and rebuild only the α product
+	// tables per point — bit-identical to the one-shot path, so results
+	// memoize under the same keys.
 	makeTables := sweepTablesFactory(points, opts.Backend)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup

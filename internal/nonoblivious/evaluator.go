@@ -13,9 +13,7 @@ import (
 // MaxNProfile bounds the player count for the evaluator's single-coordinate
 // line-profile fast path, which materializes two n·2^(n-1)-entry
 // cardinality-indexed superset-sum tables (8 MiB at n = 16) on the first
-// probe. Beyond it,
-// single-coordinate probes fall back to delta-updating the committed tables
-// directly.
+// probe. Beyond it, single-coordinate probes are full rebuilds.
 const MaxNProfile = 16
 
 // EvalStats counts the work an Evaluator performed since construction.
@@ -25,33 +23,29 @@ type EvalStats struct {
 	Evaluations uint64
 	// FullRebuilds counts full O(n²·2^n) table rebuilds.
 	FullRebuilds uint64
-	// DeltaUpdates counts single-coordinate evaluations served by delta
-	// machinery: committed-table SetCoord updates and line-profile probes.
+	// DeltaUpdates counts single-coordinate probes served by the line
+	// profile instead of a rebuild.
 	DeltaUpdates uint64
-	// DeltaSubsets is the number of subset cells those delta updates
-	// re-propagated (2^(n-1) each — only the subsets containing the
-	// changed coordinate).
+	// DeltaSubsets is the number of subset terms those probes covered
+	// (2^(n-1) each — the subsets of the frozen coordinates).
 	DeltaSubsets uint64
 }
 
 // Evaluator is a reusable Theorem 5.1 evaluator for homogeneous-input
-// threshold vectors: it builds the N₀ subset-volume and N₁ bin-1 tail
+// threshold vectors: it allocates the N₀ subset-volume and N₁ bin-1 tail
 // tables once and then supports
 //
 //   - Evaluate: a full evaluation reusing the allocated tables — the one
 //     float Theorem 5.1 kernel (WinningProbability is a one-shot
 //     Evaluator), zero steady-state allocations;
 //
-//   - SetCoord(i, a_i): a delta update that re-propagates only the 2^(n-1)
-//     subsets containing coordinate i (dist.VolumeTable's restricted zeta
-//     pass plus the exact bin-1 radix re-propagation) instead of
-//     rebuilding all n·2^n cells;
+//   - SetCoord(i, a_i): set one threshold and rebuild;
 //
 //   - EvaluateVector: the optimizer's probe entry, which diffs the probe
-//     against the committed thresholds and dispatches to the cheapest
-//     path. For n ≤ MaxNProfile a single-coordinate probe evaluates
-//     through a line profile: with every other threshold frozen, P(a) as
-//     a function of a_i alone collapses (see DESIGN S26) to
+//     against the committed thresholds. For n ≤ MaxNProfile a
+//     single-coordinate probe evaluates through a line profile: with
+//     every other threshold frozen, P(a) as a function of a_i alone
+//     collapses (see DESIGN S26) to
 //
 //     P(v) = T(δ) − T(δ−v) + (1−v)·K₁ − V(1) + V(v)
 //
@@ -63,9 +57,10 @@ type EvalStats struct {
 // probe O(2^(n-1)) — the polynomial Horner pass is O(n) and the crossing
 // corrections dominate — against O(n²·2^n) for a rebuild.
 //
-// Full evaluations are bit-identical to WinningProbability; delta
-// updates and profile probes agree with a fresh rebuild within
-// ExactErrorBound (property-tested along random coordinate walks), so
+// Every committed value — Evaluate, SetCoord and every EvaluateVector
+// call but a profile probe — is a full rebuild, bit-identical to
+// WinningProbability. Profile probes commit nothing and agree with a
+// rebuild within ExactErrorBound (property-tested along random lines), so
 // search loops probe through the evaluator and re-evaluate only the final
 // optimum canonically.
 type Evaluator struct {
@@ -75,18 +70,14 @@ type Evaluator struct {
 	a        []float64 // committed thresholds
 	value    float64   // P at the committed thresholds
 
-	// N₀: box-simplex volumes at threshold δ; its Sums() are the subset
-	// sums σ_J a the N₁ side reads.
-	vt *dist.VolumeTable
-
-	// N₁ state (Lemma 2.7 tails), rebuilt per exponent.
-	prod     *combin.ProductTable // subset products of 1−a
+	vol []float64 // N₀: box-simplex volumes at threshold δ
+	n1  []float64 // N₁: clamped Lemma 2.7 tails
+	// Rebuild scratch, three 2^n tables: the N₀ ladder's, then
+	// |J| − σ_J a, Π_{i∈J}(1−a_i) and the N₁ ladder's base.
+	scratch  []float64
 	oneMinus []float64
-	gap      []float64 // |J| − σ_J a
 	shift    []float64 // per-exponent radix shift m − δ (fixed)
 	bin1From int       // first exponent whose radix can be positive
-	n1       []float64 // clamped N₁ table
-	base     []float64 // zeta scratch
 	partial  []float64 // chunked-sum partials (fixed grid)
 
 	invFact []float64 // 1/m!
@@ -121,26 +112,16 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	if err := checkGeneral(n, capacity); err != nil {
 		return nil, err
 	}
-	vt, err := dist.NewVolumeTable(n)
-	if err != nil {
-		return nil, err
-	}
-	prod, err := combin.NewProductTable(n)
-	if err != nil {
-		return nil, err
-	}
 	size := 1 << uint(n)
 	ev := &Evaluator{
 		n:        n,
 		capacity: capacity,
 		a:        make([]float64, n),
-		vt:       vt,
-		prod:     prod,
-		oneMinus: make([]float64, n),
-		gap:      make([]float64, size),
-		shift:    make([]float64, n+1),
+		vol:      make([]float64, size),
 		n1:       make([]float64, size),
-		base:     make([]float64, size),
+		scratch:  make([]float64, 3*size),
+		oneMinus: make([]float64, n),
+		shift:    make([]float64, n+1),
 		invFact:  make([]float64, n+2),
 		invInt:   make([]float64, n+2),
 		binom:    make([]float64, (n+2)*(n+2)),
@@ -240,21 +221,26 @@ func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 }
 
 func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
-	if err := ev.vt.Build(thresholds, ev.capacity); err != nil {
+	if _, _, err := dist.AllSubsetVolumes(ev.vol, thresholds, ev.capacity, ev.scratch); err != nil {
 		return 0, err
 	}
 	copy(ev.a, thresholds)
-	sums := ev.vt.Sums()
-	for mask := range ev.gap {
-		ev.gap[mask] = float64(bits.OnesCount64(uint64(mask))) - sums[mask]
+	size := len(ev.vol)
+	gap, err := combin.SubsetSums(ev.scratch[:size:size], ev.a)
+	if err != nil {
+		return 0, err
+	}
+	for mask := range gap {
+		gap[mask] = float64(bits.OnesCount64(uint64(mask))) - gap[mask]
 	}
 	for i, a := range ev.a {
 		ev.oneMinus[i] = 1 - a
 	}
-	if err := ev.prod.Build(ev.oneMinus); err != nil {
+	prod, err := combin.SubsetProducts(ev.scratch[size:2*size:2*size], ev.oneMinus)
+	if err != nil {
 		return 0, err
 	}
-	if err := ev.bin1Passes(); err != nil {
+	if err := ev.bin1Passes(gap, prod, ev.scratch[2*size:]); err != nil {
 		return 0, err
 	}
 	ev.value = ev.maskSum()
@@ -265,13 +251,8 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 	return ev.value, nil
 }
 
-// SetCoord commits threshold i to v with a delta update: the N₀ volume
-// table re-propagates only the 2^(n-1) subsets containing i
-// (dist.VolumeTable.SetCoord, which also re-propagates the subset sums),
-// the product state is re-propagated with the exact build recurrence, and
-// the N₁ per-exponent passes rerun over the updated state. It returns the
-// updated winning probability, which agrees with a fresh rebuild within
-// ExactErrorBound.
+// SetCoord commits threshold i to v and rebuilds, returning the updated
+// winning probability — the bits of WinningProbability.
 func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	if !ev.built {
 		return 0, fmt.Errorf("nonoblivious: evaluator SetCoord before any full evaluation")
@@ -282,48 +263,16 @@ func (ev *Evaluator) SetCoord(i int, v float64) (float64, error) {
 	if err := checkThreshold(i, v); err != nil {
 		return 0, err
 	}
-	if v == ev.a[i] {
-		ev.stats.Evaluations++
-		return ev.value, nil
-	}
-	if err := ev.vt.SetCoord(i, v); err != nil {
-		return 0, err
-	}
 	ev.a[i] = v
-	ev.oneMinus[i] = 1 - v
-	if err := ev.prod.SetCoord(i, ev.oneMinus[i]); err != nil {
-		return 0, err
-	}
-	// Refresh |J| − σ_J a on the re-propagated half-lattice.
-	sums := ev.vt.Sums()
-	bit := 1 << uint(i)
-	size := 1 << uint(ev.n)
-	for mask := bit; mask < size; mask++ {
-		if mask&bit == 0 {
-			continue
-		}
-		ev.gap[mask] = float64(bits.OnesCount64(uint64(mask))) - sums[mask]
-	}
-	if err := ev.bin1Passes(); err != nil {
-		return 0, err
-	}
-	ev.value = ev.maskSum()
-	ev.prof.coord = -1
-	ev.stats.DeltaUpdates++
-	ev.stats.DeltaSubsets += uint64(1) << uint(ev.n-1)
-	ev.stats.Evaluations++
-	return ev.value, nil
+	return ev.evaluateFull(ev.a)
 }
 
 // EvaluateVector evaluates an arbitrary threshold vector by diffing it
 // against the committed state: an unchanged vector returns the committed
 // value, a single-coordinate change evaluates through the line profile
-// (n ≤ MaxNProfile) or a SetCoord delta commit, a two-coordinate change
-// whose first coordinate is the profiled one — the coordinate-ascent
-// pattern of committing one line's optimum while probing the next —
-// commits it by delta and re-profiles, and anything wider falls back to a
-// full bit-identical rebuild. Line-profile probes do NOT commit: the
-// committed state keeps pointing at the last committed vector.
+// when n ≤ MaxNProfile, and anything else is a full rebuild that commits
+// the vector. Line-profile probes do NOT commit: the committed state keeps
+// pointing at the last committed vector.
 func (ev *Evaluator) EvaluateVector(x []float64) (float64, error) {
 	if err := ev.validate(x); err != nil {
 		return 0, err
@@ -331,50 +280,28 @@ func (ev *Evaluator) EvaluateVector(x []float64) (float64, error) {
 	if !ev.built {
 		return ev.evaluateFull(x)
 	}
-	d1, d2, diffs := -1, -1, 0
+	d, diffs := -1, 0
 	for i := range x {
 		if x[i] != ev.a[i] {
 			diffs++
-			if d1 < 0 {
-				d1 = i
-			} else if d2 < 0 {
-				d2 = i
-			}
+			d = i
 		}
 	}
 	switch {
 	case diffs == 0:
 		ev.stats.Evaluations++
 		return ev.value, nil
-	case diffs == 1:
-		return ev.lineValue(d1, x[d1])
-	case diffs == 2 && ev.prof.coord >= 0 && (d1 == ev.prof.coord || d2 == ev.prof.coord):
-		commit, probe := d1, d2
-		if d2 == ev.prof.coord {
-			commit, probe = d2, d1
+	case diffs == 1 && ev.n <= MaxNProfile:
+		if ev.prof.coord != d {
+			ev.openProfile(d)
 		}
-		if _, err := ev.SetCoord(commit, x[commit]); err != nil {
-			return 0, err
-		}
-		return ev.lineValue(probe, x[probe])
+		ev.stats.DeltaUpdates++
+		ev.stats.DeltaSubsets += uint64(1) << uint(ev.n-1)
+		ev.stats.Evaluations++
+		return ev.profEval(x[d]), nil
 	default:
 		return ev.evaluateFull(x)
 	}
-}
-
-// lineValue evaluates a single-coordinate change without committing it
-// (profile path) or by delta commit (n > MaxNProfile).
-func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
-	if ev.n > MaxNProfile {
-		return ev.SetCoord(i, v)
-	}
-	if ev.prof.coord != i {
-		ev.openProfile(i)
-	}
-	ev.stats.DeltaUpdates++
-	ev.stats.DeltaSubsets += uint64(1) << uint(ev.n-1)
-	ev.stats.Evaluations++
-	return ev.profEval(v), nil
 }
 
 // bin1Passes rebuilds N₁[O] = P(x_i > a_i ∀i∈O ∧ Σ_O x ≤ δ) for every
@@ -391,10 +318,11 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 // lie in [0, 1], so |J| − σ_J a ≥ 0 and every radix of an exponent m ≤ δ
 // is ≤ 0: those exponents' bases are all zero and the ladder skips them
 // (bin1From), leaving N₁[O] = Π(1−a_i), the same bits the pass would give.
-func (ev *Evaluator) bin1Passes() error {
-	prod := ev.prod.Values()
+// gap holds |J| − σ_J a, prod the subset products of 1−a, and base is
+// 2^n-entry scratch.
+func (ev *Evaluator) bin1Passes(gap, prod, base []float64) error {
 	ev.n1[0] = 1
-	return dist.RadixLadder(ev.gap, ev.shift, ev.base, ev.n, ev.bin1From, func(mask uint64, v float64) {
+	return dist.RadixLadder(gap, ev.shift, base, ev.n, ev.bin1From, func(mask uint64, v float64) {
 		v = prod[mask] - v
 		if v < 0 {
 			v = 0
@@ -408,8 +336,7 @@ func (ev *Evaluator) bin1Passes() error {
 // buffer and combines them with combin.ReducePartials — the summation
 // order of combin.ChunkedMaskSum.
 func (ev *Evaluator) maskSum() float64 {
-	n0 := ev.vt.Vol()
-	n1 := ev.n1
+	n0, n1 := ev.vol, ev.n1
 	size := uint64(1) << uint(ev.n)
 	full := size - 1
 	span, chunks := combin.ChunkSpan(size)
@@ -481,7 +408,7 @@ func (ev *Evaluator) openProfile(i int) {
 	// N₀[R∖s] at (s, |s|); the vectorized superset-sum pass then yields
 	// M^c[J] = Σ_{T'⊇J, |T'|=c} N₁[R∖T'] (and likewise P^c) for every
 	// cardinality at once.
-	vol := ev.vt.Vol()
+	vol := ev.vol
 	for idx := range p.m[:h*n] {
 		p.m[idx] = 0
 		p.p[idx] = 0

@@ -43,13 +43,12 @@ func TestEvaluatorEvaluateBitIdentical(t *testing.T) {
 }
 
 // TestEvaluatorCoordinateWalk drives a 200-step random coordinate walk of
-// SetCoord commits and checks every step against a fresh
-// WinningProbability rebuild within ExactErrorBound.
+// SetCoord commits and requires every step to carry the bits of a fresh
+// WinningProbability.
 func TestEvaluatorCoordinateWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 2))
 	for _, n := range []int{2, 6, 10} {
 		capacity := float64(n) / 3
-		bound := ExactErrorBound(n, capacity, 1)
 		ev, err := NewEvaluator(n, capacity)
 		if err != nil {
 			t.Fatal(err)
@@ -72,15 +71,57 @@ func TestEvaluatorCoordinateWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := math.Abs(got - want); d > bound {
-				t.Fatalf("n=%d step %d: delta %v vs rebuild %v (|diff| %g exceeds bound %g)",
-					n, step, got, want, d, bound)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d step %d: SetCoord %x, WinningProbability %x",
+					n, step, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
-		stats := ev.Stats()
-		if stats.DeltaUpdates == 0 || stats.DeltaSubsets == 0 {
-			t.Errorf("n=%d: delta counters empty after walk: %+v", n, stats)
+		if stats := ev.Stats(); stats.FullRebuilds != 201 || stats.DeltaUpdates != 0 {
+			t.Errorf("n=%d: want 201 rebuilds and no profile probes after the walk: %+v", n, stats)
 		}
+	}
+}
+
+// TestEvaluatorCommitsPastProfileCap checks that beyond MaxNProfile a
+// single-coordinate EvaluateVector is a committed rebuild carrying the
+// bits of WinningProbability.
+func TestEvaluatorCommitsPastProfileCap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(63, 6))
+	const n = MaxNProfile + 1
+	capacity := float64(n) / 3
+	ev, err := NewEvaluator(n, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	if _, err := ev.Evaluate(x); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		x[rng.IntN(n)] = rng.Float64()
+		got, err := ev.EvaluateVector(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := WinningProbability(x, capacity, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: EvaluateVector %x, WinningProbability %x",
+				step, math.Float64bits(got), math.Float64bits(want))
+		}
+		for i, a := range ev.Thresholds() {
+			if a != x[i] {
+				t.Fatalf("step %d: committed threshold %d = %v, want %v", step, i, a, x[i])
+			}
+		}
+	}
+	if stats := ev.Stats(); stats.DeltaUpdates != 0 {
+		t.Errorf("n=%d served %d profile probes past the cap", n, stats.DeltaUpdates)
 	}
 }
 
@@ -132,9 +173,10 @@ func TestEvaluatorProfileMatchesRebuild(t *testing.T) {
 }
 
 // TestEvaluatorAscentPattern exercises the coordinate-ascent shape: probe
-// a line, commit its best by probing the next line with two coordinates
-// changed (the profiled one plus the next), as the optimizer's closures
-// do.
+// a line, then commit its best by probing the next line with two
+// coordinates changed (the profiled one plus the next), as the optimizer's
+// closures do. Profile probes stay within ExactErrorBound of a rebuild;
+// the two-coordinate commit is a rebuild and carries its bits.
 func TestEvaluatorAscentPattern(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 4))
 	const n = 7
@@ -184,15 +226,15 @@ func TestEvaluatorAscentPattern(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := math.Abs(got - want); d > bound {
-				t.Fatalf("pass %d commit %d: %v vs %v (|diff| %g)", pass, i, got, want, d)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pass %d commit %d: %x vs %x", pass, i, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 	}
 }
 
-// TestEvaluatorMatchesRatOracle checks delta-updated values against the
-// exact rational oracle on random dyadic walks for every n up to the
+// TestEvaluatorMatchesRatOracle checks SetCoord-committed values against
+// the exact rational oracle on random dyadic walks for every n up to the
 // oracle cap.
 func TestEvaluatorMatchesRatOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 5))
@@ -224,7 +266,7 @@ func TestEvaluatorMatchesRatOracle(t *testing.T) {
 			}
 			wf, _ := want.Float64()
 			if d := math.Abs(got - wf); d > bound {
-				t.Fatalf("n=%d step %d: delta %v vs oracle %v (|diff| %g exceeds bound %g)",
+				t.Fatalf("n=%d step %d: SetCoord %v vs oracle %v (|diff| %g exceeds bound %g)",
 					n, step, got, wf, d, bound)
 			}
 		}
@@ -327,7 +369,7 @@ func TestEvaluatorErrors(t *testing.T) {
 // FuzzEvaluatorSetCoord feeds hostile coordinates and values — NaN,
 // infinities, out-of-range indices, values outside [0, 1] — and requires
 // the evaluator to reject them with an error (never a panic) while valid
-// updates stay within the certified bound of a fresh rebuild.
+// updates carry the bits of WinningProbability.
 func FuzzEvaluatorSetCoord(f *testing.F) {
 	f.Add(0, 0.5)
 	f.Add(-1, 0.25)
@@ -358,8 +400,8 @@ func FuzzEvaluatorSetCoord(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := math.Abs(got - want); d > ExactErrorBound(n, capacity, 1) {
-			t.Fatalf("SetCoord(%d, %v) = %v, rebuild %v (|diff| %g)", i, v, got, want, d)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SetCoord(%d, %v) = %x, WinningProbability %x", i, v, math.Float64bits(got), math.Float64bits(want))
 		}
 	})
 }

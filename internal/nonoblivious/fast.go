@@ -18,8 +18,8 @@ import (
 // inclusion-exclusion —
 //
 //   - N₀ for every bin-0 set is the Proposition 2.2 box-simplex volume at
-//     the shared threshold δ, one dist.VolumeTable build whose signed base
-//     terms update incrementally across exponents;
+//     the shared threshold δ, one dist.AllSubsetVolumes table whose signed
+//     base terms update incrementally across exponents;
 //   - N₁ for every bin-1 set comes from the same per-cardinality
 //     sum-over-subsets scheme, except the Lemma 2.7 radix m−δ−|J|+σ_J a
 //     depends on the outer cardinality m, so each exponent rebuilds its

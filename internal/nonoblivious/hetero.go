@@ -108,7 +108,7 @@ func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Obs
 	// bin-1 ladder's base or the threshold sums of the per-set walk.
 	size := 1 << uint(n)
 	slab := make([]float64, 3*size)
-	vol0, stats, err := dist.AllSubsetVolumes(lows, capacity, slab)
+	vol0, stats, err := dist.AllSubsetVolumes(nil, lows, capacity, slab)
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,7 @@ package oblivious
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/combin"
 	"repro/internal/dist"
@@ -14,15 +15,9 @@ type EvalStats struct {
 	// Evaluations is the number of Evaluate/SetCoord calls that produced
 	// a value.
 	Evaluations uint64
-	// FullRebuilds counts full product-table rebuilds (the CDF table is
-	// built exactly once, at construction).
+	// FullRebuilds counts product-table rebuilds (the CDF table is built
+	// exactly once, at construction).
 	FullRebuilds uint64
-	// DeltaUpdates counts single-coordinate evaluations that re-propagated
-	// only the 2^(n-1) bin-choice weight cells containing the changed
-	// coordinate.
-	DeltaUpdates uint64
-	// DeltaSubsets is the number of subset cells those updates touched.
-	DeltaSubsets uint64
 	// Table is the work of the one-time subset-CDF table build.
 	Table dist.SubsetVolumeStats
 }
@@ -31,28 +26,24 @@ type EvalStats struct {
 // instance (π, δ): the O(n²·2^n) subset-CDF table — the only part of the
 // evaluation that depends on the instance rather than the rule — is built
 // once at construction, and each α-vector evaluation then costs one
-// product-table refresh plus the O(2^n) bin-choice sum. A
-// single-coordinate change (the 1-D sweep and coordinate-search pattern)
-// re-propagates only the 2^(n-1) weight cells containing the changed
-// coordinate. WinningProbabilityPi is a one-shot Evaluator.
+// O(2^n) rebuild of the two product tables plus the O(2^n) bin-choice sum.
+// WinningProbabilityPi is a one-shot Evaluator.
 //
-// Every path is bit-identical to a fresh evaluator's full evaluation (and
-// so to WinningProbabilityPi): the product tables delta-update with
-// the exact build recurrence and the bin-choice sum replicates the fixed
-// chunk grid, Neumaier partials, and pairwise reduction of
-// combin.ChunkedMaskSum. Values from a reused evaluator are therefore safe
-// to memoize under the same cache keys as the one-shot path. Zero
-// steady-state allocations.
+// Every value is bit-identical to WinningProbabilityPi: the product
+// tables are rebuilt with combin.SubsetProducts and the bin-choice sum
+// replicates the fixed chunk grid, Neumaier partials, and pairwise
+// reduction of combin.ChunkedMaskSum. Values from a reused evaluator are
+// therefore safe to memoize under the same cache keys as the one-shot
+// path. Zero steady-state allocations.
 type Evaluator struct {
 	n        int
 	capacity float64
 	built    bool
-	pi       []float64
 	cdf      []float64 // F_T(δ), fixed for the life of the evaluator
 	alphas   []float64 // committed bin-choice vector
 	oneMinus []float64
-	pZero    *combin.ProductTable // Π_{i∈T} α_i
-	pOne     *combin.ProductTable // Π_{i∈T} (1-α_i)
+	pZero    []float64 // Π_{i∈T} α_i
+	pOne     []float64 // Π_{i∈T} (1-α_i)
 	partial  []float64
 	value    float64
 	stats    EvalStats
@@ -88,7 +79,7 @@ func NewEvaluator(pi []float64, capacity float64, _ int) (*Evaluator, error) {
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return nil, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)
 	}
-	vol, table, err := dist.AllSubsetVolumes(pi, capacity, nil)
+	vol, table, err := dist.AllSubsetVolumes(nil, pi, capacity, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -99,24 +90,15 @@ func NewEvaluator(pi []float64, capacity float64, _ int) (*Evaluator, error) {
 	for mask := range vol {
 		vol[mask] = clamp01(vol[mask] / piProd[mask])
 	}
-	pZero, err := combin.NewProductTable(n)
-	if err != nil {
-		return nil, err
-	}
-	pOne, err := combin.NewProductTable(n)
-	if err != nil {
-		return nil, err
-	}
-	_, chunks := combin.ChunkSpan(uint64(1) << uint(n))
+	_, chunks := combin.ChunkSpan(uint64(len(vol)))
 	return &Evaluator{
 		n:        n,
 		capacity: capacity,
-		pi:       append([]float64(nil), pi...),
 		cdf:      vol,
 		alphas:   make([]float64, n),
 		oneMinus: make([]float64, n),
-		pZero:    pZero,
-		pOne:     pOne,
+		pZero:    make([]float64, len(vol)),
+		pOne:     make([]float64, len(vol)),
 		partial:  make([]float64, chunks),
 		stats:    EvalStats{Table: table},
 	}, nil
@@ -140,10 +122,9 @@ func (ev *Evaluator) Value() float64 { return ev.value }
 func (ev *Evaluator) Stats() EvalStats { return ev.stats }
 
 // Evaluate computes the winning probability of an α-vector, reusing the
-// fixed CDF table. A vector differing from the committed one in a single
-// coordinate is delta-updated; anything wider refreshes the product
-// tables in full (still no allocations). The result is committed and
-// bit-identical to WinningProbabilityPi.
+// fixed CDF table and rebuilding the product tables (no allocations). An
+// unchanged vector returns the committed value. The result is committed
+// and bit-identical to WinningProbabilityPi.
 func (ev *Evaluator) Evaluate(alphas []float64) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
@@ -151,43 +132,15 @@ func (ev *Evaluator) Evaluate(alphas []float64) (float64, error) {
 	if len(alphas) != ev.n {
 		return 0, fmt.Errorf("oblivious: evaluator built for %d players, got %d", ev.n, len(alphas))
 	}
-	if ev.built {
-		diff, d1 := 0, -1
-		for i := range alphas {
-			if alphas[i] != ev.alphas[i] {
-				diff++
-				d1 = i
-			}
-		}
-		switch diff {
-		case 0:
-			ev.stats.Evaluations++
-			return ev.value, nil
-		case 1:
-			return ev.SetCoord(d1, alphas[d1])
-		}
+	if ev.built && slices.Equal(alphas, ev.alphas) {
+		ev.stats.Evaluations++
+		return ev.value, nil
 	}
-	copy(ev.alphas, alphas)
-	for i, a := range alphas {
-		ev.oneMinus[i] = 1 - a
-	}
-	if err := ev.pZero.Build(ev.alphas); err != nil {
-		return 0, err
-	}
-	if err := ev.pOne.Build(ev.oneMinus); err != nil {
-		return 0, err
-	}
-	ev.value = ev.maskSum()
-	ev.built = true
-	ev.stats.FullRebuilds++
-	ev.stats.Evaluations++
-	return ev.value, nil
+	return ev.rebuild(alphas)
 }
 
-// SetCoord commits α_i = a with a delta update, re-propagating only the
-// 2^(n-1) product-table cells containing i, and returns the updated
-// winning probability — bit-identical to a full evaluation of the
-// resulting vector.
+// SetCoord commits α_i = a and rebuilds, returning the updated winning
+// probability — the bits of WinningProbabilityPi.
 func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 	if !ev.built {
 		return 0, fmt.Errorf("oblivious: evaluator SetCoord before any full evaluation")
@@ -198,21 +151,26 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 	if math.IsNaN(a) || a < 0 || a > 1 {
 		return 0, fmt.Errorf("oblivious: α[%d] = %v outside [0, 1]", i, a)
 	}
-	if a == ev.alphas[i] {
-		ev.stats.Evaluations++
-		return ev.value, nil
-	}
 	ev.alphas[i] = a
-	ev.oneMinus[i] = 1 - a
-	if err := ev.pZero.SetCoord(i, a); err != nil {
+	return ev.rebuild(ev.alphas)
+}
+
+// rebuild commits alphas, refreshes both product tables and reruns the
+// bin-choice sum.
+func (ev *Evaluator) rebuild(alphas []float64) (float64, error) {
+	copy(ev.alphas, alphas)
+	for i, a := range alphas {
+		ev.oneMinus[i] = 1 - a
+	}
+	if _, err := combin.SubsetProducts(ev.pZero, ev.alphas); err != nil {
 		return 0, err
 	}
-	if err := ev.pOne.SetCoord(i, ev.oneMinus[i]); err != nil {
+	if _, err := combin.SubsetProducts(ev.pOne, ev.oneMinus); err != nil {
 		return 0, err
 	}
 	ev.value = ev.maskSum()
-	ev.stats.DeltaUpdates++
-	ev.stats.DeltaSubsets += uint64(1) << uint(ev.n-1)
+	ev.built = true
+	ev.stats.FullRebuilds++
 	ev.stats.Evaluations++
 	return ev.value, nil
 }
@@ -221,7 +179,7 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 // Neumaier partials and combin.ReducePartials — bit-identical to the
 // combin.ChunkedMaskSum reduction.
 func (ev *Evaluator) maskSum() float64 {
-	pZero, pOne, cdf := ev.pZero.Values(), ev.pOne.Values(), ev.cdf
+	pZero, pOne, cdf := ev.pZero, ev.pOne, ev.cdf
 	size := uint64(1) << uint(ev.n)
 	full := size - 1
 	span, chunks := combin.ChunkSpan(size)

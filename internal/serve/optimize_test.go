@@ -113,7 +113,7 @@ func TestOptimizeVector(t *testing.T) {
 }
 
 // TestOptimizeDeltaUpdates checks that the search-cost surface includes
-// the reusable evaluator's delta-update count: a homogeneous vector search
+// the reusable evaluator's line-profile probe count: a homogeneous vector search
 // routes probes through the per-search evaluator and reports
 // delta_updates > 0, while a search outside the table-reuse gate (the
 // heterogeneous instance) omits the field entirely.

@@ -177,9 +177,9 @@ type OptimizeResponse struct {
 	Evals      int     `json:"evals"`
 	CacheHits  int     `json:"cache_hits"`
 	Iterations int     `json:"iterations"`
-	// DeltaUpdates counts the single-coordinate delta evaluations the
-	// search's reusable exact evaluator served (omitted when the search
-	// ran without table reuse).
+	// DeltaUpdates counts the single-coordinate probes the search's
+	// reusable exact evaluator served from its line profile rather than a
+	// table rebuild (omitted when the search ran without table reuse).
 	DeltaUpdates uint64 `json:"delta_updates,omitempty"`
 	Degraded     bool   `json:"degraded,omitempty"`
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Defaults for the Config knobs; every limit is overridable per server.
@@ -43,14 +42,9 @@ const (
 // engine, no observability, all limits at their defaults.
 type Config struct {
 	// Engine is the evaluation engine (shared memoization cache). Nil
-	// builds a private engine wired to Obs.
+	// builds a private memory-only engine wired to Obs; a disk tier (warm
+	// restarts) is a store wired into the engine.
 	Engine *engine.Engine
-	// CacheDir enables the result store's disk tier for the private
-	// engine built when Engine is nil: evaluations computed before a
-	// restart are served from disk after it (warm start). Ignored when
-	// Engine is supplied — wire the store into the engine instead. An
-	// unopenable directory falls back to memory-only with an error event.
-	CacheDir string
 	// Obs receives the server's metrics, spans and access events. Nil
 	// disables instrumentation (the handlers still work).
 	Obs *obs.Observer
@@ -114,12 +108,7 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.Engine == nil {
-		st, err := store.New(store.Options{Dir: cfg.CacheDir, Obs: cfg.Obs})
-		if err != nil {
-			cfg.Obs.EmitError("serve.store", err)
-			st = store.NewMemory(store.Options{Obs: cfg.Obs})
-		}
-		cfg.Engine = engine.New(engine.Config{Obs: cfg.Obs, Store: st})
+		cfg.Engine = engine.New(engine.Config{Obs: cfg.Obs})
 	}
 	s := &Server{
 		cfg:   cfg,

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // flushRecorder counts handler flushes, proving the stream pushes each
@@ -255,12 +256,17 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 }
 
-// newServerWithCacheDir builds a ready server whose private engine sits
-// on a disk-tiered store in dir.
+// newServerWithCacheDir builds a ready server whose engine sits on a
+// disk-tiered store in dir.
 func newServerWithCacheDir(t *testing.T, dir string) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	s := New(Config{Obs: obs.New(reg, nil), CacheDir: dir})
+	o := obs.New(reg, nil)
+	st, err := store.New(store.Options{Dir: dir, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Obs: o, Engine: engine.New(engine.Config{Obs: o, Store: st})})
 	waitReady(t, s)
 	return s, reg
 }
