@@ -15,7 +15,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build fmt test race vet bench bench-module results-check ci
+.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,12 @@ fmt:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) $(PKG)
 
+# One iteration of each per-layer micro-benchmark of the exact symbolic
+# optimum (n = 6, 12, 16) and the omniscient feasibility check, so they
+# keep compiling and running; timings come from `make bench`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^(BenchmarkSymbolicDerivation|BenchmarkFeasibleAssignmentExists)$$' -benchtime 1x .
+
 # The benchmark module (bench/, its own go.mod replacing repro with this
 # tree) must keep compiling and passing its tests against every API change.
 bench-module:
@@ -46,4 +52,4 @@ results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/experiments -workers 2 -out "$$tmp" >/dev/null && diff -r "$$tmp" results
 
-ci: build fmt vet test race bench-module results-check
+ci: build fmt vet test race bench-smoke bench-module results-check

@@ -239,13 +239,40 @@ func BenchmarkThresholdWinProbabilitySymmetric(b *testing.B) {
 }
 
 // BenchmarkSymbolicDerivation times the full exact Section 5.2 pipeline
-// (piecewise polynomial + Sturm optimum) at n = 6, δ = 2.
+// (piecewise polynomial + Sturm optimum) at δ = n/3 for n = 6, 12 and 16.
 func BenchmarkSymbolicDerivation(b *testing.B) {
-	delta := big.NewRat(2, 1)
-	for i := 0; i < b.N; i++ {
-		if _, err := nonoblivious.OptimalSymmetric(6, delta); err != nil {
-			b.Fatal(err)
+	for _, n := range []int{6, 12, 16} {
+		delta := big.NewRat(int64(n), 3)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := nonoblivious.OptimalSymmetric(n, delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFeasibleAssignmentExists times the omniscient feasibility check
+// behind the "feasibility (sim)" columns on uniform inputs at δ = n/3.
+func BenchmarkFeasibleAssignmentExists(b *testing.B) {
+	for _, n := range []int{3, 8, 12} {
+		rng := rand.New(rand.NewPCG(5, uint64(n)))
+		inputs := make([][]float64, 64)
+		for i := range inputs {
+			inputs[i] = make([]float64, n)
+			for j := range inputs[i] {
+				inputs[i][j] = rng.Float64()
+			}
 		}
+		capacity := float64(n) / 3
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := model.FeasibleAssignmentExists(inputs[i%len(inputs)], capacity); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -350,8 +350,8 @@ func (s *System) SampleInputsInto(dst []float64, rng *rand.Rand) error {
 // inputs to the two bins keeps both bins within capacity. This is the
 // omniscient (full-information, centralized) benchmark: no distributed
 // algorithm can win on an input vector for which it is false. The check
-// enumerates all 2^(n-1) essentially distinct assignments, so it is meant
-// for the small n used in the paper's experiments.
+// walks the 2^(n-1) essentially distinct assignments depth first, so it is
+// meant for the small n used in the paper's experiments.
 func FeasibleAssignmentExists(inputs []float64, capacity float64) (bool, error) {
 	n := len(inputs)
 	if n == 0 {
@@ -373,18 +373,23 @@ func FeasibleAssignmentExists(inputs []float64, capacity float64) (bool, error) 
 	if total > 2*capacity {
 		return false, nil
 	}
-	// Fix player 0 in bin 0 (by symmetry) and enumerate the rest.
-	half := uint64(1) << uint(n-1)
-	for mask := uint64(0); mask < half; mask++ {
-		var load0 float64 = inputs[0]
-		for i := 1; i < n; i++ {
-			if mask&(1<<uint(i-1)) == 0 {
-				load0 += inputs[i]
-			}
-		}
-		if load0 <= capacity && total-load0 <= capacity {
-			return true, nil
-		}
+	// Fix player 0 in bin 0 (by symmetry) and place the rest in index order.
+	return feasibleFrom(inputs[1:], inputs[0], total, capacity), nil
+}
+
+// feasibleFrom reports whether the players in rest can be placed so that
+// both bins fit, given the bin-0 load so far. Each player tries bin 0
+// first. An assignment's bin-0 load is always summed in index order, so its
+// float64 value, and the answer, do not depend on the walk. A branch whose bin-0 load already exceeds the capacity is cut: adding
+// non-negative inputs never lowers a float64 sum, so no assignment below
+// it fits.
+func feasibleFrom(rest []float64, load0, total, capacity float64) bool {
+	if load0 > capacity {
+		return false
 	}
-	return false, nil
+	if len(rest) == 0 {
+		return total-load0 <= capacity
+	}
+	return feasibleFrom(rest[1:], load0+rest[0], total, capacity) ||
+		feasibleFrom(rest[1:], load0, total, capacity)
 }

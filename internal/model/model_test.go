@@ -328,6 +328,92 @@ func TestFeasibleAssignmentExists(t *testing.T) {
 	}
 }
 
+// feasibleByMasks is the reference oracle: player 0 in bin 0, every mask of
+// the other n-1 players enumerated, the bin-0 load summed in index order.
+func feasibleByMasks(inputs []float64, capacity float64) bool {
+	n := len(inputs)
+	if n == 0 {
+		return true
+	}
+	var total float64
+	for _, x := range inputs {
+		total += x
+	}
+	if total > 2*capacity {
+		return false
+	}
+	for mask := uint64(0); mask < uint64(1)<<uint(n-1); mask++ {
+		load0 := inputs[0]
+		for i := 1; i < n; i++ {
+			if mask&(1<<uint(i-1)) == 0 {
+				load0 += inputs[i]
+			}
+		}
+		if load0 <= capacity && total-load0 <= capacity {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFeasibleAssignmentMatchesEnumeration checks the pruned walk against
+// the full mask enumeration on random inputs for n = 1..14 at four
+// capacities (from mostly infeasible to always feasible), and on dyadic
+// inputs whose best split fills a bin exactly, so the <= comparisons are
+// exercised at equality.
+func TestFeasibleAssignmentMatchesEnumeration(t *testing.T) {
+	check := func(inputs []float64, capacity float64) {
+		t.Helper()
+		got, err := FeasibleAssignmentExists(inputs, capacity)
+		if err != nil {
+			t.Fatalf("FeasibleAssignmentExists(%v, %v): %v", inputs, capacity, err)
+		}
+		if want := feasibleByMasks(inputs, capacity); got != want {
+			t.Errorf("FeasibleAssignmentExists(%v, %v) = %v, enumeration says %v", inputs, capacity, got, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(26, 1))
+	for n := 1; n <= 14; n++ {
+		for _, frac := range []float64{0.25, 0.45, 0.5, 0.75} {
+			capacity := frac * float64(n)
+			for trial := 0; trial < 40; trial++ {
+				inputs := make([]float64, n)
+				for i := range inputs {
+					inputs[i] = rng.Float64()
+				}
+				check(inputs, capacity)
+			}
+		}
+	}
+	// Dyadic cases: each split sums exactly, so only the equality edge of
+	// a bin decides; nudging one input by 2^-40 flips the exact ones.
+	dyadic := []struct {
+		inputs   []float64
+		capacity float64
+		want     bool
+	}{
+		{[]float64{0.5, 0.25, 0.25}, 0.5, true},            // {0.5} | {0.25, 0.25}, total 2c
+		{[]float64{0.25, 0.5, 0.25}, 0.5, true},            // player 0 shares bin 0
+		{[]float64{0.5, 0.25, 0.25 + 0x1p-40}, 0.5, false}, // total just above 2c
+		{[]float64{0.375, 0.125, 0.25, 0.25}, 0.5, true},   // {0.375, 0.125} | {0.25, 0.25}
+		{[]float64{0.75, 0.75, 0.5}, 1, false},             // total 2c, but no exact split
+		{[]float64{0.625, 0.375, 0.5, 0.5}, 1, true},       // {0.625, 0.375} | {0.5, 0.5}
+		{[]float64{0.5, 0.5}, 0.5, true},                   // one per bin, both full
+		{[]float64{1, 0.5, 0.25, 0.125, 0.125}, 1, true},   // {1} | the rest, sums to 1
+		{[]float64{1 + 0x1p-40, 0.25, 0.25}, 1, false},     // player 0 alone overflows
+	}
+	for _, c := range dyadic {
+		got, err := FeasibleAssignmentExists(c.inputs, c.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("FeasibleAssignmentExists(%v, %v) = %v, want %v", c.inputs, c.capacity, got, c.want)
+		}
+		check(c.inputs, c.capacity)
+	}
+}
+
 func TestFeasibleAssignmentValidation(t *testing.T) {
 	if _, err := FeasibleAssignmentExists([]float64{0.5}, 0); err == nil {
 		t.Error("zero capacity: expected error")
@@ -337,6 +423,12 @@ func TestFeasibleAssignmentValidation(t *testing.T) {
 	}
 	if _, err := FeasibleAssignmentExists(make([]float64, 31), 1); err == nil {
 		t.Error("too many players: expected error")
+	}
+	if _, err := FeasibleAssignmentExists([]float64{0.5, math.NaN()}, 1); err == nil {
+		t.Error("NaN input: expected error")
+	}
+	if _, err := FeasibleAssignmentExists([]float64{0.5}, -1); err == nil {
+		t.Error("negative capacity: expected error")
 	}
 }
 

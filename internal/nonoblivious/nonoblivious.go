@@ -16,9 +16,12 @@
 //   - SymbolicSymmetric — the exact Section 5.2 analysis for any n and
 //     rational δ: the winning probability as a piecewise polynomial in the
 //     common threshold β with exact rational breakpoints and coefficients.
-//   - OptimalSymmetric — the certified optimum: Sturm-isolated roots of
-//     the per-piece derivative (the specialization of the Theorem 5.2
-//     optimality condition), refined by rational bisection.
+//     Every guarded term is expanded once per instance over the integers;
+//     each piece sums the terms its guards admit.
+//   - OptimalSymmetric — the certified optimum: roots of the per-piece
+//     derivative (the specialization of the Theorem 5.2 optimality
+//     condition) isolated by Sturm chains built as integer remainder
+//     sequences, then bisected at rational points with integer sign tests.
 package nonoblivious
 
 import (
@@ -51,7 +54,11 @@ const MaxNGeneral = 20
 const MaxNSymmetric = 56
 
 // MaxNSymbolic bounds the player count for SymbolicSymmetric, whose cost is
-// exact big.Rat polynomial arithmetic over O(n²) pieces.
+// exact big-integer polynomial arithmetic over O(n²) pieces (each a sum of
+// n+1 products of once-expanded term tables), and for OptimalSymmetric,
+// which adds one integer Sturm chain per piece. OptimalSymmetric(n, n/3)
+// takes about 0.07 s at n = 16, 0.26 s at n = 20 and 1.4 s at n = 25 on a
+// 2-vCPU Xeon.
 const MaxNSymbolic = 25
 
 func validateCapacity(capacity float64) error {
@@ -142,15 +149,12 @@ func SymbolicSymmetric(n int, capacity *big.Rat) (*poly.Piecewise, error) {
 		return nil, fmt.Errorf("nonoblivious: capacity must be strictly positive")
 	}
 	breaks := symbolicBreakpoints(n, capacity)
+	terms := newSymbolicTerms(n, capacity)
 	pieces := make([]poly.RatPoly, len(breaks)-1)
-	for i := 0; i+1 < len(breaks); i++ {
+	half := big.NewRat(1, 2)
+	for i := range pieces {
 		mid := new(big.Rat).Add(breaks[i], breaks[i+1])
-		mid.Mul(mid, big.NewRat(1, 2))
-		piece, err := symbolicPiece(n, capacity, mid)
-		if err != nil {
-			return nil, err
-		}
-		pieces[i] = piece
+		pieces[i] = terms.piece(mid.Mul(mid, half))
 	}
 	return poly.NewPiecewise(breaks, pieces)
 }
@@ -193,119 +197,117 @@ func symbolicBreakpoints(n int, capacity *big.Rat) []*big.Rat {
 	return out
 }
 
-// symbolicPiece expands P(β) = Σ_k C(n,k) N₀(n-k) N₁(k) as an exact
-// polynomial in β, with the guards frozen at the probe point μ (a point
-// interior to the piece).
-func symbolicPiece(n int, capacity, mu *big.Rat) (poly.RatPoly, error) {
-	n0 := make([]poly.RatPoly, n+1)
-	n1 := make([]poly.RatPoly, n+1)
-	for m := 0; m <= n; m++ {
-		p0, err := symbolicBin0(m, capacity, mu)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		n0[m] = p0
-		p1, err := symbolicBin1(m, capacity, mu)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		n1[m] = p1
+// symbolicTerms holds every guarded term of the Section 5.2 expansion of
+// one instance (n, δ = p/q), each expanded once by the binomial theorem and
+// scaled to integers. With N₀(m) = (1/m!) Σ_{l: δ−lβ > 0} (−1)^l C(m,l)
+// (δ − lβ)^m and N₁(k) = (1−β)^k − (1/k!) Σ_{l: k−δ−l(1−β) > 0} (−1)^l
+// C(k,l) (k − δ − l + lβ)^k, the tables hold prefix sums over l:
+//
+//	bin0[m][L] = Σ_{l<L} (−1)^l C(m,l) (p − lqβ)^m                         (= m!·q^m·N₀(m))
+//	bin1[k][L] = k!·q^k·(1−β)^k − Σ_{l<L} (−1)^l C(k,l) ((k−l)q − p + lqβ)^k (= k!·q^k·N₁(k))
+//
+// Inside a piece each guard admits a prefix l < L of its terms, so
+// P(β) = Σ_k C(n,k) N₀(n−k) N₁(k) = Σ_k C(n,k)²·bin0[n−k][L₀]·bin1[k][L₁] / (n!·q^n)
+// with one table entry per size.
+type symbolicTerms struct {
+	n          int
+	p, q       *big.Int
+	bin0, bin1 [][]poly.IntPoly
+	weight     []*big.Int // C(n,k)²
+	den        *big.Int   // n!·q^n
+}
+
+func newSymbolicTerms(n int, capacity *big.Rat) *symbolicTerms {
+	p, q := capacity.Num(), capacity.Denom()
+	t := &symbolicTerms{
+		n: n, p: p, q: q,
+		bin0:   make([][]poly.IntPoly, n+1),
+		bin1:   make([][]poly.IntPoly, n+1),
+		weight: make([]*big.Int, n+1),
+		den:    new(big.Int).MulRange(1, int64(n)),
 	}
-	total := poly.RatPoly{}
+	t.den.Mul(t.den, new(big.Int).Exp(q, big.NewInt(int64(n)), nil))
 	for k := 0; k <= n; k++ {
-		c, err := combin.BinomialBig(n, k)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		term := n0[n-k].Mul(n1[k]).Scale(new(big.Rat).SetInt(c))
-		total = total.Add(term)
+		t.weight[k] = new(big.Int).Binomial(int64(n), int64(k))
+		t.weight[k].Mul(t.weight[k], t.weight[k])
 	}
-	return total, nil
+	lq, s := new(big.Int), new(big.Int)
+	for m := 0; m <= n; m++ {
+		// bin0: (p − lqβ)^m for l = 0..m.
+		t.bin0[m] = make([]poly.IntPoly, m+2)
+		for l := 0; l <= m; l++ {
+			lq.Mul(big.NewInt(int64(-l)), q)
+			term := binomialPower(p, lq, m, l)
+			t.bin0[m][l+1] = t.bin0[m][l].Add(term)
+		}
+		// bin1: k!·q^k·(1−β)^k, then ((k−l)q − p + lqβ)^k for l = 0..k.
+		k := m
+		t.bin1[k] = make([]poly.IntPoly, k+2)
+		scale := new(big.Int).MulRange(1, int64(k))
+		scale.Mul(scale, new(big.Int).Exp(q, big.NewInt(int64(k)), nil))
+		t.bin1[k][0] = binomialPower(big.NewInt(1), big.NewInt(-1), k, 0).Scale(scale)
+		for l := 0; l <= k; l++ {
+			s.Mul(big.NewInt(int64(k-l)), q)
+			s.Sub(s, p)
+			lq.Mul(big.NewInt(int64(l)), q)
+			t.bin1[k][l+1] = t.bin1[k][l].Sub(binomialPower(s, lq, k, l))
+		}
+	}
+	return t
 }
 
-// symbolicBin0 expands N₀(m) = (1/m!) Σ_{l : δ-lμ > 0} (-1)^l C(m,l)
-// (δ - lβ)^m as a polynomial in β.
-func symbolicBin0(m int, capacity, mu *big.Rat) (poly.RatPoly, error) {
-	if m == 0 {
-		return poly.RatPolyFromInt64(1), nil
+// binomialPower expands (−1)^l·C(e,l)·(a + bβ)^e by the binomial theorem.
+func binomialPower(a, b *big.Int, e, l int) poly.IntPoly {
+	outer := new(big.Int).Binomial(int64(e), int64(l))
+	if l%2 == 1 {
+		outer.Neg(outer)
 	}
-	total := poly.RatPoly{}
-	probe := new(big.Rat)
-	for l := 0; l <= m; l++ {
-		lr := new(big.Rat).SetInt64(int64(l))
-		probe.Mul(lr, mu)
-		probe.Sub(capacity, probe)
-		if probe.Sign() <= 0 {
-			continue
-		}
-		// (δ - lβ)^m.
-		base := poly.RatPolyAffine(capacity, new(big.Rat).Neg(lr))
-		pw, err := base.Pow(m)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		c, err := combin.BinomialBig(m, l)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		coeff := new(big.Rat).SetInt(c)
-		if l%2 == 1 {
-			coeff.Neg(coeff)
-		}
-		total = total.Add(pw.Scale(coeff))
+	coeffs := make([]*big.Int, e+1)
+	bPow := big.NewInt(1)
+	for j := 0; j <= e; j++ {
+		c := new(big.Int).Binomial(int64(e), int64(j))
+		c.Mul(c, new(big.Int).Exp(a, big.NewInt(int64(e-j)), nil))
+		c.Mul(c, bPow)
+		coeffs[j] = c.Mul(c, outer)
+		bPow.Mul(bPow, b)
 	}
-	invFact, err := combin.InvFactorialRat(m)
-	if err != nil {
-		return poly.RatPoly{}, err
-	}
-	return total.Scale(invFact), nil
+	return poly.NewIntPoly(coeffs)
 }
 
-// symbolicBin1 expands N₁(k) = (1-β)^k - (1/k!) Σ_{l : k-δ-l(1-μ) > 0}
-// (-1)^l C(k,l) (k - δ - l + lβ)^k as a polynomial in β.
-func symbolicBin1(k int, capacity, mu *big.Rat) (poly.RatPoly, error) {
-	if k == 0 {
-		return poly.RatPolyFromInt64(1), nil
+// piece assembles P(β) on the piece whose interior contains μ, with each
+// guard tested at μ exactly as a rational inequality.
+func (t *symbolicTerms) piece(mu *big.Rat) poly.RatPoly {
+	a, b := mu.Num(), mu.Denom() // 0 < a < b: μ is interior to [0, 1]
+	// δ − lμ > 0 ⟺ l·(aq) < pb.
+	l0 := admitted(new(big.Int).Mul(t.p, b), new(big.Int).Mul(a, t.q), t.n+1)
+	// k − δ − l(1−μ) > 0 ⟺ l·q(b−a) < (kq − p)·b.
+	den1 := new(big.Int).Sub(b, a)
+	den1.Mul(den1, t.q)
+	num1 := new(big.Int)
+	var total poly.IntPoly
+	for k := 0; k <= t.n; k++ {
+		num1.Mul(big.NewInt(int64(k)), t.q)
+		num1.Sub(num1, t.p)
+		num1.Mul(num1, b)
+		n0 := t.bin0[t.n-k][min(l0, t.n-k+1)]
+		n1 := t.bin1[k][admitted(num1, den1, k+1)]
+		total = total.Add(n0.Mul(n1).Scale(t.weight[k]))
 	}
-	one := big.NewRat(1, 1)
-	lead, err := poly.RatPolyAffine(one, big.NewRat(-1, 1)).Pow(k) // (1-β)^k
-	if err != nil {
-		return poly.RatPoly{}, err
+	return total.Over(t.den)
+}
+
+// admitted returns how many integers l ≥ 0 satisfy l·den < num (den > 0),
+// capped at limit.
+func admitted(num, den *big.Int, limit int) int {
+	if num.Sign() <= 0 {
+		return 0
 	}
-	kd := new(big.Rat).SetInt64(int64(k))
-	kd.Sub(kd, capacity) // k - δ
-	total := poly.RatPoly{}
-	probe := new(big.Rat)
-	oneMinusMu := new(big.Rat).Sub(one, mu)
-	for l := 0; l <= k; l++ {
-		lr := new(big.Rat).SetInt64(int64(l))
-		probe.Mul(lr, oneMinusMu)
-		probe.Sub(kd, probe)
-		if probe.Sign() <= 0 {
-			continue
-		}
-		// (k - δ - l + lβ)^k.
-		shift := new(big.Rat).Sub(kd, lr)
-		base := poly.RatPolyAffine(shift, lr)
-		pw, err := base.Pow(k)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		c, err := combin.BinomialBig(k, l)
-		if err != nil {
-			return poly.RatPoly{}, err
-		}
-		coeff := new(big.Rat).SetInt(c)
-		if l%2 == 1 {
-			coeff.Neg(coeff)
-		}
-		total = total.Add(pw.Scale(coeff))
+	c := new(big.Int).Sub(num, big.NewInt(1))
+	c.Quo(c, den)
+	if !c.IsInt64() || c.Int64() >= int64(limit)-1 {
+		return limit
 	}
-	invFact, err := combin.InvFactorialRat(k)
-	if err != nil {
-		return poly.RatPoly{}, err
-	}
-	return lead.Sub(total.Scale(invFact)), nil
+	return int(c.Int64()) + 1
 }
 
 // OptimalResult describes the certified optimal symmetric single-threshold

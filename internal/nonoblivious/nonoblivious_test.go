@@ -169,8 +169,7 @@ func TestSymbolicSymmetricMatchesPaperN3(t *testing.T) {
 // against the exact piecewise polynomial to 1e-14 absolute: at 65 rational
 // thresholds for small n, and at 11 (β = i/10, 0 and 1 included) for
 // n = 16, 20 and 25, where alternating binomial series lose up to the third
-// decimal. The large cases evaluate only the piece through each β
-// (symbolicPiece), since building every piece costs seconds there.
+// decimal. Every case builds the whole curve and checks its continuity.
 func TestSymbolicSymmetricMatchesFloatEverywhere(t *testing.T) {
 	cases := []struct {
 		n        int
@@ -188,26 +187,20 @@ func TestSymbolicSymmetricMatchesFloatEverywhere(t *testing.T) {
 	}
 	for _, c := range cases {
 		cf, _ := c.capacity.Float64()
-		steps := int64(64)
-		exactAt := func(b *big.Rat) (*big.Rat, error) {
-			piece, err := symbolicPiece(c.n, c.capacity, b)
-			return piece.Eval(b), err
+		pw, err := SymbolicSymmetric(c.n, c.capacity)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c.n <= 6 {
-			pw, err := SymbolicSymmetric(c.n, c.capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pw.IsContinuous() {
-				t.Errorf("n=%d δ=%v: P(β) should be continuous", c.n, c.capacity)
-			}
-			exactAt = pw.Eval
-		} else {
+		if !pw.IsContinuous() {
+			t.Errorf("n=%d δ=%v: P(β) should be continuous", c.n, c.capacity)
+		}
+		steps := int64(64)
+		if c.n > 6 {
 			steps = 10
 		}
 		for num := int64(0); num <= steps; num++ {
 			bf, _ := rat(num, steps).Float64()
-			exact, err := exactAt(new(big.Rat).SetFloat64(bf))
+			exact, err := pw.Eval(new(big.Rat).SetFloat64(bf))
 			if err != nil {
 				t.Fatal(err)
 			}

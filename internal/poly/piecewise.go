@@ -132,8 +132,8 @@ type Extremum struct {
 // GlobalMax locates the global maximum of the piecewise function over its
 // domain. Candidates are all breakpoints plus every root of each piece's
 // derivative inside that piece, isolated by Sturm sequences and refined to
-// the given positive rational tolerance. Ties are resolved toward the
-// smaller argument.
+// the given positive rational tolerance against one integer square-free
+// part per piece. Ties are resolved toward the smaller argument.
 func (pw *Piecewise) GlobalMax(tol *big.Rat) (Extremum, error) {
 	if tol == nil || tol.Sign() <= 0 {
 		return Extremum{}, fmt.Errorf("poly: non-positive tolerance for GlobalMax")
@@ -153,20 +153,14 @@ func (pw *Piecewise) GlobalMax(tol *big.Rat) (Extremum, error) {
 		consider(Interval{Lo: new(big.Rat).Set(lo), Hi: new(big.Rat).Set(lo)}, i, nil)
 		consider(Interval{Lo: new(big.Rat).Set(hi), Hi: new(big.Rat).Set(hi)}, i, nil)
 		d := piece.Derivative()
-		if d.IsZero() || d.Degree() < 1 {
+		if d.Degree() < 1 {
 			continue
 		}
-		ivs, err := IsolateRoots(d, lo, hi)
-		if err != nil {
-			return Extremum{}, fmt.Errorf("poly: isolating critical points of piece %d: %w", i, err)
-		}
-		for _, iv := range ivs {
-			refined, err := RefineRoot(d, iv, tol)
-			if err != nil {
-				return Extremum{}, fmt.Errorf("poly: refining critical point of piece %d: %w", i, err)
-			}
+		// One integer square-free part serves isolation and every refinement.
+		sf, s := squareFreeSturm(d)
+		for _, iv := range isolateRoots(sf, s, lo, hi) {
 			dCopy := d
-			consider(refined, i, &dCopy)
+			consider(refineRoot(sf, iv, tol), i, &dCopy)
 		}
 	}
 	if !haveBest {

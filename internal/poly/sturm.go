@@ -22,10 +22,14 @@ func (iv Interval) MidFloat() float64 {
 	return f
 }
 
-// SturmSequence holds the canonical Sturm chain of a square-free polynomial
-// and answers exact root-counting queries on rational intervals.
+// SturmSequence holds the Sturm chain of a square-free polynomial and
+// answers exact root-counting queries on rational intervals. The chain is a
+// primitive pseudo-remainder sequence over the integers: each member is a
+// positive multiple of the corresponding member of the canonical rational
+// chain (p, p', −rem, …), so every sign-variation count is the same while
+// no coefficient is ever a fraction.
 type SturmSequence struct {
-	chain []RatPoly
+	chain []IntPoly
 }
 
 // NewSturmSequence builds the Sturm chain of p. Multiple roots are handled
@@ -35,30 +39,44 @@ func NewSturmSequence(p RatPoly) (*SturmSequence, error) {
 	if p.IsZero() {
 		return nil, fmt.Errorf("poly: Sturm sequence of the zero polynomial")
 	}
-	sf := p.SquareFree()
-	chain := []RatPoly{sf}
+	_, s := squareFreeSturm(p)
+	return s, nil
+}
+
+// squareFreeSturm returns the primitive square-free part sf of p, a
+// positive multiple of p.SquareFree(), together with its Sturm chain. The
+// chain of p is itself a primitive remainder sequence of p and p', so its
+// last member is gcd(p, p'): when that is a constant, p is square-free and
+// the chain is already the answer; otherwise sf = p/gcd gets its own chain.
+func squareFreeSturm(p RatPoly) (IntPoly, *SturmSequence) {
+	sf := intPart(p)
+	s := newSturm(sf)
+	g := s.chain[len(s.chain)-1]
+	if g.Degree() < 1 {
+		return sf, s
+	}
+	if g.coeffs[g.Degree()].Sign() < 0 {
+		g = g.Neg()
+	}
+	sf = quoExact(sf, g)
+	return sf, newSturm(sf)
+}
+
+// newSturm builds the chain of a square-free sf: sf, sf', then the negated
+// pseudo-remainders made primitive, until a constant or an exact division.
+func newSturm(sf IntPoly) *SturmSequence {
+	chain := []IntPoly{sf}
 	if sf.Degree() >= 1 {
-		chain = append(chain, sf.Derivative())
-		for {
-			last := chain[len(chain)-1]
-			if last.IsZero() {
-				chain = chain[:len(chain)-1]
-				break
-			}
-			if last.Degree() == 0 {
-				break
-			}
-			_, rem, err := chain[len(chain)-2].Divide(last)
-			if err != nil {
-				return nil, fmt.Errorf("poly: building Sturm chain: %w", err)
-			}
+		chain = append(chain, sf.derivative().primitive())
+		for chain[len(chain)-1].Degree() > 0 {
+			rem := pseudoRem(chain[len(chain)-2], chain[len(chain)-1])
 			if rem.IsZero() {
 				break
 			}
-			chain = append(chain, rem.Neg())
+			chain = append(chain, rem.Neg().primitive())
 		}
 	}
-	return &SturmSequence{chain: chain}, nil
+	return &SturmSequence{chain: chain}
 }
 
 // signVariations counts sign changes of the chain evaluated at x,
@@ -67,7 +85,7 @@ func (s *SturmSequence) signVariations(x *big.Rat) int {
 	variations := 0
 	prev := 0
 	for _, q := range s.chain {
-		sign := q.Eval(x).Sign()
+		sign := q.signAt(x)
 		if sign == 0 {
 			continue
 		}
@@ -99,65 +117,57 @@ func IsolateRoots(p RatPoly, lo, hi *big.Rat) ([]Interval, error) {
 	if lo.Cmp(hi) > 0 {
 		return nil, fmt.Errorf("poly: inverted interval [%v, %v]", lo, hi)
 	}
-	sf := p.SquareFree()
+	sf, s := squareFreeSturm(p)
+	return isolateRoots(sf, s, lo, hi), nil
+}
+
+// isolateRoots bisects (lo, hi] with s, the Sturm chain of the square-free
+// sf.
+func isolateRoots(sf IntPoly, s *SturmSequence, lo, hi *big.Rat) []Interval {
 	if sf.Degree() < 1 {
-		return nil, nil
+		return nil
 	}
-	s, err := NewSturmSequence(sf)
-	if err != nil {
-		return nil, err
-	}
+	half := big.NewRat(1, 2)
 	var out []Interval
-	var recurse func(a, b *big.Rat) error
-	recurse = func(a, b *big.Rat) error {
-		count, err := s.CountRootsIn(a, b)
-		if err != nil {
-			return err
-		}
-		switch {
-		case count == 0:
-			return nil
-		case count == 1:
+	var recurse func(a, b *big.Rat, va, vb int)
+	// va and vb are the sign variations at a and b; (a, b] holds va − vb roots.
+	recurse = func(a, b *big.Rat, va, vb int) {
+		switch va - vb {
+		case 0:
+			return
+		case 1:
 			out = append(out, Interval{Lo: new(big.Rat).Set(a), Hi: new(big.Rat).Set(b)})
-			return nil
-		default:
-			mid := new(big.Rat).Add(a, b)
-			mid.Mul(mid, big.NewRat(1, 2))
-			if sf.Eval(mid).Sign() == 0 {
-				// The midpoint is itself a root: report it as a degenerate
-				// interval, then shrink the left half so that (a, leftCut]
-				// no longer contains the midpoint root. The right half
-				// (mid, b] already excludes it.
-				out = append(out, Interval{Lo: new(big.Rat).Set(mid), Hi: new(big.Rat).Set(mid)})
-				w := new(big.Rat).Sub(mid, a)
-				half := big.NewRat(1, 2)
-				leftCut := new(big.Rat)
-				for {
-					w.Mul(w, half)
-					leftCut.Sub(mid, w)
-					c, err := s.CountRootsIn(leftCut, mid)
-					if err != nil {
-						return err
-					}
-					if c == 1 { // only the midpoint root remains to the right of leftCut
-						break
-					}
-				}
-				if err := recurse(a, leftCut); err != nil {
-					return err
-				}
-				return recurse(mid, b)
-			}
-			if err := recurse(a, mid); err != nil {
-				return err
-			}
-			return recurse(mid, b)
+			return
 		}
+		mid := new(big.Rat).Add(a, b)
+		mid.Mul(mid, half)
+		vm := s.signVariations(mid)
+		if sf.signAt(mid) == 0 {
+			// The midpoint is itself a root: report it as a degenerate
+			// interval, then shrink the left half so that (a, leftCut]
+			// no longer contains the midpoint root. The right half
+			// (mid, b] already excludes it.
+			out = append(out, Interval{Lo: new(big.Rat).Set(mid), Hi: new(big.Rat).Set(mid)})
+			w := new(big.Rat).Sub(mid, a)
+			leftCut := new(big.Rat)
+			var vl int
+			for {
+				w.Mul(w, half)
+				leftCut.Sub(mid, w)
+				vl = s.signVariations(leftCut)
+				if vl-vm == 1 { // only the midpoint root remains to the right of leftCut
+					break
+				}
+			}
+			recurse(a, leftCut, va, vl)
+			recurse(mid, b, vm, vb)
+			return
+		}
+		recurse(a, mid, va, vm)
+		recurse(mid, b, vm, vb)
 	}
-	if err := recurse(lo, hi); err != nil {
-		return nil, err
-	}
-	return out, nil
+	recurse(lo, hi, s.signVariations(lo), s.signVariations(hi))
+	return out
 }
 
 // RefineRoot narrows an isolating interval for a root of p down to width at
@@ -169,25 +179,31 @@ func RefineRoot(p RatPoly, iv Interval, tol *big.Rat) (Interval, error) {
 	if tol == nil || tol.Sign() <= 0 {
 		return Interval{}, fmt.Errorf("poly: non-positive refinement tolerance")
 	}
+	if iv.Lo.Cmp(iv.Hi) == 0 {
+		return Interval{Lo: new(big.Rat).Set(iv.Lo), Hi: new(big.Rat).Set(iv.Hi)}, nil
+	}
+	sf, _ := squareFreeSturm(p)
+	return refineRoot(sf, iv, tol), nil
+}
+
+// refineRoot bisects iv against the square-free sf until its width is at
+// most tol, testing each midpoint's sign against the sign at the right end.
+func refineRoot(sf IntPoly, iv Interval, tol *big.Rat) Interval {
 	lo := new(big.Rat).Set(iv.Lo)
 	hi := new(big.Rat).Set(iv.Hi)
-	if lo.Cmp(hi) == 0 {
-		return Interval{Lo: lo, Hi: hi}, nil
-	}
-	sf := p.SquareFree()
-	sHi := sf.Eval(hi).Sign()
+	sHi := sf.signAt(hi)
 	if sHi == 0 {
 		// The unique root of (Lo, Hi] sits exactly at the right endpoint.
-		return Interval{Lo: new(big.Rat).Set(hi), Hi: hi}, nil
+		return Interval{Lo: new(big.Rat).Set(hi), Hi: hi}
 	}
 	width := new(big.Rat).Sub(hi, lo)
 	half := big.NewRat(1, 2)
 	for width.Cmp(tol) > 0 {
 		mid := new(big.Rat).Add(lo, hi)
 		mid.Mul(mid, half)
-		sMid := sf.Eval(mid).Sign()
+		sMid := sf.signAt(mid)
 		if sMid == 0 {
-			return Interval{Lo: mid, Hi: new(big.Rat).Set(mid)}, nil
+			return Interval{Lo: mid, Hi: new(big.Rat).Set(mid)}
 		}
 		// The root lies in (lo, hi]; keep the half whose right endpoint
 		// sign differs from the left endpoint side. Since the interval
@@ -200,5 +216,5 @@ func RefineRoot(p RatPoly, iv Interval, tol *big.Rat) (Interval, error) {
 		}
 		width.Sub(hi, lo)
 	}
-	return Interval{Lo: lo, Hi: hi}, nil
+	return Interval{Lo: lo, Hi: hi}
 }
