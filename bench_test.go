@@ -177,23 +177,6 @@ func BenchmarkIrwinHallCDF(b *testing.B) {
 	}
 }
 
-// BenchmarkUniformSumCDF times the Lemma 2.4 subset kernel (m = 12,
-// 4096 subsets per call).
-func BenchmarkUniformSumCDF(b *testing.B) {
-	widths := make([]float64, 12)
-	for i := range widths {
-		widths[i] = 0.3 + 0.05*float64(i)
-	}
-	u, err := dist.NewUniformSum(widths)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = u.CDF(2.5)
-	}
-}
-
 // BenchmarkObliviousWinProbability times the Theorem 4.1 evaluation for
 // n = 20 (Poisson-binomial DP path).
 func BenchmarkObliviousWinProbability(b *testing.B) {

@@ -2,7 +2,11 @@ package repro
 
 import (
 	"encoding/csv"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -173,4 +177,84 @@ func TestCellMatches(t *testing.T) {
 			t.Errorf("cellMatches(%q, %q) = %v, want %v", c.doc, c.csv, got, c.want)
 		}
 	}
+}
+
+// codeSpanRE matches a backticked code span within one line, and
+// qualifiedRE an exported package-qualified name, pkg.Name, inside one.
+var (
+	codeSpanRE  = regexp.MustCompile("`[^`]+`")
+	qualifiedRE = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+)
+
+// TestDocIdentifiersExist checks that every exported pkg.Name that
+// THEORY.md, README.md or EXPERIMENTS.md puts in backticks, where
+// internal/pkg exists, is a top-level declaration of that package, so the
+// documents cannot point at deleted or renamed code. DESIGN.md is left
+// out: its history names deleted code on purpose.
+func TestDocIdentifiersExist(t *testing.T) {
+	decls := map[string]map[string]bool{}
+	for _, doc := range []string{"THEORY.md", "README.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, span := range codeSpanRE.FindAllString(line, -1) {
+				for _, m := range qualifiedRE.FindAllStringSubmatch(span, -1) {
+					pkg, name := m[1], m[2]
+					names, ok := decls[pkg]
+					if !ok {
+						names = topLevelNames(t, filepath.Join("internal", pkg))
+						decls[pkg] = names
+					}
+					if names != nil && !names[name] {
+						t.Errorf("%s:%d: `%s.%s` is not declared in internal/%s", doc, i+1, pkg, name, pkg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// topLevelNames returns the names the non-test files in dir declare at
+// the top level, or nil when dir holds no Go files. Methods count, so
+// `engine.OptimizeCtx` names the Engine method.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names map[string]bool
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names == nil {
+			names = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/geometry"
 	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
 	"repro/internal/problem"
@@ -122,25 +121,27 @@ func TestEndToEndChainOfOracles(t *testing.T) {
 
 // TestEndToEndGeometryToProbability walks the paper's derivation chain:
 // Proposition 2.2 volume → Lemma 2.4 CDF → Corollary 2.6 Irwin-Hall →
-// Theorem 4.1 term, asserting exact consistency at each hand-off.
+// Theorem 4.1 term, asserting consistency at each hand-off: to rounding
+// for the float volume table, exactly from Lemma 2.4 on.
 func TestEndToEndGeometryToProbability(t *testing.T) {
-	// Volume of {x ∈ [0,1]³ : Σx ≤ 1} is 1/6 (Prop 2.2)...
-	one := big.NewRat(1, 1)
-	vol, err := geometry.VolumeRat(
-		[]*big.Rat{one, one, one}, []*big.Rat{one, one, one})
+	// Volume of {x ∈ [0,1]³ : Σx ≤ 1} is 1/6 (Prop 2.2): the full-set cell
+	// of the subset-volume table at unit widths and threshold 1 ...
+	vols, _, err := dist.AllSubsetVolumes(nil, []float64{1, 1, 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vol.Cmp(big.NewRat(1, 6)) != 0 {
+	vol := vols[0b111]
+	if math.Abs(vol-1.0/6) > 1e-15 {
 		t.Fatalf("Prop 2.2 volume = %v, want 1/6", vol)
 	}
-	// ... equals the Lemma 2.4 CDF at t=1 with unit widths ...
+	// ... equals the Lemma 2.4 CDF at t=1 with unit widths (Π w = 1) ...
+	one := big.NewRat(1, 1)
 	cdf, err := dist.CDFRat([]*big.Rat{one, one, one}, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cdf.Cmp(vol) != 0 {
-		t.Fatalf("Lemma 2.4 CDF = %v, want the Prop 2.2 volume %v", cdf, vol)
+	if cdf.Cmp(big.NewRat(1, 6)) != 0 {
+		t.Fatalf("Lemma 2.4 CDF = %v, want the Prop 2.2 volume 1/6", cdf)
 	}
 	// ... equals Corollary 2.6 ...
 	ih, err := dist.IrwinHallCDFRat(3, one)

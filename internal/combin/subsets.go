@@ -83,19 +83,6 @@ func ForEachKSubsetMask(n, k int, fn func(mask uint64) bool) error {
 	return nil
 }
 
-// MaskSum returns the sum of vals[i] over the set bits i of mask.
-// It panics if mask addresses an index beyond len(vals); masks are produced
-// by the iterators above, which bound them by the ground-set size.
-func MaskSum(mask uint64, vals []float64) float64 {
-	var s float64
-	for m := mask; m != 0; {
-		i := bits.TrailingZeros64(m)
-		s += vals[i]
-		m &^= 1 << uint(i)
-	}
-	return s
-}
-
 // Popcount returns the number of set bits in mask.
 func Popcount(mask uint64) int { return bits.OnesCount64(mask) }
 

@@ -3,7 +3,6 @@ package combin
 import (
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestForEachSubsetCountsAndOrder(t *testing.T) {
@@ -205,33 +204,6 @@ func TestForEachKSubsetMaskErrors(t *testing.T) {
 	}
 	if err := ForEachKSubsetMask(5, -1, func(uint64) bool { return true }); err == nil {
 		t.Error("ForEachKSubsetMask(5, -1): expected error")
-	}
-}
-
-func TestMaskSum(t *testing.T) {
-	vals := []float64{0.5, 1.5, 2.5, 3.5, 4.5}
-	if got := MaskSum(0b10110, vals); got != 1.5+2.5+4.5 {
-		t.Errorf("MaskSum = %g, want %g", got, 1.5+2.5+4.5)
-	}
-	if got := MaskSum(0, vals); got != 0 {
-		t.Errorf("MaskSum(empty) = %g, want 0", got)
-	}
-}
-
-func TestMaskSumMatchesIndicesProperty(t *testing.T) {
-	vals := []float64{1, 2, 4, 8, 16, 32, 64, 128}
-	f := func(m uint8) bool {
-		mask := uint64(m)
-		var s float64
-		for i := range vals {
-			if mask&(1<<uint(i)) != 0 {
-				s += vals[i]
-			}
-		}
-		return s == MaskSum(mask, vals) && s == float64(mask)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -6,18 +6,18 @@
 // probability by inclusion-exclusion over the polytope volumes of
 // Proposition 2.2. This package exposes those results directly:
 //
-//   - UniformSum: Σ x_i with x_i ~ U[0, π_i]. Its CDF is Lemma 2.4 and its
-//     density is Lemma 2.5 — the paper notes the density formula answers a
-//     research problem posed by Rota.
+//   - AllSubsetVolumes: the Proposition 2.2 box-simplex volume of every
+//     subset of a set of widths at one shared threshold, in float64; the
+//     volume of a subset divided by the product of its widths is the
+//     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i]. RadixLadder is the same
+//     table kernel for sums whose radix shifts with the exponent.
+//   - CDFRat: Lemma 2.4 in exact rationals, the oracle the float tables
+//     and the certified computations are checked against.
 //   - IrwinHallLadder: the classical special case π_i = 1 (Corollary 2.6),
 //     stepped order by order through a convex recurrence that keeps full
-//     float64 accuracy at every order.
-//   - ShiftedUniformSum: Σ x_i with x_i ~ U[π_i, 1] (Lemma 2.7), the
-//     conditional distribution of inputs that chose the "high" bin under a
-//     single-threshold algorithm.
+//     float64 accuracy at every order; IrwinHallCDFRat is its exact twin.
 //
-// Every CDF has a float64 implementation and an exact rational
-// implementation used as a test oracle and for the certified optimality
-// computations. The Lemma 2.4 and 2.7 series are summed with compensation;
-// the Irwin-Hall ladder needs none.
+// Lemma 2.7 (x_i ~ U[π_i, 1]) needs no kernel of its own: the substitution
+// x'_i = 1 − x_i turns it into Lemma 2.4 at the complement, which is how
+// the non-oblivious evaluators take it.
 package dist

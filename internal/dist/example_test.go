@@ -36,28 +36,19 @@ func ExampleIrwinHallCDFRat() {
 	// F_3(1) = 1/6
 }
 
-// ExampleUniformSum evaluates Lemma 2.4 for asymmetric interval widths:
-// P(x + y ≤ 1) with x ~ U[0,1], y ~ U[0,2] is 1/4.
-func ExampleUniformSum() {
-	u, err := dist.NewUniformSum([]float64{1, 2})
-	if err != nil {
-		panic(err)
+// ExampleCDFRat evaluates Lemma 2.4 exactly for asymmetric interval
+// widths: with x ~ U[0,1] and y ~ U[0,2], P(x + y ≤ 1) is a triangle of
+// area 1/2 in a rectangle of area 2.
+func ExampleCDFRat() {
+	widths := []*big.Rat{big.NewRat(1, 1), big.NewRat(2, 1)}
+	for _, t := range []int64{1, 2} {
+		v, err := dist.CDFRat(widths, big.NewRat(t, 1))
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("P(x+y ≤ %d) = %s\n", t, v.RatString())
 	}
-	fmt.Printf("P(x+y ≤ 1) = %.4f\n", u.CDF(1))
-	fmt.Printf("density at the mode: f(1.5) = %.4f\n", u.PDF(1.5))
 	// Output:
-	// P(x+y ≤ 1) = 0.2500
-	// density at the mode: f(1.5) = 0.5000
-}
-
-// ExampleShiftedUniformSum evaluates Lemma 2.7: the conditional load of a
-// bin that received two inputs known to exceed their thresholds.
-func ExampleShiftedUniformSum() {
-	s, err := dist.NewShiftedUniformSum([]float64{0.622, 0.622})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("P(load ≤ 1.5 | both above 0.622) = %.4f\n", s.CDF(1.5))
-	// Output:
-	// P(load ≤ 1.5 | both above 0.622) = 0.2293
+	// P(x+y ≤ 1) = 1/4
+	// P(x+y ≤ 2) = 3/4
 }

@@ -121,29 +121,25 @@ func TestIrwinHallSymmetryProperty(t *testing.T) {
 	}
 }
 
-// unitWidthSum is the Irwin-Hall distribution of order m as a UniformSum,
-// whose PDF is the Lemma 2.5 density.
-func unitWidthSum(t *testing.T, m int) *UniformSum {
-	t.Helper()
-	widths := make([]float64, m)
-	for i := range widths {
-		widths[i] = 1
+// irwinHallPDF is the Irwin-Hall density read off the ladder one order
+// down: f_m(x) = F_{m−1}(x) − F_{m−1}(x − 1), the Lemma 2.5 density at
+// unit widths.
+func irwinHallPDF(m int, x float64) float64 {
+	var l IrwinHallLadder
+	l.Reset(x, m-1)
+	for l.Order() < m-1 {
+		l.Step()
 	}
-	u, err := NewUniformSum(widths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u
+	return l.CDF(0) - l.CDF(1)
 }
 
 func TestIrwinHallPDFIsDerivativeOfCDF(t *testing.T) {
-	u := unitWidthSum(t, 5)
 	const h = 1e-6
 	for _, x := range []float64{0.4, 1.1, 2.5, 3.9, 4.6} {
 		hi, _ := IrwinHallCDF(5, x+h)
 		lo, _ := IrwinHallCDF(5, x-h)
 		numeric := (hi - lo) / (2 * h)
-		analytic := u.PDF(x)
+		analytic := irwinHallPDF(5, x)
 		if math.Abs(numeric-analytic) > 1e-5 {
 			t.Errorf("f_5(%v): analytic %v vs numeric %v", x, analytic, numeric)
 		}
@@ -151,7 +147,6 @@ func TestIrwinHallPDFIsDerivativeOfCDF(t *testing.T) {
 }
 
 func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
-	u := unitWidthSum(t, 6)
 	const steps = 6000
 	var sum float64
 	h := 6.0 / steps
@@ -160,7 +155,7 @@ func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
 		if i == 0 || i == steps {
 			w = 0.5
 		}
-		sum += w * u.PDF(float64(i)*h)
+		sum += w * irwinHallPDF(6, float64(i)*h)
 	}
 	sum *= h
 	if math.Abs(sum-1) > 1e-6 {
@@ -169,8 +164,7 @@ func TestIrwinHallPDFIntegratesToOne(t *testing.T) {
 }
 
 func TestIrwinHallPDFOutsideSupport(t *testing.T) {
-	u := unitWidthSum(t, 3)
-	if u.PDF(-0.1) != 0 || u.PDF(0) != 0 || u.PDF(3) != 0 || u.PDF(3.5) != 0 {
+	if irwinHallPDF(3, -0.1) != 0 || irwinHallPDF(3, 0) != 0 || irwinHallPDF(3, 3) != 0 || irwinHallPDF(3, 3.5) != 0 {
 		t.Error("PDF outside open support should be 0")
 	}
 }

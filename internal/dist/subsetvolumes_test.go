@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/big"
 	"math/bits"
 	"math/rand/v2"
 	"testing"
 )
 
-// TestAllSubsetVolumesMatchesCDF pins every table entry against the
-// independently-derived Lemma 2.4 CDF of the same subset (vol = CDF · Πw).
+// TestAllSubsetVolumesMatchesCDF pins every table entry against the exact
+// Lemma 2.4 CDF of the same subset (vol = CDF · Πw), taken at the exact
+// binary values of the float widths and thresholds.
 func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 	widths := []float64{0.5, 1, 0.75, 2, 0.25, 1.5}
 	n := len(widths)
@@ -26,24 +28,20 @@ func TestAllSubsetVolumesMatchesCDF(t *testing.T) {
 			t.Fatal("stats.Incremental = 0, want incremental work recorded")
 		}
 		for mask := uint64(0); mask < uint64(len(vol)); mask++ {
-			var sub []float64
+			var sub []*big.Rat
 			prod := 1.0
 			for i, w := range widths {
 				if mask&(1<<uint(i)) != 0 {
-					sub = append(sub, w)
+					sub = append(sub, new(big.Rat).SetFloat64(w))
 					prod *= w
 				}
 			}
-			want := prod
-			if len(sub) > 0 {
-				u, err := NewUniformSum(sub)
-				if err != nil {
-					t.Fatalf("NewUniformSum: %v", err)
-				}
-				want = u.CDF(thr) * prod
-			} else if thr < 0 {
-				want = 0
+			cdf, err := CDFRat(sub, new(big.Rat).SetFloat64(thr))
+			if err != nil {
+				t.Fatalf("CDFRat: %v", err)
 			}
+			f, _ := cdf.Float64()
+			want := f * prod
 			if math.Abs(vol[mask]-want) > 1e-11*(1+prod) {
 				t.Fatalf("t=%v vol[%b] = %v, want %v", thr, mask, vol[mask], want)
 			}

@@ -5,190 +5,117 @@ import (
 	"math/big"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
-func TestNewUniformSumValidation(t *testing.T) {
-	if _, err := NewUniformSum(nil); err == nil {
-		t.Error("empty widths: expected error")
-	}
-	if _, err := NewUniformSum([]float64{1, 0}); err == nil {
-		t.Error("zero width: expected error")
-	}
-	if _, err := NewUniformSum([]float64{-1}); err == nil {
-		t.Error("negative width: expected error")
-	}
-	if _, err := NewUniformSum([]float64{math.Inf(1)}); err == nil {
-		t.Error("infinite width: expected error")
-	}
-	if _, err := NewUniformSum(make([]float64, MaxSubsetDim+1)); err == nil {
-		t.Error("too many summands: expected error")
-	}
-}
-
-func TestUniformSumAccessorsAndMoments(t *testing.T) {
-	u, err := NewUniformSum([]float64{0.5, 1.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.N() != 3 {
-		t.Errorf("N = %d, want 3", u.N())
-	}
-	lo, hi := u.Support()
-	if lo != 0 || hi != 3 {
-		t.Errorf("support = [%v, %v], want [0, 3]", lo, hi)
-	}
-}
-
-func TestUniformSumMatchesIrwinHallForUnitWidths(t *testing.T) {
-	for m := 1; m <= 8; m++ {
-		widths := make([]float64, m)
-		for i := range widths {
-			widths[i] = 1
-		}
-		u, err := NewUniformSum(widths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 0.0; tt <= float64(m); tt += 0.13 {
-			ih, err := IrwinHallCDF(m, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := math.Abs(u.CDF(tt) - ih); d > 1e-10 {
-				t.Errorf("m=%d t=%v: UniformSum %v vs IrwinHall %v", m, tt, u.CDF(tt), ih)
-			}
-		}
-	}
-}
-
-func TestUniformSumCDFBoundaries(t *testing.T) {
-	u, err := NewUniformSum([]float64{0.3, 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.CDF(0) != 0 || u.CDF(-1) != 0 {
-		t.Error("CDF at or below 0 should be 0")
-	}
-	if u.CDF(1.0) != 1 || u.CDF(5) != 1 {
-		t.Error("CDF at or beyond support should be 1")
-	}
-}
-
-func TestUniformSumTwoAsymmetricExactValue(t *testing.T) {
-	// x ~ U[0, 1], y ~ U[0, 2]: P(x + y ≤ 1) = area of triangle with legs
-	// 1,1 inside the 1×2 rectangle divided by 2 = (1/2)/2 = 1/4.
-	u, err := NewUniformSum([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := u.CDF(1); math.Abs(got-0.25) > 1e-14 {
-		t.Errorf("P(x+y ≤ 1) = %v, want 0.25", got)
-	}
-	// P(x + y ≤ 2) = (2 - (1/2) - (1/2)) / 2 ... compute directly:
-	// area{x+y≤2} in [0,1]×[0,2] = 2 - area{x+y>2} = 2 - 1/2 = 3/2 → 3/4.
-	if got := u.CDF(2); math.Abs(got-0.75) > 1e-14 {
-		t.Errorf("P(x+y ≤ 2) = %v, want 0.75", got)
-	}
-}
-
-func TestUniformSumPDFIsDerivativeOfCDF(t *testing.T) {
-	u, err := NewUniformSum([]float64{0.5, 1.2, 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const h = 1e-6
-	for _, x := range []float64{0.2, 0.7, 1.3, 2.0, 2.4} {
-		numeric := (u.CDF(x+h) - u.CDF(x-h)) / (2 * h)
-		analytic := u.PDF(x)
-		if math.Abs(numeric-analytic) > 1e-5 {
-			t.Errorf("f(%v): analytic %v vs numeric %v", x, analytic, numeric)
-		}
-	}
-}
-
-func TestUniformSumPDFOutsideSupport(t *testing.T) {
-	u, err := NewUniformSum([]float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.PDF(-0.1) != 0 || u.PDF(0) != 0 || u.PDF(1) != 0 || u.PDF(2) != 0 {
-		t.Error("PDF outside open support should be 0")
-	}
-}
-
-func TestUniformSumCDFMonotoneProperty(t *testing.T) {
-	f := func(w1, w2, w3 uint8, aRaw, bRaw uint16) bool {
-		widths := []float64{
-			0.05 + float64(w1)/64,
-			0.05 + float64(w2)/64,
-			0.05 + float64(w3)/64,
-		}
-		u, err := NewUniformSum(widths)
-		if err != nil {
-			return false
-		}
-		_, hi := u.Support()
-		a := float64(aRaw) / 65535 * hi
-		b := float64(bRaw) / 65535 * hi
-		if a > b {
-			a, b = b, a
-		}
-		return u.CDF(a) <= u.CDF(b)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUniformSumSampleMatchesCDF(t *testing.T) {
-	u, err := NewUniformSum([]float64{0.5, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 5))
-	const n = 100000
-	threshold := 1.0
-	want := u.CDF(threshold)
-	hits := 0
-	for i := 0; i < n; i++ {
-		v, err := u.Sample(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v <= threshold {
-			hits++
-		}
-	}
-	got := float64(hits) / n
-	if math.Abs(got-want) > 0.006 {
-		t.Errorf("empirical CDF(1) = %v, analytic %v", got, want)
-	}
-	if _, err := u.Sample(nil); err == nil {
-		t.Error("nil rng: expected error")
-	}
-}
-
+// TestCDFRatMatchesFloat checks the exact Lemma 2.4 CDF against the float
+// Proposition 2.2 table: the full-set volume divided by Π w.
 func TestCDFRatMatchesFloat(t *testing.T) {
 	widths := []*big.Rat{big.NewRat(1, 2), big.NewRat(3, 4), big.NewRat(1, 1)}
 	wf := make([]float64, len(widths))
+	prod := 1.0
 	for i, w := range widths {
 		wf[i], _ = w.Float64()
+		prod *= wf[i]
 	}
-	u, err := NewUniformSum(wf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := 1<<len(widths) - 1
 	for num := int64(0); num <= 9; num++ {
 		tr := big.NewRat(num, 4)
 		tf, _ := tr.Float64()
+		vol, _, err := AllSubsetVolumes(nil, wf, tf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		exact, err := CDFRat(widths, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ef, _ := exact.Float64()
-		if math.Abs(u.CDF(tf)-ef) > 1e-12 {
-			t.Errorf("t=%v: float %v vs exact %v", tf, u.CDF(tf), ef)
+		if got := vol[full] / prod; math.Abs(got-ef) > 1e-12 {
+			t.Errorf("t=%v: float %v vs exact %v", tf, got, ef)
+		}
+	}
+}
+
+// rotaDensityRat is Lemma 2.5, the density of Σ x_i with x_i ~ U[0, w_i],
+// in exact rationals:
+//
+//	f(t) = 1/((m−1)! Π w_l) · Σ_{I : Σ_{l∈I} w_l ≤ t} (−1)^|I| (t − Σ_{l∈I} w_l)^(m−1).
+//
+// The guard admits σ_I = t (with 0^0 = 1), which makes f right-continuous;
+// for m ≥ 2 those terms vanish, and for m = 1 it picks the value of the
+// density at its two jumps that the CDF difference quotient gives.
+func rotaDensityRat(widths []*big.Rat, t *big.Rat) *big.Rat {
+	m := len(widths)
+	total := new(big.Rat)
+	for mask := 0; mask < 1<<m; mask++ {
+		rem := new(big.Rat).Set(t)
+		sign := 1
+		for i, w := range widths {
+			if mask&(1<<i) != 0 {
+				rem.Sub(rem, w)
+				sign = -sign
+			}
+		}
+		if rem.Sign() < 0 {
+			continue
+		}
+		term := ratPow(rem, m-1)
+		if sign < 0 {
+			term.Neg(term)
+		}
+		total.Add(total, term)
+	}
+	norm := big.NewRat(1, 1)
+	for i, w := range widths {
+		norm.Mul(norm, w)
+		if i >= 1 {
+			norm.Mul(norm, big.NewRat(int64(i), 1))
+		}
+	}
+	return total.Quo(total, norm)
+}
+
+// TestRotaDensityMatchesCDFDifference checks Lemma 2.5 (the density that
+// answers Rota's problem) exactly: adding x_j ~ U[0, w_j] to the sum over
+// S∖j gives f_S(t) = (F_{S∖j}(t) − F_{S∖j}(t − w_j)) / w_j, for every j,
+// with F the exact Lemma 2.4 CDF. Widths and points are random rationals;
+// the points cover the support and both sides outside it.
+func TestRotaDensityMatchesCDFDifference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 7))
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + trial%6
+		widths := make([]*big.Rat, m)
+		support := new(big.Rat)
+		for i := range widths {
+			widths[i] = big.NewRat(1+rng.Int64N(16), 1+rng.Int64N(8))
+			support.Add(support, widths[i])
+		}
+		// Points from −1/4 to 3/2 of the support, plus the knots 0 and support.
+		var points []*big.Rat
+		for k := 0; k < 6; k++ {
+			p := new(big.Rat).Mul(support, big.NewRat(rng.Int64N(97), 64))
+			points = append(points, p.Sub(p, big.NewRat(1, 4)))
+		}
+		points = append(points, new(big.Rat), new(big.Rat).Set(support))
+		for _, x := range points {
+			want := rotaDensityRat(widths, x)
+			for j := range widths {
+				rest := append(append([]*big.Rat{}, widths[:j]...), widths[j+1:]...)
+				hi, err := CDFRat(rest, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lo, err := CDFRat(rest, new(big.Rat).Sub(x, widths[j]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := new(big.Rat).Sub(hi, lo)
+				got.Quo(got, widths[j])
+				if got.Cmp(want) != 0 {
+					t.Fatalf("widths %v, t = %v, j = %d: CDF difference %v, Lemma 2.5 %v",
+						widths, x.RatString(), j, got.RatString(), want.RatString())
+				}
+			}
 		}
 	}
 }

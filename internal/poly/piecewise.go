@@ -133,7 +133,9 @@ type Extremum struct {
 // domain. Candidates are all breakpoints plus every root of each piece's
 // derivative inside that piece, isolated by Sturm sequences and refined to
 // the given positive rational tolerance against one integer square-free
-// part per piece. Ties are resolved toward the smaller argument.
+// part per piece. Ties are resolved toward the smaller argument. It
+// returns an error for a non-positive tolerance, for an empty function, and
+// when root isolation finds the Sturm counts inconsistent.
 func (pw *Piecewise) GlobalMax(tol *big.Rat) (Extremum, error) {
 	if tol == nil || tol.Sign() <= 0 {
 		return Extremum{}, fmt.Errorf("poly: non-positive tolerance for GlobalMax")
@@ -158,7 +160,11 @@ func (pw *Piecewise) GlobalMax(tol *big.Rat) (Extremum, error) {
 		}
 		// One integer square-free part serves isolation and every refinement.
 		sf, s := squareFreeSturm(d)
-		for _, iv := range isolateRoots(sf, s, lo, hi) {
+		ivs, err := isolateRoots(sf, s, lo, hi)
+		if err != nil {
+			return Extremum{}, err
+		}
+		for _, iv := range ivs {
 			dCopy := d
 			consider(refineRoot(sf, iv, tol), i, &dCopy)
 		}

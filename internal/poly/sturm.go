@@ -3,6 +3,7 @@ package poly
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Interval is a closed rational interval [Lo, Hi].
@@ -110,6 +111,8 @@ func (s *SturmSequence) CountRootsIn(lo, hi *big.Rat) (int, error) {
 // IsolateRoots returns disjoint rational intervals, each containing exactly
 // one distinct real root of p in (lo, hi]. Roots lying exactly at rational
 // subdivision points are returned as degenerate intervals with Lo == Hi.
+// It returns an error if the Sturm counts contradict themselves (see
+// isolateRoots).
 func IsolateRoots(p RatPoly, lo, hi *big.Rat) ([]Interval, error) {
 	if p.IsZero() {
 		return nil, fmt.Errorf("poly: cannot isolate roots of the zero polynomial")
@@ -118,26 +121,58 @@ func IsolateRoots(p RatPoly, lo, hi *big.Rat) ([]Interval, error) {
 		return nil, fmt.Errorf("poly: inverted interval [%v, %v]", lo, hi)
 	}
 	sf, s := squareFreeSturm(p)
-	return isolateRoots(sf, s, lo, hi), nil
+	return isolateRoots(sf, s, lo, hi)
+}
+
+// sepBits returns a B with 2^−B below the distance between any two
+// distinct roots of the square-free integer polynomial p of degree d.
+// Mahler's bound gives a separation above √3·d^−(d+2)/2·‖p‖₂^−(d−1): the
+// discriminant of a square-free integer polynomial is a non-zero integer
+// and the Mahler measure is at most ‖p‖₂. Hence
+// B = ⌈(d+2)/2·log₂ d⌉ + (d−1)·⌈log₂ ‖p‖₂⌉, from bit lengths.
+func sepBits(p IntPoly) int {
+	d := p.Degree()
+	sq, tmp := new(big.Int), new(big.Int)
+	for _, c := range p.coeffs {
+		sq.Add(sq, tmp.Mul(c, c))
+	}
+	normBits := (sq.BitLen() + 1) / 2
+	return ((d+2)*bits.Len(uint(d))+1)/2 + (d-1)*normBits
 }
 
 // isolateRoots bisects (lo, hi] with s, the Sturm chain of the square-free
-// sf.
-func isolateRoots(sf IntPoly, s *SturmSequence, lo, hi *big.Rat) []Interval {
-	if sf.Degree() < 1 {
-		return nil
+// sf. A right chain counts between 0 and deg sf roots in every interval,
+// and no interval narrower than the root separation holds two roots, so
+// bisection ends by depth ⌈log₂(hi − lo)⌉ + sepBits(sf). A count outside
+// that range or a bisection past that depth means the chain is wrong, and
+// isolateRoots returns an error instead of subdividing without end.
+func isolateRoots(sf IntPoly, s *SturmSequence, lo, hi *big.Rat) ([]Interval, error) {
+	deg := sf.Degree()
+	if deg < 1 {
+		return nil, nil
+	}
+	width := new(big.Rat).Sub(hi, lo)
+	maxDepth := sepBits(sf)
+	if width.Sign() > 0 {
+		// width < 2^(len(num) − len(den) + 1).
+		maxDepth += width.Num().BitLen() - width.Denom().BitLen() + 1
 	}
 	half := big.NewRat(1, 2)
 	var out []Interval
-	var recurse func(a, b *big.Rat, va, vb int)
-	// va and vb are the sign variations at a and b; (a, b] holds va − vb roots.
-	recurse = func(a, b *big.Rat, va, vb int) {
-		switch va - vb {
-		case 0:
-			return
-		case 1:
+	var recurse func(a, b *big.Rat, va, vb, depth int) error
+	// va and vb are the sign variations at a and b; (a, b] holds va − vb
+	// roots and is at most (hi − lo)/2^depth wide.
+	recurse = func(a, b *big.Rat, va, vb, depth int) error {
+		switch n := va - vb; {
+		case n < 0 || n > deg:
+			return fmt.Errorf("poly: Sturm chain counts %d roots of a degree-%d polynomial in (%s, %s]", n, deg, a.RatString(), b.RatString())
+		case n == 0:
+			return nil
+		case n == 1:
 			out = append(out, Interval{Lo: new(big.Rat).Set(a), Hi: new(big.Rat).Set(b)})
-			return
+			return nil
+		case depth >= maxDepth:
+			return fmt.Errorf("poly: Sturm chain counts %d roots in (%s, %s], narrower than their separation bound", n, a.RatString(), b.RatString())
 		}
 		mid := new(big.Rat).Add(a, b)
 		mid.Mul(mid, half)
@@ -151,23 +186,31 @@ func isolateRoots(sf IntPoly, s *SturmSequence, lo, hi *big.Rat) []Interval {
 			w := new(big.Rat).Sub(mid, a)
 			leftCut := new(big.Rat)
 			var vl int
-			for {
+			for d := depth + 2; ; d++ { // w ≤ (hi − lo)/2^d after halving
 				w.Mul(w, half)
 				leftCut.Sub(mid, w)
 				vl = s.signVariations(leftCut)
 				if vl-vm == 1 { // only the midpoint root remains to the right of leftCut
 					break
 				}
+				if vl-vm < 1 || d >= maxDepth {
+					return fmt.Errorf("poly: Sturm chain counts %d roots in (%s, %s], which holds the root %s", vl-vm, leftCut.RatString(), mid.RatString(), mid.RatString())
+				}
 			}
-			recurse(a, leftCut, va, vl)
-			recurse(mid, b, vm, vb)
-			return
+			if err := recurse(a, leftCut, va, vl, depth+1); err != nil {
+				return err
+			}
+			return recurse(mid, b, vm, vb, depth+1)
 		}
-		recurse(a, mid, va, vm)
-		recurse(mid, b, vm, vb)
+		if err := recurse(a, mid, va, vm, depth+1); err != nil {
+			return err
+		}
+		return recurse(mid, b, vm, vb, depth+1)
 	}
-	recurse(lo, hi, s.signVariations(lo), s.signVariations(hi))
-	return out
+	if err := recurse(lo, hi, s.signVariations(lo), s.signVariations(hi), 0); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RefineRoot narrows an isolating interval for a root of p down to width at

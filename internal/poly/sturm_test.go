@@ -132,6 +132,41 @@ func TestIsolateRootsErrors(t *testing.T) {
 	}
 }
 
+// TestIsolateRootsRejectsWrongChain hands the bisection Sturm chains that
+// lie about root counts: one member negated, or a chain that counts two
+// roots in every interval around 1. Each must end in an error, not in
+// bisection without end.
+func TestIsolateRootsRejectsWrongChain(t *testing.T) {
+	negated := func(p RatPoly, i int) (IntPoly, *SturmSequence) {
+		sf, s := squareFreeSturm(p)
+		chain := append([]IntPoly(nil), s.chain...)
+		chain[i] = chain[i].Neg()
+		return sf, &SturmSequence{chain: chain}
+	}
+	three := RatPolyAffine(rat(-1, 10), rat(1, 1)).
+		Mul(RatPolyAffine(rat(-1, 2), rat(1, 1))).
+		Mul(RatPolyAffine(rat(-9, 10), rat(1, 1)))
+	six := RatPolyFromInt64(720, -1764, 1624, -735, 175, -21, 1) // roots 1..6
+	sf3, neg3 := negated(three, 1)
+	sf6, neg6 := negated(six, 1)
+	one := NewIntPoly([]*big.Int{big.NewInt(1)})
+	cases := []struct {
+		name  string
+		sf    IntPoly
+		chain *SturmSequence
+	}{
+		{"negative count", sf3, neg3},
+		{"root at a midpoint", sf6, neg6},
+		{"two roots at one point", intPart(RatPolyFromInt64(-2, 0, 1)),
+			&SturmSequence{chain: []IntPoly{one, intPart(RatPolyFromInt64(-1, 1)), one}}},
+	}
+	for _, c := range cases {
+		if ivs, err := isolateRoots(c.sf, c.chain, rat(0, 1), rat(8, 1)); err == nil {
+			t.Errorf("%s: isolated %d intervals, want an error", c.name, len(ivs))
+		}
+	}
+}
+
 func TestRefineRootSqrt2(t *testing.T) {
 	p := RatPolyFromInt64(-2, 0, 1) // x^2 - 2
 	ivs, err := IsolateRoots(p, rat(0, 1), rat(2, 1))
