@@ -37,10 +37,11 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=$(BENCHTIME) $(PKG)
 
 # One iteration of each per-layer micro-benchmark of the exact symbolic
-# optimum (n = 6, 12, 16) and the omniscient feasibility check, so they
-# keep compiling and running; timings come from `make bench`.
+# optimum (n = 6, 12, 16), the omniscient feasibility check and its
+# Monte-Carlo estimator, and the one-bit protocol's exact evaluation, so
+# they keep compiling and running; timings come from `make bench`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSymbolicDerivation|BenchmarkFeasibleAssignmentExists)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^(BenchmarkSymbolicDerivation|BenchmarkFeasibleAssignmentExists|BenchmarkFeasibilityProbability|BenchmarkOneBitWinProbability)$$' -benchtime 1x .
 
 # The benchmark module (bench/, its own go.mod replacing repro with this
 # tree) must keep compiling and passing its tests against every API change.

@@ -259,6 +259,17 @@ func BenchmarkFeasibleAssignmentExists(b *testing.B) {
 	}
 }
 
+// BenchmarkFeasibilityProbability times the "feasibility (sim)" column's
+// estimator on one worker: 100k trials at n = 8, δ = 8/3.
+func BenchmarkFeasibilityProbability(b *testing.B) {
+	inst := problem.Instance{N: 8, Delta: 8.0 / 3}
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.FeasibilityProbability(inst, sim.Config{Trials: 100_000, Workers: 1, Seed: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkResponseOracle times the float64 winning probability of a
 // band rule at n = 4.
 func BenchmarkResponseOracle(b *testing.B) {
@@ -316,12 +327,13 @@ func BenchmarkResponseVector(b *testing.B) {
 	}
 }
 
-// BenchmarkOneBitBroadcast times the exact evaluation of the one-bit
-// communication protocol at n = 5.
-func BenchmarkOneBitBroadcast(b *testing.B) {
-	p := comm.OneBitBroadcast{N: 5, Cut: 0.55, SenderTheta: 0.55, BetaLow: 0.55, BetaHigh: 1}
+// BenchmarkOneBitWinProbability times one exact evaluation of the
+// one-bit broadcast protocol, T8's objective, at its n = 6 optimum
+// (δ = 2).
+func BenchmarkOneBitWinProbability(b *testing.B) {
+	p := comm.OneBitBroadcast{N: 6, Cut: 0.649, SenderTheta: 0.649, BetaLow: 0.653, BetaHigh: 0.783}
 	for i := 0; i < b.N; i++ {
-		if _, err := p.WinProbability(5.0 / 3); err != nil {
+		if _, err := p.WinProbability(2); err != nil {
 			b.Fatal(err)
 		}
 	}

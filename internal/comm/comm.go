@@ -44,11 +44,23 @@ func (p OneBitBroadcast) Validate() error {
 	if p.N < 2 {
 		return fmt.Errorf("comm: need at least 2 players, got %d", p.N)
 	}
-	for name, v := range map[string]float64{
-		"cut": p.Cut, "senderTheta": p.SenderTheta, "betaLow": p.BetaLow, "betaHigh": p.BetaHigh,
-	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("comm: %s = %v outside [0, 1]", name, v)
+	return checkUnit([]param{
+		{"cut", p.Cut}, {"senderTheta", p.SenderTheta}, {"betaLow", p.BetaLow}, {"betaHigh", p.BetaHigh},
+	})
+}
+
+// param is one named protocol parameter.
+type param struct {
+	name string
+	v    float64
+}
+
+// checkUnit refuses the first parameter, in the given order, that lies
+// outside [0, 1].
+func checkUnit(ps []param) error {
+	for _, p := range ps {
+		if math.IsNaN(p.v) || p.v < 0 || p.v > 1 {
+			return fmt.Errorf("comm: %s = %v outside [0, 1]", p.name, p.v)
 		}
 	}
 	return nil
@@ -136,15 +148,10 @@ func (p OneBitToOne) Validate() error {
 	if p.N < 3 {
 		return fmt.Errorf("comm: one-way protocol needs at least 3 players, got %d", p.N)
 	}
-	for name, v := range map[string]float64{
-		"cut": p.Cut, "senderTheta": p.SenderTheta,
-		"betaLow": p.BetaLow, "betaHigh": p.BetaHigh, "beta": p.Beta,
-	} {
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return fmt.Errorf("comm: %s = %v outside [0, 1]", name, v)
-		}
-	}
-	return nil
+	return checkUnit([]param{
+		{"cut", p.Cut}, {"senderTheta", p.SenderTheta},
+		{"betaLow", p.BetaLow}, {"betaHigh", p.BetaHigh}, {"beta", p.Beta},
+	})
 }
 
 // WinProbability evaluates the one-way protocol exactly by conditioning on

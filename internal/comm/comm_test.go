@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/nonoblivious"
@@ -25,6 +26,23 @@ func TestValidate(t *testing.T) {
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// TestValidateNamesFirstBadParameter sets two parameters out of range on
+// both protocols: the error must name the first in declaration order,
+// every time.
+func TestValidateNamesFirstBadParameter(t *testing.T) {
+	for _, p := range []interface{ Validate() error }{
+		OneBitBroadcast{N: 3, Cut: -1, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 2},
+		OneBitToOne{N: 3, Cut: 2, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: math.NaN()},
+	} {
+		for i := 0; i < 50; i++ {
+			err := p.Validate()
+			if err == nil || !strings.HasPrefix(err.Error(), "comm: cut = ") {
+				t.Fatalf("%T.Validate() = %v, want an error naming cut", p, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -582,5 +583,77 @@ func TestPlaySrcAndQMCAllocationFree(t *testing.T) {
 		at += 256
 	}); allocs != 0 {
 		t.Errorf("steady-state PlayQMC allocates %v times per batch, want 0", allocs)
+	}
+}
+
+// TestFeasibilityKernelMatchesPerTrial plays the feasibility kernel and
+// the validating per-trial check on the same stream: every trial's flag,
+// the win count, and the stream position after the batch must agree, and
+// a warm Play must not allocate.
+func TestFeasibilityKernelMatchesPerTrial(t *testing.T) {
+	for _, tc := range []struct {
+		n        int
+		capacity float64
+		widths   []float64
+	}{
+		{3, 1, nil},
+		{8, 8.0 / 3, nil},
+		{4, 1.1, []float64{0.5, 1, 1.5, 2}},
+	} {
+		k, err := NewFeasibilityKernel(tc.n, tc.capacity, tc.widths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const b = BatchSize + 37
+		sc := GetBatchScratch()
+		pcg := testPCG(21)
+		wins := k.Play(sc, pcg, b)
+		rng := testRNG(21)
+		inputs := make([]float64, tc.n)
+		want := 0
+		for trial := 0; trial < b; trial++ {
+			for i := range inputs {
+				inputs[i] = rng.Float64()
+				if tc.widths != nil {
+					inputs[i] *= tc.widths[i]
+				}
+			}
+			ok, err := FeasibleAssignmentExists(inputs, tc.capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Wins()[trial] != ok {
+				t.Fatalf("n=%d trial %d: kernel %v, per-trial %v", tc.n, trial, sc.Wins()[trial], ok)
+			}
+			if ok {
+				want++
+			}
+		}
+		if wins != want || k.Dims() != tc.n {
+			t.Errorf("n=%d: kernel wins %d dims %d, per-trial wins %d", tc.n, wins, k.Dims(), want)
+		}
+		if pcg.Uint64() != rng.Uint64() {
+			t.Errorf("n=%d: kernel and per-trial streams diverged", tc.n)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { k.Play(sc, pcg, b) }); allocs != 0 {
+			t.Errorf("n=%d: warm Play allocates %v times, want 0", tc.n, allocs)
+		}
+		sc.Release()
+	}
+	for _, bad := range []struct {
+		n        int
+		capacity float64
+		widths   []float64
+	}{
+		{0, 1, nil},
+		{maxFeasibilityPlayers + 1, 1, nil},
+		{3, 0, nil},
+		{3, math.Inf(1), nil},
+		{3, 1, []float64{1, 1}},
+		{2, 1, []float64{1, -1}},
+	} {
+		if _, err := NewFeasibilityKernel(bad.n, bad.capacity, bad.widths); err == nil {
+			t.Errorf("NewFeasibilityKernel(%d, %v, %v): expected error", bad.n, bad.capacity, bad.widths)
+		}
 	}
 }

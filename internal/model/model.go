@@ -346,6 +346,10 @@ func (s *System) SampleInputsInto(dst []float64, rng *rand.Rand) error {
 	return nil
 }
 
+// maxFeasibilityPlayers caps the omniscient feasibility check: its walk
+// visits up to 2^(n-1) assignments.
+const maxFeasibilityPlayers = 30
+
 // FeasibleAssignmentExists reports whether some assignment of the given
 // inputs to the two bins keeps both bins within capacity. This is the
 // omniscient (full-information, centralized) benchmark: no distributed
@@ -357,8 +361,8 @@ func FeasibleAssignmentExists(inputs []float64, capacity float64) (bool, error) 
 	if n == 0 {
 		return true, nil
 	}
-	if n > 30 {
-		return false, fmt.Errorf("model: feasibility check limited to 30 players, got %d", n)
+	if n > maxFeasibilityPlayers {
+		return false, fmt.Errorf("model: feasibility check limited to %d players, got %d", maxFeasibilityPlayers, n)
 	}
 	if !(capacity > 0) {
 		return false, fmt.Errorf("model: capacity %v must be strictly positive", capacity)
@@ -392,4 +396,78 @@ func feasibleFrom(rest []float64, load0, total, capacity float64) bool {
 	}
 	return feasibleFrom(rest[1:], load0+rest[0], total, capacity) ||
 		feasibleFrom(rest[1:], load0, total, capacity)
+}
+
+// FeasibilityKernel plays batches of omniscient feasibility trials: a
+// trial wins when some assignment of its inputs fits both bins. It
+// follows BatchKernel.Play's contract, so the Monte-Carlo engine runs it
+// on the same batched path: every trial draws its n inputs in player
+// order with the Float64 construction of rand.New(pcg), scaled by π_i in
+// the heterogeneous game, and is decided by the same total cut and walk
+// as FeasibleAssignmentExists on those inputs. The inputs are valid by
+// construction, so no trial re-validates them. The kernel is immutable
+// and safe to share across workers.
+type FeasibilityKernel struct {
+	capacity float64
+	n        int
+	// widths holds the per-player input ranges π_i, nil for the
+	// homogeneous U[0, 1] game.
+	widths []float64
+}
+
+// NewFeasibilityKernel builds the kernel for n players with the given
+// bin capacity and input ranges (nil for U[0, 1] inputs).
+func NewFeasibilityKernel(n int, capacity float64, widths []float64) (*FeasibilityKernel, error) {
+	if n < 1 || n > maxFeasibilityPlayers {
+		return nil, fmt.Errorf("model: feasibility check takes 1 to %d players, got %d", maxFeasibilityPlayers, n)
+	}
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return nil, fmt.Errorf("model: capacity %v must be strictly positive and finite", capacity)
+	}
+	if widths != nil {
+		if len(widths) != n {
+			return nil, fmt.Errorf("model: %d input ranges for %d players", len(widths), n)
+		}
+		for i, w := range widths {
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("model: input range %d = %v must be strictly positive and finite", i, w)
+			}
+		}
+	}
+	return &FeasibilityKernel{capacity: capacity, n: n, widths: widths}, nil
+}
+
+// Dims reports the number of values one trial draws: one per player.
+func (k *FeasibilityKernel) Dims() int { return k.n }
+
+// Play samples and decides b trials drawn from pcg and returns the number
+// of feasible ones, with per-trial flags in sc.Wins()[:b].
+func (k *FeasibilityKernel) Play(sc *BatchScratch, pcg *rand.PCG, b int) int {
+	sc.ensure(0, b)
+	var buf [maxFeasibilityPlayers]float64
+	inputs := buf[:k.n]
+	capacity := k.capacity
+	wins := 0
+	for t := range sc.wins {
+		var total float64
+		if k.widths == nil {
+			for i := range inputs {
+				x := srcFloat64(pcg.Uint64())
+				inputs[i] = x
+				total += x
+			}
+		} else {
+			for i, w := range k.widths {
+				x := srcFloat64(pcg.Uint64()) * w
+				inputs[i] = x
+				total += x
+			}
+		}
+		ok := !(total > 2*capacity) && feasibleFrom(inputs[1:], inputs[0], total, capacity)
+		sc.wins[t] = ok
+		if ok {
+			wins++
+		}
+	}
+	return wins
 }

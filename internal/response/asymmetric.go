@@ -72,24 +72,16 @@ func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
 	}
+	zero := newRegionMasses(bin0, capacity)
+	one := newRegionMasses(bin1, capacity)
+	all := uint64(1)<<uint(n) - 1
 	var total combin.Accumulator
-	zeroSets := make([]IntervalSet, 0, n)
-	oneSets := make([]IntervalSet, 0, n)
 	err := combin.ForEachSubset(n, func(b uint64) bool {
-		zeroSets = zeroSets[:0]
-		oneSets = oneSets[:0]
-		for i := 0; i < n; i++ {
-			if b&(1<<uint(i)) == 0 {
-				zeroSets = append(zeroSets, bin0[i])
-			} else {
-				oneSets = append(oneSets, bin1[i])
-			}
-		}
-		m0 := jointMass(zeroSets, capacity)
+		m0 := zero.mass(all &^ b)
 		if m0 == 0 {
 			return true
 		}
-		m1 := jointMass(oneSets, capacity)
+		m1 := one.mass(b)
 		total.Add(m0 * m1)
 		return true
 	})
@@ -99,34 +91,111 @@ func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 	return clamp01(total.Sum()), nil
 }
 
+// regionMasses memoizes jointMass over the subsets of one side's regions.
+// Players whose regions have bit-identical intervals share a class id
+// (1-based, so at most 10 ids fit 4 bits each), and a subset's key is the
+// sequence of its players' ids in player order. Equal keys are equal
+// jointMass inputs, so a cached mass has the bits a fresh call would give.
+type regionMasses struct {
+	sets     []IntervalSet
+	class    []uint64
+	memo     map[uint64]float64
+	capacity float64
+	// Scratch for jointMass: the subset's regions, their widths in the
+	// current interval pattern, and all-ones multiplicities.
+	regions []IntervalSet
+	widths  []float64
+	ones    []int
+	acc     combin.Accumulator
+}
+
+func newRegionMasses(sets []IntervalSet, capacity float64) *regionMasses {
+	n := len(sets)
+	r := &regionMasses{
+		sets:     sets,
+		class:    make([]uint64, n),
+		memo:     make(map[uint64]float64),
+		capacity: capacity,
+		regions:  make([]IntervalSet, 0, n),
+		widths:   make([]float64, n),
+		ones:     make([]int, n),
+	}
+	next := uint64(0)
+	for i, s := range sets {
+		r.ones[i] = 1
+		for j := 0; j < i && r.class[i] == 0; j++ {
+			if sameIntervals(s, sets[j]) {
+				r.class[i] = r.class[j]
+			}
+		}
+		if r.class[i] == 0 {
+			next++
+			r.class[i] = next
+		}
+	}
+	return r
+}
+
+// sameIntervals reports whether two sets hold bit-identical intervals.
+func sameIntervals(a, b IntervalSet) bool {
+	if len(a.intervals) != len(b.intervals) {
+		return false
+	}
+	for k, iv := range a.intervals {
+		jv := b.intervals[k]
+		if math.Float64bits(iv.Lo) != math.Float64bits(jv.Lo) || math.Float64bits(iv.Hi) != math.Float64bits(jv.Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// mass returns jointMass of the regions of the players in sel, in player
+// order.
+func (r *regionMasses) mass(sel uint64) float64 {
+	var key uint64
+	for i, c := range r.class {
+		if sel&(1<<uint(i)) != 0 {
+			key = key<<4 | c
+		}
+	}
+	if m, ok := r.memo[key]; ok {
+		return m
+	}
+	r.regions = r.regions[:0]
+	for i, s := range r.sets {
+		if sel&(1<<uint(i)) != 0 {
+			r.regions = append(r.regions, s)
+		}
+	}
+	m := r.jointMass()
+	r.memo[key] = m
+	return m
+}
+
 // jointMass returns P(x_i ∈ regions[i] for all i, Σ x_i ≤ capacity) for
 // independent U[0,1] inputs, by summing over the interval pattern each
 // input selects the box volume of the shifted Lemma 2.4 event.
-func jointMass(regions []IntervalSet, capacity float64) float64 {
-	m := len(regions)
-	if m == 0 {
+func (r *regionMasses) jointMass() float64 {
+	if len(r.regions) == 0 {
 		return 1
 	}
-	var acc combin.Accumulator
-	widths := make([]float64, m)
-	ones := make([]int, m)
-	for i := range ones {
-		ones[i] = 1
+	r.acc = combin.Accumulator{}
+	r.walk(0, 0)
+	return r.acc.Sum()
+}
+
+func (r *regionMasses) walk(idx int, lowSum float64) {
+	m := len(r.regions)
+	if idx == m {
+		r.acc.Add(boxVolume(r.widths[:m], r.ones[:m], r.capacity-lowSum))
+		return
 	}
-	var recurse func(idx int, lowSum float64)
-	recurse = func(idx int, lowSum float64) {
-		if idx == m {
-			acc.Add(boxVolume(widths, ones, capacity-lowSum))
-			return
-		}
-		for _, iv := range regions[idx].intervals {
-			// Zero-width intervals carry no mass.
-			if w := iv.Hi - iv.Lo; w > 0 {
-				widths[idx] = w
-				recurse(idx+1, lowSum+iv.Lo)
-			}
+	for _, iv := range r.regions[idx].intervals {
+		// Zero-width intervals carry no mass.
+		if w := iv.Hi - iv.Lo; w > 0 {
+			r.widths[idx] = w
+			r.walk(idx+1, lowSum+iv.Lo)
 		}
 	}
-	recurse(0, 0)
-	return acc.Sum()
 }

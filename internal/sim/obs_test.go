@@ -58,8 +58,9 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		t.Errorf("coin system sim.rng_draws = %d, want 80000", got)
 	}
 	// The same invariant on the other merged paths: a plain one-worker
-	// batch run against an observed one, and the per-trial path
-	// (feasibility trials) with and without an observer.
+	// batch run against an observed one, feasibility trials, and the
+	// per-trial path (rules hidden from the batch kernel) with and without
+	// an observer.
 	one := Config{Trials: 20000, Workers: 1, Seed: 7}
 	plainOne, err := WinProbability(sys, one)
 	if err != nil {
@@ -86,9 +87,27 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plainFeas != observedFeas {
-		t.Errorf("observability changed the per-trial result: plain %+v, observed %+v", plainFeas, observedFeas)
+		t.Errorf("observability changed the feasibility result: plain %+v, observed %+v", plainFeas, observedFeas)
 	}
 	if got := fo.Counter("sim.trials").Value(); got != 20000 {
+		t.Errorf("feasibility sim.trials = %d, want 20000", got)
+	}
+	perTrialSys := unbatch(t, sys)
+	ptCfg := Config{Trials: 20000, Workers: 3, Seed: 7}
+	plainPT, err := WinProbability(perTrialSys, ptCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := obs.New(obs.NewRegistry(), nil)
+	ptCfg.Obs = po
+	observedPT, err := WinProbability(perTrialSys, ptCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainPT != observedPT {
+		t.Errorf("observability changed the per-trial result: plain %+v, observed %+v", plainPT, observedPT)
+	}
+	if got := po.Counter("sim.trials").Value(); got != 20000 {
 		t.Errorf("per-trial path sim.trials = %d, want 20000", got)
 	}
 

@@ -255,18 +255,22 @@ func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error
 					src = counting.src
 				}
 				rng := rand.New(src)
+				// Count in a local and store once: neighbouring workers'
+				// counters share a cache line.
+				var count stats.Proportion
 				for i := 0; i < quota; i++ {
 					ok, err := trial(rng)
 					if err != nil {
 						errs[w] = err
 						break
 					}
-					counters[w].Add(ok)
+					count.Add(ok)
 					if ck != nil {
 						ck.record(ok)
 					}
 				}
-				done(counters[w].Trials(), counting.n)
+				counters[w] = count
+				done(count.Trials(), counting.n)
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
@@ -365,6 +369,15 @@ func finish(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws
 	return resultFrom(total)
 }
 
+// batchPlayer is a kernel the batched path drives: Play samples and plays
+// b trials from pcg using sc's buffers, returns the win count and leaves
+// the per-trial flags in sc.Wins()[:b]; every trial draws exactly Dims()
+// values. *model.BatchKernel and *model.FeasibilityKernel implement it.
+type batchPlayer interface {
+	Play(sc *model.BatchScratch, pcg *rand.PCG, b int) int
+	Dims() int
+}
+
 // runBatch is the allocation-free fast path: each worker samples and
 // plays batchSize trials per kernel call from pooled scratch buffers —
 // no per-trial slices, no per-player interface dispatch. Seeding and
@@ -374,7 +387,7 @@ func finish(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws
 // in runBernoulli: worker counters update at batch granularity, while the
 // checkpointer replays each batch's per-trial win flags so the checkpoint
 // stream (cadence and values) is identical to the per-trial path.
-func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
+func runBatch(cfg Config, name string, k batchPlayer) (Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
@@ -410,7 +423,7 @@ func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 // batchWorker plays a worker's quota of trials through the kernel from
 // pooled scratch, drawing from pcg and accumulating wins into out; a
 // non-nil checkpointer records every trial for the convergence trace.
-func batchWorker(k *model.BatchKernel, pcg *rand.PCG, quota int, ck *checkpointer, out *stats.Proportion) error {
+func batchWorker(k batchPlayer, pcg *rand.PCG, quota int, ck *checkpointer, out *stats.Proportion) error {
 	sc := model.GetBatchScratch()
 	defer sc.Release()
 	var wins, trials int64
@@ -494,30 +507,17 @@ func WinProbability(sys *model.System, cfg Config) (Result, error) {
 // FeasibilityProbability estimates the probability that SOME assignment
 // of the instance's inputs (x_i uniform on [0, π_i]) to the two bins
 // keeps both within capacity — the omniscient full-information benchmark
-// that upper-bounds every distributed algorithm.
+// that upper-bounds every distributed algorithm. Its trials run on the
+// batched path through model.FeasibilityKernel.
 func FeasibilityProbability(inst problem.Instance, cfg Config) (Result, error) {
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
-	if inst.N > 30 {
-		return Result{}, fmt.Errorf("sim: feasibility limited to 30 players, got %d", inst.N)
+	k, err := model.NewFeasibilityKernel(inst.N, inst.Delta, inst.Widths())
+	if err != nil {
+		return Result{}, err
 	}
-	widths := inst.Widths()
-	return runBernoulli(cfg, "feasibility", func(int) trialFunc {
-		inputs := make([]float64, inst.N)
-		return func(rng *rand.Rand) (bool, error) {
-			if widths == nil {
-				for i := range inputs {
-					inputs[i] = rng.Float64()
-				}
-			} else {
-				for i := range inputs {
-					inputs[i] = rng.Float64() * widths[i]
-				}
-			}
-			return model.FeasibleAssignmentExists(inputs, inst.Delta)
-		}
-	})
+	return runBatch(cfg, "feasibility", k)
 }
 
 // LoadStats simulates the system and returns running statistics of the
@@ -547,6 +547,8 @@ func LoadStats(sys *model.System, cfg Config, metric func(model.Outcome) float64
 				rng := cfg.workerRNG(w)
 				inputs := make([]float64, sys.N())
 				var out model.Outcome
+				// Accumulate locally, as runBernoulli does.
+				var acc stats.Running
 				for i := 0; i < quota; i++ {
 					if err := sys.SampleInputsInto(inputs, rng); err != nil {
 						errs[w] = err
@@ -556,8 +558,9 @@ func LoadStats(sys *model.System, cfg Config, metric func(model.Outcome) float64
 						errs[w] = err
 						return
 					}
-					accs[w].Add(metric(out))
+					acc.Add(metric(out))
 				}
+				accs[w] = acc
 			})
 		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
 	}
@@ -579,10 +582,11 @@ func LoadStats(sys *model.System, cfg Config, metric func(model.Outcome) float64
 
 // Bernoulli estimates the success probability of an arbitrary trial
 // function by playing cfg.Trials independent rounds across seeded parallel
-// workers — the same deterministic fan-out that backs WinProbability and
-// FeasibilityProbability, exported so higher layers (the evaluation engine,
-// protocol simulators) can run custom trials without re-implementing the
-// worker pool. name labels the run's root span when observability is on.
+// workers — the per-trial fan-out behind WinProbability for systems the
+// batch kernel cannot play, exported so higher layers (the evaluation
+// engine, protocol simulators) can run custom trials without
+// re-implementing the worker pool. name labels the run's root span when
+// observability is on.
 func Bernoulli(cfg Config, name string, trial func(rng *rand.Rand) (bool, error)) (Result, error) {
 	if trial == nil {
 		return Result{}, fmt.Errorf("sim: nil trial function")
