@@ -3,9 +3,10 @@
 # (the Monte-Carlo engine with its batch kernel and scratch pools, the
 # metrics/span layer it feeds, the memoizing evaluation engine with its
 # sharded sweeps, the serial exact evaluators that those sweeps call from
-# many goroutines, and the PY91 cross-checks, which simulate protocols through
-# the engine's worker pool) plus the canonical problem package they all
-# share.
+# many goroutines, the PY91 cross-checks, which simulate protocols through
+# the engine's worker pool, the one-bit protocols, the experiment harness
+# and the CLI, which drive all of these) plus the canonical problem package
+# they all share.
 
 GO ?= go
 
@@ -24,7 +25,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/... ./internal/py91/...
+	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/... ./internal/py91/... ./internal/comm/... ./internal/harness/... ./cmd/nocomm/...
 
 vet:
 	$(GO) vet ./...

@@ -75,56 +75,10 @@ func (p OneBitBroadcast) WinProbability(capacity float64) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	if p.N > 10 {
-		return 0, problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
-	}
-	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return 0, fmt.Errorf("comm: capacity %v must be strictly positive and finite", capacity)
-	}
-	senderSet, err := response.Threshold(p.SenderTheta)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, world := range []struct {
-		lo, hi float64 // sender's input range in this world
-		beta   float64 // listeners' threshold in this world
-	}{
-		{0, p.Cut, p.BetaLow},
-		{p.Cut, 1, p.BetaHigh},
-	} {
-		if world.lo >= world.hi {
-			continue // empty world (cut at 0 or 1)
-		}
-		bin0 := make([]response.IntervalSet, p.N)
-		bin1 := make([]response.IntervalSet, p.N)
-		s0, err := senderSet.Intersect(world.lo, world.hi)
-		if err != nil {
-			return 0, err
-		}
-		s1, err := senderSet.Complement().Intersect(world.lo, world.hi)
-		if err != nil {
-			return 0, err
-		}
-		bin0[0], bin1[0] = s0, s1
-		lset, err := response.Threshold(world.beta)
-		if err != nil {
-			return 0, err
-		}
-		for i := 1; i < p.N; i++ {
-			bin0[i] = lset
-			bin1[i] = lset.Complement()
-		}
-		v, err := response.WinProbabilityVectorPairs(bin0, bin1, capacity)
-		if err != nil {
-			return 0, err
-		}
-		total += v
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total, nil
+	// A broadcast is a one-way protocol that every listener hears, so no
+	// player uses the unconditional threshold Beta.
+	oneWay := OneBitToOne{N: p.N, Cut: p.Cut, SenderTheta: p.SenderTheta, BetaLow: p.BetaLow, BetaHigh: p.BetaHigh}
+	return oneWay.conditioned(p.N-1, capacity)
 }
 
 // OneBitToOne is the one-way variant: the bit 1{x₀ > Cut} is seen ONLY by
@@ -160,6 +114,16 @@ func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	return p.conditioned(1, capacity)
+}
+
+// conditioned evaluates the protocol exactly when listeners 1..heard hear
+// the bit 1{x₀ > Cut} and the remaining players use Beta. Each bit value
+// is a world in which the sender's input ranges over its side of the cut
+// and the listeners use that world's threshold (BetaLow for bit 0,
+// BetaHigh for bit 1). Each world is a vector of interval-pair regions;
+// the worlds' unconditional probabilities sum to the winning probability.
+func (p OneBitToOne) conditioned(heard int, capacity float64) (float64, error) {
 	if p.N > 10 {
 		return 0, problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
@@ -176,14 +140,14 @@ func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 	}
 	total := 0.0
 	for _, world := range []struct {
-		lo, hi float64
-		beta   float64 // player 1's threshold in this world
+		lo, hi float64 // sender's input range in this world
+		beta   float64 // listeners' threshold in this world
 	}{
 		{0, p.Cut, p.BetaLow},
 		{p.Cut, 1, p.BetaHigh},
 	} {
 		if world.lo >= world.hi {
-			continue
+			continue // empty world (cut at 0 or 1)
 		}
 		bin0 := make([]response.IntervalSet, p.N)
 		bin1 := make([]response.IntervalSet, p.N)
@@ -200,10 +164,12 @@ func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		bin0[1], bin1[1] = listener, listener.Complement()
-		for i := 2; i < p.N; i++ {
-			bin0[i] = othersSet
-			bin1[i] = othersSet.Complement()
+		for i := 1; i < p.N; i++ {
+			set := othersSet
+			if i <= heard {
+				set = listener
+			}
+			bin0[i], bin1[i] = set, set.Complement()
 		}
 		v, err := response.WinProbabilityVectorPairs(bin0, bin1, capacity)
 		if err != nil {
@@ -211,10 +177,7 @@ func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 		}
 		total += v
 	}
-	if total > 1 {
-		total = 1
-	}
-	return total, nil
+	return math.Min(total, 1), nil
 }
 
 // OptimizeOneWay tunes the five OneBitToOne parameters by Nelder-Mead,
@@ -223,53 +186,17 @@ func OptimizeOneWay(n int, capacity, betaStar float64) (OneBitToOne, float64, er
 	if n < 3 || n > 10 {
 		return OneBitToOne{}, 0, fmt.Errorf("comm: n = %d outside [3, 10]", n)
 	}
-	if !(capacity > 0) {
-		return OneBitToOne{}, 0, fmt.Errorf("comm: capacity %v must be strictly positive", capacity)
+	protocol := func(v []float64) OneBitToOne {
+		return OneBitToOne{N: n, Cut: v[0], SenderTheta: v[1], BetaLow: v[2], BetaHigh: v[3], Beta: v[4]}
 	}
-	if math.IsNaN(betaStar) || betaStar < 0 || betaStar > 1 {
-		return OneBitToOne{}, 0, fmt.Errorf("comm: betaStar %v outside [0, 1]", betaStar)
-	}
-	obj := func(v []float64) float64 {
-		p := OneBitToOne{
-			N:           n,
-			Cut:         clamp01(v[0]),
-			SenderTheta: clamp01(v[1]),
-			BetaLow:     clamp01(v[2]),
-			BetaHigh:    clamp01(v[3]),
-			Beta:        clamp01(v[4]),
-		}
-		val, err := p.WinProbability(capacity)
-		if err != nil {
-			return math.Inf(-1)
-		}
-		return val
-	}
-	lo := []float64{0, 0, 0, 0, 0}
-	hi := []float64{1, 1, 1, 1, 1}
-	starts := [][]float64{
+	x, val, err := tune(capacity, betaStar, [][]float64{
 		{0, betaStar, betaStar, betaStar, betaStar}, // degenerate: no communication
 		{0.5, betaStar, betaStar * 0.8, math.Min(1, betaStar*1.2), betaStar},
+	}, func(v []float64) (float64, error) { return protocol(v).WinProbability(capacity) })
+	if err != nil {
+		return OneBitToOne{}, 0, err
 	}
-	bestVal := math.Inf(-1)
-	var best OneBitToOne
-	for _, start := range starts {
-		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.12, 3000, 1e-10)
-		if err != nil {
-			return OneBitToOne{}, 0, err
-		}
-		if res.Value > bestVal {
-			bestVal = res.Value
-			best = OneBitToOne{
-				N:           n,
-				Cut:         clamp01(res.X[0]),
-				SenderTheta: clamp01(res.X[1]),
-				BetaLow:     clamp01(res.X[2]),
-				BetaHigh:    clamp01(res.X[3]),
-				Beta:        clamp01(res.X[4]),
-			}
-		}
-	}
-	return best, bestVal, nil
+	return protocol(x), val, nil
 }
 
 // OptimizeResult is the tuned protocol and its winning probability.
@@ -287,61 +214,69 @@ func Optimize(n int, capacity, betaStar float64) (OptimizeResult, error) {
 	if n < 2 || n > 10 {
 		return OptimizeResult{}, fmt.Errorf("comm: n = %d outside [2, 10]", n)
 	}
-	if !(capacity > 0) {
-		return OptimizeResult{}, fmt.Errorf("comm: capacity %v must be strictly positive", capacity)
+	protocol := func(v []float64) OneBitBroadcast {
+		return OneBitBroadcast{N: n, Cut: v[0], SenderTheta: v[1], BetaLow: v[2], BetaHigh: v[3]}
+	}
+	x, val, err := tune(capacity, betaStar, [][]float64{
+		{0.0, betaStar, betaStar, betaStar}, // degenerate: no communication
+		{0.5, betaStar, betaStar * 0.8, math.Min(1, betaStar*1.2)},
+		{betaStar, betaStar, 0.4, 0.8},
+	}, func(v []float64) (float64, error) { return protocol(v).WinProbability(capacity) })
+	if err != nil {
+		return OptimizeResult{}, err
+	}
+	return OptimizeResult{Protocol: protocol(x), WinProbability: val}, nil
+}
+
+// tune maximizes win over the unit cube by Nelder-Mead from each start,
+// evaluating win at the clamped coordinates of every probe, and returns
+// the best clamped point with its value; an earlier start wins ties.
+// A capacity WinProbability would refuse at every probe is refused up
+// front, so a search never ends without a point.
+func tune(capacity, betaStar float64, starts [][]float64, win func(v []float64) (float64, error)) ([]float64, float64, error) {
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return nil, 0, fmt.Errorf("comm: capacity %v must be strictly positive and finite", capacity)
 	}
 	if math.IsNaN(betaStar) || betaStar < 0 || betaStar > 1 {
-		return OptimizeResult{}, fmt.Errorf("comm: betaStar %v outside [0, 1]", betaStar)
+		return nil, 0, fmt.Errorf("comm: betaStar %v outside [0, 1]", betaStar)
 	}
 	obj := func(v []float64) float64 {
-		p := OneBitBroadcast{
-			N:           n,
-			Cut:         clamp01(v[0]),
-			SenderTheta: clamp01(v[1]),
-			BetaLow:     clamp01(v[2]),
-			BetaHigh:    clamp01(v[3]),
-		}
-		val, err := p.WinProbability(capacity)
+		val, err := win(clamp01(v))
 		if err != nil {
 			return math.Inf(-1)
 		}
 		return val
 	}
-	lo := []float64{0, 0, 0, 0}
-	hi := []float64{1, 1, 1, 1}
-	starts := [][]float64{
-		{0.0, betaStar, betaStar, betaStar}, // degenerate: no communication
-		{0.5, betaStar, betaStar * 0.8, math.Min(1, betaStar*1.2)},
-		{betaStar, betaStar, 0.4, 0.8},
+	lo := make([]float64, len(starts[0]))
+	hi := make([]float64, len(starts[0]))
+	for i := range hi {
+		hi[i] = 1
 	}
-	best := OptimizeResult{WinProbability: math.Inf(-1)}
+	var best []float64
+	bestVal := math.Inf(-1)
 	for _, start := range starts {
 		res, err := optimize.NelderMeadMax(nil, obj, start, lo, hi, 0.12, 3000, 1e-10)
 		if err != nil {
-			return OptimizeResult{}, err
+			return nil, 0, err
 		}
-		if res.Value > best.WinProbability {
-			best = OptimizeResult{
-				Protocol: OneBitBroadcast{
-					N:           n,
-					Cut:         clamp01(res.X[0]),
-					SenderTheta: clamp01(res.X[1]),
-					BetaLow:     clamp01(res.X[2]),
-					BetaHigh:    clamp01(res.X[3]),
-				},
-				WinProbability: res.Value,
-			}
+		if res.Value > bestVal {
+			best, bestVal = res.X, res.Value
 		}
 	}
-	return best, nil
+	return clamp01(best), bestVal, nil
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
+// clamp01 returns a copy of v with every coordinate clamped into [0, 1].
+func clamp01(v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		switch {
+		case x < 0:
+			x = 0
+		case x > 1:
+			x = 1
+		}
+		out[i] = x
 	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return out
 }

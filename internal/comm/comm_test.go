@@ -181,7 +181,108 @@ func TestOptimizeValidation(t *testing.T) {
 	if _, err := Optimize(3, 0, 0.5); err == nil {
 		t.Error("zero capacity: expected error")
 	}
+	if _, err := Optimize(3, math.Inf(1), 0.5); err == nil {
+		t.Error("infinite capacity: expected error")
+	}
 	if _, err := Optimize(3, 1, 1.5); err == nil {
 		t.Error("betaStar > 1: expected error")
+	}
+}
+
+// TestWinProbabilityBits pins the float64 bits of both protocols' exact
+// evaluation on a grid of player counts and cut points at δ = n/3, cut
+// points 0 and 1 included (one conditional world empty).
+func TestWinProbabilityBits(t *testing.T) {
+	cases := []struct {
+		n                   int
+		cut                 float64
+		broadcast, oneToOne uint64
+	}{
+		{3, 0, 0x3fe089efd86a8fc1, 0x3fe133929ed3953c},
+		{3, 0.3, 0x3fe0ad6f8108f0b0, 0x3fe128235883073e},
+		{3, 0.553, 0x3fe2460fb7bc52bb, 0x3fe1fa98510bd2e4},
+		{3, 1, 0x3fe06fdbe958acf8, 0x3fe10f7e69da0002},
+		{4, 0, 0x3fdae37dee3f39e6, 0x3fdb7c1cd775439b},
+		{4, 0.3, 0x3fda209d03c61359, 0x3fdafc8e8b95261c},
+		{4, 0.553, 0x3fdc2bae9f988966, 0x3fdba840f0f16526},
+		{4, 1, 0x3fd9eb0746392c9c, 0x3fdae93320ba7e77},
+		{6, 0, 0x3fe181a6308c81ba, 0x3fe14fdf6fbe21e3},
+		{6, 0.3, 0x3fe0487ef7629480, 0x3fe0d80b31ae1bdd},
+		{6, 0.553, 0x3fe07aaebb4bf7c6, 0x3fe0befa877c53dd},
+		{6, 1, 0x3fdaeb74064af6b8, 0x3fdffef406ff39f4},
+		{9, 0, 0x3fe2b2b572e6467f, 0x3fe177ca3f7a2f9c},
+		{9, 0.3, 0x3fe0ee10a112289c, 0x3fe117cce6977aba},
+		{9, 0.553, 0x3fe0686961683e8e, 0x3fe0e3d5e097c41c},
+		{9, 1, 0x3fd9a1f7d2df3511, 0x3fe0516a9aeca679},
+	}
+	for _, c := range cases {
+		capacity := float64(c.n) / 3
+		b := OneBitBroadcast{N: c.n, Cut: c.cut, SenderTheta: 0.62, BetaLow: 0.5, BetaHigh: 0.75}
+		got, err := b.WinProbability(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(got); bits != c.broadcast {
+			t.Errorf("broadcast n=%d cut=%v: bits %#016x (%v), want %#016x", c.n, c.cut, bits, got, c.broadcast)
+		}
+		o := OneBitToOne{N: c.n, Cut: c.cut, SenderTheta: 0.62, BetaLow: 0.5, BetaHigh: 0.75, Beta: 0.6}
+		got, err = o.WinProbability(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(got); bits != c.oneToOne {
+			t.Errorf("one-to-one n=%d cut=%v: bits %#016x (%v), want %#016x", c.n, c.cut, bits, got, c.oneToOne)
+		}
+	}
+}
+
+// TestOptimizeBits pins every field of both tuners' results, so the
+// searches keep their starts, step, budget and tie-breaking.
+func TestOptimizeBits(t *testing.T) {
+	res, err := Optimize(4, 4.0/3, 0.677998)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Protocol
+	if p.N != 4 {
+		t.Errorf("Optimize: N = %d, want 4", p.N)
+	}
+	for _, f := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"cut", p.Cut, 0x3fe1c231c9ed0b6b},
+		{"senderTheta", p.SenderTheta, 0x3ef78672408e0095},
+		{"betaLow", p.BetaLow, 0x3fe6b8fee9713990},
+		{"betaHigh", p.BetaHigh, 0x3feffffffff5cce6},
+		{"winProbability", res.WinProbability, 0x3fe0c7481b7169b0},
+	} {
+		if bits := math.Float64bits(f.got); bits != f.want {
+			t.Errorf("Optimize %s: bits %#016x (%v), want %#016x", f.name, bits, f.got, f.want)
+		}
+	}
+	q, v, err := OptimizeOneWay(3, 1, 0.622036)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.N != 3 {
+		t.Errorf("OptimizeOneWay: N = %d, want 3", q.N)
+	}
+	for _, f := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"cut", q.Cut, 0x3fe00de3d1e08c74},
+		{"senderTheta", q.SenderTheta, 0x3fe00dbf55418f00},
+		{"betaLow", q.BetaLow, 0x3e5db970f27c0330},
+		{"betaHigh", q.BetaHigh, 0x3feffff4c261dece},
+		{"beta", q.Beta, 0x3feffff7ebc36e9d},
+		{"winProbability", v, 0x3fe3fffcfc412e16},
+	} {
+		if bits := math.Float64bits(f.got); bits != f.want {
+			t.Errorf("OptimizeOneWay %s: bits %#016x (%v), want %#016x", f.name, bits, f.got, f.want)
+		}
 	}
 }

@@ -100,6 +100,9 @@ func TestOneBitToOneValidation(t *testing.T) {
 	if _, _, err := OptimizeOneWay(3, 0, 0.5); err == nil {
 		t.Error("zero capacity: expected error")
 	}
+	if _, _, err := OptimizeOneWay(3, math.Inf(1), 0.5); err == nil {
+		t.Error("infinite capacity: expected error")
+	}
 	if _, _, err := OptimizeOneWay(3, 1, 2); err == nil {
 		t.Error("betaStar > 1: expected error")
 	}

@@ -16,16 +16,13 @@ import (
 // pattern reducing to a shifted Lemma 2.4 CDF.
 //
 // Cost grows as 2^n × Π(intervals per player), so n is capped at 10 and
-// each player's region at 4 intervals.
+// each player's region and its complement at 4 intervals.
 func WinProbabilityVector(sets []IntervalSet, capacity float64) (float64, error) {
 	complements := make([]IntervalSet, len(sets))
 	for i, s := range sets {
-		if len(s.intervals) > 4 {
-			return 0, fmt.Errorf("response: player %d has %d intervals, max 4", i, len(s.intervals))
-		}
 		complements[i] = s.Complement()
 	}
-	return vectorWin(sets, complements, capacity)
+	return WinProbabilityVectorPairs(sets, complements, capacity)
 }
 
 // WinProbabilityVectorPairs evaluates the most general event this package
@@ -34,7 +31,7 @@ func WinProbabilityVector(sets []IntervalSet, capacity float64) (float64, error)
 // counted when every input lands in bin0[i] ∪ bin1[i] (the pair may
 // cover less than [0,1], which is how conditioning on a communication
 // outcome — e.g. a broadcast bit fixing a sub-range of the sender's input
-// — enters the framework). bin0[i] and bin1[i] must be disjoint. The
+// — enters the framework). bin0[i] and bin1[i] may share only points. The
 // returned value is the UNCONDITIONAL probability
 // P(all inputs covered ∧ Σ₀ ≤ δ ∧ Σ₁ ≤ δ); summing it over a partition of
 // conditioning events yields a protocol's total winning probability.
@@ -48,9 +45,10 @@ func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (floa
 		}
 		for _, a := range bin0[i].intervals {
 			for _, b := range bin1[i].intervals {
-				if a.Lo < b.Hi && b.Lo < a.Hi {
-					return 0, fmt.Errorf("response: player %d bin regions overlap on [%v, %v]",
-						i, math.Max(a.Lo, b.Lo), math.Min(a.Hi, b.Hi))
+				// A shared point has probability zero: a one-point region
+				// inside its complement [0, 1] is no overlap.
+				if lo, hi := math.Max(a.Lo, b.Lo), math.Min(a.Hi, b.Hi); lo < hi {
+					return 0, fmt.Errorf("response: player %d bin regions overlap on [%v, %v]", i, lo, hi)
 				}
 			}
 		}

@@ -127,6 +127,17 @@ func TestWinProbabilityVectorValidation(t *testing.T) {
 	if _, err := WinProbabilityVector([]IntervalSet{many, band}, 1); err == nil {
 		t.Error("too many intervals: expected error")
 	}
+	// Four intervals inside (0, 1) pass the region cap, but their
+	// complement holds five and must be refused too.
+	four, err := NewIntervalSet([]Interval{
+		{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {0.7, 0.8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := WinProbabilityVector([]IntervalSet{four, four}, 1); err == nil {
+		t.Errorf("complement with 5 intervals: got %v, expected error", p)
+	}
 }
 
 func TestAsymmetricSearchAtN4(t *testing.T) {

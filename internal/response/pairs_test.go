@@ -145,6 +145,11 @@ func TestWinProbabilityVectorPairsValidation(t *testing.T) {
 	if _, err := WinProbabilityVectorPairs([]IntervalSet{s, s}, []IntervalSet{overlap, c}, 1); err == nil {
 		t.Error("overlapping regions: expected error")
 	}
+	// A one-point region shares only a point with its complement [0, 1].
+	point := mustSet(t, Interval{0.5, 0.5})
+	if _, err := WinProbabilityVectorPairs([]IntervalSet{point, s}, []IntervalSet{point.Complement(), c}, 1); err != nil {
+		t.Errorf("one-point region inside its complement: %v", err)
+	}
 	// Too many intervals per region.
 	many := mustSet(t,
 		Interval{0, 0.05}, Interval{0.1, 0.15}, Interval{0.2, 0.25},

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/qrand"
@@ -108,35 +107,24 @@ func winProbabilityQMC(k *model.BatchKernel, cfg Config) (Result, error) {
 	// the workers. Each entry of wins is owned by exactly one worker.
 	wins := make([]int64, reps)
 	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				sc := model.GetBatchScratch()
-				defer sc.Release()
-				for r := w; r < reps; r += cfg.Workers {
-					seq, err := qrand.New(dims, scrambleSeed(cfg.Seed, r))
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					var won int64
-					for done := 0; done < m; {
-						b := batchSize
-						if m-done < b {
-							b = m - done
-						}
-						won += int64(k.PlayQMC(sc, seq, uint64(done), b))
-						done += b
-					}
-					wins[r] = won
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
+	parallel(cfg.Workers, func(w int) {
+		sc := model.GetBatchScratch()
+		defer sc.Release()
+		for r := w; r < reps; r += cfg.Workers {
+			seq, err := qrand.New(dims, scrambleSeed(cfg.Seed, r))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			var won int64
+			for done := 0; done < m; {
+				b := min(batchSize, m-done)
+				won += int64(k.PlayQMC(sc, seq, uint64(done), b))
+				done += b
+			}
+			wins[r] = won
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, err

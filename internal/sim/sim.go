@@ -135,10 +135,6 @@ func (c Config) workerSource(w int) *rand.PCG {
 	return rand.NewPCG(s, s^0x94d049bb133111eb)
 }
 
-func (c Config) workerRNG(w int) *rand.Rand {
-	return rand.New(c.workerSource(w))
-}
-
 // countingSource wraps a rand.Source to count draws for the sim.rng_draws
 // counter of per-trial runs, whose trials draw a variable number of
 // values; it is only interposed when observability is enabled, so the
@@ -186,26 +182,27 @@ func resultFrom(p stats.Proportion) (Result, error) {
 	}, nil
 }
 
-// trialFunc plays one round and reports success.
-type trialFunc func(rng *rand.Rand) (bool, error)
-
-// trialFactory builds worker w's trial function. It runs inside the
-// worker goroutine, so the returned closure may own scratch buffers
-// (input vectors, reusable Outcomes) without any cross-worker sharing.
-type trialFactory func(w int) trialFunc
-
 // wrapTrialErr classifies a mid-trial failure under ErrRuleFailed while
 // keeping the cause in the chain.
 func wrapTrialErr(err error) error {
 	return fmt.Errorf("sim: %w: %w", ErrRuleFailed, err)
 }
 
-// runLabeled runs a worker body under a pprof goroutine label so
+// parallel runs body(w) for every worker w on its own goroutine and waits
+// for all of them. Each body runs under a sim_worker pprof label so
 // -cpuprofile output attributes hot-loop samples per sim worker.
-func runLabeled(w int, body func()) {
-	pprof.Do(context.Background(), pprof.Labels("sim_worker", strconv.Itoa(w)), func(context.Context) {
-		body()
-	})
+func parallel(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pprof.Do(context.Background(), pprof.Labels("sim_worker", strconv.Itoa(w)), func(context.Context) {
+				body(w)
+			})
+		}()
+	}
+	wg.Wait()
 }
 
 // splitQuota returns worker w's share of the trial budget.
@@ -217,16 +214,23 @@ func splitQuota(trials, workers, w int) int {
 	return quota
 }
 
-// runBernoulli fans per-trial rounds out over workers and merges the
-// counts. This is the generic path: the batched kernel in runBatch handles
-// systems whose rules all implement model.BatchRule.
+// worker plays one worker's quota of trials from its stream pcg, records
+// every trial on a non-nil checkpointer, and returns the worker's counts
+// and the number of values it drew. playKernel builds the batched body;
+// the per-trial bodies run playTrials.
+type worker func(pcg *rand.PCG, quota int, ck *checkpointer) (stats.Proportion, int64, error)
+
+// run fans a Bernoulli estimate out over cfg.Workers workers and merges
+// their counts. Each worker owns a seeded stream and a fixed share of the
+// trials, so results are deterministic for a fixed (Seed, Workers) pair
+// whichever body plays them.
 //
 // With observability enabled (cfg.Obs) the run also opens a root span
 // labelled name with one child span per worker, counts RNG draws, sets
 // per-worker throughput gauges, and emits a convergence checkpoint every
 // cfg.CheckpointEvery trials. Seeding and per-worker quotas are the same
 // either way, so results are bit-identical with and without observability.
-func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error) {
+func run(cfg Config, name string, body worker) (Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
@@ -241,41 +245,76 @@ func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error
 	counters := make([]stats.Proportion, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 	var rngDraws atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				trial := newTrial(w)
-				done := ck.startWorker(root, w, &rngDraws)
-				counting := &countingSource{src: cfg.workerSource(w)}
-				var src rand.Source = counting
-				if ck == nil {
-					src = counting.src
-				}
-				rng := rand.New(src)
-				// Count in a local and store once: neighbouring workers'
-				// counters share a cache line.
-				var count stats.Proportion
-				for i := 0; i < quota; i++ {
-					ok, err := trial(rng)
-					if err != nil {
-						errs[w] = err
-						break
-					}
-					count.Add(ok)
-					if ck != nil {
-						ck.record(ok)
-					}
-				}
-				counters[w] = count
-				done(count.Trials(), counting.n)
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
+	parallel(cfg.Workers, func(w int) {
+		done := ck.startWorker(root, w, &rngDraws)
+		count, draws, err := body(cfg.workerSource(w), splitQuota(cfg.Trials, cfg.Workers, w), ck)
+		counters[w], errs[w] = count, err
+		done(count.Trials(), draws)
+	})
 	return finish(o, counters, errs, rngDraws.Load())
+}
+
+// playTrials is the generic worker body: it plays trial once per round.
+// Only an observed run counts draws, through a countingSource, so the
+// plain path draws from pcg with no indirection.
+func playTrials(pcg *rand.PCG, quota int, ck *checkpointer, trial func(rng *rand.Rand) (bool, error)) (stats.Proportion, int64, error) {
+	counting := &countingSource{src: pcg}
+	var src rand.Source = counting
+	if ck == nil {
+		src = pcg
+	}
+	rng := rand.New(src)
+	// Count in a local and return it once: neighbouring workers' counters
+	// share a cache line.
+	var count stats.Proportion
+	for i := 0; i < quota; i++ {
+		ok, err := trial(rng)
+		if err != nil {
+			return count, counting.n, err
+		}
+		count.Add(ok)
+		if ck != nil {
+			ck.record(ok)
+		}
+	}
+	return count, counting.n, nil
+}
+
+// batchPlayer is a kernel playKernel drives: Play samples and plays b
+// trials from pcg using sc's buffers, returns the win count and leaves
+// the per-trial flags in sc.Wins()[:b]; every trial draws exactly Dims()
+// values. *model.BatchKernel and *model.FeasibilityKernel implement it.
+type batchPlayer interface {
+	Play(sc *model.BatchScratch, pcg *rand.PCG, b int) int
+	Dims() int
+}
+
+// playKernel is the allocation-free worker body: it samples and plays
+// batchSize trials per kernel call from pooled scratch buffers — no
+// per-trial slices, no per-player interface dispatch. The kernel keeps
+// the per-trial RNG draw order, so results are bit-identical to
+// playTrials for a fixed (Seed, Workers) pair. The checkpointer replays
+// each batch's per-trial win flags, so the checkpoint stream (cadence and
+// values) is identical too.
+func playKernel(k batchPlayer) worker {
+	return func(pcg *rand.PCG, quota int, ck *checkpointer) (stats.Proportion, int64, error) {
+		sc := model.GetBatchScratch()
+		defer sc.Release()
+		var wins, trials int64
+		for trials < int64(quota) {
+			b := min(batchSize, quota-int(trials))
+			wins += int64(k.Play(sc, pcg, b))
+			trials += int64(b)
+			if ck != nil {
+				for _, win := range sc.Wins()[:b] {
+					ck.record(win)
+				}
+			}
+		}
+		var count stats.Proportion
+		err := count.AddN(wins, trials)
+		return count, trials * int64(k.Dims()), err
+	}
 }
 
 // checkpointer carries the shared convergence-trace state of an observed
@@ -369,81 +408,6 @@ func finish(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws
 	return resultFrom(total)
 }
 
-// batchPlayer is a kernel the batched path drives: Play samples and plays
-// b trials from pcg using sc's buffers, returns the win count and leaves
-// the per-trial flags in sc.Wins()[:b]; every trial draws exactly Dims()
-// values. *model.BatchKernel and *model.FeasibilityKernel implement it.
-type batchPlayer interface {
-	Play(sc *model.BatchScratch, pcg *rand.PCG, b int) int
-	Dims() int
-}
-
-// runBatch is the allocation-free fast path: each worker samples and
-// plays batchSize trials per kernel call from pooled scratch buffers —
-// no per-trial slices, no per-player interface dispatch. Seeding and
-// per-worker quotas match runBernoulli exactly, and the kernel preserves
-// the per-trial RNG draw order, so results are bit-identical to the
-// per-trial path for a fixed (Seed, Workers) pair. Observability works as
-// in runBernoulli: worker counters update at batch granularity, while the
-// checkpointer replays each batch's per-trial win flags so the checkpoint
-// stream (cadence and values) is identical to the per-trial path.
-func runBatch(cfg Config, name string, k batchPlayer) (Result, error) {
-	cfg, err := cfg.validate()
-	if err != nil {
-		return Result{}, err
-	}
-	o := cfg.Obs
-	root := o.StartSpan("sim." + name)
-	defer root.End()
-	var ck *checkpointer
-	if o.Enabled() {
-		ck = newCheckpointer(cfg, o)
-	}
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var rngDraws atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				done := ck.startWorker(root, w, &rngDraws)
-				errs[w] = batchWorker(k, cfg.workerSource(w), quota, ck, &counters[w])
-				// Every batched trial draws exactly k.Dims() values.
-				trials := counters[w].Trials()
-				done(trials, trials*int64(k.Dims()))
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	return finish(o, counters, errs, rngDraws.Load())
-}
-
-// batchWorker plays a worker's quota of trials through the kernel from
-// pooled scratch, drawing from pcg and accumulating wins into out; a
-// non-nil checkpointer records every trial for the convergence trace.
-func batchWorker(k batchPlayer, pcg *rand.PCG, quota int, ck *checkpointer, out *stats.Proportion) error {
-	sc := model.GetBatchScratch()
-	defer sc.Release()
-	var wins, trials int64
-	for done := 0; done < quota; {
-		b := batchSize
-		if quota-done < b {
-			b = quota - done
-		}
-		wins += int64(k.Play(sc, pcg, b))
-		trials += int64(b)
-		done += b
-		if ck != nil {
-			for _, win := range sc.Wins()[:b] {
-				ck.record(win)
-			}
-		}
-	}
-	return out.AddN(wins, trials)
-}
-
 // emitCheckpoint records one point of the convergence trace: the running
 // estimate with its Wilson interval at nt trials. Counter reads race
 // benignly with concurrent workers (the trace is diagnostic, the final
@@ -487,12 +451,12 @@ func WinProbability(sys *model.System, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: nil system")
 	}
 	if k, ok := model.NewBatchKernel(sys); ok {
-		return runBatch(cfg, "win_probability", k)
+		return run(cfg, "win_probability", playKernel(k))
 	}
-	return runBernoulli(cfg, "win_probability", func(int) trialFunc {
+	return run(cfg, "win_probability", func(pcg *rand.PCG, quota int, ck *checkpointer) (stats.Proportion, int64, error) {
 		inputs := make([]float64, sys.N())
 		var out model.Outcome
-		return func(rng *rand.Rand) (bool, error) {
+		return playTrials(pcg, quota, ck, func(rng *rand.Rand) (bool, error) {
 			if err := sys.SampleInputsInto(inputs, rng); err != nil {
 				return false, err
 			}
@@ -500,7 +464,7 @@ func WinProbability(sys *model.System, cfg Config) (Result, error) {
 				return false, err
 			}
 			return out.Win, nil
-		}
+		})
 	})
 }
 
@@ -517,7 +481,7 @@ func FeasibilityProbability(inst problem.Instance, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runBatch(cfg, "feasibility", k)
+	return run(cfg, "feasibility", playKernel(k))
 }
 
 // LoadStats simulates the system and returns running statistics of the
@@ -538,33 +502,25 @@ func LoadStats(sys *model.System, cfg Config, metric func(model.Outcome) float64
 	defer root.End()
 	accs := make([]stats.Running, cfg.Workers)
 	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				rng := cfg.workerRNG(w)
-				inputs := make([]float64, sys.N())
-				var out model.Outcome
-				// Accumulate locally, as runBernoulli does.
-				var acc stats.Running
-				for i := 0; i < quota; i++ {
-					if err := sys.SampleInputsInto(inputs, rng); err != nil {
-						errs[w] = err
-						return
-					}
-					if err := sys.PlayInto(&out, inputs, rng); err != nil {
-						errs[w] = err
-						return
-					}
-					acc.Add(metric(out))
-				}
-				accs[w] = acc
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
+	parallel(cfg.Workers, func(w int) {
+		rng := rand.New(cfg.workerSource(w))
+		inputs := make([]float64, sys.N())
+		var out model.Outcome
+		// Accumulate locally, as playTrials does.
+		var acc stats.Running
+		for i := splitQuota(cfg.Trials, cfg.Workers, w); i > 0; i-- {
+			if err := sys.SampleInputsInto(inputs, rng); err != nil {
+				errs[w] = err
+				return
+			}
+			if err := sys.PlayInto(&out, inputs, rng); err != nil {
+				errs[w] = err
+				return
+			}
+			acc.Add(metric(out))
+		}
+		accs[w] = acc
+	})
 	for _, err := range errs {
 		if err != nil {
 			err = wrapTrialErr(err)
@@ -594,5 +550,7 @@ func Bernoulli(cfg Config, name string, trial func(rng *rand.Rand) (bool, error)
 	if name == "" {
 		name = "bernoulli"
 	}
-	return runBernoulli(cfg, name, func(int) trialFunc { return trial })
+	return run(cfg, name, func(pcg *rand.PCG, quota int, ck *checkpointer) (stats.Proportion, int64, error) {
+		return playTrials(pcg, quota, ck, trial)
+	})
 }

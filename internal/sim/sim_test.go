@@ -245,3 +245,50 @@ func TestWorkerCountDoesNotBiasEstimate(t *testing.T) {
 		t.Errorf("1-worker %v vs 8-worker %v differ beyond sampling error", r1.P, r8.P)
 	}
 }
+
+// TestDriverBits pins the entry points no golden covers: LoadStats mean
+// and variance, WinProbabilityQMC estimate and standard error, and the
+// Bernoulli win count, at a fixed seed on one worker and on three. Three
+// workers split neither the LoadStats nor the Bernoulli budget evenly, so
+// the pins also fix which workers get the extra trials.
+func TestDriverBits(t *testing.T) {
+	sys := qmcSystem(t)
+	quarter := func(rng *rand.Rand) (bool, error) { return rng.Float64() < 0.25, nil }
+	for _, c := range []struct {
+		workers         int
+		mean, variance  uint64
+		qmcP, qmcStdErr uint64
+		bernoulliWins   int64
+	}{
+		{1, 0x3fdb20154e7dcf2c, 0x3fc2199ba9b78bee, 0x3fe16e0000000000, 0x3f64051e10b724a2, 1172},
+		{3, 0x3fdb253950d34701, 0x3fc1a61595a3c3e5, 0x3fe16e0000000000, 0x3f64051e10b724a2, 1208},
+	} {
+		r, err := LoadStats(sys, Config{Trials: 5000, Workers: c.workers, Seed: 31}, func(o model.Outcome) float64 { return o.Load0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(r.Mean()); got != c.mean {
+			t.Errorf("workers=%d LoadStats mean bits %#016x, want %#016x", c.workers, got, c.mean)
+		}
+		if got := math.Float64bits(r.Variance()); got != c.variance {
+			t.Errorf("workers=%d LoadStats variance bits %#016x, want %#016x", c.workers, got, c.variance)
+		}
+		q, err := WinProbabilityQMC(sys, Config{Trials: 4096, Workers: c.workers, Seed: 19})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(q.P); got != c.qmcP {
+			t.Errorf("workers=%d QMC P bits %#016x, want %#016x", c.workers, got, c.qmcP)
+		}
+		if got := math.Float64bits(q.StdErr); got != c.qmcStdErr {
+			t.Errorf("workers=%d QMC StdErr bits %#016x, want %#016x", c.workers, got, c.qmcStdErr)
+		}
+		b, err := Bernoulli(Config{Trials: 5002, Workers: c.workers, Seed: 23}, "quarter", quarter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Wins != c.bernoulliWins || b.Trials != 5002 {
+			t.Errorf("workers=%d Bernoulli %d/%d, want %d/5002", c.workers, b.Wins, b.Trials, c.bernoulliWins)
+		}
+	}
+}
