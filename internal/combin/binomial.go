@@ -47,16 +47,6 @@ func bits64Mul(a, b int64) (hi, lo int64) {
 	return 0, p
 }
 
-// MustBinomial returns C(n, k) as int64 and panics on error.
-// It is intended for small, statically-bounded arguments.
-func MustBinomial(n, k int) int64 {
-	v, err := Binomial(n, k)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // BinomialBig returns the binomial coefficient C(n, k) as an exact big
 // integer. It returns an error if n or k is negative. C(n, k) with k > n
 // is 0 by convention.

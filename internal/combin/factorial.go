@@ -31,17 +31,6 @@ func Factorial(n int) (int64, error) {
 	return factorialTable[n], nil
 }
 
-// MustFactorial returns n! as an int64 and panics on invalid input.
-// It is intended for callers that have already validated 0 <= n <= 20,
-// such as table initialisation in tests.
-func MustFactorial(n int) int64 {
-	v, err := Factorial(n)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // FactorialBig returns n! as an exact big integer.
 // It returns an error if n is negative.
 func FactorialBig(n int) (*big.Int, error) {

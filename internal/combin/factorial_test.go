@@ -43,23 +43,14 @@ func TestFactorialOverflow(t *testing.T) {
 	}
 }
 
-func TestMustFactorialPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustFactorial(-1) did not panic")
-		}
-	}()
-	MustFactorial(-1)
-}
-
 func TestFactorialBigMatchesInt64(t *testing.T) {
 	for n := 0; n <= MaxFactorial64; n++ {
 		b, err := FactorialBig(n)
 		if err != nil {
 			t.Fatalf("FactorialBig(%d): %v", n, err)
 		}
-		if !b.IsInt64() || b.Int64() != MustFactorial(n) {
-			t.Errorf("FactorialBig(%d) = %v, want %d", n, b, MustFactorial(n))
+		if !b.IsInt64() || b.Int64() != factorial(t, n) {
+			t.Errorf("FactorialBig(%d) = %v, want %d", n, b, factorial(t, n))
 		}
 	}
 }
@@ -91,8 +82,8 @@ func TestFactorialFloatExactRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FactorialFloat(%d): %v", n, err)
 		}
-		if got != float64(MustFactorial(n)) {
-			t.Errorf("FactorialFloat(%d) = %g, want %d exactly", n, got, MustFactorial(n))
+		if got != float64(factorial(t, n)) {
+			t.Errorf("FactorialFloat(%d) = %g, want %d exactly", n, got, factorial(t, n))
 		}
 	}
 }
@@ -128,7 +119,7 @@ func TestInvFactorialRat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("InvFactorialRat(%d): %v", n, err)
 		}
-		prod := new(big.Rat).Mul(inv, new(big.Rat).SetInt64(MustFactorial(n)))
+		prod := new(big.Rat).Mul(inv, new(big.Rat).SetInt64(factorial(t, n)))
 		if prod.Cmp(big.NewRat(1, 1)) != 0 {
 			t.Errorf("InvFactorialRat(%d) * %d! = %v, want 1", n, n, prod)
 		}
@@ -146,12 +137,22 @@ func TestFactorialRatioIsBinomialProperty(t *testing.T) {
 		if k > n {
 			return true
 		}
-		nf := MustFactorial(n)
-		kf := MustFactorial(k)
-		nkf := MustFactorial(n - k)
-		return nf/(kf*nkf) == MustBinomial(n, k)
+		nf := factorial(t, n)
+		kf := factorial(t, k)
+		nkf := factorial(t, n-k)
+		return nf/(kf*nkf) == binomial(t, n, k)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// factorial returns n!, failing the test when Factorial refuses it.
+func factorial(t *testing.T, n int) int64 {
+	t.Helper()
+	v, err := Factorial(n)
+	if err != nil {
+		t.Fatalf("Factorial(%d): %v", n, err)
+	}
+	return v
 }

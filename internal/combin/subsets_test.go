@@ -117,7 +117,7 @@ func TestForEachKSubsetEnumeration(t *testing.T) {
 			}
 			want := int64(0)
 			if k <= n {
-				want = MustBinomial(n, k)
+				want = binomial(t, n, k)
 			}
 			if int64(len(visited)) != want {
 				t.Fatalf("ForEachKSubsetMask(%d, %d) visited %d, want %d", n, k, len(visited), want)
@@ -238,7 +238,7 @@ func TestForEachCompositionEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ForEachComposition(%d, %d): %v", n, k, err)
 			}
-			want := MustBinomial(n+k-1, k-1)
+			want := binomial(t, n+k-1, k-1)
 			if int64(count) != want {
 				t.Fatalf("ForEachComposition(%d, %d) visited %d, want %d", n, k, count, want)
 			}

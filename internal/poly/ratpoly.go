@@ -226,73 +226,6 @@ func (p RatPoly) Eval(x *big.Rat) *big.Rat {
 	return result
 }
 
-// Divide returns the quotient and remainder of p divided by q, so that
-// p = quo·q + rem with deg(rem) < deg(q). It returns an error if q is zero.
-func (p RatPoly) Divide(q RatPoly) (quo, rem RatPoly, err error) {
-	if q.IsZero() {
-		return RatPoly{}, RatPoly{}, fmt.Errorf("poly: division by zero polynomial")
-	}
-	remC := p.Coeffs()
-	dq := q.Degree()
-	lead := q.coeffs[dq]
-	if len(remC)-1 < dq {
-		return RatPoly{}, RatPoly{coeffs: trimRat(remC)}, nil
-	}
-	quoC := make([]*big.Rat, len(remC)-dq)
-	for i := range quoC {
-		quoC[i] = new(big.Rat)
-	}
-	tmp := new(big.Rat)
-	for d := len(remC) - 1; d >= dq; d-- {
-		if remC[d].Sign() == 0 {
-			continue
-		}
-		factor := new(big.Rat).Quo(remC[d], lead)
-		quoC[d-dq].Set(factor)
-		for j := 0; j <= dq; j++ {
-			tmp.Mul(factor, q.coeffs[j])
-			remC[d-dq+j].Sub(remC[d-dq+j], tmp)
-		}
-	}
-	return RatPoly{coeffs: trimRat(quoC)}, RatPoly{coeffs: trimRat(remC)}, nil
-}
-
-// GCD returns the monic greatest common divisor of p and q (the zero
-// polynomial if both are zero).
-func (p RatPoly) GCD(q RatPoly) RatPoly {
-	a, b := p, q
-	for !b.IsZero() {
-		_, r, err := a.Divide(b)
-		if err != nil {
-			// Unreachable: b is non-zero inside the loop.
-			return RatPoly{}
-		}
-		a, b = b, r
-	}
-	if a.IsZero() {
-		return RatPoly{}
-	}
-	inv := new(big.Rat).Inv(a.LeadingCoeff())
-	return a.Scale(inv)
-}
-
-// SquareFree returns p with repeated roots collapsed to simple ones, that
-// is, p / gcd(p, p'). The result has the same distinct real roots as p.
-func (p RatPoly) SquareFree() RatPoly {
-	if p.Degree() < 1 {
-		return p
-	}
-	g := p.GCD(p.Derivative())
-	if g.Degree() < 1 {
-		return p
-	}
-	quo, _, err := p.Divide(g)
-	if err != nil {
-		return p
-	}
-	return quo
-}
-
 // String renders p in human-readable form, highest degree first.
 func (p RatPoly) String() string {
 	if p.IsZero() {

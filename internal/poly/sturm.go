@@ -33,19 +33,8 @@ type SturmSequence struct {
 	chain []IntPoly
 }
 
-// NewSturmSequence builds the Sturm chain of p. Multiple roots are handled
-// by first passing to the square-free part, so root counts are counts of
-// distinct real roots. It returns an error if p is the zero polynomial.
-func NewSturmSequence(p RatPoly) (*SturmSequence, error) {
-	if p.IsZero() {
-		return nil, fmt.Errorf("poly: Sturm sequence of the zero polynomial")
-	}
-	_, s := squareFreeSturm(p)
-	return s, nil
-}
-
 // squareFreeSturm returns the primitive square-free part sf of p, a
-// positive multiple of p.SquareFree(), together with its Sturm chain. The
+// positive multiple of p/gcd(p, p'), together with its Sturm chain. The
 // chain of p is itself a primitive remainder sequence of p and p', so its
 // last member is gcd(p, p'): when that is a constant, p is square-free and
 // the chain is already the answer; otherwise sf = p/gcd gets its own chain.
@@ -96,16 +85,6 @@ func (s *SturmSequence) signVariations(x *big.Rat) int {
 		prev = sign
 	}
 	return variations
-}
-
-// CountRootsIn returns the number of distinct real roots of the underlying
-// polynomial in the half-open interval (lo, hi]. It returns an error if
-// lo > hi.
-func (s *SturmSequence) CountRootsIn(lo, hi *big.Rat) (int, error) {
-	if lo.Cmp(hi) > 0 {
-		return 0, fmt.Errorf("poly: inverted interval (%v, %v]", lo, hi)
-	}
-	return s.signVariations(lo) - s.signVariations(hi), nil
 }
 
 // IsolateRoots returns disjoint rational intervals, each containing exactly
