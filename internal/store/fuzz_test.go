@@ -1,12 +1,12 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // FuzzDecodeEntry feeds arbitrary bytes to the entry decoder: it must
@@ -47,13 +47,18 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
-// FuzzDiskGet plants arbitrary bytes at a key's content address and
-// checks the full lookup path: never a panic, never a served value, and
-// the junk is quarantined and counted as store.corrupt. (A fuzz input
-// that happens to be the key's one valid encoding is unreachable: the
-// checksummed payload must name the exact key.)
+// FuzzDiskGet plants arbitrary bytes as a segment and checks the full
+// open-and-lookup path: never a panic, and a served value is always what
+// DecodeEntry(…, key) makes of the indexed record's bytes. Every indexed
+// record lies inside the segment and decodes under the key it is indexed
+// by, and the accounting counts exactly the indexed records.
 func FuzzDiskGet(f *testing.F) {
-	valid, err := EncodeEntry("fuzz|key", Value{P: 0.25, Backend: "exact"})
+	const key = "fuzz|key"
+	valid, err := EncodeEntry(key, Value{P: 0.25, Backend: "exact"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := EncodeEntry("other|key", Value{P: 0.75, Backend: "exact"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,32 +67,50 @@ func FuzzDiskGet(f *testing.F) {
 	mangled := append([]byte(nil), valid...)
 	mangled[headerSize] ^= 0xFF
 	f.Add(mangled)
+	f.Add(valid)
+	f.Add(append(append([]byte(nil), other...), valid...))
+	f.Add(append(append([]byte(nil), valid...), valid[:len(valid)-3]...))
+	f.Add(append(append([]byte(nil), mangled...), valid...))
+	f.Add(append([]byte("junk"), valid...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reg := obs.NewRegistry()
-		d, err := OpenDisk(t.TempDir(), obs.New(reg, nil))
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-fuzz"+entryExt), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDisk(dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := d.path("fuzz|key")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := d.Get("fuzz|key"); ok {
-			// Only the bit-exact valid encoding may be served.
-			if v.P != 0.25 || v.Backend != "exact" {
-				t.Fatalf("served a mangled value: %+v", v)
+		defer d.Close()
+		var bytes int64
+		for sum, l := range d.index {
+			if l.off < 0 || l.off+int64(l.n) > int64(len(data)) {
+				t.Fatalf("indexed record [%d, +%d) outside the %d-byte segment", l.off, l.n, len(data))
 			}
+			ent, err := decodeEntry(data[l.off : l.off+int64(l.n)])
+			if err != nil || sha256.Sum256([]byte(ent.Key)) != sum {
+				t.Fatalf("indexed record does not decode under its digest: %v", err)
+			}
+			bytes += int64(l.n)
+		}
+		if st := d.Stats(); st.Entries != len(d.index) || st.Bytes != bytes {
+			t.Fatalf("Stats = %+v, index holds %d records of %d bytes", st, len(d.index), bytes)
+		}
+		l, indexed := d.index[sha256.Sum256([]byte(key))]
+		v, ok := d.Get(key)
+		if ok != indexed {
+			t.Fatalf("Get = %v, indexed = %v", ok, indexed)
+		}
+		if !ok {
 			return
 		}
-		if got := reg.Counter("store.corrupt").Value(); got != 1 {
-			t.Fatalf("store.corrupt = %d, want 1", got)
+		want, err := DecodeEntry(data[l.off:l.off+int64(l.n)], key)
+		if err != nil {
+			t.Fatalf("served a record that fails DecodeEntry: %v", err)
 		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatal("rejected entry still addressable")
-		}
-		if _, err := os.Stat(filepath.Join(d.Dir(), corruptDir)); err != nil {
-			t.Fatalf("no quarantine directory: %v", err)
+		if !reflect.DeepEqual(v, want) {
+			t.Fatalf("served %+v, the record decodes to %+v", v, want)
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,9 +221,56 @@ func TestWriteThroughAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptQuarantine checks every validation failure class: the
-// entry is quarantined into corrupt/ (never served), counted, and the
-// key recomputes.
+// recordOf returns the segment file holding key's indexed record and the
+// record's offset and length.
+func recordOf(t *testing.T, d *Disk, key string) (path string, off, n int64) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l, ok := d.index[sha256.Sum256([]byte(key))]
+	if !ok {
+		t.Fatalf("key %q not indexed", key)
+	}
+	return filepath.Join(d.dir, d.segs[l.seg].name), l.off, int64(l.n)
+}
+
+// segmentFiles lists the segment files in dir.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// writeSegment fills a segment of its own in dir with keys through a
+// fresh Disk, closes it and sets the segment's modification time.
+func writeSegment(t *testing.T, dir string, mod time.Time, keys ...string) string {
+	t.Helper()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := d.Put(k, Value{P: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, _, _ := recordOf(t, d, keys[0])
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, mod, mod); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCorruptQuarantine checks every validation failure class on the last
+// record of a segment: the record is never served, is counted once in
+// store.corrupt and copied into corrupt/, the key recomputes, and the
+// record before it is still served — by this Disk and by a fresh one.
 func TestCorruptQuarantine(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -237,61 +286,101 @@ func TestCorruptQuarantine(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			d, err := OpenDisk(t.TempDir(), obs.New(reg, nil))
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, obs.New(reg, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Put("k", Value{P: 0.5, Backend: "exact"}); err != nil {
-				t.Fatal(err)
+			defer d.Close()
+			for _, k := range []string{"before", "k"} {
+				if err := d.Put(k, Value{P: 0.5, Backend: "exact"}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			path := d.path("k")
+			path, off, _ := recordOf(t, d, "k")
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, c.mangle(data), 0o644); err != nil {
+			data = append(data[:off:off], c.mangle(data[off:])...)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := d.Get("k"); ok {
-				t.Fatal("mangled entry was served")
+				t.Fatal("mangled record was served")
+			}
+			if _, ok := d.Get("k"); ok {
+				t.Fatal("mangled record was served on the second lookup")
 			}
 			if got := reg.Counter("store.corrupt").Value(); got != 1 {
 				t.Errorf("store.corrupt = %d, want 1", got)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Error("mangled entry still addressable")
-			}
-			q, err := os.ReadDir(filepath.Join(d.dir, corruptDir))
+			q, err := os.ReadDir(filepath.Join(dir, corruptDir))
 			if err != nil || len(q) != 1 {
 				t.Errorf("quarantine holds %d files (err %v), want 1", len(q), err)
 			}
-			if st := d.Stats(); st.Entries != 0 {
-				t.Errorf("corrupt entry still counted: %+v", st)
+			if st := d.Stats(); st.Entries != 1 {
+				t.Errorf("corrupt record still counted: %+v", st)
+			}
+			if _, ok := d.Get("before"); !ok {
+				t.Error("the intact record before the mangled one was lost")
+			}
+			fresh, err := OpenDisk(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if _, ok := fresh.Get("k"); ok {
+				t.Error("a fresh Disk served the mangled record")
+			}
+			if _, ok := fresh.Get("before"); !ok {
+				t.Error("a fresh Disk lost the intact record")
+			}
+			if st := fresh.Stats(); st.Entries != 1 || st.Corrupt != 1 {
+				t.Errorf("fresh Disk stats: %+v, want 1 entry and 1 corrupt record", st)
 			}
 		})
 	}
 }
 
-// TestKeyMismatch checks the hash-collision guard: an entry file copied
-// onto another key's address decodes but names the wrong key, so it is
-// rejected.
+// TestKeyMismatch checks the guard that a record is served only under
+// the key its payload names: an index entry pointing at another key's
+// record (a digest collision) is rejected, and so is an old per-key file
+// copied onto another key's file name.
 func TestKeyMismatch(t *testing.T) {
 	d, err := OpenDisk(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if err := d.Put("original", Value{P: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(d.path("original"))
+	d.mu.Lock()
+	d.index[sha256.Sum256([]byte("impostor"))] = d.index[sha256.Sum256([]byte("original"))]
+	d.mu.Unlock()
+	if _, ok := d.Get("impostor"); ok {
+		t.Error("record served under the wrong key")
+	}
+
+	dir := t.TempDir()
+	data, err := EncodeEntry("original", Value{P: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(d.path("impostor"), data, 0o644); err != nil {
+	if err := os.WriteFile(legacyPath(dir, "impostor"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Get("impostor"); ok {
-		t.Error("entry served under the wrong key")
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if _, ok := d2.Get("impostor"); ok {
+		t.Error("renamed per-key file served under its file name's key")
+	}
+	if _, ok := d2.Get("original"); !ok {
+		t.Error("renamed per-key file not served under the key it names")
 	}
 }
 
@@ -322,24 +411,18 @@ func TestPurge(t *testing.T) {
 }
 
 // TestGCMaxAge checks the age half of the GC contract behind
-// `nocomm cache -max-age`: entries last written before the cutoff go,
-// younger ones stay, and the accounting tracks.
+// `nocomm cache -max-age`: segments last written before the cutoff go
+// with every entry in them, younger ones stay, and the accounting tracks.
 func TestGCMaxAge(t *testing.T) {
 	dir := t.TempDir()
+	writeSegment(t, dir, time.Now().Add(-100*time.Hour), "old-a", "old-b")
 	d, err := OpenDisk(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"old-a", "old-b", "young"} {
-		if err := d.Put(k, Value{P: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stale := time.Now().Add(-100 * time.Hour)
-	for _, k := range []string{"old-a", "old-b"} {
-		if err := os.Chtimes(d.path(k), stale, stale); err != nil {
-			t.Fatal(err)
-		}
+	defer d.Close()
+	if err := d.Put("young", Value{P: 1}); err != nil {
+		t.Fatal(err)
 	}
 	before := d.Stats()
 	entries, bytes, err := d.GC(72*time.Hour, -1)
@@ -359,38 +442,34 @@ func TestGCMaxAge(t *testing.T) {
 	if _, ok := d.Get("young"); !ok {
 		t.Error("young entry did not survive GC")
 	}
+	if n := len(segmentFiles(t, dir)); n != 1 {
+		t.Errorf("%d segments after GC, want 1", n)
+	}
 	// A second pass with the same bounds is a no-op.
 	if entries, bytes, err = d.GC(72*time.Hour, -1); err != nil || entries != 0 || bytes != 0 {
 		t.Errorf("repeated GC: %d entries, %d bytes, %v; want no-op", entries, bytes, err)
 	}
 }
 
-// TestGCMaxBytes checks the size half: the oldest entries go first until
-// the tier fits, and maxBytes 0 empties it.
+// TestGCMaxBytes checks the size half: the oldest segments go first
+// until the live records fit, maxBytes 0 empties the tier, and a Put
+// after GC removed this Disk's own segment starts a new one.
 func TestGCMaxBytes(t *testing.T) {
 	dir := t.TempDir()
+	keys := []string{"first", "second", "third"}
+	for i, k := range keys {
+		// Distinct mtimes, oldest first, without sleeping.
+		writeSegment(t, dir, time.Now().Add(time.Duration(i-10)*time.Minute), k)
+	}
 	d, err := OpenDisk(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []string{"first", "second", "third"}
-	for i, k := range keys {
-		if err := d.Put(k, Value{P: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes, oldest first, without sleeping.
-		ts := time.Now().Add(time.Duration(i-10) * time.Minute)
-		if err := os.Chtimes(d.path(k), ts, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer d.Close()
 	total := d.Stats().Bytes
 	// Budget for exactly the two youngest entries: only the oldest goes.
-	oldest, err := os.Stat(d.path("first"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := total - oldest.Size()
+	_, _, oldest := recordOf(t, d, "first")
+	budget := total - oldest
 	entries, bytes, err := d.GC(0, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -409,37 +488,228 @@ func TestGCMaxBytes(t *testing.T) {
 	if st := d.Stats(); st.Bytes != total-bytes || st.Bytes > budget {
 		t.Errorf("Stats after GC: %+v, want ≤ %d bytes", st, budget)
 	}
-	// maxBytes 0 empties the tier.
-	if entries, _, err = d.GC(0, 0); err != nil || entries != 2 {
-		t.Errorf("GC to zero: removed %d entries, %v; want the remaining 2", entries, err)
+	if err := d.Put("fourth", Value{P: 4}); err != nil {
+		t.Fatal(err)
+	}
+	// maxBytes 0 empties the tier, this Disk's own segment included.
+	if entries, _, err = d.GC(0, 0); err != nil || entries != 3 {
+		t.Errorf("GC to zero: removed %d entries, %v; want the remaining 3", entries, err)
 	}
 	if st := d.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("Stats after GC to zero: %+v", st)
 	}
+	if n := len(segmentFiles(t, dir)); n != 0 {
+		t.Errorf("%d segments after GC to zero", n)
+	}
+	if err := d.Put("fifth", Value{P: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Get("fifth"); !ok {
+		t.Error("Put after GC removed the active segment was lost")
+	}
 }
 
-// TestOpenCleansTempFiles checks that temp files abandoned by a crashed
-// writer are removed on open and never counted as entries.
-func TestOpenCleansTempFiles(t *testing.T) {
+// TestOpenIgnoresCrashLeftovers checks that what a crashed writer can
+// leave behind — a segment created but never written, a segment cut
+// inside its first header, a temp file of the old per-key layout — is
+// never counted as an entry, and that the directory still takes writes.
+func TestOpenIgnoresCrashLeftovers(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "tmp-12345"), []byte("partial"), 0o644); err != nil {
+	valid, err := EncodeEntry("k", Value{P: 1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"seg-1" + entryExt: nil,
+		"seg-2" + entryExt: valid[:headerSize-4],
+		"tmp-12345":        []byte("partial"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d, err := OpenDisk(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Entries != 0 {
-		t.Errorf("temp file counted as entry: %+v", st)
+	defer d.Close()
+	if st := d.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("crash leftovers counted as entries: %+v", st)
+	}
+	if _, ok := d.Get("k"); ok {
+		t.Error("a torn record was served")
+	}
+	if err := d.Put("k", Value{P: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.Get("k"); !ok || v.P != 1 {
+		t.Errorf("Get after Put = %+v, %v", v, ok)
+	}
+}
+
+// TestConcurrentPutOneKey checks that concurrent writes of one key count
+// one entry: the index, not the directory, decides what is live.
+func TestConcurrentPutOneKey(t *testing.T) {
+	const writers = 8
+	data, err := EncodeEntry("k", Value{P: 0.5, Backend: "exact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 20; rep++ {
+		d, err := OpenDisk(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.Put("k", Value{P: 0.5, Backend: "exact"})
+			}()
+		}
+		wg.Wait()
+		if st := d.Stats(); st.Entries != 1 || st.Bytes != int64(len(data)) || st.Writes != writers {
+			t.Fatalf("rep %d: Stats = %+v, want 1 entry of %d bytes after %d writes", rep, st, len(data), writers)
+		}
+		d.Close()
+	}
+}
+
+// TestOneSegmentPerDisk is the mechanism behind the tier's write cost:
+// one Disk's Puts all append to one file, so 1,000 of them add exactly
+// one file to the directory, and a fresh Disk serves every one.
+func TestOneSegmentPerDisk(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts = 1000
+	for i := 0; i < puts; i++ {
+		if err := d.Put(fmt.Sprintf("key-%d", i), Value{P: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range des {
-		if strings.HasPrefix(de.Name(), "tmp-") {
-			t.Error("stale temp file survived open")
+	if len(des) != 1 {
+		t.Fatalf("%d Puts left %d files, want 1", puts, len(des))
+	}
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if st := d2.Stats(); st.Entries != puts {
+		t.Errorf("reopened tier holds %d entries, want %d", st.Entries, puts)
+	}
+	for i := 0; i < puts; i++ {
+		if v, ok := d2.Get(fmt.Sprintf("key-%d", i)); !ok || v.P != float64(i) {
+			t.Fatalf("key-%d: %+v, %v", i, v, ok)
 		}
+	}
+}
+
+// TestTornTail checks crash recovery: a segment whose last record was
+// cut short keeps serving every record before the tear, and the torn
+// record is never served — its key recomputes and is written again.
+func TestTornTail(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	path := writeSegment(t, dir, time.Now(), "a", "b", "c")
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(dir, obs.New(reg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []string{"a", "b"} {
+		if v, ok := d.Get(k); !ok || v.P != float64(i) {
+			t.Errorf("record %q before the tear: %+v, %v", k, v, ok)
+		}
+	}
+	if _, ok := d.Get("c"); ok {
+		t.Fatal("torn record was served")
+	}
+	if st := d.Stats(); st.Entries != 2 || st.Corrupt != 1 {
+		t.Errorf("Stats = %+v, want 2 entries and 1 corrupt record", st)
+	}
+	if err := d.Put("c", Value{P: 2}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d2, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if v, ok := d2.Get("c"); !ok || v.P != 2 {
+		t.Errorf("rewritten record: %+v, %v", v, ok)
+	}
+}
+
+// legacyPath is where the old per-key layout kept key's entry: a file
+// named by the SHA-256 hex of the key.
+func legacyPath(dir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+entryExt)
+}
+
+// TestLegacyLayout checks that a directory of the old per-key files reads
+// as one-record segments: every entry is served and counted, GC removes
+// them one file at a time, and serving more of them than maxOpen keeps at
+// most maxOpen read handles.
+func TestLegacyLayout(t *testing.T) {
+	dir := t.TempDir()
+	const files = maxOpen + 8
+	var total int64
+	for i := 0; i < files; i++ {
+		key := fmt.Sprintf("legacy-%d", i)
+		data, err := EncodeEntry(key, Value{P: float64(i), Backend: "exact"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(legacyPath(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		total += int64(len(data))
+	}
+	d, err := OpenDisk(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Stats(); st.Entries != files || st.Bytes != total {
+		t.Errorf("Stats = %+v, want %d entries of %d bytes", st, files, total)
+	}
+	for i := 0; i < files; i++ {
+		if v, ok := d.Get(fmt.Sprintf("legacy-%d", i)); !ok || v.P != float64(i) {
+			t.Errorf("legacy-%d: %+v, %v", i, v, ok)
+		}
+	}
+	d.mu.Lock()
+	held := len(d.open)
+	d.mu.Unlock()
+	if held > maxOpen {
+		t.Errorf("%d read handles held, want at most %d", held, maxOpen)
+	}
+	entries, _, err := d.GC(0, total-1)
+	if err != nil || entries != 1 {
+		t.Errorf("GC to one byte under the total removed %d entries (%v), want 1", entries, err)
+	}
+	if n := len(segmentFiles(t, dir)); n != files-1 {
+		t.Errorf("%d files after GC, want %d", n, files-1)
 	}
 }
 
