@@ -12,16 +12,16 @@ import (
 // through -cache-dir.
 //
 //	nocomm cache -cache-dir results.cache               print stats
-//	nocomm cache -cache-dir results.cache -max-age 72h  drop entries older than 72h
-//	nocomm cache -cache-dir results.cache -max-bytes N  drop oldest entries over N bytes
+//	nocomm cache -cache-dir results.cache -max-age 72h  drop segments last written over 72h ago
+//	nocomm cache -cache-dir results.cache -max-bytes N  drop oldest segments until N bytes remain
 //	nocomm cache -cache-dir results.cache -purge        delete every entry
 func cmdCache(g *obsFlags, args []string) (err error) {
 	fs := flag.NewFlagSet("cache", flag.ContinueOnError)
 	g.register(fs)
 	dir := fs.String("cache-dir", "", "persistent result-cache directory to inspect")
 	purge := fs.Bool("purge", false, "delete every cached entry (and the quarantine) instead of printing stats")
-	maxAge := fs.Duration("max-age", 0, "garbage-collect entries last written longer than this ago (0 = no age bound)")
-	maxBytes := fs.Int64("max-bytes", -1, "garbage-collect oldest entries until the cache fits in this many bytes (-1 = no size bound)")
+	maxAge := fs.Duration("max-age", 0, "garbage-collect segment files last written longer than this ago, with every entry in them (0 = no age bound)")
+	maxBytes := fs.Int64("max-bytes", -1, "garbage-collect the oldest segment files until the live entries fit in this many bytes (-1 = no size bound)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -56,12 +56,13 @@ func TestCacheGolden(t *testing.T) {
 }
 
 // TestCacheGCGolden pins the `nocomm cache -max-age` / `-max-bytes`
-// garbage-collection reports byte-for-byte. Two exact evaluations fill
-// the cache; the entry sorting first by file name is backdated past the
+// garbage-collection reports byte-for-byte. Two exact evaluations, each
+// run opening its own store, fill the cache with two one-record
+// segments; the segment sorting first by file name is backdated past the
 // age bound, so the age pass purges exactly that entry, and a zero byte
-// budget then empties the directory. Entry file names are content
-// addresses of fixed keys and the encoding is canonical, so every count
-// in the output is deterministic.
+// budget then empties the directory. The two records have the same
+// length and the encoding is canonical, so every count in the output is
+// deterministic.
 func TestCacheGCGolden(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {

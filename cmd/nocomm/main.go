@@ -257,7 +257,7 @@ func piFlag(fs *flag.FlagSet) *string {
 
 // cacheDirFlag registers the shared -cache-dir flag for subcommands that
 // evaluate through the engine: when set, the engine's result store gains
-// a content-addressed disk tier in that directory, so expensive results
+// a log-structured disk tier in that directory, so expensive results
 // survive across runs.
 func cacheDirFlag(fs *flag.FlagSet) *string {
 	return fs.String("cache-dir", "", "persistent result-cache directory (empty = in-memory cache only)")

@@ -150,7 +150,7 @@ const DefaultTrials = 200_000
 
 // Engine evaluates rules on instances through pluggable backends behind a
 // concurrency-safe memoization cache (a store.Store: singleflight memory
-// tier, optional content-addressed disk tier). The zero value is not
+// tier, optional log-structured disk tier). The zero value is not
 // usable; use New.
 type Engine struct {
 	simCfg sim.Config

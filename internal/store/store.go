@@ -55,12 +55,14 @@ type Stats struct {
 type DiskStats struct {
 	// Dir is the cache directory.
 	Dir string
-	// Entries and Bytes size the resident entry files.
+	// Entries and Bytes count the live records: the newest record of
+	// each key in the index, not the dead space older records and
+	// corrupt bytes still take in their segments.
 	Entries int
 	Bytes   int64
 	// Hits, Misses and Writes count lookups and write-throughs since
-	// open; Corrupt counts entries quarantined after failing the
-	// magic/version/checksum/key validation.
+	// open; Corrupt counts records quarantined after failing the
+	// magic/version/length/checksum/key validation.
 	Hits, Misses, Writes, Corrupt int64
 }
 
