@@ -16,7 +16,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci
+.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci ab
 
 build:
 	$(GO) build ./...
@@ -55,3 +55,13 @@ results-check:
 	$(GO) run ./cmd/experiments -workers 2 -out "$$tmp" >/dev/null && diff -r "$$tmp" results
 
 ci: build fmt vet test race bench-smoke bench-module results-check
+
+# Paired A/B runs of the end-to-end benchmark: the committed BASE against
+# the committed HEAD, alternating which runs first, each also built with
+# every kernel in its other 64-byte phase (see cmd/ab). Paste the report
+# into CHANGES.md. Example: make ab BASE=HEAD~1 WORKLOAD=eval-cold PAIRS=5
+BASE ?= HEAD~1
+WORKLOAD ?= reproduce
+PAIRS ?= 10
+ab:
+	$(GO) run ./cmd/ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)

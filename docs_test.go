@@ -30,7 +30,7 @@ func TestExperimentsMatchResults(t *testing.T) {
 	doc := strings.Split(string(raw), "\n")
 	// Each ID names the "## <ID> " section whose first table is checked
 	// against results/<id>.csv.
-	for _, id := range []string{"T4", "T6", "T7", "T8", "T9", "T10", "T11", "V1"} {
+	for _, id := range []string{"T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11", "V1"} {
 		t.Run(id, func(t *testing.T) {
 			header, rows := markdownTable(t, doc, "## "+id+" ")
 			path := "results/" + strings.ToLower(id) + ".csv"

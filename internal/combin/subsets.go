@@ -75,10 +75,11 @@ func ForEachKSubsetMask(n, k int, fn func(mask uint64) bool) error {
 		if !fn(mask) {
 			return nil
 		}
-		// Gosper's hack: next integer with the same popcount.
+		// Gosper's hack: next integer with the same popcount. c is the
+		// lowest set bit, a power of two, so dividing by it is a shift.
 		c := mask & (^mask + 1)
 		r := mask + c
-		mask = (((r ^ mask) >> 2) / c) | r
+		mask = ((r ^ mask) >> 2 >> uint(bits.TrailingZeros64(c))) | r
 	}
 	return nil
 }

@@ -272,3 +272,38 @@ func TestPopcount(t *testing.T) {
 		t.Error("Popcount returned wrong values")
 	}
 }
+
+// TestKSubsetMaskMatchesDivisionForm checks the shift form of Gosper's
+// step against the textbook division form, mask by mask, for every n ≤ 16
+// and every k.
+func TestKSubsetMaskMatchesDivisionForm(t *testing.T) {
+	for n := 0; n <= 16; n++ {
+		for k := 0; k <= n+1; k++ {
+			var want []uint64
+			if k == 0 {
+				want = append(want, 0)
+			} else if k <= n {
+				for mask := uint64(1)<<uint(k) - 1; mask < uint64(1)<<uint(n); {
+					want = append(want, mask)
+					c := mask & (^mask + 1)
+					r := mask + c
+					mask = (((r ^ mask) >> 2) / c) | r
+				}
+			}
+			i := 0
+			err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
+				if i >= len(want) || mask != want[i] {
+					t.Fatalf("n=%d k=%d: mask %d = %#x, division form gives %v", n, k, i, mask, want[i:min(i+1, len(want))])
+				}
+				i++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != len(want) {
+				t.Fatalf("n=%d k=%d: %d masks, division form gives %d", n, k, i, len(want))
+			}
+		}
+	}
+}

@@ -72,13 +72,21 @@ func checkUnit(ps []param) error {
 // It evaluates at most 10 players; larger systems are refused with an
 // error wrapping problem.ErrPlayerCap.
 func (p OneBitBroadcast) WinProbability(capacity float64) (float64, error) {
+	return p.winProbability(capacity, new(scratch))
+}
+
+// winProbability is WinProbability with its working memory in sc.
+func (p OneBitBroadcast) winProbability(capacity float64, sc *scratch) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	// A broadcast is a one-way protocol that every listener hears, so no
-	// player uses the unconditional threshold Beta.
-	oneWay := OneBitToOne{N: p.N, Cut: p.Cut, SenderTheta: p.SenderTheta, BetaLow: p.BetaLow, BetaHigh: p.BetaHigh}
-	return oneWay.conditioned(p.N-1, capacity)
+	return p.oneWay().conditioned(p.N-1, capacity, sc)
+}
+
+// oneWay is the broadcast as a one-way protocol that every listener hears,
+// so no player uses the unconditional threshold Beta.
+func (p OneBitBroadcast) oneWay() OneBitToOne {
+	return OneBitToOne{N: p.N, Cut: p.Cut, SenderTheta: p.SenderTheta, BetaLow: p.BetaLow, BetaHigh: p.BetaHigh}
 }
 
 // OneBitToOne is the one-way variant: the bit 1{x₀ > Cut} is seen ONLY by
@@ -111,10 +119,23 @@ func (p OneBitToOne) Validate() error {
 // WinProbability evaluates the one-way protocol exactly by conditioning on
 // the bit, exactly as OneBitBroadcast does, with the same 10-player cap.
 func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
+	return p.winProbability(capacity, new(scratch))
+}
+
+// winProbability is WinProbability with its working memory in sc.
+func (p OneBitToOne) winProbability(capacity float64, sc *scratch) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	return p.conditioned(1, capacity)
+	return p.conditioned(1, capacity, sc)
+}
+
+// scratch is the reusable working memory of conditioned: the response
+// scratch its sets and masses live in, and the two region vectors of a
+// world.
+type scratch struct {
+	response.Scratch
+	bin0, bin1 []response.IntervalSet
 }
 
 // conditioned evaluates the protocol exactly when listeners 1..heard hear
@@ -123,23 +144,33 @@ func (p OneBitToOne) WinProbability(capacity float64) (float64, error) {
 // and the listeners use that world's threshold (BetaLow for bit 0,
 // BetaHigh for bit 1). Each world is a vector of interval-pair regions;
 // the worlds' unconditional probabilities sum to the winning probability.
-func (p OneBitToOne) conditioned(heard int, capacity float64) (float64, error) {
+// Every set and mass is built in sc, which is reset first, so a search
+// that passes the same sc to every probe allocates nothing per probe.
+func (p OneBitToOne) conditioned(heard int, capacity float64, sc *scratch) (float64, error) {
 	if p.N > 10 {
 		return 0, problem.PlayerCapError("comm: exact evaluation limited to 10 players, got %d", p.N)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("comm: capacity %v must be strictly positive and finite", capacity)
 	}
-	senderSet, err := response.Threshold(p.SenderTheta)
+	sc.Reset()
+	senderSet, err := sc.Threshold(p.SenderTheta)
 	if err != nil {
 		return 0, err
 	}
-	othersSet, err := response.Threshold(p.Beta)
+	senderComp := sc.Complement(senderSet)
+	others, err := sc.Threshold(p.Beta)
 	if err != nil {
 		return 0, err
 	}
+	othersComp := sc.Complement(others)
+	if cap(sc.bin0) < p.N {
+		sc.bin0 = make([]response.IntervalSet, p.N)
+		sc.bin1 = make([]response.IntervalSet, p.N)
+	}
+	bin0, bin1 := sc.bin0[:p.N], sc.bin1[:p.N]
 	total := 0.0
-	for _, world := range []struct {
+	for _, world := range [2]struct {
 		lo, hi float64 // sender's input range in this world
 		beta   float64 // listeners' threshold in this world
 	}{
@@ -149,29 +180,28 @@ func (p OneBitToOne) conditioned(heard int, capacity float64) (float64, error) {
 		if world.lo >= world.hi {
 			continue // empty world (cut at 0 or 1)
 		}
-		bin0 := make([]response.IntervalSet, p.N)
-		bin1 := make([]response.IntervalSet, p.N)
-		s0, err := senderSet.Intersect(world.lo, world.hi)
+		s0, err := sc.Intersect(senderSet, world.lo, world.hi)
 		if err != nil {
 			return 0, err
 		}
-		s1, err := senderSet.Complement().Intersect(world.lo, world.hi)
+		s1, err := sc.Intersect(senderComp, world.lo, world.hi)
 		if err != nil {
 			return 0, err
 		}
 		bin0[0], bin1[0] = s0, s1
-		listener, err := response.Threshold(world.beta)
+		listener, err := sc.Threshold(world.beta)
 		if err != nil {
 			return 0, err
 		}
+		listenerComp := sc.Complement(listener)
 		for i := 1; i < p.N; i++ {
-			set := othersSet
 			if i <= heard {
-				set = listener
+				bin0[i], bin1[i] = listener, listenerComp
+			} else {
+				bin0[i], bin1[i] = others, othersComp
 			}
-			bin0[i], bin1[i] = set, set.Complement()
 		}
-		v, err := response.WinProbabilityVectorPairs(bin0, bin1, capacity)
+		v, err := sc.WinProbabilityVectorPairs(bin0, bin1, capacity)
 		if err != nil {
 			return 0, err
 		}
@@ -189,10 +219,11 @@ func OptimizeOneWay(n int, capacity, betaStar float64) (OneBitToOne, float64, er
 	protocol := func(v []float64) OneBitToOne {
 		return OneBitToOne{N: n, Cut: v[0], SenderTheta: v[1], BetaLow: v[2], BetaHigh: v[3], Beta: v[4]}
 	}
+	sc := new(scratch)
 	x, val, err := tune(capacity, betaStar, [][]float64{
 		{0, betaStar, betaStar, betaStar, betaStar}, // degenerate: no communication
 		{0.5, betaStar, betaStar * 0.8, math.Min(1, betaStar*1.2), betaStar},
-	}, func(v []float64) (float64, error) { return protocol(v).WinProbability(capacity) })
+	}, func(v []float64) (float64, error) { return protocol(v).winProbability(capacity, sc) })
 	if err != nil {
 		return OneBitToOne{}, 0, err
 	}
@@ -217,11 +248,12 @@ func Optimize(n int, capacity, betaStar float64) (OptimizeResult, error) {
 	protocol := func(v []float64) OneBitBroadcast {
 		return OneBitBroadcast{N: n, Cut: v[0], SenderTheta: v[1], BetaLow: v[2], BetaHigh: v[3]}
 	}
+	sc := new(scratch)
 	x, val, err := tune(capacity, betaStar, [][]float64{
 		{0.0, betaStar, betaStar, betaStar}, // degenerate: no communication
 		{0.5, betaStar, betaStar * 0.8, math.Min(1, betaStar*1.2)},
 		{betaStar, betaStar, 0.4, 0.8},
-	}, func(v []float64) (float64, error) { return protocol(v).WinProbability(capacity) })
+	}, func(v []float64) (float64, error) { return protocol(v).winProbability(capacity, sc) })
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -240,8 +272,9 @@ func tune(capacity, betaStar float64, starts [][]float64, win func(v []float64) 
 	if math.IsNaN(betaStar) || betaStar < 0 || betaStar > 1 {
 		return nil, 0, fmt.Errorf("comm: betaStar %v outside [0, 1]", betaStar)
 	}
+	probe := make([]float64, len(starts[0]))
 	obj := func(v []float64) float64 {
-		val, err := win(clamp01(v))
+		val, err := win(clamp01(probe, v))
 		if err != nil {
 			return math.Inf(-1)
 		}
@@ -263,12 +296,12 @@ func tune(capacity, betaStar float64, starts [][]float64, win func(v []float64) 
 			best, bestVal = res.X, res.Value
 		}
 	}
-	return clamp01(best), bestVal, nil
+	return clamp01(make([]float64, len(best)), best), bestVal, nil
 }
 
-// clamp01 returns a copy of v with every coordinate clamped into [0, 1].
-func clamp01(v []float64) []float64 {
-	out := make([]float64, len(v))
+// clamp01 writes v with every coordinate clamped into [0, 1] to dst and
+// returns dst.
+func clamp01(dst, v []float64) []float64 {
 	for i, x := range v {
 		switch {
 		case x < 0:
@@ -276,7 +309,7 @@ func clamp01(v []float64) []float64 {
 		case x > 1:
 			x = 1
 		}
-		out[i] = x
+		dst[i] = x
 	}
-	return out
+	return dst
 }

@@ -355,7 +355,10 @@ const maxFeasibilityPlayers = 30
 // omniscient (full-information, centralized) benchmark: no distributed
 // algorithm can win on an input vector for which it is false. The check
 // walks the 2^(n-1) essentially distinct assignments depth first, so it is
-// meant for the small n used in the paper's experiments.
+// meant for the small n used in the paper's experiments. The walk stops at
+// the first node whose bin-0 load fits and whose remaining load fits bin
+// 1: that is the leaf test of sending every remaining player to bin 1, so
+// the answer equals the full enumeration's.
 func FeasibleAssignmentExists(inputs []float64, capacity float64) (bool, error) {
 	n := len(inputs)
 	if n == 0 {
@@ -384,15 +387,21 @@ func FeasibleAssignmentExists(inputs []float64, capacity float64) (bool, error) 
 // feasibleFrom reports whether the players in rest can be placed so that
 // both bins fit, given the bin-0 load so far. Each player tries bin 0
 // first. An assignment's bin-0 load is always summed in index order, so its
-// float64 value, and the answer, do not depend on the walk. A branch whose bin-0 load already exceeds the capacity is cut: adding
-// non-negative inputs never lowers a float64 sum, so no assignment below
-// it fits.
+// float64 value, and the answer, do not depend on the walk. A branch whose
+// bin-0 load already exceeds the capacity is cut: adding non-negative
+// inputs never lowers a float64 sum, so no assignment below it fits. A
+// node whose bin-0 load fits is accepted as soon as total − load0 fits
+// too: that is exactly the leaf test of the assignment sending every
+// remaining player to bin 1, whose bin-0 load is this same float64.
 func feasibleFrom(rest []float64, load0, total, capacity float64) bool {
 	if load0 > capacity {
 		return false
 	}
+	if total-load0 <= capacity {
+		return true
+	}
 	if len(rest) == 0 {
-		return total-load0 <= capacity
+		return false
 	}
 	return feasibleFrom(rest[1:], load0+rest[0], total, capacity) ||
 		feasibleFrom(rest[1:], load0, total, capacity)

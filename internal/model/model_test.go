@@ -414,6 +414,52 @@ func TestFeasibleAssignmentMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestFeasibleEarlyAcceptEdges pins the walk's early accept (a node whose
+// bin-0 load fits is accepted once total − load0 fits) at its equality
+// edges, with dyadic inputs so every load is exact. Each case names the
+// node where the walk decides and the comparison that holds there with
+// equality; its twin lowers the capacity by 2^-40 so that comparison
+// fails. Both must agree with the full enumeration.
+func TestFeasibleEarlyAcceptEdges(t *testing.T) {
+	cases := []struct {
+		name          string
+		inputs        []float64
+		capacity      float64
+		want, wantLow bool // at capacity and at capacity − 2^-40
+	}{
+		// The root, an inner node: load0 = 0.25, total − load0 = δ. Below
+		// δ the walk goes on and accepts {0, 1} | {2}.
+		{"inner, total-load0 == δ", []float64{0.25, 0.25, 0.5}, 0.75, true, true},
+		// The root rejects (1.5 in bin 1); {0, 1} is an inner node with
+		// load0 = δ and total − load0 = 0.75.
+		{"inner, load0 == δ", []float64{0.25, 0.75, 0.5, 0.25}, 1, true, false},
+		// Every inner node rejects: {0, 1} overflows and {0} leaves 1.0
+		// in bin 1. The leaf {0, 2} has load0 = δ and total − load0 = δ.
+		{"leaf, both == δ", []float64{0.5, 0.75, 0.25}, 0.75, true, false},
+		// The leaf {0, 2, 3}: load0 = δ, total − load0 = 0.875.
+		{"leaf, load0 == δ", []float64{0.5, 0.875, 0.25, 0.25}, 1, true, false},
+		// The leaf {0, 2}: load0 = 0.75, total − load0 = δ.
+		{"leaf, total-load0 == δ", []float64{0.25, 1, 0.5}, 1, true, false},
+	}
+	for _, c := range cases {
+		for _, k := range []struct {
+			capacity float64
+			want     bool
+		}{{c.capacity, c.want}, {c.capacity - 0x1p-40, c.wantLow}} {
+			got, err := FeasibleAssignmentExists(c.inputs, k.capacity)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got != k.want {
+				t.Errorf("%s: FeasibleAssignmentExists(%v, %v) = %v, want %v", c.name, c.inputs, k.capacity, got, k.want)
+			}
+			if want := feasibleByMasks(c.inputs, k.capacity); got != want {
+				t.Errorf("%s: FeasibleAssignmentExists(%v, %v) = %v, enumeration says %v", c.name, c.inputs, k.capacity, got, want)
+			}
+		}
+	}
+}
+
 func TestFeasibleAssignmentValidation(t *testing.T) {
 	if _, err := FeasibleAssignmentExists([]float64{0.5}, 0); err == nil {
 		t.Error("zero capacity: expected error")

@@ -32,13 +32,16 @@ func (p *WeightedAverageProtocol) ExactWinProbability() (float64, error) {
 		return 0, err
 	}
 	// Primary breaks: within each primary interval player 0's bin is fixed
-	// and both cuts are affine in x₀.
-	xs := []float64{0, 1, p.Theta0}
+	// and both cuts are affine in x₀. The break lists live in fixed-size
+	// arrays, so a probe of a parameter search allocates nothing.
+	var primaryBuf [maxPrimaryBreaks]float64
+	xs := append(primaryBuf[:0], 0, 1, p.Theta0)
 	xs = cutBreaks(xs, p.Theta1, p.W)
 	xs = cutBreaks(xs, p.Theta2, p.listenerWeight2())
 	primary := unitBreaks(xs)
 	// Secondary breaks: roots of every t − corner inside its interval.
-	xs = slices.Clone(primary)
+	var breakBuf [maxPrimaryBreaks + (maxPrimaryBreaks-1)*numKinks]float64
+	xs = append(breakBuf[:0], primary...)
 	for i := 1; i < len(primary); i++ {
 		lo, hi := primary[i-1], primary[i]
 		for _, k := range p.pieceAt((lo + hi) / 2).kinks() {
@@ -109,6 +112,10 @@ func cutAt(theta, w, m float64) lin {
 	return raw
 }
 
+// maxPrimaryBreaks bounds the primary break list: 0, 1 and θ₀, then at
+// most two breaks per listener cut.
+const maxPrimaryBreaks = 3 + 2 + 2
+
 // cutBreaks appends the x₀ values at which cutAt(theta, w, ·) changes
 // form: the step at theta when w = 1, else where the raw cut crosses 0
 // and 1.
@@ -147,16 +154,22 @@ func (pc piece) slacks() (t0, t1 lin) {
 	return konst(1), s
 }
 
+// numKinks is the number of kinks of a piece: two slacks times three
+// corner coordinates of each of players 1 and 2.
+const numKinks = 2 * 3 * 3
+
 // kinks returns affine functions whose sign changes are the only places
 // the area is not a single quadratic: t − u − v for t either slack and u,
 // v a corner coordinate of player 1's and player 2's intervals.
-func (pc piece) kinks() []lin {
+func (pc piece) kinks() [numKinks]lin {
 	t0, t1 := pc.slacks()
-	out := make([]lin, 0, 18)
-	for _, t := range []lin{t0, t1} {
-		for _, u := range []lin{konst(0), pc.c1, konst(1)} {
-			for _, v := range []lin{konst(0), pc.c2, konst(1)} {
-				out = append(out, t.minus(u).minus(v))
+	var out [numKinks]lin
+	i := 0
+	for _, t := range [...]lin{t0, t1} {
+		for _, u := range [...]lin{konst(0), pc.c1, konst(1)} {
+			for _, v := range [...]lin{konst(0), pc.c2, konst(1)} {
+				out[i] = t.minus(u).minus(v)
+				i++
 			}
 		}
 	}

@@ -106,3 +106,18 @@ func BenchmarkExactWinProbability(b *testing.B) {
 		}
 	}
 }
+
+// TestExactWinProbabilityAllocs pins the weighted-average objective at
+// zero heap allocations per probe: its break lists live in fixed-size
+// arrays, so T5's tuner allocates nothing per evaluation.
+func TestExactWinProbabilityAllocs(t *testing.T) {
+	for _, pattern := range []Pattern{OneWay, Broadcast} {
+		p, err := NewWeightedAverageProtocol(pattern, 0.6, 0.7, 0.65, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(20, func() { _, _ = p.ExactWinProbability() }); got != 0 {
+			t.Errorf("%v: %v allocations per probe, want 0", pattern, got)
+		}
+	}
+}

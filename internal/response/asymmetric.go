@@ -36,6 +36,14 @@ func WinProbabilityVector(sets []IntervalSet, capacity float64) (float64, error)
 // P(all inputs covered ∧ Σ₀ ≤ δ ∧ Σ₁ ≤ δ); summing it over a partition of
 // conditioning events yields a protocol's total winning probability.
 func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
+	var sc Scratch
+	return sc.WinProbabilityVectorPairs(bin0, bin1, capacity)
+}
+
+// WinProbabilityVectorPairs is the package function of the same name,
+// evaluated with sc's region-mass memos, so that repeated evaluations
+// reuse their storage. It leaves the arena as it is.
+func (sc *Scratch) WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 	if len(bin1) != len(bin0) {
 		return 0, fmt.Errorf("response: %d bin-0 regions but %d bin-1 regions", len(bin0), len(bin1))
 	}
@@ -53,13 +61,13 @@ func WinProbabilityVectorPairs(bin0, bin1 []IntervalSet, capacity float64) (floa
 			}
 		}
 	}
-	return vectorWin(bin0, bin1, capacity)
+	return sc.vectorWin(bin0, bin1, capacity)
 }
 
 // vectorWin sums, over every decision vector b, the joint mass of the
 // bin-0 players in their bin0 regions times that of the bin-1 players in
 // their bin1 regions, each with a fitting sum.
-func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
+func (sc *Scratch) vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 	n := len(bin0)
 	if n < 2 {
 		return 0, fmt.Errorf("response: need at least 2 players, got %d", n)
@@ -70,8 +78,9 @@ func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
 		return 0, fmt.Errorf("response: capacity %v must be strictly positive and finite", capacity)
 	}
-	zero := newRegionMasses(bin0, capacity)
-	one := newRegionMasses(bin1, capacity)
+	zero, one := &sc.zero, &sc.one
+	zero.reset(bin0, capacity)
+	one.reset(bin1, capacity)
 	all := uint64(1)<<uint(n) - 1
 	var total combin.Accumulator
 	err := combin.ForEachSubset(n, func(b uint64) bool {
@@ -94,6 +103,7 @@ func vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float64, error) {
 // (1-based, so at most 10 ids fit 4 bits each), and a subset's key is the
 // sequence of its players' ids in player order. Equal keys are equal
 // jointMass inputs, so a cached mass has the bits a fresh call would give.
+// reset starts a new evaluation on the same storage.
 type regionMasses struct {
 	sets     []IntervalSet
 	class    []uint64
@@ -107,20 +117,28 @@ type regionMasses struct {
 	acc     combin.Accumulator
 }
 
-func newRegionMasses(sets []IntervalSet, capacity float64) *regionMasses {
+// reset points r at a new side's regions and capacity and forgets every
+// cached mass.
+func (r *regionMasses) reset(sets []IntervalSet, capacity float64) {
 	n := len(sets)
-	r := &regionMasses{
-		sets:     sets,
-		class:    make([]uint64, n),
-		memo:     make(map[uint64]float64),
-		capacity: capacity,
-		regions:  make([]IntervalSet, 0, n),
-		widths:   make([]float64, n),
-		ones:     make([]int, n),
+	r.sets, r.capacity = sets, capacity
+	if r.memo == nil {
+		r.memo = make(map[uint64]float64)
+	} else {
+		clear(r.memo)
 	}
+	if cap(r.class) < n {
+		r.class = make([]uint64, n)
+		r.regions = make([]IntervalSet, 0, n)
+		r.widths = make([]float64, n)
+		r.ones = make([]int, n)
+	}
+	r.class = r.class[:n]
+	r.regions = r.regions[:0]
 	next := uint64(0)
 	for i, s := range sets {
 		r.ones[i] = 1
+		r.class[i] = 0
 		for j := 0; j < i && r.class[i] == 0; j++ {
 			if sameIntervals(s, sets[j]) {
 				r.class[i] = r.class[j]
@@ -131,7 +149,6 @@ func newRegionMasses(sets []IntervalSet, capacity float64) *regionMasses {
 			r.class[i] = next
 		}
 	}
-	return r
 }
 
 // sameIntervals reports whether two sets hold bit-identical intervals.

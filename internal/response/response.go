@@ -62,27 +62,29 @@ func NewIntervalSet(intervals []Interval) (IntervalSet, error) {
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Lo < cp[j].Lo })
 	merged := make([]Interval, 0, len(cp))
 	for _, iv := range cp {
-		if n := len(merged); n > 0 && iv.Lo <= merged[n-1].Hi {
-			if iv.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = iv.Hi
-			}
-			continue
-		}
-		merged = append(merged, iv)
+		merged = appendMerged(merged, 0, iv)
 	}
 	return IntervalSet{intervals: merged}, nil
+}
+
+// appendMerged appends iv, which starts no earlier than dst[len(dst)-1],
+// to the set held in dst[from:], merging it into that set's last interval
+// when the two overlap or touch.
+func appendMerged(dst []Interval, from int, iv Interval) []Interval {
+	if n := len(dst); n > from && iv.Lo <= dst[n-1].Hi {
+		if iv.Hi > dst[n-1].Hi {
+			dst[n-1].Hi = iv.Hi
+		}
+		return dst
+	}
+	return append(dst, iv)
 }
 
 // Threshold returns the single-threshold set [0, β] — the paper's §5
 // family.
 func Threshold(beta float64) (IntervalSet, error) {
-	if math.IsNaN(beta) || beta < 0 || beta > 1 {
-		return IntervalSet{}, fmt.Errorf("response: threshold %v outside [0, 1]", beta)
-	}
-	if beta == 0 {
-		return IntervalSet{}, nil
-	}
-	return NewIntervalSet([]Interval{{0, beta}})
+	var sc Scratch
+	return sc.Threshold(beta)
 }
 
 // Intervals returns a copy of the merged interval list.
@@ -117,39 +119,82 @@ func (s IntervalSet) Contains(x float64) bool {
 // Intersect returns S ∩ [lo, hi]. It returns an error for an invalid
 // window.
 func (s IntervalSet) Intersect(lo, hi float64) (IntervalSet, error) {
-	if math.IsNaN(lo) || math.IsNaN(hi) || lo < 0 || hi > 1 || lo > hi {
-		return IntervalSet{}, fmt.Errorf("response: invalid window [%v, %v]", lo, hi)
-	}
-	var out []Interval
-	for _, iv := range s.intervals {
-		l := math.Max(iv.Lo, lo)
-		h := math.Min(iv.Hi, hi)
-		if l <= h {
-			out = append(out, Interval{l, h})
-		}
-	}
-	return NewIntervalSet(out)
+	var sc Scratch
+	return sc.Intersect(s, lo, hi)
 }
 
 // Complement returns the closure of [0,1] \ S.
 func (s IntervalSet) Complement() IntervalSet {
-	var out []Interval
+	var sc Scratch
+	return sc.Complement(s)
+}
+
+// Scratch is reusable working memory for the interval sets of one
+// evaluation and for WinProbabilityVectorPairs. Sets built by its
+// Threshold, Intersect and Complement live in one arena that Reset
+// rewinds, so a loop that builds and evaluates a region vector per probe
+// (a protocol's parameter search) allocates nothing once the buffers have
+// grown. The package functions of the same names run these methods on a
+// fresh Scratch. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	arena     []Interval
+	zero, one regionMasses
+}
+
+// Reset rewinds the arena: sets built before the call must not be used
+// after it.
+func (sc *Scratch) Reset() { sc.arena = sc.arena[:0] }
+
+// set returns the set built in the arena since index from.
+func (sc *Scratch) set(from int) IntervalSet {
+	n := len(sc.arena)
+	return IntervalSet{intervals: sc.arena[from:n:n]}
+}
+
+// Threshold builds the single-threshold set [0, β] in the arena.
+func (sc *Scratch) Threshold(beta float64) (IntervalSet, error) {
+	if math.IsNaN(beta) || beta < 0 || beta > 1 {
+		return IntervalSet{}, fmt.Errorf("response: threshold %v outside [0, 1]", beta)
+	}
+	if beta == 0 {
+		return IntervalSet{}, nil
+	}
+	from := len(sc.arena)
+	sc.arena = append(sc.arena, Interval{0, beta})
+	return sc.set(from), nil
+}
+
+// Intersect builds S ∩ [lo, hi] in the arena. It returns an error for an
+// invalid window.
+func (sc *Scratch) Intersect(s IntervalSet, lo, hi float64) (IntervalSet, error) {
+	if math.IsNaN(lo) || math.IsNaN(hi) || lo < 0 || hi > 1 || lo > hi {
+		return IntervalSet{}, fmt.Errorf("response: invalid window [%v, %v]", lo, hi)
+	}
+	from := len(sc.arena)
+	for _, iv := range s.intervals {
+		l := math.Max(iv.Lo, lo)
+		h := math.Min(iv.Hi, hi)
+		if l <= h {
+			sc.arena = appendMerged(sc.arena, from, Interval{l, h})
+		}
+	}
+	return sc.set(from), nil
+}
+
+// Complement builds the closure of [0,1] \ S in the arena.
+func (sc *Scratch) Complement(s IntervalSet) IntervalSet {
+	from := len(sc.arena)
 	cursor := 0.0
 	for _, iv := range s.intervals {
 		if iv.Lo > cursor {
-			out = append(out, Interval{cursor, iv.Lo})
+			sc.arena = appendMerged(sc.arena, from, Interval{cursor, iv.Lo})
 		}
 		cursor = iv.Hi
 	}
 	if cursor < 1 {
-		out = append(out, Interval{cursor, 1})
+		sc.arena = appendMerged(sc.arena, from, Interval{cursor, 1})
 	}
-	set, err := NewIntervalSet(out)
-	if err != nil {
-		// Unreachable: complement of a valid set is valid.
-		panic(err)
-	}
-	return set
+	return sc.set(from)
 }
 
 // Rule adapts the set to a model.LocalRule for the simulator. The

@@ -39,6 +39,13 @@ import (
 const (
 	entryMagic   = "NCSE"
 	entryVersion = 1
+	// AnswerCanary is "<entryVersion>:<SHA-256>" of the answers the code
+	// gives to a fixed request set, one per persisted rule kind and
+	// backend (engine.TestStoredAnswerCanary). A change that moves any
+	// served bit fails that test until the hash is updated, and the
+	// version prefix must equal entryVersion (TestAnswerCanaryVersion), so
+	// the hash cannot move without a version bump in the same commit.
+	AnswerCanary = "1:fb31fba462801c612714bddf979bd7f28c86b599f0319951389ac6e9ede77e8d"
 	headerSize   = 24
 	// entryExt is the segment file suffix; everything else in the
 	// directory is ignored by scans.
