@@ -200,11 +200,13 @@ func export(top, commit, dir string) error {
 	if err := untar.Start(); err != nil {
 		return err
 	}
-	if err := archive.Run(); err != nil {
-		return fmt.Errorf("git archive %s: %w", commit, err)
+	archiveErr := archive.Run()
+	untarErr := untar.Wait()
+	if archiveErr != nil {
+		return fmt.Errorf("git archive %s: %w", commit, archiveErr)
 	}
-	if err := untar.Wait(); err != nil {
-		return fmt.Errorf("tar: %w", err)
+	if untarErr != nil {
+		return fmt.Errorf("tar: %w", untarErr)
 	}
 	return nil
 }

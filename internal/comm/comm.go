@@ -80,13 +80,10 @@ func (p OneBitBroadcast) winProbability(capacity float64, sc *scratch) (float64,
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	return p.oneWay().conditioned(p.N-1, capacity, sc)
-}
-
-// oneWay is the broadcast as a one-way protocol that every listener hears,
-// so no player uses the unconditional threshold Beta.
-func (p OneBitBroadcast) oneWay() OneBitToOne {
-	return OneBitToOne{N: p.N, Cut: p.Cut, SenderTheta: p.SenderTheta, BetaLow: p.BetaLow, BetaHigh: p.BetaHigh}
+	// A broadcast is a one-way protocol that every listener hears, so no
+	// player uses the unconditional threshold Beta.
+	oneWay := OneBitToOne{N: p.N, Cut: p.Cut, SenderTheta: p.SenderTheta, BetaLow: p.BetaLow, BetaHigh: p.BetaHigh}
+	return oneWay.conditioned(p.N-1, capacity, sc)
 }
 
 // OneBitToOne is the one-way variant: the bit 1{x₀ > Cut} is seen ONLY by

@@ -165,9 +165,9 @@ func (pc piece) kinks() [numKinks]lin {
 	t0, t1 := pc.slacks()
 	var out [numKinks]lin
 	i := 0
-	for _, t := range [...]lin{t0, t1} {
-		for _, u := range [...]lin{konst(0), pc.c1, konst(1)} {
-			for _, v := range [...]lin{konst(0), pc.c2, konst(1)} {
+	for _, t := range []lin{t0, t1} {
+		for _, u := range []lin{konst(0), pc.c1, konst(1)} {
+			for _, v := range []lin{konst(0), pc.c2, konst(1)} {
 				out[i] = t.minus(u).minus(v)
 				i++
 			}

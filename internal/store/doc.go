@@ -43,5 +43,8 @@
 // replicate tolerances), so a changed configuration addresses a different
 // entry, and entryVersion is bumped whenever the Value encoding or any
 // evaluation semantics change — old records then fail the version check
-// and are quarantined rather than served.
+// and are quarantined rather than served. AnswerCanary records the hash of
+// the answers the code served under the current version; a test in the
+// engine fails when they move, until the hash and the version change
+// together.
 package store
