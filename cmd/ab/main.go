@@ -1,16 +1,17 @@
 // Command ab compares two commits on the end-to-end benchmark (bench/) in
 // paired runs, so that a performance claim carries its noise:
 //
-//	go run ./cmd/ab -base <rev> [-head HEAD] [-workload reproduce] [-pairs 10]
+//	go run ./cmd/ab -base <rev> [-head HEAD] [-workload reproduce] [-pairs 10] [-seed 1]
 //
 // (or `make ab BASE=<rev> WORKLOAD=<w> PAIRS=<k>`). Each commit's tree is
 // exported with `git archive` into a temporary directory, so the working
 // tree and the repository are left as they are, and its bench/ program is
 // built against that tree (bench/go.mod replaces repro with ../). The
-// pairs alternate which side runs first. For every end-to-end metric that
-// BENCHMARK.json declares, the report gives each side's median and
-// quartiles, the change of the medians, the number of pairs in which the
-// head is better, and the two-sided sign-test p-value.
+// pairs alternate which side runs first, and each run lasts the
+// run_seconds of the head's BENCHMARK.json. For every end-to-end metric
+// it declares, the report gives each side's median and quartiles, the
+// change of the medians, the number of pairs in which the head is better,
+// and the two-sided sign-test p-value.
 //
 // Go places functions on 32-byte boundaries, so unrelated code ahead of a
 // kernel moves it between two 64-byte phases, and on some hosts the
@@ -91,13 +92,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workload := fs.String("workload", "reproduce", "benchmark workload")
 	pairs := fs.Int("pairs", 10, "number of paired runs")
 	seed := fs.Int("seed", 1, "benchmark seed")
-	seconds := fs.Int("seconds", 10, "measured seconds per run")
 	layout := fs.Bool("layout", true, "also run both sides with every kernel in its other 64-byte phase")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *base == "" || *pairs < 1 || *seconds < 1 {
-		return errors.New("need -base, and -pairs and -seconds of at least 1")
+	if *base == "" || *pairs < 1 {
+		return errors.New("need -base, and -pairs of at least 1")
 	}
 	top, err := output(".", "git", "rev-parse", "--show-toplevel")
 	if err != nil {
@@ -139,14 +139,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			sides = append(sides, pad)
 		}
 	}
-	specs, err := endToEnd(filepath.Join(sides[1].dir, "BENCHMARK.json"))
+	specs, seconds, err := readBenchmark(filepath.Join(sides[1].dir, "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
 
 	workdir := filepath.Join(tmp, "work")
 	benchArgs := []string{"--workdir", workdir, "--workload", *workload, "--seed", strconv.Itoa(*seed),
-		"--seconds", strconv.Itoa(*seconds), "--trace", "0", "--json"}
+		"--seconds", strconv.Itoa(seconds), "--trace", "0", "--json"}
 	for i := 0; i < *pairs; i++ {
 		// Alternate the order within each pair, and run the padded
 		// builds in the same order after the unpadded ones.
@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "pair %d/%d %-9s cpu_ms_per_op %.4g\n", i+1, *pairs, sd.name, r.Metrics["cpu_ms_per_op"].Value)
 		}
 	}
-	return report(stdout, sides, specs, *workload, *seed, *pairs, *seconds)
+	return report(stdout, sides, specs, *workload, *seed, *pairs, seconds)
 }
 
 // output runs a command in dir and returns its trimmed standard output.
@@ -303,19 +303,24 @@ func packageName(dir string) (string, error) {
 	return "", fmt.Errorf("%s: no package clause", dir)
 }
 
-// endToEnd reads the end-to-end metrics BENCHMARK.json declares.
-func endToEnd(path string) ([]metricSpec, error) {
+// readBenchmark reads the end-to-end metrics and the run length that
+// BENCHMARK.json declares.
+func readBenchmark(path string) ([]metricSpec, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var cfg struct {
-		EndToEnd []metricSpec `json:"end_to_end"`
+		RunSeconds int          `json:"run_seconds"`
+		EndToEnd   []metricSpec `json:"end_to_end"`
 	}
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return cfg.EndToEnd, nil
+	if cfg.RunSeconds < 1 || len(cfg.EndToEnd) == 0 {
+		return nil, 0, fmt.Errorf("%s: no run_seconds or end_to_end metrics", path)
+	}
+	return cfg.EndToEnd, cfg.RunSeconds, nil
 }
 
 // runOnce runs the side's benchmark once from its tree and parses the
