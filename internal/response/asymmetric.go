@@ -103,7 +103,6 @@ func (sc *Scratch) vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float6
 // (1-based, so at most 10 ids fit 4 bits each), and a subset's key is the
 // sequence of its players' ids in player order. Equal keys are equal
 // jointMass inputs, so a cached mass has the bits a fresh call would give.
-// reset starts a new evaluation on the same storage.
 type regionMasses struct {
 	sets     []IntervalSet
 	class    []uint64
@@ -134,7 +133,6 @@ func (r *regionMasses) reset(sets []IntervalSet, capacity float64) {
 		r.ones = make([]int, n)
 	}
 	r.class = r.class[:n]
-	r.regions = r.regions[:0]
 	next := uint64(0)
 	for i, s := range sets {
 		r.ones[i] = 1
