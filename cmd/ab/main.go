@@ -1,9 +1,10 @@
 // Command ab compares two commits on the end-to-end benchmark (bench/) in
 // paired runs, so that a performance claim carries its noise:
 //
-//	go run ./cmd/ab -base <rev> [-head HEAD] [-workload reproduce] [-pairs 10] [-seed 1]
+//	go run ./cmd/ab -base <rev> [-workload reproduce] [-pairs 10]
 //
-// (or `make ab BASE=<rev> WORKLOAD=<w> PAIRS=<k>`). Each commit's tree is
+// (or `make ab BASE=<rev> WORKLOAD=<w> PAIRS=<k>`) compares the committed
+// BASE with the committed HEAD, both run with seed 1. Each commit's tree is
 // exported with `git archive` into a temporary directory, so the working
 // tree and the repository are left as they are, and its bench/ program is
 // built against that tree (bench/go.mod replaces repro with ../). The
@@ -15,11 +16,10 @@
 //
 // Go places functions on 32-byte boundaries, so unrelated code ahead of a
 // kernel moves it between two 64-byte phases, and on some hosts the
-// phases run at measurably different speeds. Unless -layout=false, each
-// side is therefore also built a second time with one 32-byte function
-// added to the first of the module's packages in the binary's layout (a
-// throwaway file in the exported tree), which moves every kernel to its
-// other phase. Those builds run in the same pairs; the report prints the
+// phases run at measurably different speeds. Each side is therefore also
+// built a second time with one 32-byte function added to the first of the
+// module's packages in the binary's layout (a throwaway file in the
+// exported tree), which moves every kernel to its other phase. Those builds run in the same pairs; the report prints the
 // head's change in that phase too, each side's phase spread (padded
 // median against unpadded median), and the phase of a few kernels in all
 // four binaries (`go tool nm`). A change is only resolved when it has the
@@ -41,6 +41,9 @@ import (
 	"strconv"
 	"strings"
 )
+
+// seed is the benchmark seed of every run.
+const seed = 1
 
 // kernels are the symbols whose 64-byte phase the report lists.
 var kernels = []string{
@@ -88,11 +91,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	base := fs.String("base", "", "base commit (required)")
-	head := fs.String("head", "HEAD", "head commit")
 	workload := fs.String("workload", "reproduce", "benchmark workload")
 	pairs := fs.Int("pairs", 10, "number of paired runs")
-	seed := fs.Int("seed", 1, "benchmark seed")
-	layout := fs.Bool("layout", true, "also run both sides with every kernel in its other 64-byte phase")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer os.RemoveAll(tmp)
 
 	var sides []*side
-	for _, s := range []struct{ name, rev string }{{"base", *base}, {"head", *head}} {
+	for _, s := range []struct{ name, rev string }{{"base", *base}, {"head", "HEAD"}} {
 		commit, err := output(top, "git", "rev-parse", "--short", s.rev+"^{commit}")
 		if err != nil {
 			return err
@@ -124,20 +124,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		sides = append(sides, sd)
 	}
-	if *layout {
-		for _, sd := range sides[:2] {
-			pad := &side{name: sd.name + "+pad", commit: sd.commit, dir: filepath.Join(tmp, sd.name+"-pad"), bin: filepath.Join(tmp, "bin", sd.name+"-pad")}
-			if err := export(top, sd.commit, pad.dir); err != nil {
-				return err
-			}
-			if err := addPadding(sd.bin, pad.dir); err != nil {
-				return err
-			}
-			if err := build(pad); err != nil {
-				return err
-			}
-			sides = append(sides, pad)
+	for _, sd := range sides[:2] {
+		pad := &side{name: sd.name + "+pad", commit: sd.commit, dir: filepath.Join(tmp, sd.name+"-pad"), bin: filepath.Join(tmp, "bin", sd.name+"-pad")}
+		if err := export(top, sd.commit, pad.dir); err != nil {
+			return err
 		}
+		if err := addPadding(sd.bin, pad.dir); err != nil {
+			return err
+		}
+		if err := build(pad); err != nil {
+			return err
+		}
+		sides = append(sides, pad)
 	}
 	specs, seconds, err := readBenchmark(filepath.Join(sides[1].dir, "BENCHMARK.json"))
 	if err != nil {
@@ -145,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	workdir := filepath.Join(tmp, "work")
-	benchArgs := []string{"--workdir", workdir, "--workload", *workload, "--seed", strconv.Itoa(*seed),
+	benchArgs := []string{"--workdir", workdir, "--workload", *workload, "--seed", strconv.Itoa(seed),
 		"--seconds", strconv.Itoa(seconds), "--trace", "0", "--json"}
 	for i := 0; i < *pairs; i++ {
 		// Alternate the order within each pair, and run the padded
@@ -155,9 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			order = []int{1, 0, 3, 2}
 		}
 		for _, j := range order {
-			if j >= len(sides) {
-				continue
-			}
 			sd := sides[j]
 			r, err := runOnce(sd, tmp, benchArgs)
 			if err != nil {
@@ -167,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "pair %d/%d %-9s cpu_ms_per_op %.4g\n", i+1, *pairs, sd.name, r.Metrics["cpu_ms_per_op"].Value)
 		}
 	}
-	return report(stdout, sides, specs, *workload, *seed, *pairs, seconds)
+	return report(stdout, sides, specs, *workload, *pairs, seconds)
 }
 
 // output runs a command in dir and returns its trimmed standard output.
@@ -355,32 +350,29 @@ func (sd *side) values(metric string) []float64 {
 }
 
 // report prints the comparison.
-func report(w io.Writer, sides []*side, specs []metricSpec, workload string, seed, pairs, seconds int) error {
+func report(w io.Writer, sides []*side, specs []metricSpec, workload string, pairs, seconds int) error {
 	base, head := sides[0], sides[1]
 	fmt.Fprintf(w, "A/B %s: base %s, head %s; workload %s, seed %d, %d alternating pairs of %d s runs\n",
 		workload, base.commit, head.commit, workload, seed, pairs, seconds)
-	padded := len(sides) == 4
-	if padded {
-		fmt.Fprintf(w, "\nkernel address mod 64 (%s):\n", strings.Join(names(sides), ", "))
-		var addrs []map[string]uint64
-		for _, sd := range sides {
-			_, a, err := symbols(sd.bin)
-			if err != nil {
-				return err
-			}
-			addrs = append(addrs, a)
+	fmt.Fprintf(w, "\nkernel address mod 64 (%s):\n", strings.Join(names(sides), ", "))
+	var addrs []map[string]uint64
+	for _, sd := range sides {
+		_, a, err := symbols(sd.bin)
+		if err != nil {
+			return err
 		}
-		for _, k := range kernels {
-			var cells []string
-			for _, a := range addrs {
-				if v, ok := a[k]; ok {
-					cells = append(cells, strconv.FormatUint(v%64, 10))
-				} else {
-					cells = append(cells, "-")
-				}
+		addrs = append(addrs, a)
+	}
+	for _, k := range kernels {
+		var cells []string
+		for _, a := range addrs {
+			if v, ok := a[k]; ok {
+				cells = append(cells, strconv.FormatUint(v%64, 10))
+			} else {
+				cells = append(cells, "-")
 			}
-			fmt.Fprintf(w, "  %-44s %s\n", k, strings.Join(cells, ", "))
 		}
+		fmt.Fprintf(w, "  %-44s %s\n", k, strings.Join(cells, ", "))
 	}
 	fmt.Fprintln(w)
 	for _, m := range specs {
@@ -393,14 +385,12 @@ func report(w io.Writer, sides []*side, specs []metricSpec, workload string, see
 		fmt.Fprintf(w, "  base median %.6g [IQR %.6g–%.6g]; head median %.6g [IQR %.6g–%.6g]\n", bmed, bq1, bq3, hmed, hq1, hq3)
 		fmt.Fprintf(w, "  head − base %+.2f%% of base; head better in %d of %d untied pairs; sign test p = %.3g\n",
 			pct(hmed, bmed), better, untied, signTest(better, untied))
-		if padded {
-			bp, hp := sides[2].values(m.Name), sides[3].values(m.Name)
-			_, bpmed, _ := quartiles(bp)
-			_, hpmed, _ := quartiles(hp)
-			pb, pu := pairCount(bp, hp, lower)
-			fmt.Fprintf(w, "  other phase: head − base %+.2f%%, head better in %d of %d; phase spread base %+.2f%%, head %+.2f%%\n",
-				pct(hpmed, bpmed), pb, pu, pct(bpmed, bmed), pct(hpmed, hmed))
-		}
+		bp, hp := sides[2].values(m.Name), sides[3].values(m.Name)
+		_, bpmed, _ := quartiles(bp)
+		_, hpmed, _ := quartiles(hp)
+		pb, pu := pairCount(bp, hp, lower)
+		fmt.Fprintf(w, "  other phase: head − base %+.2f%%, head better in %d of %d; phase spread base %+.2f%%, head %+.2f%%\n",
+			pct(hpmed, bpmed), pb, pu, pct(bpmed, bmed), pct(hpmed, hmed))
 	}
 	fmt.Fprintln(w)
 	for _, sd := range sides {

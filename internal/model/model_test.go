@@ -386,7 +386,11 @@ func TestFeasibleAssignmentMatchesEnumeration(t *testing.T) {
 		}
 	}
 	// Dyadic cases: each split sums exactly, so only the equality edge of
-	// a bin decides; nudging one input by 2^-40 flips the exact ones.
+	// a bin decides; nudging one input or the capacity by 2^-40 flips the
+	// exact ones. The rows after the first block pin the walk's early
+	// accept (a node whose load0 fits is accepted once total − load0
+	// fits) where one of its comparisons holds with equality, at an inner
+	// node and at a leaf, each with a twin at capacity − 2^-40.
 	dyadic := []struct {
 		inputs   []float64
 		capacity float64
@@ -401,6 +405,25 @@ func TestFeasibleAssignmentMatchesEnumeration(t *testing.T) {
 		{[]float64{0.5, 0.5}, 0.5, true},                   // one per bin, both full
 		{[]float64{1, 0.5, 0.25, 0.125, 0.125}, 1, true},   // {1} | the rest, sums to 1
 		{[]float64{1 + 0x1p-40, 0.25, 0.25}, 1, false},     // player 0 alone overflows
+
+		// The root: load0 = 0.25, total − load0 = δ. Below δ the walk
+		// goes on and accepts {0, 1} | {2}.
+		{[]float64{0.25, 0.25, 0.5}, 0.75, true},
+		{[]float64{0.25, 0.25, 0.5}, 0.75 - 0x1p-40, true},
+		// The root rejects (1.5 in bin 1); the inner node {0, 1} has
+		// load0 = δ and total − load0 = 0.75.
+		{[]float64{0.25, 0.75, 0.5, 0.25}, 1, true},
+		{[]float64{0.25, 0.75, 0.5, 0.25}, 1 - 0x1p-40, false},
+		// Every inner node rejects; the leaf {0, 2} has load0 = δ and
+		// total − load0 = δ.
+		{[]float64{0.5, 0.75, 0.25}, 0.75, true},
+		{[]float64{0.5, 0.75, 0.25}, 0.75 - 0x1p-40, false},
+		// The leaf {0, 2, 3}: load0 = δ, total − load0 = 0.875.
+		{[]float64{0.5, 0.875, 0.25, 0.25}, 1, true},
+		{[]float64{0.5, 0.875, 0.25, 0.25}, 1 - 0x1p-40, false},
+		// The leaf {0, 2}: load0 = 0.75, total − load0 = δ.
+		{[]float64{0.25, 1, 0.5}, 1, true},
+		{[]float64{0.25, 1, 0.5}, 1 - 0x1p-40, false},
 	}
 	for _, c := range dyadic {
 		got, err := FeasibleAssignmentExists(c.inputs, c.capacity)
@@ -411,52 +434,6 @@ func TestFeasibleAssignmentMatchesEnumeration(t *testing.T) {
 			t.Errorf("FeasibleAssignmentExists(%v, %v) = %v, want %v", c.inputs, c.capacity, got, c.want)
 		}
 		check(c.inputs, c.capacity)
-	}
-}
-
-// TestFeasibleEarlyAcceptEdges pins the walk's early accept (a node whose
-// bin-0 load fits is accepted once total − load0 fits) at its equality
-// edges, with dyadic inputs so every load is exact. Each case names the
-// node where the walk decides and the comparison that holds there with
-// equality; its twin lowers the capacity by 2^-40 so that comparison
-// fails. Both must agree with the full enumeration.
-func TestFeasibleEarlyAcceptEdges(t *testing.T) {
-	cases := []struct {
-		name          string
-		inputs        []float64
-		capacity      float64
-		want, wantLow bool // at capacity and at capacity − 2^-40
-	}{
-		// The root, an inner node: load0 = 0.25, total − load0 = δ. Below
-		// δ the walk goes on and accepts {0, 1} | {2}.
-		{"inner, total-load0 == δ", []float64{0.25, 0.25, 0.5}, 0.75, true, true},
-		// The root rejects (1.5 in bin 1); {0, 1} is an inner node with
-		// load0 = δ and total − load0 = 0.75.
-		{"inner, load0 == δ", []float64{0.25, 0.75, 0.5, 0.25}, 1, true, false},
-		// Every inner node rejects: {0, 1} overflows and {0} leaves 1.0
-		// in bin 1. The leaf {0, 2} has load0 = δ and total − load0 = δ.
-		{"leaf, both == δ", []float64{0.5, 0.75, 0.25}, 0.75, true, false},
-		// The leaf {0, 2, 3}: load0 = δ, total − load0 = 0.875.
-		{"leaf, load0 == δ", []float64{0.5, 0.875, 0.25, 0.25}, 1, true, false},
-		// The leaf {0, 2}: load0 = 0.75, total − load0 = δ.
-		{"leaf, total-load0 == δ", []float64{0.25, 1, 0.5}, 1, true, false},
-	}
-	for _, c := range cases {
-		for _, k := range []struct {
-			capacity float64
-			want     bool
-		}{{c.capacity, c.want}, {c.capacity - 0x1p-40, c.wantLow}} {
-			got, err := FeasibleAssignmentExists(c.inputs, k.capacity)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if got != k.want {
-				t.Errorf("%s: FeasibleAssignmentExists(%v, %v) = %v, want %v", c.name, c.inputs, k.capacity, got, k.want)
-			}
-			if want := feasibleByMasks(c.inputs, k.capacity); got != want {
-				t.Errorf("%s: FeasibleAssignmentExists(%v, %v) = %v, enumeration says %v", c.name, c.inputs, k.capacity, got, want)
-			}
-		}
 	}
 }
 

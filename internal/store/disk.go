@@ -39,13 +39,6 @@ import (
 const (
 	entryMagic   = "NCSE"
 	entryVersion = 1
-	// AnswerCanary is "<entryVersion>:<SHA-256>" of the answers the code
-	// gives to a fixed request set, one per persisted rule kind and
-	// backend (engine.TestStoredAnswerCanary). A change that moves any
-	// served bit fails that test until the hash is updated, and the
-	// version prefix must equal entryVersion (TestAnswerCanaryVersion), so
-	// the hash cannot move without a version bump in the same commit.
-	AnswerCanary = "1:fb31fba462801c612714bddf979bd7f28c86b599f0319951389ac6e9ede77e8d"
 	headerSize   = 24
 	// entryExt is the segment file suffix; everything else in the
 	// directory is ignored by scans.
@@ -58,6 +51,17 @@ const (
 	// file descriptors than a handful.
 	maxOpen = 32
 )
+
+// answerCanaries records, at index v, the SHA-256 of the answers that the
+// code of entry version v gives to a fixed request set, one per persisted
+// rule kind and backend (TestStoredAnswerCanary). The test requires the
+// last entry to sit at entryVersion, to match the current answers and to
+// differ from every earlier entry. So a change that moves a served bit
+// needs a new entry, whose index is a version bump; overwriting an
+// earlier entry instead shows in the diff as a deleted record.
+var answerCanaries = [...]string{
+	1: "fb31fba462801c612714bddf979bd7f28c86b599f0319951389ac6e9ede77e8d",
+}
 
 // diskEntry is the JSON payload of one record.
 type diskEntry struct {

@@ -43,8 +43,7 @@
 // replicate tolerances), so a changed configuration addresses a different
 // entry, and entryVersion is bumped whenever the Value encoding or any
 // evaluation semantics change — old records then fail the version check
-// and are quarantined rather than served. AnswerCanary records the hash of
-// the answers the code served under the current version; a test in the
-// engine fails when they move, until the hash and the version change
-// together.
+// and are quarantined rather than served. A canary test hashes the
+// answers the code serves to a fixed request set and fails when they
+// move, until the new hash is recorded under a new entry version.
 package store
