@@ -23,7 +23,9 @@
 // head's change in that phase too, each side's phase spread (padded
 // median against unpadded median), and the phase of a few kernels in all
 // four binaries (`go tool nm`). A change is only resolved when it has the
-// same sign in both phases and exceeds the phase spread.
+// same sign in both phases and exceeds both sides' phase spread; each
+// metric ends with a `verdict: better | worse | unresolved` line that
+// applies this rule.
 package main
 
 import (
@@ -381,16 +383,19 @@ func report(w io.Writer, sides []*side, specs []metricSpec, workload string, pai
 		bq1, bmed, bq3 := quartiles(b)
 		hq1, hmed, hq3 := quartiles(h)
 		better, untied := pairCount(b, h, lower)
-		fmt.Fprintf(w, "%s (%s, %s is better)\n", m.Name, m.Unit, m.Better)
-		fmt.Fprintf(w, "  base median %.6g [IQR %.6g–%.6g]; head median %.6g [IQR %.6g–%.6g]\n", bmed, bq1, bq3, hmed, hq1, hq3)
-		fmt.Fprintf(w, "  head − base %+.2f%% of base; head better in %d of %d untied pairs; sign test p = %.3g\n",
-			pct(hmed, bmed), better, untied, signTest(better, untied))
 		bp, hp := sides[2].values(m.Name), sides[3].values(m.Name)
 		_, bpmed, _ := quartiles(bp)
 		_, hpmed, _ := quartiles(hp)
 		pb, pu := pairCount(bp, hp, lower)
+		delta, deltaOther := pct(hmed, bmed), pct(hpmed, bpmed)
+		spreadBase, spreadHead := pct(bpmed, bmed), pct(hpmed, hmed)
+		fmt.Fprintf(w, "%s (%s, %s is better)\n", m.Name, m.Unit, m.Better)
+		fmt.Fprintf(w, "  base median %.6g [IQR %.6g–%.6g]; head median %.6g [IQR %.6g–%.6g]\n", bmed, bq1, bq3, hmed, hq1, hq3)
+		fmt.Fprintf(w, "  head − base %+.2f%% of base; head better in %d of %d untied pairs; sign test p = %.3g\n",
+			delta, better, untied, signTest(better, untied))
 		fmt.Fprintf(w, "  other phase: head − base %+.2f%%, head better in %d of %d; phase spread base %+.2f%%, head %+.2f%%\n",
-			pct(hpmed, bpmed), pb, pu, pct(bpmed, bmed), pct(hpmed, hmed))
+			deltaOther, pb, pu, spreadBase, spreadHead)
+		fmt.Fprintf(w, "  verdict: %s\n", verdict(delta, deltaOther, spreadBase, spreadHead, lower))
 	}
 	fmt.Fprintln(w)
 	for _, sd := range sides {

@@ -64,3 +64,19 @@ func pairCount(base, head []float64, lowerBetter bool) (better, untied int) {
 	}
 	return better, untied
 }
+
+// verdict judges one metric from the head's change of the median in
+// percent of the base in each 64-byte phase (delta, deltaOther) and each
+// side's phase spread: better or worse only when both phases agree in
+// sign and both changes exceed both spreads in size, else unresolved.
+func verdict(delta, deltaOther, spreadBase, spreadHead float64, lowerBetter bool) string {
+	noise := math.Max(math.Abs(spreadBase), math.Abs(spreadHead))
+	if math.IsNaN(delta) || math.IsNaN(deltaOther) || math.IsNaN(noise) ||
+		(delta < 0) != (deltaOther < 0) || math.Min(math.Abs(delta), math.Abs(deltaOther)) <= noise {
+		return "unresolved"
+	}
+	if (delta < 0) == lowerBetter {
+		return "better"
+	}
+	return "worse"
+}

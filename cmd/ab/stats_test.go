@@ -57,3 +57,30 @@ func TestPairCount(t *testing.T) {
 		t.Errorf("higher better: %d of %d, want 1 of 3", b, u)
 	}
 }
+
+func TestVerdict(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name                         string
+		delta, other, spBase, spHead float64
+		lowerBetter                  bool
+		want                         string
+	}{
+		{"lower in both phases beyond both spreads", -5, -4, 1, -2, true, "better"},
+		{"higher in both phases, lower is better", 5, 4, 1, -2, true, "worse"},
+		{"higher in both phases, higher is better", 5, 4, 1, -2, false, "better"},
+		{"lower in both phases, higher is better", -5, -4, 1, 2, false, "worse"},
+		{"phases disagree in sign", -5, 4, 1, 1, true, "unresolved"},
+		{"one phase inside the base spread", -5, -0.5, 1, 0.2, true, "unresolved"},
+		{"inside the head spread", -5, -4, 0.1, -6, true, "unresolved"},
+		{"equal to the spread", -2, -3, 2, 0, true, "unresolved"},
+		{"no change", 0, 0, 0, 0, true, "unresolved"},
+		{"undefined change", nan, -4, 1, 1, true, "unresolved"},
+		{"undefined spread", -5, -4, nan, 1, true, "unresolved"},
+	} {
+		if got := verdict(c.delta, c.other, c.spBase, c.spHead, c.lowerBetter); got != c.want {
+			t.Errorf("%s: verdict(%v, %v, %v, %v, %v) = %s, want %s",
+				c.name, c.delta, c.other, c.spBase, c.spHead, c.lowerBetter, got, c.want)
+		}
+	}
+}

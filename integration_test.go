@@ -62,8 +62,8 @@ func TestEndToEndChainOfOracles(t *testing.T) {
 	beta := big.NewRat(5, 8) // 0.625, near the optimum
 	betaF := 0.625
 
-	exact, err := nonoblivious.WinningProbabilityRat(
-		[]*big.Rat{beta, beta, beta}, capacity)
+	exact, err := nonoblivious.WinningProbabilityPiRat(
+		[]*big.Rat{beta, beta, beta}, nil, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,12 +274,12 @@ func TestOptimizeBits(t *testing.T) {
 		got  float64
 		want uint64
 	}{
-		{"cut", q.Cut, 0x3fe00de3d1e08c74},
-		{"senderTheta", q.SenderTheta, 0x3fe00dbf55418f00},
-		{"betaLow", q.BetaLow, 0x3e5db970f27c0330},
-		{"betaHigh", q.BetaHigh, 0x3feffff4c261dece},
-		{"beta", q.Beta, 0x3feffff7ebc36e9d},
-		{"winProbability", v, 0x3fe3fffcfc412e16},
+		{"cut", q.Cut, 0x3fe0000000000000},
+		{"senderTheta", q.SenderTheta, 0x3fe0000000000000},
+		{"betaLow", q.BetaLow, 0},
+		{"betaHigh", q.BetaHigh, 0x3ff0000000000000},
+		{"beta", q.Beta, 0x3ff0000000000000},
+		{"winProbability", v, 0x3fe4000000000000},
 	} {
 		if bits := math.Float64bits(f.got); bits != f.want {
 			t.Errorf("OptimizeOneWay %s: bits %#016x (%v), want %#016x", f.name, bits, f.got, f.want)

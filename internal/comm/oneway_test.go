@@ -86,6 +86,18 @@ func TestOneWayMirrorProtocolIsExactlyFiveEighths(t *testing.T) {
 	}
 }
 
+// TestOptimizeOneWayReachesMirror requires the tuned one-way bit to be
+// worth at least the mirror protocol's closed-form 5/8 at n = 3, δ = 1.
+func TestOptimizeOneWayReachesMirror(t *testing.T) {
+	_, v, err := OptimizeOneWay(3, 1, 0.622036)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v < 0.625 {
+		t.Errorf("tuned one-way bit P = %.9f, below the mirror protocol's 5/8", v)
+	}
+}
+
 func TestOneBitToOneValidation(t *testing.T) {
 	p := OneBitToOne{N: 3, Cut: 0.5, SenderTheta: 0.5, BetaLow: 0.5, BetaHigh: 0.5, Beta: 0.5}
 	if _, err := p.WinProbability(0); err == nil {

@@ -13,6 +13,11 @@
 //     table kernel for sums whose radix shifts with the exponent.
 //   - CDFRat: Lemma 2.4 in exact rationals, the oracle the float tables
 //     and the certified computations are checked against.
+//   - WinProbabilityRat: the exact winning probability of any rule whose
+//     players decide independently, given as one list of branches (bin,
+//     mass, load interval) per player; one CDFRat per bin and branch
+//     choice. It is the rational oracle of Theorems 4.1 and 5.1 and their
+//     heterogeneous generalizations.
 //   - IrwinHallLadder: the classical special case π_i = 1 (Corollary 2.6),
 //     stepped order by order through a convex recurrence that keeps full
 //     float64 accuracy at every order; IrwinHallCDFRat is its exact twin.

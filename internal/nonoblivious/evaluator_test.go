@@ -260,7 +260,7 @@ func TestEvaluatorMatchesRatOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := WinningProbabilityRat(thsR, capR)
+			want, err := WinningProbabilityPiRat(thsR, nil, capR)
 			if err != nil {
 				t.Fatal(err)
 			}

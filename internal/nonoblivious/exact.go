@@ -4,196 +4,14 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/poly"
 )
 
 // MaxNExact bounds the player count for the exact rational Theorem 5.1
-// evaluation of general threshold vectors (Θ(3^n) big.Rat arithmetic).
-const MaxNExact = 10
-
-// WinningProbabilityRat evaluates Theorem 5.1 exactly for rational
-// thresholds and capacity. It is the certified oracle behind the float64
-// path: Σ_b N₀(b)·N₁(b) with both numerators computed in exact rational
-// arithmetic. The outer enumeration walks bin vectors in Gray-code order,
-// maintaining the two bins' threshold lists by O(1) swap-deletes per step
-// (the numerators are symmetric in their arguments, so list order is
-// immaterial).
-func WinningProbabilityRat(thresholds []*big.Rat, capacity *big.Rat) (*big.Rat, error) {
-	n := len(thresholds)
-	if n < 2 {
-		return nil, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
-	}
-	if n > MaxNExact {
-		return nil, fmt.Errorf("nonoblivious: exact evaluation limited to %d players, got %d", MaxNExact, n)
-	}
-	if capacity == nil || capacity.Sign() <= 0 {
-		return nil, fmt.Errorf("nonoblivious: capacity must be strictly positive")
-	}
-	one := big.NewRat(1, 1)
-	for i, a := range thresholds {
-		if a == nil || a.Sign() < 0 || a.Cmp(one) > 0 {
-			return nil, fmt.Errorf("nonoblivious: threshold[%d] outside [0, 1]", i)
-		}
-	}
-	total := new(big.Rat)
-	// Gray walk state: player i's threshold lives at index loc[i] of the
-	// bin its current side selects; zeroID/oneID invert loc for the
-	// swap-delete that keeps both lists dense.
-	zeros := make([]*big.Rat, n)
-	zeroID := make([]int, n)
-	loc := make([]int, n)
-	for i, a := range thresholds {
-		zeros[i], zeroID[i], loc[i] = a, i, i
-	}
-	ones := make([]*big.Rat, 0, n)
-	oneID := make([]int, 0, n)
-	err := combin.ForEachSubsetGray(n, func(b uint64, flipped int, added bool) bool {
-		if flipped >= 0 {
-			if added { // bin 0 → bin 1
-				j, last := loc[flipped], len(zeros)-1
-				zeros[j], zeroID[j] = zeros[last], zeroID[last]
-				loc[zeroID[j]] = j
-				zeros, zeroID = zeros[:last], zeroID[:last]
-				loc[flipped] = len(ones)
-				ones = append(ones, thresholds[flipped])
-				oneID = append(oneID, flipped)
-			} else { // bin 1 → bin 0
-				j, last := loc[flipped], len(ones)-1
-				ones[j], oneID[j] = ones[last], oneID[last]
-				loc[oneID[j]] = j
-				ones, oneID = ones[:last], oneID[:last]
-				loc[flipped] = len(zeros)
-				zeros = append(zeros, thresholds[flipped])
-				zeroID = append(zeroID, flipped)
-			}
-		}
-		n0, err := bin0NumeratorRat(zeros, capacity)
-		if err != nil || n0.Sign() == 0 {
-			return true
-		}
-		n1, err := bin1NumeratorRat(ones, capacity)
-		if err != nil {
-			return true
-		}
-		total.Add(total, n0.Mul(n0, n1))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return total, nil
-}
-
-// bin0NumeratorRat is the exact rational counterpart of bin0Numerator.
-func bin0NumeratorRat(a []*big.Rat, capacity *big.Rat) (*big.Rat, error) {
-	m := len(a)
-	if m == 0 {
-		return big.NewRat(1, 1), nil
-	}
-	total := new(big.Rat)
-	running := new(big.Rat)
-	rem := new(big.Rat)
-	err := combin.ForEachSubsetGray(m, func(mask uint64, flipped int, added bool) bool {
-		if flipped >= 0 {
-			if added {
-				running.Add(running, a[flipped])
-			} else {
-				running.Sub(running, a[flipped])
-			}
-		}
-		rem.Sub(capacity, running)
-		if rem.Sign() <= 0 {
-			return true
-		}
-		term := ratPowLocal(rem, m)
-		if combin.Popcount(mask)%2 == 1 {
-			total.Sub(total, term)
-		} else {
-			total.Add(total, term)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	inv, err := combin.InvFactorialRat(m)
-	if err != nil {
-		return nil, err
-	}
-	total.Mul(total, inv)
-	if total.Sign() < 0 {
-		return new(big.Rat), nil
-	}
-	return total, nil
-}
-
-// bin1NumeratorRat is the exact rational counterpart of bin1Numerator.
-func bin1NumeratorRat(a []*big.Rat, capacity *big.Rat) (*big.Rat, error) {
-	m := len(a)
-	if m == 0 {
-		return big.NewRat(1, 1), nil
-	}
-	one := big.NewRat(1, 1)
-	prod := big.NewRat(1, 1)
-	for _, ai := range a {
-		f := new(big.Rat).Sub(one, ai)
-		prod.Mul(prod, f)
-	}
-	base := new(big.Rat).SetInt64(int64(m))
-	base.Sub(base, capacity)
-	total := new(big.Rat)
-	running := new(big.Rat)
-	rem := new(big.Rat)
-	err := combin.ForEachSubsetGray(m, func(mask uint64, flipped int, added bool) bool {
-		if flipped >= 0 {
-			if added {
-				running.Add(running, a[flipped])
-			} else {
-				running.Sub(running, a[flipped])
-			}
-		}
-		rem.SetInt64(int64(combin.Popcount(mask)))
-		rem.Sub(base, rem)
-		rem.Add(rem, running)
-		if rem.Sign() <= 0 {
-			return true
-		}
-		term := ratPowLocal(rem, m)
-		if combin.Popcount(mask)%2 == 1 {
-			total.Sub(total, term)
-		} else {
-			total.Add(total, term)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	inv, err := combin.InvFactorialRat(m)
-	if err != nil {
-		return nil, err
-	}
-	total.Mul(total, inv)
-	out := new(big.Rat).Sub(prod, total)
-	if out.Sign() < 0 {
-		return new(big.Rat), nil
-	}
-	return out, nil
-}
-
-func ratPowLocal(r *big.Rat, n int) *big.Rat {
-	out := big.NewRat(1, 1)
-	base := new(big.Rat).Set(r)
-	for n > 0 {
-		if n&1 == 1 {
-			out.Mul(out, base)
-		}
-		base.Mul(base, base)
-		n >>= 1
-	}
-	return out
-}
+// evaluation of general threshold vectors: the cap of the branch oracle
+// dist.WinProbabilityRat behind WinningProbabilityPiRat.
+const MaxNExact = dist.MaxBranchPlayers
 
 // OptimalityResidual evaluates the Theorem 5.2 optimality condition for
 // the symmetric single-threshold algorithm: dP/dβ at the given rational β,

@@ -1,12 +1,14 @@
 package nonoblivious
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/poly"
+	"repro/internal/problem"
 )
 
 func TestWinningProbabilityRatMatchesFloat(t *testing.T) {
@@ -23,7 +25,7 @@ func TestWinningProbabilityRatMatchesFloat(t *testing.T) {
 		for i, a := range ths {
 			tf[i], _ = a.Float64()
 		}
-		exact, err := WinningProbabilityRat(ths, capacity)
+		exact, err := WinningProbabilityPiRat(ths, nil, capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func TestWinningProbabilityRatMatchesFloat(t *testing.T) {
 func TestWinningProbabilityRatExactValueN3(t *testing.T) {
 	// β = 0: P = F_3(1) = 1/6, exactly.
 	zero := new(big.Rat)
-	p, err := WinningProbabilityRat([]*big.Rat{zero, zero, zero}, rat(1, 1))
+	p, err := WinningProbabilityPiRat([]*big.Rat{zero, zero, zero}, nil, rat(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestWinningProbabilityRatExactValueN3(t *testing.T) {
 	}
 	// The symmetric symbolic curve at β = 1/2 must agree exactly.
 	half := rat(1, 2)
-	p, err = WinningProbabilityRat([]*big.Rat{half, half, half}, rat(1, 1))
+	p, err = WinningProbabilityPiRat([]*big.Rat{half, half, half}, nil, rat(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,24 +72,30 @@ func TestWinningProbabilityRatExactValueN3(t *testing.T) {
 func TestWinningProbabilityRatValidation(t *testing.T) {
 	half := rat(1, 2)
 	one := rat(1, 1)
-	if _, err := WinningProbabilityRat([]*big.Rat{half}, one); err == nil {
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half}, nil, one); err == nil {
 		t.Error("single player: expected error")
 	}
-	if _, err := WinningProbabilityRat([]*big.Rat{half, half}, nil); err == nil {
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half, half}, nil, nil); err == nil {
 		t.Error("nil capacity: expected error")
 	}
-	if _, err := WinningProbabilityRat([]*big.Rat{half, nil}, one); err == nil {
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half, nil}, nil, one); err == nil {
 		t.Error("nil threshold: expected error")
 	}
-	if _, err := WinningProbabilityRat([]*big.Rat{half, rat(3, 2)}, one); err == nil {
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half, rat(3, 2)}, nil, one); err == nil {
 		t.Error("threshold > 1: expected error")
 	}
 	many := make([]*big.Rat, MaxNExact+1)
 	for i := range many {
 		many[i] = half
 	}
-	if _, err := WinningProbabilityRat(many, one); err == nil {
-		t.Error("too many players: expected error")
+	if _, err := WinningProbabilityPiRat(many, nil, one); !errors.Is(err, problem.ErrPlayerCap) {
+		t.Errorf("too many players: got %v, want a player-cap refusal", err)
+	}
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half, half}, []*big.Rat{one}, one); err == nil {
+		t.Error("one input range for two players: expected error")
+	}
+	if _, err := WinningProbabilityPiRat([]*big.Rat{half, half}, []*big.Rat{one, new(big.Rat)}, one); err == nil {
+		t.Error("zero input range: expected error")
 	}
 }
 
@@ -212,7 +220,7 @@ func TestExactSymmetricAgreementProperty(t *testing.T) {
 	}
 	f := func(num uint8) bool {
 		beta := big.NewRat(int64(num%33), 32)
-		general, err := WinningProbabilityRat([]*big.Rat{beta, beta, beta}, rat(1, 1))
+		general, err := WinningProbabilityPiRat([]*big.Rat{beta, beta, beta}, nil, rat(1, 1))
 		if err != nil {
 			return false
 		}

@@ -42,7 +42,7 @@ func TestWinningProbabilityMatchesRatOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d float: %v", n, err)
 			}
-			want, err := WinningProbabilityRat(thsR, capR)
+			want, err := WinningProbabilityPiRat(thsR, nil, capR)
 			if err != nil {
 				t.Fatalf("n=%d rat: %v", n, err)
 			}

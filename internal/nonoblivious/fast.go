@@ -61,7 +61,7 @@ func WinningProbability(thresholds []float64, capacity float64, o *obs.Observer)
 
 // ExactErrorBound is the documented absolute-error bound of the float64
 // exact evaluators (WinningProbability and WinningProbabilityPi) against
-// the big.Rat oracles (WinningProbabilityRat, WinningProbabilityPiRat):
+// the big.Rat oracle WinningProbabilityPiRat (dist.WinProbabilityRat):
 // dist.VolumeErrorBound over at most n²·3^n compensated operations. The
 // 3^n covers the heterogeneous evaluator's pruned per-set walk, which
 // runs only for threshold vectors with distinct thresholds; the

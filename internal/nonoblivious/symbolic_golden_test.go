@@ -89,8 +89,8 @@ func TestOptimalSymmetricGolden(t *testing.T) {
 }
 
 // TestSymbolicPiecesMatchRatOracle checks every piece of SymbolicSymmetric
-// against the independent Theorem 5.1 oracle WinningProbabilityRat with all
-// thresholds equal to β, as exact rational equality: at both ends of the
+// against the independent Theorem 5.1 oracle WinningProbabilityPiRat with
+// all thresholds equal to β, as exact rational equality: at both ends of the
 // piece (so each interior breakpoint is checked from either side) and at
 // its midpoint, for n ≤ 6 on a grid of capacities.
 func TestSymbolicPiecesMatchRatOracle(t *testing.T) {
@@ -106,7 +106,7 @@ func TestSymbolicPiecesMatchRatOracle(t *testing.T) {
 				for i := range ths {
 					ths[i] = beta
 				}
-				v, err := WinningProbabilityRat(ths, delta)
+				v, err := WinningProbabilityPiRat(ths, nil, delta)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,73 +3,33 @@ package oblivious
 import (
 	"fmt"
 	"math/big"
-
-	"repro/internal/dist"
+	"slices"
 )
 
 // OptimalityResidualRat evaluates the Corollary 4.2 condition exactly:
 // the partial derivative ∂P_A(δ)/∂α_k of the Theorem 4.1 winning
-// probability at a rational probability vector. At α = (1/2, ..., 1/2)
-// the result is exactly zero for every k, which certifies the stationarity
-// half of Theorem 4.3 in exact arithmetic.
+// probability at a rational probability vector. P is affine in α_k, so the
+// derivative is WinningProbabilityRat with α_k = 1 minus WinningProbabilityRat
+// with α_k = 0. At α = (1/2, ..., 1/2) the result is exactly zero for
+// every k, which certifies the stationarity half of Theorem 4.3 in exact
+// arithmetic.
 func OptimalityResidualRat(alphas []*big.Rat, capacity *big.Rat, k int) (*big.Rat, error) {
-	n := len(alphas)
-	if n < 2 {
-		return nil, fmt.Errorf("oblivious: need at least 2 players, got %d", n)
+	if k < 0 || k >= len(alphas) {
+		return nil, fmt.Errorf("oblivious: player index %d outside [0, %d)", k, len(alphas))
 	}
-	if k < 0 || k >= n {
-		return nil, fmt.Errorf("oblivious: player index %d outside [0, %d)", k, n)
+	if a := alphas[k]; a == nil || a.Sign() < 0 || a.Cmp(big.NewRat(1, 1)) > 0 {
+		return nil, fmt.Errorf("oblivious: α[%d] outside [0, 1]", k)
 	}
-	if capacity == nil || capacity.Sign() <= 0 {
-		return nil, fmt.Errorf("oblivious: capacity must be strictly positive")
+	at := slices.Clone(alphas)
+	at[k] = big.NewRat(1, 1)
+	bin0, err := WinningProbabilityRat(at, capacity)
+	if err != nil {
+		return nil, err
 	}
-	one := big.NewRat(1, 1)
-	for i, a := range alphas {
-		if a == nil || a.Sign() < 0 || a.Cmp(one) > 0 {
-			return nil, fmt.Errorf("oblivious: α[%d] outside [0, 1]", i)
-		}
+	at[k] = new(big.Rat)
+	bin1, err := WinningProbabilityRat(at, capacity)
+	if err != nil {
+		return nil, err
 	}
-	// φ_δ(j) = F_j(δ) F_{n-j}(δ), exact.
-	cdf := make([]*big.Rat, n+1)
-	for j := 0; j <= n; j++ {
-		v, err := dist.IrwinHallCDFRat(j, capacity)
-		if err != nil {
-			return nil, err
-		}
-		cdf[j] = v
-	}
-	phi := make([]*big.Rat, n+1)
-	for j := 0; j <= n; j++ {
-		phi[j] = new(big.Rat).Mul(cdf[j], cdf[n-j])
-	}
-	// Leave-one-out Poisson-binomial PMF of the bin-1 indicators.
-	pmf := make([]*big.Rat, n)
-	pmf[0] = big.NewRat(1, 1)
-	for i := 1; i < n; i++ {
-		pmf[i] = new(big.Rat)
-	}
-	tmp := new(big.Rat)
-	idx := 0
-	for i, a := range alphas {
-		if i == k {
-			continue
-		}
-		p1 := new(big.Rat).Sub(one, a)
-		for j := idx + 1; j >= 1; j-- {
-			pmf[j].Mul(pmf[j], a)
-			tmp.Mul(pmf[j-1], p1)
-			pmf[j].Add(pmf[j], tmp)
-		}
-		pmf[0].Mul(pmf[0], a)
-		idx++
-	}
-	// ∂P/∂α_k = Σ_j pmf[j] (φ(j) - φ(j+1)).
-	total := new(big.Rat)
-	diff := new(big.Rat)
-	for j := 0; j <= n-1; j++ {
-		diff.Sub(phi[j], phi[j+1])
-		tmp.Mul(pmf[j], diff)
-		total.Add(total, tmp)
-	}
-	return total, nil
+	return bin0.Sub(bin0, bin1), nil
 }

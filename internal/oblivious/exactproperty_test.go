@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // dyadicCapacity returns δ = round(n·64/3)/64 as (float64, *big.Rat),
@@ -20,13 +22,28 @@ func dyadic64(rng *rand.Rand, lo, hi int64) (float64, *big.Rat) {
 	return float64(k) / 64, big.NewRat(k, 64)
 }
 
+// piRat is the heterogeneous Theorem 4.1 game as branches of the rational
+// oracle dist.WinProbabilityRat: player i enters bin 0 with probability
+// α_i and bin 1 otherwise, its load uniform on [0, π_i] either way.
+func piRat(alphas, pi []*big.Rat, capacity *big.Rat) (*big.Rat, error) {
+	players := make([][]dist.Branch, len(alphas))
+	for i, a := range alphas {
+		zero := new(big.Rat)
+		players[i] = []dist.Branch{
+			{Bin: 0, Mass: a, Lo: zero, Hi: pi[i]},
+			{Bin: 1, Mass: new(big.Rat).Sub(big.NewRat(1, 1), a), Lo: zero, Hi: pi[i]},
+		}
+	}
+	return dist.WinProbabilityRat(players, capacity)
+}
+
 // TestWinningProbabilityPiMatchesRatOracle pins the float64 heterogeneous
 // Theorem 4.1 fast path (sum-over-subsets volume table) against the exact
-// rational oracle on random dyadic bin-0 probabilities and input ranges
-// π ∈ [1/2, 2], within the documented ExactErrorBound.
+// rational branch oracle on random dyadic bin-0 probabilities and input
+// ranges π ∈ [1/2, 2], within the documented ExactErrorBound.
 func TestWinningProbabilityPiMatchesRatOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 1))
-	for n := 2; n <= MaxNHeteroExact; n++ {
+	for n := 2; n <= dist.MaxBranchPlayers; n++ {
 		capF, capR := dyadicCapacity(n)
 		for trial := 0; trial < 3; trial++ {
 			alphas := make([]float64, n)
@@ -44,7 +61,7 @@ func TestWinningProbabilityPiMatchesRatOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d float: %v", n, err)
 			}
-			want, err := WinningProbabilityPiRat(alphasR, pisR, capR)
+			want, err := piRat(alphasR, pisR, capR)
 			if err != nil {
 				t.Fatalf("n=%d rat: %v", n, err)
 			}

@@ -74,10 +74,10 @@ func clamp01(v float64) float64 {
 }
 
 // ExactErrorBound is the documented absolute-error bound of the float64
-// heterogeneous evaluator against the exact rational value (see
-// WinningProbabilityPiRat): dist.VolumeErrorBound over the at most n²·2^n
-// compensated operations of the subset-volume table and the bin-choice
-// sum. piMin is the smallest input range (pass 1 for homogeneous inputs).
+// heterogeneous evaluator against the exact rational value (the branch
+// oracle dist.WinProbabilityRat): dist.VolumeErrorBound over the at most
+// n²·2^n compensated operations of the subset-volume table and the
+// bin-choice sum. piMin is the smallest input range (pass 1 for homogeneous inputs).
 // The bound is deliberately loose — observed errors at n = 10 are several
 // orders of magnitude smaller — but it is certified: the property tests
 // pin the float path against the big.Rat oracle within exactly this bound.
