@@ -16,7 +16,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci ab
+.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci ab loc
 
 build:
 	$(GO) build ./...
@@ -65,3 +65,10 @@ WORKLOAD ?= reproduce
 PAIRS ?= 10
 ab:
 	$(GO) run ./cmd/ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
+
+# Non-test Go lines (wc -l of every non-_test.go file) of each package
+# outside bench/, then their total: the count simplicity changes report.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		printf '%6d %s\n' "$$(cat /dev/null $$(ls "$$dir"/*.go | grep -v '_test\.go$$') | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

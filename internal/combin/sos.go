@@ -10,8 +10,8 @@ import (
 // table; n = 22 is 32 MiB per table).
 const MaxSubsetTable = 22
 
-// ChunkGrid is the fixed number of chunks ChunkedMaskSum splits the mask
-// range into. The grid depends only on the problem size, so it fixes the
+// ChunkGrid is the fixed number of chunks ChunkSpan splits a mask range
+// into. The grid depends only on the problem size, so it fixes the
 // summation order, and with it the bits, of every chunked mask sum.
 const ChunkGrid = 64
 
@@ -167,35 +167,11 @@ func zetaPairs(lo, hi []float64) {
 	}
 }
 
-// ChunkedMaskSum sums term(mask) over all 2^n masks, in increasing mask
-// order, through the fixed ChunkSpan grid: each chunk is Neumaier-summed
-// on its own Accumulator, and the per-chunk totals are combined by
-// ReducePartials. The grid and the reduction order depend only on n, so
-// they fix the summation order the exact backend's golden bits pin.
-func ChunkedMaskSum(n int, term func(mask uint64) float64) (float64, error) {
-	if n < 0 || n > MaxSubsetTable {
-		return 0, fmt.Errorf("combin: chunked mask sum ground size %d out of range [0, %d]", n, MaxSubsetTable)
-	}
-	total := uint64(1) << uint(n)
-	span, chunks := ChunkSpan(total)
-	partial := make([]float64, chunks)
-	for c := range partial {
-		lo := uint64(c) * span
-		hi := min(lo+span, total)
-		var acc Accumulator
-		for mask := lo; mask < hi; mask++ {
-			acc.Add(term(mask))
-		}
-		partial[c] = acc.Sum()
-	}
-	return ReducePartials(partial), nil
-}
-
-// ReducePartials combines the non-empty per-chunk totals part by the
-// fixed-order pairwise tree of ChunkedMaskSum, overwriting part, and
-// returns the root. Reusable evaluators that Neumaier-sum each chunk of
-// the ChunkSpan grid into their own buffer and reduce it here reproduce
-// ChunkedMaskSum's bits.
+// ReducePartials combines the non-empty per-chunk totals part by a
+// fixed-order pairwise tree, overwriting part, and returns the root. A
+// mask sum that Neumaier-sums each chunk of the ChunkSpan grid and reduces
+// the totals here (dist.PairSum) has bits that depend only on the ground
+// set's size.
 func ReducePartials(part []float64) float64 {
 	for len(part) > 1 {
 		half := (len(part) + 1) / 2
@@ -226,8 +202,7 @@ func PowInt(x float64, k int) float64 {
 }
 
 // ChunkSpan splits [0, total) into at most ChunkGrid equal spans: the
-// fixed grid of ChunkedMaskSum. Exported so reusable evaluators can
-// replicate its summation order into caller-owned buffers.
+// fixed grid of a chunked mask sum.
 func ChunkSpan(total uint64) (span, chunks uint64) {
 	if total == 0 {
 		return 1, 0

@@ -52,9 +52,6 @@ func TestSubsetTableLimits(t *testing.T) {
 	if err := SumOverSubsets(make([]float64, 8), 4); err == nil {
 		t.Fatal("SumOverSubsets accepted a mismatched table length")
 	}
-	if _, err := ChunkedMaskSum(MaxSubsetTable+1, nil); err == nil {
-		t.Fatal("ChunkedMaskSum accepted an oversized ground set")
-	}
 }
 
 // TestSumOverSubsets pins the zeta transform against the O(3^n) direct
@@ -154,30 +151,6 @@ func BenchmarkSumOverSubsets(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestChunkedMaskSumDeterminism checks the chunked sum of an
-// alternating-sign series against one compensated serial sum.
-func TestChunkedMaskSumDeterminism(t *testing.T) {
-	const n = 11
-	term := func(mask uint64) float64 {
-		v := math.Sin(float64(mask) + 0.5)
-		if mask%3 == 1 {
-			return -v
-		}
-		return v
-	}
-	got, err := ChunkedMaskSum(n, term)
-	if err != nil {
-		t.Fatalf("ChunkedMaskSum: %v", err)
-	}
-	var acc Accumulator
-	for mask := uint64(0); mask < 1<<n; mask++ {
-		acc.Add(term(mask))
-	}
-	if math.Abs(got-acc.Sum()) > 1e-10 {
-		t.Fatalf("chunked sum %v far from compensated serial sum %v", got, acc.Sum())
 	}
 }
 

@@ -11,6 +11,10 @@
 //     volume of a subset divided by the product of its widths is the
 //     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i]. RadixLadder is the same
 //     table kernel for sums whose radix shifts with the exponent.
+//   - TwoBranchKernel: the float winning probability of Theorems 4.1 and
+//     5.1 on heterogeneous inputs, each player a uniform load into bin 0
+//     or bin 1 with some mass: mass products times one subset-CDF table
+//     per bin, added by PairSum, the one chunked pair sum.
 //   - CDFRat: Lemma 2.4 in exact rationals, the oracle the float tables
 //     and the certified computations are checked against.
 //   - WinProbabilityRat: the exact winning probability of any rule whose

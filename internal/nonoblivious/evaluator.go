@@ -73,12 +73,13 @@ type Evaluator struct {
 	vol []float64 // N₀: box-simplex volumes at threshold δ
 	n1  []float64 // N₁: clamped Lemma 2.7 tails
 	// Rebuild scratch, three 2^n tables: the N₀ ladder's, then
-	// |J| − σ_J a, Π_{i∈J}(1−a_i) and the N₁ ladder's base.
+	// |J| − σ_J a, Π_{i∈J}(1−a_i) and the N₁ ladder's base, and last the
+	// pair sum's all-ones table.
 	scratch  []float64
 	oneMinus []float64
 	shift    []float64 // per-exponent radix shift m − δ (fixed)
 	bin1From int       // first exponent whose radix can be positive
-	partial  []float64 // chunked-sum partials (fixed grid)
+	partial  []float64 // pair-sum partials (fixed grid)
 
 	invFact []float64 // 1/m!
 	invInt  []float64 // 1/m
@@ -243,7 +244,13 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 	if err := ev.bin1Passes(gap, prod, ev.scratch[2*size:]); err != nil {
 		return 0, err
 	}
-	ev.value = ev.maskSum()
+	// Theorem 5.1 is Σ_s N₀[full∖s]·N₁[s]: the kernel's pair sum with N₀
+	// and N₁ as the weights and all-ones CDF tables, an exact ×1.
+	ones := ev.scratch[:size]
+	for mask := range ones {
+		ones[mask] = 1
+	}
+	ev.value = dist.Clamp01(dist.PairSum(ev.vol, ev.n1, ones, ones, ev.partial))
 	ev.built = true
 	ev.prof.coord = -1
 	ev.stats.FullRebuilds++
@@ -329,34 +336,6 @@ func (ev *Evaluator) bin1Passes(gap, prod, base []float64) error {
 		}
 		ev.n1[mask] = v
 	})
-}
-
-// maskSum reduces the Theorem 5.1 sum Σ_s N₀[full∖s]·N₁[s] over the fixed
-// chunk grid with Neumaier partials into the evaluator-owned partial
-// buffer and combines them with combin.ReducePartials — the summation
-// order of combin.ChunkedMaskSum.
-func (ev *Evaluator) maskSum() float64 {
-	n0, n1 := ev.vol, ev.n1
-	size := uint64(1) << uint(ev.n)
-	full := size - 1
-	span, chunks := combin.ChunkSpan(size)
-	for c := uint64(0); c < chunks; c++ {
-		lo := c * span
-		hi := lo + span
-		if hi > size {
-			hi = size
-		}
-		var acc combin.Accumulator
-		for mask := lo; mask < hi; mask++ {
-			v := n0[full&^mask]
-			if v <= 0 {
-				continue
-			}
-			acc.Add(v * n1[mask])
-		}
-		ev.partial[c] = acc.Sum()
-	}
-	return clamp01(combin.ReducePartials(ev.partial[:chunks]))
 }
 
 // openProfile builds the line profile for coordinate i from the committed
@@ -546,7 +525,7 @@ func (ev *Evaluator) profV(v float64) float64 {
 // profEval assembles the line value P(v) from the profile.
 func (ev *Evaluator) profEval(v float64) float64 {
 	p := &ev.prof
-	return clamp01(p.tAt0 - ev.profT(v) + (1-v)*p.k1 - p.vAt1 + ev.profV(v))
+	return dist.Clamp01(p.tAt0 - ev.profT(v) + (1-v)*p.k1 - p.vAt1 + ev.profV(v))
 }
 
 // supersetSumStrided transforms arr — 2^ground cells of stride contiguous

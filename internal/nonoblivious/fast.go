@@ -63,10 +63,9 @@ func WinningProbability(thresholds []float64, capacity float64, o *obs.Observer)
 // exact evaluators (WinningProbability and WinningProbabilityPi) against
 // the big.Rat oracle WinningProbabilityPiRat (dist.WinProbabilityRat):
 // dist.VolumeErrorBound over at most n²·3^n compensated operations. The
-// 3^n covers the heterogeneous evaluator's pruned per-set walk, which
-// runs only for threshold vectors with distinct thresholds; the
-// homogeneous evaluator and the shared-threshold heterogeneous table stay
-// within n²·2^n. piMin is the smallest input range (pass 1 for
+// 3^n covers the pruned per-set walk of dist.TwoBranchKernel, which runs
+// only for threshold vectors with distinct thresholds; the homogeneous
+// evaluator and the kernel's shared-threshold table stay within n²·2^n. piMin is the smallest input range (pass 1 for
 // homogeneous inputs). Deliberately loose — observed n = 10 errors are
 // orders of magnitude smaller — but certified: the property tests pin the
 // float path against the rational oracle within exactly this bound.

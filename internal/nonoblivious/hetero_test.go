@@ -3,15 +3,9 @@ package nonoblivious
 import (
 	"math"
 	"math/big"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"testing"
-
-	"repro/internal/combin"
-	"repro/internal/dist"
-	"repro/internal/obs"
 )
 
 // TestWinningProbabilityPiMatchesHomogeneous pins the heterogeneous
@@ -214,174 +208,6 @@ func TestSharedThresholdMatchesRatOracle(t *testing.T) {
 				t.Errorf("n=%d β=%v π=%v: float %v vs oracle %v, |diff| %g exceeds certified bound %g",
 					n, betaF, pis, got, wf, d, bound)
 			}
-		}
-	}
-}
-
-// TestSharedBin1TableMatchesWalk compares every entry of the
-// shared-threshold bin-1 table with the per-set walk (tailVolumeDFS,
-// behind the same whole-box shortcut) for n ≤ MaxNHetero, including the
-// sets with a player that can never choose bin 1, whose volume is 0.
-func TestSharedBin1TableMatchesWalk(t *testing.T) {
-	rng := rand.New(rand.NewPCG(20, 3))
-	for n := 2; n <= MaxNHetero; n++ {
-		capacity := float64(n) * (0.2 + 0.3*rng.Float64())
-		beta := rng.Float64()
-		highs := make([]float64, n)
-		var bad uint64
-		for i := range highs {
-			if w := 0.5 + rng.Float64() - beta; w > 0 {
-				highs[i] = w
-			} else {
-				bad |= 1 << uint(i)
-			}
-		}
-		wSums, _ := combin.SubsetSums(nil, highs)
-		wProd, _ := combin.SubsetProducts(nil, highs)
-		mmax := 0
-		for m := 1; m <= n-bits.OnesCount64(bad) && float64(m)*beta < capacity; m++ {
-			mmax = m
-		}
-		vol1 := make([]float64, len(wSums))
-		_, err := sharedBin1Table(vol1, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walked := 0
-		for s := uint64(1); s < uint64(len(vol1)); s++ {
-			m := bits.OnesCount64(s)
-			want := 0.0
-			if t := capacity - float64(m)*beta; s&bad == 0 && m <= mmax && t > 0 {
-				if t >= wSums[s] {
-					want = wProd[s]
-				} else {
-					var ws []float64
-					for i := 0; i < n; i++ {
-						if s&(1<<uint(i)) != 0 {
-							ws = append(ws, highs[i])
-						}
-					}
-					sort.Float64s(ws)
-					f, _ := combin.FactorialFloat(m)
-					want, _ = tailVolumeDFS(ws, t, m, 1/f)
-					want = math.Max(want, 0)
-					walked++
-				}
-			}
-			if math.Abs(vol1[s]-want) > 1e-12 {
-				t.Fatalf("n=%d β=%v δ=%v set %b: table %v, walk %v", n, beta, capacity, s, vol1[s], want)
-			}
-		}
-		if walked == 0 {
-			t.Errorf("n=%d β=%v δ=%v: no set needed inclusion-exclusion", n, beta, capacity)
-		}
-	}
-}
-
-// TestSharedThresholdPathSelection checks through the exact.* counters
-// that a shared threshold builds the bin-1 table (a second 2^n-cell table
-// and its rebuilt base cells) while a vector with one threshold nudged by
-// an ulp keeps the per-set walk, and that the two agree within 1e-12.
-func TestSharedThresholdPathSelection(t *testing.T) {
-	rng := rand.New(rand.NewPCG(20, 4))
-	for n := 4; n <= MaxNHetero; n += 3 {
-		pis := make([]float64, n)
-		for i := range pis {
-			pis[i] = 0.5 + 0.5*rng.Float64()
-		}
-		capacity := float64(n) / 3
-		shared := make([]float64, n)
-		for i := range shared {
-			shared[i] = 0.45
-		}
-		nudged := append([]float64(nil), shared...)
-		nudged[n/2] = math.Nextafter(shared[n/2], 1)
-		eval := func(ths []float64) (float64, map[string]int64) {
-			reg := obs.NewRegistry()
-			p, err := WinningProbabilityPi(ths, pis, capacity, obs.New(reg, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, reg.Snapshot().Counters
-		}
-		pShared, cShared := eval(shared)
-		pWalk, cWalk := eval(nudged)
-		size := int64(1) << uint(n)
-		if cShared["exact.subsets"] != 2*size {
-			t.Errorf("n=%d shared β: exact.subsets = %d, want %d (bin-0 and bin-1 tables)", n, cShared["exact.subsets"], 2*size)
-		}
-		if cWalk["exact.subsets"] != size {
-			t.Errorf("n=%d nudged β: exact.subsets = %d, want %d (bin-0 table only)", n, cWalk["exact.subsets"], size)
-		}
-		if math.Abs(pShared-pWalk) > 1e-12 {
-			t.Errorf("n=%d: shared-β table %v vs walk %v", n, pShared, pWalk)
-		}
-	}
-}
-
-// TestSharedBin1TableSkipBitIdentical checks that starting the bin-1
-// ladder past the whole-box exponents changes no bit: for n ≤ MaxNHetero
-// the table equals one whose ladder runs every exponent from 1 with the
-// same emit rule, and at least one instance per n skips an exponent. The
-// last instance per n puts one width a step above t_1, so exactly one
-// single set misses its whole box and the first exponent must run.
-func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 1))
-	for n := 2; n <= MaxNHetero; n++ {
-		skipped := false
-		for trial := 0; trial < 5; trial++ {
-			capacity := float64(n) * (0.2 + 0.4*rng.Float64())
-			beta := 0.5 * rng.Float64()
-			highs := make([]float64, n)
-			for i := range highs {
-				highs[i] = math.Max(0, 0.3+rng.Float64()-beta)
-			}
-			if trial == 4 && capacity > beta {
-				for i := range highs {
-					highs[i] = math.Min(highs[i], 0.5*(capacity-beta))
-				}
-				highs[n-1] = math.Nextafter(capacity-beta, math.Inf(1))
-			}
-			wSums, _ := combin.SubsetSums(nil, highs)
-			wProd, _ := combin.SubsetProducts(nil, highs)
-			mmax := 0
-			for m := 1; m <= n && float64(m)*beta < capacity; m++ {
-				mmax = m
-			}
-			got := make([]float64, len(wSums))
-			passes, err := sharedBin1Table(got, wSums, wProd, make([]float64, len(wSums)), capacity, beta, mmax, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			skipped = skipped || passes < mmax
-			if trial == 4 && passes != mmax {
-				t.Fatalf("n=%d: a width just past t_1 ran %d of %d exponents", n, passes, mmax)
-			}
-			tm := make([]float64, mmax+1)
-			aSum := 0.0
-			for m := 1; m <= mmax; m++ {
-				aSum += beta
-				tm[m] = capacity - aSum
-			}
-			want := make([]float64, len(wSums))
-			if err := dist.RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
-				if tm[bits.OnesCount64(s)] >= wSums[s] {
-					v = wProd[s]
-				} else if v < 0 {
-					v = 0
-				}
-				want[s] = v
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for s := range want {
-				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
-					t.Fatalf("n=%d β=%v δ=%v set %b: skipping table %v, full ladder %v", n, beta, capacity, s, got[s], want[s])
-				}
-			}
-		}
-		if !skipped {
-			t.Errorf("n=%d: no instance skipped a whole-box exponent", n)
 		}
 	}
 }

@@ -120,17 +120,7 @@ func SymmetricWinningProbability(n int, capacity, beta float64) (float64, error)
 	for k := 0; k <= n; k++ {
 		acc.Add(row[k] * n0[n-k] * n1[k])
 	}
-	return clamp01(acc.Sum()), nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return dist.Clamp01(acc.Sum()), nil
 }
 
 // SymbolicSymmetric performs the Section 5.2 case analysis for general n

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/combin"
 	"repro/internal/dist"
 	"repro/internal/problem"
 )
@@ -15,7 +14,7 @@ type EvalStats struct {
 	// Evaluations is the number of Evaluate/SetCoord calls that produced
 	// a value.
 	Evaluations uint64
-	// FullRebuilds counts product-table rebuilds (the CDF table is built
+	// FullRebuilds counts mass-table rebuilds (the CDF table is built
 	// exactly once, at construction).
 	FullRebuilds uint64
 	// Table is the work of the one-time subset-CDF table build.
@@ -23,34 +22,27 @@ type EvalStats struct {
 }
 
 // Evaluator is a reusable heterogeneous Theorem 4.1 evaluator for a fixed
-// instance (π, δ): the O(n²·2^n) subset-CDF table — the only part of the
-// evaluation that depends on the instance rather than the rule — is built
-// once at construction, and each α-vector evaluation then costs one
-// O(2^n) rebuild of the two product tables plus the O(2^n) bin-choice sum.
-// WinningProbabilityPi is a one-shot Evaluator.
-//
-// Every value is bit-identical to WinningProbabilityPi: the product
-// tables are rebuilt with combin.SubsetProducts and the bin-choice sum
-// replicates the fixed chunk grid, Neumaier partials, and pairwise
-// reduction of combin.ChunkedMaskSum. Values from a reused evaluator are
-// therefore safe to memoize under the same cache keys as the one-shot
-// path. Zero steady-state allocations.
+// instance (π, δ): the subset-CDF table of dist.TwoBranchKernel — the only
+// part of the evaluation that depends on the instance rather than the
+// rule — is built once at construction, and each α-vector evaluation then
+// costs the kernel's two mass tables and its pair sum, O(2^n).
+// WinningProbabilityPi is a one-shot Evaluator, so values from a reused
+// evaluator are its bits and safe to memoize under the same cache keys.
+// Zero steady-state allocations.
 type Evaluator struct {
 	n        int
 	capacity float64
 	built    bool
-	cdf      []float64 // F_T(δ), fixed for the life of the evaluator
+	kernel   *dist.TwoBranchKernel
 	alphas   []float64 // committed bin-choice vector
 	oneMinus []float64
-	pZero    []float64 // Π_{i∈T} α_i
-	pOne     []float64 // Π_{i∈T} (1-α_i)
-	partial  []float64
 	value    float64
 	stats    EvalStats
 }
 
 // NewEvaluator builds the subset-CDF table for a heterogeneous instance
-// x_i ~ U[0, π_i] with bin capacity δ. The int argument is ignored: the
+// x_i ~ U[0, π_i] with bin capacity δ: player i is the two-branch player
+// with both loads uniform on [0, π_i]. The int argument is ignored: the
 // table is built serially, and the parameter stays only for the benchmark
 // module, which still passes a worker count. Homogeneous instances (all
 // π_i = 1) are rejected: they have a closed-form evaluator
@@ -65,42 +57,28 @@ func NewEvaluator(pi []float64, capacity float64, _ int) (*Evaluator, error) {
 		return nil, problem.PlayerCapError("oblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
 	}
 	hetero := false
+	players := make([]dist.TwoBranch, n)
 	for i, w := range pi {
 		if !(w > 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("oblivious: input range π[%d] = %v must be strictly positive and finite", i, w)
 		}
-		if w != 1 {
-			hetero = true
-		}
+		hetero = hetero || w != 1
+		players[i] = dist.TwoBranch{Hi0: w, Hi1: w}
 	}
 	if !hetero {
 		return nil, fmt.Errorf("oblivious: evaluator requires heterogeneous input ranges; use WinningProbability for π ≡ 1")
 	}
-	if !(capacity > 0) || math.IsInf(capacity, 1) {
-		return nil, fmt.Errorf("oblivious: capacity %v must be strictly positive and finite", capacity)
-	}
-	vol, table, err := dist.AllSubsetVolumes(nil, pi, capacity, nil)
+	k, err := dist.NewTwoBranchKernel(players, capacity)
 	if err != nil {
 		return nil, err
 	}
-	piProd, err := combin.SubsetProducts(nil, pi)
-	if err != nil {
-		return nil, err
-	}
-	for mask := range vol {
-		vol[mask] = clamp01(vol[mask] / piProd[mask])
-	}
-	_, chunks := combin.ChunkSpan(uint64(len(vol)))
 	return &Evaluator{
 		n:        n,
 		capacity: capacity,
-		cdf:      vol,
+		kernel:   k,
 		alphas:   make([]float64, n),
 		oneMinus: make([]float64, n),
-		pZero:    make([]float64, len(vol)),
-		pOne:     make([]float64, len(vol)),
-		partial:  make([]float64, chunks),
-		stats:    EvalStats{Table: table},
+		stats:    EvalStats{Table: k.Stats()},
 	}, nil
 }
 
@@ -122,7 +100,7 @@ func (ev *Evaluator) Value() float64 { return ev.value }
 func (ev *Evaluator) Stats() EvalStats { return ev.stats }
 
 // Evaluate computes the winning probability of an α-vector, reusing the
-// fixed CDF table and rebuilding the product tables (no allocations). An
+// fixed CDF table and rebuilding the mass tables (no allocations). An
 // unchanged vector returns the committed value. The result is committed
 // and bit-identical to WinningProbabilityPi.
 func (ev *Evaluator) Evaluate(alphas []float64) (float64, error) {
@@ -155,50 +133,19 @@ func (ev *Evaluator) SetCoord(i int, a float64) (float64, error) {
 	return ev.rebuild(ev.alphas)
 }
 
-// rebuild commits alphas, refreshes both product tables and reruns the
-// bin-choice sum.
+// rebuild commits alphas, refreshes the kernel's mass tables and reruns
+// its pair sum.
 func (ev *Evaluator) rebuild(alphas []float64) (float64, error) {
 	copy(ev.alphas, alphas)
 	for i, a := range alphas {
 		ev.oneMinus[i] = 1 - a
 	}
-	if _, err := combin.SubsetProducts(ev.pZero, ev.alphas); err != nil {
+	if err := ev.kernel.SetMasses(ev.alphas, ev.oneMinus); err != nil {
 		return 0, err
 	}
-	if _, err := combin.SubsetProducts(ev.pOne, ev.oneMinus); err != nil {
-		return 0, err
-	}
-	ev.value = ev.maskSum()
+	ev.value = ev.kernel.Sum()
 	ev.built = true
 	ev.stats.FullRebuilds++
 	ev.stats.Evaluations++
 	return ev.value, nil
-}
-
-// maskSum reduces Σ_S w(S)·F_{Sᶜ}(δ)·F_S(δ) over the fixed chunk grid with
-// Neumaier partials and combin.ReducePartials — bit-identical to the
-// combin.ChunkedMaskSum reduction.
-func (ev *Evaluator) maskSum() float64 {
-	pZero, pOne, cdf := ev.pZero, ev.pOne, ev.cdf
-	size := uint64(1) << uint(ev.n)
-	full := size - 1
-	span, chunks := combin.ChunkSpan(size)
-	for c := uint64(0); c < chunks; c++ {
-		lo := c * span
-		hi := lo + span
-		if hi > size {
-			hi = size
-		}
-		var acc combin.Accumulator
-		for s := lo; s < hi; s++ {
-			z := full &^ s
-			w := pZero[z] * pOne[s]
-			if w == 0 {
-				continue
-			}
-			acc.Add(w * cdf[z] * cdf[s])
-		}
-		ev.partial[c] = acc.Sum()
-	}
-	return clamp01(combin.ReducePartials(ev.partial[:chunks]))
 }

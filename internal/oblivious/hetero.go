@@ -9,9 +9,8 @@ import (
 )
 
 // MaxNHetero bounds the player count for heterogeneous-input evaluation.
-// The sum-over-subsets volume table costs O(n²·2^n) time and a handful of
-// 2^n-entry float64 arrays (8·2^n bytes each), so n = 20 — double the old
-// Θ(3^n) per-subset-CDF limit — evaluates in well under a second.
+// The subset tables cost O(n²·2^n) time and a handful of 2^n-entry float64
+// arrays (8·2^n bytes each), so n = 20 evaluates in well under a second.
 const MaxNHetero = 20
 
 // WinningProbabilityPi generalizes Theorem 4.1 to heterogeneous inputs
@@ -29,11 +28,9 @@ const MaxNHetero = 20
 //	P = Σ_S Π_{i∈S}(1-α_i) · Π_{i∉S}α_i · F_{Sᶜ}(δ) · F_S(δ),
 //
 // where S is the bin-1 set and F_T is the Lemma 2.4 CDF of Σ_{i∈T} x_i
-// (F_∅ ≡ 1) — the φ_δ(k) = F_k(δ)F_{n-k}(δ) product of the homogeneous
-// proof with Irwin-Hall CDFs replaced by their heterogeneous
-// generalization. It is a one-shot Evaluator: all 2^n CDFs come from one
-// dist.AllSubsetVolumes sum-over-subsets table (O(n²·2^n) total) and the
-// bin-choice weights from two product tables, making each summand O(1).
+// (F_∅ ≡ 1). It is a one-shot Evaluator: dist.TwoBranchKernel with both
+// of player i's loads uniform on [0, π_i], whose one CDF table serves both
+// bins.
 func WinningProbabilityPi(alphas, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
@@ -63,21 +60,11 @@ func WinningProbabilityPi(alphas, pi []float64, capacity float64, o *obs.Observe
 	return p, nil
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 // ExactErrorBound is the documented absolute-error bound of the float64
 // heterogeneous evaluator against the exact rational value (the branch
 // oracle dist.WinProbabilityRat): dist.VolumeErrorBound over the at most
-// n²·2^n compensated operations of the subset-volume table and the
-// bin-choice sum. piMin is the smallest input range (pass 1 for homogeneous inputs).
+// n²·2^n compensated operations of dist.TwoBranchKernel's one CDF table
+// and its pair sum. piMin is the smallest input range (pass 1 for homogeneous inputs).
 // The bound is deliberately loose — observed errors at n = 10 are several
 // orders of magnitude smaller — but it is certified: the property tests
 // pin the float path against the big.Rat oracle within exactly this bound.

@@ -62,7 +62,8 @@ type DiskStats struct {
 	Bytes   int64
 	// Hits, Misses and Writes count lookups and write-throughs since
 	// open; Corrupt counts records quarantined after failing the
-	// magic/version/length/checksum/key validation.
+	// magic/version/length/checksum/key validation, each once: a record
+	// already in corrupt/ is not counted again.
 	Hits, Misses, Writes, Corrupt int64
 }
 
