@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 )
 
 // WinProbabilityVector evaluates the fully general deterministic
@@ -95,7 +96,7 @@ func (sc *Scratch) vectorWin(bin0, bin1 []IntervalSet, capacity float64) (float6
 	if err != nil {
 		return 0, err
 	}
-	return clamp01(total.Sum()), nil
+	return dist.Clamp01(total.Sum()), nil
 }
 
 // regionMasses memoizes jointMass over the subsets of one side's regions.

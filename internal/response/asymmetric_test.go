@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/nonoblivious"
 	"repro/internal/optimize"
@@ -154,7 +155,7 @@ func TestAsymmetricSearchAtN4(t *testing.T) {
 			if a > b {
 				a, b = b, a
 			}
-			s, err := NewIntervalSet([]Interval{{clamp01(a), clamp01(b)}})
+			s, err := NewIntervalSet([]Interval{{dist.Clamp01(a), dist.Clamp01(b)}})
 			if err != nil {
 				return math.Inf(-1)
 			}
@@ -201,7 +202,7 @@ func TestBalancedSplitIsLocalOptimumAmongAsymmetricRules(t *testing.T) {
 	obj := func(v []float64) float64 {
 		sets := make([]IntervalSet, n)
 		for i := 0; i < n; i++ {
-			a, b := clamp01(v[2*i]), clamp01(v[2*i+1])
+			a, b := dist.Clamp01(v[2*i]), dist.Clamp01(v[2*i+1])
 			if a > b {
 				a, b = b, a
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 )
 
 // unmemoizedVectorWin is vectorWin without the region-mass memo: one
@@ -30,7 +31,7 @@ func unmemoizedVectorWin(bin0, bin1 []IntervalSet, capacity float64) float64 {
 		}
 		total.Add(m0 * unmemoizedJointMass(oneSets, capacity))
 	}
-	return clamp01(total.Sum())
+	return dist.Clamp01(total.Sum())
 }
 
 func unmemoizedJointMass(regions []IntervalSet, capacity float64) float64 {

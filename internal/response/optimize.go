@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dist"
 	"repro/internal/optimize"
 )
 
@@ -51,9 +52,9 @@ func (e *Evaluator) OptimizeThreshold() (OptimizeResult, error) {
 // never falls below it.
 func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 	setFrom := func(v []float64) (IntervalSet, error) {
-		a := clamp01(v[0])
-		b := clamp01(v[1])
-		c := clamp01(v[2])
+		a := dist.Clamp01(v[0])
+		b := dist.Clamp01(v[1])
+		c := dist.Clamp01(v[2])
 		if b > c {
 			b, c = c, b
 		}
@@ -111,14 +112,4 @@ func (e *Evaluator) OptimizeTwoInterval() (OptimizeResult, error) {
 		}
 	}
 	return best, nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/problem"
 )
@@ -277,7 +278,7 @@ func (e *Evaluator) combine(n0, n1 []float64) float64 {
 	for k := 0; k <= e.n; k++ {
 		acc.Add(e.row[k] * n0[e.n-k] * n1[k])
 	}
-	return clamp01(acc.Sum())
+	return dist.Clamp01(acc.Sum())
 }
 
 // intervalMasses returns N(m) for m = 0..n over the region s. Zero-width

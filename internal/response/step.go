@@ -164,7 +164,7 @@ func (e *Evaluator) OptimizeStep(cells int) (*StepRule, float64, error) {
 	obj := func(v []float64) float64 {
 		probs := make([]float64, cells)
 		for i, p := range v {
-			probs[i] = clamp01(p)
+			probs[i] = dist.Clamp01(p)
 		}
 		r, err := NewStepRule(probs)
 		if err != nil {
@@ -223,7 +223,7 @@ func (e *Evaluator) OptimizeStep(cells int) (*StepRule, float64, error) {
 		}
 	}
 	for i, p := range bestProbs {
-		bestProbs[i] = clamp01(p)
+		bestProbs[i] = dist.Clamp01(p)
 	}
 	rule, err := NewStepRule(bestProbs)
 	if err != nil {
