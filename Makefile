@@ -4,7 +4,8 @@
 # metrics/span layer it feeds, the memoizing evaluation engine with its
 # sharded sweeps, the serial exact evaluators that those sweeps call from
 # many goroutines, the PY91 cross-checks, which simulate protocols through
-# the engine's worker pool, the one-bit protocols, the experiment harness
+# the engine's worker pool, the one-bit protocols, the interval-set
+# response rules with their exact rational path, the experiment harness
 # and the CLI, which drive all of these) plus the canonical problem package
 # they all share.
 
@@ -25,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/... ./internal/py91/... ./internal/comm/... ./internal/harness/... ./cmd/nocomm/...
+	$(GO) test -race ./internal/problem/... ./internal/model/... ./internal/qrand/... ./internal/sim/... ./internal/obs/... ./internal/store/... ./internal/engine/... ./internal/optimize/... ./internal/serve/... ./internal/nonoblivious/... ./internal/oblivious/... ./internal/dist/... ./internal/combin/... ./internal/py91/... ./internal/comm/... ./internal/response/... ./internal/harness/... ./cmd/nocomm/...
 
 vet:
 	$(GO) vet ./...

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"repro/internal/combin"
@@ -29,7 +30,7 @@ func theorem41Enumerated(alphas []float64, capacity float64) (float64, error) {
 	}
 	var acc combin.Accumulator
 	err := combin.ForEachSubset(n, func(mask uint64) bool {
-		k := combin.Popcount(mask) // players choosing bin 1
+		k := bits.OnesCount64(mask) // players choosing bin 1
 		prob := 1.0
 		for i := 0; i < n; i++ {
 			if mask&(1<<uint(i)) != 0 {

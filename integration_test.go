@@ -143,20 +143,21 @@ func TestEndToEndGeometryToProbability(t *testing.T) {
 	if cdf.Cmp(big.NewRat(1, 6)) != 0 {
 		t.Fatalf("Lemma 2.4 CDF = %v, want the Prop 2.2 volume 1/6", cdf)
 	}
-	// ... equals Corollary 2.6 ...
-	ih, err := dist.IrwinHallCDFRat(3, one)
+	// ... which at unit widths is Corollary 2.6, as the Irwin-Hall ladder
+	// computes it ...
+	ihF, _ := cdf.Float64()
+	ih, err := dist.IrwinHallCDF(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ih.Cmp(cdf) != 0 {
-		t.Fatalf("Corollary 2.6 = %v, want %v", ih, cdf)
+	if math.Abs(ih-ihF) > 1e-15 {
+		t.Fatalf("Corollary 2.6 = %v, want %v", ih, ihF)
 	}
 	// ... and feeds the Theorem 4.1 term φ_1(0) = F_0·F_3 = 1/6.
 	phi, err := oblivious.Phi(3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ihF, _ := ih.Float64()
 	if math.Abs(phi-ihF) > 1e-15 {
 		t.Fatalf("φ(0) = %v, want %v", phi, ihF)
 	}

@@ -8,13 +8,11 @@
 //
 //   - exact factorials and binomial coefficients in three numeric domains
 //     (overflow-checked int64, math/big exact integers, and float64),
-//   - iteration over fixed-size and arbitrary subsets, including a Gray-code
-//     enumeration that changes one element at a time,
+//   - iteration over fixed-size and arbitrary subsets and over weak
+//     compositions,
 //   - compensated (Neumaier) floating-point summation for the alternating
 //     series the inclusion-exclusion formulas produce, and
-//   - exact signed binomial sums Σ_i (-1)^i C(n, i) f(i), the form those
-//     expressions take when all weights are equal (the rational oracles'
-//     form; in float64 the collapse cancels, see dist.IrwinHallLadder).
+//   - sum-over-subsets tables of sums and products of per-element weights.
 //
 // Everything here is deterministic, allocation-conscious and safe for
 // concurrent use; none of the functions retain references to caller slices.

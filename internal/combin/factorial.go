@@ -53,13 +53,3 @@ func FactorialFloat(n int) (float64, error) {
 	lg, _ := math.Lgamma(float64(n) + 1)
 	return math.Exp(lg), nil
 }
-
-// InvFactorialRat returns 1/n! as an exact rational.
-// It returns an error if n is negative.
-func InvFactorialRat(n int) (*big.Rat, error) {
-	f, err := FactorialBig(n)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Rat).SetFrac(big.NewInt(1), f), nil
-}

@@ -113,22 +113,6 @@ func logBig(x *big.Int) float64 {
 	return math.Log(m) + float64(exp)*math.Ln2
 }
 
-func TestInvFactorialRat(t *testing.T) {
-	for n := 0; n <= 10; n++ {
-		inv, err := InvFactorialRat(n)
-		if err != nil {
-			t.Fatalf("InvFactorialRat(%d): %v", n, err)
-		}
-		prod := new(big.Rat).Mul(inv, new(big.Rat).SetInt64(factorial(t, n)))
-		if prod.Cmp(big.NewRat(1, 1)) != 0 {
-			t.Errorf("InvFactorialRat(%d) * %d! = %v, want 1", n, n, prod)
-		}
-	}
-	if _, err := InvFactorialRat(-1); err == nil {
-		t.Error("InvFactorialRat(-1): expected error, got nil")
-	}
-}
-
 func TestFactorialRatioIsBinomialProperty(t *testing.T) {
 	// Property: n! / (k!(n-k)!) equals Binomial(n, k) for all 0<=k<=n<=20.
 	f := func(a, b uint8) bool {

@@ -27,34 +27,6 @@ func ForEachSubset(n int, fn func(mask uint64) bool) error {
 	return nil
 }
 
-// ForEachSubsetGray invokes fn for every subset of {0, ..., n-1} in Gray-code
-// order, in which consecutive subsets differ in exactly one element. fn
-// receives the current mask, the index of the element flipped relative to the
-// previous subset, and whether that element was added (true) or removed
-// (false). The first call presents the empty set with flipped = -1.
-// Iteration stops early if fn returns false.
-func ForEachSubsetGray(n int, fn func(mask uint64, flipped int, added bool) bool) error {
-	if n < 0 || n > MaxSubsetGround {
-		return fmt.Errorf("combin: subset ground size %d out of range [0, %d]", n, MaxSubsetGround)
-	}
-	if !fn(0, -1, false) {
-		return nil
-	}
-	total := uint64(1) << uint(n)
-	prev := uint64(0)
-	for i := uint64(1); i < total; i++ {
-		cur := i ^ (i >> 1) // binary-reflected Gray code
-		diff := cur ^ prev
-		flipped := bits.TrailingZeros64(diff)
-		added := cur&diff != 0
-		if !fn(cur, flipped, added) {
-			return nil
-		}
-		prev = cur
-	}
-	return nil
-}
-
 // ForEachKSubsetMask invokes fn once for every k-element subset of
 // {0, ..., n-1}, presented as a bitmask, in colexicographic order produced by
 // Gosper's hack. Iteration stops early if fn returns false.
@@ -83,9 +55,6 @@ func ForEachKSubsetMask(n, k int, fn func(mask uint64) bool) error {
 	}
 	return nil
 }
-
-// Popcount returns the number of set bits in mask.
-func Popcount(mask uint64) int { return bits.OnesCount64(mask) }
 
 // ForEachComposition invokes fn once for every weak composition of n into k
 // non-negative parts, presented as a slice of length k summing to n. The

@@ -49,61 +49,6 @@ func TestForEachSubsetRangeErrors(t *testing.T) {
 	}
 }
 
-func TestForEachSubsetGrayAdjacency(t *testing.T) {
-	for n := 0; n <= 12; n++ {
-		seen := make(map[uint64]bool)
-		var prev uint64
-		first := true
-		err := ForEachSubsetGray(n, func(mask uint64, flipped int, added bool) bool {
-			if seen[mask] {
-				t.Fatalf("n=%d: mask %b visited twice", n, mask)
-			}
-			seen[mask] = true
-			if first {
-				if mask != 0 || flipped != -1 {
-					t.Fatalf("n=%d: first visit (mask=%b flipped=%d), want empty set with flipped=-1", n, mask, flipped)
-				}
-				first = false
-			} else {
-				diff := mask ^ prev
-				if bits.OnesCount64(diff) != 1 {
-					t.Fatalf("n=%d: consecutive masks %b -> %b differ in %d bits", n, prev, mask, bits.OnesCount64(diff))
-				}
-				if flipped != bits.TrailingZeros64(diff) {
-					t.Fatalf("n=%d: reported flip %d, actual %d", n, flipped, bits.TrailingZeros64(diff))
-				}
-				if added != (mask&diff != 0) {
-					t.Fatalf("n=%d: reported added=%v disagrees with masks", n, added)
-				}
-			}
-			prev = mask
-			return true
-		})
-		if err != nil {
-			t.Fatalf("ForEachSubsetGray(%d): %v", n, err)
-		}
-		if len(seen) != 1<<n {
-			t.Fatalf("ForEachSubsetGray(%d) visited %d subsets, want %d", n, len(seen), 1<<n)
-		}
-	}
-}
-
-func TestForEachSubsetGrayEarlyStopAndErrors(t *testing.T) {
-	count := 0
-	if err := ForEachSubsetGray(8, func(uint64, int, bool) bool {
-		count++
-		return count < 3
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("gray early stop visited %d, want 3", count)
-	}
-	if err := ForEachSubsetGray(-1, func(uint64, int, bool) bool { return true }); err == nil {
-		t.Error("ForEachSubsetGray(-1): expected error")
-	}
-}
-
 func TestForEachKSubsetEnumeration(t *testing.T) {
 	for n := 0; n <= 10; n++ {
 		for k := 0; k <= n+1; k++ {
@@ -264,12 +209,6 @@ func TestForEachCompositionEdgeCases(t *testing.T) {
 	}
 	if err := ForEachComposition(-1, 2, func([]int) bool { return true }); err == nil {
 		t.Error("ForEachComposition(-1, 2): expected error")
-	}
-}
-
-func TestPopcount(t *testing.T) {
-	if Popcount(0) != 0 || Popcount(0b1011) != 3 || Popcount(^uint64(0)) != 64 {
-		t.Error("Popcount returned wrong values")
 	}
 }
 

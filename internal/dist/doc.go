@@ -15,8 +15,10 @@
 //     5.1 on heterogeneous inputs, each player a uniform load into bin 0
 //     or bin 1 with some mass: mass products times one subset-CDF table
 //     per bin, added by PairSum, the one chunked pair sum.
-//   - CDFRat: Lemma 2.4 in exact rationals, the oracle the float tables
-//     and the certified computations are checked against.
+//   - CDFRat: Lemma 2.4 in exact rationals, summed over multiplicities of
+//     equal widths, the oracle the float tables and the certified
+//     computations are checked against. At unit widths it is Corollary
+//     2.6, the Irwin–Hall CDF.
 //   - WinProbabilityRat: the exact winning probability of any rule whose
 //     players decide independently, given as one list of branches (bin,
 //     mass, load interval) per player; one CDFRat per bin and branch
@@ -24,7 +26,8 @@
 //     heterogeneous generalizations.
 //   - IrwinHallLadder: the classical special case π_i = 1 (Corollary 2.6),
 //     stepped order by order through a convex recurrence that keeps full
-//     float64 accuracy at every order; IrwinHallCDFRat is its exact twin.
+//     float64 accuracy at every order; CDFRat at unit widths is its exact
+//     twin.
 //
 // Lemma 2.7 (x_i ~ U[π_i, 1]) needs no kernel of its own: the substitution
 // x'_i = 1 − x_i turns it into Lemma 2.4 at the complement, which is how

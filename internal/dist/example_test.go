@@ -25,9 +25,11 @@ func ExampleIrwinHallLadder() {
 	// F_3(0.5) = 0.020833
 }
 
-// ExampleIrwinHallCDFRat evaluates the same CDF exactly: F_3(1) = 1/6.
-func ExampleIrwinHallCDFRat() {
-	v, err := dist.IrwinHallCDFRat(3, big.NewRat(1, 1))
+// ExampleCDFRat_irwinHall evaluates the same CDF exactly, as Lemma 2.4
+// at three unit widths: F_3(1) = 1/6.
+func ExampleCDFRat_irwinHall() {
+	one := big.NewRat(1, 1)
+	v, err := dist.CDFRat([]*big.Rat{one, one, one}, one)
 	if err != nil {
 		panic(err)
 	}

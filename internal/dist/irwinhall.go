@@ -3,14 +3,8 @@ package dist
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"slices"
-
-	"repro/internal/combin"
 )
-
-// MaxIrwinHallRatN bounds the exact rational Irwin-Hall order.
-const MaxIrwinHallRatN = 200
 
 // IrwinHallLadder tabulates the Irwin-Hall CDF F_m (Corollary 2.6: the
 // distribution of the sum of m independent U[0,1] variables) at the unit
@@ -104,47 +98,4 @@ func IrwinHallCDF(m int, t float64) (float64, error) {
 		l.Step()
 	}
 	return l.CDF(0), nil
-}
-
-// IrwinHallCDFRat evaluates Corollary 2.6 exactly at a rational point.
-// Orders up to MaxIrwinHallRatN are supported; m = 0 follows the same
-// point-mass convention as IrwinHallLadder.
-func IrwinHallCDFRat(m int, t *big.Rat) (*big.Rat, error) {
-	if m < 0 {
-		return nil, fmt.Errorf("dist: Irwin-Hall order %d must be non-negative", m)
-	}
-	if m > MaxIrwinHallRatN {
-		return nil, fmt.Errorf("dist: exact Irwin-Hall limited to order %d, got %d", MaxIrwinHallRatN, m)
-	}
-	if t == nil {
-		return nil, fmt.Errorf("dist: nil threshold")
-	}
-	if m == 0 {
-		if t.Sign() >= 0 {
-			return big.NewRat(1, 1), nil
-		}
-		return new(big.Rat), nil
-	}
-	if t.Sign() <= 0 {
-		return new(big.Rat), nil
-	}
-	if t.Cmp(new(big.Rat).SetInt64(int64(m))) >= 0 {
-		return big.NewRat(1, 1), nil
-	}
-	sum, err := combin.SignedBinomialSumRat(m,
-		func(i int) bool {
-			return new(big.Rat).SetInt64(int64(i)).Cmp(t) < 0
-		},
-		func(i int) *big.Rat {
-			d := new(big.Rat).Sub(t, new(big.Rat).SetInt64(int64(i)))
-			return ratPow(d, m)
-		})
-	if err != nil {
-		return nil, err
-	}
-	invFact, err := combin.InvFactorialRat(m)
-	if err != nil {
-		return nil, err
-	}
-	return sum.Mul(sum, invFact), nil
 }

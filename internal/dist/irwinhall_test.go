@@ -187,11 +187,12 @@ func TestIrwinHallSampleMatchesCDF(t *testing.T) {
 }
 
 // TestIrwinHallCDFRatMatchesFloat checks the ladder against the exact
-// Corollary 2.6 series at every order m ≤ MaxIrwinHallRatN, at rational
-// points and at their unit shifts, to a relative error of 1e-13 — deep
-// into the left tail and at orders where the float64 alternating series
-// loses every digit.
+// Corollary 2.6 series (CDFRat at unit widths) at every order m ≤ 200, at
+// rational points and at their unit shifts, to a relative error of 1e-13
+// — deep into the left tail and at orders where the float64 alternating
+// series loses every digit.
 func TestIrwinHallCDFRatMatchesFloat(t *testing.T) {
+	const maxM = 200
 	points := []*big.Rat{
 		big.NewRat(1, 2), big.NewRat(7, 3), big.NewRat(5, 1), big.NewRat(29, 4),
 		big.NewRat(50, 1), big.NewRat(301, 2), big.NewRat(1599, 8),
@@ -200,17 +201,18 @@ func TestIrwinHallCDFRatMatchesFloat(t *testing.T) {
 	if testing.Short() {
 		points = points[:4]
 	}
+	units := unitWidths(maxM)
 	var l IrwinHallLadder
 	for _, x := range points {
 		xf, _ := x.Float64()
-		l.Reset(xf, MaxIrwinHallRatN)
-		for m := 0; m <= MaxIrwinHallRatN; m++ {
+		l.Reset(xf, maxM)
+		for m := 0; m <= maxM; m++ {
 			if m > 0 {
 				l.Step()
 			}
 			for _, i := range shifts {
 				y := new(big.Rat).Sub(x, new(big.Rat).SetInt64(int64(i)))
-				exact, err := IrwinHallCDFRat(m, y)
+				exact, err := CDFRat(units[:m], y)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +230,7 @@ func TestIrwinHallCDFRatLargeOrder(t *testing.T) {
 	// The exact path works far beyond the float64 cancellation limit.
 	m := 60
 	half := big.NewRat(int64(m), 2)
-	v, err := IrwinHallCDFRat(m, half)
+	v, err := CDFRat(unitWidths(m), half)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,29 +240,22 @@ func TestIrwinHallCDFRatLargeOrder(t *testing.T) {
 }
 
 func TestIrwinHallCDFRatValidation(t *testing.T) {
-	if _, err := IrwinHallCDFRat(-1, big.NewRat(1, 2)); err == nil {
-		t.Error("negative order: expected error")
-	}
-	if _, err := IrwinHallCDFRat(3, nil); err == nil {
+	if _, err := CDFRat(unitWidths(3), nil); err == nil {
 		t.Error("nil threshold: expected error")
 	}
-	if _, err := IrwinHallCDFRat(MaxIrwinHallRatN+1, big.NewRat(1, 2)); err == nil {
+	if _, err := CDFRat(unitWidths(201), big.NewRat(1, 2)); err == nil {
 		t.Error("over-limit order: expected error")
 	}
-	v, err := IrwinHallCDFRat(0, big.NewRat(1, 2))
-	if err != nil || v.Cmp(big.NewRat(1, 1)) != 0 {
-		t.Errorf("F_0(1/2) = %v, %v; want 1", v, err)
-	}
-	v, err = IrwinHallCDFRat(0, big.NewRat(-1, 2))
-	if err != nil || v.Sign() != 0 {
-		t.Errorf("F_0(-1/2) = %v, %v; want 0", v, err)
-	}
-	v, err = IrwinHallCDFRat(2, big.NewRat(-1, 2))
-	if err != nil || v.Sign() != 0 {
-		t.Errorf("F_2(-1/2) = %v, %v; want 0", v, err)
-	}
-	v, err = IrwinHallCDFRat(2, big.NewRat(7, 2))
-	if err != nil || v.Cmp(big.NewRat(1, 1)) != 0 {
-		t.Errorf("F_2(7/2) = %v, %v; want 1", v, err)
+	for _, c := range []struct {
+		m    int
+		x    *big.Rat
+		want int64
+	}{
+		{0, big.NewRat(1, 2), 1}, {0, big.NewRat(-1, 2), 0},
+		{2, big.NewRat(-1, 2), 0}, {2, big.NewRat(7, 2), 1},
+	} {
+		if v, err := CDFRat(unitWidths(c.m), c.x); err != nil || v.Cmp(big.NewRat(c.want, 1)) != 0 {
+			t.Errorf("F_%d(%v) = %v, %v; want %d", c.m, c.x.RatString(), v, err, c.want)
+		}
 	}
 }

@@ -8,32 +8,87 @@ import (
 )
 
 // TestCDFRatMatchesFloat checks the exact Lemma 2.4 CDF against the float
-// Proposition 2.2 table: the full-set volume divided by Π w.
+// Proposition 2.2 table: the full-set volume divided by Π w. The widths
+// are distinct in one case and all equal in the other.
 func TestCDFRatMatchesFloat(t *testing.T) {
-	widths := []*big.Rat{big.NewRat(1, 2), big.NewRat(3, 4), big.NewRat(1, 1)}
-	wf := make([]float64, len(widths))
-	prod := 1.0
-	for i, w := range widths {
-		wf[i], _ = w.Float64()
-		prod *= wf[i]
+	equal := make([]*big.Rat, 9)
+	for i := range equal {
+		equal[i] = big.NewRat(2, 7)
 	}
-	full := 1<<len(widths) - 1
-	for num := int64(0); num <= 9; num++ {
-		tr := big.NewRat(num, 4)
-		tf, _ := tr.Float64()
-		vol, _, err := AllSubsetVolumes(nil, wf, tf, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, widths := range [][]*big.Rat{{big.NewRat(1, 2), big.NewRat(3, 4), big.NewRat(1, 1)}, equal} {
+		wf := make([]float64, len(widths))
+		prod := 1.0
+		for i, w := range widths {
+			wf[i], _ = w.Float64()
+			prod *= wf[i]
 		}
-		exact, err := CDFRat(widths, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ef, _ := exact.Float64()
-		if got := vol[full] / prod; math.Abs(got-ef) > 1e-12 {
-			t.Errorf("t=%v: float %v vs exact %v", tf, got, ef)
+		full := 1<<len(widths) - 1
+		for num := int64(0); num <= 9; num++ {
+			tr := big.NewRat(num, 4)
+			tf, _ := tr.Float64()
+			vol, _, err := AllSubsetVolumes(nil, wf, tf, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := CDFRat(widths, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ef, _ := exact.Float64()
+			if got := vol[full] / prod; math.Abs(got-ef) > 1e-12 {
+				t.Errorf("widths %v, t=%v: float %v vs exact %v", widths, tf, got, ef)
+			}
 		}
 	}
+}
+
+// subsetSum is the inclusion-exclusion sum of Lemmas 2.4 and 2.5 taken
+// one subset I of the widths at a time, with no grouping of equal widths:
+//
+//	Σ_{I : Σ_{l∈I} w_l < t} (−1)^|I| (t − Σ_{l∈I} w_l)^n.
+//
+// With closed set, the guard also admits Σ_{l∈I} w_l = t, with 0^0 = 1.
+func subsetSum(widths []*big.Rat, t *big.Rat, n int, closed bool) *big.Rat {
+	total := new(big.Rat)
+	for mask := 0; mask < 1<<len(widths); mask++ {
+		rem := new(big.Rat).Set(t)
+		odd := false
+		for i, w := range widths {
+			if mask&(1<<i) != 0 {
+				rem.Sub(rem, w)
+				odd = !odd
+			}
+		}
+		if rem.Sign() < 0 || rem.Sign() == 0 && !closed {
+			continue
+		}
+		term := big.NewRat(1, 1)
+		for range n {
+			term.Mul(term, rem)
+		}
+		if odd {
+			total.Sub(total, term)
+		} else {
+			total.Add(total, term)
+		}
+	}
+	return total
+}
+
+// boxNorm returns n!·Π w_l.
+func boxNorm(widths []*big.Rat, n int) *big.Rat {
+	norm := new(big.Rat).SetInt(new(big.Int).MulRange(1, int64(n)))
+	for _, w := range widths {
+		norm.Mul(norm, w)
+	}
+	return norm
+}
+
+// subsetCDFRat is Lemma 2.4 summed subset by subset: the independent
+// reference for CDFRat's sum over multiplicities of equal widths.
+func subsetCDFRat(widths []*big.Rat, t *big.Rat) *big.Rat {
+	m := len(widths)
+	return new(big.Rat).Quo(subsetSum(widths, t, m, false), boxNorm(widths, m))
 }
 
 // rotaDensityRat is Lemma 2.5, the density of Σ x_i with x_i ~ U[0, w_i],
@@ -46,33 +101,78 @@ func TestCDFRatMatchesFloat(t *testing.T) {
 // density at its two jumps that the CDF difference quotient gives.
 func rotaDensityRat(widths []*big.Rat, t *big.Rat) *big.Rat {
 	m := len(widths)
-	total := new(big.Rat)
-	for mask := 0; mask < 1<<m; mask++ {
-		rem := new(big.Rat).Set(t)
-		sign := 1
-		for i, w := range widths {
-			if mask&(1<<i) != 0 {
-				rem.Sub(rem, w)
-				sign = -sign
+	return new(big.Rat).Quo(subsetSum(widths, t, m-1, true), boxNorm(widths, m-1))
+}
+
+// TestCDFRatMatchesSubsetSum checks CDFRat, which sums over multiplicities
+// of equal widths, exactly against the subset-by-subset sum on seeded
+// multisets of every shape: all widths distinct, all equal, and mixed.
+// The points cover the support, both sides outside it, and exact partial
+// sums of the widths, where (t − Σ)₊ = 0 cuts the sum.
+func TestCDFRatMatchesSubsetSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 4))
+	check := func(widths []*big.Rat, x *big.Rat) {
+		t.Helper()
+		got, err := CDFRat(widths, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := subsetCDFRat(widths, x); got.Cmp(want) != 0 {
+			t.Fatalf("widths %v, t = %v: CDFRat %v, subset sum %v",
+				widths, x.RatString(), got.RatString(), want.RatString())
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := 1 + trial%8
+		distinct := []int{m, 1, 1 + rng.IntN(min(m, 3))}[trial%3]
+		// Pool width j lies in (j, j+1), so the pool has no repeats; each
+		// is used at least once.
+		pool := make([]*big.Rat, distinct)
+		for j := range pool {
+			pool[j] = big.NewRat(int64(j)*12+1+rng.Int64N(11), 12)
+		}
+		widths := make([]*big.Rat, m)
+		support := new(big.Rat)
+		for i := range widths {
+			j := i
+			if i >= distinct {
+				j = rng.IntN(distinct)
 			}
+			widths[i] = pool[j]
+			support.Add(support, widths[i])
 		}
-		if rem.Sign() < 0 {
-			continue
-		}
-		term := ratPow(rem, m-1)
-		if sign < 0 {
-			term.Neg(term)
-		}
-		total.Add(total, term)
-	}
-	norm := big.NewRat(1, 1)
-	for i, w := range widths {
-		norm.Mul(norm, w)
-		if i >= 1 {
-			norm.Mul(norm, big.NewRat(int64(i), 1))
+		for k := 0; k < 4; k++ {
+			check(widths, new(big.Rat).Mul(support, big.NewRat(rng.Int64N(120)-10, 100)))
+			partial := new(big.Rat)
+			for _, w := range widths {
+				if rng.IntN(2) == 0 {
+					partial.Add(partial, w)
+				}
+			}
+			check(widths, partial)
 		}
 	}
-	return total.Quo(total, norm)
+	// Equal widths at a threshold that is no partial sum, and the unit cube
+	// at every integer point: Corollary 2.6's knots.
+	equal := make([]*big.Rat, 8)
+	for i := range equal {
+		equal[i] = big.NewRat(37, 100)
+	}
+	check(equal, big.NewRat(19, 10))
+	for m := 1; m <= 8; m++ {
+		for k := int64(0); k <= int64(m); k++ {
+			check(unitWidths(m), big.NewRat(k, 1))
+		}
+	}
+}
+
+// unitWidths returns m widths of 1, for which Lemma 2.4 is Corollary 2.6.
+func unitWidths(m int) []*big.Rat {
+	units := make([]*big.Rat, m)
+	for i := range units {
+		units[i] = big.NewRat(1, 1)
+	}
+	return units
 }
 
 // TestRotaDensityMatchesCDFDifference checks Lemma 2.5 (the density that
@@ -138,12 +238,23 @@ func TestCDFRatValidation(t *testing.T) {
 	if _, err := CDFRat([]*big.Rat{big.NewRat(-1, 2)}, one); err == nil {
 		t.Error("negative width: expected error")
 	}
-	many := make([]*big.Rat, 25)
-	for i := range many {
-		many[i] = one
+	// Up to 200 summands and 2^24 multi-indices are summed; past either
+	// cap the work is refused.
+	if v, err := CDFRat(unitWidths(200), big.NewRat(100, 1)); err != nil || v.Cmp(big.NewRat(1, 2)) != 0 {
+		t.Errorf("F_200(100) = %v, %v; want 1/2", v, err)
 	}
-	if _, err := CDFRat(many, one); err == nil {
-		t.Error("too many summands: expected error")
+	if _, err := CDFRat(unitWidths(201), one); err == nil {
+		t.Error("201 summands: expected error")
+	}
+	distinct := make([]*big.Rat, 25)
+	for i := range distinct {
+		distinct[i] = big.NewRat(int64(i+1), 1)
+	}
+	if v, err := CDFRat(distinct[:24], big.NewRat(3, 2)); err != nil || v.Sign() <= 0 {
+		t.Errorf("24 distinct widths: %v, %v; want a positive CDF", v, err)
+	}
+	if _, err := CDFRat(distinct, one); err == nil {
+		t.Error("2^25 multi-indices: expected error")
 	}
 	// Boundary clamps.
 	v, err := CDFRat([]*big.Rat{one}, big.NewRat(-1, 1))

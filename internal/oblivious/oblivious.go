@@ -295,20 +295,15 @@ func WinningProbabilityRat(alphas []*big.Rat, capacity *big.Rat) (*big.Rat, erro
 			return nil, fmt.Errorf("oblivious: α[%d] outside [0, 1]", i)
 		}
 	}
-	phi := make([]*big.Rat, n+1)
+	var units []*big.Rat // k unit widths: F_k is Corollary 2.6
+	cdf := make([]*big.Rat, n+1)
 	for k := 0; k <= n; k++ {
-		fk, err := dist.IrwinHallCDFRat(k, capacity)
+		fk, err := dist.CDFRat(units, capacity)
 		if err != nil {
 			return nil, err
 		}
-		phi[k] = fk
-	}
-	for k := 0; k <= n/2; k++ {
-		p := new(big.Rat).Mul(phi[k], phi[n-k])
-		phi[k], phi[n-k] = p, p
-		if k != n-k {
-			phi[n-k] = new(big.Rat).Set(p)
-		}
+		cdf[k] = fk
+		units = append(units, one)
 	}
 	// Poisson-binomial DP over bin-1 probabilities 1 - α_i.
 	pmf := make([]*big.Rat, n+1)
@@ -327,9 +322,9 @@ func WinningProbabilityRat(alphas []*big.Rat, capacity *big.Rat) (*big.Rat, erro
 		pmf[0].Mul(pmf[0], a)
 	}
 	total := new(big.Rat)
-	for k := 0; k <= n; k++ {
-		tmp.Mul(phi[k], pmf[k])
-		total.Add(total, tmp)
+	for k := 0; k <= n; k++ { // φ_δ(k) = F_k(δ)·F_{n−k}(δ)
+		tmp.Mul(cdf[k], cdf[n-k])
+		total.Add(total, tmp.Mul(tmp, pmf[k]))
 	}
 	return total, nil
 }

@@ -24,15 +24,17 @@ func SymbolicSymmetric(n int, capacity *big.Rat) (poly.RatPoly, error) {
 	if capacity == nil || capacity.Sign() <= 0 {
 		return poly.RatPoly{}, fmt.Errorf("oblivious: capacity must be strictly positive")
 	}
+	one := big.NewRat(1, 1)
+	var units []*big.Rat // k unit widths: F_k is Corollary 2.6
 	cdf := make([]*big.Rat, n+1)
 	for k := 0; k <= n; k++ {
-		v, err := dist.IrwinHallCDFRat(k, capacity)
+		v, err := dist.CDFRat(units, capacity)
 		if err != nil {
 			return poly.RatPoly{}, err
 		}
 		cdf[k] = v
+		units = append(units, one)
 	}
-	one := big.NewRat(1, 1)
 	x := poly.RatPolyX()
 	oneMinusX := poly.RatPolyAffine(one, big.NewRat(-1, 1))
 	total := poly.RatPoly{}

@@ -79,7 +79,7 @@ func canaryAnswers(t *testing.T) string {
 // version may have recorded the same hash. A change that moves a served
 // bit therefore fails here until its hash is recorded at a new index and
 // the entry version is bumped to it, so records written by older code are
-// quarantined instead of served.
+// skipped as stale instead of served.
 func TestStoredAnswerCanary(t *testing.T) {
 	canaries := store.AnswerCanaries
 	if len(canaries) != store.EntryVersion+1 {

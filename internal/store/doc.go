@@ -42,8 +42,8 @@
 // patterns, rule fingerprint, resolved backend, trial/seed/worker or
 // replicate tolerances), so a changed configuration addresses a different
 // entry, and entryVersion is bumped whenever the Value encoding or any
-// evaluation semantics change — old records then fail the version check
-// and are quarantined rather than served. A canary test hashes the
+// evaluation semantics change — old records are then skipped as stale
+// rather than served. A canary test hashes the
 // answers the code serves to a fixed request set and fails when they
 // move, until the new hash is recorded under a new entry version.
 package store

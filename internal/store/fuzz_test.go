@@ -23,9 +23,11 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add([]byte("NCSE"))
 	short := append([]byte(nil), valid[:headerSize]...)
 	f.Add(short)
-	badVersion := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(badVersion[4:8], 2)
-	f.Add(badVersion)
+	for _, v := range []uint32{EntryVersion - 1, EntryVersion + 1} {
+		badVersion := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(badVersion[4:8], v)
+		f.Add(badVersion)
+	}
 	badLen := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(badLen[8:16], 1<<40)
 	f.Add(badLen)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -346,6 +347,47 @@ func TestCorruptQuarantine(t *testing.T) {
 				t.Errorf("after reopening, quarantine holds %d files (err %v), want 1", len(q), err)
 			}
 		})
+	}
+}
+
+// TestStaleVersionSkipped checks that a record written under an older
+// entry version, with its frame intact, is stale rather than corrupt: a
+// fresh Disk neither serves, quarantines nor counts it, and still serves
+// the current record after it in the same segment.
+func TestStaleVersionSkipped(t *testing.T) {
+	dir := t.TempDir()
+	old, err := EncodeEntry("old", Value{P: 0.25, Backend: "exact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(old[4:8], entryVersion-1)
+	cur, err := EncodeEntry("current", Value{P: 0.75, Backend: "exact"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-1"+entryExt), append(old, cur...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d, err := OpenDisk(dir, obs.New(reg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Stats(); st.Corrupt != 0 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 entry and no corrupt record", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, corruptDir)); !os.IsNotExist(err) {
+		t.Errorf("quarantine directory exists (err %v), want none", err)
+	}
+	if _, ok := d.Get("old"); ok {
+		t.Error("a stale record was served")
+	}
+	if v, ok := d.Get("current"); !ok || v.P != 0.75 {
+		t.Errorf("Get(current) = %+v, %v; want P = 0.75", v, ok)
+	}
+	if got := reg.Counter("store.corrupt").Value(); got != 0 {
+		t.Errorf("store.corrupt = %d, want 0", got)
 	}
 }
 
