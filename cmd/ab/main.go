@@ -23,8 +23,9 @@
 // head's change in that phase too, each side's phase spread (padded
 // median against unpadded median), and the phase of a few kernels in all
 // four binaries (`go tool nm`). A change is only resolved when it has the
-// same sign in both phases and exceeds both sides' phase spread; each
-// metric ends with a `verdict: better | worse | unresolved` line that
+// same sign in both phases, exceeds both sides' phase spread, and the
+// pairs of both phases pooled lean its way with a sign-test p below 0.05;
+// each metric ends with a `verdict: better | worse | unresolved` line that
 // applies this rule.
 package main
 
@@ -395,7 +396,9 @@ func report(w io.Writer, sides []*side, specs []metricSpec, workload string, pai
 			delta, better, untied, signTest(better, untied))
 		fmt.Fprintf(w, "  other phase: head − base %+.2f%%, head better in %d of %d; phase spread base %+.2f%%, head %+.2f%%\n",
 			deltaOther, pb, pu, spreadBase, spreadHead)
-		fmt.Fprintf(w, "  verdict: %s\n", verdict(delta, deltaOther, spreadBase, spreadHead, lower))
+		fmt.Fprintf(w, "  pooled: head better in %d of %d untied pairs; sign test p = %.3g\n",
+			better+pb, untied+pu, signTest(better+pb, untied+pu))
+		fmt.Fprintf(w, "  verdict: %s\n", verdict(delta, deltaOther, spreadBase, spreadHead, better+pb, untied+pu, lower))
 	}
 	fmt.Fprintln(w)
 	for _, sd := range sides {

@@ -66,16 +66,24 @@ func pairCount(base, head []float64, lowerBetter bool) (better, untied int) {
 }
 
 // verdict judges one metric from the head's change of the median in
-// percent of the base in each 64-byte phase (delta, deltaOther) and each
-// side's phase spread: better or worse only when both phases agree in
-// sign and both changes exceed both spreads in size, else unresolved.
-func verdict(delta, deltaOther, spreadBase, spreadHead float64, lowerBetter bool) string {
+// percent of the base in each 64-byte phase (delta, deltaOther), each
+// side's phase spread, and the pairs of both phases pooled: better pairs
+// in which the head is better out of untied untied pairs. It says better
+// or worse only when both phases agree in sign, both changes exceed both
+// spreads in size, and the pooled pairs lean the same way with a sign-test
+// p below 0.05; otherwise it says unresolved.
+func verdict(delta, deltaOther, spreadBase, spreadHead float64, better, untied int, lowerBetter bool) string {
 	noise := math.Max(math.Abs(spreadBase), math.Abs(spreadHead))
 	if math.IsNaN(delta) || math.IsNaN(deltaOther) || math.IsNaN(noise) ||
-		(delta < 0) != (deltaOther < 0) || math.Min(math.Abs(delta), math.Abs(deltaOther)) <= noise {
+		(delta < 0) != (deltaOther < 0) || math.Min(math.Abs(delta), math.Abs(deltaOther)) <= noise ||
+		signTest(better, untied) >= 0.05 {
 		return "unresolved"
 	}
-	if (delta < 0) == lowerBetter {
+	headBetter := (delta < 0) == lowerBetter
+	if headBetter != (2*better > untied) {
+		return "unresolved"
+	}
+	if headBetter {
 		return "better"
 	}
 	return "worse"

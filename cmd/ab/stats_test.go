@@ -63,24 +63,36 @@ func TestVerdict(t *testing.T) {
 	for _, c := range []struct {
 		name                         string
 		delta, other, spBase, spHead float64
+		better, untied               int
 		lowerBetter                  bool
 		want                         string
 	}{
-		{"lower in both phases beyond both spreads", -5, -4, 1, -2, true, "better"},
-		{"higher in both phases, lower is better", 5, 4, 1, -2, true, "worse"},
-		{"higher in both phases, higher is better", 5, 4, 1, -2, false, "better"},
-		{"lower in both phases, higher is better", -5, -4, 1, 2, false, "worse"},
-		{"phases disagree in sign", -5, 4, 1, 1, true, "unresolved"},
-		{"one phase inside the base spread", -5, -0.5, 1, 0.2, true, "unresolved"},
-		{"inside the head spread", -5, -4, 0.1, -6, true, "unresolved"},
-		{"equal to the spread", -2, -3, 2, 0, true, "unresolved"},
-		{"no change", 0, 0, 0, 0, true, "unresolved"},
-		{"undefined change", nan, -4, 1, 1, true, "unresolved"},
-		{"undefined spread", -5, -4, nan, 1, true, "unresolved"},
+		{"lower in both phases beyond both spreads", -5, -4, 1, -2, 18, 20, true, "better"},
+		{"higher in both phases, lower is better", 5, 4, 1, -2, 2, 20, true, "worse"},
+		{"higher in both phases, higher is better", 5, 4, 1, -2, 18, 20, false, "better"},
+		{"lower in both phases, higher is better", -5, -4, 1, 2, 2, 20, false, "worse"},
+		{"phases disagree in sign", -5, 4, 1, 1, 18, 20, true, "unresolved"},
+		{"one phase inside the base spread", -5, -0.5, 1, 0.2, 18, 20, true, "unresolved"},
+		{"inside the head spread", -5, -4, 0.1, -6, 18, 20, true, "unresolved"},
+		{"equal to the spread", -2, -3, 2, 0, 18, 20, true, "unresolved"},
+		{"no change", 0, 0, 0, 0, 10, 20, true, "unresolved"},
+		{"undefined change", nan, -4, 1, 1, 18, 20, true, "unresolved"},
+		{"undefined spread", -5, -4, nan, 1, 18, 20, true, "unresolved"},
+		{"pairs lean the other way", -5, -4, 1, 1, 2, 20, true, "unresolved"},
+		{"pooled p = 0.0414", -5, -4, 1, 1, 15, 20, true, "better"},
+		{"pooled p = 0.115", -5, -4, 1, 1, 14, 20, true, "unresolved"},
+		// A report whose medians and spreads alone read "worse": heap_p90_mb
+		// +0.85% and +0.94% against spreads of 0.46% and 0.37%, with the
+		// head better in 4 and 2 of 10 pairs (pooled 6 of 20, p = 0.115).
+		{"heap +0.85% in 6 of 20 pairs", 0.85, 0.94, -0.46, -0.37, 6, 20, true, "unresolved"},
+		// ... and "better": cpu_ms_per_op −1.36% and −1.18% against spreads
+		// of 0.35% and 0.18%, the head better in 6 of 10 pairs in each phase
+		// (pooled 12 of 20, p = 0.503).
+		{"cpu −1.36% in 12 of 20 pairs", -1.36, -1.18, -0.35, -0.18, 12, 20, true, "unresolved"},
 	} {
-		if got := verdict(c.delta, c.other, c.spBase, c.spHead, c.lowerBetter); got != c.want {
-			t.Errorf("%s: verdict(%v, %v, %v, %v, %v) = %s, want %s",
-				c.name, c.delta, c.other, c.spBase, c.spHead, c.lowerBetter, got, c.want)
+		if got := verdict(c.delta, c.other, c.spBase, c.spHead, c.better, c.untied, c.lowerBetter); got != c.want {
+			t.Errorf("%s: verdict(%v, %v, %v, %v, %d, %d, %v) = %s, want %s",
+				c.name, c.delta, c.other, c.spBase, c.spHead, c.better, c.untied, c.lowerBetter, got, c.want)
 		}
 	}
 }

@@ -287,3 +287,83 @@ func TestTwoBranchKernelRefusals(t *testing.T) {
 		t.Error("SetMasses accepted one mass for two players")
 	}
 }
+
+// TestTwoBranchKernelRebuildBitIdentical rebuilds one kernel through
+// oblivious players, a shared threshold, distinct thresholds, fewer players
+// and then more players than it has held, and requires each build's Sum
+// and work to equal a fresh kernel's bit for bit, before and after
+// SetMasses, so no table carries anything over from an earlier build.
+func TestTwoBranchKernelRebuildBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 1))
+	pis := func(n int) []float64 {
+		pi := make([]float64, n)
+		for i := range pi {
+			pi[i] = 0.5 + 0.5*rng.Float64()
+		}
+		return pi
+	}
+	obliv := func(pi []float64) []TwoBranch {
+		players := make([]TwoBranch, len(pi))
+		for i, w := range pi {
+			a := rng.Float64()
+			players[i] = TwoBranch{Mass0: a, Hi0: w, Mass1: 1 - a, Hi1: w}
+		}
+		return players
+	}
+	shared := func(pi []float64) []TwoBranch {
+		a := make([]float64, len(pi))
+		for i := range a {
+			a[i] = 0.45
+		}
+		return thresholdPlayers(a, pi)
+	}
+	distinct := func(pi []float64) []TwoBranch {
+		a := make([]float64, len(pi))
+		for i := range a {
+			a[i] = rng.Float64()
+		}
+		return thresholdPlayers(a, pi)
+	}
+	steps := []struct {
+		name     string
+		players  []TwoBranch
+		capacity float64
+	}{
+		{"oblivious n=9", obliv(pis(9)), 3},
+		{"shared threshold n=9", shared(pis(9)), 3},
+		{"distinct thresholds n=9", distinct(pis(9)), 2.5},
+		{"oblivious n=5", obliv(pis(5)), 1.75},
+		{"shared threshold n=4", shared(pis(4)), 1.25},
+		{"distinct thresholds n=11", distinct(pis(11)), 3.5},
+		{"oblivious n=12", obliv(pis(12)), 4},
+	}
+	var k TwoBranchKernel
+	for _, s := range steps {
+		if err := k.Build(s.players, s.capacity); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		fresh, err := NewTwoBranchKernel(s.players, s.capacity)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got, want := k.Sum(), fresh.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: rebuilt %v, fresh %v", s.name, got, want)
+		}
+		if k.Stats() != fresh.Stats() {
+			t.Errorf("%s: rebuilt work %+v, fresh %+v", s.name, k.Stats(), fresh.Stats())
+		}
+		m0, m1 := make([]float64, len(s.players)), make([]float64, len(s.players))
+		for i, p := range s.players {
+			m0[i], m1[i] = p.Mass0/2, p.Mass1/3
+		}
+		if err := k.SetMasses(m0, m1); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SetMasses(m0, m1); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := k.Sum(), fresh.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s, new masses: rebuilt %v, fresh %v", s.name, got, want)
+		}
+	}
+}

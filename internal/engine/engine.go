@@ -218,10 +218,10 @@ func (e *Engine) EvaluateWithCtx(ctx context.Context, inst Instance, r Rule, bac
 	return e.evaluate(ctx, inst, r, backend, simCfg, nil)
 }
 
-// evaluate is EvaluateWithCtx with an optional sweep worker's reusable
-// oblivious tables (nil outside qualifying sweeps), which serve the Exact
-// computation instead of a one-shot table build.
-func (e *Engine) evaluate(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *sweepTables) (Result, error) {
+// evaluate is EvaluateWithCtx with the optional exact tables of a search
+// or a sweep worker (nil for a lone evaluation), which serve the Exact
+// computation of a tableRule instead of a one-shot table build.
+func (e *Engine) evaluate(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *exactTables) (Result, error) {
 	if r == nil {
 		return Result{}, fmt.Errorf("engine: nil rule")
 	}
@@ -369,7 +369,7 @@ func (e *Engine) resolve(r Rule, backend Backend) (Backend, error) {
 // carries an obs span (the engine.evaluate span of the caller that won the
 // singleflight race) the computation runs under a backend.exact /
 // backend.mc child span.
-func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *sweepTables) (Result, error) {
+func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Backend, simCfg sim.Config, tables *exactTables) (Result, error) {
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		sp := parent.Child("backend." + backend.String())
 		defer sp.End()
@@ -379,8 +379,8 @@ func (e *Engine) compute(ctx context.Context, inst Instance, r Rule, backend Bac
 		e.obs.Counter("engine.evals.exact").Inc()
 		var p float64
 		var err error
-		if tables != nil {
-			p, err = tables.evaluate(r.(obliviousAlphaRule).alphaVector(inst.N))
+		if tr, ok := r.(tableRule); ok {
+			p, err = tr.exact(inst, tables, e.obs)
 		} else {
 			p, err = r.(ExactOpts).ExactWinProbabilityOpts(inst, 0, e.obs)
 		}

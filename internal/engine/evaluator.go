@@ -3,73 +3,94 @@ package engine
 import (
 	"sync"
 
+	"repro/internal/dist"
+	"repro/internal/nonoblivious"
 	"repro/internal/oblivious"
+	"repro/internal/obs"
 )
 
-// obliviousAlphaRule is implemented by the oblivious rules that can expose
-// their full bin-choice vector, letting sweeps route them through a
-// reusable per-worker evaluator instead of rebuilding the subset-CDF
-// table per point.
-type obliviousAlphaRule interface {
-	alphaVector(n int) []float64
+// tableRule is implemented by the oblivious and threshold rules, whose
+// heterogeneous exact evaluation exactTables can serve. exact is the one
+// body behind the rule's ExactWinProbabilityOpts, which passes nil tables.
+type tableRule interface {
+	exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error)
 }
 
-func (r SymmetricOblivious) alphaVector(n int) []float64 { return repeated(r.A, n) }
-
-func (r Oblivious) alphaVector(int) []float64 { return r.Alphas }
-
-// sweepTables is one sweep worker's reusable oblivious evaluator, passed
-// to compute()'s Exact branch. The evaluator is bit-identical to the
-// one-shot WinningProbabilityPi, so its results land in the
-// memoization cache under the normal keys. The mutex serializes the owner
-// worker against abandoned evaluations still running in the background
-// after their caller's deadline struck.
-type sweepTables struct {
-	mu sync.Mutex
-	ev *oblivious.Evaluator
+// exactTables are the reusable exact tables of one search or one sweep
+// worker, all of whose points lie on one heterogeneous instance. They are
+// built at the first point that needs them and live as long as their
+// owner, never longer. Every value carries the bits of the one-shot
+// functions, so results memoize under the normal keys. The mutex
+// serializes the owner against evaluations it abandoned at their deadline,
+// which keep running in the background.
+//
+// Counting rule: every point flushes to the exact.* counters the work it
+// actually computed. The first α point builds the oblivious evaluator and
+// records its CDF table; later α points reuse that table and record
+// nothing, because the mass tables and the pair sum are not counted by a
+// one-shot either. Every threshold point rebuilds the kernel's tables and
+// records that build, as the one-shot does.
+type exactTables struct {
+	mu     sync.Mutex
+	obl    *oblivious.Evaluator  // α rules: the π-only CDF table, built once
+	kernel *dist.TwoBranchKernel // threshold rules: rebuilt in place per point
 }
 
-// evaluate serves one α-vector from the tables.
-func (t *sweepTables) evaluate(alphas []float64) (float64, error) {
+// oblivious evaluates the α-vector on the heterogeneous instance: one-shot
+// through oblivious.WinningProbabilityPi when t is nil, and from t's
+// oblivious evaluator otherwise.
+func (t *exactTables) oblivious(alphas []float64, inst Instance, o *obs.Observer) (float64, error) {
+	if t == nil {
+		return oblivious.WinningProbabilityPi(alphas, inst.Pi, inst.Delta, o)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ev.Evaluate(alphas)
-}
-
-// sweepTablesFactory decides whether a sweep qualifies for per-worker
-// reusable evaluators — an Exact/Auto backend, every point on one shared
-// heterogeneous instance within the evaluator's range, every rule an
-// oblivious rule exposing its α-vector (the 1-D α sweeps and their
-// chunked/streamed variants) — and returns a constructor for per-worker
-// tables, or nil when the sweep should take the one-shot path.
-func sweepTablesFactory(points []Point, backend Backend) func() *sweepTables {
-	if backend != Exact && backend != Auto {
-		return nil
-	}
-	if len(points) < 2 {
-		return nil
-	}
-	inst := points[0].Instance
-	if !inst.Heterogeneous() || inst.N < 2 || inst.N > oblivious.MaxNHetero {
-		return nil
-	}
-	key := inst.Key()
-	for _, pt := range points {
-		if _, ok := pt.Rule.(obliviousAlphaRule); !ok {
-			return nil
-		}
-		if pt.Instance.Key() != key {
-			return nil
-		}
-	}
-	return func() *sweepTables {
+	if t.obl == nil {
 		ev, err := oblivious.NewEvaluator(inst.Pi, inst.Delta, 1)
 		if err != nil {
-			// Instance rejected by the evaluator (e.g. a capacity the
-			// one-shot path will reject identically): let the points fail
-			// through the normal path.
-			return nil
+			// A refused instance: the one-shot refuses it identically.
+			return oblivious.WinningProbabilityPi(alphas, inst.Pi, inst.Delta, o)
 		}
-		return &sweepTables{ev: ev}
+		ev.Stats().Table.Record(o)
+		t.obl = ev
 	}
+	return t.obl.Evaluate(alphas)
+}
+
+// threshold evaluates the threshold vector on the heterogeneous instance:
+// one-shot through nonoblivious.WinningProbabilityPi when t is nil, and
+// built into t's kernel otherwise.
+func (t *exactTables) threshold(thresholds []float64, inst Instance, o *obs.Observer) (float64, error) {
+	if t == nil {
+		return nonoblivious.WinningProbabilityPi(thresholds, inst.Pi, inst.Delta, o)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.kernel == nil {
+		t.kernel = new(dist.TwoBranchKernel)
+	}
+	return nonoblivious.WinningProbabilityPiInto(t.kernel, thresholds, inst.Pi, inst.Delta, o)
+}
+
+// sweepUsesTables reports whether each worker of a sweep keeps
+// exactTables: an Exact/Auto backend, at least two points, every point on
+// one shared heterogeneous instance, and every rule a tableRule (the α and
+// β sweeps and their chunked or streamed variants).
+func sweepUsesTables(points []Point, backend Backend) bool {
+	if backend != Exact && backend != Auto {
+		return false
+	}
+	if len(points) < 2 || !points[0].Instance.Heterogeneous() {
+		return false
+	}
+	key := points[0].Instance.Key()
+	for _, pt := range points {
+		if _, ok := pt.Rule.(tableRule); !ok {
+			return false
+		}
+		if pt.Instance.Key() != key {
+			return false
+		}
+	}
+	return true
 }

@@ -69,10 +69,10 @@ func TestSweepHeteroObliviousOverrideBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepOverrideFactoryGating enumerates the disqualifying shapes: the
-// factory must return nil whenever the reusable-evaluator contract (shared
-// heterogeneous instance, all α-exposing rules, exact backend, ≥2 points)
-// does not hold.
+// TestSweepOverrideFactoryGating enumerates the sweep shapes: workers keep
+// exact tables exactly when every point shares one heterogeneous instance,
+// every rule is an oblivious or threshold rule, the backend is Exact or
+// Auto, and there are at least two points.
 func TestSweepOverrideFactoryGating(t *testing.T) {
 	het := mustInstancePi(t, 3, 1, []float64{0.5, 1, 0.75})
 	het2 := mustInstancePi(t, 3, 1, []float64{0.6, 1, 0.75})
@@ -80,6 +80,10 @@ func TestSweepOverrideFactoryGating(t *testing.T) {
 	obl := func(inst Instance, a float64) Point {
 		return Point{Instance: inst, Rule: SymmetricOblivious{A: a}}
 	}
+	thr := func(inst Instance, b float64) Point {
+		return Point{Instance: inst, Rule: SymmetricThreshold{Beta: b}}
+	}
+	ivl := Point{Instance: het, Rule: IntervalRule{}}
 	cases := []struct {
 		name    string
 		points  []Point
@@ -88,23 +92,18 @@ func TestSweepOverrideFactoryGating(t *testing.T) {
 	}{
 		{"qualifying", []Point{obl(het, 0.3), obl(het, 0.5)}, Exact, true},
 		{"qualifying auto", []Point{obl(het, 0.3), obl(het, 0.5)}, Auto, true},
+		{"threshold rules", []Point{thr(het, 0.3), {Instance: het, Rule: Threshold{Thresholds: []float64{0.2, 0.4, 0.6}}}}, Exact, true},
+		{"oblivious and threshold rules", []Point{obl(het, 0.3), thr(het, 0.5)}, Exact, true},
 		{"monte carlo", []Point{obl(het, 0.3), obl(het, 0.5)}, MonteCarlo, false},
 		{"single point", []Point{obl(het, 0.3)}, Exact, false},
 		{"homogeneous", []Point{obl(hom, 0.3), obl(hom, 0.5)}, Exact, false},
 		{"mixed instances", []Point{obl(het, 0.3), obl(het2, 0.5)}, Exact, false},
-		{"non-oblivious rule", []Point{obl(het, 0.3), {Instance: het, Rule: SymmetricThreshold{Beta: 0.5}}}, Exact, false},
+		{"rule without tables", []Point{obl(het, 0.3), ivl}, Exact, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := sweepTablesFactory(c.points, c.backend)
-			if (got != nil) != c.want {
-				t.Errorf("factory non-nil = %v, want %v", got != nil, c.want)
-			}
-			if got != nil {
-				tables := got()
-				if tables == nil || tables.ev == nil {
-					t.Fatal("qualifying factory built no evaluator")
-				}
+			if got := sweepUsesTables(c.points, c.backend); got != c.want {
+				t.Errorf("sweepUsesTables = %v, want %v", got, c.want)
 			}
 		})
 	}

@@ -71,10 +71,11 @@ type OptimizeResult struct {
 }
 
 // OptimizeCtx maximizes the family's winning probability over its parameter
-// box. Every probe routes through EvaluateWithCtx, so repeated points hit
-// the memoization cache, concurrent searches coalesce, and — when ctx
-// carries an obs span — the search emits the
-// engine.optimize → engine.evaluate → backend.* trace tree. Scalar families
+// box. Probes route through EvaluateWithCtx's memoizing path (on a
+// heterogeneous Exact/Auto instance with one set of exact tables per
+// search), so repeated points hit the memoization cache, concurrent
+// searches coalesce, and — when ctx carries an obs span — the search emits
+// the engine.optimize → engine.evaluate → backend.* trace tree. Scalar families
 // run grid-then-golden search; higher-dimensional families run coordinate
 // ascent followed by a Nelder-Mead polish, keeping the better optimum.
 //
@@ -136,6 +137,17 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 		}
 	}
 
+	// An Exact/Auto search on a heterogeneous instance keeps one set of
+	// exact tables for all of its probes (an α search builds its π-only CDF
+	// table once, a threshold or vector search rebuilds one kernel in
+	// place). Unlike pev's, these probes still go through the memo store
+	// and the singleflight: table-served values carry the one-shot bits, so
+	// the cache and the trajectory are those of one-shot probes.
+	var tables *exactTables
+	if (opts.Backend == Exact || opts.Backend == Auto) && inst.Heterogeneous() {
+		tables = new(exactTables)
+	}
+
 	best := OptimizeResult{Family: fam.Name(), Value: math.Inf(-1)}
 	var firstErr error
 	objective := func(params []float64) float64 {
@@ -165,7 +177,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 			}
 			backend = Exact
 		} else {
-			res, err := e.EvaluateWithCtx(ctx, inst, r, opts.Backend, opts.Sim)
+			res, err := e.evaluate(ctx, inst, r, opts.Backend, opts.Sim, tables)
 			if err != nil {
 				if firstErr == nil && ctx.Err() == nil {
 					firstErr = err

@@ -123,8 +123,12 @@ func (r SymmetricOblivious) System(inst Instance) (*model.System, error) {
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
 // heterogeneous generalization when the instance carries a π vector).
 func (r SymmetricOblivious) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
+	return r.exact(inst, nil, o)
+}
+
+func (r SymmetricOblivious) exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
-		return oblivious.WinningProbabilityPi(repeated(r.A, inst.N), inst.Pi, inst.Delta, o)
+		return t.oblivious(repeated(r.A, inst.N), inst, o)
 	}
 	return oblivious.SymmetricWinningProbability(inst.N, inst.Delta, r.A)
 }
@@ -168,11 +172,15 @@ func (r Oblivious) System(inst Instance) (*model.System, error) {
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 (its
 // heterogeneous generalization when the instance carries a π vector).
 func (r Oblivious) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
+	return r.exact(inst, nil, o)
+}
+
+func (r Oblivious) exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
 	if inst.Heterogeneous() {
-		return oblivious.WinningProbabilityPi(r.Alphas, inst.Pi, inst.Delta, o)
+		return t.oblivious(r.Alphas, inst, o)
 	}
 	return oblivious.WinningProbability(r.Alphas, inst.Delta)
 }
@@ -214,11 +222,15 @@ func (r DeterministicSplit) System(inst Instance) (*model.System, error) {
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 4.1 at the
 // 0/1 vertex (see Oblivious).
 func (r DeterministicSplit) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
+	return r.exact(inst, nil, o)
+}
+
+func (r DeterministicSplit) exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error) {
 	alphas, err := r.alphas(inst)
 	if err != nil {
 		return 0, err
 	}
-	return Oblivious{Alphas: alphas}.ExactWinProbabilityOpts(inst, 0, o)
+	return Oblivious{Alphas: alphas}.exact(inst, t, o)
 }
 
 // ---------------------------------------------------------------------------
@@ -249,8 +261,12 @@ func (r SymmetricThreshold) System(inst Instance) (*model.System, error) {
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1 (its
 // heterogeneous generalization when the instance carries a π vector).
 func (r SymmetricThreshold) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
+	return r.exact(inst, nil, o)
+}
+
+func (r SymmetricThreshold) exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error) {
 	if inst.Heterogeneous() {
-		return nonoblivious.WinningProbabilityPi(repeated(r.Beta, inst.N), inst.Pi, inst.Delta, o)
+		return t.threshold(repeated(r.Beta, inst.N), inst, o)
 	}
 	return nonoblivious.SymmetricWinningProbability(inst.N, inst.Delta, r.Beta)
 }
@@ -294,11 +310,15 @@ func (r Threshold) System(inst Instance) (*model.System, error) {
 // ExactWinProbabilityOpts implements ExactOpts through Theorem 5.1 (its
 // heterogeneous generalization when the instance carries a π vector).
 func (r Threshold) ExactWinProbabilityOpts(inst Instance, _ int, o *obs.Observer) (float64, error) {
+	return r.exact(inst, nil, o)
+}
+
+func (r Threshold) exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error) {
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
 	if inst.Heterogeneous() {
-		return nonoblivious.WinningProbabilityPi(r.Thresholds, inst.Pi, inst.Delta, o)
+		return t.threshold(r.Thresholds, inst, o)
 	}
 	return nonoblivious.WinningProbability(r.Thresholds, inst.Delta, o)
 }

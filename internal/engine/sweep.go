@@ -107,21 +107,22 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	// Qualifying sweeps (one shared heterogeneous instance, all-oblivious
-	// rules, exact backend) give each worker reusable tables that build the
-	// instance's subset-CDF table once and rebuild only the α product
-	// tables per point — bit-identical to the one-shot path, so results
-	// memoize under the same keys.
-	makeTables := sweepTablesFactory(points, opts.Backend)
+	// Qualifying sweeps (one shared heterogeneous instance, every rule an
+	// oblivious or threshold rule, exact backend) give each worker its own
+	// exact tables: an α sweep builds the instance's subset-CDF table once,
+	// and a threshold sweep rebuilds one kernel in place. Both are
+	// bit-identical to the one-shot path, so results memoize under the
+	// same keys.
+	useTables := sweepUsesTables(points, opts.Backend)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var tables *sweepTables
-			if makeTables != nil {
-				tables = makeTables()
+			var tables *exactTables
+			if useTables {
+				tables = new(exactTables)
 			}
 			for {
 				if ctx.Err() != nil {

@@ -33,7 +33,17 @@ const MaxNHetero = 15
 // shift identity behind Lemma 2.7; when every player that can choose bin 1
 // has the same threshold, the kernel builds them all with one ladder pass
 // per cardinality, and otherwise it walks each set that can contribute.
+// It is WinningProbabilityPiInto with a fresh kernel.
 func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
+	return WinningProbabilityPiInto(new(dist.TwoBranchKernel), thresholds, pi, capacity, o)
+}
+
+// WinningProbabilityPiInto is WinningProbabilityPi built into the caller's
+// kernel k, whose tables it overwrites: a search or a sweep that keeps one
+// kernel allocates its tables once. The value has the bits of
+// WinningProbabilityPi whatever k held, and the observer receives the work
+// of this one build. Homogeneous and refused inputs leave k untouched.
+func WinningProbabilityPiInto(k *dist.TwoBranchKernel, thresholds, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if n < 2 {
 		return 0, fmt.Errorf("nonoblivious: need at least 2 players, got %d", n)
@@ -68,8 +78,7 @@ func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Obs
 		c := math.Min(a, w)
 		players[i] = dist.TwoBranch{Mass0: c / w, Hi0: c, Mass1: (w - c) / w, Lo1: c, Hi1: w}
 	}
-	k, err := dist.NewTwoBranchKernel(players, capacity)
-	if err != nil {
+	if err := k.Build(players, capacity); err != nil {
 		return 0, err
 	}
 	k.Stats().Record(o)
