@@ -68,8 +68,19 @@ ab:
 	$(GO) run ./cmd/ab -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Non-test Go lines (wc -l of every non-_test.go file) of each package
-# outside bench/, then their total: the count simplicity changes report.
+# outside bench/, in the working tree and at $(BASE) (exported with git
+# archive, as cmd/ab does), with the per-package change and the totals:
+# the count simplicity changes report. Example: make loc BASE=main
 loc:
-	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
-		printf '%6d %s\n' "$$(cat /dev/null $$(ls "$$dir"/*.go | grep -v '_test\.go$$') | wc -l)" "$$pkg"; \
-	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	git archive "$(BASE)" | tar -x -C "$$tmp" || exit 1; \
+	count() { (cd "$$1" && $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./...) | while read -r pkg dir; do \
+		printf '%s %d\n' "$$pkg" "$$(cat /dev/null $$(ls "$$dir"/*.go | grep -v '_test\.go$$') | wc -l)"; \
+	done; }; \
+	count "$$tmp" > "$$tmp/.loc-base" && count . > "$$tmp/.loc-head" || exit 1; \
+	awk 'NR == FNR { base[$$1] = $$2; next } { head[$$1] = $$2; order[++n] = $$1 } \
+	END { for (p in base) if (!(p in head)) order[++n] = p; \
+		printf "%6s %6s %6s %s\n", "base", "head", "delta", "package"; \
+		for (i = 1; i <= n; i++) { p = order[i]; tb += base[p]; th += head[p]; \
+			printf "%6d %6d %+6d %s\n", base[p], head[p], head[p] - base[p], p }; \
+		printf "%6d %6d %+6d total\n", tb, th, th - tb }' "$$tmp/.loc-base" "$$tmp/.loc-head"

@@ -9,8 +9,9 @@ import (
 	"repro/internal/obs"
 )
 
-// SubsetVolumeStats counts the work one AllSubsetVolumes call performed,
-// for the exact backend's observability counters.
+// SubsetVolumeStats counts the work of subset-table builds
+// (AllSubsetVolumes, RadixLadder), for the exact backend's observability
+// counters.
 type SubsetVolumeStats struct {
 	// Subsets is the number of subset cells produced (2^n).
 	Subsets uint64
@@ -19,9 +20,15 @@ type SubsetVolumeStats struct {
 	// additions.
 	Incremental uint64
 	// Rebuilt is the number of cells whose base term had to be rebuilt
-	// from scratch rather than updated incrementally (zero here: the
-	// shared threshold makes every radix exponent-independent).
+	// from scratch rather than updated incrementally (zero for
+	// AllSubsetVolumes: the shared threshold makes every radix
+	// exponent-independent).
 	Rebuilt uint64
+}
+
+// Add returns the work of two builds together.
+func (s SubsetVolumeStats) Add(t SubsetVolumeStats) SubsetVolumeStats {
+	return SubsetVolumeStats{Subsets: s.Subsets + t.Subsets, Incremental: s.Incremental + t.Incremental, Rebuilt: s.Rebuilt + t.Rebuilt}
 }
 
 // Record flushes one exact evaluation's work into the exact backend's
@@ -152,21 +159,25 @@ func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 // all 2^n base cells before its n·2^(n-1) zeta additions. The caller
 // passes as m0 the first exponent that needs a pass: the exponents
 // 1, …, m0−1 build no base and run no zeta pass, and emit receives 0 for
-// each of their entries (the sum of an all-zero base).
-func RadixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) error {
+// each of their entries (the sum of an all-zero base). It returns the work
+// of the passes it ran: the 2^n subsets, and per pass 2^n rebuilt base
+// cells and n·2^(n-1) zeta additions.
+func RadixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) (SubsetVolumeStats, error) {
+	size := uint64(1) << uint(n)
+	stats := SubsetVolumeStats{Subsets: size}
 	for m := 1; m < len(t); m++ {
 		if m < m0 {
 			if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
 				emit(mask, 0)
 				return true
 			}); err != nil {
-				return err
+				return stats, err
 			}
 			continue
 		}
 		f, err := combin.FactorialFloat(m)
 		if err != nil {
-			return err
+			return stats, err
 		}
 		invFact, tm := 1/f, t[m]
 		for mask := range base {
@@ -182,16 +193,18 @@ func RadixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v flo
 			base[mask] = v
 		}
 		if err := combin.SumOverSubsets(base, n); err != nil {
-			return err
+			return stats, err
 		}
+		stats.Incremental += uint64(n) * size / 2
+		stats.Rebuilt += size
 		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
 			emit(mask, base[mask])
 			return true
 		}); err != nil {
-			return err
+			return stats, err
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // VolumeErrorBound is the forward-error kernel behind the exact

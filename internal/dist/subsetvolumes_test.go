@@ -182,7 +182,8 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 // TestRadixLadderFromMatchesFullLadder runs RadixLadder from every first
 // exponent m0 on seeded offsets and radii: each cell of an exponent ≥ m0
 // gets the full ladder's bits, each cell of a skipped exponent gets 0,
-// and every cell with 1 ≤ |O| < len(t) is emitted exactly once.
+// every cell with 1 ≤ |O| < len(t) is emitted exactly once, and the
+// returned work counts the passes that ran.
 func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 2))
 	for _, n := range []int{1, 4, 7, 10} {
@@ -198,11 +199,20 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 		ladder := func(m0 int) ([]float64, []int) {
 			out := make([]float64, size)
 			seen := make([]int, size)
-			if err := RadixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
+			work, err := RadixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
 				out[mask] = v
 				seen[mask]++
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
+			}
+			passes := uint64(len(tm) - max(m0, 1))
+			if m0 > n {
+				passes = 0
+			}
+			u := uint64(size)
+			if want := (SubsetVolumeStats{Subsets: u, Incremental: passes * uint64(n) * u / 2, Rebuilt: passes * u}); work != want {
+				t.Errorf("n=%d m0=%d: work %+v, want %+v", n, m0, work, want)
 			}
 			return out, seen
 		}

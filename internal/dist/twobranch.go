@@ -39,44 +39,55 @@ type TwoBranch struct {
 //   - otherwise walkBin1, the tailVolumeDFS walk of each set that can
 //     carry mass (worst case Θ(3^n), heavily cut by its guards).
 //
-// The CDF tables depend only on the load intervals, so SetMasses
-// re-weights one instance for two product tables and Sum adds the pairs
-// with PairSum, with no allocation. Build rebuilds the kernel in place for
-// other players, so a search or a sweep worker can keep one kernel for all
-// of its evaluations.
+// The CDF tables depend only on the load intervals and δ, so Build decides
+// what to rebuild: the same loads re-weight the two mass tables, and any
+// other loads rebuild every table in place. A search or a sweep worker can
+// keep one kernel for all of its evaluations, in any order. The zero
+// value is an empty kernel.
 type TwoBranchKernel struct {
-	n       int
-	slab    []float64 // the four 2^n-entry tables below, back to back
-	w0, w1  []float64 // mass products over each subset
-	c0, c1  []float64 // CDFs of each subset; c1 is c0 for oblivious players
-	cols    []float64 // the players' columns: Hi0, Lo1, bin-1 width, Mass0, Mass1
+	n        int
+	capacity float64   // δ of the CDF tables
+	whole    bool      // c0 and c1 are whole for the loads in cols at capacity
+	slab     []float64 // the four 2^n-entry tables below, back to back
+	w0, w1   []float64 // mass products over each subset
+	c0, c1   []float64 // CDFs of each subset; c1 is c0 for oblivious players
+	// The players' columns: the loads Hi0, Lo1, Hi1 and the bin-1 width,
+	// then the masses Mass0 and Mass1.
+	cols    []float64
 	partial []float64 // PairSum's chunk totals
 	stats   SubsetVolumeStats
 }
 
-// NewTwoBranchKernel returns a fresh kernel built for the players at
-// capacity δ (see Build).
-func NewTwoBranchKernel(players []TwoBranch, capacity float64) (*TwoBranchKernel, error) {
-	k := new(TwoBranchKernel)
-	if err := k.Build(players, capacity); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// Build builds the CDF tables of the players' load intervals at capacity
-// δ and the mass tables of their masses, in place of whatever the kernel
+// Build loads the players at capacity δ. When their load intervals and δ
+// are bit-equal (math.Float64bits) to those of the last whole build, it
+// keeps the CDF tables and rebuilds only the two mass tables, and Stats
+// then reports no table work. Any other input rebuilds every table in
+// place, each written whole, so the bits never depend on what the kernel
 // held. It refuses more than combin.MaxSubsetTable players, a capacity
 // that is not positive and finite, an interval that is not
-// 0 ≤ Lo1 ≤ Hi1 < ∞ or 0 ≤ Hi0 < ∞, and a point branch with mass, and a
-// refusal leaves the kernel as it was. Every table is written whole, so
-// the bits do not depend on what the kernel held. The
-// kernel keeps one slab of four 2^n-entry tables, the bin-0 ladder's
-// output and its three scratch tables, which then hold the mass tables and
-// C₁; it grows the slab only for more players than it has held.
+// 0 ≤ Lo1 ≤ Hi1 < ∞ or 0 ≤ Hi0 < ∞, and a point branch with mass. A
+// refused build writes no table, and neither it nor a build that fails
+// part-way leaves tables to reuse. The kernel keeps one slab of four
+// 2^n-entry tables, the bin-0 ladder's output and its three scratch
+// tables, which then hold the mass tables and C₁; it grows the slab only
+// for more players than it has held.
 func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
-	n := len(players)
-	if n > combin.MaxSubsetTable {
+	if err := checkTwoBranch(players, capacity); err != nil {
+		k.whole = false
+		return err
+	}
+	if k.holds(players, capacity) {
+		k.stats = SubsetVolumeStats{}
+	} else if err := k.buildTables(players, capacity); err != nil {
+		return err
+	}
+	return k.setMasses(players)
+}
+
+// checkTwoBranch is Build's refusal: the player cap, the capacity, the
+// load intervals and massless point branches.
+func checkTwoBranch(players []TwoBranch, capacity float64) error {
+	if n := len(players); n > combin.MaxSubsetTable {
 		return fmt.Errorf("dist: two-branch kernel limited to %d players, got %d", combin.MaxSubsetTable, n)
 	}
 	if !(capacity > 0) || math.IsInf(capacity, 1) {
@@ -90,13 +101,39 @@ func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 			return fmt.Errorf("dist: player %d: a point load carries mass", i)
 		}
 	}
-	k.n = n
-	k.cols = grow(k.cols, 5*n)
-	hi0, lo1, width, m0, m1 := k.cols[:n], k.cols[n:2*n], k.cols[2*n:3*n], k.cols[3*n:4*n], k.cols[4*n:]
+	return nil
+}
+
+// holds reports whether the CDF tables are whole for the players' load
+// intervals at capacity δ, comparing bits.
+func (k *TwoBranchKernel) holds(players []TwoBranch, capacity float64) bool {
+	n := len(players)
+	if !k.whole || n != k.n || !sameBits(capacity, k.capacity) {
+		return false
+	}
+	hi0, lo1, hi1 := k.cols[:n], k.cols[n:2*n], k.cols[2*n:3*n]
+	for i, p := range players {
+		if !sameBits(p.Hi0, hi0[i]) || !sameBits(p.Lo1, lo1[i]) || !sameBits(p.Hi1, hi1[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// buildTables builds C₀ and C₁ for the players' load intervals at
+// capacity δ and marks them whole only once both are written.
+func (k *TwoBranchKernel) buildTables(players []TwoBranch, capacity float64) error {
+	k.whole = false
+	n := len(players)
+	k.n, k.capacity = n, capacity
+	k.cols = grow(k.cols, 6*n)
+	hi0, lo1, hi1, width := k.cols[:n], k.cols[n:2*n], k.cols[2*n:3*n], k.cols[3*n:4*n]
 	oblivious := true
 	var point uint64 // players whose bin-1 interval is a point
 	for i, p := range players {
-		hi0[i], lo1[i], width[i], m0[i], m1[i] = p.Hi0, p.Lo1, p.Hi1-p.Lo1, p.Mass0, p.Mass1
+		hi0[i], lo1[i], hi1[i], width[i] = p.Hi0, p.Lo1, p.Hi1, p.Hi1-p.Lo1
 		if width[i] == 0 {
 			point |= 1 << uint(i)
 		}
@@ -126,7 +163,8 @@ func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 	}
 	if oblivious {
 		k.c1 = k.c0
-		return k.SetMasses(m0, m1)
+		k.whole = true
+		return nil
 	}
 	wSums, err := combin.SubsetSums(scratch[:size], width)
 	if err != nil {
@@ -136,13 +174,11 @@ func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 		return err
 	}
 	if beta, ok := sharedThreshold(lo1, point); ok {
-		passes, err := sharedBin1Table(k.c1, wSums, scratch[size:2*size], capacity, beta, n-bits.OnesCount64(point), n)
+		ladder, err := sharedBin1Table(k.c1, wSums, scratch[size:2*size], capacity, beta, n-bits.OnesCount64(point), n)
 		if err != nil {
 			return err
 		}
-		k.stats.Subsets += uint64(size)
-		k.stats.Incremental += uint64(passes) * uint64(n) * uint64(size) / 2
-		k.stats.Rebuilt += uint64(passes) * uint64(size)
+		k.stats = k.stats.Add(ladder)
 	} else {
 		aSums, err := combin.SubsetSums(scratch[size:2*size], lo1)
 		if err != nil {
@@ -150,7 +186,8 @@ func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 		}
 		k.stats.Rebuilt += walkBin1(k.c1, k.c0, wSums, aSums, width, point, capacity)
 	}
-	return k.SetMasses(m0, m1)
+	k.whole = true
+	return nil
 }
 
 // grow returns s resliced to n entries, reallocated only when its capacity
@@ -162,11 +199,13 @@ func grow(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// SetMasses replaces the players' masses, m0[i] for bin 0 and m1[i] for
-// bin 1, keeping the CDF tables: two product tables, no allocation.
-func (k *TwoBranchKernel) SetMasses(m0, m1 []float64) error {
-	if len(m0) != k.n || len(m1) != k.n {
-		return fmt.Errorf("dist: %d and %d masses for %d players", len(m0), len(m1), k.n)
+// setMasses rebuilds the two mass tables from the players' masses, with
+// no allocation.
+func (k *TwoBranchKernel) setMasses(players []TwoBranch) error {
+	n := k.n
+	m0, m1 := k.cols[4*n:5*n], k.cols[5*n:]
+	for i, p := range players {
+		m0[i], m1[i] = p.Mass0, p.Mass1
 	}
 	if _, err := combin.SubsetProducts(k.w0, m0); err != nil {
 		return err
@@ -251,7 +290,7 @@ func sharedThreshold(shifts []float64, point uint64) (float64, bool) {
 // sharedBin1Table turns c1, which holds the products of the bin-1 widths
 // on entry, into the bin-1 CDFs at threshold δ − β·|S| of the sets S of a
 // game whose capable players (those with bin-1 width) share the shift β,
-// and returns the number of ladder passes it ran. The radix
+// and returns the work of the ladder passes it ran. The radix
 // δ − β·|S| − σ_J w depends on S only through m = |S|, so one RadixLadder
 // pass per exponent gives every volume. Only cardinalities up to mmax
 // have mass: no more than the capable players, and with t_m (δ minus m
@@ -261,7 +300,7 @@ func sharedThreshold(shifts []float64, point uint64) (float64, bool) {
 // would be overwritten by 1. A set with a point player has box volume 0
 // and keeps 0. wSums holds the widths' subset sums and base is 2^n-entry
 // scratch.
-func sharedBin1Table(c1, wSums, base []float64, capacity, beta float64, capable, n int) (int, error) {
+func sharedBin1Table(c1, wSums, base []float64, capacity, beta float64, capable, n int) (SubsetVolumeStats, error) {
 	t := []float64{0}
 	for aSum := beta; len(t) <= capable && capacity-aSum > 0; aSum += beta {
 		t = append(t, capacity-aSum)
@@ -276,7 +315,7 @@ func sharedBin1Table(c1, wSums, base []float64, capacity, beta float64, capable,
 			m0 = m
 		}
 	}
-	err := RadixLadder(wSums, t, base[:len(wSums)], n, m0, func(s uint64, v float64) {
+	return RadixLadder(wSums, t, base[:len(wSums)], n, m0, func(s uint64, v float64) {
 		switch {
 		case c1[s] == 0: // a point player
 		case t[bits.OnesCount64(s)] >= wSums[s]:
@@ -285,7 +324,6 @@ func sharedBin1Table(c1, wSums, base []float64, capacity, beta float64, capable,
 			c1[s] = Clamp01(v / c1[s])
 		}
 	})
-	return mmax + 1 - m0, err
 }
 
 // walkBin1 turns c1, which holds the products of the bin-1 widths on

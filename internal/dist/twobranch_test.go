@@ -136,8 +136,8 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		}
 		p := make([]float64, len(rows))
 		for i, r := range rows {
-			k, err := NewTwoBranchKernel(r.players, capacity)
-			if err != nil {
+			k := new(TwoBranchKernel)
+			if err := k.Build(r.players, capacity); err != nil {
 				t.Fatal(err)
 			}
 			p[i] = k.Sum()
@@ -182,10 +182,11 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				mmax = m
 			}
 			got := append([]float64(nil), wProd...)
-			passes, err := sharedBin1Table(got, wSums, make([]float64, len(wSums)), capacity, beta, n, n)
+			work, err := sharedBin1Table(got, wSums, make([]float64, len(wSums)), capacity, beta, n, n)
 			if err != nil {
 				t.Fatal(err)
 			}
+			passes := int(work.Rebuilt >> uint(n))
 			skipped = skipped || passes < mmax
 			if trial == 4 && passes != mmax {
 				t.Fatalf("n=%d: a width just past t_1 ran %d of %d exponents", n, passes, mmax)
@@ -202,7 +203,7 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 					want[s] = 0
 				}
 			}
-			if err := RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
+			if _, err := RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
 				switch {
 				case want[s] == 0:
 				case tm[bits.OnesCount64(s)] >= wSums[s]:
@@ -256,7 +257,8 @@ func TestPairSumDeterminism(t *testing.T) {
 
 // TestTwoBranchKernelRefusals covers the kernel's input guards, among them
 // a ground set past the subset-table limit, refused before any table is
-// allocated.
+// allocated. A refusal between two builds of the same loads leaves nothing
+// to reuse: the second build redoes the first one's work.
 func TestTwoBranchKernelRefusals(t *testing.T) {
 	good := TwoBranch{Mass0: 0.5, Hi0: 1, Mass1: 0.5, Lo1: 0.25, Hi1: 1}
 	rows := []struct {
@@ -274,25 +276,68 @@ func TestTwoBranchKernelRefusals(t *testing.T) {
 		{"infinite interval", []TwoBranch{good, {Hi0: math.Inf(1), Mass0: 1}}, 1},
 		{"point load with mass", []TwoBranch{good, {Mass0: 0.5, Mass1: 0.5, Lo1: 0.5, Hi1: 1}}, 1},
 	}
-	for _, r := range rows {
-		if _, err := NewTwoBranchKernel(r.players, r.capacity); err == nil {
-			t.Errorf("%s: accepted", r.name)
-		}
-	}
-	k, err := NewTwoBranchKernel([]TwoBranch{good, good}, 1)
-	if err != nil {
+	var k TwoBranchKernel
+	if err := k.Build([]TwoBranch{good, good}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.SetMasses([]float64{1}, []float64{0, 1}); err == nil {
-		t.Error("SetMasses accepted one mass for two players")
+	work := k.Stats()
+	for _, r := range rows {
+		if err := k.Build(r.players, r.capacity); err == nil {
+			t.Errorf("%s: accepted", r.name)
+		}
+		if err := k.Build([]TwoBranch{good, good}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if k.Stats() != work {
+			t.Errorf("%s: the build after the refusal did %+v, want a whole build's %+v", r.name, k.Stats(), work)
+		}
 	}
+}
+
+// freshKernel is a new kernel built for the players.
+func freshKernel(t *testing.T, players []TwoBranch, capacity float64) *TwoBranchKernel {
+	t.Helper()
+	k := new(TwoBranchKernel)
+	if err := k.Build(players, capacity); err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// sameAsFresh requires k's sum to have a fresh kernel's bits for the
+// players, and k's work to be wantWork (a fresh kernel's when nil).
+func sameAsFresh(t *testing.T, what string, k *TwoBranchKernel, players []TwoBranch, capacity float64, wantWork *SubsetVolumeStats) {
+	t.Helper()
+	fresh := freshKernel(t, players, capacity)
+	if got, want := k.Sum(), fresh.Sum(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%s: kernel %v, fresh %v", what, got, want)
+	}
+	want := fresh.Stats()
+	if wantWork != nil {
+		want = *wantWork
+	}
+	if k.Stats() != want {
+		t.Errorf("%s: work %+v, want %+v", what, k.Stats(), want)
+	}
+}
+
+// reweighted returns the players with new masses: bin 0's halved, bin 1's
+// cut to a third.
+func reweighted(players []TwoBranch) []TwoBranch {
+	out := append([]TwoBranch(nil), players...)
+	for i := range out {
+		out[i].Mass0, out[i].Mass1 = out[i].Mass0/2, out[i].Mass1/3
+	}
+	return out
 }
 
 // TestTwoBranchKernelRebuildBitIdentical rebuilds one kernel through
 // oblivious players, a shared threshold, distinct thresholds, fewer players
 // and then more players than it has held, and requires each build's Sum
-// and work to equal a fresh kernel's bit for bit, before and after
-// SetMasses, so no table carries anything over from an earlier build.
+// and work to equal a fresh kernel's bit for bit, so no table carries
+// anything over from an earlier build. Each build is followed by one with
+// the same loads and new masses, which must also equal a fresh kernel's
+// sum while reporting no table work.
 func TestTwoBranchKernelRebuildBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
 	pis := func(n int) []float64 {
@@ -342,28 +387,75 @@ func TestTwoBranchKernelRebuildBitIdentical(t *testing.T) {
 		if err := k.Build(s.players, s.capacity); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		fresh, err := NewTwoBranchKernel(s.players, s.capacity)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		if got, want := k.Sum(), fresh.Sum(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: rebuilt %v, fresh %v", s.name, got, want)
-		}
-		if k.Stats() != fresh.Stats() {
-			t.Errorf("%s: rebuilt work %+v, fresh %+v", s.name, k.Stats(), fresh.Stats())
-		}
-		m0, m1 := make([]float64, len(s.players)), make([]float64, len(s.players))
-		for i, p := range s.players {
-			m0[i], m1[i] = p.Mass0/2, p.Mass1/3
-		}
-		if err := k.SetMasses(m0, m1); err != nil {
+		sameAsFresh(t, s.name, &k, s.players, s.capacity, nil)
+		players := reweighted(s.players)
+		if err := k.Build(players, s.capacity); err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.SetMasses(m0, m1); err != nil {
+		sameAsFresh(t, s.name+", new masses", &k, players, s.capacity, &SubsetVolumeStats{})
+	}
+}
+
+// TestTwoBranchKernelReuseKey changes one input of the reuse key at a
+// time, the capacity, one player's Hi0, Lo1 or Hi1 by an ulp, and the
+// player count, and requires each to rebuild with a fresh kernel's bits
+// and work. A build that fails after it has started writing the tables
+// (here the bin-0 ladder refusing a NaN width that Build would have
+// refused up front) leaves nothing to reuse: the same loads as before it
+// rebuild whole.
+func TestTwoBranchKernelReuseKey(t *testing.T) {
+	pi := []float64{0.5, 0.875, 0.75, 1, 0.625, 0.9375}
+	a := []float64{0.25, 0.5, 0.375, 0.625, 0.125, 0.5}
+	bumped := func(players []TwoBranch, f func(p *TwoBranch)) []TwoBranch {
+		out := append([]TwoBranch(nil), players...)
+		f(&out[2])
+		return out
+	}
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	for _, base := range [][]TwoBranch{
+		thresholdPlayers(a, pi),
+		thresholdPlayers([]float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, pi),
+		{{0.25, 0.5, 0.75, 0, 0.5}, {0.5, 1, 0.5, 0, 1}, {0.375, 0.75, 0.625, 0, 0.75}},
+	} {
+		const capacity = 2.0
+		rows := []struct {
+			name     string
+			players  []TwoBranch
+			capacity float64
+		}{
+			{"capacity", base, up(capacity)},
+			{"Hi0", bumped(base, func(p *TwoBranch) { p.Hi0 = up(p.Hi0) }), capacity},
+			{"Lo1", bumped(base, func(p *TwoBranch) { p.Lo1 = up(p.Lo1) }), capacity},
+			{"Hi1", bumped(base, func(p *TwoBranch) { p.Hi1 = up(p.Hi1) }), capacity},
+			{"player count", base[:len(base)-1], capacity},
+		}
+		for _, r := range rows {
+			var k TwoBranchKernel
+			if err := k.Build(base, capacity); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Build(r.players, r.capacity); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			sameAsFresh(t, "changed "+r.name, &k, r.players, r.capacity, nil)
+			if k.Stats() == (SubsetVolumeStats{}) {
+				t.Errorf("changed %s: no table work", r.name)
+			}
+		}
+		var k TwoBranchKernel
+		if err := k.Build(base, capacity); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := k.Sum(), fresh.Sum(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s, new masses: rebuilt %v, fresh %v", s.name, got, want)
+		broken := bumped(base, func(p *TwoBranch) { p.Hi0 = math.NaN() })
+		if err := k.buildTables(broken, capacity); err == nil {
+			t.Fatal("a NaN width built")
 		}
+		if k.whole {
+			t.Error("a failed build left its tables marked whole")
+		}
+		if err := k.Build(base, capacity); err != nil {
+			t.Fatal(err)
+		}
+		sameAsFresh(t, "after a failed build", &k, base, capacity, nil)
 	}
 }

@@ -71,13 +71,13 @@ type OptimizeResult struct {
 }
 
 // OptimizeCtx maximizes the family's winning probability over its parameter
-// box. Probes route through EvaluateWithCtx's memoizing path (on a
-// heterogeneous Exact/Auto instance with one set of exact tables per
-// search), so repeated points hit the memoization cache, concurrent
-// searches coalesce, and — when ctx carries an obs span — the search emits
-// the engine.optimize → engine.evaluate → backend.* trace tree. Scalar families
-// run grid-then-golden search; higher-dimensional families run coordinate
-// ascent followed by a Nelder-Mead polish, keeping the better optimum.
+// box. Probes route through EvaluateWithCtx's memoizing path (with one set
+// of exact tables per search), so repeated points hit the memoization
+// cache, concurrent searches coalesce, and — when ctx carries an obs span —
+// the search emits the engine.optimize → engine.evaluate → backend.* trace
+// tree. Scalar families run grid-then-golden search; higher-dimensional
+// families run coordinate ascent followed by a Nelder-Mead polish, keeping
+// the better optimum.
 //
 // Probe counts land in the optimize.evals / optimize.cache_hits counters.
 // A cancellable ctx bounds the search: once ctx expires, remaining probes
@@ -137,16 +137,12 @@ func (e *Engine) OptimizeCtx(ctx context.Context, inst Instance, fam RuleFamily,
 		}
 	}
 
-	// An Exact/Auto search on a heterogeneous instance keeps one set of
-	// exact tables for all of its probes (an α search builds its π-only CDF
-	// table once, a threshold or vector search rebuilds one kernel in
-	// place). Unlike pev's, these probes still go through the memo store
-	// and the singleflight: table-served values carry the one-shot bits, so
-	// the cache and the trajectory are those of one-shot probes.
-	var tables *exactTables
-	if (opts.Backend == Exact || opts.Backend == Auto) && inst.Heterogeneous() {
-		tables = new(exactTables)
-	}
+	// Every other probe builds into the search's one set of exact tables
+	// (an α search keeps its π-only CDF table, see exactTables). Unlike
+	// pev's, these probes still go through the memo store and the
+	// singleflight: table-served values carry the one-shot bits, so the
+	// cache and the trajectory are those of one-shot probes.
+	tables := new(exactTables)
 
 	best := OptimizeResult{Family: fam.Name(), Value: math.Inf(-1)}
 	var firstErr error

@@ -179,10 +179,7 @@ func (r Oblivious) exact(inst Instance, t *exactTables, o *obs.Observer) (float6
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
-	if inst.Heterogeneous() {
-		return t.oblivious(r.Alphas, inst, o)
-	}
-	return oblivious.WinningProbability(r.Alphas, inst.Delta)
+	return t.oblivious(r.Alphas, inst, o)
 }
 
 // DeterministicSplit is the deterministic oblivious vertex: the first K
@@ -317,10 +314,7 @@ func (r Threshold) exact(inst Instance, t *exactTables, o *obs.Observer) (float6
 	if err := r.check(inst); err != nil {
 		return 0, err
 	}
-	if inst.Heterogeneous() {
-		return t.threshold(r.Thresholds, inst, o)
-	}
-	return nonoblivious.WinningProbability(r.Thresholds, inst.Delta, o)
+	return t.threshold(r.Thresholds, inst, o)
 }
 
 // ---------------------------------------------------------------------------

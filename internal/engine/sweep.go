@@ -107,23 +107,13 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	// Qualifying sweeps (one shared heterogeneous instance, every rule an
-	// oblivious or threshold rule, exact backend) give each worker its own
-	// exact tables: an α sweep builds the instance's subset-CDF table once,
-	// and a threshold sweep rebuilds one kernel in place. Both are
-	// bit-identical to the one-shot path, so results memoize under the
-	// same keys.
-	useTables := sweepUsesTables(points, opts.Backend)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var tables *exactTables
-			if useTables {
-				tables = new(exactTables)
-			}
+			tables := new(exactTables) // this worker's, see exactTables
 			for {
 				if ctx.Err() != nil {
 					return

@@ -94,9 +94,6 @@ func TestSweepThresholdTablesMatchPointwise(t *testing.T) {
 		}
 		points = append(points, Point{Instance: inst, Rule: r})
 	}
-	if !sweepUsesTables(points, Exact) {
-		t.Fatal("the threshold sweep does not qualify for tables")
-	}
 	results, err := New(Config{}).Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -121,26 +118,10 @@ func TestSweepThresholdTablesMatchPointwise(t *testing.T) {
 // sweep's counters are the sum of its points' one-shot counters.
 func TestTableSweepCounters(t *testing.T) {
 	inst := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
-	counters := func(points []Point) map[string]int64 {
+	check := func(what string, got, want [3]int64) {
 		t.Helper()
-		reg := obs.NewRegistry()
-		e := New(Config{Obs: obs.New(reg, nil)})
-		if _, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		return map[string]int64{
-			"exact.subsets":           snap.Counters["exact.subsets"],
-			"exact.steps.incremental": snap.Counters["exact.steps.incremental"],
-			"exact.steps.rebuilt":     snap.Counters["exact.steps.rebuilt"],
-		}
-	}
-	check := func(what string, got, want map[string]int64) {
-		t.Helper()
-		for name, v := range want {
-			if got[name] != v {
-				t.Errorf("%s: counter %s = %d, want %d", what, name, got[name], v)
-			}
+		if got != want {
+			t.Errorf("%s: subsets, incremental and rebuilt steps %v, want %v", what, got, want)
 		}
 	}
 	var alpha, beta []Point
@@ -148,24 +129,98 @@ func TestTableSweepCounters(t *testing.T) {
 		alpha = append(alpha, Point{Instance: inst, Rule: SymmetricOblivious{A: x}})
 		beta = append(beta, Point{Instance: inst, Rule: SymmetricThreshold{Beta: x}})
 	}
-	check("α sweep", counters(alpha), map[string]int64{
-		"exact.subsets":           64,
-		"exact.steps.incremental": 6*64 + 36*32,
-		"exact.steps.rebuilt":     0,
-	})
-	oneShots := map[string]int64{}
+	check("α sweep", exactWork(t, alpha), [3]int64{64, 6*64 + 36*32, 0})
+	var oneShots [3]int64
 	for _, pt := range beta {
-		for name, v := range counters([]Point{pt}) {
-			oneShots[name] += v
+		for j, v := range exactWork(t, []Point{pt}) {
+			oneShots[j] += v
 		}
 	}
-	got := counters(beta)
+	got := exactWork(t, beta)
 	check("threshold sweep against its one-shots", got, oneShots)
-	check("threshold sweep", got, map[string]int64{
-		"exact.subsets":           384,
-		"exact.steps.incremental": 6336,
-		"exact.steps.rebuilt":     576,
-	})
+	check("threshold sweep", got, [3]int64{384, 6336, 576})
+}
+
+// exactWork returns the exact.* counters of a one-worker Exact sweep of
+// the points on a fresh engine: subsets, incremental and rebuilt steps.
+func exactWork(t *testing.T, points []Point) [3]int64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	e := New(Config{Obs: obs.New(reg, nil)})
+	if _, err := e.Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	return [3]int64{snap.Counters["exact.subsets"], snap.Counters["exact.steps.incremental"], snap.Counters["exact.steps.rebuilt"]}
+}
+
+// TestSweepMixedInstancesOneKernel runs one sweep worker over points on
+// two heterogeneous instances and a homogeneous one, with α, β and
+// threshold-vector rules interleaved. Every value must equal the point's
+// lone evaluation bit for bit. The worker's one kernel decides what each
+// point rebuilds: an α point right after an α point on the same
+// instance (homogeneous points in between touch no table) records no
+// table work, and every other point records its lone evaluation's full
+// build.
+func TestSweepMixedInstancesOneKernel(t *testing.T) {
+	a := mustInstancePi(t, 5, 1.75, []float64{0.5, 0.875, 0.75, 1, 0.625})
+	b := mustInstancePi(t, 5, 1.5, []float64{0.75, 0.5, 1, 0.875, 0.625})
+	hom := Instance{N: 5, Delta: 1.75}
+	steps := []struct {
+		inst  Instance
+		rule  Rule
+		reuse bool
+	}{
+		{a, SymmetricOblivious{A: 0.3}, false},
+		{a, SymmetricOblivious{A: 0.6}, true},
+		{a, SymmetricThreshold{Beta: 0.4}, false},
+		{a, SymmetricOblivious{A: 0.5}, false},
+		{hom, SymmetricOblivious{A: 0.5}, false},
+		{hom, Threshold{Thresholds: []float64{0.5, 0.25, 0.75, 0.5, 0.625}}, false},
+		{a, Oblivious{Alphas: []float64{0.1, 0.9, 0.4, 0.6, 0.5}}, true},
+		{b, SymmetricOblivious{A: 0.5}, false},
+		{b, Threshold{Thresholds: []float64{0.5, 0.25, 0.75, 0.5, 0.625}}, false},
+		{b, SymmetricThreshold{Beta: 0.4}, false},
+		{b, DeterministicSplit{K: 2}, false},
+		{b, SymmetricOblivious{A: 0.25}, true},
+		{a, SymmetricOblivious{A: 0.7}, false},
+		{a, SymmetricThreshold{Beta: 0.55}, false},
+	}
+	points := make([]Point, len(steps))
+	for i, s := range steps {
+		points[i] = Point{Instance: s.inst, Rule: s.rule}
+	}
+	results, err := New(Config{}).Sweep(context.Background(), points, SweepOptions{Backend: Exact, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := [3]int64{}
+	for i, pt := range points {
+		lone, err := New(Config{}).EvaluateWithCtx(context.Background(), pt.Instance, pt.Rule, Exact, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(results[i].P) != math.Float64bits(lone.P) {
+			t.Errorf("point %d (%s): sweep %v, lone evaluation %v", i, pt.Rule.Name(), results[i].P, lone.P)
+		}
+		// The point's work is what the sweep up to it adds.
+		upTo := exactWork(t, points[:i+1])
+		var got [3]int64
+		for j := range got {
+			got[j] = upTo[j] - prev[j]
+		}
+		prev = upTo
+		want := exactWork(t, points[i:i+1])
+		if steps[i].reuse {
+			want = [3]int64{}
+		}
+		if got != want {
+			t.Errorf("point %d (%s): table work %v, want %v", i, pt.Rule.Name(), got, want)
+		}
+		if pt.Instance.Heterogeneous() && !steps[i].reuse && got == ([3]int64{}) {
+			t.Errorf("point %d (%s): no table work", i, pt.Rule.Name())
+		}
+	}
 }
 
 // TestTablesUnderExpiringDeadline runs a heterogeneous threshold sweep and
@@ -219,5 +274,25 @@ func TestTablesUnderExpiringDeadline(t *testing.T) {
 		if got.P != want {
 			t.Errorf("point %d (%s, cached %v): %v, one-shot %v", i, pt.Rule.Name(), got.Cached, got.P, want)
 		}
+	}
+}
+
+// TestTableServedAlphaPointAllocs pins an α point served from a kept CDF
+// table at zero allocations: the kernel re-weights its mass tables in
+// place and the players live on the stack.
+func TestTableServedAlphaPointAllocs(t *testing.T) {
+	inst := pinInstance(5, 10)
+	tables := new(exactTables)
+	alphas := repeated(0.5, inst.N)
+	if _, err := tables.oblivious(alphas, inst, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		alphas[0] = 1 - alphas[0]
+		if _, err := tables.oblivious(alphas, inst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("table-served α point: %v allocs, want 0", got)
 	}
 }

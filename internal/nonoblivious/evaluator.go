@@ -29,6 +29,8 @@ type EvalStats struct {
 	// DeltaSubsets is the number of subset terms those probes covered
 	// (2^(n-1) each — the subsets of the frozen coordinates).
 	DeltaSubsets uint64
+	// Table is the work of the last full rebuild's N₀ and N₁ tables.
+	Table dist.SubsetVolumeStats
 }
 
 // Evaluator is a reusable Theorem 5.1 evaluator for homogeneous-input
@@ -222,7 +224,8 @@ func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 }
 
 func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
-	if _, _, err := dist.AllSubsetVolumes(ev.vol, thresholds, ev.capacity, ev.scratch); err != nil {
+	_, n0, err := dist.AllSubsetVolumes(ev.vol, thresholds, ev.capacity, ev.scratch)
+	if err != nil {
 		return 0, err
 	}
 	copy(ev.a, thresholds)
@@ -241,7 +244,8 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := ev.bin1Passes(gap, prod, ev.scratch[2*size:]); err != nil {
+	n1, err := ev.bin1Passes(gap, prod, ev.scratch[2*size:])
+	if err != nil {
 		return 0, err
 	}
 	// Theorem 5.1 is Σ_s N₀[full∖s]·N₁[s]: the kernel's pair sum with N₀
@@ -253,6 +257,7 @@ func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
 	ev.value = dist.Clamp01(dist.PairSum(ev.vol, ev.n1, ones, ones, ev.partial))
 	ev.built = true
 	ev.prof.coord = -1
+	ev.stats.Table = n0.Add(n1)
 	ev.stats.FullRebuilds++
 	ev.stats.Evaluations++
 	return ev.value, nil
@@ -326,8 +331,8 @@ func (ev *Evaluator) EvaluateVector(x []float64) (float64, error) {
 // is ≤ 0: those exponents' bases are all zero and the ladder skips them
 // (bin1From), leaving N₁[O] = Π(1−a_i), the same bits the pass would give.
 // gap holds |J| − σ_J a, prod the subset products of 1−a, and base is
-// 2^n-entry scratch.
-func (ev *Evaluator) bin1Passes(gap, prod, base []float64) error {
+// 2^n-entry scratch. It returns the ladder's work.
+func (ev *Evaluator) bin1Passes(gap, prod, base []float64) (dist.SubsetVolumeStats, error) {
 	ev.n1[0] = 1
 	return dist.RadixLadder(gap, ev.shift, base, ev.n, ev.bin1From, func(mask uint64, v float64) {
 		v = prod[mask] - v

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/combin"
+	"repro/internal/dist"
 	"repro/internal/poly"
 	"repro/internal/problem"
 )
@@ -232,5 +234,68 @@ func TestExactSymmetricAgreementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeneralPathPastTheSupport pins the homogeneous general path on
+// equal-threshold instances where every bin-0 box fits under δ (n·a < δ).
+// There dist.AllSubsetVolumes, which clamps only below, returns N₀ cells
+// above their box volume Π a, and the evaluator uses those raw volumes.
+// The pins are the errors measured when this test was written, rounded up
+// to two digits: the distance to the rational oracle (CertifyThresholds,
+// exact at the float thresholds) and the largest N₀ overshoot
+// vol/Πa − 1. The symmetric
+// Irwin–Hall ladder stays within 3e-17 of the oracle on the same
+// instances, so the general path's error is its own.
+func TestGeneralPathPastTheSupport(t *testing.T) {
+	for _, c := range []struct {
+		n                    int
+		a, capacity          float64
+		maxErr, maxOvershoot float64
+	}{
+		{9, 2.0 / 7, 3, 2.7e-13, 1.7e-11},
+		{9, 2.0 / 7, 2.75, 3.4e-13, 1.3e-11},
+		{8, 0.3, 2.5, 7.9e-14, 0},
+		{10, 0.25, 3, 1.4e-13, 2.9e-14},
+		{10, 0.2, 2.2, 3.6e-12, 7.1e-11},
+	} {
+		a := make([]float64, c.n)
+		for i := range a {
+			a[i] = c.a
+		}
+		p, err := WinningProbability(a, c.capacity, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, _, err := CertifyThresholds(a, nil, c.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym, err := SymmetricWinningProbability(c.n, c.capacity, c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol, _, err := dist.AllSubsetVolumes(nil, a, c.capacity, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		box, err := combin.SubsetProducts(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overshoot := 0.0
+		for mask, v := range vol {
+			overshoot = math.Max(overshoot, v/box[mask]-1)
+		}
+		t.Logf("n=%d a=%v δ=%v: error %.3g, overshoot %.3g, symmetric %.3g", c.n, c.a, c.capacity, math.Abs(p-exact), overshoot, math.Abs(sym-exact))
+		if e := math.Abs(p - exact); e > c.maxErr {
+			t.Errorf("n=%d a=%v δ=%v: general path off the oracle by %.2g, pinned %.2g", c.n, c.a, c.capacity, e, c.maxErr)
+		}
+		if overshoot > c.maxOvershoot {
+			t.Errorf("n=%d a=%v δ=%v: N₀ overshoot %.2g, pinned %.2g", c.n, c.a, c.capacity, overshoot, c.maxOvershoot)
+		}
+		if e := math.Abs(sym - exact); e > 3e-17 {
+			t.Errorf("n=%d a=%v δ=%v: symmetric ladder off the oracle by %.2g", c.n, c.a, c.capacity, e)
+		}
 	}
 }

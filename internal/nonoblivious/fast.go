@@ -29,14 +29,7 @@ import (
 // what lets MaxNGeneral sit at 20 instead of the old Θ(3^n) limit of 15
 // (its accuracy at that size: see MaxNGeneral).
 func WinningProbability(thresholds []float64, capacity float64, o *obs.Observer) (float64, error) {
-	n := len(thresholds)
-	if err := checkGeneral(n, capacity); err != nil {
-		return 0, err
-	}
-	if err := checkThresholds(thresholds); err != nil {
-		return 0, err
-	}
-	ev, err := NewEvaluator(n, capacity)
+	ev, err := NewEvaluator(len(thresholds), capacity)
 	if err != nil {
 		return 0, err
 	}
@@ -44,18 +37,7 @@ func WinningProbability(thresholds []float64, capacity float64, o *obs.Observer)
 	if err != nil {
 		return 0, err
 	}
-	// One build of each table: per exponent, the N₀ ladder's 2^n power
-	// updates and both tables' n·2^(n-1) zeta additions are incremental
-	// and the N₁ base's 2^n cells are rebuilt. The N₁ side runs only the
-	// exponents m > δ (Evaluator.bin1Passes).
-	size := uint64(1) << uint(n)
-	passes := uint64(n + 1 - ev.bin1From)
-	stats := dist.SubsetVolumeStats{
-		Subsets:     2 * size,
-		Incremental: uint64(n)*size + uint64(n)*uint64(n)*size/2 + passes*uint64(n)*size/2,
-		Rebuilt:     passes * size,
-	}
-	stats.Record(o)
+	ev.stats.Table.Record(o)
 	return p, nil
 }
 

@@ -39,10 +39,11 @@ func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Obs
 }
 
 // WinningProbabilityPiInto is WinningProbabilityPi built into the caller's
-// kernel k, whose tables it overwrites: a search or a sweep that keeps one
-// kernel allocates its tables once. The value has the bits of
-// WinningProbabilityPi whatever k held, and the observer receives the work
-// of this one build. Homogeneous and refused inputs leave k untouched.
+// kernel k: a search or a sweep that keeps one kernel allocates its tables
+// once, and k rebuilds only what the loads change (dist.TwoBranchKernel.Build).
+// The value has the bits of WinningProbabilityPi whatever k held, and the
+// observer receives the table work of this build. Homogeneous inputs leave
+// k untouched.
 func WinningProbabilityPiInto(k *dist.TwoBranchKernel, thresholds, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	n := len(thresholds)
 	if n < 2 {
@@ -72,7 +73,8 @@ func WinningProbabilityPiInto(k *dist.TwoBranchKernel, thresholds, pi []float64,
 	if err := checkThresholds(thresholds); err != nil {
 		return 0, err
 	}
-	players := make([]dist.TwoBranch, n)
+	var buf [MaxNHetero]dist.TwoBranch
+	players := buf[:n]
 	for i, a := range thresholds {
 		w := pi[i]
 		c := math.Min(a, w)

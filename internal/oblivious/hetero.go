@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/problem"
 )
 
 // MaxNHetero bounds the player count for heterogeneous-input evaluation.
@@ -28,36 +29,57 @@ const MaxNHetero = 20
 //	P = Σ_S Π_{i∈S}(1-α_i) · Π_{i∉S}α_i · F_{Sᶜ}(δ) · F_S(δ),
 //
 // where S is the bin-1 set and F_T is the Lemma 2.4 CDF of Σ_{i∈T} x_i
-// (F_∅ ≡ 1). It is a one-shot Evaluator: dist.TwoBranchKernel with both
-// of player i's loads uniform on [0, π_i], whose one CDF table serves both
-// bins.
+// (F_∅ ≡ 1): dist.TwoBranchKernel with both of player i's loads uniform on
+// [0, π_i], whose one CDF table serves both bins. It is
+// WinningProbabilityPiInto with a fresh kernel.
 func WinningProbabilityPi(alphas, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
+	return WinningProbabilityPiInto(new(dist.TwoBranchKernel), alphas, pi, capacity, o)
+}
+
+// WinningProbabilityPiInto is WinningProbabilityPi built into the caller's
+// kernel k. The CDF table depends only on π and δ, so k keeps it across
+// calls on one instance and rebuilds only the mass tables
+// (dist.TwoBranchKernel.Build). The value has the bits of
+// WinningProbabilityPi whatever k held, and the observer receives the
+// table work of this build: none when k kept its table. Homogeneous
+// inputs leave k untouched.
+func WinningProbabilityPiInto(k *dist.TwoBranchKernel, alphas, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	if err := validateAlphas(alphas); err != nil {
 		return 0, err
 	}
-	if len(pi) > 0 && len(pi) != len(alphas) {
-		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), len(alphas))
+	n := len(alphas)
+	if len(pi) > 0 && len(pi) != n {
+		return 0, fmt.Errorf("oblivious: %d input ranges for %d players", len(pi), n)
 	}
-	hetero := false
-	for _, w := range pi {
-		if w != 1 {
-			hetero = true
-			break
-		}
-	}
-	if !hetero {
+	if !heterogeneous(pi) {
 		return WinningProbability(alphas, capacity)
 	}
-	ev, err := NewEvaluator(pi, capacity, 1)
-	if err != nil {
+	if n > MaxNHetero {
+		return 0, problem.PlayerCapError("oblivious: heterogeneous evaluation limited to %d players, got %d", MaxNHetero, n)
+	}
+	var buf [MaxNHetero]dist.TwoBranch
+	players := buf[:n]
+	for i, w := range pi {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return 0, fmt.Errorf("oblivious: input range π[%d] = %v must be strictly positive and finite", i, w)
+		}
+		players[i] = dist.TwoBranch{Mass0: alphas[i], Hi0: w, Mass1: 1 - alphas[i], Hi1: w}
+	}
+	if err := k.Build(players, capacity); err != nil {
 		return 0, err
 	}
-	p, err := ev.Evaluate(alphas)
-	if err != nil {
-		return 0, err
+	k.Stats().Record(o)
+	return k.Sum(), nil
+}
+
+// heterogeneous reports whether some input range differs from 1.
+func heterogeneous(pi []float64) bool {
+	for _, w := range pi {
+		if w != 1 {
+			return true
+		}
 	}
-	ev.stats.Table.Record(o)
-	return p, nil
+	return false
 }
 
 // ExactErrorBound is the documented absolute-error bound of the float64
