@@ -113,7 +113,7 @@ func (e *Engine) sweepInto(ctx context.Context, points []Point, results []Result
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables := new(exactTables) // this worker's, see exactTables
+			tables := new(exactTables) // owned by this worker
 			for {
 				if ctx.Err() != nil {
 					return
