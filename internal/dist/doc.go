@@ -9,12 +9,12 @@
 //   - AllSubsetVolumes: the Proposition 2.2 box-simplex volume of every
 //     subset of a set of widths at one shared threshold, in float64; the
 //     volume of a subset divided by the product of its widths is the
-//     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i]. RadixLadder is the same
-//     table kernel for sums whose radix shifts with the exponent.
+//     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i].
 //   - TwoBranchKernel: the float winning probability of Theorems 4.1 and
-//     5.1 on heterogeneous inputs, each player a uniform load into bin 0
-//     or bin 1 with some mass: mass products times one subset-CDF table
-//     per bin, added by PairSum, the one chunked pair sum.
+//     5.1, on homogeneous and heterogeneous inputs, each player a uniform
+//     load into bin 0 or bin 1 with some mass: mass products times one
+//     subset-CDF table per bin (for Theorem 5.1 on U[0, 1] inputs, the
+//     raw N₀ and N₁ volumes), added by one chunked pair sum.
 //   - CDFRat: Lemma 2.4 in exact rationals, summed over multiplicities of
 //     equal widths, the oracle the float tables and the certified
 //     computations are checked against. At unit widths it is Corollary
@@ -31,5 +31,5 @@
 //
 // Lemma 2.7 (x_i ~ U[π_i, 1]) needs no kernel of its own: the substitution
 // x'_i = 1 − x_i turns it into Lemma 2.4 at the complement, which is how
-// the non-oblivious evaluators take it.
+// TwoBranchKernel builds N₁ for homogeneous threshold players.
 package dist

@@ -10,7 +10,7 @@ import (
 )
 
 // SubsetVolumeStats counts the work of subset-table builds
-// (AllSubsetVolumes, RadixLadder), for the exact backend's observability
+// (AllSubsetVolumes, radixLadder), for the exact backend's observability
 // counters.
 type SubsetVolumeStats struct {
 	// Subsets is the number of subset cells produced (2^n).
@@ -146,7 +146,7 @@ func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 	return nil
 }
 
-// RadixLadder is the rebuilt-base twin of volumeLadder, for
+// radixLadder is the rebuilt-base twin of volumeLadder, for
 // inclusion-exclusion sums whose radix shifts with the exponent. For every
 // exponent m = m0, …, len(t)−1 it fills the signed base table
 //
@@ -162,7 +162,7 @@ func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 // each of their entries (the sum of an all-zero base). It returns the work
 // of the passes it ran: the 2^n subsets, and per pass 2^n rebuilt base
 // cells and n·2^(n-1) zeta additions.
-func RadixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) (SubsetVolumeStats, error) {
+func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) (SubsetVolumeStats, error) {
 	size := uint64(1) << uint(n)
 	stats := SubsetVolumeStats{Subsets: size}
 	for m := 1; m < len(t); m++ {

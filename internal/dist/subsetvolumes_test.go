@@ -179,7 +179,7 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 	}
 }
 
-// TestRadixLadderFromMatchesFullLadder runs RadixLadder from every first
+// TestRadixLadderFromMatchesFullLadder runs radixLadder from every first
 // exponent m0 on seeded offsets and radii: each cell of an exponent ≥ m0
 // gets the full ladder's bits, each cell of a skipped exponent gets 0,
 // every cell with 1 ≤ |O| < len(t) is emitted exactly once, and the
@@ -199,7 +199,7 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 		ladder := func(m0 int) ([]float64, []int) {
 			out := make([]float64, size)
 			seen := make([]int, size)
-			work, err := RadixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
+			work, err := radixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
 				out[mask] = v
 				seen[mask]++
 			})

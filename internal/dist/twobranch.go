@@ -34,8 +34,13 @@ type TwoBranch struct {
 // players allow:
 //
 //   - zero shifts and the bin-0 widths (oblivious players): C₁ is C₀;
+//   - threshold players of unit density that share one right end h
+//     (Theorem 5.1 on U[0, 1] inputs, h = 1): the weights are the raw
+//     volumes N₀ and N₁ and both CDF tables are all ones, with N₁ from
+//     complementVolumes, one radixLadder pass per cardinality,
+//     O(n²·2^n);
 //   - one shift β shared by every player whose bin-1 interval has width:
-//     sharedBin1Table, one RadixLadder pass per cardinality, O(n²·2^n);
+//     sharedBin1Table, one radixLadder pass per cardinality, O(n²·2^n);
 //   - otherwise walkBin1, the tailVolumeDFS walk of each set that can
 //     carry mass (worst case Θ(3^n), heavily cut by its guards).
 //
@@ -48,29 +53,31 @@ type TwoBranchKernel struct {
 	n        int
 	capacity float64   // δ of the CDF tables
 	whole    bool      // c0 and c1 are whole for the loads in cols at capacity
+	volumes  bool      // w0 and w1 hold the raw N₀ and N₁, c0 and c1 ones
 	slab     []float64 // the four 2^n-entry tables below, back to back
-	w0, w1   []float64 // mass products over each subset
+	w0, w1   []float64 // mass products (or raw volumes) over each subset
 	c0, c1   []float64 // CDFs of each subset; c1 is c0 for oblivious players
 	// The players' columns: the loads Hi0, Lo1, Hi1 and the bin-1 width,
 	// then the masses Mass0 and Mass1.
 	cols    []float64
-	partial []float64 // PairSum's chunk totals
+	partial []float64 // pairSum's chunk totals
 	stats   SubsetVolumeStats
 }
 
 // Build loads the players at capacity δ. When their load intervals and δ
-// are bit-equal (math.Float64bits) to those of the last whole build, it
-// keeps the CDF tables and rebuilds only the two mass tables, and Stats
-// then reports no table work. Any other input rebuilds every table in
-// place, each written whole, so the bits never depend on what the kernel
-// held. It refuses more than combin.MaxSubsetTable players, a capacity
-// that is not positive and finite, an interval that is not
+// are bit-equal (math.Float64bits) to those of the last whole build, and
+// they take the same strategy, it keeps the CDF tables and rebuilds only
+// the two mass tables (none for unit-density threshold players), and
+// Stats then reports no table work. Any other input rebuilds every table
+// in place, each written whole, so the bits never depend on what the
+// kernel held. It refuses more than combin.MaxSubsetTable players, a
+// capacity that is not positive and finite, an interval that is not
 // 0 ≤ Lo1 ≤ Hi1 < ∞ or 0 ≤ Hi0 < ∞, and a point branch with mass. A
 // refused build writes no table, and neither it nor a build that fails
 // part-way leaves tables to reuse. The kernel keeps one slab of four
 // 2^n-entry tables, the bin-0 ladder's output and its three scratch
-// tables, which then hold the mass tables and C₁; it grows the slab only
-// for more players than it has held.
+// tables, which then hold the other tables; it grows the slab only for
+// more players than it has held.
 func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 	if err := checkTwoBranch(players, capacity); err != nil {
 		k.whole = false
@@ -80,6 +87,9 @@ func (k *TwoBranchKernel) Build(players []TwoBranch, capacity float64) error {
 		k.stats = SubsetVolumeStats{}
 	} else if err := k.buildTables(players, capacity); err != nil {
 		return err
+	}
+	if k.volumes {
+		return nil
 	}
 	return k.setMasses(players)
 }
@@ -104,11 +114,12 @@ func checkTwoBranch(players []TwoBranch, capacity float64) error {
 	return nil
 }
 
-// holds reports whether the CDF tables are whole for the players' load
-// intervals at capacity δ, comparing bits.
+// holds reports whether the tables are whole for the players' load
+// intervals at capacity δ, comparing bits, and built with the strategy
+// the players take.
 func (k *TwoBranchKernel) holds(players []TwoBranch, capacity float64) bool {
 	n := len(players)
-	if !k.whole || n != k.n || !sameBits(capacity, k.capacity) {
+	if !k.whole || n != k.n || !sameBits(capacity, k.capacity) || k.volumes != rawVolumes(players) {
 		return false
 	}
 	hi0, lo1, hi1 := k.cols[:n], k.cols[n:2*n], k.cols[2*n:3*n]
@@ -154,6 +165,13 @@ func (k *TwoBranchKernel) buildTables(players []TwoBranch, capacity float64) err
 		return err
 	}
 	k.stats = stats
+	if k.volumes = rawVolumes(players); k.volumes {
+		if err := k.complementVolumes(vol, lo1, width, hi1[0]); err != nil {
+			return err
+		}
+		k.whole = true
+		return nil
+	}
 	box, err := combin.SubsetProducts(scratch[:size], hi0)
 	if err != nil {
 		return err
@@ -190,6 +208,73 @@ func (k *TwoBranchKernel) buildTables(players []TwoBranch, capacity float64) err
 	return nil
 }
 
+// rawVolumes reports whether the players take the raw-volume strategy:
+// every one a threshold player (Lo1 = Hi0) of unit density (Mass0 = Hi0,
+// Mass1 = Hi1 − Lo1) whose bin-1 interval ends at the same h > 0 (which
+// leaves out oblivious players). Each mass is then its load's width.
+func rawVolumes(players []TwoBranch) bool {
+	if len(players) == 0 || !(players[0].Hi1 > 0) {
+		return false
+	}
+	h := players[0].Hi1
+	for _, p := range players {
+		if p.Lo1 != p.Hi0 || p.Mass0 != p.Hi0 || p.Mass1 != p.Hi1-p.Lo1 || p.Hi1 != h {
+			return false
+		}
+	}
+	return true
+}
+
+// complementVolumes makes the weights the raw Theorem 5.1 volumes of
+// unit-density threshold players with bin-1 intervals [lo_i, h], against
+// all-ones CDF tables: N₀ is vol, and N₁ the Lemma 2.7 tail, clamped
+// below at 0,
+//
+//	N₁[S] = Π_S(h − lo_i) − (1/m!) Σ_{J⊆S} (−1)^{|J|} ((m·h − δ) − (|J|·h − σ_J lo))_+^m,
+//
+// m = |S|. The radix depends on J only through |J| and σ_J lo, so one
+// radixLadder pass per exponent gives every |S| = m entry. An exponent
+// whose m·h − δ exceeds no offset |J|·h − σ_J lo (h = 1: m ≤ δ) has no
+// positive radix, and the ladder skips it with the bits of a pass.
+// N₁ is built in place over the box volumes, and the offsets become the
+// ones.
+func (k *TwoBranchKernel) complementVolumes(vol, lo, width []float64, h float64) error {
+	n, size := k.n, len(vol)
+	sub, err := combin.SubsetSums(k.slab[size:2*size:2*size], lo)
+	if err != nil {
+		return err
+	}
+	least := 0.0
+	for s, v := range sub {
+		sub[s] = float64(bits.OnesCount64(uint64(s)))*h - v
+		least = min(least, sub[s])
+	}
+	n1, err := combin.SubsetProducts(k.slab[2*size:3*size:3*size], width)
+	if err != nil {
+		return err
+	}
+	var radix [combin.MaxSubsetTable + 1]float64
+	t, m0 := radix[:n+1], n+1
+	for m := n; m >= 1; m-- {
+		t[m] = float64(m)*h - k.capacity
+		if t[m] > least {
+			m0 = m
+		}
+	}
+	ladder, err := radixLadder(sub, t, k.slab[3*size:], n, m0, func(s uint64, v float64) {
+		n1[s] = max(n1[s]-v, 0)
+	})
+	if err != nil {
+		return err
+	}
+	k.stats = k.stats.Add(ladder)
+	for s := range sub {
+		sub[s] = 1
+	}
+	k.w0, k.w1, k.c0, k.c1 = vol, n1, sub, sub
+	return nil
+}
+
 // grow returns s resliced to n entries, reallocated only when its capacity
 // is short. The entries are not cleared.
 func grow(s []float64, n int) []float64 {
@@ -217,20 +302,26 @@ func (k *TwoBranchKernel) setMasses(players []TwoBranch) error {
 // Sum returns the winning probability at the current masses, clamped into
 // [0, 1].
 func (k *TwoBranchKernel) Sum() float64 {
-	return Clamp01(PairSum(k.w0, k.w1, k.c0, k.c1, k.partial))
+	return Clamp01(pairSum(k.w0, k.w1, k.c0, k.c1, k.partial))
 }
+
+// Weights returns the pair sum's two weight tables, indexed by the bin-0
+// and the bin-1 set: the mass products W₀ and W₁, or for unit-density
+// threshold players the raw volumes N₀ and N₁. They are the kernel's own:
+// read them only, and only until the next Build.
+func (k *TwoBranchKernel) Weights() (w0, w1 []float64) { return k.w0, k.w1 }
 
 // Stats returns the work of the kernel's CDF tables.
 func (k *TwoBranchKernel) Stats() SubsetVolumeStats { return k.stats }
 
-// PairSum returns Σ_S ((w0[Sᶜ]·w1[S])·c0[Sᶜ])·c1[S] over the subsets S of
+// pairSum returns Σ_S ((w0[Sᶜ]·w1[S])·c0[Sᶜ])·c1[S] over the subsets S of
 // a ground set of n elements, given four 2^n-entry tables. The masks run
 // in increasing order through the fixed combin.ChunkSpan grid: each chunk
 // is Neumaier-summed into partial, which must hold the grid's chunks, and
 // combin.ReducePartials combines them. The grid and the reduction order
 // depend only on n, so they fix the bits. A pair with w0[Sᶜ]·w1[S] = 0 is
 // skipped, which gives the bits of adding its zero.
-func PairSum(w0, w1, c0, c1, partial []float64) float64 {
+func pairSum(w0, w1, c0, c1, partial []float64) float64 {
 	size := uint64(len(w0))
 	full := size - 1
 	span, chunks := combin.ChunkSpan(size)
@@ -291,7 +382,7 @@ func sharedThreshold(shifts []float64, point uint64) (float64, bool) {
 // on entry, into the bin-1 CDFs at threshold δ − β·|S| of the sets S of a
 // game whose capable players (those with bin-1 width) share the shift β,
 // and returns the work of the ladder passes it ran. The radix
-// δ − β·|S| − σ_J w depends on S only through m = |S|, so one RadixLadder
+// δ − β·|S| − σ_J w depends on S only through m = |S|, so one radixLadder
 // pass per exponent gives every volume. Only cardinalities up to mmax
 // have mass: no more than the capable players, and with t_m (δ minus m
 // β's summed in order) positive; larger sets get 0. A set whose whole
@@ -315,7 +406,7 @@ func sharedBin1Table(c1, wSums, base []float64, capacity, beta float64, capable,
 			m0 = m
 		}
 	}
-	return RadixLadder(wSums, t, base[:len(wSums)], n, m0, func(s uint64, v float64) {
+	return radixLadder(wSums, t, base[:len(wSums)], n, m0, func(s uint64, v float64) {
 		switch {
 		case c1[s] == 0: // a point player
 		case t[bits.OnesCount64(s)] >= wSums[s]:

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -96,6 +97,21 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 // rows' counters are those the per-class threshold π evaluator recorded on
 // the same instances before this kernel replaced it, so the kernel does no
 // more work. The shared and walked values agree within 1e-12.
+//
+// Threshold players on U[0, 1] inputs (π ≡ 1) with distinct thresholds,
+// equal ones, and equal ones with a player at 0 and one at 1 take the
+// raw-volume strategy: the bin-0 table plus one ladder pass per exponent
+// m > δ. Their values and work are pinned to those of the separate
+// homogeneous evaluator this strategy replaced. Oblivious players at
+// α_i = π_i = ½ also have unit density and share the right end ½, and
+// keep the c₁ = c₀ path's pinned bits. A one-ulp change to one player's
+// Hi1 or Mass1, built into a kernel that held the raw volumes for the
+// same loads, falls back to the shared-β (equal thresholds) or the walk
+// (distinct) strategy with a fresh kernel's bits and work, and within
+// 1e-10 of the raw volumes' value, also for a right end h = ¾. (The raw
+// N₁ is a product minus an alternating tail and cancels: at n = 13 with
+// equal thresholds it is 2.8e-11 off the symmetric ladder, the shared-β
+// table 1.6e-13.)
 func TestSharedThresholdPathSelection(t *testing.T) {
 	// Subsets, incremental and rebuilt steps: shared β, nudged β, zeroed.
 	thresholdWork := map[int][3]SubsetVolumeStats{
@@ -103,6 +119,13 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		7:  {{256, 5376, 384}, {128, 4032, 456}, {128, 4032, 415}},
 		10: {{2048, 81920, 4096}, {1024, 61440, 11346}, {1024, 61440, 9778}},
 		13: {{16384, 1064960, 40960}, {8192, 798720, 257409}, {8192, 798720, 199478}},
+	}
+	// Bits of π ≡ 1 distinct, equal and edge thresholds, then oblivious ½.
+	pinnedBits := map[int][4]uint64{
+		4:  {0x3fde715905447a37, 0x3fd6a10770440b76, 0x3fdee6c4179ae797, 0x3fef61f9add3c0d0},
+		7:  {0x3fe01fa8983159d8, 0x3fd54a7325abd5f8, 0x3fdba3bd0fce0418, 0x3feff0b1aca4188e},
+		10: {0x3fe047bfaa3ec202, 0x3fd30a2a1be676e4, 0x3fd83907d6d6b9f7, 0x3feffe6e5ac7c525},
+		13: {0x3fe04a8125b7c34b, 0x3fd151a1b6f83272, 0x3fd59f169877e4c7, 0x3fefffd53d3e12e0},
 	}
 	rng := rand.New(rand.NewPCG(20, 4))
 	for n := 4; n <= maxThresholdPi; n += 3 {
@@ -120,10 +143,26 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		zeroed := append([]float64(nil), shared...)
 		zeroed[0] = 0
 		oblivious := make([]TwoBranch, n)
+		halves := make([]TwoBranch, n)
+		ones := make([]float64, n)
+		distinct := make([]float64, n)
 		for i, w := range pis {
 			oblivious[i] = TwoBranch{Mass0: shared[i], Hi0: w, Mass1: 1 - shared[i], Hi1: w}
+			halves[i] = TwoBranch{Mass0: 0.5, Hi0: 0.5, Mass1: 0.5, Hi1: 0.5}
+			ones[i] = 1
+			distinct[i] = float64(2*i+1) / float64(2*n)
 		}
+		edges := append([]float64(nil), shared...)
+		edges[0], edges[n-1] = 0, 1
 		size := uint64(1) << uint(n)
+		bin0 := SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n*n)*size/2}
+		passes := uint64(0) // exponents m with m > δ
+		for m := 1; m <= n; m++ {
+			if float64(m) > capacity {
+				passes++
+			}
+		}
+		unit := bin0.Add(SubsetVolumeStats{Subsets: size, Incremental: passes * uint64(n) * size / 2, Rebuilt: passes * size})
 		rows := []struct {
 			name    string
 			players []TwoBranch
@@ -132,7 +171,11 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 			{"shared β", thresholdPlayers(shared, pis), thresholdWork[n][0]},
 			{"nudged β", thresholdPlayers(nudged, pis), thresholdWork[n][1]},
 			{"zeroed", thresholdPlayers(zeroed, pis), thresholdWork[n][2]},
-			{"oblivious", oblivious, SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n*n)*size/2}},
+			{"oblivious", oblivious, bin0},
+			{"π ≡ 1 distinct", thresholdPlayers(distinct, ones), unit},
+			{"π ≡ 1 equal", thresholdPlayers(shared, ones), unit},
+			{"π ≡ 1 edges", thresholdPlayers(edges, ones), unit},
+			{"oblivious ½", halves, bin0},
 		}
 		p := make([]float64, len(rows))
 		for i, r := range rows {
@@ -147,6 +190,52 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		}
 		if math.Abs(p[0]-p[1]) > 1e-12 {
 			t.Errorf("n=%d: shared-β table %v vs walk %v", n, p[0], p[1])
+		}
+		for j, want := range pinnedBits[n] {
+			if got := math.Float64bits(p[4+j]); got != want {
+				t.Errorf("n=%d %s: bits %#x, want %#x", n, rows[4+j].name, got, want)
+			}
+		}
+		mass1 := func(p *TwoBranch) { p.Mass1 = math.Nextafter(p.Mass1, 1) }
+		hi1 := func(p *TwoBranch) { p.Hi1 = math.Nextafter(p.Hi1, 2) }
+		for _, c := range []struct {
+			name    string
+			a       []float64
+			h       float64 // the shared right end
+			subsets uint64  // 2^n for the walk, 2·2^n for the shared-β ladder
+			bump    func(p *TwoBranch)
+		}{
+			{"equal, Mass1", shared, 1, 2 * size, mass1},
+			{"equal, Hi1", shared, 1, 2 * size, hi1},
+			{"distinct, Mass1", distinct, 1, size, mass1},
+			{"distinct, Hi1", distinct, 1, size, hi1},
+			{"equal, h = ¾, Mass1", shared, 0.75, 2 * size, mass1},
+			{"distinct, h = ¾, Hi1", distinct, 0.75, size, hi1},
+		} {
+			players := make([]TwoBranch, n)
+			for i, a := range c.a {
+				players[i] = TwoBranch{Mass0: a * c.h, Hi0: a * c.h, Mass1: c.h - a*c.h, Lo1: a * c.h, Hi1: c.h}
+			}
+			var k TwoBranchKernel
+			if err := k.Build(players, capacity); err != nil {
+				t.Fatal(err)
+			}
+			if !k.volumes {
+				t.Errorf("n=%d %s: unit-density players did not take the raw volumes", n, c.name)
+			}
+			volumes := k.Sum()
+			c.bump(&players[n/2])
+			if err := k.Build(players, capacity); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("n=%d %s moved an ulp", n, c.name)
+			if k.volumes || k.Stats().Subsets != c.subsets {
+				t.Errorf("%s: raw volumes %v, %d subset cells, want the %d of its fallback", what, k.volumes, k.Stats().Subsets, c.subsets)
+			}
+			if math.Abs(k.Sum()-volumes) > 1e-10 {
+				t.Errorf("%s: fallback %v, raw volumes %v", what, k.Sum(), volumes)
+			}
+			sameAsFresh(t, what, &k, players, capacity, nil)
 		}
 	}
 }
@@ -203,7 +292,7 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 					want[s] = 0
 				}
 			}
-			if _, err := RadixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
+			if _, err := radixLadder(wSums, tm, make([]float64, len(wSums)), n, 1, func(s uint64, v float64) {
 				switch {
 				case want[s] == 0:
 				case tm[bits.OnesCount64(s)] >= wSums[s]:
@@ -245,7 +334,7 @@ func TestPairSumDeterminism(t *testing.T) {
 		w1[mask] = term(uint64(mask))
 	}
 	_, chunks := combin.ChunkSpan(1 << n)
-	got := PairSum(ones, w1, ones, ones, make([]float64, chunks))
+	got := pairSum(ones, w1, ones, ones, make([]float64, chunks))
 	var acc combin.Accumulator
 	for mask := uint64(0); mask < 1<<n; mask++ {
 		acc.Add(term(mask))
@@ -399,10 +488,13 @@ func TestTwoBranchKernelRebuildBitIdentical(t *testing.T) {
 // TestTwoBranchKernelReuseKey changes one input of the reuse key at a
 // time, the capacity, one player's Hi0, Lo1 or Hi1 by an ulp, and the
 // player count, and requires each to rebuild with a fresh kernel's bits
-// and work. A build that fails after it has started writing the tables
-// (here the bin-0 ladder refusing a NaN width that Build would have
+// and work, for threshold players on π and on π ≡ 1 inputs and for
+// oblivious players. A build that fails after it has started writing the
+// tables (here the bin-0 ladder refusing a NaN width that Build would have
 // refused up front) leaves nothing to reuse: the same loads as before it
-// rebuild whole.
+// rebuild whole. Last, one kernel goes from π ≡ 1 thresholds to the same
+// thresholds on π and back: each build has a fresh kernel's bits and work,
+// and repeating the π ≡ 1 vector records no table work.
 func TestTwoBranchKernelReuseKey(t *testing.T) {
 	pi := []float64{0.5, 0.875, 0.75, 1, 0.625, 0.9375}
 	a := []float64{0.25, 0.5, 0.375, 0.625, 0.125, 0.5}
@@ -412,9 +504,11 @@ func TestTwoBranchKernelReuseKey(t *testing.T) {
 		return out
 	}
 	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	ones := []float64{1, 1, 1, 1, 1, 1}
 	for _, base := range [][]TwoBranch{
 		thresholdPlayers(a, pi),
 		thresholdPlayers([]float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, pi),
+		thresholdPlayers(a, ones),
 		{{0.25, 0.5, 0.75, 0, 0.5}, {0.5, 1, 0.5, 0, 1}, {0.375, 0.75, 0.625, 0, 0.75}},
 	} {
 		const capacity = 2.0
@@ -458,4 +552,15 @@ func TestTwoBranchKernelReuseKey(t *testing.T) {
 		}
 		sameAsFresh(t, "after a failed build", &k, base, capacity, nil)
 	}
+	var k TwoBranchKernel
+	for i, players := range [][]TwoBranch{thresholdPlayers(a, ones), thresholdPlayers(a, pi), thresholdPlayers(a, ones)} {
+		if err := k.Build(players, 2); err != nil {
+			t.Fatal(err)
+		}
+		sameAsFresh(t, fmt.Sprintf("π ≡ 1 → π → π ≡ 1, build %d", i), &k, players, 2, nil)
+	}
+	if err := k.Build(thresholdPlayers(a, ones), 2); err != nil {
+		t.Fatal(err)
+	}
+	sameAsFresh(t, "repeated π ≡ 1 vector", &k, thresholdPlayers(a, ones), 2, &SubsetVolumeStats{})
 }

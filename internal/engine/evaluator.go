@@ -10,17 +10,17 @@ import (
 )
 
 // tableRule is implemented by the oblivious and threshold rules, whose
-// heterogeneous exact evaluation exactTables can serve. exact is the one
-// body behind the rule's ExactWinProbabilityOpts, which passes nil tables.
+// exact evaluation exactTables can serve. exact is the one body behind
+// the rule's ExactWinProbabilityOpts, which passes nil tables.
 type tableRule interface {
 	exact(inst Instance, t *exactTables, o *obs.Observer) (float64, error)
 }
 
 // exactTables are the exact tables of one search or one sweep worker: one
-// dist.TwoBranchKernel that every heterogeneous point builds into. The
-// kernel decides what a point rebuilds, so reuse is correct for any
-// sequence of points: a point whose load intervals and δ equal the last
-// build's re-weights its mass tables, and any other rebuilds in place.
+// dist.TwoBranchKernel for every heterogeneous point and homogeneous
+// threshold vector. The kernel decides what a point rebuilds, so reuse is
+// correct for any point sequence: the load intervals and δ of the last
+// build re-weight its mass tables, and any other loads rebuild in place.
 // The tables live as long as their owner, never longer, and every value
 // carries the bits of the one-shot functions, so results memoize under
 // the normal keys. Each point records in the exact.* counters the table

@@ -159,9 +159,15 @@ func exactWork(t *testing.T, points []Point) [3]int64 {
 // threshold-vector rules interleaved. Every value must equal the point's
 // lone evaluation bit for bit. The worker's one kernel decides what each
 // point rebuilds: an α point right after an α point on the same
-// instance (homogeneous points in between touch no table) records no
+// instance (homogeneous α points in between touch no table) records no
 // table work, and every other point records its lone evaluation's full
-// build.
+// build. Homogeneous threshold vectors build into the same kernel, so the
+// α point after one rebuilds, and a homogeneous vector after a
+// heterogeneous one rebuilds too. Last, one set of tables goes from a
+// homogeneous vector to the same vector on π and back, each bit-equal to
+// its lone evaluation and recording its work, and then repeats the
+// homogeneous vector, which the kept kernel serves with no table work
+// (the sweep itself would answer a repeat from the memo store).
 func TestSweepMixedInstancesOneKernel(t *testing.T) {
 	a := mustInstancePi(t, 5, 1.75, []float64{0.5, 0.875, 0.75, 1, 0.625})
 	b := mustInstancePi(t, 5, 1.5, []float64{0.75, 0.5, 1, 0.875, 0.625})
@@ -177,9 +183,10 @@ func TestSweepMixedInstancesOneKernel(t *testing.T) {
 		{a, SymmetricOblivious{A: 0.5}, false},
 		{hom, SymmetricOblivious{A: 0.5}, false},
 		{hom, Threshold{Thresholds: []float64{0.5, 0.25, 0.75, 0.5, 0.625}}, false},
-		{a, Oblivious{Alphas: []float64{0.1, 0.9, 0.4, 0.6, 0.5}}, true},
+		{a, Oblivious{Alphas: []float64{0.1, 0.9, 0.4, 0.6, 0.5}}, false},
 		{b, SymmetricOblivious{A: 0.5}, false},
 		{b, Threshold{Thresholds: []float64{0.5, 0.25, 0.75, 0.5, 0.625}}, false},
+		{hom, Threshold{Thresholds: []float64{0.125, 0.5, 0.5, 0.875, 0.25}}, false},
 		{b, SymmetricThreshold{Beta: 0.4}, false},
 		{b, DeterministicSplit{K: 2}, false},
 		{b, SymmetricOblivious{A: 0.25}, true},
@@ -217,8 +224,35 @@ func TestSweepMixedInstancesOneKernel(t *testing.T) {
 		if got != want {
 			t.Errorf("point %d (%s): table work %v, want %v", i, pt.Rule.Name(), got, want)
 		}
-		if pt.Instance.Heterogeneous() && !steps[i].reuse && got == ([3]int64{}) {
+		_, vector := pt.Rule.(Threshold)
+		if (pt.Instance.Heterogeneous() || vector) && !steps[i].reuse && got == ([3]int64{}) {
 			t.Errorf("point %d (%s): no table work", i, pt.Rule.Name())
+		}
+	}
+
+	tables := new(exactTables)
+	th := []float64{0.5, 0.25, 0.75, 0.5, 0.625}
+	for i, inst := range []Instance{hom, b, hom, hom} {
+		reg := obs.NewRegistry()
+		got, err := tables.threshold(th, inst, obs.New(reg, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone, err := New(Config{}).EvaluateWithCtx(context.Background(), inst, Threshold{Thresholds: th}, Exact, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(lone.P) {
+			t.Errorf("tables step %d: %v, lone evaluation %v", i, got, lone.P)
+		}
+		snap := reg.Snapshot()
+		work := [3]int64{snap.Counters["exact.subsets"], snap.Counters["exact.steps.incremental"], snap.Counters["exact.steps.rebuilt"]}
+		want := exactWork(t, []Point{{Instance: inst, Rule: Threshold{Thresholds: th}}})
+		if i == 3 {
+			want = [3]int64{}
+		}
+		if work != want {
+			t.Errorf("tables step %d: table work %v, want %v", i, work, want)
 		}
 	}
 }
@@ -279,7 +313,9 @@ func TestTablesUnderExpiringDeadline(t *testing.T) {
 
 // TestTableServedAlphaPointAllocs pins an α point served from a kept CDF
 // table at zero allocations: the kernel re-weights its mass tables in
-// place and the players live on the stack.
+// place and the players live on the stack. A homogeneous threshold-vector
+// point that rebuilds every table of the same warm kernel allocates
+// nothing either.
 func TestTableServedAlphaPointAllocs(t *testing.T) {
 	inst := pinInstance(5, 10)
 	tables := new(exactTables)
@@ -294,5 +330,22 @@ func TestTableServedAlphaPointAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("table-served α point: %v allocs, want 0", got)
+	}
+	hom := Instance{N: inst.N, Delta: inst.Delta}
+	th := repeated(0.5, inst.N)
+	th[0] = 0.25
+	next := func(o *obs.Observer) {
+		th[0] = 1 - th[0]
+		if _, err := tables.threshold(th, hom, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { next(nil) }); got != 0 {
+		t.Errorf("homogeneous threshold vector rebuilt into a warm kernel: %v allocs, want 0", got)
+	}
+	reg := obs.NewRegistry()
+	next(obs.New(reg, nil))
+	if reg.Snapshot().Counters["exact.subsets"] == 0 {
+		t.Error("the homogeneous threshold vector did not rebuild the tables")
 	}
 }

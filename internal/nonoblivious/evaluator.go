@@ -21,7 +21,7 @@ type EvalStats struct {
 	// Evaluations is the total number of Evaluate/SetCoord/EvaluateVector
 	// calls that produced a value.
 	Evaluations uint64
-	// FullRebuilds counts full O(n²·2^n) table rebuilds.
+	// FullRebuilds counts full evaluations, each a kernel build.
 	FullRebuilds uint64
 	// DeltaUpdates counts single-coordinate probes served by the line
 	// profile instead of a rebuild.
@@ -29,17 +29,15 @@ type EvalStats struct {
 	// DeltaSubsets is the number of subset terms those probes covered
 	// (2^(n-1) each — the subsets of the frozen coordinates).
 	DeltaSubsets uint64
-	// Table is the work of the last full rebuild's N₀ and N₁ tables.
-	Table dist.SubsetVolumeStats
 }
 
 // Evaluator is a reusable Theorem 5.1 evaluator for homogeneous-input
-// threshold vectors: it allocates the N₀ subset-volume and N₁ bin-1 tail
-// tables once and then supports
+// threshold vectors: the committed thresholds, one dist.TwoBranchKernel
+// that holds their N₀ and N₁ tables, and a line profile read from those
+// tables. It supports
 //
-//   - Evaluate: a full evaluation reusing the allocated tables — the one
-//     float Theorem 5.1 kernel (WinningProbability is a one-shot
-//     Evaluator), zero steady-state allocations;
+//   - Evaluate: a full evaluation into the kept kernel — the bits of
+//     WinningProbability, zero steady-state allocations;
 //
 //   - SetCoord(i, a_i): set one threshold and rebuild;
 //
@@ -60,7 +58,7 @@ type EvalStats struct {
 // corrections dominate — against O(n²·2^n) for a rebuild.
 //
 // Every committed value — Evaluate, SetCoord and every EvaluateVector
-// call but a profile probe — is a full rebuild, bit-identical to
+// call but a profile probe — is a full evaluation, bit-identical to
 // WinningProbability. Profile probes commit nothing and agree with a
 // rebuild within ExactErrorBound (property-tested along random lines), so
 // search loops probe through the evaluator and re-evaluate only the final
@@ -71,17 +69,7 @@ type Evaluator struct {
 	built    bool
 	a        []float64 // committed thresholds
 	value    float64   // P at the committed thresholds
-
-	vol []float64 // N₀: box-simplex volumes at threshold δ
-	n1  []float64 // N₁: clamped Lemma 2.7 tails
-	// Rebuild scratch, three 2^n tables: the N₀ ladder's, then
-	// |J| − σ_J a, Π_{i∈J}(1−a_i) and the N₁ ladder's base, and last the
-	// pair sum's all-ones table.
-	scratch  []float64
-	oneMinus []float64
-	shift    []float64 // per-exponent radix shift m − δ (fixed)
-	bin1From int       // first exponent whose radix can be positive
-	partial  []float64 // pair-sum partials (fixed grid)
+	kernel   dist.TwoBranchKernel
 
 	invFact []float64 // 1/m!
 	invInt  []float64 // 1/m
@@ -108,35 +96,20 @@ type lineProfile struct {
 }
 
 // NewEvaluator allocates an evaluator for n players at capacity δ. The
-// full-evaluation tables are allocated here and reused by every
-// evaluation; the line-profile tables are allocated by the first profile
-// probe.
+// kernel allocates its tables on the first evaluation and reuses them for
+// every later one; the line-profile tables are allocated by the first
+// profile probe.
 func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 	if err := checkGeneral(n, capacity); err != nil {
 		return nil, err
 	}
-	size := 1 << uint(n)
 	ev := &Evaluator{
 		n:        n,
 		capacity: capacity,
 		a:        make([]float64, n),
-		vol:      make([]float64, size),
-		n1:       make([]float64, size),
-		scratch:  make([]float64, 3*size),
-		oneMinus: make([]float64, n),
-		shift:    make([]float64, n+1),
 		invFact:  make([]float64, n+2),
 		invInt:   make([]float64, n+2),
 		binom:    make([]float64, (n+2)*(n+2)),
-	}
-	_, chunks := combin.ChunkSpan(uint64(size))
-	ev.partial = make([]float64, chunks)
-	ev.bin1From = n + 1
-	for m := n; m >= 0; m-- {
-		ev.shift[m] = float64(m) - capacity
-		if m >= 1 && ev.shift[m] > 0 {
-			ev.bin1From = m
-		}
 	}
 	for m := 0; m <= n+1; m++ {
 		f, ferr := combin.FactorialFloat(m)
@@ -213,9 +186,9 @@ func (ev *Evaluator) validate(thresholds []float64) error {
 }
 
 // Evaluate computes the winning probability of the threshold vector with a
-// full table rebuild that reuses the allocated storage — zero steady-state
-// allocations, the same bits as WinningProbability — and commits the
-// vector as the evaluator's new state.
+// full evaluation into the kept kernel — zero steady-state allocations,
+// the same bits as WinningProbability — and commits the vector as the
+// evaluator's new state.
 func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 	if err := ev.validate(thresholds); err != nil {
 		return 0, err
@@ -224,43 +197,17 @@ func (ev *Evaluator) Evaluate(thresholds []float64) (float64, error) {
 }
 
 func (ev *Evaluator) evaluateFull(thresholds []float64) (float64, error) {
-	_, n0, err := dist.AllSubsetVolumes(ev.vol, thresholds, ev.capacity, ev.scratch)
+	p, err := WinningProbabilityPiInto(&ev.kernel, thresholds, nil, ev.capacity, nil)
 	if err != nil {
 		return 0, err
 	}
 	copy(ev.a, thresholds)
-	size := len(ev.vol)
-	gap, err := combin.SubsetSums(ev.scratch[:size:size], ev.a)
-	if err != nil {
-		return 0, err
-	}
-	for mask := range gap {
-		gap[mask] = float64(bits.OnesCount64(uint64(mask))) - gap[mask]
-	}
-	for i, a := range ev.a {
-		ev.oneMinus[i] = 1 - a
-	}
-	prod, err := combin.SubsetProducts(ev.scratch[size:2*size:2*size], ev.oneMinus)
-	if err != nil {
-		return 0, err
-	}
-	n1, err := ev.bin1Passes(gap, prod, ev.scratch[2*size:])
-	if err != nil {
-		return 0, err
-	}
-	// Theorem 5.1 is Σ_s N₀[full∖s]·N₁[s]: the kernel's pair sum with N₀
-	// and N₁ as the weights and all-ones CDF tables, an exact ×1.
-	ones := ev.scratch[:size]
-	for mask := range ones {
-		ones[mask] = 1
-	}
-	ev.value = dist.Clamp01(dist.PairSum(ev.vol, ev.n1, ones, ones, ev.partial))
+	ev.value = p
 	ev.built = true
 	ev.prof.coord = -1
-	ev.stats.Table = n0.Add(n1)
 	ev.stats.FullRebuilds++
 	ev.stats.Evaluations++
-	return ev.value, nil
+	return p, nil
 }
 
 // SetCoord commits threshold i to v and rebuilds, returning the updated
@@ -316,39 +263,13 @@ func (ev *Evaluator) EvaluateVector(x []float64) (float64, error) {
 	}
 }
 
-// bin1Passes rebuilds N₁[O] = P(x_i > a_i ∀i∈O ∧ Σ_O x ≤ δ) for every
-// subset O from the current subset-sum/product state — the Lemma 2.7 tail
-//
-//	Π_{i∈O}(1-a_i) − (1/m!) Σ_{J⊆O} (−1)^{|J|} (m − δ − |J| + σ_J a)_+^m
-//
-// with m = |O|. The base term depends on J only through |J| and σ_J a, so
-// for each exponent m one signed base table over all J feeds a single
-// sum-over-subsets pass that yields every |O| = m entry at once: the
-// dist.RadixLadder kernel with radix (m − δ) − (|J| − σ_J a). Unlike the
-// N₀ radix, this radix shifts with m, so each exponent's base is rebuilt
-// from the |J| − σ_J a table rather than updated incrementally. Thresholds
-// lie in [0, 1], so |J| − σ_J a ≥ 0 and every radix of an exponent m ≤ δ
-// is ≤ 0: those exponents' bases are all zero and the ladder skips them
-// (bin1From), leaving N₁[O] = Π(1−a_i), the same bits the pass would give.
-// gap holds |J| − σ_J a, prod the subset products of 1−a, and base is
-// 2^n-entry scratch. It returns the ladder's work.
-func (ev *Evaluator) bin1Passes(gap, prod, base []float64) (dist.SubsetVolumeStats, error) {
-	ev.n1[0] = 1
-	return dist.RadixLadder(gap, ev.shift, base, ev.n, ev.bin1From, func(mask uint64, v float64) {
-		v = prod[mask] - v
-		if v < 0 {
-			v = 0
-		}
-		ev.n1[mask] = v
-	})
-}
-
 // openProfile builds the line profile for coordinate i from the committed
-// tables: the compressed-lattice sums/signs/products over the frozen
-// coordinates, the cardinality-indexed superset-sum tables M^c (N₁ weights
-// for the T part) and P^c (N₀ weights for the V part), the pre-expanded
-// sign-stable polynomials, the sign-crossing term lists, and the probe
-// constants K₁, T(δ), V(1).
+// N₀ and N₁ tables (the kernel's weights): the compressed-lattice
+// sums/signs/products over the frozen coordinates, the
+// cardinality-indexed superset-sum tables M^c (N₁ weights for the T part)
+// and P^c (N₀ weights for the V part), the pre-expanded sign-stable
+// polynomials, the sign-crossing term lists, and the probe constants K₁,
+// T(δ), V(1).
 func (ev *Evaluator) openProfile(i int) {
 	p := &ev.prof
 	p.coord = -1
@@ -392,7 +313,7 @@ func (ev *Evaluator) openProfile(i int) {
 	// N₀[R∖s] at (s, |s|); the vectorized superset-sum pass then yields
 	// M^c[J] = Σ_{T'⊇J, |T'|=c} N₁[R∖T'] (and likewise P^c) for every
 	// cardinality at once.
-	vol := ev.vol
+	vol, n1 := ev.kernel.Weights()
 	for idx := range p.m[:h*n] {
 		p.m[idx] = 0
 		p.p[idx] = 0
@@ -401,7 +322,7 @@ func (ev *Evaluator) openProfile(i int) {
 		comp := hm &^ uint64(j)
 		fullMask := (comp & lowMask) | (comp&^lowMask)<<1
 		c := bits.OnesCount64(uint64(j))
-		p.m[j*n+c] = ev.n1[fullMask]
+		p.m[j*n+c] = n1[fullMask]
 		p.p[j*n+c] = vol[fullMask]
 	}
 	supersetSumStrided(p.m, n-1, n)
