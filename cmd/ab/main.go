@@ -53,6 +53,7 @@ var kernels = []string{
 	"repro/internal/model.feasibleFrom",
 	"repro/internal/combin.ForEachKSubsetMask",
 	"repro/internal/dist.volumeLadder",
+	"repro/internal/dist.cardinalityLadder",
 	"repro/internal/dist.radixLadder",
 	"repro/internal/dist.pairSum",
 	"repro/internal/response.boxVolume",

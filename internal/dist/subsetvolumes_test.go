@@ -275,3 +275,45 @@ func TestAllSubsetVolumesOvershootBound(t *testing.T) {
 		}
 	}
 }
+
+// TestCardinalityLadderBitIdentical requires the equal-width path of
+// AllSubsetVolumes to give every cell the bits of the zeta ladder
+// (volumeLadder over the subset sums) and to report its own work: seeded
+// cases with n = 1…16 equal widths 0, ½, 1 and a random one, at a
+// negative t, t = 0, t on the multiples k·w (as a product and as k widths
+// summed in order, where a radix is exactly 0) and a random t. A
+// reassociated V recurrence (V_m(0) as Σ C(m, r)·g_m(r)) and subset sums
+// formed as k·w fail it.
+func TestCardinalityLadderBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 1))
+	for n := 1; n <= 16; n++ {
+		size := 1 << uint(n)
+		for _, w := range []float64{0, 0.5, 1, 0.1 + rng.Float64()} {
+			widths := make([]float64, n)
+			for i := range widths {
+				widths[i] = w
+			}
+			sums, _ := combin.SubsetSums(nil, widths)
+			k := 1 + rng.IntN(n)
+			for _, thr := range []float64{-rng.Float64(), 0, float64(k) * w, sums[size>>uint(n-k)-1], float64(n) * w * rng.Float64()} {
+				want := make([]float64, size)
+				if err := volumeLadder(sums, make([]float64, size), make([]float64, size), want, n, thr); err != nil {
+					t.Fatal(err)
+				}
+				got, work, err := AllSubsetVolumes(nil, widths, thr, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range want {
+					if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+						t.Fatalf("n=%d w=%v t=%v set %b: per cardinality %v, zeta ladder %v", n, w, thr, s, got[s], want[s])
+					}
+				}
+				nn := uint64(n)
+				if want := (SubsetVolumeStats{Subsets: uint64(size), Incremental: nn*(nn+1) + nn*(nn+1)*(nn+2)/6}); work != want {
+					t.Errorf("n=%d: work %+v, want %+v", n, work, want)
+				}
+			}
+		}
+	}
+}

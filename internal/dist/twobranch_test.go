@@ -51,8 +51,8 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 		for m := 1; m <= n-bits.OnesCount64(bad) && float64(m)*beta < capacity; m++ {
 			mmax = m
 		}
-		c1 := append([]float64(nil), wProd...)
-		_, err := sharedBin1Table(c1, wSums, make([]float64, len(wSums)), capacity, beta, n-bits.OnesCount64(bad), n)
+		c1 := make([]float64, len(wSums))
+		_, err := sharedBin1Table(c1, make([]float64, 2*len(c1)), highs, bad, capacity, beta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,21 +88,28 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 }
 
 // TestSharedThresholdPathSelection checks through the kernel's work
-// counters which bin-1 table each input builds: a shared threshold builds
-// the bin-1 ladder (a second 2^n-cell table), a vector with one threshold
-// nudged by an ulp, or with one threshold at 0 (a player with no bin-0
-// width, so half the sets need no walk), keeps the per-set walk, and
-// oblivious players (zero shifts, equal widths) reuse the bin-0 table, so
-// each of the last three builds exactly one volume table. The threshold
-// rows' counters are those the per-class threshold π evaluator recorded on
-// the same instances before this kernel replaced it, so the kernel does no
-// more work. The shared and walked values agree within 1e-12.
+// counters which tables each input builds. A shared threshold β below
+// every π_i gives every player the bin-0 width β, so the bin-0 table is
+// the per-cardinality ladder (n+1 ladder cells and m(m+1)/2 additions per
+// exponent), and builds the bin-1 ladder (a second 2^n-cell table). The
+// same β with two players whose π_i ≤ β (point players in bin 1) builds
+// the full bin-0 zeta ladder and a bin-1 ladder over the 2^(n−2) subsets
+// of the others. A vector with one threshold nudged by an ulp, or with
+// one threshold at 0 (a player with no bin-0 width, so half the sets need
+// no walk), keeps the per-set walk, and oblivious players (zero shifts,
+// equal widths) reuse the bin-0 table, so each of the last three builds
+// exactly one volume table. The nudged and zeroed rows' counters are
+// those the per-class threshold π evaluator recorded on the same
+// instances before this kernel replaced it, so the kernel does no more
+// work; the shared-β rows now do less. The shared and walked values agree
+// within 1e-12.
 //
 // Threshold players on U[0, 1] inputs (π ≡ 1) with distinct thresholds,
 // equal ones, and equal ones with a player at 0 and one at 1 take the
-// raw-volume strategy: the bin-0 table plus one ladder pass per exponent
-// m > δ. Their values and work are pinned to those of the separate
-// homogeneous evaluator this strategy replaced. Oblivious players at
+// raw-volume strategy: the bin-0 table (per cardinality for equal
+// thresholds) plus one ladder pass per exponent m > δ. Their values are
+// pinned to those of the separate homogeneous evaluator this strategy
+// replaced. Oblivious players at
 // α_i = π_i = ½ also have unit density and share the right end ½, and
 // keep the c₁ = c₀ path's pinned bits. A one-ulp change to one player's
 // Hi1 or Mass1, built into a kernel that held the raw volumes for the
@@ -113,12 +120,13 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 // equal thresholds it is 2.8e-11 off the symmetric ladder, the shared-β
 // table 1.6e-13.)
 func TestSharedThresholdPathSelection(t *testing.T) {
-	// Subsets, incremental and rebuilt steps: shared β, nudged β, zeroed.
-	thresholdWork := map[int][3]SubsetVolumeStats{
-		4:  {{32, 224, 16}, {16, 192, 16}, {16, 192, 19}},
-		7:  {{256, 5376, 384}, {128, 4032, 456}, {128, 4032, 415}},
-		10: {{2048, 81920, 4096}, {1024, 61440, 11346}, {1024, 61440, 9778}},
-		13: {{16384, 1064960, 40960}, {8192, 798720, 257409}, {8192, 798720, 199478}},
+	// Subsets, incremental and rebuilt steps: shared β, nudged β, zeroed,
+	// shared β with two point players.
+	thresholdWork := map[int][4]SubsetVolumeStats{
+		4:  {{32, 72, 16}, {16, 192, 16}, {16, 192, 19}, {20, 192, 0}},
+		7:  {{256, 1484, 384}, {128, 4032, 456}, {128, 4032, 415}, {160, 4272, 96}},
+		10: {{2048, 20810, 4096}, {1024, 61440, 11346}, {1024, 61440, 9778}, {1280, 64512, 768}},
+		13: {{16384, 266877, 40960}, {8192, 798720, 257409}, {8192, 798720, 199478}, {10240, 855040, 10240}},
 	}
 	// Bits of π ≡ 1 distinct, equal and edge thresholds, then oblivious ½.
 	pinnedBits := map[int][4]uint64{
@@ -142,6 +150,8 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		nudged[n/2] = math.Nextafter(shared[n/2], 1)
 		zeroed := append([]float64(nil), shared...)
 		zeroed[0] = 0
+		points := append([]float64(nil), pis...)
+		points[0], points[n-1] = 0.25, 0.45
 		oblivious := make([]TwoBranch, n)
 		halves := make([]TwoBranch, n)
 		ones := make([]float64, n)
@@ -156,13 +166,15 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		edges[0], edges[n-1] = 0, 1
 		size := uint64(1) << uint(n)
 		bin0 := SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n*n)*size/2}
+		nn := uint64(n)
+		equal := SubsetVolumeStats{Subsets: size, Incremental: nn*(nn+1) + nn*(nn+1)*(nn+2)/6}
 		passes := uint64(0) // exponents m with m > δ
 		for m := 1; m <= n; m++ {
 			if float64(m) > capacity {
 				passes++
 			}
 		}
-		unit := bin0.Add(SubsetVolumeStats{Subsets: size, Incremental: passes * uint64(n) * size / 2, Rebuilt: passes * size})
+		tail := SubsetVolumeStats{Subsets: size, Incremental: passes * uint64(n) * size / 2, Rebuilt: passes * size}
 		rows := []struct {
 			name    string
 			players []TwoBranch
@@ -172,10 +184,11 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 			{"nudged β", thresholdPlayers(nudged, pis), thresholdWork[n][1]},
 			{"zeroed", thresholdPlayers(zeroed, pis), thresholdWork[n][2]},
 			{"oblivious", oblivious, bin0},
-			{"π ≡ 1 distinct", thresholdPlayers(distinct, ones), unit},
-			{"π ≡ 1 equal", thresholdPlayers(shared, ones), unit},
-			{"π ≡ 1 edges", thresholdPlayers(edges, ones), unit},
-			{"oblivious ½", halves, bin0},
+			{"π ≡ 1 distinct", thresholdPlayers(distinct, ones), bin0.Add(tail)},
+			{"π ≡ 1 equal", thresholdPlayers(shared, ones), equal.Add(tail)},
+			{"π ≡ 1 edges", thresholdPlayers(edges, ones), bin0.Add(tail)},
+			{"oblivious ½", halves, equal},
+			{"shared β, points", thresholdPlayers(shared, points), thresholdWork[n][3]},
 		}
 		p := make([]float64, len(rows))
 		for i, r := range rows {
@@ -271,7 +284,7 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				mmax = m
 			}
 			got := append([]float64(nil), wProd...)
-			work, err := sharedBin1Table(got, wSums, make([]float64, len(wSums)), capacity, beta, n, n)
+			work, err := bin1Ladder(got, wSums, make([]float64, len(wSums)), capacity, beta, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,6 +324,60 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 		}
 		if !skipped {
 			t.Errorf("n=%d: no instance skipped a whole-box exponent", n)
+		}
+	}
+}
+
+// TestSharedBin1TableSkipsPointPlayers requires the bin-1 table built
+// over the capable players alone and scattered into its 2^n cells to
+// have, in every cell, the bits of the ladder over all 2^n sets with the
+// point players' zero widths in place (sets holding one keep 0), on seeded
+// shared-β instances with n = 2…15 and 1 to n point players at random
+// places (three of each), and to run its passes over the 2^(n−z) capable
+// subsets only (some instance per n runs at least one). A scatter that
+// writes each cell one submask late, and compacting the widths in reverse
+// order, fail it.
+func TestSharedBin1TableSkipsPointPlayers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 2))
+	for n := 2; n <= maxThresholdPi; n++ {
+		ran := false
+		for trial := 0; trial < 3*n; trial++ {
+			z := 1 + trial%n
+			capacity := float64(n-z+1) * (0.2 + 0.4*rng.Float64())
+			beta := 0.5 * rng.Float64()
+			widths := make([]float64, n)
+			for i := range widths {
+				widths[i] = 0.05 + 0.95*rng.Float64()
+			}
+			var point uint64
+			for _, i := range rng.Perm(n)[:z] {
+				widths[i], point = 0, point|1<<uint(i)
+			}
+			want, _ := combin.SubsetProducts(nil, widths)
+			wSums, _ := combin.SubsetSums(nil, widths)
+			if _, err := bin1Ladder(want, wSums, make([]float64, len(want)), capacity, beta, n); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, len(want))
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			work, err := sharedBin1Table(got, make([]float64, 2*len(got)), widths, point, capacity, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if work.Subsets != 1<<uint(n-z) || work.Rebuilt%work.Subsets != 0 {
+				t.Errorf("n=%d z=%d: work %+v, want passes over %d subsets", n, z, work, 1<<uint(n-z))
+			}
+			ran = ran || work.Rebuilt > 0
+			for s := range want {
+				if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+					t.Fatalf("n=%d z=%d β=%v δ=%v set %b: capable players' table %v, full table %v", n, z, beta, capacity, s, got[s], want[s])
+				}
+			}
+		}
+		if !ran {
+			t.Errorf("n=%d: no instance ran a ladder pass", n)
 		}
 	}
 }

@@ -68,12 +68,13 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 		}
 	}
 	// β = 0.625 on π = (0.5, 1.25, 0.75, 2, 1, 1.5): player 0 can never
-	// choose bin 1 and sets of more than 3 vanish (4·0.625 ≥ δ), so the
-	// bin-1 table covers 3 exponents. The widest residual width is
+	// choose bin 1, so the bin-1 table is built over the 2^5 subsets of
+	// the other five, and sets of more than 3 vanish (4·0.625 ≥ δ), so it
+	// covers 3 exponents. The widest residual width is
 	// 2 − 0.625 = 1.375 = δ − β, so every single set fits its whole box
 	// and m = 1 takes Π w without a pass. The table runs m = 2, 3:
-	// 2·2^6 rebuilt base cells and 2·6·2^5 zeta additions on top of the
-	// bin-0 table's 6·2^6 + 6²·2^5.
+	// 2·2^5 rebuilt base cells and 2·5·2^4 zeta additions on top of the
+	// bin-0 table's 2^6 cells, 6·2^6 power updates and 6²·2^5 additions.
 	reg = obs.NewRegistry()
 	e = New(Config{Obs: obs.New(reg, nil)})
 	pi := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
@@ -82,9 +83,9 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	}
 	snap = reg.Snapshot()
 	want = map[string]int64{
-		"exact.subsets":           128,
-		"exact.steps.rebuilt":     128,
-		"exact.steps.incremental": 1920,
+		"exact.subsets":           96,
+		"exact.steps.rebuilt":     64,
+		"exact.steps.incremental": 1696,
 	}
 	for name, v := range want {
 		if got := snap.Counters[name]; got != v {

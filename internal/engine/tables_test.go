@@ -115,7 +115,13 @@ func TestSweepThresholdTablesMatchPointwise(t *testing.T) {
 // 6·2^6 power updates and 6²·2^5 zeta additions, and nothing per point,
 // against three tables for three one-shots. Each threshold point rebuilds
 // its tables and records them as its one-shot does, so the threshold
-// sweep's counters are the sum of its points' one-shot counters.
+// sweep's counters are the sum of its points' one-shot counters. At
+// β = ¼ and ½ every bin-0 width min(β, π_i) is β, so the bin-0 table is
+// the per-cardinality ladder (2^6 cells, 6·7 ladder cells and 56
+// additions); at β = ½ and ⅝ player 0 (π = ½ ≤ β) never chooses bin 1, so
+// the bin-1 ladder runs over the 2^5 subsets of the others. The bin-1
+// passes are 5 over 2^6 cells at β = ¼, 2 over 2^5 at ½ and 2 over 2^5 at
+// ⅝, whose bin-0 table is the full 6·2^6 + 6²·2^5.
 func TestTableSweepCounters(t *testing.T) {
 	inst := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
 	check := func(what string, got, want [3]int64) {
@@ -138,7 +144,7 @@ func TestTableSweepCounters(t *testing.T) {
 	}
 	got := exactWork(t, beta)
 	check("threshold sweep against its one-shots", got, oneShots)
-	check("threshold sweep", got, [3]int64{384, 6336, 576})
+	check("threshold sweep", got, [3]int64{320, 3012, 448})
 }
 
 // exactWork returns the exact.* counters of a one-worker Exact sweep of
@@ -315,7 +321,9 @@ func TestTablesUnderExpiringDeadline(t *testing.T) {
 // table at zero allocations: the kernel re-weights its mass tables in
 // place and the players live on the stack. A homogeneous threshold-vector
 // point that rebuilds every table of the same warm kernel allocates
-// nothing either.
+// nothing either, and nor do a vector of distinct thresholds on π, whose
+// bin-1 table is the per-set walk, and a shared β above some π_i, whose
+// bin-1 ladder runs over the other players' subsets.
 func TestTableServedAlphaPointAllocs(t *testing.T) {
 	inst := pinInstance(5, 10)
 	tables := new(exactTables)
@@ -347,5 +355,41 @@ func TestTableServedAlphaPointAllocs(t *testing.T) {
 	next(obs.New(reg, nil))
 	if reg.Snapshot().Counters["exact.subsets"] == 0 {
 		t.Error("the homogeneous threshold vector did not rebuild the tables")
+	}
+	distinct := make([]float64, inst.N)
+	for i := range distinct {
+		distinct[i] = 0.3 + 0.04*float64(i)
+	}
+	for _, c := range []struct {
+		name string
+		th   []float64
+		all  bool    // every threshold moves, or th[0] alone
+		flip float64 // a moving threshold goes between x and flip − x
+	}{
+		{"distinct thresholds on π", distinct, false, 0.65},
+		{"a shared β above some π_i", repeated(0.55, inst.N), true, 1.15},
+	} {
+		rebuild := func(o *obs.Observer) {
+			for i := range c.th {
+				if i == 0 || c.all {
+					c.th[i] = c.flip - c.th[i]
+				}
+			}
+			if _, err := tables.threshold(c.th, inst, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { rebuild(nil) }); got != 0 {
+			t.Errorf("%s rebuilt into a warm kernel: %v allocs, want 0", c.name, got)
+		}
+		reg = obs.NewRegistry()
+		rebuild(obs.New(reg, nil))
+		snap := reg.Snapshot()
+		if snap.Counters["exact.steps.rebuilt"] == 0 {
+			t.Errorf("%s: no bin-1 work", c.name)
+		}
+		if c.all && snap.Counters["exact.subsets"] >= 2<<uint(inst.N) {
+			t.Errorf("%s: the bin-1 table covers the sets with a point player", c.name)
+		}
 	}
 }
