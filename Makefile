@@ -17,7 +17,7 @@ GO ?= go
 BENCHTIME ?= 1s
 PKG ?= ./...
 
-.PHONY: build fmt test race vet bench bench-smoke bench-module results-check ci ab loc
+.PHONY: build fmt test race vet purego bench bench-smoke bench-module results-check ci ab loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The portable zeta passes (the purego build tag, and every GOARCH without
+# the SSE2 kernels) must keep compiling and passing the bit-exactness tests
+# of the packages that use them. vet on amd64 checks the assembly frames.
+purego:
+	$(GO) test -tags purego ./internal/combin ./internal/dist
+	GOARCH=arm64 $(GO) vet ./internal/combin
 
 # gofmt must have nothing to rewrite (the bench module included).
 fmt:
@@ -55,7 +62,7 @@ results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/experiments -workers 2 -out "$$tmp" >/dev/null && diff -r "$$tmp" results
 
-ci: build fmt vet test race bench-smoke bench-module results-check
+ci: build fmt vet test purego race bench-smoke bench-module results-check
 
 # Paired A/B runs of the end-to-end benchmark: the committed BASE against
 # the committed HEAD, alternating which runs first, each also built with

@@ -48,11 +48,14 @@ import (
 // seed is the benchmark seed of every run.
 const seed = 1
 
-// kernels are the symbols whose 64-byte phase the report lists.
+// kernels are the symbols whose 64-byte phase the report lists. `go tool
+// nm` names an assembly function with the suffix .abi0.
 var kernels = []string{
 	"repro/internal/model.feasibleFrom",
-	"repro/internal/combin.ForEachKSubsetMask",
+	"repro/internal/combin.zetaQuadsSSE2.abi0",
+	"repro/internal/combin.zetaPairsSSE2.abi0",
 	"repro/internal/dist.volumeLadder",
+	"repro/internal/dist.ladderFill",
 	"repro/internal/dist.cardinalityLadder",
 	"repro/internal/dist.radixLadder",
 	"repro/internal/dist.pairSum",

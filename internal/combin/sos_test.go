@@ -52,6 +52,12 @@ func TestSubsetTableLimits(t *testing.T) {
 	if err := SumOverSubsets(make([]float64, 8), 4); err == nil {
 		t.Fatal("SumOverSubsets accepted a mismatched table length")
 	}
+	if err := ZetaAboveOctets(make([]float64, 8), 4); err == nil {
+		t.Fatal("ZetaAboveOctets accepted a mismatched table length")
+	}
+	if err := ZetaAboveOctets(nil, MaxSubsetTable+1); err == nil {
+		t.Fatal("ZetaAboveOctets accepted an oversized ground set")
+	}
 }
 
 // TestSumOverSubsets pins the zeta transform against the O(3^n) direct
@@ -118,6 +124,48 @@ func TestSumOverSubsetsBitIdenticalToReference(t *testing.T) {
 			if math.Float64bits(got[mask]) != math.Float64bits(want[mask]) {
 				t.Fatalf("n=%d: zeta[%b] = %v, reference %v", n, mask, got[mask], want[mask])
 			}
+		}
+	}
+}
+
+// TestZetaPassesMatchPortable pins the quad and pair passes of the build
+// (SSE2 on amd64) to the portable loops bit for bit, at every segment
+// length h = 2^b ≥ 8 of a table of up to 2^14 cells, on inputs that span
+// many binades and include signed zeros.
+func TestZetaPassesMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 2))
+	for n := 4; n <= 14; n++ {
+		base := make([]float64, 1<<uint(n))
+		for i := range base {
+			base[i] = rng.NormFloat64() * math.Exp2(float64(rng.IntN(60)-30))
+			if rng.IntN(16) == 0 {
+				base[i] = math.Copysign(0, base[i])
+			}
+		}
+		for b := 3; b < n; b++ {
+			h := 1 << uint(b)
+			got, want := append([]float64(nil), base...), append([]float64(nil), base...)
+			zetaPairPass(got, h)
+			zetaPairsGo(want, h)
+			sameBits(t, fmt.Sprintf("n=%d h=%d pair pass", n, h), got, want)
+			if b+1 < n {
+				copy(got, base)
+				copy(want, base)
+				zetaQuadPass(got, h)
+				zetaQuadsGo(want, h)
+				sameBits(t, fmt.Sprintf("n=%d h=%d quad pass", n, h), got, want)
+			}
+		}
+	}
+}
+
+// sameBits fails the test at the first cell where got and want differ in
+// their bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: cell %b = %v, portable %v", what, i, got[i], want[i])
 		}
 	}
 }

@@ -27,33 +27,20 @@ func ForEachSubset(n int, fn func(mask uint64) bool) error {
 	return nil
 }
 
-// ForEachKSubsetMask invokes fn once for every k-element subset of
-// {0, ..., n-1}, presented as a bitmask, in colexicographic order produced by
-// Gosper's hack. Iteration stops early if fn returns false.
-func ForEachKSubsetMask(n, k int, fn func(mask uint64) bool) error {
-	if n < 0 || n > MaxSubsetGround || k < 0 {
-		return fmt.Errorf("combin: k-subset mask arguments out of range (n=%d, k=%d)", n, k)
-	}
-	if k > n {
-		return nil
-	}
-	if k == 0 {
-		fn(0)
-		return nil
-	}
-	limit := uint64(1) << uint(n)
-	mask := uint64(1)<<uint(k) - 1
-	for mask < limit {
-		if !fn(mask) {
-			return nil
-		}
-		// Gosper's hack: next integer with the same popcount. c is the
-		// lowest set bit, a power of two, so dividing by it is a shift.
-		c := mask & (^mask + 1)
-		r := mask + c
-		mask = ((r ^ mask) >> 2 >> uint(bits.TrailingZeros64(c))) | r
-	}
-	return nil
+// NextKSubsetMask returns the least mask above mask with the same number
+// of set bits (Gosper's hack), for a non-zero mask below 2^63. Stepping
+// from 1<<k − 1 while the mask stays below 1<<n visits every k-element
+// subset of {0, ..., n-1} (k ≥ 1) once, in increasing mask order:
+//
+//	for mask := uint64(1)<<k - 1; mask < 1<<n; mask = NextKSubsetMask(mask)
+//
+// It is small enough to inline into such a loop.
+func NextKSubsetMask(mask uint64) uint64 {
+	// c is the lowest set bit, a power of two, so dividing by it is a
+	// shift.
+	c := mask & -mask
+	r := mask + c
+	return (r^mask)>>2>>uint(bits.TrailingZeros64(c)) | r
 }
 
 // ForEachComposition invokes fn once for every weak composition of n into k

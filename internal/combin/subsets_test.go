@@ -49,23 +49,30 @@ func TestForEachSubsetRangeErrors(t *testing.T) {
 	}
 }
 
+// kSubsetMasks lists the k-subsets of {0, ..., n-1} as the ladders walk
+// them, NextKSubsetMask from 1<<k − 1 while below 1<<n, and the empty set
+// alone for k = 0.
+func kSubsetMasks(n, k int) []uint64 {
+	if k == 0 {
+		return []uint64{0}
+	}
+	var masks []uint64
+	for mask := uint64(1)<<uint(k) - 1; mask < 1<<uint(n); mask = NextKSubsetMask(mask) {
+		masks = append(masks, mask)
+	}
+	return masks
+}
+
 func TestForEachKSubsetEnumeration(t *testing.T) {
 	for n := 0; n <= 10; n++ {
 		for k := 0; k <= n+1; k++ {
-			var visited []uint64
-			err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
-				visited = append(visited, mask)
-				return true
-			})
-			if err != nil {
-				t.Fatalf("ForEachKSubsetMask(%d, %d): %v", n, k, err)
-			}
+			visited := kSubsetMasks(n, k)
 			want := int64(0)
 			if k <= n {
 				want = binomial(t, n, k)
 			}
 			if int64(len(visited)) != want {
-				t.Fatalf("ForEachKSubsetMask(%d, %d) visited %d, want %d", n, k, len(visited), want)
+				t.Fatalf("k-subset walk (%d, %d) visited %d, want %d", n, k, len(visited), want)
 			}
 			// Distinct in-range masks of popcount k, C(n, k) of them, are
 			// exactly the k-subsets; Gosper's hack visits them ascending.
@@ -81,16 +88,17 @@ func TestForEachKSubsetEnumeration(t *testing.T) {
 	}
 }
 
-func TestForEachKSubsetErrorsAndEarlyStop(t *testing.T) {
-	if err := ForEachKSubsetMask(-1, 2, func(uint64) bool { return true }); err == nil {
-		t.Error("ForEachKSubsetMask(-1, 2): expected error")
-	}
-	count := 0
-	if err := ForEachKSubsetMask(6, 3, func(uint64) bool { count++; return false }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Errorf("early stop visited %d, want 1", count)
+// TestNextKSubsetMaskEndsWalk requires the step from the last k-subset of
+// {0, ..., n-1} to leave the ground set, for every n up to 62, so that
+// the walk's bound ends it.
+func TestNextKSubsetMaskEndsWalk(t *testing.T) {
+	for n := 1; n <= 62; n++ {
+		for k := 1; k <= n; k++ {
+			last := (uint64(1)<<uint(k) - 1) << uint(n-k)
+			if next := NextKSubsetMask(last); next < 1<<uint(n) || bits.OnesCount64(next) != k {
+				t.Fatalf("n=%d k=%d: step from the last subset %#x gives %#x", n, k, last, next)
+			}
+		}
 	}
 }
 
@@ -122,14 +130,11 @@ func TestForEachKSubsetMaskMatchesSliceVersion(t *testing.T) {
 				want[m] = true
 			}
 			got := make(map[uint64]bool)
-			if err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
+			for _, mask := range kSubsetMasks(n, k) {
 				if bits.OnesCount64(mask) != k {
 					t.Fatalf("mask %b has popcount %d, want %d", mask, bits.OnesCount64(mask), k)
 				}
 				got[mask] = true
-				return true
-			}); err != nil {
-				t.Fatal(err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("n=%d k=%d: mask version visited %d, slice version %d", n, k, len(got), len(want))
@@ -140,15 +145,6 @@ func TestForEachKSubsetMaskMatchesSliceVersion(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestForEachKSubsetMaskErrors(t *testing.T) {
-	if err := ForEachKSubsetMask(63, 2, func(uint64) bool { return true }); err == nil {
-		t.Error("ForEachKSubsetMask(63, 2): expected range error")
-	}
-	if err := ForEachKSubsetMask(5, -1, func(uint64) bool { return true }); err == nil {
-		t.Error("ForEachKSubsetMask(5, -1): expected error")
 	}
 }
 
@@ -229,19 +225,14 @@ func TestKSubsetMaskMatchesDivisionForm(t *testing.T) {
 					mask = (((r ^ mask) >> 2) / c) | r
 				}
 			}
-			i := 0
-			err := ForEachKSubsetMask(n, k, func(mask uint64) bool {
-				if i >= len(want) || mask != want[i] {
-					t.Fatalf("n=%d k=%d: mask %d = %#x, division form gives %v", n, k, i, mask, want[i:min(i+1, len(want))])
-				}
-				i++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+			got := kSubsetMasks(n, k)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d masks, division form gives %d", n, k, len(got), len(want))
 			}
-			if i != len(want) {
-				t.Fatalf("n=%d k=%d: %d masks, division form gives %d", n, k, i, len(want))
+			for i, mask := range got {
+				if mask != want[i] {
+					t.Fatalf("n=%d k=%d: mask %d = %#x, division form gives %#x", n, k, i, mask, want[i])
+				}
 			}
 		}
 	}

@@ -121,7 +121,10 @@ func AllSubsetVolumes(dst, widths []float64, t float64, scratch []float64) ([]fl
 // AllSubsetVolumes. From the subset sums σ_I of the widths it runs the
 // signed power ladder p[I] ← p[I]·(t−σ_I)/m, one zeta pass per exponent
 // m, and reads off the |T| = m entries into vol, clamped below at 0. p and
-// zeta are 2^n-entry scratch.
+// zeta are 2^n-entry scratch. From n = 3 on, ladderFill writes each
+// exponent's zeta table once, with the ladder step and the pass's bits 0–2
+// fused, and combin.ZetaAboveOctets finishes the pass: the bits of a copy
+// followed by combin.SumOverSubsets.
 func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 	for mask := range p {
 		p[mask] = 0
@@ -136,29 +139,66 @@ func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 	if t >= 0 {
 		vol[0] = 1 // the empty box-simplex
 	}
+	size := uint64(len(p))
 	for m := 1; m <= n; m++ {
 		invM := 1 / float64(m)
-		for mask := range p {
-			v := p[mask] * (t - sums[mask]) * invM
-			p[mask] = v
-			zeta[mask] = v
-		}
-		if err := combin.SumOverSubsets(zeta, n); err != nil {
-			return err
+		if n >= 3 {
+			ladderFill(p, zeta, sums, t, invM)
+			if err := combin.ZetaAboveOctets(zeta, n); err != nil {
+				return err
+			}
+		} else {
+			for mask := range p {
+				v := p[mask] * (t - sums[mask]) * invM
+				p[mask] = v
+				zeta[mask] = v
+			}
+			if err := combin.SumOverSubsets(zeta, n); err != nil {
+				return err
+			}
 		}
 		// Only the |T| = m entries are volumes at this exponent.
-		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
+		for mask := uint64(1)<<uint(m) - 1; mask < size; mask = combin.NextKSubsetMask(mask) {
 			v := zeta[mask]
 			if v < 0 {
 				v = 0
 			}
 			vol[mask] = v
-			return true
-		}); err != nil {
-			return err
 		}
 	}
 	return nil
+}
+
+// ladderFill is one exponent of volumeLadder's table fill: on every
+// aligned 8-cell it takes the ladder step p[I] ← p[I]·(t−σ_I)·invM, stores
+// it, and writes to zeta the cells after bits 0, 1 and 2 of the zeta
+// pass, added in registers in the order of combin.SumOverSubsets.
+func ladderFill(p, zeta, sums []float64, t, invM float64) {
+	for i := 0; i+8 <= len(p); i += 8 {
+		x, s, z := (*[8]float64)(p[i:]), (*[8]float64)(sums[i:]), (*[8]float64)(zeta[i:])
+		v0 := x[0] * (t - s[0]) * invM
+		v1 := x[1] * (t - s[1]) * invM
+		v2 := x[2] * (t - s[2]) * invM
+		v3 := x[3] * (t - s[3]) * invM
+		v4 := x[4] * (t - s[4]) * invM
+		v5 := x[5] * (t - s[5]) * invM
+		v6 := x[6] * (t - s[6]) * invM
+		v7 := x[7] * (t - s[7]) * invM
+		x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7] = v0, v1, v2, v3, v4, v5, v6, v7
+		v1 += v0
+		v3 += v2
+		v5 += v4
+		v7 += v6
+		v2 += v0
+		v3 += v1
+		v6 += v4
+		v7 += v5
+		v4 += v0
+		v5 += v1
+		v6 += v2
+		v7 += v3
+		z[0], z[1], z[2], z[3], z[4], z[5], z[6], z[7] = v0, v1, v2, v3, v4, v5, v6, v7
+	}
 }
 
 // equalWidths reports whether there is at least one width and all have
@@ -229,7 +269,10 @@ func cardinalityLadder(vol []float64, n int, w, t float64) {
 // Σ_{J⊆O} base[J] to emit, in increasing mask order within one exponent.
 // sub holds the caller's per-subset radix offsets and base is 2^n-entry
 // scratch. Because t[m] − sub[J] changes with m, every exponent rebuilds
-// all 2^n base cells before its n·2^(n-1) zeta additions. The caller
+// all 2^n base cells before its n·2^(n-1) zeta additions. A cell with
+// |J| > m is set to 0 without its power: only sums over sets larger than
+// m read it, and none of them is emitted, so the emitted bits are those
+// of the full base. The caller
 // passes as m0 the first exponent that needs a pass: the exponents
 // 1, …, m0−1 build no base and run no zeta pass, and emit receives 0 for
 // each of their entries (the sum of an all-zero base). It returns the work
@@ -239,12 +282,10 @@ func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v flo
 	size := uint64(1) << uint(n)
 	stats := SubsetVolumeStats{Subsets: size}
 	for m := 1; m < len(t); m++ {
+		first := uint64(1)<<uint(m) - 1
 		if m < m0 {
-			if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
+			for mask := first; mask < size; mask = combin.NextKSubsetMask(mask) {
 				emit(mask, 0)
-				return true
-			}); err != nil {
-				return stats, err
 			}
 			continue
 		}
@@ -254,13 +295,15 @@ func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v flo
 		}
 		invFact, tm := 1/f, t[m]
 		for mask := range base {
+			// No |O| = m sum reads a cell with |J| > m.
+			c := bits.OnesCount64(uint64(mask))
 			r := tm - sub[mask]
-			if r <= 0 {
+			if c > m || r <= 0 {
 				base[mask] = 0
 				continue
 			}
 			v := invFact * combin.PowInt(r, m)
-			if bits.OnesCount64(uint64(mask))%2 == 1 {
+			if c%2 == 1 {
 				v = -v
 			}
 			base[mask] = v
@@ -270,11 +313,8 @@ func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v flo
 		}
 		stats.Incremental += uint64(n) * size / 2
 		stats.Rebuilt += size
-		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
+		for mask := first; mask < size; mask = combin.NextKSubsetMask(mask) {
 			emit(mask, base[mask])
-			return true
-		}); err != nil {
-			return stats, err
 		}
 	}
 	return stats, nil

@@ -631,3 +631,86 @@ func TestTwoBranchKernelReuseKey(t *testing.T) {
 	}
 	sameAsFresh(t, "repeated π ≡ 1 vector", &k, thresholdPlayers(a, ones), 2, &SubsetVolumeStats{})
 }
+
+// TestTwoBranchKernelScaleHalfBitExact halves π, δ and every threshold of
+// seeded heterogeneous games, n = 4–15, with α unchanged. Every width,
+// radix, power, factorial quotient and box then scales by a power of two
+// and every mass keeps its bits, so P must keep its bits on every table
+// strategy: the shared-β bin-1 ladder with and without point players
+// (π_i ≤ β), the per-set walk of distinct thresholds, and the one table of
+// oblivious players. These sizes lie beyond the rational oracle. Threshold
+// players on U[0, 1] take the raw-volume strategy, which the halved game
+// leaves for the shared-β ladder or the walk, so that pair is a
+// cross-strategy check, within 1e-9. The raw-volume complement form is the
+// least accurate strategy (2.8e-11 against the rational oracle at n = 13),
+// and on these instances the two differ by at most 2.2e-10, at n = 15.
+func TestTwoBranchKernelScaleHalfBitExact(t *testing.T) {
+	const crossTol = 1e-9
+	rng := rand.New(rand.NewPCG(41, 21))
+	uniform := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	half := func(x []float64) []float64 {
+		out := make([]float64, len(x))
+		for i, v := range x {
+			out[i] = v / 2
+		}
+		return out
+	}
+	oblivious := func(alpha, pi []float64) []TwoBranch {
+		players := make([]TwoBranch, len(pi))
+		for i, w := range pi {
+			players[i] = TwoBranch{Mass0: alpha[i], Hi0: w, Mass1: 1 - alpha[i], Hi1: w}
+		}
+		return players
+	}
+	sum := func(players []TwoBranch, capacity float64) float64 {
+		return freshKernel(t, players, capacity).Sum()
+	}
+	for n := 4; n <= maxThresholdPi; n++ {
+		capacity := float64(n) / 3 * uniform(0.8, 1.2)
+		beta := uniform(0.4, 0.7)
+		shared, distinct, alpha := make([]float64, n), make([]float64, n), make([]float64, n)
+		pi, piPoint, ones := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range pi {
+			shared[i], distinct[i], alpha[i] = beta, uniform(0.3, 0.8), uniform(0.2, 0.8)
+			pi[i], piPoint[i], ones[i] = uniform(beta+0.05, 1), uniform(beta+0.05, 1), 1
+		}
+		for i := 0; i < n; i += 3 {
+			piPoint[i] = uniform(beta/2, beta) // a point player: π_i ≤ β
+		}
+		for _, c := range []struct {
+			name  string
+			a, pi []float64 // thresholds and ranges; a nil a is oblivious
+		}{
+			{"shared β", shared, pi},
+			{"shared β, point players", shared, piPoint},
+			{"distinct thresholds", distinct, pi},
+			{"oblivious", nil, pi},
+		} {
+			var got, want float64
+			if c.a == nil {
+				want = sum(oblivious(alpha, c.pi), capacity)
+				got = sum(oblivious(alpha, half(c.pi)), capacity/2)
+			} else {
+				want = sum(thresholdPlayers(c.a, c.pi), capacity)
+				got = sum(thresholdPlayers(half(c.a), half(c.pi)), capacity/2)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d %s: halved P = %v, P = %v", n, c.name, got, want)
+			}
+		}
+		for _, a := range [][]float64{shared, distinct} {
+			players := thresholdPlayers(a, ones)
+			if !rawVolumes(players) {
+				t.Fatalf("n=%d: threshold players on U[0, 1] do not take the raw-volume strategy", n)
+			}
+			halved := thresholdPlayers(half(a), half(ones))
+			if rawVolumes(halved) {
+				t.Fatalf("n=%d: halved threshold players take the raw-volume strategy", n)
+			}
+			want, got := sum(players, capacity), sum(halved, capacity/2)
+			if d := math.Abs(got - want); d > crossTol {
+				t.Errorf("n=%d π ≡ 1: halved P = %v, raw-volume P = %v, |Δ| = %.3g > %g", n, got, want, d, crossTol)
+			}
+		}
+	}
+}
