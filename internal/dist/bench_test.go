@@ -52,3 +52,28 @@ func BenchmarkTwoBranchKernelBuildSharedBeta(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTwoBranchKernelBuildSharedEnd times a whole build of the
+// kernel for threshold players with distinct thresholds on U[0, 1] inputs
+// (Theorem 5.1, π ≡ 1): the bin-0 zeta ladder plus the shared-right-end
+// bin-1 table, one radixLadder pass per exponent m > δ. The capacity
+// alternates between two values so that every build rebuilds every table.
+func BenchmarkTwoBranchKernelBuildSharedEnd(b *testing.B) {
+	for _, n := range []int{12, 16, 20} {
+		a, ones := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i], ones[i] = float64(2*i+1)/float64(2*n), 1
+		}
+		players := thresholdPlayers(a, ones)
+		capacities := [2]float64{float64(n) / 3, float64(n)/3 + 0.125}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var k TwoBranchKernel
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := k.Build(players, capacities[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -9,8 +9,10 @@ import (
 
 // MaxBranchPlayers bounds the player count of WinProbabilityRat: it sums
 // over every choice of one branch per player (2^n choices for two
-// branches each), with two exact Lemma 2.4 CDFs per choice.
-const MaxBranchPlayers = 10
+// branches each), with two exact Lemma 2.4 CDFs per choice. On threshold
+// players with dyadic inputs one call takes up to a few seconds at
+// n = 14, and its cost grows with δ.
+const MaxBranchPlayers = 14
 
 // Branch is one outcome of a player's decision: with probability Mass the
 // player enters bin Bin (0 or 1) and its load is uniform on [Lo, Hi]

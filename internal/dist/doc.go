@@ -13,8 +13,7 @@
 //   - TwoBranchKernel: the float winning probability of Theorems 4.1 and
 //     5.1, on homogeneous and heterogeneous inputs, each player a uniform
 //     load into bin 0 or bin 1 with some mass: mass products times one
-//     subset-CDF table per bin (for Theorem 5.1 on U[0, 1] inputs, the
-//     raw N₀ and N₁ volumes), added by one chunked pair sum.
+//     subset-CDF table per bin, added by one chunked pair sum.
 //   - CDFRat: Lemma 2.4 in exact rationals, summed over multiplicities of
 //     equal widths, the oracle the float tables and the certified
 //     computations are checked against. At unit widths it is Corollary
@@ -29,7 +28,10 @@
 //     float64 accuracy at every order; CDFRat at unit widths is its exact
 //     twin.
 //
-// Lemma 2.7 (x_i ~ U[π_i, 1]) needs no kernel of its own: the substitution
-// x'_i = 1 − x_i turns it into Lemma 2.4 at the complement, which is how
-// TwoBranchKernel builds N₁ for homogeneous threshold players.
+// Lemma 2.7 (x_i ~ U[π_i, 1]) needs no kernel of its own: x_i = π_i + u_i
+// turns it into Lemma 2.4 for the widths 1 − π_i at δ − Σ π_i. When the
+// intervals share the shift, or the right end (with the sum taken from
+// that end), each inclusion–exclusion radix depends on the set only
+// through its size, and TwoBranchKernel builds every set's CDF with one
+// ladder pass per size.
 package dist

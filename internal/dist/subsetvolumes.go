@@ -263,13 +263,14 @@ func cardinalityLadder(vol []float64, n int, w, t float64) {
 // inclusion-exclusion sums whose radix shifts with the exponent. For every
 // exponent m = m0, …, len(t)−1 it fills the signed base table
 //
-//	base[J] = (−1)^{|J|} (t[m] − sub[J])_+^m / m!
+//	base[J] = (−1)^{|J|} (t[m] − sign·sub[J])_+^m / m!
 //
 // over all 2^n subsets J, runs one zeta pass and hands every |O| = m entry
 // Σ_{J⊆O} base[J] to emit, in increasing mask order within one exponent.
-// sub holds the caller's per-subset radix offsets and base is 2^n-entry
-// scratch. Because t[m] − sub[J] changes with m, every exponent rebuilds
-// all 2^n base cells before its n·2^(n-1) zeta additions. A cell with
+// sub holds the caller's per-subset radix offsets, sign (1 or −1) says
+// whether they are subtracted or added, and base is 2^n-entry scratch.
+// Because t[m] − sign·sub[J] changes with m, every exponent rebuilds all
+// 2^n base cells before its n·2^(n-1) zeta additions. A cell with
 // |J| > m is set to 0 without its power: only sums over sets larger than
 // m read it, and none of them is emitted, so the emitted bits are those
 // of the full base. The caller
@@ -278,7 +279,7 @@ func cardinalityLadder(vol []float64, n int, w, t float64) {
 // each of their entries (the sum of an all-zero base). It returns the work
 // of the passes it ran: the 2^n subsets, and per pass 2^n rebuilt base
 // cells and n·2^(n-1) zeta additions.
-func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) (SubsetVolumeStats, error) {
+func radixLadder(sub []float64, sign float64, t, base []float64, n, m0 int, emit func(mask uint64, v float64)) (SubsetVolumeStats, error) {
 	size := uint64(1) << uint(n)
 	stats := SubsetVolumeStats{Subsets: size}
 	for m := 1; m < len(t); m++ {
@@ -297,7 +298,7 @@ func radixLadder(sub, t, base []float64, n, m0 int, emit func(mask uint64, v flo
 		for mask := range base {
 			// No |O| = m sum reads a cell with |J| > m.
 			c := bits.OnesCount64(uint64(mask))
-			r := tm - sub[mask]
+			r := tm - sign*sub[mask]
 			if c > m || r <= 0 {
 				base[mask] = 0
 				continue

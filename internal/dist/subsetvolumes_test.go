@@ -183,7 +183,8 @@ func TestAllSubsetVolumesChecksum(t *testing.T) {
 // exponent m0 on seeded offsets and radii: each cell of an exponent ≥ m0
 // gets the full ladder's bits, each cell of a skipped exponent gets 0,
 // every cell with 1 ≤ |O| < len(t) is emitted exactly once, and the
-// returned work counts the passes that ran.
+// returned work counts the passes that ran. Negated offsets with sign −1
+// give the same radii, so every cell of that ladder has the same bits.
 func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 2))
 	for _, n := range []int{1, 4, 7, 10} {
@@ -199,7 +200,7 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 		ladder := func(m0 int) ([]float64, []int) {
 			out := make([]float64, size)
 			seen := make([]int, size)
-			work, err := radixLadder(sub, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
+			work, err := radixLadder(sub, 1, tm, make([]float64, size), n, m0, func(mask uint64, v float64) {
 				out[mask] = v
 				seen[mask]++
 			})
@@ -217,6 +218,17 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 			return out, seen
 		}
 		full, _ := ladder(1)
+		neg := make([]float64, size)
+		for mask, v := range sub {
+			neg[mask] = -v
+		}
+		if _, err := radixLadder(neg, -1, tm, make([]float64, size), n, 1, func(mask uint64, v float64) {
+			if math.Float64bits(v) != math.Float64bits(full[mask]) {
+				t.Fatalf("n=%d cell %b: negated offsets %v, offsets %v", n, mask, v, full[mask])
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for m0 := 0; m0 <= n+1; m0++ {
 			got, seen := ladder(m0)
 			for mask := 1; mask < size; mask++ {
@@ -236,8 +248,7 @@ func TestRadixLadderFromMatchesFullLadder(t *testing.T) {
 // the support read above the full box Π w. Volumes are clamped only below,
 // so a set T with Σ_T w ≤ t reads Π_T w up to rounding of its cancelling
 // inclusion–exclusion sum. TwoBranchKernel clamps its CDFs into [0, 1]
-// and hides it; the homogeneous threshold evaluator reads these volumes
-// raw. Widths k/7 (k = 1…7) and seeded widths in [¼, 1], with t from the
+// and hides it. Widths k/7 (k = 1…7) and seeded widths in [¼, 1], with t from the
 // full support to one past it in steps of ⅛, measured a worst relative
 // error of 4.7e-8 (widths 1/7) and a worst absolute error of 1.6e-10 at
 // n = 12; nine widths of 2/7 at t = 3 read 1 + 1.6e-11. The bounds below

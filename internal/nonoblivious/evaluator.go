@@ -264,7 +264,7 @@ func (ev *Evaluator) EvaluateVector(x []float64) (float64, error) {
 }
 
 // openProfile builds the line profile for coordinate i from the committed
-// N₀ and N₁ tables (the kernel's weights): the compressed-lattice
+// N₀ = W₀·C₀ and N₁ = W₁·C₁ (the kernel's tables): the compressed-lattice
 // sums/signs/products over the frozen coordinates, the
 // cardinality-indexed superset-sum tables M^c (N₁ weights for the T part)
 // and P^c (N₀ weights for the V part), the pre-expanded sign-stable
@@ -313,7 +313,7 @@ func (ev *Evaluator) openProfile(i int) {
 	// N₀[R∖s] at (s, |s|); the vectorized superset-sum pass then yields
 	// M^c[J] = Σ_{T'⊇J, |T'|=c} N₁[R∖T'] (and likewise P^c) for every
 	// cardinality at once.
-	vol, n1 := ev.kernel.Weights()
+	w0, w1, c0, c1 := ev.kernel.Tables()
 	for idx := range p.m[:h*n] {
 		p.m[idx] = 0
 		p.p[idx] = 0
@@ -322,8 +322,8 @@ func (ev *Evaluator) openProfile(i int) {
 		comp := hm &^ uint64(j)
 		fullMask := (comp & lowMask) | (comp&^lowMask)<<1
 		c := bits.OnesCount64(uint64(j))
-		p.m[j*n+c] = n1[fullMask]
-		p.p[j*n+c] = vol[fullMask]
+		p.m[j*n+c] = w1[fullMask] * c1[fullMask]
+		p.p[j*n+c] = w0[fullMask] * c0[fullMask]
 	}
 	supersetSumStrided(p.m, n-1, n)
 	supersetSumStrided(p.p, n-1, n)
@@ -341,7 +341,7 @@ func (ev *Evaluator) openProfile(i int) {
 		sgn := p.signR[j]
 		comp := hm &^ uint64(j)
 		fullMask := (comp & lowMask) | (comp&^lowMask)<<1
-		k1.Add(vol[fullMask] * p.prodR[j])
+		k1.Add(w0[fullMask] * c0[fullMask] * p.prodR[j])
 		// T part: radix δ−v−σ_J. Stable on [0, 1] when σ_J ≤ δ−1 →
 		// pre-expand (b−v)^(c+1); sign-crossing when δ−1 < σ_J < δ;
 		// never positive when σ_J ≥ δ.

@@ -234,11 +234,10 @@ func TestEvaluatorAscentPattern(t *testing.T) {
 }
 
 // TestEvaluatorMatchesRatOracle checks SetCoord-committed values against
-// the exact rational oracle on random dyadic walks for every n up to the
-// oracle cap.
+// the exact rational oracle on random dyadic walks for every n ≤ 10.
 func TestEvaluatorMatchesRatOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(63, 5))
-	for n := 2; n <= MaxNExact; n++ {
+	for n := 2; n <= 10; n++ {
 		capF, capR := dyadicCapacity(n)
 		bound := ExactErrorBound(n, capF, 1)
 		ev, err := NewEvaluator(n, capF)

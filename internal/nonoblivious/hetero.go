@@ -10,9 +10,10 @@ import (
 )
 
 // MaxNHetero bounds the player count for heterogeneous-input evaluation.
-// With distinct thresholds the bin-1 CDFs take a pruned depth-first walk
-// per set (dist.TwoBranchKernel; worst case Θ(3^n)), which keeps this cap
-// below MaxNGeneral, where π ≡ 1 needs no walk.
+// With distinct thresholds on distinct ranges the bin-1 CDFs take a
+// pruned depth-first walk per set (dist.TwoBranchKernel; worst case
+// Θ(3^n)), which keeps this cap below MaxNGeneral, where π ≡ 1 needs no
+// walk.
 const MaxNHetero = 15
 
 // WinningProbabilityPi generalizes Theorem 5.1 to heterogeneous inputs
@@ -29,10 +30,10 @@ const MaxNHetero = 15
 // load uniform on [0, c_i] into bin 0 with mass c_i/π_i and one uniform on
 // [c_i, π_i] into bin 1 with mass (π_i − c_i)/π_i, and dist.TwoBranchKernel
 // sums the bin choices. The bin-1 CDFs are taken at δ − Σ_{i∈S} a_i, the
-// shift identity behind Lemma 2.7. For π ≡ 1, or when every player that
-// can choose bin 1 has the same threshold, the kernel builds the bin-1
-// tables with one ladder pass per cardinality, and otherwise it walks
-// each set that can contribute. It is WinningProbabilityPiInto with a
+// shift identity behind Lemma 2.7. When every player that can choose bin
+// 1 has the same threshold, or the same range π_i (π ≡ 1 among them), the
+// kernel builds the bin-1 tables with one ladder pass per cardinality,
+// and otherwise it walks each set that can contribute. It is WinningProbabilityPiInto with a
 // fresh kernel.
 func WinningProbabilityPi(thresholds, pi []float64, capacity float64, o *obs.Observer) (float64, error) {
 	return WinningProbabilityPiInto(new(dist.TwoBranchKernel), thresholds, pi, capacity, o)

@@ -41,10 +41,10 @@ import (
 // O(n²·2^n) time and a handful of 2^n-entry float64 tables, which is what
 // allows 20 players where the old Θ(3^n) per-subset inclusion-exclusion
 // capped out at 15. Its accuracy is not certified at that size:
-// ExactErrorBound is 1.7e3 at n = 20, and the N₁ table, a product minus a
-// zeta-summed alternating tail, cancels — with equal thresholds at β = 7/8
-// it is off the exact value by 2.0e-9 at n = 16, δ = 5 and by 4.4e-6 at
-// n = 20, δ = 5 (ROADMAP item 2).
+// ExactErrorBound is 1.7e3 at n = 20 (ROADMAP item 2). Measured, equal
+// thresholds at β = 7/8 and δ = 5 are within 2.8e-16 of the symmetric
+// Irwin–Hall ladder at n = 16 and 8.7e-18 at n = 20, and distinct ones
+// within 1.2e-14 of the per-set walk at n = 16–20.
 const MaxNGeneral = 20
 
 // MaxNSymmetric bounds the player count for the symmetric fast path. Its
