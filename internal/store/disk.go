@@ -40,7 +40,7 @@ import (
 // like any other malformation and is quarantined, never trusted.
 const (
 	entryMagic   = "NCSE"
-	entryVersion = 2
+	entryVersion = 3
 	headerSize   = 24
 	// entryExt is the segment file suffix; everything else in the
 	// directory is ignored by scans.
@@ -64,6 +64,7 @@ const (
 var answerCanaries = [...]string{
 	1: "fb31fba462801c612714bddf979bd7f28c86b599f0319951389ac6e9ede77e8d",
 	2: "6feb299f3ee812b1c3243b05dac5bc3ff1dbbc35b5779bf116406317ce189427",
+	3: "51b109cfac19b226690c2c6cd6ac794321041fc423c36b20e0d85bcd67dd6c84",
 }
 
 // diskEntry is the JSON payload of one record.
