@@ -56,7 +56,8 @@ var kernels = []string{
 	"repro/internal/combin.zetaPairsSSE2.abi0",
 	"repro/internal/dist.volumeLadder",
 	"repro/internal/dist.ladderFill",
-	"repro/internal/dist.cardinalityLadder",
+	"repro/internal/dist.classLadder",
+	"repro/internal/dist.scatterClasses",
 	"repro/internal/dist.radixLadder",
 	"repro/internal/dist.pairSum",
 	"repro/internal/response.boxVolume",

@@ -9,7 +9,11 @@
 //   - AllSubsetVolumes: the Proposition 2.2 box-simplex volume of every
 //     subset of a set of widths at one shared threshold, in float64; the
 //     volume of a subset divided by the product of its widths is the
-//     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i].
+//     Lemma 2.4 CDF of Σ x_i with x_i ~ U[0, π_i]. Equal widths take one
+//     volume per cardinality. TwoBranchKernel's bin-0 table under a
+//     shared threshold β with point players (π_i ≤ β) takes one volume
+//     per width class (the count of β-width players, the set of points),
+//     with the bits of the zeta ladder over the β-width players first.
 //   - TwoBranchKernel: the float winning probability of Theorems 4.1 and
 //     5.1, on homogeneous and heterogeneous inputs, each player a uniform
 //     load into bin 0 or bin 1 with some mass: mass products times one

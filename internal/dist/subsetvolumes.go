@@ -10,16 +10,18 @@ import (
 )
 
 // SubsetVolumeStats counts the work of subset-table builds
-// (AllSubsetVolumes, radixLadder), for the exact backend's observability
-// counters.
+// (AllSubsetVolumes, classLadder, radixLadder), for the exact backend's
+// observability counters.
 type SubsetVolumeStats struct {
 	// Subsets is the number of subset cells produced (2^n).
 	Subsets uint64
 	// Incremental is the number of O(1) incremental state updates: the
 	// per-exponent radix-power updates plus the sum-over-subsets pair
-	// additions. For equal widths (cardinalityLadder) they are, per
-	// exponent m, the n+1 ladder cells, one per cardinality, plus the
-	// m(m+1)/2 additions of the V recurrence.
+	// additions. For width classes (classLadder) they are, per exponent,
+	// the (c+1)·2^z chain cells, the additions of the V recurrence and
+	// those of the rows' zeta passes, as its doc comment counts them; for
+	// n equal widths (z = 0), the n+1 ladder cells, one per cardinality,
+	// plus the m(m+1)/2 additions of the V recurrence at exponent m.
 	Incremental uint64
 	// Rebuilt is the number of cells whose base term had to be rebuilt
 	// from scratch rather than updated incrementally (zero for
@@ -66,9 +68,9 @@ func (s SubsetVolumeStats) Record(o *obs.Observer) {
 //
 // When every width has the same bits, every k-set has the same subset
 // sum, base cells and zeta expression tree, so the volume of each
-// cardinality is computed once, by cardinalityLadder in O(n²) per
-// exponent, and written to every cell of that cardinality with the bits of
-// the zeta ladder.
+// cardinality is computed once, by classLadder with no point players in
+// O(n²) per exponent, and written to every cell of that cardinality with
+// the bits of the zeta ladder.
 //
 // The volumes are written to dst when it has room for their 2^n entries,
 // and to a new slice otherwise (as combin.SubsetSums does). The zeta
@@ -96,12 +98,10 @@ func AllSubsetVolumes(dst, widths []float64, t float64, scratch []float64) ([]fl
 		vol = make([]float64, size)
 	}
 	vol = vol[:size]
-	u := uint64(size)
 	if equalWidths(widths) {
-		cardinalityLadder(vol, n, widths[0], t)
-		// Per exponent: n+1 ladder cells and m(m+1)/2 recurrence additions.
-		nn := uint64(n)
-		return vol, SubsetVolumeStats{Subsets: u, Incremental: nn*(nn+1) + nn*(nn+1)*(nn+2)/6}, nil
+		var tables [4 * (combin.MaxSubsetTable + 1)]float64
+		stats, err := classLadder(vol, widths[0], nil, uint64(size-1), t, tables[:])
+		return vol, stats, err
 	}
 	if cap(scratch) < 3*size {
 		scratch = make([]float64, 3*size)
@@ -114,6 +114,7 @@ func AllSubsetVolumes(dst, widths []float64, t float64, scratch []float64) ([]fl
 		return nil, SubsetVolumeStats{}, err
 	}
 	// Per exponent: 2^n radix-power updates plus n·2^(n-1) zeta additions.
+	u := uint64(size)
 	return vol, SubsetVolumeStats{Subsets: u, Incremental: uint64(n)*u + uint64(n)*uint64(n)*u/2}, nil
 }
 
@@ -159,11 +160,7 @@ func volumeLadder(sums, p, zeta, vol []float64, n int, t float64) error {
 		}
 		// Only the |T| = m entries are volumes at this exponent.
 		for mask := uint64(1)<<uint(m) - 1; mask < size; mask = combin.NextKSubsetMask(mask) {
-			v := zeta[mask]
-			if v < 0 {
-				v = 0
-			}
-			vol[mask] = v
+			vol[mask] = max0(zeta[mask])
 		}
 	}
 	return nil
@@ -212,50 +209,181 @@ func equalWidths(widths []float64) bool {
 	return len(widths) > 0
 }
 
-// cardinalityLadder is volumeLadder for n widths that all equal w, with
-// the same bits. combin.SubsetSums adds the widths of a k-set one after
-// another, so its sum is the same float s_k for every k-set, and so are
-// its ladder cells g_m(k). The zeta pass adds a set's cells bit by bit in
-// ascending order, so the expression tree of an m-set's sum is the same
-// for every m-set: after its lowest i bits, a cell that holds those i
-// bits and r of its other ones holds V_i(r), where V_0(r) = g_m(r) and
-// V_i(r) = V_{i−1}(r+1) + V_{i−1}(r) (the bit-set cell plus its bit-clear
-// partner), and the volume of every m-set is V_m(0), clamped below at 0.
-// Each exponent costs n+1 ladder cells and m(m+1)/2 additions; vol then
-// takes each cell's volume by its popcount.
-func cardinalityLadder(vol []float64, n int, w, t float64) {
-	var sum, g, v, out [combin.MaxSubsetTable + 1]float64
-	for k := 1; k <= n; k++ {
-		sum[k] = sum[k-1] + w
+// classVolumes writes to vol (2^n entries) the AllSubsetVolumes table of
+// widths at t for a game whose capable players (the mask capable) share
+// the bits of one width w, and whose other z = n − c players, the points,
+// have any widths. It returns the work of the ladder it ran.
+//
+// Its values are those of the zeta ladder over the capable-first order
+// (the capable players in the low bits, the points after them in the
+// caller's order), written back to the caller's masks, whichever of the
+// three ladders below runs. Every order gives equal widths the same bits,
+// so they take AllSubsetVolumes as they are. With c ≥ 2 capable players
+// classLadder computes the (c+1)·2^z volumes of the classes (|T ∩
+// capable|, T ∩ points) once; with c ≤ 1 there is nothing to share, and
+// the zeta ladder runs on the capable-first widths, copied into scratch
+// and scattered back unless the capable players already hold the low
+// bits. scratch holds at least 3·2^n entries, of which classLadder uses
+// 4·(c+1)·2^z ≤ 3·2^n.
+func classVolumes(vol, widths []float64, capable uint64, t float64, scratch []float64) (SubsetVolumeStats, error) {
+	if equalWidths(widths) {
+		_, stats, err := AllSubsetVolumes(vol, widths, t, scratch)
+		return stats, err
 	}
-	for k := 0; k <= n; k++ {
-		if t-sum[k] > 0 {
-			g[k] = 1
-			if k%2 == 1 {
-				g[k] = -1
+	var buf [combin.MaxSubsetTable]float64
+	ordered := buf[:0]
+	for i, w := range widths {
+		if capable&(1<<uint(i)) != 0 {
+			ordered = append(ordered, w)
+		}
+	}
+	c := len(ordered)
+	for i, w := range widths {
+		if capable&(1<<uint(i)) == 0 {
+			ordered = append(ordered, w)
+		}
+	}
+	if c >= 2 {
+		return classLadder(vol, ordered[0], ordered[c:], capable, t, scratch)
+	}
+	_, stats, err := AllSubsetVolumes(vol, ordered, t, scratch)
+	if err != nil || capable&(capable+1) == 0 {
+		return stats, err
+	}
+	table := scratch[:len(vol)]
+	copy(table, vol)
+	scatterClasses(vol, table, capable, c)
+	return stats, nil
+}
+
+// classLadder is volumeLadder over the capable-first order for c capable
+// players (the mask capable) of one width w and the points' widths pw
+// (z = len(pw)), computed per class. Writing a set T of the capable-first
+// order as (k, Q), k = |T ∩ capable| and Q = T ∩ points:
+//
+//   - combin.SubsetSums peels a set's lowest bit first, so T's sum is
+//     s(k, Q) = s(k−1, Q) + w over s(0, Q) = σ_Q, the points' own subset
+//     sum, and every cell of a class takes the same ladder cells g_m(k, Q);
+//   - the zeta pass adds a cell's bits in ascending order, the capable
+//     ones first, and after each bit it adds the cell's bit-clear partner.
+//     So after its lowest i capable bits, a cell (k, Q) holding those bits
+//     and r of its other capable ones holds V_i(r), with V_0(r) =
+//     g_m(r, Q) and V_i(r) = V_{i−1}(r+1) + V_{i−1}(r), the same tree for
+//     every cell of the class: after the capable bits, cell T holds
+//     A_m(k, Q) = V_k(0);
+//   - the point bits then run the passes of combin.SumOverSubsets over the
+//     2^z cells (k, ·) of each k.
+//
+// So each exponent m takes the chain step on the (c+1)·2^z cells, the V
+// triangle up to K = min(c, m) for each Q, whose V_i(0) are the rows
+// A_m(i, ·), and a zeta pass over each row k whose |Q| = m − k ≥ 1 cells
+// are volumes (row m, whose one volume is Q = ∅, needs none). The |T| = m
+// volumes are clamped below at 0 into a class table, which
+// scatterClasses writes into vol (2^n entries, the caller's masks) once.
+// The four (c+1)·2^z tables (radices, chain, rows and volumes) are carved
+// from tables. With z = 0 this is the ladder of n equal widths.
+//
+// Its work, per exponent m = 1…n, is (c+1)·2^z chain cells and
+// 2^z·K(K+1)/2 triangle additions, and for each of the (c+1)·z rows with
+// 1 ≤ m − k ≤ z a pass of z·2^(z−1) additions. In all:
+//
+//	Incremental = 2^z·(n(c+1) + c(c+1)(c+2)/6 + z·c(c+1)/2) + (c+1)·z²·2^(z−1).
+func classLadder(vol []float64, w float64, pw []float64, capable uint64, t float64, tables []float64) (SubsetVolumeStats, error) {
+	n, z := bits.Len64(uint64(len(vol)))-1, len(pw)
+	c, row := n-z, 1<<uint(z)
+	width, cells := c+1, (c+1)<<uint(z)
+	radix, p, rows, out := tables[:cells], tables[cells:2*cells], tables[2*cells:3*cells], tables[3*cells:4*cells]
+	sums, err := combin.SubsetSums(rows[:row], pw)
+	if err != nil {
+		return SubsetVolumeStats{}, err
+	}
+	for q, s := range sums {
+		odd := bits.OnesCount64(uint64(q))%2 == 1
+		for k := 0; k <= c; k++ {
+			if k > 0 {
+				s += w
+			}
+			i := q*width + k
+			radix[i], p[i] = t-s, 0
+			if t-s > 0 {
+				p[i] = 1
+				if odd != (k%2 == 1) {
+					p[i] = -1
+				}
 			}
 		}
 	}
+	out[0] = 0
 	if t >= 0 {
 		out[0] = 1 // the empty box-simplex
 	}
+	var v [combin.MaxSubsetTable + 1]float64
 	for m := 1; m <= n; m++ {
 		invM := 1 / float64(m)
-		for k := 0; k <= n; k++ {
-			g[k] = g[k] * (t - sum[k]) * invM
-		}
-		copy(v[:m+1], g[:m+1])
-		for i := 1; i <= m; i++ {
-			for r := 0; r <= m-i; r++ {
-				v[r] = v[r+1] + v[r]
+		kmax := min(c, m)
+		for q := 0; q < row; q++ {
+			g, r := p[q*width:(q+1)*width], radix[q*width:(q+1)*width]
+			for k := range g {
+				g[k] = g[k] * r[k] * invM
+			}
+			copy(v[:kmax+1], g[:kmax+1])
+			rows[q] = v[0]
+			for i := 1; i <= kmax; i++ {
+				for r := 0; r <= kmax-i; r++ {
+					v[r] = v[r+1] + v[r]
+				}
+				rows[i*row+q] = v[0]
 			}
 		}
-		if out[m] = v[0]; out[m] < 0 {
-			out[m] = 0
+		for k := max(0, m-z); k <= kmax; k++ {
+			a := rows[k*row : (k+1)*row]
+			j := m - k
+			if j == 0 {
+				out[k] = max0(a[0])
+				continue
+			}
+			if err := combin.SumOverSubsets(a, z); err != nil {
+				return SubsetVolumeStats{}, err
+			}
+			for q := uint64(1)<<uint(j) - 1; q < uint64(row); q = combin.NextKSubsetMask(q) {
+				out[int(q)*width+k] = max0(a[q])
+			}
 		}
 	}
-	for mask := range vol {
-		vol[mask] = out[bits.OnesCount64(uint64(mask))]
+	scatterClasses(vol, out, capable, c)
+	u, cc, zz := uint64(row), uint64(c), uint64(z)
+	work := u*(uint64(n)*(cc+1)+cc*(cc+1)*(cc+2)/6+zz*cc*(cc+1)/2) + (cc+1)*zz*zz*u/2
+	return SubsetVolumeStats{Subsets: uint64(len(vol)), Incremental: work}, nil
+}
+
+// max0 is the ladders' read-off clamp: v below 0 becomes 0, and −0 and NaN
+// stay as they are.
+func max0(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// scatterClasses writes to every cell T of vol (2^n entries, the caller's
+// masks) the class value table[q·(c+1) + |T ∩ capable|], where q is the
+// index of T's point bits (those outside capable) among the point
+// submasks in increasing order, that is, those bits packed into the low
+// ones. For c ≤ 1 the index is T's mask in the capable-first order. The
+// point and capable submasks run in the increasing walk s ← (s − M) & M.
+func scatterClasses(vol, table []float64, capable uint64, c int) {
+	points := uint64(len(vol)-1) &^ capable
+	for q, pm := 0, uint64(0); ; q++ {
+		class := table[q*(c+1) : (q+1)*(c+1)]
+		for cm := uint64(0); ; {
+			vol[pm|cm] = class[bits.OnesCount64(cm)]
+			if cm = (cm - capable) & capable; cm == 0 {
+				break
+			}
+		}
+		if pm = (pm - points) & points; pm == 0 {
+			return
+		}
 	}
 }
 

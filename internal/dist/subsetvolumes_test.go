@@ -287,6 +287,84 @@ func TestAllSubsetVolumesOvershootBound(t *testing.T) {
 	}
 }
 
+// TestClassLadderBitIdentical requires classVolumes to give every cell
+// the bits of the zeta ladder (volumeLadder) run on the capable-first
+// widths, the c capable players of one width w in the low bits and the z
+// points after them in caller order, read back at each cell's
+// capable-first mask: seeded cases with n = 1…15 and every c = 0…n (so
+// every z), the capable players at random positions, the points' widths
+// random, 0 or w, at a negative t, t = 0, t on a class's subset sum (a
+// radix exactly 0) and a random t. The scratch and the destination start
+// as NaN, so a cell read before it is written shows. It covers all three
+// of classVolumes' ladders: equal widths, c ≤ 1 and the class ladder.
+func TestClassLadderBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 1))
+	for n := 1; n <= 15; n++ {
+		size := 1 << uint(n)
+		for c := 0; c <= n; c++ {
+			w := 0.1 + rng.Float64()
+			var capable uint64
+			for _, i := range rng.Perm(n)[:c] {
+				capable |= 1 << uint(i)
+			}
+			widths := make([]float64, n)
+			var ordered []float64 // capable first
+			for i := range widths {
+				if widths[i] = w; capable&(1<<uint(i)) != 0 {
+					ordered = append(ordered, w)
+				}
+			}
+			for i := range widths {
+				if capable&(1<<uint(i)) != 0 {
+					continue
+				}
+				switch r := rng.IntN(8); {
+				case r == 0:
+					widths[i] = 0
+				case r >= 3:
+					widths[i] = 0.1 + rng.Float64()
+				}
+				ordered = append(ordered, widths[i])
+			}
+			sums, _ := combin.SubsetSums(nil, ordered)
+			pack := make([]uint64, size) // a caller mask's capable-first mask
+			for mask := range pack {
+				lo, hi := 0, c
+				for i := 0; i < n; i++ {
+					if capable&(1<<uint(i)) != 0 {
+						pack[mask] |= uint64(mask) >> uint(i) & 1 << uint(lo)
+						lo++
+					} else {
+						pack[mask] |= uint64(mask) >> uint(i) & 1 << uint(hi)
+						hi++
+					}
+				}
+			}
+			onSum := sums[pack[rng.IntN(size)]]
+			for _, thr := range []float64{-rng.Float64(), 0, onSum, float64(n) * rng.Float64()} {
+				want := make([]float64, size)
+				if err := volumeLadder(sums, make([]float64, size), make([]float64, size), want, n, thr); err != nil {
+					t.Fatal(err)
+				}
+				got, scratch := make([]float64, size), make([]float64, 3*size)
+				for _, s := range [][]float64{got, scratch} {
+					for i := range s {
+						s[i] = math.NaN()
+					}
+				}
+				if _, err := classVolumes(got, widths, capable, thr, scratch); err != nil {
+					t.Fatal(err)
+				}
+				for mask, v := range got {
+					if math.Float64bits(v) != math.Float64bits(want[pack[mask]]) {
+						t.Fatalf("n=%d c=%d capable %b widths %v t=%v set %b: class ladder %v, capable-first zeta ladder %v", n, c, capable, widths, thr, mask, v, want[pack[mask]])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCardinalityLadderBitIdentical requires the equal-width path of
 // AllSubsetVolumes to give every cell the bits of the zeta ladder
 // (volumeLadder over the subset sums) and to report its own work: seeded

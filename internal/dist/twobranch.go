@@ -32,8 +32,14 @@ type TwoBranch struct {
 // (volume over box volume, clamped into [0, 1]). C₀ is one
 // AllSubsetVolumes table at δ, which costs O(n²) per exponent instead of
 // a zeta pass when every bin-0 width has the same bits (a shared
-// threshold β below every π_i). C₁ takes the first strategy the load
-// intervals allow, in this order:
+// threshold β below every π_i). When only the capable players (those
+// whose bin-1 interval has width) share a bin-0 width, and z ≥ 1 point
+// players remain (for threshold players: a shared β, and π_i ≤ β), C₀ is
+// classVolumes' table: one volume per class (|T ∩ capable|, T ∩ points),
+// O(n²·2^z) per exponent, scattered into the 2^n cells. Its bits are
+// those of the zeta ladder over the capable-first order (the capable
+// players first, then the points in the caller's order). C₁ takes the
+// first strategy the load intervals allow, in this order:
 //
 //   - zero shifts and the bin-0 widths (oblivious players): C₁ is C₀;
 //   - one shift β shared by every player whose bin-1 interval has width:
@@ -157,16 +163,20 @@ func (k *TwoBranchKernel) buildTables(players []TwoBranch, capacity float64) err
 	// tables then take the first two.
 	scratch := k.slab[size : 4*size : 4*size]
 	k.w0, k.w1 = scratch[:size:size], scratch[size:2*size:2*size]
-	vol, stats, err := AllSubsetVolumes(k.c0, hi0, capacity, scratch)
+	var err error
+	if _, ok := sharedThreshold(hi0, point); ok && point != 0 {
+		k.stats, err = classVolumes(k.c0, hi0, uint64(size-1)&^point, capacity, scratch)
+	} else {
+		_, k.stats, err = AllSubsetVolumes(k.c0, hi0, capacity, scratch)
+	}
 	if err != nil {
 		return err
 	}
-	k.stats = stats
 	box, err := combin.SubsetProducts(scratch[:size], hi0)
 	if err != nil {
 		return err
 	}
-	for z, v := range vol {
+	for z, v := range k.c0 {
 		k.c0[z] = cdfOf(v, box[z])
 	}
 	if oblivious {
@@ -395,26 +405,44 @@ func sharedBin1Table(c1, scratch, widths []float64, point uint64, t []float64, s
 //
 // Either way the radix depends on S only through m, so one radixLadder
 // pass per exponent gives every volume. Only cardinalities up to
-// len(t) − 1 can carry mass; larger sets get 0. A set whose least radix
-// is not negative (t[m] ≥ σ_S w for a shift, t[m] ≥ 0 for a right end)
-// fits its whole box and gets exactly 1, and the ladder starts at the
-// first exponent with a set that does not fit, because the earlier ones
-// would be overwritten by 1. A set with a zero width has box volume 0 and
-// keeps 0. wSums holds the widths' subset sums and base is 2^n-entry
-// scratch.
+// len(t) − 1 can carry mass. The ladder also ends at the last exponent
+// mmax with a positive radix: past it the largest radix of every m-set,
+// t[m] for a shift and t[m] + σ_S w for a right end (whose m smallest
+// shifts then sum to δ or more), is not positive, so its base cells are
+// all 0 and the pass would give it the sum's signed zero, (−1)^m·0 for a
+// right end; each such set gets that zero without the pass. A set whose
+// least radix is not negative (t[m] ≥ σ_S w for a shift, t[m] ≥ 0 for a
+// right end) fits its whole box and gets exactly 1, and the ladder starts
+// at the first exponent with a set that does not fit, because the earlier
+// ones would be overwritten by 1. A set with a zero width has box volume
+// 0 and keeps 0. wSums holds the widths' subset sums and base is
+// 2^n-entry scratch.
 func bin1Ladder(c1, wSums, base, t []float64, sign float64, n int) (SubsetVolumeStats, error) {
 	fits := func(m int, w float64) bool { return t[m] >= max(sign*w, 0) }
-	mmax := len(t) - 1
+	var widest [combin.MaxSubsetTable + 1]float64 // the largest σ_S w per |S|
+	for s, w := range wSums {
+		m := bits.OnesCount64(uint64(s))
+		widest[m] = max(widest[m], w)
+	}
+	mmax := len(t) - 1 // shiftRadix keeps only the exponents with t[m] > 0
+	for sign < 0 && mmax > 0 && t[mmax]+widest[mmax] <= 0 {
+		mmax--
+	}
 	m0 := mmax + 1
 	for s, w := range wSums {
 		m := bits.OnesCount64(uint64(s))
 		if m > mmax {
-			c1[s] = 0
+			if c1[s] != 0 {
+				c1[s] = 0
+				if sign < 0 && m%2 == 1 {
+					c1[s] = math.Copysign(0, -1)
+				}
+			}
 		} else if m < m0 && !fits(m, w) {
 			m0 = m
 		}
 	}
-	return radixLadder(wSums, sign, t, base, n, m0, func(s uint64, v float64) {
+	return radixLadder(wSums, sign, t[:mmax+1], base, n, m0, func(s uint64, v float64) {
 		m := bits.OnesCount64(s)
 		switch {
 		case c1[s] == 0: // a zero width

@@ -149,8 +149,8 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 // the per-cardinality ladder (n+1 ladder cells and m(m+1)/2 additions per
 // exponent), and builds the bin-1 ladder (a second 2^n-cell table). The
 // same β with two players whose π_i ≤ β (point players in bin 1) builds
-// the full bin-0 zeta ladder and a bin-1 ladder over the 2^(n−2) subsets
-// of the others. A vector with one threshold nudged by an ulp, or with
+// the bin-0 class ladder and a bin-1 ladder over the 2^(n−2) subsets of
+// the others. A vector with one threshold nudged by an ulp, or with
 // one threshold at 0 (a player with no bin-0 width, so half the sets need
 // no walk), keeps the per-set walk, and oblivious players (zero shifts,
 // equal widths) reuse the bin-0 table, so each of the last three builds
@@ -160,10 +160,19 @@ func TestSharedBin1TableMatchesWalk(t *testing.T) {
 // work; the shared-β rows now do less. The shared and walked values agree
 // within 1e-12.
 //
+// The point-player row's bin-0 table is the class ladder with c = n − 2
+// capable players and z = 2 points (π_0 = ¼ < β and π_{n−1} = β, whose
+// bin-0 width β is a point's all the same). Its doc comment's formula
+// 2^z·(n(c+1) + c(c+1)(c+2)/6 + z·c(c+1)/2) + (c+1)·z²·2^(z−1) gives
+// 4·(n(n−1) + n(n−1)(n−2)/6 + (n−1)(n−2)) + 8(n−1) incremental steps:
+// 112, 476, 1200 and 2392 at n = 4, 7, 10 and 13, to which the bin-1
+// ladder adds 0, 240, 3072 and 56320.
+//
 // Threshold players on U[0, 1] inputs (π ≡ 1) take the table their load
 // intervals allow: distinct thresholds share the right end 1, so the
 // bin-1 table is the shared-right-end ladder over all 2^n sets, one pass
-// per exponent m > δ; equal thresholds share the shift, so they take the
+// per exponent m > δ whose m smallest thresholds sum to less than δ (a
+// larger sum leaves no m-set any mass); equal thresholds share the shift, so they take the
 // per-cardinality bin-0 ladder and the shared-β table; and equal ones
 // with a player at 0 and one at 1 (a point player) share the right end
 // over the 2^(n−1) subsets of the others. Their bits are pinned.
@@ -176,10 +185,10 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 	// Subsets, incremental and rebuilt steps: shared β, nudged β, zeroed,
 	// shared β with two point players.
 	thresholdWork := map[int][4]SubsetVolumeStats{
-		4:  {{32, 72, 16}, {16, 192, 16}, {16, 192, 19}, {20, 192, 0}},
-		7:  {{256, 1484, 384}, {128, 4032, 456}, {128, 4032, 415}, {160, 4272, 96}},
-		10: {{2048, 20810, 4096}, {1024, 61440, 11346}, {1024, 61440, 9778}, {1280, 64512, 768}},
-		13: {{16384, 266877, 40960}, {8192, 798720, 257409}, {8192, 798720, 199478}, {10240, 855040, 10240}},
+		4:  {{32, 72, 16}, {16, 192, 16}, {16, 192, 19}, {20, 112, 0}},
+		7:  {{256, 1484, 384}, {128, 4032, 456}, {128, 4032, 415}, {160, 476 + 240, 96}},
+		10: {{2048, 20810, 4096}, {1024, 61440, 11346}, {1024, 61440, 9778}, {1280, 1200 + 3072, 768}},
+		13: {{16384, 266877, 40960}, {8192, 798720, 257409}, {8192, 798720, 199478}, {10240, 2392 + 56320, 10240}},
 	}
 	// Bits of π ≡ 1 distinct, equal and edge thresholds, then oblivious ½.
 	pinnedBits := map[int][4]uint64{
@@ -221,12 +230,16 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 		bin0 := SubsetVolumeStats{Subsets: size, Incremental: uint64(n)*size + uint64(n*n)*size/2}
 		nn := uint64(n)
 		equal := SubsetVolumeStats{Subsets: size, Incremental: nn*(nn+1) + nn*(nn+1)*(nn+2)/6}
-		// The shared-right-end ladder runs the exponents m > δ over the
-		// subsets of c players.
-		endLadder := func(c int) SubsetVolumeStats {
-			u, passes := uint64(1)<<uint(c), uint64(0)
+		// The shared-right-end ladder runs over the subsets of the c
+		// players with these shifts, from the first exponent m > δ up to
+		// the last whose m smallest shifts sum to less than δ.
+		endLadder := func(shifts []float64) SubsetVolumeStats {
+			c := len(shifts)
+			sorted := append([]float64(nil), shifts...)
+			sort.Float64s(sorted)
+			u, passes, least := uint64(1)<<uint(c), uint64(0), 0.0
 			for m := 1; m <= c; m++ {
-				if float64(m) > capacity {
+				if least += sorted[m-1]; float64(m) > capacity && least < capacity {
 					passes++
 				}
 			}
@@ -250,9 +263,9 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 			{"nudged β", thresholdPlayers(nudged, pis), thresholdWork[n][1]},
 			{"zeroed", thresholdPlayers(zeroed, pis), thresholdWork[n][2]},
 			{"oblivious", oblivious, bin0},
-			{"π ≡ 1 distinct", thresholdPlayers(distinct, ones), bin0.Add(endLadder(n))},
+			{"π ≡ 1 distinct", thresholdPlayers(distinct, ones), bin0.Add(endLadder(distinct))},
 			{"π ≡ 1 equal", thresholdPlayers(shared, ones), equal.Add(shiftLadder)},
-			{"π ≡ 1 edges", thresholdPlayers(edges, ones), bin0.Add(endLadder(n - 1))},
+			{"π ≡ 1 edges", thresholdPlayers(edges, ones), bin0.Add(endLadder(edges[:n-1]))},
 			{"oblivious ½", halves, equal},
 			{"shared β, points", thresholdPlayers(shared, points), thresholdWork[n][3]},
 		}
@@ -310,12 +323,18 @@ func TestSharedThresholdPathSelection(t *testing.T) {
 // from 1 with the same emit rule, and at least one instance per n skips an
 // exponent, for a shared shift β and for a shared right end h. The last
 // shared-β instance per n puts one width a step above t_1, so exactly one
-// single set misses its whole box and the first exponent must run.
+// single set misses its whole box and the first exponent must run. The
+// right-end ladder also ends at its last exponent with a positive radix:
+// the reference runs every exponent, so the skipped cells must hold the
+// signed zeros the passes give them, −0 for odd m. A sixth instance per n
+// takes widths h − a_i under shifts a_i and puts δ half a shift past the
+// sum of the ⌊(n−1)/2⌋ smallest, so that the ladder ends early with a −0
+// cell.
 func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
 	for n := 2; n <= maxThresholdPi; n++ {
-		skipped := [2]bool{}
-		for trial := 0; trial < 5; trial++ {
+		skipped, ended := [2]bool{}, false
+		for trial := 0; trial < 6; trial++ {
 			capacity := float64(n) * (0.2 + 0.4*rng.Float64())
 			beta := 0.5 * rng.Float64()
 			highs := make([]float64, n)
@@ -328,9 +347,22 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				}
 				highs[n-1] = math.Nextafter(capacity-beta, math.Inf(1))
 			}
+			h := 0.3 + 0.7*rng.Float64()
+			if trial == 5 {
+				lo := make([]float64, n)
+				for i := range lo {
+					lo[i] = h * (0.2 + 0.7*rng.Float64())
+					highs[i] = h - lo[i]
+				}
+				sort.Float64s(lo)
+				live := (n - 1) / 2
+				capacity = 0.5 * lo[live]
+				for _, a := range lo[:live] {
+					capacity += a
+				}
+			}
 			wSums, _ := combin.SubsetSums(nil, highs)
 			wProd, _ := combin.SubsetProducts(nil, highs)
-			h := 0.3 + 0.7*rng.Float64()
 			for c, sign := range []float64{1, -1} {
 				tm := shiftRadix(nil, capacity, beta, n)
 				if sign < 0 {
@@ -368,15 +400,27 @@ func TestSharedBin1TableSkipBitIdentical(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
+				live := 0 // the last exponent with a positive radix
 				for s := range want {
 					if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
 						t.Fatalf("n=%d sign %v β=%v h=%v δ=%v set %b: skipping table %v, full ladder %v", n, sign, beta, h, capacity, s, got[s], want[s])
+					}
+					if m := bits.OnesCount64(uint64(s)); m <= mmax && tm[m]-sign*wSums[s] > 0 {
+						live = max(live, m)
+					}
+				}
+				if sign < 0 && live < mmax {
+					for _, v := range got {
+						ended = ended || v == 0 && math.Signbit(v)
 					}
 				}
 			}
 		}
 		if !skipped[0] || !skipped[1] {
 			t.Errorf("n=%d: shared β, shared right end skipped a whole-box exponent: %v", n, skipped)
+		}
+		if !ended {
+			t.Errorf("n=%d: no shared-right-end ladder ended early with a −0 cell", n)
 		}
 	}
 }

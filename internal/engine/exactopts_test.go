@@ -43,9 +43,11 @@ func TestExactRulesPopulateCounters(t *testing.T) {
 // TestExactCountersHomogeneousThreshold pins the exact.* counters of one
 // homogeneous Threshold evaluation at n = 6, δ = 2: both 2^6-cell subset
 // tables, the N₀ ladder's 6·2^6 power updates and its 6·6·2^5 zeta
-// additions. The N₁ side runs only the exponents m > δ, here m = 3…6:
-// 4·2^6 = 256 rebuilt base cells and 4·6·2^5 = 768 zeta additions, so
-// 384 + 1152 + 768 = 2304 incremental steps. It then pins a shared
+// additions. The N₁ side runs only the exponents m > δ whose m smallest
+// thresholds sum to less than δ (0.25 + 0.375 + 0.5 + 0.5 + 0.625 ≥ 2
+// leaves no 5-set any mass), here m = 3, 4: 2·2^6 = 128 rebuilt base
+// cells and 2·6·2^5 = 384 zeta additions, so 384 + 1152 + 384 = 1920
+// incremental steps. It then pins a shared
 // threshold on a π instance, whose bin-1 table is rebuilt per exponent
 // too and so moves exact.steps.rebuilt.
 func TestExactCountersHomogeneousThreshold(t *testing.T) {
@@ -59,8 +61,8 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	snap := reg.Snapshot()
 	want := map[string]int64{
 		"exact.subsets":           128,
-		"exact.steps.rebuilt":     256,
-		"exact.steps.incremental": 2304,
+		"exact.steps.rebuilt":     128,
+		"exact.steps.incremental": 1920,
 	}
 	for name, v := range want {
 		if got := snap.Counters[name]; got != v {
@@ -73,8 +75,11 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	// covers 3 exponents. The widest residual width is
 	// 2 − 0.625 = 1.375 = δ − β, so every single set fits its whole box
 	// and m = 1 takes Π w without a pass. The table runs m = 2, 3:
-	// 2·2^5 rebuilt base cells and 2·5·2^4 zeta additions on top of the
-	// bin-0 table's 2^6 cells, 6·2^6 power updates and 6²·2^5 additions.
+	// 2·2^5 rebuilt base cells and 2·5·2^4 = 160 zeta additions on top of
+	// the bin-0 table's 2^6 cells. That table is the class ladder of
+	// c = 5 capable players and z = 1 point, whose formula
+	// 2^z·(n(c+1) + c(c+1)(c+2)/6 + z·c(c+1)/2) + (c+1)·z²·2^(z−1) gives
+	// 2·(36 + 35 + 15) + 6 = 178 incremental steps.
 	reg = obs.NewRegistry()
 	e = New(Config{Obs: obs.New(reg, nil)})
 	pi := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
@@ -85,7 +90,7 @@ func TestExactCountersHomogeneousThreshold(t *testing.T) {
 	want = map[string]int64{
 		"exact.subsets":           96,
 		"exact.steps.rebuilt":     64,
-		"exact.steps.incremental": 1696,
+		"exact.steps.incremental": 178 + 160,
 	}
 	for name, v := range want {
 		if got := snap.Counters[name]; got != v {

@@ -120,8 +120,12 @@ func TestSweepThresholdTablesMatchPointwise(t *testing.T) {
 // the per-cardinality ladder (2^6 cells, 6·7 ladder cells and 56
 // additions); at β = ½ and ⅝ player 0 (π = ½ ≤ β) never chooses bin 1, so
 // the bin-1 ladder runs over the 2^5 subsets of the others. The bin-1
-// passes are 5 over 2^6 cells at β = ¼, 2 over 2^5 at ½ and 2 over 2^5 at
-// ⅝, whose bin-0 table is the full 6·2^6 + 6²·2^5.
+// passes are 5 over 2^6 cells at β = ¼ (5·6·2^5 = 960 additions), 2 over
+// 2^5 at ½ and 2 over 2^5 at ⅝ (2·5·2^4 = 160 each). At ⅝ the bin-0
+// widths are five β's and player 0's ½, so the bin-0 table is the class
+// ladder of c = 5 capable players and z = 1 point:
+// 2^z·(n(c+1) + c(c+1)(c+2)/6 + z·c(c+1)/2) + (c+1)·z²·2^(z−1) = 178
+// incremental steps.
 func TestTableSweepCounters(t *testing.T) {
 	inst := Instance{N: 6, Delta: 2, Pi: []float64{0.5, 1.25, 0.75, 2, 1, 1.5}}
 	check := func(what string, got, want [3]int64) {
@@ -144,7 +148,7 @@ func TestTableSweepCounters(t *testing.T) {
 	}
 	got := exactWork(t, beta)
 	check("threshold sweep against its one-shots", got, oneShots)
-	check("threshold sweep", got, [3]int64{320, 3012, 448})
+	check("threshold sweep", got, [3]int64{320, (98 + 960) + (98 + 160) + (178 + 160), 448})
 }
 
 // exactWork returns the exact.* counters of a one-worker Exact sweep of

@@ -120,7 +120,7 @@ func TestOptimalSymmetricPinnedN3(t *testing.T) {
 // oracle takes about 3.5 s in all on a 2-vCPU Xeon, most of it at n = 14.
 func TestRatOracleN11To14(t *testing.T) {
 	pinned := map[int][2]float64{ // π ≡ 1 distinct, shared β on π
-		11: {1.1e-14, 7.8e-16},
+		11: {1.1e-14, 9.5e-16},
 		12: {8.6e-15, 4.4e-15},
 		13: {8.6e-15, 7.7e-17},
 		14: {2.6e-15, 5.0e-15},
