@@ -114,18 +114,21 @@ func TestOptimalSymmetricPinnedN3(t *testing.T) {
 // TestRatOracleN11To14 compares the float evaluator with the rational
 // oracle past the n ≤ 10 property tests, on one seeded instance of each
 // kind per n = 11…14 at the dyadic δ ≈ n/3: distinct dyadic thresholds on
-// π ≡ 1 (the shared-right-end bin-1 table) and a shared dyadic β on
-// dyadic ranges π ∈ [½, 2] (the shared-β table). The pins are the errors
-// measured when the test was written, rounded up to two digits. The
-// oracle takes about 3.5 s in all on a 2-vCPU Xeon, most of it at n = 14.
+// π ≡ 1 (the shared-right-end bin-1 table), a shared dyadic β on dyadic
+// ranges π ∈ [½, 2] (the shared-β table), and a shared dyadic β with
+// c ≥ 3 capable players (π_i > β) and z ≥ 2 point players (π_i ≤ β) at
+// random places (the bin-0 class ladder). The pins are the errors
+// measured when each instance was added, rounded up to two digits. The
+// oracle takes about 5 s in all on a 2-vCPU Xeon, most of it at n = 14.
 func TestRatOracleN11To14(t *testing.T) {
-	pinned := map[int][2]float64{ // π ≡ 1 distinct, shared β on π
-		11: {1.1e-14, 9.5e-16},
-		12: {8.6e-15, 4.4e-15},
-		13: {8.6e-15, 7.7e-17},
-		14: {2.6e-15, 5.0e-15},
+	pinned := map[int][3]float64{ // π ≡ 1 distinct, shared β on π, shared β with points
+		11: {1.1e-14, 9.5e-16, 3.7e-13},
+		12: {8.6e-15, 4.4e-15, 7.7e-15},
+		13: {8.6e-15, 7.7e-17, 9.6e-14},
+		14: {2.6e-15, 5.0e-15, 8.4e-13},
 	}
 	rng := rand.New(rand.NewPCG(51, 3))
+	points := rand.New(rand.NewPCG(51, 4))
 	check := func(n, kind int, got float64, want *big.Rat) {
 		t.Helper()
 		wf, _ := want.Float64()
@@ -163,5 +166,23 @@ func TestRatOracleN11To14(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(n, 1, got, want)
+		k := int64(24 + points.IntN(17)) // β = k/64
+		betaF, betaR = float64(k)/64, big.NewRat(k, 64)
+		z := 2 + points.IntN(n-4)
+		place := points.Perm(n)
+		for i := range ths {
+			ths[i], thsR[i] = betaF, betaR
+			pis[i], pisR[i] = dyadic64(points, k+1, 128)
+		}
+		for _, i := range place[:z] {
+			pis[i], pisR[i] = dyadic64(points, 16, k)
+		}
+		if got, err = WinningProbabilityPi(ths, pis, capF, nil); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = WinningProbabilityPiRat(thsR, pisR, capR); err != nil {
+			t.Fatal(err)
+		}
+		check(n, 2, got, want)
 	}
 }

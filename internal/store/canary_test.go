@@ -16,7 +16,9 @@ import (
 
 // canaryAnswers evaluates the canary request set: every rule kind the
 // store persists, on every backend it supports, on a homogeneous instance
-// and, where the rule accepts one, on a π instance; the Monte-Carlo
+// and, where the rule accepts one, on a π instance, plus the exact
+// symmetric threshold on a π instance whose point player comes first
+// (the class ladder's capable-first order); the Monte-Carlo
 // backends run with a fixed seed and worker count. It returns the SHA-256
 // of each answer's P and StdErr bits, in request order.
 func canaryAnswers(t *testing.T) string {
@@ -31,6 +33,9 @@ func canaryAnswers(t *testing.T) string {
 	}
 	hom := engine.Instance{N: 5, Delta: 1.7}
 	pi := engine.Instance{N: 5, Delta: 1.4, Pi: []float64{1, 0.9, 0.8, 0.7, 0.6}}
+	// π_0 ≤ 0.61 = β: a point player ahead of the capable ones, whose
+	// bin-0 class table runs over the capable-first order.
+	pointFirst := engine.Instance{N: 5, Delta: 1.4, Pi: []float64{0.6, 1, 0.9, 0.8, 0.7}}
 	py := engine.Instance{N: py91.Players, Delta: py91.Capacity}
 	all := []engine.Backend{engine.Exact, engine.MonteCarlo, engine.MonteCarloQMC}
 	type request struct {
@@ -49,6 +54,7 @@ func canaryAnswers(t *testing.T) string {
 		requests = append(requests, request{r, hom, all}, request{r, pi, all})
 	}
 	requests = append(requests,
+		request{engine.SymmetricThreshold{Beta: 0.61}, pointFirst, []engine.Backend{engine.Exact}},
 		// The interval-set oracle takes only U[0, 1] inputs.
 		request{engine.IntervalRule{Set: set}, hom, all},
 		request{engine.IntervalRule{Set: set}, pi, []engine.Backend{engine.MonteCarlo, engine.MonteCarloQMC}},
