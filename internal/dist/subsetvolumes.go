@@ -322,9 +322,9 @@ func classLadder(vol []float64, w float64, pw []float64, capable uint64, t float
 		invM := 1 / float64(m)
 		kmax := min(c, m)
 		for q := 0; q < row; q++ {
-			g, r := p[q*width:(q+1)*width], radix[q*width:(q+1)*width]
+			g, x := p[q*width:(q+1)*width], radix[q*width:(q+1)*width]
 			for k := range g {
-				g[k] = g[k] * r[k] * invM
+				g[k] = g[k] * x[k] * invM
 			}
 			copy(v[:kmax+1], g[:kmax+1])
 			rows[q] = v[0]

@@ -306,9 +306,9 @@ func cdfOf(vol, box float64) float64 {
 }
 
 // sharedThreshold reports whether every player outside point (those whose
-// bin-1 interval is a point) has the same value in xs, a bin-1 shift or
-// right end, and returns it. Vacuously true when every player is in
-// point.
+// bin-1 interval is a point) has the same value in xs, a bin-0 width or a
+// bin-1 shift or right end, and returns it. Vacuously true when every
+// player is in point.
 func sharedThreshold(xs []float64, point uint64) (float64, bool) {
 	x, seen := 0.0, false
 	for i, v := range xs {
