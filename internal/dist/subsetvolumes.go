@@ -303,9 +303,9 @@ func classLadder(vol []float64, w float64, pw []float64, capable uint64, t float
 			if k > 0 {
 				s += w
 			}
-			i := q*width + k
-			radix[i], p[i] = t-s, 0
-			if t-s > 0 {
+			i, r := q*width+k, t-s
+			radix[i], p[i] = r, 0
+			if r > 0 {
 				p[i] = 1
 				if odd != (k%2 == 1) {
 					p[i] = -1

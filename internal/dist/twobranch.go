@@ -419,14 +419,16 @@ func sharedBin1Table(c1, scratch, widths []float64, point uint64, t []float64, s
 // 2^n-entry scratch.
 func bin1Ladder(c1, wSums, base, t []float64, sign float64, n int) (SubsetVolumeStats, error) {
 	fits := func(m int, w float64) bool { return t[m] >= max(sign*w, 0) }
-	var widest [combin.MaxSubsetTable + 1]float64 // the largest σ_S w per |S|
-	for s, w := range wSums {
-		m := bits.OnesCount64(uint64(s))
-		widest[m] = max(widest[m], w)
-	}
 	mmax := len(t) - 1 // shiftRadix keeps only the exponents with t[m] > 0
-	for sign < 0 && mmax > 0 && t[mmax]+widest[mmax] <= 0 {
-		mmax--
+	if sign < 0 {
+		var widest [combin.MaxSubsetTable + 1]float64 // the largest σ_S w per |S|
+		for s, w := range wSums {
+			m := bits.OnesCount64(uint64(s))
+			widest[m] = max(widest[m], w)
+		}
+		for mmax > 0 && t[mmax]+widest[mmax] <= 0 {
+			mmax--
+		}
 	}
 	m0 := mmax + 1
 	for s, w := range wSums {
